@@ -14,7 +14,7 @@ class ConfigError(LatgasError, ValueError):
 
 
 class StabilityError(ConfigError):
-    """Time step violates the explicit-scheme stability bound."""
+    """Time step exceeds the advective step bound of the PDE solver."""
 
 
 class DomainError(LatgasError, ValueError):

@@ -8,8 +8,10 @@ with Dirichlet data a, b on the walls u_1 = 0, 1 built from the reservoir
 profiles.  The controlled variant replaces v_i by v_i - vtilde . d_i H for a
 vector field H vanishing on the walls.  Discretization: method of lines,
 second-order central differences for both the Laplacian and the flux
-divergence, two-stage strong-stability-preserving time stepping with
-dt <= h^2 / (2(d+1)), Dirichlet values re-pinned after each stage.
+divergence, and one second-order implicit-explicit (IMEX) time step: the
+(1/2) Lap w term by Crank-Nicolson, the flux divergence by Heun, with the
+Dirichlet values held by the implicit solve.  dt is bounded by the advective
+CFL condition of `advective_limit`; by default one step per frame.
 
 `QuadratureContext` evaluates the weak-form residual of a trajectory against a
 test function (trapezoid in space, midpoint in time) and the chi-weighted
@@ -20,14 +22,16 @@ linear part of the trajectory cost functional.
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass, field as dc_field
 from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.linalg.lapack import zpttrf, zpttrs
 
 from .dynamics import ReservoirProfiles
-from .errors import ConfigError, DomainError, NumericalFailure, StabilityError
+from .errors import DomainError, NumericalFailure, StabilityError
 from .grid import Grid
 from .thermo import NEWTON_TOL, domain_of, invert_conserved, theta_all
 from .velocities import VelocitySet
@@ -304,20 +308,24 @@ class FieldTrajectory:
         return self.values[i]
 
     def save(self, path) -> None:
+        """Write a compressed .npz; `meta` is stored as a JSON string."""
         np.savez_compressed(
             path, times=self.times, values=self.values, gamma=self.gamma,
             bound_a=self.boundary.a, bound_b=self.boundary.b,
             grid=np.array([self.grid.d, self.grid.m1, self.grid.mt]),
+            meta=np.array(json.dumps(self.meta)),
         )
 
     @classmethod
     def load(cls, path) -> "FieldTrajectory":
+        """Read a file written by `save`; files without meta load with meta {}."""
         data = np.load(path)
         d, m1, mt = (int(x) for x in data["grid"])
         return cls(
             grid=Grid(d, m1, mt), times=data["times"], values=data["values"],
             gamma=data["gamma"],
             boundary=BoundaryData(a=data["bound_a"], b=data["bound_b"]),
+            meta=json.loads(str(data["meta"])) if "meta" in data.files else {},
         )
 
     def to_csv(self, path, header_comment: str = "") -> None:
@@ -397,20 +405,81 @@ def _lap_axis(f: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
 
 # --- solver ----------------------------------------------------------------------
 
-def stability_limit(grid: Grid) -> float:
-    """Diffusion-limited explicit step bound h_min^2 / (2 (d+1))."""
-    return grid.min_spacing**2 / (2.0 * (grid.d + 1))
+def _drift(control, t: float, grid: Grid, vset: VelocitySet) -> np.ndarray:
+    """Controlled velocities v_i - vtilde_v . d_iH at time t, shape (*shape, d, nv)."""
+    gh = control.gradient(np.array([t]), grid)[0]
+    return vset.velocities.T - np.einsum("...ik,vk->...iv", gh, vset.vtilde)
+
+
+def advective_limit(grid: Grid, vset: VelocitySet, control=None, times=()) -> float:
+    """Largest dt for which the IMEX step is stable on frozen coefficients.
+
+    Linearize the flux about a state w: dF_i/dw = M_i J^-1 with
+    M_i = sum_v c_iv (1 - 2 theta_v) chi_v vtilde vtilde^T, J = sum_v chi_v
+    vtilde vtilde^T, and c_iv = v_i, or v_i - vtilde_v . d_iH under a control.
+    Since |c_iv (1 - 2 theta_v)| <= c_i = max_v |c_iv|, the Loewner bounds
+    -c_i J <= M_i <= c_i J put every characteristic speed along axis i in
+    [-c_i, c_i].  A Fourier mode with angles phi_i per axis therefore splits
+    into scalar modes with explicit symbol -i b, |b| <= sum_i c_i |sin phi_i| / h_i,
+    and implicit symbol a = -sum_i (2 / h_i^2) sin^2(phi_i / 2) of A = (1/2) Lap_h.
+    With r = (1 - x)/(1 + x), x = dt |a| / 2, and s = dt b / (1 + x), one step
+    multiplies the mode by g with |g|^2 = r^2 + s^4/4 + s^2 (1 - r)^2 / 4,
+    so |g| <= 1 iff beta^4/4 + beta^2 x^2 <= 4x (1 + x)^2 for beta = dt b.
+    That holds when beta^2 <= 8 and beta^4 <= 16x.  Cauchy-Schwarz gives
+    beta^2 <= 4 dt |c|^2 x and beta <= sigma = dt sum_i c_i / h_i, so both
+    hold when sigma <= 1 (CFL 1) and dt sigma^2 |c|^2 <= 4.  The limit is
+    min(dt_cfl, (4 dt_cfl^2 / |c|^2)^(1/3)) with dt_cfl = 1 / sum_i c_i / h_i.
+    For d = 1 without control it is h_1 / max_v |v_1| whenever
+    h_1 max_v |v_1| <= 4.  A control's drift enters c_i through its values at
+    `times`.
+    """
+    speeds = np.max(np.abs(vset.velocities), axis=0)
+    for t in times:
+        drift = np.abs(_drift(control, t, grid, vset))
+        speeds = np.maximum(speeds, drift.max(axis=tuple(range(grid.d)) + (-1,)))
+    spacing = np.array([grid.h1] + [grid.ht] * (grid.d - 1))
+    dt_cfl = 1.0 / float(np.sum(speeds / spacing))
+    return min(dt_cfl, (4.0 * dt_cfl**2 / float(np.sum(speeds**2))) ** (1.0 / 3.0))
 
 
 class _Stepper:
+    """IMEX trapezoidal step (Ascher, Ruuth & Spiteri 1997) at a fixed dt.
+
+    A = (1/2) Lap_h is taken by Crank-Nicolson, the flux divergence N by Heun:
+        (I - dt/2 A) W* = W + dt/2 A W + dt N(W)
+        (I - dt/2 A) W' = W + dt/2 A W + dt/2 (N(W) + N(W*)),
+    with identity rows at the walls holding a and b.  Eliminating the wall rows
+    leaves a symmetric positive definite system on the interior; an rfft along
+    the periodic transverse axes diagonalizes their Laplacian, leaving one
+    tridiagonal system in u_1 per transverse wavenumber (one for d = 1).  Each
+    is factored once, here, and solved twice per step.
+    """
+
     def __init__(self, vset: VelocitySet, grid: Grid, boundary: BoundaryData,
-                 control=None):
+                 dt: float, control=None):
         self.vset = vset
         self.grid = grid
         self.boundary = boundary
         self.control = control
+        self.dt = dt
         self.dom = domain_of(vset)
         self.lam = None  # Newton warm start, shape (n_nodes, ncomp)
+        self.axes = tuple(range(1, grid.d))
+        # (I - dt/2 A) on interior rows: -r, 1 + 2r + s_k, -r per wavenumber k.
+        self.r = dt / (4.0 * grid.h1**2)
+        if grid.d > 1:
+            # rfftn keeps all wavenumbers on the leading axes, half on the last.
+            sin2 = [np.sin(np.pi * np.arange(m) / grid.mt) ** 2
+                    for m in [grid.mt] * (grid.d - 2) + [grid.mt // 2 + 1]]
+            s_k = (dt / grid.ht**2) * reduce(np.add.outer, sin2)
+        else:
+            s_k = np.zeros(1)
+        n = grid.m1 - 2
+        # The f2py wrappers reject an empty off-diagonal; for m1 = 3 (n = 1)
+        # LAPACK reads none of it.
+        off = np.full(max(n - 1, 1), -self.r, dtype=complex)
+        self.factors = [zpttrf(np.full(n, 1.0 + 2.0 * self.r + s), off)[:2]
+                        for s in np.ravel(s_k)]
 
     def _theta(self, W: np.ndarray) -> np.ndarray:
         flat = W.reshape(-1, self.vset.d + 1)
@@ -418,26 +487,31 @@ class _Stepper:
         self.lam = lam
         return theta_all(lam, self.vset).reshape(W.shape[:-1] + (len(self.vset),))
 
-    def rhs(self, W: np.ndarray, t: float) -> np.ndarray:
-        grid = self.grid
+    def flux_divergence(self, W: np.ndarray, t: float) -> np.ndarray:
+        """N(W) = -sum_i d_i F_i(W), with the control drift when there is one."""
         th = self._theta(W)
-        chi_v = th * (1.0 - th)
-        drift = None
-        if self.control is not None:
-            gh = self.control.gradient(np.array([t]), grid)[0]
-            drift = self.vset.velocities.T - np.einsum("...ik,vk->...iv", gh,
-                                                       self.vset.vtilde)
-        fl = _flux_grid(chi_v, self.vset, drift)
-        div = np.zeros_like(W)
-        lap = np.zeros_like(W)
-        for i in range(grid.d):
-            div += _grad_central(fl[..., i, :], grid, axis=i)
-            lap += _lap_axis(W, grid, axis=i)
-        return 0.5 * lap - div
+        drift = None if self.control is None else _drift(self.control, t, self.grid,
+                                                         self.vset)
+        fl = _flux_grid(th * (1.0 - th), self.vset, drift)
+        return -sum(_grad_central(fl[..., i, :], self.grid, axis=i)
+                    for i in range(self.grid.d))
 
-    def pin(self, W: np.ndarray) -> None:
-        W[0] = self.boundary.a
-        W[-1] = self.boundary.b
+    def implicit_solve(self, R: np.ndarray) -> np.ndarray:
+        """Solve (I - dt/2 A) X = R; R's wall rows are ignored, X's are a and b."""
+        rhs = R[1:-1].copy()
+        rhs[0] += self.r * self.boundary.a
+        rhs[-1] += self.r * self.boundary.b
+        rhs = np.fft.rfftn(rhs, axes=self.axes) if self.axes else rhs.astype(complex)
+        modes = rhs.reshape(len(rhs), -1, rhs.shape[-1])
+        for k, (d_k, e_k) in enumerate(self.factors):
+            modes[:, k] = zpttrs(d_k, e_k, modes[:, k])[0]
+        modes = modes.reshape(rhs.shape)
+        X = np.empty_like(R)
+        X[1:-1] = (np.fft.irfftn(modes, s=self.grid.tshape, axes=self.axes)
+                   if self.axes else modes.real)
+        X[0] = self.boundary.a
+        X[-1] = self.boundary.b
+        return X
 
     def guard(self, W: np.ndarray, t: float) -> np.ndarray:
         flat = W.reshape(-1, self.vset.d + 1)
@@ -454,16 +528,15 @@ class _Stepper:
             flat[bad] = self.dom.project_inward(flat[bad], min_margin=HULL_INTERIOR_PAD)
         return W
 
-    def heun(self, W: np.ndarray, t: float, dt: float) -> np.ndarray:
-        k1 = self.rhs(W, t)
-        W1 = W + dt * k1
-        self.pin(W1)
-        self.guard(W1, t + dt)
-        k2 = self.rhs(W1, t + dt)
-        W2 = 0.5 * (W + W1 + dt * k2)
-        self.pin(W2)
-        self.guard(W2, t + dt)
-        return W2
+    def step(self, W: np.ndarray, t: float) -> np.ndarray:
+        """Advance W from t to t + dt."""
+        dt = self.dt
+        base = W + 0.25 * dt * sum(_lap_axis(W, self.grid, axis=i)
+                                   for i in range(self.grid.d))
+        n0 = self.flux_divergence(W, t)
+        W1 = self.guard(self.implicit_solve(base + dt * n0), t + dt)
+        n1 = self.flux_divergence(W1, t + dt)
+        return self.guard(self.implicit_solve(base + 0.5 * dt * (n0 + n1)), t + dt)
 
 
 def _prepare_gamma(gamma, grid: Grid, vset: VelocitySet) -> np.ndarray:
@@ -486,41 +559,57 @@ def _prepare_gamma(gamma, grid: Grid, vset: VelocitySet) -> np.ndarray:
 def solve_controlled(gamma, boundary: BoundaryData, horizon: float, grid: Grid,
                      vset: VelocitySet, control=None, dt: Optional[float] = None,
                      n_frames: int = 256) -> FieldTrajectory:
-    """March the (optionally controlled) system to `horizon`.
+    """March the (optionally controlled) system to `horizon` with the IMEX step.
 
     With control=None this is exactly the plain solver: the control term is
-    skipped, not added as zero.  dt defaults to the stability bound; an
-    explicit dt above the bound raises StabilityError before any work.  The
-    number of steps is rounded so frames are uniformly spaced.
+    skipped, not added as zero.  Choosing dt:
+
+    - By default dt is the smaller of the frame spacing horizon / n_frames and
+      `advective_limit` (with the control's drift sampled at the frame times).
+      The diffusion is implicit, so the grid limits dt only through the
+      advective CFL condition; on the shipped configs the frame spacing is
+      the smaller and each frame is one step.
+    - A given `dt` (config key `hydro.dt`) above the advective limit raises
+      StabilityError (exit 2) before any work.  A smaller one buys accuracy:
+      the step is second order in time, so halving dt cuts the time error by 4.
+    - The step count is rounded up so frames are uniformly spaced; when there
+      are fewer steps than n_frames, every step is a frame.  The cost
+      functional integrates over frames (midpoint rule, error O(dt_frame^2)),
+      so n_frames sets that quadrature's accuracy as well as the default
+      step count.
+
+    The run's dt, step count and whether it was controlled land in `meta`.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    bound = stability_limit(grid)
-    if dt is None:
-        dt = bound
-    elif dt > bound * (1 + 1e-12):
-        raise StabilityError(
-            f"dt={dt:.3e} exceeds the stability bound {bound:.3e} for this grid"
-        )
     if control is not None:
         check_vanishes_on_walls(control, grid, horizon)
+    n_frames = max(1, n_frames)
+    probes = np.linspace(0.0, horizon, n_frames + 1) if control is not None else ()
+    bound = advective_limit(grid, vset, control, probes)
+    if dt is None:
+        dt = min(horizon / n_frames, bound)
+    elif dt > bound * (1 + 1e-12):
+        raise StabilityError(
+            f"dt={dt:.3e} exceeds the advective step bound {bound:.3e} for this grid"
+        )
 
     n_steps = int(np.ceil(horizon / dt - 1e-12))
-    n_frames = max(1, min(n_frames, n_steps))
+    n_frames = min(n_frames, n_steps)
     stride = int(np.ceil(n_steps / n_frames))
     n_steps = stride * int(np.ceil(n_steps / stride))
     dt = horizon / n_steps
     n_frames = n_steps // stride
 
     gamma_arr = _prepare_gamma(gamma, grid, vset)
-    stepper = _Stepper(vset, grid, boundary, control=control)
+    stepper = _Stepper(vset, grid, boundary, dt, control=control)
     W = gamma_arr.copy()
     frames = np.empty((n_frames + 1,) + W.shape)
     frames[0] = W
     times = np.empty(n_frames + 1)
     times[0] = 0.0
     for step_idx in range(1, n_steps + 1):
-        W = stepper.heun(W, (step_idx - 1) * dt, dt)
+        W = stepper.step(W, (step_idx - 1) * dt)
         if step_idx % stride == 0:
             f = step_idx // stride
             frames[f] = W

@@ -57,6 +57,8 @@ class TestBasis:
     separable-factor orthogonality makes the family linearly independent.
     """
 
+    __test__ = False  # a library class, not a pytest test class
+
     def __init__(self, modes, signatures=None):
         if not modes:
             raise ValueError("empty basis")

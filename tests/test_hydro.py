@@ -13,16 +13,19 @@ from latgas.hydro import (
     QuadratureContext,
     SeparableMode,
     TimeFactor,
+    advective_limit,
     check_vanishes_on_walls,
     field_energy,
     flux,
     solve_controlled,
     solve_hydro,
-    stability_limit,
     synthetic_trajectory,
     weak_residual,
+    _lap_axis,
+    _Stepper,
 )
 from latgas.thermo import domain_of
+from latgas.velocities import VelocitySet
 
 T = 0.5
 
@@ -32,12 +35,20 @@ def setup(vs2):
     grid = Grid(1, 65)
     prof = ReservoirProfiles.constant(vs2, [0.3, 0.4], [0.6, 0.5])
     bd = BoundaryData.from_profiles(prof, vs2, grid)
+    return grid, bd, linear_gamma(bd)
 
-    def gamma(u):
-        x = u[..., 0]
-        return (1 - x)[..., None] * bd.a + x[..., None] * bd.b
 
-    return grid, bd, gamma
+def smooth_gamma(u):
+    """Smooth d=1 profile equal to (1, 0) on both walls."""
+    x = u[..., 0]
+    out = np.empty(u.shape[:-1] + (2,))
+    out[..., 0] = 1.0 + 0.4 * np.sin(np.pi * x)
+    out[..., 1] = 0.1 * np.sin(2 * np.pi * x)
+    return out
+
+
+def linear_gamma(bd):
+    return lambda u: (1 - u[..., 0])[..., None] * bd.a + u[..., 0][..., None] * bd.b
 
 
 def closed_form_flux(rho, p, v):
@@ -111,8 +122,13 @@ class TestSolver:
 
     def test_stability_error(self, vs2, setup):
         grid, bd, gamma = setup
-        with pytest.raises(StabilityError):
-            solve_hydro(gamma, bd, 0.1, grid, vs2, dt=10 * stability_limit(grid))
+        # d = 1, no control: CFL 1, h_1 / max|v_1| = (1/64) / (1/2).
+        bound = advective_limit(grid, vs2)
+        assert bound == pytest.approx(grid.h1 / 0.5, rel=1e-12)
+        with pytest.raises(StabilityError, match="advective"):
+            solve_hydro(gamma, bd, 0.1, grid, vs2, dt=1.01 * bound)
+        traj = solve_hydro(gamma, bd, 0.1, grid, vs2, dt=0.99 * bound)
+        assert traj.meta["n_steps"] == 4
 
     def test_bad_initial_profile(self, vs2, setup):
         grid, bd, _ = setup
@@ -132,26 +148,37 @@ class TestSolver:
 
     def test_self_convergence_second_order(self, vs2):
         # smooth manufactured initial data, matched boundary; compare
-        # against a fine reference at the final time
+        # against a fine reference at the final time.  At dt = 2.5e-4 the
+        # time error (about 0.85 dt^2, see test_temporal_second_order) is
+        # below 1e-3 of the m1 = 33 spatial error, so the ratio is spatial.
         c = np.array([1.0, 0.0])
         bd = BoundaryData(a=c, b=c)
-
-        def gamma(u):
-            x = u[..., 0]
-            out = np.empty(u.shape[:-1] + (2,))
-            out[..., 0] = 1.0 + 0.4 * np.sin(np.pi * x)
-            out[..., 1] = 0.1 * np.sin(2 * np.pi * x)
-            return out
-
-        horizon = 0.02
-        ref = solve_hydro(gamma, bd, horizon, Grid(1, 129), vs2, n_frames=4)
+        horizon, dt = 0.02, 2.5e-4
+        ref = solve_hydro(smooth_gamma, bd, horizon, Grid(1, 129), vs2, dt=dt, n_frames=4)
         errs = []
         for m1 in (17, 33):
-            traj = solve_hydro(gamma, bd, horizon, Grid(1, m1), vs2, n_frames=4)
+            traj = solve_hydro(smooth_gamma, bd, horizon, Grid(1, m1), vs2, dt=dt,
+                               n_frames=4)
             stride = 128 // (m1 - 1)
             errs.append(np.max(np.abs(traj.values[-1] - ref.values[-1][::stride])))
         ratio = errs[0] / errs[1]
-        assert 3.0 <= ratio <= 5.5  # second order in space (dt ~ h^2)
+        assert 3.0 <= ratio <= 5.5  # second order in space
+
+    def test_temporal_second_order(self, vs2):
+        # fixed m1; halving dt cuts the error against a fine-dt solution by 4
+        c = np.array([1.0, 0.0])
+        bd = BoundaryData(a=c, b=c)
+        grid, horizon = Grid(1, 65), 0.1
+        ref = solve_hydro(smooth_gamma, bd, horizon, grid, vs2, dt=horizon / 1024,
+                          n_frames=4)
+        errs = []
+        for n in (16, 32, 64):
+            traj = solve_hydro(smooth_gamma, bd, horizon, grid, vs2, dt=horizon / n,
+                               n_frames=4)
+            assert traj.meta["n_steps"] == n
+            errs.append(np.max(np.abs(traj.values[-1] - ref.values[-1])))
+        for coarse, fine in zip(errs, errs[1:]):
+            assert coarse / fine == pytest.approx(4.0, rel=0.05)
 
     def test_zero_control_reduces_exactly(self, vs2, setup):
         grid, bd, gamma = setup
@@ -197,6 +224,70 @@ class TestSolver:
                                        [AxisFactor("sine", 1)], amplitude=40.0)])
         with pytest.raises(NumericalFailure, match="hull"):
             solve_controlled(gamma, bd, 0.2, grid, vs2, control=ctrl, n_frames=8)
+
+
+class TestTransverse:
+    """d = 2 on Grid(2, 33, 8) with the diagonal set {(±1/2, ±1/2)}.
+
+    With equal densities on (v_1, +1/2) and (v_1, -1/2), lambda_2 = 0 and the
+    set is two copies of the d = 1 pair {±1/2}: (rho, p_1) is twice the d = 1
+    field and p_2 = 0.
+    """
+
+    T = 0.1
+
+    @pytest.fixture
+    def diag(self):
+        vs = VelocitySet(np.array([[0.5, 0.5], [0.5, -0.5], [-0.5, 0.5], [-0.5, -0.5]]))
+        grid = Grid(2, 33, 8)
+        side = lambda dens: [dens[0] if v[0] > 0 else dens[1] for v in vs.velocities]
+        prof = ReservoirProfiles.constant(vs, side([0.3, 0.4]), side([0.6, 0.5]))
+        bd = BoundaryData.from_profiles(prof, vs, grid)
+        return vs, grid, bd, solve_hydro(linear_gamma(bd), bd, self.T, grid, vs, n_frames=8)
+
+    def test_transverse_constant_matches_d1(self, vs2, diag):
+        _, _, _, flat = diag
+        grid = Grid(1, 33)
+        prof = ReservoirProfiles.constant(vs2, [0.3, 0.4], [0.6, 0.5])
+        bd = BoundaryData.from_profiles(prof, vs2, grid)
+        one = solve_hydro(linear_gamma(bd), bd, self.T, grid, vs2, n_frames=8)
+        assert flat.meta == one.meta
+        assert np.max(np.abs(flat.values[..., :2] - 2 * one.values[:, :, None])) <= 1e-12
+        assert np.max(np.abs(flat.values[..., 2])) <= 1e-12
+
+    def test_transverse_cosine_decays_inside_hull(self, diag):
+        vs, grid, bd, flat = diag
+        eps = 0.05
+
+        def gamma(u):
+            out = linear_gamma(bd)(u)
+            out[..., 0] += eps * np.sin(np.pi * u[..., 0]) * np.cos(2 * np.pi * u[..., 1])
+            return out
+
+        traj = solve_hydro(gamma, bd, self.T, grid, vs, n_frames=8)
+        assert np.min(domain_of(vs).margin(traj.values.reshape(-1, 3))) > 0
+        amp = np.max(np.abs(traj.values - flat.values), axis=(1, 2, 3))
+        assert amp[0] == pytest.approx(eps)
+        assert np.all(np.diff(amp) < 0)
+        # heat-equation decay exp(-(pi^2 + (2 pi)^2) T / 2) = 0.085; seen 0.093
+        assert amp[-1] < 0.15 * eps
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 3), Grid(1, 17), Grid(2, 9, 5), Grid(3, 9, 6)],
+                         ids=str)
+def test_implicit_solve_inverts_the_crank_nicolson_matrix(grid, rng):
+    # Every transverse wavenumber of the rfft layout (odd and even mt, d = 3)
+    # and the smallest grid: (I - dt/4 Lap_h) X = R on the interior rows.
+    d, dt = grid.d, 0.02
+    vs = VelocitySet(np.vstack([s * 0.5 * np.eye(d) for s in (1, -1)]))
+    nv = 2 * d
+    prof = ReservoirProfiles.constant(vs, [0.3] * nv, [0.5] * nv)
+    bd = BoundaryData.from_profiles(prof, vs, grid)
+    R = rng.normal(size=grid.shape + (d + 1,))
+    X = _Stepper(vs, grid, bd, dt).implicit_solve(R)
+    lap = sum(_lap_axis(X, grid, axis=i) for i in range(d))
+    assert np.max(np.abs((X - 0.25 * dt * lap - R)[1:-1])) < 1e-13
+    assert np.array_equal(X[0], bd.a) and np.array_equal(X[-1], bd.b)
 
 
 class TestModes:
@@ -308,6 +399,7 @@ class TestTrajectoryIO:
         assert np.array_equal(back.times, traj.times)
         assert np.array_equal(back.values, traj.values)
         assert np.array_equal(back.boundary.a, traj.boundary.a)
+        assert back.meta == traj.meta == {"dt": 0.05 / 4, "n_steps": 4, "controlled": False}
 
     def test_frame_lookup(self, vs2, setup):
         grid, bd, gamma = setup
