@@ -31,18 +31,17 @@ from .dynamics import Model, ReservoirProfiles, simulate
 from .empirical import block_average, empirical_measure, l1_distance, smooth
 from .errors import ConfigError, DomainError, LatgasError, NumericalFailure
 from .generator import assemble_exact_generator
-from .grid import Grid
+from .grid import Grid, write_field_csv
 from .hydro import (
     AxisFactor,
     BoundaryData,
     FieldSum,
     SeparableMode,
     TimeFactor,
-    solve_controlled,
     solve_hydro,
 )
 from .lattice import Configuration, Lattice
-from .ldp import EnergyBasis, default_basis, h_norm, rate_estimate, verify_f06
+from .ldp import default_basis, rate_estimate, verify_f06
 from .thermo import sample_profile_state
 
 
@@ -149,9 +148,13 @@ def build_control(cfg: ExperimentConfig, horizon: float):
     return FieldSum(modes)
 
 
+def _csv_header(cfg: ExperimentConfig, units: str) -> str:
+    return f"config_hash={cfg.config_hash} units={units} latgas={__version__}"
+
+
 def _csv_writer(path, header_cols, cfg: ExperimentConfig, units: str):
     fh = open(path, "w", newline="")
-    fh.write(f"# config_hash={cfg.config_hash} units={units} latgas={__version__}\n")
+    fh.write(f"# {_csv_header(cfg, units)}\n")
     writer = csv.writer(fh)
     writer.writerow(header_cols)
     return fh, writer
@@ -165,6 +168,24 @@ def _out_dir(cfg: ExperimentConfig, args) -> str:
 
 # --- simulate -------------------------------------------------------------------
 
+def _replica_start(cfg: ExperimentConfig, N: int, replica: int, grid_m1: int):
+    """Model, smoothing grid, rng and initial state of one (N, replica) cell.
+
+    The initial state samples the product measure along the PDE's initial
+    profile; it is the first draw from the cell's stream.
+    """
+    model = build_model(cfg, N)
+    grid = build_grid(cfg, grid_m1, cfg.hydro.get("mt"))
+    boundary = build_boundary(cfg, model.profiles, grid)
+    gamma = build_gamma(cfg, grid, boundary)
+    rng = replica_rng(cfg.model.seed, N, replica)
+    lat = model.lattice
+    eta0 = Configuration(lat, cfg.model.velocities,
+                         sample_profile_state(gamma(lat.positions()), lat,
+                                              cfg.model.velocities, rng))
+    return model, grid, rng, eta0
+
+
 def _sim_replica(raw_config: dict, N: int, replica: int):
     """One replica cell; top-level so it can cross a process boundary."""
     cfg = parse_config(raw_config)
@@ -174,22 +195,14 @@ def _sim_replica(raw_config: dict, N: int, replica: int):
     grid_m1 = int(sim.get("grid_m1", 65))
     block_radius = int(sim.get("block_radius", 1))
 
-    model = build_model(cfg, N)
-    grid = build_grid(cfg, grid_m1, cfg.hydro.get("mt"))
-    boundary = build_boundary(cfg, model.profiles, grid)
-    gamma = build_gamma(cfg, grid, boundary)
-
     if "sample_times" in sim:
         times = [float(t) for t in sim["sample_times"]]
     else:
         k = int(sim.get("n_samples", 5))
         times = list(np.linspace(0.0, horizon, k))
 
-    rng = replica_rng(cfg.model.seed, N, replica)
+    model, grid, rng, eta0 = _replica_start(cfg, N, replica, grid_m1)
     lat = model.lattice
-    targets = gamma(lat.positions())
-    eta0 = Configuration(lat, cfg.model.velocities,
-                         sample_profile_state(targets, lat, cfg.model.velocities, rng))
 
     centers_cfg = sim.get("block_centers", "auto")
     if centers_cfg == "auto":
@@ -199,8 +212,7 @@ def _sim_replica(raw_config: dict, N: int, replica: int):
     else:
         centers = [int(c) for c in centers_cfg]
 
-    log_path = None
-    res = simulate(eta0, model, horizon, rng, sample_times=times, event_log=log_path)
+    res = simulate(eta0, model, horizon, rng, sample_times=times)
 
     fields, blocks = [], []
     for t, eta in res.samples:
@@ -220,23 +232,13 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> list:
     outputs = []
     cells = [(N, r) for N in cfg.model.n_values for r in range(cfg.model.replicas)]
     results = _map_cells(_sim_replica, cfg, cells, args.threads)
-    grid_m1 = int(cfg.simulate.get("grid_m1", 65))
-    grid = build_grid(cfg, grid_m1, cfg.hydro.get("mt"))
-    nodes = grid.nodes().reshape(-1, cfg.model.d)
+    grid = build_grid(cfg, int(cfg.simulate.get("grid_m1", 65)), cfg.hydro.get("mt"))
     ncomp = cfg.model.d + 1
     for (N, r), res in zip(cells, results):
         fpath = os.path.join(out, f"sim_N{N}_r{r}_fields.csv")
-        fh, writer = _csv_writer(
-            fpath,
-            ["t"] + [f"u{i+1}" for i in range(cfg.model.d)]
-            + [f"comp{k}" for k in range(ncomp)],
-            cfg, "macroscopic time / densities per unit volume")
-        with fh:
-            for t, values in res["fields"]:
-                flat = values.reshape(-1, ncomp)
-                for x, row in zip(nodes, flat):
-                    writer.writerow([f"{t:.10g}"] + [f"{c:.10g}" for c in x]
-                                    + [f"{y:.12g}" for y in row])
+        write_field_csv(fpath, grid, [t for t, _ in res["fields"]],
+                        [values for _, values in res["fields"]],
+                        [_csv_header(cfg, "macroscopic time / densities per unit volume")])
         bpath = os.path.join(out, f"sim_N{N}_r{r}_blocks.csv")
         fh, writer = _csv_writer(
             bpath, ["t", "x1"] + [f"comp{k}" for k in range(ncomp)],
@@ -306,20 +308,10 @@ def _conv_replica(raw_config: dict, N: int, replica: int):
     conv = cfg.converge
     t_cmp = float(conv.get("t_compare", 0.25))
     eps = float(conv.get("eps", 0.1))
-    grid_m1 = int(conv.get("grid_m1", 65))
-
-    model = build_model(cfg, N)
-    grid = build_grid(cfg, grid_m1, cfg.hydro.get("mt"))
-    boundary = build_boundary(cfg, model.profiles, grid)
-    gamma = build_gamma(cfg, grid, boundary)
-    rng = replica_rng(cfg.model.seed, N, replica)
-    lat = model.lattice
-    eta0 = Configuration(lat, cfg.model.velocities,
-                         sample_profile_state(gamma(lat.positions()), lat,
-                                              cfg.model.velocities, rng))
+    model, grid, rng, eta0 = _replica_start(cfg, N, replica, int(conv.get("grid_m1", 65)))
     res = simulate(eta0, model, t_cmp, rng, sample_times=[t_cmp])
     _, eta = res.samples[0]
-    meas = empirical_measure(eta, lat, cfg.model.velocities)
+    meas = empirical_measure(eta, model.lattice, cfg.model.velocities)
     return smooth(meas, eps, grid).values
 
 

@@ -144,13 +144,12 @@ _TOP_KEYS = {"model", "simulate", "hydro", "converge", "ldp", "exact", "output"}
 _MODEL_KEYS = {"d", "velocities", "velocities_file", "alpha", "beta", "N",
                "seed", "replicas"}
 _SIM_KEYS = {"horizon", "sample_times", "n_samples", "eps", "grid_m1",
-             "block_radius", "block_centers", "event_log"}
+             "block_radius", "block_centers"}
 _HYDRO_KEYS = {"m1", "mt", "horizon", "n_frames", "dt", "refine", "gamma"}
 _CONV_KEYS = {"t_compare", "eps", "grid_m1", "reference_m1", "n_frames"}
-_LDP_KEYS = {"n_space_modes", "time_modes", "n_transverse", "basis_sizes",
-             "energy_time_modes", "energy_space_modes", "control"}
+_LDP_KEYS = {"n_space_modes", "time_modes", "n_transverse", "basis_sizes", "control"}
 _EXACT_KEYS = {"N", "periodic", "parts", "lambda"}
-_OUTPUT_KEYS = {"directory", "formats"}
+_OUTPUT_KEYS = {"directory"}
 
 
 def load_config(path) -> ExperimentConfig:

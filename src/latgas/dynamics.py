@@ -168,7 +168,6 @@ class Model:
     jump_law: JumpLaw = None
     profiles: Optional[ReservoirProfiles] = None
     collisions: Optional[CollisionSet] = field(default=None)
-    include_exclusion: bool = True
     include_collisions: bool = True
 
     def __post_init__(self):
@@ -189,18 +188,22 @@ class Model:
 # --- single-event rate formulas (reference implementations) -----------------
 
 def exclusion_rate(model: Model, eta: np.ndarray, x: int, z: int, v_idx: int) -> float:
-    """eta(x,v) (1 - eta(z,v)) P_N(z - x, v); zero when the move exits the wall."""
+    """eta(x,v) (1 - eta(z,v)) times P_N(y, v) summed over the unit moves y
+    taking x to z.
+
+    That is one move, except on a ring of two sites, where both directions
+    lead to z; the rate is zero when no move does (e.g. through a wall).
+    """
     lat = model.lattice
     if not (0 <= x < lat.n_sites and 0 <= z < lat.n_sites):
         return 0.0
-    cx, cz = np.array(lat.coords(x)), np.array(lat.coords(z))
-    y = cz - cx
-    if lat.d > 1:
-        # shortest displacement on the transverse torus
-        y[1:] = (y[1:] + lat.N // 2) % lat.N - lat.N // 2
-    return float(eta[x, v_idx]) * (1.0 - float(eta[z, v_idx])) * model.jump_law.P_N(
-        y, v_idx, lat.N
-    )
+    pn = 0.0
+    for direction in range(2 * lat.d):
+        if lat.neighbor_site(x, direction) == z:
+            y = np.zeros(lat.d, dtype=int)
+            y[direction // 2] = 1 if direction % 2 == 0 else -1
+            pn += model.jump_law.P_N(y, v_idx, lat.N)
+    return float(eta[x, v_idx]) * (1.0 - float(eta[z, v_idx])) * pn
 
 
 def collision_rate(eta: np.ndarray, y: int, q: Collision) -> float:
@@ -264,72 +267,63 @@ def apply_event(eta: np.ndarray, event: Event) -> None:
 # --- rate table ---------------------------------------------------------------
 
 class RateTable:
-    """Static event catalogs with per-family rate bounds.
+    """The event catalog: every possible event as array entries, plus per-family
+    rate bounds.
 
-    Entry rates are pure functions of the current configuration and are
-    evaluated lazily, so the table is consistent with the configuration by
-    construction; `exact_totals` recomputes the family sums for checks and
-    waiting-time statistics.  Suppressed exclusion moves (through a wall) are
-    excluded from the catalog, as are collision quadruples that can never
-    fire.
+    Entries are slot indices `site * nv + v` into the flat configuration:
+    exclusion hops `ex_src` -> `ex_tgt` at constant `ex_pn` (ordered by site,
+    velocity, direction), collisions `col_slots` = (v, w, v', w') slots of one
+    site (ordered by site, then `collisions.active`), and reservoir flips of
+    `bd_slot` at rate `bd_birth` when empty, `bd_death` when occupied (ordered
+    by wall site, then velocity).  The simulator's selector index and the exact
+    generator both read this order.  Entry rates are pure functions of the
+    current configuration and are evaluated lazily; `exact_totals` recomputes
+    the family sums for checks and waiting-time statistics.  Suppressed
+    exclusion moves (through a wall) are left out, as are collision quadruples
+    that can never fire.
     """
 
     def __init__(self, model: Model):
-        lat, vset = model.lattice, model.vset
-        nv = len(vset)
+        lat, nv = model.lattice, len(model.vset)
         self.model = model
         self.nv = nv
+        # exclusion: np.nonzero walks the (site, velocity, direction) grid in
+        # C order, skipping moves through a wall
+        nbr = lat.neighbor_table()
+        s, v, d = np.nonzero(np.repeat(nbr[:, None, :] >= 0, nv, axis=1))
+        self.ex_src = s * nv + v
+        self.ex_tgt = nbr[s, d] * nv + v
+        self.ex_pn = model.jump_law.PN_matrix(lat.N)[v, d]
 
-        ex_src, ex_tgt, ex_pn = [], [], []
-        ex_meta = []
-        if model.include_exclusion:
-            pn = model.jump_law.PN_matrix(lat.N)
-            nbr = lat.neighbor_table()
-            for s in range(lat.n_sites):
-                for v in range(nv):
-                    for direction in range(2 * lat.d):
-                        t = nbr[s, direction]
-                        if t < 0:
-                            continue
-                        ex_src.append(s * nv + v)
-                        ex_tgt.append(int(t) * nv + v)
-                        ex_pn.append(float(pn[v, direction]))
-                        ex_meta.append((s, v, direction, int(t)))
-        self.ex_src, self.ex_tgt, self.ex_pn = ex_src, ex_tgt, ex_pn
-        self.ex_meta = ex_meta
-
-        col_slots, col_meta = [], []
+        quads = []
         if model.include_collisions and model.collisions is not None:
-            for s in range(lat.n_sites):
-                base = s * nv
-                for q in model.collisions.active:
-                    col_slots.append((base + q.v, base + q.w, base + q.vp, base + q.wp))
-                    col_meta.append((s, q))
-        self.col_slots, self.col_meta = col_slots, col_meta
+            quads = [(q.v, q.w, q.vp, q.wp) for q in model.collisions.active]
+        quads = np.array(quads, dtype=np.int64).reshape(-1, 4)
+        self.col_slots = (np.arange(lat.n_sites)[:, None, None] * nv + quads).reshape(-1, 4)
 
-        bd_slot, bd_birth, bd_death, bd_meta = [], [], [], []
-        if model.profiles is not None:
-            for s in range(lat.n_sites):
-                side = lat.classify(s)
-                if side == BoundarySide.BULK:
-                    continue
-                tilde = np.array(lat.coords(s)[1:], dtype=float) / lat.N
-                for v in range(nv):
-                    if side == BoundarySide.LEFT:
-                        dens = model.profiles.alpha_at(v, tilde)
-                    else:
-                        dens = model.profiles.beta_at(v, tilde)
-                    bd_slot.append(s * nv + v)
-                    bd_birth.append(dens)
-                    bd_death.append(1.0 - dens)
-                    bd_meta.append((s, v))
-        self.bd_slot, self.bd_birth, self.bd_death = bd_slot, bd_birth, bd_death
-        self.bd_meta = bd_meta
+        # boundary: one profile call per (wall layer, velocity); the left
+        # layer's sites precede the right layer's in site order
+        slots, births = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+        if model.profiles is not None and not lat.periodic:
+            coords = lat.all_coords()
+            layers = [(coords[:, 0] == 1, model.profiles.alpha)]
+            if lat.N > 2:
+                layers.append((coords[:, 0] == lat.N - 1, model.profiles.beta))
+            for on_wall, fns in layers:
+                wall = np.flatnonzero(on_wall)
+                tilde = coords[wall, 1:] / lat.N
+                dens = [np.broadcast_to(np.asarray(f(tilde), dtype=float), wall.shape)
+                        for f in fns]
+                slots.append((wall[:, None] * nv + np.arange(nv)).reshape(-1))
+                births.append(np.stack(dens, axis=1).reshape(-1))
+        self.bd_slot = np.concatenate(slots)
+        self.bd_birth = np.concatenate(births)
+        self.bd_death = 1.0 - self.bd_birth
 
-        self.bound_ex = max(ex_pn, default=0.0)
-        self.bound_col = 1.0 if col_slots else 0.0
-        self.bound_bd = max((max(b, d) for b, d in zip(bd_birth, bd_death)), default=0.0)
-        self.counts = (len(ex_src), len(col_slots), len(bd_slot))
+        self.bound_ex = float(self.ex_pn.max(initial=0.0))
+        self.bound_col = 1.0 if len(self.col_slots) else 0.0
+        self.bound_bd = float(np.maximum(self.bd_birth, self.bd_death).max(initial=0.0))
+        self.counts = (len(self.ex_src), len(self.col_slots), len(self.bd_slot))
         self.weights = (
             self.counts[0] * self.bound_ex,
             self.counts[1] * self.bound_col,
@@ -340,34 +334,29 @@ class RateTable:
     def exact_totals(self, eta: np.ndarray) -> np.ndarray:
         """Microscopic (per unit N^2-time) total rate per event family."""
         flat = eta.reshape(-1)
-        ex = col = bd = 0.0
-        if self.ex_src:
-            src = flat[np.array(self.ex_src)]
-            tgt = flat[np.array(self.ex_tgt)]
-            ex = float(np.sum(src * (1 - tgt) * np.array(self.ex_pn)))
-        if self.col_slots:
-            sl = np.array(self.col_slots)
-            col = float(
-                np.sum(flat[sl[:, 0]] * flat[sl[:, 1]] * (1 - flat[sl[:, 2]]) * (1 - flat[sl[:, 3]]))
-            )
-        if self.bd_slot:
-            occ = flat[np.array(self.bd_slot)]
-            bd = float(np.sum(np.where(occ == 0, self.bd_birth, self.bd_death)))
-        return np.array([ex, col, bd])
+        ex = np.sum(flat[self.ex_src] * (1 - flat[self.ex_tgt]) * self.ex_pn)
+        sl = flat[self.col_slots]
+        col = np.sum(sl[:, 0] * sl[:, 1] * (1 - sl[:, 2]) * (1 - sl[:, 3]))
+        occ = flat[self.bd_slot]
+        bd = np.sum(np.where(occ == 0, self.bd_birth, self.bd_death))
+        return np.array([ex, col, bd], dtype=float)
 
     def total_rate(self, eta: np.ndarray) -> float:
         """Total event rate on the macroscopic clock (includes the N^2 factor)."""
         return float(self.exact_totals(eta).sum()) * self.model.time_scale
 
     def event_from_entry(self, kind: int, idx: int) -> Event:
+        """The `Event` of one catalog entry, decoded from its slots."""
+        nv = self.nv
         if kind == EXCLUSION:
-            s, v, _, t = self.ex_meta[idx]
-            return Event(EXCLUSION, site=s, velocity=v, target=t)
+            src, tgt = int(self.ex_src[idx]), int(self.ex_tgt[idx])
+            return Event(EXCLUSION, site=src // nv, velocity=src % nv, target=tgt // nv)
         if kind == COLLISION:
-            s, q = self.col_meta[idx]
-            return Event(COLLISION, site=s, quadruple=q)
-        s, v = self.bd_meta[idx]
-        return Event(BOUNDARY, site=s, velocity=v)
+            slots = [int(s) for s in self.col_slots[idx]]
+            return Event(COLLISION, site=slots[0] // nv,
+                         quadruple=Collision(*(s % nv for s in slots)))
+        slot = int(self.bd_slot[idx])
+        return Event(BOUNDARY, site=slot // nv, velocity=slot % nv)
 
     def rate_of(self, eta: np.ndarray, event: Event) -> float:
         """Microscopic rate of an event under eta (audit helper)."""
@@ -413,7 +402,14 @@ class SimState:
 
     def __init__(self, model: Model, eta: np.ndarray, rng, t0: float = 0.0):
         self.model = model
-        self.table = RateTable(model)
+        self.table = table = RateTable(model)
+        # The event loop indexes Python lists: an element read costs about a
+        # third of an ndarray element read.
+        self.ex_src, self.ex_tgt = table.ex_src.tolist(), table.ex_tgt.tolist()
+        self.ex_pn = table.ex_pn.tolist()
+        self.col_slots = table.col_slots.tolist()
+        self.bd_slot = table.bd_slot.tolist()
+        self.bd_birth, self.bd_death = table.bd_birth.tolist(), table.bd_death.tolist()
         self.rng = rng
         self.t = t0
         self.nv = len(model.vset)
@@ -453,26 +449,25 @@ class SimState:
     def _select(self):
         """Advance the clock to the next accepted event; return (kind, idx)."""
         table, eta = self.table, self.eta_flat
-        w_ex, w_col, _ = table.weights
         tried = 0
         while True:
             gap, sel, acc = self._next_candidate()
             self.t += gap
             if sel < self.thr1:
                 idx = min(int(sel / table.bound_ex), table.counts[0] - 1)
-                src = table.ex_src[idx]
-                if eta[src] and not eta[table.ex_tgt[idx]]:
-                    if acc * table.bound_ex < table.ex_pn[idx]:
+                src = self.ex_src[idx]
+                if eta[src] and not eta[self.ex_tgt[idx]]:
+                    if acc * table.bound_ex < self.ex_pn[idx]:
                         return EXCLUSION, idx
             elif sel < self.thr2:
                 idx = min(int((sel - self.thr1) / table.bound_col), table.counts[1] - 1)
-                a, b, c, d = table.col_slots[idx]
+                a, b, c, d = self.col_slots[idx]
                 if eta[a] and eta[b] and not eta[c] and not eta[d]:
                     return COLLISION, idx
             else:
                 idx = min(int((sel - self.thr2) / table.bound_bd), table.counts[2] - 1)
-                slot = table.bd_slot[idx]
-                rate = table.bd_death[idx] if eta[slot] else table.bd_birth[idx]
+                slot = self.bd_slot[idx]
+                rate = self.bd_death[idx] if eta[slot] else self.bd_birth[idx]
                 if acc * table.bound_bd < rate:
                     return BOUNDARY, idx
             tried += 1
@@ -481,17 +476,17 @@ class SimState:
                     raise NumericalFailure("absorbing state reached: total rate is zero")
 
     def _apply(self, kind: int, idx: int) -> None:
-        eta, table = self.eta_flat, self.table
+        eta = self.eta_flat
         t = self.t
         if kind == EXCLUSION:
-            src, tgt = table.ex_src[idx], table.ex_tgt[idx]
+            src, tgt = self.ex_src[idx], self.ex_tgt[idx]
             eta[src] = 0
             eta[tgt] = 1
             for tr in self.trackers:
                 tr.on_flip(t, src, 1)
                 tr.on_flip(t, tgt, 0)
         elif kind == COLLISION:
-            a, b, c, d = table.col_slots[idx]
+            a, b, c, d = self.col_slots[idx]
             eta[a] = 0
             eta[b] = 0
             eta[c] = 1
@@ -502,7 +497,7 @@ class SimState:
                 tr.on_flip(t, c, 0)
                 tr.on_flip(t, d, 0)
         else:
-            slot = table.bd_slot[idx]
+            slot = self.bd_slot[idx]
             old = eta[slot]
             eta[slot] = 1 - old
             for tr in self.trackers:
@@ -534,16 +529,15 @@ class SimulationResult:
 
 def simulate(initial: Configuration, model: Model, horizon: float, rng,
              sample_times: Optional[Sequence[float]] = None,
-             observers: Sequence[Callable] = (),
              trackers: Sequence = (),
-             event_log=None,
-             max_events: Optional[int] = None) -> SimulationResult:
-    """Run the chain to macroscopic time `horizon` with observation hooks.
+             event_log=None) -> SimulationResult:
+    """Run the chain to macroscopic time `horizon`.
 
-    Observers are called as f(t, Configuration) at each requested sample time
-    (the state at t, i.e. before any event at a later clock reading).  The
-    returned samples list holds (t, eta array) pairs for the same times.
-    Deterministic given the rng seed.
+    The returned samples list holds (t, eta array) pairs at each requested
+    sample time: the state at t, i.e. before any event at a later clock
+    reading.  `trackers` receive every slot flip; `event_log` (a path or an
+    open text file) receives one CSV line per event.  Deterministic given the
+    rng seed.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
@@ -552,13 +546,6 @@ def simulate(initial: Configuration, model: Model, horizon: float, rng,
         raise ValueError("sample times must lie in [0, horizon]")
 
     samples: list = []
-
-    def emit(t: float, state: SimState):
-        snap = Configuration(model.lattice, model.vset, state.snapshot())
-        samples.append((t, snap.eta))
-        for obs in observers:
-            obs(t, snap)
-
     state = SimState(model, initial.eta, rng)
     for tr in trackers:
         tr.start(0.0, state.eta_flat)
@@ -569,16 +556,12 @@ def simulate(initial: Configuration, model: Model, horizon: float, rng,
         log_fh.write("time,kind,site,velocity,target,quadruple\n")
 
     next_i = 0
-    truncated = False
     if horizon > 0:
         while True:
-            if max_events is not None and state.n_events >= max_events:
-                truncated = True
-                break
             kind, idx = state._select()
             t_new = state.t
             while next_i < len(times) and times[next_i] <= min(t_new, horizon):
-                emit(times[next_i], state)
+                samples.append((times[next_i], state.snapshot()))
                 next_i += 1
             if t_new >= horizon:
                 break
@@ -593,12 +576,10 @@ def simulate(initial: Configuration, model: Model, horizon: float, rng,
                     f"{'' if ev.velocity is None else ev.velocity},"
                     f"{'' if ev.target is None else ev.target},{q}\n"
                 )
-    # Remaining sample times are only valid if the run reached the horizon
-    # (e.g. horizon == 0); a max_events truncation leaves them unobserved.
-    if not truncated:
-        while next_i < len(times):
-            emit(times[next_i], state)
-            next_i += 1
+    # with horizon == 0 no event is drawn; every sample sees the initial state
+    while next_i < len(times):
+        samples.append((times[next_i], state.snapshot()))
+        next_i += 1
     state.t = min(state.t, horizon)
 
     if isinstance(event_log, (str, bytes)) and log_fh is not None:

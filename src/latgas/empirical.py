@@ -9,7 +9,6 @@ measure inside the domain and by the inflation constant U_eps = 1 + eps).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,19 +93,6 @@ class SmoothedField:
     eps: float
     u_eps: float
     values: np.ndarray  # (*grid.shape, d+1)
-
-    def to_csv(self, path, header_comment: str = "") -> None:
-        nodes = self.grid.nodes().reshape(-1, self.grid.d)
-        flat = self.values.reshape(-1, self.values.shape[-1])
-        with open(path, "w", newline="") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            fh.write(f"# eps={self.eps} u_eps={self.u_eps}\n")
-            writer = csv.writer(fh)
-            writer.writerow([f"u{i+1}" for i in range(self.grid.d)]
-                            + [f"comp{k}" for k in range(self.values.shape[-1])])
-            for x, row in zip(nodes, flat):
-                writer.writerow([f"{c:.10g}" for c in x] + [f"{y:.12g}" for y in row])
 
 
 def smooth(measure: EmpiricalMeasure, eps: float, grid: Grid) -> SmoothedField:

@@ -1,8 +1,12 @@
 """Exact generator matrices for tiny systems (full state-space enumeration).
 
-States are integers whose bit `site * nv + v` holds eta(x, v).  The generator
-has off-diagonal entries N^2 x (sum of rates of all events mapping one state
-to another) and a diagonal making every row sum to zero.  Intended for
+States are integers whose bit `site * nv + v` holds eta(x, v), the slot index
+of the simulator's event catalog.  The generator is assembled from that
+catalog, `dynamics.RateTable`, so the simulator and the generator share one
+list of events: for each entry, a few bit operations over all 2^n_bits
+states give the states where it fires, its target states and its rates.
+Off-diagonal entries are N^2 x (sum of rates of all events mapping one state
+to another), and a diagonal makes every row sum to zero.  Intended for
 verification: invariance of homogeneous product measures under periodic
 exclusion, and detailed balance of the collision dynamics with respect to the
 single-site product weights.
@@ -15,64 +19,48 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .dynamics import Model
+from .dynamics import Model, RateTable
 from .errors import SizeError
-from .lattice import BoundarySide
-from .thermo import theta_all
-from .velocities import VelocitySet
 
 STATE_SPACE_CAP = 2**20
 ALL_PARTS = ("boundary", "collision", "exclusion")
 
 
-def _transitions(model: Model, parts) -> list:
-    """All (state, state', micro_rate) triples over the full state space."""
-    lat, vset = model.lattice, model.vset
-    nv = len(vset)
-    n_bits = lat.n_sites * nv
-    n_states = 1 << n_bits
-    pn = model.jump_law.PN_matrix(lat.N)
-    nbr = lat.neighbor_table()
+def _firings(table: RateTable, parts, n_bits: int) -> tuple:
+    """(state, state', micro_rate) arrays of every catalog entry in `parts`.
 
-    hops = []
+    Each entry contributes one triple per state where it fires, in state
+    order; entries follow the catalog order.  Two entries mapping the same
+    state to the same state' (a hop on a ring of two sites, say) stay separate
+    triples and are summed at assembly.
+    """
+    states = np.arange(1 << n_bits, dtype=np.int64)
+    occ = [((states >> k) & 1).astype(bool) for k in range(n_bits)]
+    rows, cols, vals = [], [], []
+
+    def fire(mask, flip, rate):
+        src = states[mask]
+        rows.append(src)
+        cols.append(src ^ flip)
+        vals.append(np.full(len(src), rate))
+
     if "exclusion" in parts:
-        for s in range(lat.n_sites):
-            for v in range(nv):
-                for direction in range(2 * lat.d):
-                    t = nbr[s, direction]
-                    if t >= 0:
-                        hops.append((s * nv + v, int(t) * nv + v, float(pn[v, direction])))
-    cols = []
-    if "collision" in parts and model.collisions is not None:
-        for s in range(lat.n_sites):
-            base = s * nv
-            for q in model.collisions.active:
-                cols.append((base + q.v, base + q.w, base + q.vp, base + q.wp))
-    flips = []
-    if "boundary" in parts and model.profiles is not None:
-        for s in range(lat.n_sites):
-            side = lat.classify(s)
-            if side == BoundarySide.BULK:
-                continue
-            tilde = np.array(lat.coords(s)[1:], dtype=float) / lat.N
-            for v in range(nv):
-                dens = (model.profiles.alpha_at(v, tilde) if side == BoundarySide.LEFT
-                        else model.profiles.beta_at(v, tilde))
-                flips.append((s * nv + v, dens))
-
-    out = []
-    for state in range(n_states):
-        for src, tgt, rate in hops:
-            if (state >> src) & 1 and not (state >> tgt) & 1:
-                out.append((state, state ^ (1 << src) ^ (1 << tgt), rate))
-        for a, b, c, d in cols:
-            if (state >> a) & 1 and (state >> b) & 1 and not (state >> c) & 1 \
-                    and not (state >> d) & 1:
-                out.append((state, state ^ (1 << a) ^ (1 << b) ^ (1 << c) ^ (1 << d), 1.0))
-        for slot, dens in flips:
-            rate = 1.0 - dens if (state >> slot) & 1 else dens
-            out.append((state, state ^ (1 << slot), rate))
-    return out
+        for s, t, pn in zip(table.ex_src.tolist(), table.ex_tgt.tolist(),
+                            table.ex_pn.tolist()):
+            fire(occ[s] & ~occ[t], (1 << s) | (1 << t), pn)
+    if "collision" in parts:
+        for a, b, c, d in table.col_slots.tolist():
+            fire(occ[a] & occ[b] & ~occ[c] & ~occ[d],
+                 (1 << a) | (1 << b) | (1 << c) | (1 << d), 1.0)
+    if "boundary" in parts:
+        for slot, birth, death in zip(table.bd_slot.tolist(), table.bd_birth,
+                                      table.bd_death):
+            rows.append(states)
+            cols.append(states ^ (1 << slot))
+            vals.append(np.where(occ[slot], death, birth))
+    if not rows:
+        return (), (), ()
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
 @dataclass
@@ -179,12 +167,11 @@ def assemble_exact_generator(model: Model, parts=ALL_PARTS) -> ExactGenerator:
             f"state space 2^{n_bits} exceeds the cap {STATE_SPACE_CAP}"
         )
     n_states = 1 << n_bits
-    triples = _transitions(model, parts)
+    rows, cols, vals = _firings(RateTable(model), parts, n_bits)
     scale = model.time_scale
-    if triples:
-        rows, cols, vals = zip(*triples)
+    if len(rows):
         off = sp.coo_matrix(
-            (np.array(vals) * scale, (rows, cols)), shape=(n_states, n_states)
+            (vals * scale, (rows, cols)), shape=(n_states, n_states)
         ).tocsr()
         off.sum_duplicates()
         off.sort_indices()

@@ -9,7 +9,8 @@ on the transverse torus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import csv
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,3 +88,24 @@ class Grid:
             return np.ones(1)
         n_t = self.mt ** (self.d - 1)
         return np.full(n_t, 1.0 / n_t)
+
+
+def write_field_csv(path, grid: Grid, times, frames, header_lines=()) -> None:
+    """Long-format CSV of (rho, p) fields on `grid`, one row per (time, node).
+
+    Each header line becomes a `# ` comment line; the columns are t,
+    u1..ud, comp0..compd, and frames[i] holds the (*grid.shape, d+1) values
+    at times[i].
+    """
+    nodes = grid.nodes().reshape(-1, grid.d)
+    ncomp = grid.d + 1
+    with open(path, "w", newline="") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        writer = csv.writer(fh)
+        writer.writerow(["t"] + [f"u{i+1}" for i in range(grid.d)]
+                        + [f"comp{k}" for k in range(ncomp)])
+        for t, frame in zip(times, frames):
+            for x, row in zip(nodes, np.reshape(frame, (-1, ncomp))):
+                writer.writerow([f"{t:.10g}"] + [f"{c:.10g}" for c in x]
+                                + [f"{y:.12g}" for y in row])

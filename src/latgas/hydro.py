@@ -21,7 +21,6 @@ linear part of the trajectory cost functional.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field as dc_field
 from functools import reduce
@@ -32,7 +31,7 @@ from scipy.linalg.lapack import zpttrf, zpttrs
 
 from .dynamics import ReservoirProfiles
 from .errors import DomainError, NumericalFailure, StabilityError
-from .grid import Grid
+from .grid import Grid, write_field_csv
 from .thermo import NEWTON_TOL, domain_of, invert_conserved, theta_all
 from .velocities import VelocitySet
 
@@ -330,20 +329,8 @@ class FieldTrajectory:
 
     def to_csv(self, path, header_comment: str = "") -> None:
         """Long-format CSV: t, u_1..u_d, comp_0..comp_d per row."""
-        nodes = self.grid.nodes().reshape(-1, self.grid.d)
-        flat = self.values.reshape(len(self.times), -1, self.ncomp)
-        with open(path, "w", newline="") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["t"] + [f"u{i+1}" for i in range(self.grid.d)]
-                + [f"comp{k}" for k in range(self.ncomp)]
-            )
-            for i, t in enumerate(self.times):
-                for x, row in zip(nodes, flat[i]):
-                    writer.writerow([f"{t:.10g}"] + [f"{c:.10g}" for c in x]
-                                    + [f"{y:.12g}" for y in row])
+        write_field_csv(path, self.grid, self.times, self.values,
+                        [header_comment] if header_comment else [])
 
 
 def synthetic_trajectory(grid: Grid, times, fn, boundary: Optional[BoundaryData] = None,

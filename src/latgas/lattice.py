@@ -102,10 +102,20 @@ class Lattice:
 
     def neighbor_table(self) -> np.ndarray:
         """(n_sites, 2d) table of jump targets, -1 where suppressed."""
+        coords = self.all_coords()
         table = np.empty((self.n_sites, 2 * self.d), dtype=np.int64)
-        for s in range(self.n_sites):
-            for direction in range(2 * self.d):
-                table[s, direction] = self.neighbor_site(s, direction)
+        for direction in range(2 * self.d):
+            axis, sign = divmod(direction, 2)
+            c = coords.copy()
+            c[:, axis] += 1 if sign == 0 else -1
+            if axis > 0:
+                c[:, axis] %= self.N
+            elif self.periodic:
+                c[:, 0] = (c[:, 0] - 1) % (self.N - 1) + 1
+            inside = (c[:, 0] >= 1) & (c[:, 0] <= self.N - 1)
+            c[:, 0] -= 1
+            flat = np.ravel_multi_index(tuple(c.T), self.shape, mode="clip")
+            table[:, direction] = np.where(inside, flat, -1)
         return table
 
     def classify(self, site_or_coords) -> BoundarySide:
@@ -120,9 +130,6 @@ class Lattice:
         if x1 == self.N - 1:
             return BoundarySide.RIGHT
         return BoundarySide.BULK
-
-    def boundary_sites(self, side: BoundarySide) -> list:
-        return [s for s in range(self.n_sites) if self.classify(s) == side]
 
 
 class Configuration:

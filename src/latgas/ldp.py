@@ -316,11 +316,6 @@ def _tensor_columns(mats):
     return out
 
 
-def energy_Q(traj: FieldTrajectory, basis: EnergyBasis) -> float:
-    """Alias with the conventional name for the variational energy."""
-    return energy_variational(traj, basis)
-
-
 # --- controlled-equation identity ---------------------------------------------------
 
 @dataclass

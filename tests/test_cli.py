@@ -2,6 +2,8 @@ import pytest
 import yaml
 
 from latgas.cli import main
+from latgas.config import parse_config
+from latgas.errors import ConfigError
 from latgas.hydro import FieldTrajectory
 
 
@@ -36,3 +38,27 @@ def test_hydro_dt_against_advective_bound(tmp_path, capsys):
     assert "advective" in capsys.readouterr().err
     meta = FieldTrajectory.load(out / "hydro_traj.npz").meta
     assert meta == {"dt": pytest.approx(0.005), "n_steps": 2, "controlled": False}
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("output", "formats", ["csv"]),
+    ("ldp", "energy_time_modes", 96),
+    ("ldp", "energy_space_modes", 96),
+    ("simulate", "event_log", "events.csv"),
+])
+def test_ignored_config_keys_rejected(tmp_path, capsys, section, key, value):
+    # No command reads these keys, so they are unknown keys (exit 2), not
+    # settings that are silently dropped.
+    config = {
+        "model": {"d": 1, "velocities": [[0.5], [-0.5]],
+                  "alpha": ["0.3", "0.4"], "beta": ["0.6", "0.5"], "N": 3},
+        "exact": {"N": 3, "periodic": True, "parts": ["exclusion"]},
+        section: {key: value},
+    }
+    with pytest.raises(ConfigError, match=f"{key}.*under {section}"):
+        parse_config(config)
+    path = tmp_path / "ignored.yaml"
+    path.write_text(yaml.safe_dump(config))
+    assert main(["exact", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -1,5 +1,7 @@
 import io
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -26,7 +28,29 @@ from latgas.errors import NumericalFailure
 from latgas.generator import assemble_exact_generator
 from latgas.lattice import Configuration, Lattice
 from latgas.thermo import sample_product_state, theta_all
-from latgas.velocities import Collision, CollisionSet
+from latgas.velocities import (
+    Collision,
+    CollisionSet,
+    VelocitySet,
+    four_velocity_set,
+    two_velocity_set,
+)
+
+
+RECORDED_EVENTS = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "catalog_events.json").read_text())
+
+VS4 = four_velocity_set(0.5, 0.25)
+VS2D = VelocitySet(np.array([[0.5, 0.0], [-0.5, 0.0], [0.0, 0.5], [0.0, -0.5]]))
+CATALOG_MODELS = {
+    "vs2_walls_N4": lambda: Model(Lattice(4, 1), two_velocity_set(0.5), profiles=(
+        ReservoirProfiles.constant(two_velocity_set(0.5), [0.3, 0.4], [0.6, 0.5]))),
+    "vs4_walls_N3": lambda: Model(Lattice(3, 1), VS4, profiles=ReservoirProfiles.constant(
+        VS4, [0.3, 0.4, 0.35, 0.45], [0.6, 0.5, 0.55, 0.65])),
+    "vs4_ring_N3": lambda: Model(Lattice(3, 1, periodic=True), VS4),
+    "vs2d_walls_N3": lambda: Model(Lattice(3, 2), VS2D, profiles=ReservoirProfiles.constant(
+        VS2D, [0.3, 0.4, 0.35, 0.45], [0.6, 0.5, 0.55, 0.65])),
+}
 
 
 def make_model(N, vs, alpha=None, beta=None, periodic=False, collisions=True):
@@ -190,9 +214,24 @@ class TestRateTable:
     def test_no_wall_jumps_in_catalog(self, vs2):
         model = make_model(4, vs2)
         table = RateTable(model)
-        lat = model.lattice
-        for s, v, direction, t in table.ex_meta:
-            assert lat.neighbor_site(s, direction) == t >= 0
+        lat, nv = model.lattice, table.nv
+        assert np.array_equal(table.ex_src % nv, table.ex_tgt % nv)
+        hops = sorted(zip((table.ex_src // nv).tolist(), (table.ex_tgt // nv).tolist()))
+        inside = sorted((s, t) for s in range(lat.n_sites) for t, _ in lat.neighbors(s))
+        assert hops == sorted(inside * nv)
+
+    @pytest.mark.parametrize("name", sorted(RECORDED_EVENTS))
+    def test_event_from_entry_matches_recorded_catalog(self, name):
+        # Recorded from the per-entry metadata lists the catalog kept before
+        # entries were stored as slot arrays; the selector index depends on
+        # this order, so a reordering changes every trajectory.
+        table = RateTable(CATALOG_MODELS[name]())
+        events = [table.event_from_entry(kind, idx)
+                  for kind, count in enumerate(table.counts) for idx in range(count)]
+        recorded = [Event(kind, site, velocity, target,
+                          None if quad is None else Collision(*quad))
+                    for kind, site, velocity, target, quad in RECORDED_EVENTS[name]]
+        assert events == recorded
 
 
 class TestStep:

@@ -10,7 +10,7 @@ from latgas.empirical import (
     smooth,
 )
 from latgas.errors import DomainError
-from latgas.grid import Grid
+from latgas.grid import Grid, write_field_csv
 from latgas.lattice import Lattice
 from latgas.thermo import conserved_of_state, sample_product_state, theta_all
 
@@ -164,11 +164,15 @@ class TestSmoothing:
         sf = smooth(empirical_measure(
             sample_product_state([0, 0], lat, vs2, rng), lat, vs2), 0.1, Grid(1, 33))
         path = tmp_path / "field.csv"
-        sf.to_csv(path, header_comment="test")
+        write_field_csv(path, sf.grid, [1 / 3], [sf.values],
+                        ["test", f"eps={sf.eps} u_eps={sf.u_eps}"])
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "# test"
-        assert lines[2].split(",")[0] == "u1"
+        assert lines[1] == "# eps=0.1 u_eps=1.1"
+        assert lines[2].strip() == "t,u1,comp0,comp1"
         assert len(lines) == 3 + 33
+        rho, p = sf.values[1]
+        assert lines[4].strip() == f"0.3333333333,0.03125,{rho:.12g},{p:.12g}"
 
 
 def test_l1_distance():

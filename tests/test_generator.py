@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
 
-from latgas.dynamics import Model, ReservoirProfiles
+from latgas.dynamics import (
+    Model,
+    ReservoirProfiles,
+    boundary_rate,
+    collision_rate,
+    exclusion_rate,
+)
 from latgas.errors import SizeError
 from latgas.generator import assemble_exact_generator
 from latgas.lattice import Lattice
+from latgas.velocities import VelocitySet, four_velocity_set, two_velocity_set
 
 
 def two_site_model(vs2, periodic=True, profiles=None):
@@ -55,6 +62,72 @@ class TestAssembly:
         n = model.lattice.N
         expected = n**2 * ((0.5 + 0.75 / n) + (0.5 + 0.25 / n))
         assert gen.matrix[state, target] == pytest.approx(expected, rel=1e-14)
+
+
+def wavy(base):
+    """A reservoir density that varies along the first transverse axis."""
+    return lambda u: base + 0.1 * np.sin(2 * np.pi * u[..., 0])
+
+
+def reference_off_diagonal(model) -> dict:
+    """{(state, state'): N^2 x sum of single-event rates}, from the reference
+    rate formulas, one state at a time."""
+    lat, nv = model.lattice, len(model.vset)
+    n_bits = lat.n_sites * nv
+    quads = model.collisions.active if model.collisions is not None else ()
+    out: dict = {}
+
+    def add(state, flipped, rate):
+        if rate > 0:
+            key = (state, state ^ sum(1 << b for b in flipped))
+            out[key] = out.get(key, 0.0) + rate
+
+    for state in range(1 << n_bits):
+        eta = ((state >> np.arange(n_bits)) & 1).reshape(lat.n_sites, nv)
+        for x in range(lat.n_sites):
+            for v in range(nv):
+                for z in sorted({t for t, _ in lat.neighbors(x)}):
+                    add(state, (x * nv + v, z * nv + v),
+                        exclusion_rate(model, eta, x, z, v))
+                add(state, (x * nv + v,), boundary_rate(model, eta, x, v))
+            for q in quads:
+                add(state, [x * nv + k for k in (q.v, q.w, q.vp, q.wp)],
+                    collision_rate(eta, x, q))
+    return {key: model.time_scale * rate for key, rate in out.items()}
+
+
+VS2, VS4 = two_velocity_set(0.5), four_velocity_set(0.5, 0.25)
+VS2D = VelocitySet(np.array([[0.5, 0.0], [-0.5, 0.0], [0.0, 0.5], [0.0, -0.5]]))
+VS0_D2 = VelocitySet(np.zeros((1, 2)))
+REFERENCE_MODELS = {
+    "vs2_walls_N4": lambda: Model(Lattice(4, 1), VS2, profiles=ReservoirProfiles.constant(
+        VS2, [0.3, 0.4], [0.6, 0.5])),
+    "vs4_walls_N3": lambda: Model(Lattice(3, 1), VS4, profiles=ReservoirProfiles.constant(
+        VS4, [0.3, 0.4, 0.35, 0.45], [0.6, 0.5, 0.55, 0.65])),
+    # a ring of four sites (hops across the wrap) and one of two (two
+    # directions lead to the same site)
+    "vs2_ring_N5": lambda: Model(Lattice(5, 1, periodic=True), VS2),
+    "vs4_ring_N3": lambda: Model(Lattice(3, 1, periodic=True), VS4),
+    # d = 2: collisions, and a transverse ring of two, on one wall layer ...
+    "vs2d_N2": lambda: Model(Lattice(2, 2), VS2D, profiles=ReservoirProfiles(
+        VS2D, [wavy(0.3), wavy(0.4), 0.35, 0.45], [0.6, 0.5, 0.55, 0.65])),
+    # ... and both walls with a transverse ring of three
+    "vs0_d2_N3": lambda: Model(Lattice(3, 2), VS0_D2, profiles=ReservoirProfiles(
+        VS0_D2, [wavy(0.3)], [wavy(0.6)])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
+def test_off_diagonal_matches_reference_rates(name):
+    model = REFERENCE_MODELS[name]()
+    gen = assemble_exact_generator(model)
+    coo = gen.matrix.tocoo()
+    off = coo.row != coo.col
+    got = dict(zip(zip(coo.row[off].tolist(), coo.col[off].tolist()), coo.data[off].tolist()))
+    ref = reference_off_diagonal(model)
+    assert sorted(got) == sorted(ref)
+    for key, rate in ref.items():
+        assert got[key] == pytest.approx(rate, rel=1e-14), key
 
 
 class TestInvariance:

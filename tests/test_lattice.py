@@ -67,6 +67,18 @@ class TestNeighbors:
         assert nbrs == {2, 1}  # wraps on the ring of 3 sites
         assert all(len(lat.neighbors(s)) == 2 for s in range(lat.n_sites))
 
+    @pytest.mark.parametrize("lat", [
+        Lattice(2, 1), Lattice(5, 1), Lattice(2, 1, periodic=True),
+        Lattice(3, 1, periodic=True), Lattice(5, 1, periodic=True),
+        Lattice(2, 2), Lattice(4, 2), Lattice(3, 3, periodic=True),
+    ], ids=repr)
+    def test_neighbor_table_matches_neighbor_site(self, lat):
+        table = lat.neighbor_table()
+        assert table.shape == (lat.n_sites, 2 * lat.d)
+        for s in range(lat.n_sites):
+            for direction in range(2 * lat.d):
+                assert table[s, direction] == lat.neighbor_site(s, direction)
+
 
 class TestClassify:
     @pytest.mark.parametrize("x1,side", [(1, BoundarySide.LEFT), (4, BoundarySide.RIGHT),
