@@ -230,7 +230,7 @@ def _sim_replica(raw_config: dict, N: int, replica: int):
 def cmd_simulate(cfg: ExperimentConfig, args) -> list:
     out = _out_dir(cfg, args)
     outputs = []
-    cells = [(N, r) for N in cfg.model.n_values for r in range(cfg.model.replicas)]
+    cells = _cells(cfg)
     results = _map_cells(_sim_replica, cfg, cells, args.threads)
     grid = build_grid(cfg, int(cfg.simulate.get("grid_m1", 65)), cfg.hydro.get("mt"))
     ncomp = cfg.model.d + 1
@@ -250,6 +250,11 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> list:
     return outputs
 
 
+def _cells(cfg: ExperimentConfig) -> list:
+    """(N, replica) cells in output order; each draws its own `replica_rng` stream."""
+    return [(N, r) for N in cfg.model.n_values for r in range(cfg.model.replicas)]
+
+
 def _map_cells(fn, cfg: ExperimentConfig, cells, threads: int):
     if threads <= 1 or len(cells) <= 1:
         return [fn(cfg.raw, *cell) for cell in cells]
@@ -260,7 +265,7 @@ def _map_cells(fn, cfg: ExperimentConfig, cells, threads: int):
 
 # --- hydro ----------------------------------------------------------------------
 
-def _hydro_solve(cfg: ExperimentConfig, m1: int, n_frames=None):
+def _hydro_solve(cfg: ExperimentConfig, m1: int):
     hyd = cfg.hydro
     horizon = float(hyd.get("horizon", 0.5))
     grid = build_grid(cfg, m1, hyd.get("mt"))
@@ -268,10 +273,9 @@ def _hydro_solve(cfg: ExperimentConfig, m1: int, n_frames=None):
     boundary = build_boundary(cfg, profiles, grid)
     gamma = build_gamma(cfg, grid, boundary)
     dt = hyd.get("dt")
-    frames = n_frames if n_frames is not None else int(hyd.get("n_frames", 256))
-    traj = solve_hydro(gamma, boundary, horizon, grid, cfg.model.velocities,
-                       dt=None if dt is None else float(dt), n_frames=frames)
-    return traj
+    return solve_hydro(gamma, boundary, horizon, grid, cfg.model.velocities,
+                       dt=None if dt is None else float(dt),
+                       n_frames=int(hyd.get("n_frames", 256)))
 
 
 def cmd_hydro(cfg: ExperimentConfig, args) -> list:
@@ -336,7 +340,7 @@ def cmd_converge(cfg: ExperimentConfig, args) -> list:
     pde_cmp = ref.values[-1][::stride]
     cmp_grid = build_grid(cfg, grid_m1, cfg.hydro.get("mt"))
 
-    cells = [(N, r) for N in cfg.model.n_values for r in range(cfg.model.replicas)]
+    cells = _cells(cfg)
     results = _map_cells(_conv_replica, cfg, cells, args.threads)
     ncomp = cfg.model.d + 1
     per_replica = {}
@@ -364,33 +368,31 @@ def cmd_rate(cfg: ExperimentConfig, args) -> list:
     out = _out_dir(cfg, args)
     m1 = int(cfg.hydro.get("m1", 129))
     horizon = float(cfg.hydro.get("horizon", 0.5))
-    traj = _hydro_solve(cfg, m1)
     basis = build_basis(cfg, horizon)
-    sizes = cfg.ldp.get("basis_sizes", [8, 16, len(basis)])
-    sizes = sorted({int(s) for s in sizes if 1 <= int(s) <= len(basis)})
+    n = len(basis)
+    sizes = sorted({int(s) for s in cfg.ldp.get("basis_sizes", [min(8, n), min(16, n), n])})
+    bad = [m for m in sizes if not 1 <= m <= n]
+    if bad or not sizes:
+        raise ConfigError(f"ldp.basis_sizes {bad or 'is empty'}: "
+                          f"each entry must lie in 1..{n}, the basis length")
+    traj = _hydro_solve(cfg, m1)
+    full = rate_estimate(traj, traj.gamma, basis.subset(sizes[-1]), cfg.model.velocities)
 
     sweep_path = os.path.join(out, "rate_sweep.csv")
     fh, writer = _csv_writer(sweep_path, ["basis_size", "estimate"],
                              cfg, "cost estimate of the uncontrolled solution")
-    reports = {}
     with fh:
         for m in sizes:
-            rep = rate_estimate(traj, traj.gamma, basis.subset(m),
-                                cfg.model.velocities)
-            reports[m] = rep
-            writer.writerow([m, f"{rep.estimate:.6e}"])
+            writer.writerow([m, f"{full.leading(m).estimate:.6e}"])
     report_path = os.path.join(out, "rate_report.txt")
-    reports[sizes[-1]].save(report_path)
+    full.save(report_path)
     outputs = [sweep_path, report_path]
 
     control = build_control(cfg, horizon)
     if control is not None:
-        grid = traj.grid
-        profiles = build_profiles(cfg)
-        boundary = build_boundary(cfg, profiles, grid)
-        gamma = build_gamma(cfg, grid, boundary)
-        rep6 = verify_f06(gamma, boundary, control, grid, cfg.model.velocities,
-                          horizon, basis, n_frames=int(cfg.hydro.get("n_frames", 256)))
+        rep6 = verify_f06(traj.gamma, traj.boundary, control, traj.grid,
+                          cfg.model.velocities, horizon, basis,
+                          n_frames=int(cfg.hydro.get("n_frames", 256)))
         f06_path = os.path.join(out, "f06_report.txt")
         with open(f06_path, "w") as fh:
             fh.write("format: latgas-f06-report v1\n")
@@ -448,6 +450,7 @@ COMMANDS = {
     "rate": cmd_rate,
     "exact": cmd_exact,
 }
+STREAM_COMMANDS = ("simulate", "converge")  # the commands that run `_cells`
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -484,8 +487,9 @@ def main(argv=None) -> int:
         outputs = COMMANDS[args.command](cfg, args)
         out = _out_dir(cfg, args)
         manifest = os.path.join(out, f"manifest_{args.command}.txt")
-        seeds = [cfg.model.seed]
-        write_manifest(manifest, args.command, cfg, seeds, outputs,
+        keys = ([f"{N}:{r}" for N, r in _cells(cfg)]
+                if args.command in STREAM_COMMANDS else [])
+        write_manifest(manifest, args.command, cfg, keys, outputs,
                        time.perf_counter() - started)
         print(f"[latgas] {args.command}: wrote {len(outputs)} file(s) to {out}")
         return 0

@@ -236,7 +236,7 @@ def replica_rng(seed: int, *key) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def write_manifest(path, command: str, config: ExperimentConfig, seeds: list,
+def write_manifest(path, command: str, config: ExperimentConfig, stream_keys: list,
                    outputs: list, wallclock: float) -> None:
     """Atomically write the run manifest (temp file + rename)."""
     import latgas
@@ -248,7 +248,7 @@ def write_manifest(path, command: str, config: ExperimentConfig, seeds: list,
         f"package_version: {latgas.__version__}",
         f"numpy_version: {np.__version__}",
         f"master_seed: {config.model.seed}",
-        "stream_keys: " + " ".join(str(s) for s in seeds),
+        " ".join(["stream_keys:"] + [str(k) for k in stream_keys]),
         "outputs: " + " ".join(str(o) for o in outputs),
         f"wallclock_seconds: {wallclock:.3f}",
         f"created_unix: {time.time():.0f}",

@@ -77,7 +77,6 @@ class ExactGenerator:
     matrix: sp.csr_matrix  # includes diagonal; rows sum to zero exactly
     parts: tuple
     _off_rows: np.ndarray = None
-    _off_cols: np.ndarray = None
     _off_vals: np.ndarray = None
     _diag: np.ndarray = None
 
@@ -130,20 +129,21 @@ class ExactGenerator:
         """
         mu = self.product_measure(lam)
         coo = self.matrix.tocoo()
-        entries = {}
-        for i, j, r in zip(coo.row, coo.col, coo.data):
-            if i != j:
-                entries[(int(i), int(j))] = float(r)
-        worst = 0.0
-        reversible = True
-        for (i, j), r in entries.items():
-            r_back = entries.get((j, i))
-            if r_back is None:
-                reversible = False
-                continue
-            worst = max(worst, abs(mu[i] * r - mu[j] * r_back))
+        off = coo.row != coo.col
+        n = self.n_states
+        # pair (i, j) has key i*n + j; sorted keys find each reverse by bisection
+        keys = coo.row[off].astype(np.int64) * n + coo.col[off]
+        order = np.argsort(keys)
+        keys, rates = keys[order], coo.data[off][order]
+        rows, cols = np.divmod(keys, n)
+        back = np.minimum(np.searchsorted(keys, cols * n + rows), len(keys) - 1)
+        has_back = keys[back] == cols * n + rows
+        imbalance = np.abs(mu[rows[has_back]] * rates[has_back]
+                           - mu[cols[has_back]] * rates[back[has_back]])
+        worst = float(np.max(imbalance, initial=0.0))
+        reversible = bool(np.all(has_back))
         return {
-            "n_transitions": len(entries),
+            "n_transitions": len(keys),
             "worst_imbalance": worst,
             "all_reversible": reversible,
         }
@@ -179,14 +179,12 @@ def assemble_exact_generator(model: Model, parts=ALL_PARTS) -> ExactGenerator:
         off = sp.csr_matrix((n_states, n_states))
     canon = off.tocoo()
     off_rows = canon.row.astype(np.int64)
-    off_cols = canon.col.astype(np.int64)
     off_vals = canon.data.copy()
     diag = np.zeros(n_states)
     np.add.at(diag, off_rows, off_vals)
     diag = -diag
     mat = (off + sp.diags(diag)).tocsr()
     gen = ExactGenerator(model=model, matrix=mat, parts=parts,
-                         _off_rows=off_rows, _off_cols=off_cols,
-                         _off_vals=off_vals, _diag=diag)
+                         _off_rows=off_rows, _off_vals=off_vals, _diag=diag)
     assert not np.any(gen.row_sums())
     return gen

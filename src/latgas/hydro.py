@@ -14,8 +14,8 @@ Dirichlet values held by the implicit solve.  dt is bounded by the advective
 CFL condition of `advective_limit`; by default one step per frame.
 
 `QuadratureContext` evaluates the weak-form residual of a trajectory against a
-test function (trapezoid in space, midpoint in time) and the chi-weighted
-space-time inner product; the residual vanishes on solutions, which is the
+test function (trapezoid in space, midpoint in time) and the Gram matrix of the
+chi-weighted space-time inner product; the residual vanishes on solutions, which is the
 linear part of the trajectory cost functional.
 """
 
@@ -623,8 +623,7 @@ class QuadratureContext:
     Time integrals use the midpoint rule on frame intervals (fields averaged
     between adjacent frames); space integrals use the grid's trapezoid rule.
     The chi weights chi(theta_v(w)) at the midpoints are computed once and
-    reused by the residual, the inner product, and the quadratic forms built
-    on top.
+    reused by the residual and by the Gram matrix of the pi inner product.
     """
 
     def __init__(self, traj: FieldTrajectory, vset: VelocitySet, gamma=None):
@@ -691,22 +690,25 @@ class QuadratureContext:
 
         return endpoint - bulk + surface - flux_term
 
-    def contraction(self, G) -> np.ndarray:
-        """A[f, ..., i, v] = vtilde_v . d_i G at the time midpoints."""
-        grad = G.gradient(self.t_mid, self.grid)
-        return np.einsum("f...ik,vk->f...iv", grad, self.vset.vtilde)
+    def gram(self, fields) -> np.ndarray:
+        """Gram matrix Q[a, b] = sum_v int int chi_v [vt.grad G_a][vt.grad G_b].
 
-    def pi_inner_from(self, A1: np.ndarray, A2: np.ndarray) -> float:
-        dens = np.einsum("f...iv,f...iv,f...v->f...", A1, A2, self.chi)
-        return float(np.sum(self.dt_f * self._space_sum(dens)))
-
-    def pi_inner(self, G1, G2) -> float:
-        """Space-time inner product sum_v int int chi_v [vt.grad G1][vt.grad G2]."""
-        return self.pi_inner_from(self.contraction(G1), self.contraction(G2))
+        Q = B B^T (exactly symmetric), where row a of B is vtilde_v . d_i G_a
+        at the time midpoints times sqrt(chi_v dt_f w_space), a real root
+        since the constructor rejects fields outside the open hull.
+        """
+        grid = self.grid
+        dt = self.dt_f.reshape((-1,) + (1,) * grid.d)
+        scale = np.sqrt(self.chi * (dt * self.w_space[None])[..., None])[..., None, :]
+        B = np.empty((len(fields), scale.size * grid.d))
+        for row, G in zip(B, fields):
+            contr = np.einsum("f...ik,vk->f...iv", G.gradient(self.t_mid, grid),
+                              self.vset.vtilde)
+            row[:] = (contr * scale).reshape(-1)
+        return B @ B.T
 
     def pi_norm_sq(self, G) -> float:
-        A = self.contraction(G)
-        return self.pi_inner_from(A, A)
+        return float(self.gram([G])[0, 0])
 
 
 def weak_residual(traj: FieldTrajectory, G, vset: VelocitySet, gamma=None) -> float:

@@ -14,7 +14,9 @@ basis this is a concave quadratic maximization
 with l the per-mode residuals and Q the pi-inner-product Gram matrix
 (symmetric positive semidefinite; regularized by eps*I before solving).  On a
 solution of the plain system the estimate vanishes; on a solution of the
-controlled system with control H it equals (1/4) |H|_pi^2.
+controlled system with control H it equals (1/4) |H|_pi^2.  The Gram matrix of
+a prefix basis of size m is the leading block Q[:m, :m], so one Gram matrix
+per trajectory holds every nested estimate (`RateReport.leading`).
 
 The field energy in variational form is, per component k and direction i,
 sup over compactly supported scalar g of 2 int <p_k, d_i g> - |g|_2^2, a
@@ -146,6 +148,21 @@ class RateReport:
     regularization: float
     quadrature: dict = dc_field(default_factory=dict)
 
+    @classmethod
+    def solve(cls, linear, quad, quadrature: dict, reg_scale: float) -> "RateReport":
+        """Report of the maximization of l.c - c.Q c (see `quadratic_sup`)."""
+        value, c_star, reg = quadratic_sup(linear, quad, reg_scale)
+        return cls(estimate=value, coefficients=c_star, linear_term=linear,
+                   quad_matrix=quad, basis_size=len(linear), regularization=reg,
+                   quadrature=dict(quadrature))
+
+    def leading(self, m: int, reg_scale: float = DEFAULT_REG_SCALE) -> "RateReport":
+        """Report of the first m modes, solved on the leading block of Q."""
+        if not 1 <= m <= self.basis_size:
+            raise ValueError(f"leading size {m} out of range 1..{self.basis_size}")
+        return RateReport.solve(self.linear_term[:m], self.quad_matrix[:m, :m],
+                                self.quadrature, reg_scale)
+
     def save(self, path) -> None:
         with open(path, "w") as fh:
             fh.write("format: latgas-rate-report v1\n")
@@ -194,30 +211,17 @@ def rate_estimate(traj: FieldTrajectory, gamma, basis: TestBasis,
                   vset: VelocitySet, reg_scale: float = DEFAULT_REG_SCALE) -> RateReport:
     """Basis-restricted supremum of the cost functional over span{G_m}."""
     ctx = QuadratureContext(traj, vset, gamma=gamma)
-    m = len(basis)
     linear = np.array([ctx.linear_residual(G) for G in basis.modes])
-    contractions = [ctx.contraction(G) for G in basis.modes]
-    quad = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            quad[i, j] = quad[j, i] = ctx.pi_inner_from(contractions[i], contractions[j])
-    value, c_star, reg = quadratic_sup(linear, quad, reg_scale)
-    return RateReport(
-        estimate=value, coefficients=c_star, linear_term=linear, quad_matrix=quad,
-        basis_size=m, regularization=reg,
-        quadrature={
-            "frames": len(traj.times) - 1,
-            "m1": traj.grid.m1, "mt": traj.grid.mt,
-            "horizon": traj.horizon,
-        },
-    )
+    quadrature = {"frames": len(traj.times) - 1, "m1": traj.grid.m1,
+                  "mt": traj.grid.mt, "horizon": traj.horizon}
+    return RateReport.solve(linear, ctx.gram(basis.modes), quadrature, reg_scale)
 
 
 def nested_estimates(traj: FieldTrajectory, gamma, basis: TestBasis,
                      sizes, vset: VelocitySet) -> list:
     """Cost estimates for a chain of prefix bases (nondecreasing in size)."""
-    return [(m, rate_estimate(traj, gamma, basis.subset(m), vset).estimate)
-            for m in sizes]
+    full = rate_estimate(traj, gamma, basis.subset(max(sizes)), vset)
+    return [(m, full.leading(m).estimate) for m in sizes]
 
 
 # --- chi-weighted control norm ------------------------------------------------------
@@ -324,7 +328,6 @@ class F06Report:
     rhs: float          # quarter of the squared control norm along it
     rel_gap: float
     rate: RateReport
-    trajectory: FieldTrajectory
 
 
 def verify_f06(gamma, boundary: BoundaryData, control, grid: Grid,
@@ -336,5 +339,4 @@ def verify_f06(gamma, boundary: BoundaryData, control, grid: Grid,
     report = rate_estimate(traj, traj.gamma, basis, vset)
     rhs = 0.25 * h_norm(traj, control, vset)
     gap = abs(report.estimate - rhs) / max(abs(rhs), 1e-300)
-    return F06Report(lhs=report.estimate, rhs=rhs, rel_gap=gap, rate=report,
-                     trajectory=traj)
+    return F06Report(lhs=report.estimate, rhs=rhs, rel_gap=gap, rate=report)

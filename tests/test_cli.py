@@ -62,3 +62,71 @@ def test_ignored_config_keys_rejected(tmp_path, capsys, section, key, value):
     assert main(["exact", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def tiny_config(tmp_path, **sections):
+    """Write a small two-velocity config with every command's section."""
+    config = {
+        "model": {"d": 1, "velocities": [[0.5], [-0.5]],
+                  "alpha": ["0.3", "0.4"], "beta": ["0.6", "0.5"],
+                  "N": [4, 6], "seed": 7, "replicas": 2},
+        "simulate": {"horizon": 0.05, "sample_times": [0.0, 0.05], "eps": 0.25,
+                     "grid_m1": 17},
+        "hydro": {"m1": 17, "horizon": 0.05, "n_frames": 4},
+        "converge": {"t_compare": 0.05, "eps": 0.25, "grid_m1": 17,
+                     "reference_m1": 17, "n_frames": 4},
+        "ldp": {"n_space_modes": 2, "basis_sizes": [4, 16]},
+        "exact": {"N": 3, "periodic": True, "parts": ["exclusion"],
+                  "lambda": [0.4, -0.3]},
+    }
+    for name, values in sections.items():
+        config[name].update(values)
+    path = tmp_path / "tiny.yaml"
+    path.write_text(yaml.safe_dump(config))
+    return str(path)
+
+
+@pytest.mark.parametrize("sizes,bad", [
+    ([4, 17], "[17]"), ([0, 20, 40], "[0, 20, 40]"), ([], "empty")])
+def test_rate_rejects_basis_sizes_outside_the_basis(tmp_path, capsys, sizes, bad):
+    # n_space_modes = 2 with four time modes and two components: 16 modes.
+    path = tiny_config(tmp_path, ldp={"basis_sizes": sizes})
+    assert main(["rate", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert bad in err
+    if sizes:
+        assert "1..16" in err
+
+
+def manifest_line(path, key):
+    for line in path.read_text().splitlines():
+        name, _, rest = line.partition(":")
+        if name == key:
+            return rest.split()
+    raise KeyError(key)
+
+
+@pytest.mark.parametrize("command,keys", [
+    ("simulate", ["4:0", "4:1", "6:0", "6:1"]),
+    ("converge", ["4:0", "4:1", "6:0", "6:1"]),
+    ("hydro", []),
+    ("rate", []),
+    ("exact", []),
+])
+def test_manifest_lists_the_replica_streams_drawn(tmp_path, command, keys):
+    out = tmp_path / "out"
+    assert main([command, "--config", tiny_config(tmp_path), "--out", str(out)]) == 0
+    assert manifest_line(out / f"manifest_{command}.txt", "stream_keys") == keys
+
+
+@pytest.mark.parametrize("command", ["simulate", "converge"])
+def test_threads_do_not_change_outputs(tmp_path, command):
+    path = tiny_config(tmp_path)
+    runs = {}
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        assert main([command, "--config", path, "--out", str(out),
+                     "--threads", str(threads)]) == 0
+        runs[threads] = {p.name: p.read_bytes() for p in out.iterdir()
+                         if not p.name.startswith("manifest_")}
+    assert runs[1] and runs[1] == runs[2]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -149,7 +151,45 @@ class TestInvariance:
         assert gen.invariance_residual(np.array([0.0, 0.0])) > 1e-3
 
 
+def dict_audit(gen, lam):
+    """Reference detailed-balance audit: a walk over a dict of the entries."""
+    mu = gen.product_measure(lam)
+    coo = gen.matrix.tocoo()
+    entries = {(int(i), int(j)): float(r)
+               for i, j, r in zip(coo.row, coo.col, coo.data) if i != j}
+    worst, reversible = 0.0, True
+    for (i, j), r in entries.items():
+        r_back = entries.get((j, i))
+        if r_back is None:
+            reversible = False
+            continue
+        worst = max(worst, abs(mu[i] * r - mu[j] * r_back))
+    return {"n_transitions": len(entries), "worst_imbalance": worst,
+            "all_reversible": reversible}
+
+
 class TestDetailedBalance:
+    def test_audit_matches_dict_walk(self, vs2, vs4):
+        lam = np.array([0.4, -0.3])
+        prof = ReservoirProfiles.constant(vs2, [0.3, 0.4], [0.6, 0.5])
+        exclusion = assemble_exact_generator(two_site_model(vs2), parts=("exclusion",))
+        driven = assemble_exact_generator(two_site_model(vs2, periodic=False, profiles=prof))
+        collision = assemble_exact_generator(Model(Lattice(2, 1), vs4, profiles=None),
+                                             parts=("collision",))
+        # drop one transition, leaving its reverse without a partner
+        lil = exclusion.matrix.tolil()
+        i, j = next((i, j) for i, j in zip(*exclusion.matrix.nonzero()) if i != j)
+        lil[i, j] = 0.0
+        one_way = dataclasses.replace(exclusion, matrix=lil.tocsr())
+        audits = {}
+        for name, gen in (("exclusion", exclusion), ("driven", driven),
+                          ("collision", collision), ("one_way", one_way)):
+            audits[name] = gen.detailed_balance_audit(lam)
+            assert audits[name] == dict_audit(gen, lam), name
+        assert audits["driven"]["worst_imbalance"] > 0.0
+        assert not audits["one_way"]["all_reversible"]
+        assert audits["one_way"]["n_transitions"] == audits["exclusion"]["n_transitions"] - 1
+
     def test_two_velocity_system_has_no_collision_transitions(self, vs2):
         gen = assemble_exact_generator(two_site_model(vs2, periodic=False),
                                        parts=("collision",))

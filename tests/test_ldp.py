@@ -8,6 +8,7 @@ from latgas.hydro import (
     BoundaryData,
     FieldSum,
     FieldTrajectory,
+    QuadratureContext,
     SeparableMode,
     TimeFactor,
     field_energy,
@@ -119,6 +120,46 @@ class TestJhat:
             assert direct == pytest.approx(quadform, abs=1e-10)
 
 
+def pairwise_gram(ctx, modes):
+    """Reference Gram matrix: one chi-weighted einsum per pair of modes."""
+    axes = tuple(range(1, 1 + ctx.grid.d))
+    contr = [np.einsum("f...ik,vk->f...iv", G.gradient(ctx.t_mid, ctx.grid),
+                       ctx.vset.vtilde) for G in modes]
+    quad = np.empty((len(modes), len(modes)))
+    for a, A in enumerate(contr):
+        for b, B in enumerate(contr):
+            dens = np.einsum("f...iv,f...iv,f...v->f...", A, B, ctx.chi)
+            quad[a, b] = np.sum(ctx.dt_f * np.sum(dens * ctx.w_space[None], axis=axes))
+    return quad
+
+
+class TestGram:
+    def test_matches_pairwise_reference_d1(self, solution):
+        vs, grid, bd, gamma, traj = solution
+        ctx = QuadratureContext(traj, vs)
+        modes = default_basis(1, T, n_space=3).modes
+        quad = ctx.gram(modes)
+        assert np.array_equal(quad, quad.T)
+        ref = pairwise_gram(ctx, modes)
+        assert np.max(np.abs(quad - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_matches_pairwise_reference_d2(self, vs2d):
+        horizon = 0.2
+        tr = synthetic_trajectory(
+            Grid(2, 17, 8), np.linspace(0, horizon, 9),
+            lambda t, u: np.stack([
+                1.0 + 0.3 * np.sin(np.pi * u[..., 0]) * np.cos(2 * np.pi * u[..., 1]) * (1 + t),
+                0.05 * np.sin(2 * np.pi * u[..., 1]),
+                0.04 * u[..., 0] * (1 - t),
+            ], axis=-1))
+        ctx = QuadratureContext(tr, vs2d)
+        modes = default_basis(2, horizon, n_space=2, n_transverse=1).modes
+        quad = ctx.gram(modes)
+        assert np.array_equal(quad, quad.T)
+        ref = pairwise_gram(ctx, modes)
+        assert np.max(np.abs(quad - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 class TestRateEstimate:
     def test_nonnegative_and_small_on_solution(self, solution):
         vs, grid, bd, gamma, traj = solution
@@ -133,6 +174,24 @@ class TestRateEstimate:
         values = [e for _, e in ests]
         assert values[0] <= values[1] + 1e-12
         assert values[1] <= values[2] + 1e-12
+
+    @pytest.mark.parametrize("m", [8, 16])
+    def test_leading_block_matches_separate_solve(self, solution, m):
+        vs, grid, bd, gamma, traj = solution
+        basis = default_basis(1, T, n_space=4)
+        lead = rate_estimate(traj, traj.gamma, basis, vs).leading(m)
+        alone = rate_estimate(traj, traj.gamma, basis.subset(m), vs)
+        assert lead.basis_size == m
+        assert lead.estimate == pytest.approx(alone.estimate, rel=1e-12)
+        assert lead.regularization == alone.regularization
+        assert np.array_equal(lead.linear_term, alone.linear_term)
+
+    def test_leading_rejects_sizes_outside_the_basis(self, solution):
+        vs, grid, bd, gamma, traj = solution
+        rep = rate_estimate(traj, traj.gamma, default_basis(1, T, n_space=1), vs)
+        for m in (0, len(rep.linear_term) + 1):
+            with pytest.raises(ValueError, match="out of range"):
+                rep.leading(m)
 
     def test_perturbation_raises_estimate(self, solution):
         vs, grid, bd, gamma, traj = solution
