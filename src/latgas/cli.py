@@ -230,11 +230,9 @@ def _sim_replica(raw_config: dict, N: int, replica: int):
 def cmd_simulate(cfg: ExperimentConfig, args) -> list:
     out = _out_dir(cfg, args)
     outputs = []
-    cells = _cells(cfg)
-    results = _map_cells(_sim_replica, cfg, cells, args.threads)
     grid = build_grid(cfg, int(cfg.simulate.get("grid_m1", 65)), cfg.hydro.get("mt"))
     ncomp = cfg.model.d + 1
-    for (N, r), res in zip(cells, results):
+    for (N, r), res in _map_cells(_sim_replica, cfg, args):
         fpath = os.path.join(out, f"sim_N{N}_r{r}_fields.csv")
         write_field_csv(fpath, grid, [t for t, _ in res["fields"]],
                         [values for _, values in res["fields"]],
@@ -250,22 +248,23 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> list:
     return outputs
 
 
-def _cells(cfg: ExperimentConfig) -> list:
-    """(N, replica) cells in output order; each draws its own `replica_rng` stream."""
-    return [(N, r) for N in cfg.model.n_values for r in range(cfg.model.replicas)]
-
-
-def _map_cells(fn, cfg: ExperimentConfig, cells, threads: int):
-    if threads <= 1 or len(cells) <= 1:
-        return [fn(cfg.raw, *cell) for cell in cells]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(fn, cfg.raw, *cell) for cell in cells]
-        return [f.result() for f in futures]
+def _map_cells(fn, cfg: ExperimentConfig, args) -> list:
+    """(cell, fn(cfg.raw, *cell)) per (N, replica) cell in output order; adds the
+    key N:replica of each cell's `replica_rng` stream to `args.stream_keys`."""
+    cells = [(N, r) for N in cfg.model.n_values for r in range(cfg.model.replicas)]
+    if args.threads <= 1 or len(cells) <= 1:
+        results = [fn(cfg.raw, *cell) for cell in cells]
+    else:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=args.threads) as pool:
+            futures = [pool.submit(fn, cfg.raw, *cell) for cell in cells]
+            results = [f.result() for f in futures]
+    args.stream_keys += [f"{N}:{r}" for N, r in cells]
+    return list(zip(cells, results))
 
 
 # --- hydro ----------------------------------------------------------------------
 
-def _hydro_solve(cfg: ExperimentConfig, m1: int):
+def _hydro_solve(cfg: ExperimentConfig, m1: int, n_frames=None):
     hyd = cfg.hydro
     horizon = float(hyd.get("horizon", 0.5))
     grid = build_grid(cfg, m1, hyd.get("mt"))
@@ -273,9 +272,10 @@ def _hydro_solve(cfg: ExperimentConfig, m1: int):
     boundary = build_boundary(cfg, profiles, grid)
     gamma = build_gamma(cfg, grid, boundary)
     dt = hyd.get("dt")
-    return solve_hydro(gamma, boundary, horizon, grid, cfg.model.velocities,
-                       dt=None if dt is None else float(dt),
-                       n_frames=int(hyd.get("n_frames", 256)))
+    frames = n_frames if n_frames is not None else int(hyd.get("n_frames", 256))
+    traj = solve_hydro(gamma, boundary, horizon, grid, cfg.model.velocities,
+                       dt=None if dt is None else float(dt), n_frames=frames)
+    return traj
 
 
 def cmd_hydro(cfg: ExperimentConfig, args) -> list:
@@ -340,11 +340,9 @@ def cmd_converge(cfg: ExperimentConfig, args) -> list:
     pde_cmp = ref.values[-1][::stride]
     cmp_grid = build_grid(cfg, grid_m1, cfg.hydro.get("mt"))
 
-    cells = _cells(cfg)
-    results = _map_cells(_conv_replica, cfg, cells, args.threads)
     ncomp = cfg.model.d + 1
     per_replica = {}
-    for (N, r), values in zip(cells, results):
+    for (N, r), values in _map_cells(_conv_replica, cfg, args):
         per_replica.setdefault(N, []).append(l1_distance(cmp_grid, values, pde_cmp))
 
     table = os.path.join(out, "converge.csv")
@@ -382,8 +380,7 @@ def cmd_rate(cfg: ExperimentConfig, args) -> list:
     fh, writer = _csv_writer(sweep_path, ["basis_size", "estimate"],
                              cfg, "cost estimate of the uncontrolled solution")
     with fh:
-        for m in sizes:
-            writer.writerow([m, f"{full.leading(m).estimate:.6e}"])
+        writer.writerows([m, f"{full.leading(m).estimate:.6e}"] for m in sizes)
     report_path = os.path.join(out, "rate_report.txt")
     full.save(report_path)
     outputs = [sweep_path, report_path]
@@ -450,7 +447,6 @@ COMMANDS = {
     "rate": cmd_rate,
     "exact": cmd_exact,
 }
-STREAM_COMMANDS = ("simulate", "converge")  # the commands that run `_cells`
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -484,12 +480,11 @@ def main(argv=None) -> int:
         if args.replicas is not None:
             cfg.raw["model"]["replicas"] = int(args.replicas)
             cfg = parse_config(cfg.raw)
+        args.stream_keys = []
         outputs = COMMANDS[args.command](cfg, args)
         out = _out_dir(cfg, args)
         manifest = os.path.join(out, f"manifest_{args.command}.txt")
-        keys = ([f"{N}:{r}" for N, r in _cells(cfg)]
-                if args.command in STREAM_COMMANDS else [])
-        write_manifest(manifest, args.command, cfg, keys, outputs,
+        write_manifest(manifest, args.command, cfg, args.stream_keys, outputs,
                        time.perf_counter() - started)
         print(f"[latgas] {args.command}: wrote {len(outputs)} file(s) to {out}")
         return 0

@@ -181,6 +181,9 @@ class Model:
         """Diffusive acceleration N^2 of the macroscopic clock."""
         return float(self.lattice.N) ** 2
 
+    def empty_configuration(self) -> Configuration:
+        return Configuration(self.lattice, self.vset)
+
 
 # --- single-event rate formulas (reference implementations) -----------------
 

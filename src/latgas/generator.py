@@ -77,6 +77,7 @@ class ExactGenerator:
     matrix: sp.csr_matrix  # includes diagonal; rows sum to zero exactly
     parts: tuple
     _off_rows: np.ndarray = None
+    _off_cols: np.ndarray = None
     _off_vals: np.ndarray = None
     _diag: np.ndarray = None
 
@@ -137,15 +138,12 @@ class ExactGenerator:
         keys, rates = keys[order], coo.data[off][order]
         rows, cols = np.divmod(keys, n)
         back = np.minimum(np.searchsorted(keys, cols * n + rows), len(keys) - 1)
-        has_back = keys[back] == cols * n + rows
-        imbalance = np.abs(mu[rows[has_back]] * rates[has_back]
-                           - mu[cols[has_back]] * rates[back[has_back]])
-        worst = float(np.max(imbalance, initial=0.0))
-        reversible = bool(np.all(has_back))
+        ok = keys[back] == cols * n + rows
+        imbalance = np.abs(mu[rows[ok]] * rates[ok] - mu[cols[ok]] * rates[back[ok]])
         return {
             "n_transitions": len(keys),
-            "worst_imbalance": worst,
-            "all_reversible": reversible,
+            "worst_imbalance": float(np.max(imbalance, initial=0.0)),
+            "all_reversible": bool(np.all(ok)),
         }
 
 
@@ -179,12 +177,14 @@ def assemble_exact_generator(model: Model, parts=ALL_PARTS) -> ExactGenerator:
         off = sp.csr_matrix((n_states, n_states))
     canon = off.tocoo()
     off_rows = canon.row.astype(np.int64)
+    off_cols = canon.col.astype(np.int64)
     off_vals = canon.data.copy()
     diag = np.zeros(n_states)
     np.add.at(diag, off_rows, off_vals)
     diag = -diag
     mat = (off + sp.diags(diag)).tocsr()
     gen = ExactGenerator(model=model, matrix=mat, parts=parts,
-                         _off_rows=off_rows, _off_vals=off_vals, _diag=diag)
+                         _off_rows=off_rows, _off_cols=off_cols,
+                         _off_vals=off_vals, _diag=diag)
     assert not np.any(gen.row_sums())
     return gen

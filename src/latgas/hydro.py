@@ -697,12 +697,11 @@ class QuadratureContext:
         at the time midpoints times sqrt(chi_v dt_f w_space), a real root
         since the constructor rejects fields outside the open hull.
         """
-        grid = self.grid
-        dt = self.dt_f.reshape((-1,) + (1,) * grid.d)
+        dt = self.dt_f.reshape((-1,) + (1,) * self.grid.d)
         scale = np.sqrt(self.chi * (dt * self.w_space[None])[..., None])[..., None, :]
-        B = np.empty((len(fields), scale.size * grid.d))
+        B = np.empty((len(fields), scale.size * self.grid.d))
         for row, G in zip(B, fields):
-            contr = np.einsum("f...ik,vk->f...iv", G.gradient(self.t_mid, grid),
+            contr = np.einsum("f...ik,vk->f...iv", G.gradient(self.t_mid, self.grid),
                               self.vset.vtilde)
             row[:] = (contr * scale).reshape(-1)
         return B @ B.T

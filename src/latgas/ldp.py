@@ -14,9 +14,8 @@ basis this is a concave quadratic maximization
 with l the per-mode residuals and Q the pi-inner-product Gram matrix
 (symmetric positive semidefinite; regularized by eps*I before solving).  On a
 solution of the plain system the estimate vanishes; on a solution of the
-controlled system with control H it equals (1/4) |H|_pi^2.  The Gram matrix of
-a prefix basis of size m is the leading block Q[:m, :m], so one Gram matrix
-per trajectory holds every nested estimate (`RateReport.leading`).
+controlled system with control H it equals (1/4) |H|_pi^2.  A prefix basis of
+size m has Gram matrix Q[:m, :m], so nested estimates are `RateReport.leading`.
 
 The field energy in variational form is, per component k and direction i,
 sup over compactly supported scalar g of 2 int <p_k, d_i g> - |g|_2^2, a
@@ -147,6 +146,7 @@ class RateReport:
     basis_size: int
     regularization: float
     quadrature: dict = dc_field(default_factory=dict)
+    reg_scale: float = DEFAULT_REG_SCALE
 
     @classmethod
     def solve(cls, linear, quad, quadrature: dict, reg_scale: float) -> "RateReport":
@@ -154,14 +154,14 @@ class RateReport:
         value, c_star, reg = quadratic_sup(linear, quad, reg_scale)
         return cls(estimate=value, coefficients=c_star, linear_term=linear,
                    quad_matrix=quad, basis_size=len(linear), regularization=reg,
-                   quadrature=dict(quadrature))
+                   quadrature=dict(quadrature), reg_scale=reg_scale)
 
-    def leading(self, m: int, reg_scale: float = DEFAULT_REG_SCALE) -> "RateReport":
-        """Report of the first m modes, solved on the leading block of Q."""
+    def leading(self, m: int) -> "RateReport":
+        """Report of the first m modes: the solve on the leading block of Q."""
         if not 1 <= m <= self.basis_size:
             raise ValueError(f"leading size {m} out of range 1..{self.basis_size}")
         return RateReport.solve(self.linear_term[:m], self.quad_matrix[:m, :m],
-                                self.quadrature, reg_scale)
+                                self.quadrature, self.reg_scale)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -215,13 +215,6 @@ def rate_estimate(traj: FieldTrajectory, gamma, basis: TestBasis,
     quadrature = {"frames": len(traj.times) - 1, "m1": traj.grid.m1,
                   "mt": traj.grid.mt, "horizon": traj.horizon}
     return RateReport.solve(linear, ctx.gram(basis.modes), quadrature, reg_scale)
-
-
-def nested_estimates(traj: FieldTrajectory, gamma, basis: TestBasis,
-                     sizes, vset: VelocitySet) -> list:
-    """Cost estimates for a chain of prefix bases (nondecreasing in size)."""
-    full = rate_estimate(traj, gamma, basis.subset(max(sizes)), vset)
-    return [(m, full.leading(m).estimate) for m in sizes]
 
 
 # --- chi-weighted control norm ------------------------------------------------------
@@ -328,6 +321,7 @@ class F06Report:
     rhs: float          # quarter of the squared control norm along it
     rel_gap: float
     rate: RateReport
+    trajectory: FieldTrajectory
 
 
 def verify_f06(gamma, boundary: BoundaryData, control, grid: Grid,
@@ -339,4 +333,5 @@ def verify_f06(gamma, boundary: BoundaryData, control, grid: Grid,
     report = rate_estimate(traj, traj.gamma, basis, vset)
     rhs = 0.25 * h_norm(traj, control, vset)
     gap = abs(report.estimate - rhs) / max(abs(rhs), 1e-300)
-    return F06Report(lhs=report.estimate, rhs=rhs, rel_gap=gap, rate=report)
+    return F06Report(lhs=report.estimate, rhs=rhs, rel_gap=gap, rate=report,
+                     trajectory=traj)

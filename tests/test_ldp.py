@@ -24,7 +24,6 @@ from latgas.ldp import (
     energy_variational,
     h_norm,
     j_hat,
-    nested_estimates,
     quadratic_sup,
     rate_estimate,
     verify_f06,
@@ -170,8 +169,8 @@ class TestRateEstimate:
     def test_nested_monotone(self, solution):
         vs, grid, bd, gamma, traj = solution
         basis = default_basis(1, T, n_space=4)
-        ests = nested_estimates(traj, traj.gamma, basis, [8, 16, 32], vs)
-        values = [e for _, e in ests]
+        full = rate_estimate(traj, traj.gamma, basis.subset(32), vs)
+        values = [full.leading(m).estimate for m in (8, 16, 32)]
         assert values[0] <= values[1] + 1e-12
         assert values[1] <= values[2] + 1e-12
 
@@ -185,6 +184,16 @@ class TestRateEstimate:
         assert lead.estimate == pytest.approx(alone.estimate, rel=1e-12)
         assert lead.regularization == alone.regularization
         assert np.array_equal(lead.linear_term, alone.linear_term)
+
+    def test_leading_keeps_the_report_reg_scale(self, solution):
+        vs, grid, bd, gamma, traj = solution
+        basis = default_basis(1, T, n_space=4)
+        full = rate_estimate(traj, traj.gamma, basis, vs, reg_scale=1e-3)
+        alone = rate_estimate(traj, traj.gamma, basis.subset(8), vs, reg_scale=1e-3)
+        lead = full.leading(8)
+        assert lead.reg_scale == 1e-3
+        assert lead.regularization == alone.regularization
+        assert lead.estimate == pytest.approx(alone.estimate, rel=1e-12)
 
     def test_leading_rejects_sizes_outside_the_basis(self, solution):
         vs, grid, bd, gamma, traj = solution
