@@ -223,8 +223,7 @@ def _sim_replica(raw_config: dict, N: int, replica: int):
             coords = (c,) + (0,) * (cfg.model.d - 1)
             vec = block_average(eta, lat, cfg.model.velocities, coords, block_radius)
             blocks.append((t, c, vec))
-    return {"fields": fields, "blocks": blocks, "n_events": res.n_events,
-            "kind_counts": res.kind_counts, "grid_m1": grid_m1}
+    return {"fields": fields, "blocks": blocks, "run": _run_record(res)}
 
 
 def cmd_simulate(cfg: ExperimentConfig, args) -> list:
@@ -248,9 +247,16 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> list:
     return outputs
 
 
+def _run_record(res) -> dict:
+    """The event loop and event counts of one simulation, for the manifest."""
+    return {"event_loop": res.event_loop, "n_events": res.n_events,
+            "kind_counts": res.kind_counts}
+
+
 def _map_cells(fn, cfg: ExperimentConfig, args) -> list:
     """(cell, fn(cfg.raw, *cell)) per (N, replica) cell in output order; adds the
-    key N:replica of each cell's `replica_rng` stream to `args.stream_keys`."""
+    key N:replica of each cell's `replica_rng` stream, with the cell's
+    `_run_record` (its result's "run" entry), to `args.cells`."""
     cells = [(N, r) for N in cfg.model.n_values for r in range(cfg.model.replicas)]
     if args.threads <= 1 or len(cells) <= 1:
         results = [fn(cfg.raw, *cell) for cell in cells]
@@ -258,13 +264,13 @@ def _map_cells(fn, cfg: ExperimentConfig, args) -> list:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.threads) as pool:
             futures = [pool.submit(fn, cfg.raw, *cell) for cell in cells]
             results = [f.result() for f in futures]
-    args.stream_keys += [f"{N}:{r}" for N, r in cells]
+    args.cells += [(f"{N}:{r}", res["run"]) for (N, r), res in zip(cells, results)]
     return list(zip(cells, results))
 
 
 # --- hydro ----------------------------------------------------------------------
 
-def _hydro_solve(cfg: ExperimentConfig, m1: int, n_frames=None):
+def _hydro_solve(cfg: ExperimentConfig, m1: int):
     hyd = cfg.hydro
     horizon = float(hyd.get("horizon", 0.5))
     grid = build_grid(cfg, m1, hyd.get("mt"))
@@ -272,10 +278,9 @@ def _hydro_solve(cfg: ExperimentConfig, m1: int, n_frames=None):
     boundary = build_boundary(cfg, profiles, grid)
     gamma = build_gamma(cfg, grid, boundary)
     dt = hyd.get("dt")
-    frames = n_frames if n_frames is not None else int(hyd.get("n_frames", 256))
-    traj = solve_hydro(gamma, boundary, horizon, grid, cfg.model.velocities,
-                       dt=None if dt is None else float(dt), n_frames=frames)
-    return traj
+    return solve_hydro(gamma, boundary, horizon, grid, cfg.model.velocities,
+                       dt=None if dt is None else float(dt),
+                       n_frames=int(hyd.get("n_frames", 256)))
 
 
 def cmd_hydro(cfg: ExperimentConfig, args) -> list:
@@ -316,7 +321,7 @@ def _conv_replica(raw_config: dict, N: int, replica: int):
     res = simulate(eta0, model, t_cmp, rng, sample_times=[t_cmp])
     _, eta = res.samples[0]
     meas = empirical_measure(eta, model.lattice, cfg.model.velocities)
-    return smooth(meas, eps, grid).values
+    return {"values": smooth(meas, eps, grid).values, "run": _run_record(res)}
 
 
 def cmd_converge(cfg: ExperimentConfig, args) -> list:
@@ -342,8 +347,8 @@ def cmd_converge(cfg: ExperimentConfig, args) -> list:
 
     ncomp = cfg.model.d + 1
     per_replica = {}
-    for (N, r), values in _map_cells(_conv_replica, cfg, args):
-        per_replica.setdefault(N, []).append(l1_distance(cmp_grid, values, pde_cmp))
+    for (N, r), res in _map_cells(_conv_replica, cfg, args):
+        per_replica.setdefault(N, []).append(l1_distance(cmp_grid, res["values"], pde_cmp))
 
     table = os.path.join(out, "converge.csv")
     fh, writer = _csv_writer(
@@ -480,11 +485,11 @@ def main(argv=None) -> int:
         if args.replicas is not None:
             cfg.raw["model"]["replicas"] = int(args.replicas)
             cfg = parse_config(cfg.raw)
-        args.stream_keys = []
+        args.cells = []
         outputs = COMMANDS[args.command](cfg, args)
         out = _out_dir(cfg, args)
         manifest = os.path.join(out, f"manifest_{args.command}.txt")
-        write_manifest(manifest, args.command, cfg, args.stream_keys, outputs,
+        write_manifest(manifest, args.command, cfg, args.cells, outputs,
                        time.perf_counter() - started)
         print(f"[latgas] {args.command}: wrote {len(outputs)} file(s) to {out}")
         return 0

@@ -236,9 +236,16 @@ def replica_rng(seed: int, *key) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def write_manifest(path, command: str, config: ExperimentConfig, stream_keys: list,
+def write_manifest(path, command: str, config: ExperimentConfig, cells: list,
                    outputs: list, wallclock: float) -> None:
-    """Atomically write the run manifest (temp file + rename)."""
+    """Atomically write the run manifest (temp file + rename).
+
+    `cells` holds (stream key, run record) per simulated (N, replica) cell,
+    in cell order; a run record has the `event_loop` that ran ("compiled" or
+    "python"), `n_events` and `kind_counts` (exclusion, collision, boundary).
+    Commands that simulate list them in `event_loop`, `n_events` and
+    `kind_counts` lines, per cell as key=value.
+    """
     import latgas
 
     lines = [
@@ -248,7 +255,16 @@ def write_manifest(path, command: str, config: ExperimentConfig, stream_keys: li
         f"package_version: {latgas.__version__}",
         f"numpy_version: {np.__version__}",
         f"master_seed: {config.model.seed}",
-        " ".join(["stream_keys:"] + [str(k) for k in stream_keys]),
+        " ".join(["stream_keys:"] + [key for key, _ in cells]),
+    ]
+    if cells:
+        lines += [
+            "event_loop: " + " ".join(sorted({run["event_loop"] for _, run in cells})),
+            " ".join(["n_events:"] + [f"{key}={run['n_events']}" for key, run in cells]),
+            " ".join(["kind_counts:"] + [f"{key}=" + "/".join(map(str, run["kind_counts"]))
+                                         for key, run in cells]),
+        ]
+    lines += [
         "outputs: " + " ".join(str(o) for o in outputs),
         f"wallclock_seconds: {wallclock:.3f}",
         f"created_unix: {time.time():.0f}",

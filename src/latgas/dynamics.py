@@ -19,10 +19,30 @@ configuration, and rejected candidates advance the clock only.  Waiting times
 between accepted events are therefore exactly Exponential(total rate x N^2)
 and events are chosen proportionally to their rates, with O(1) expected work
 per event.
+
+`SimState.advance(stop)` runs the candidate stream.  Candidates come in
+batches of `SimState.BATCH` draws made by `_refill` in a fixed order (gaps,
+then selectors, then accept variates), so a seed fixes the stream whichever
+loop consumes it.  The loop applies every accepted event with clock reading
+t < stop and returns the first accepted event at t >= stop unapplied, with
+the clock at its time: `simulate` passes the next sample time or the
+horizon, so samples see the state before any event at or after their time;
+`step()`, trackers and event logs pass stop = -inf and apply each event in
+Python.  After every CHECK_EVERY consecutive rejections the loop checks
+`RateTable.exact_totals` and raises `NumericalFailure` in an absorbing state.
+
+The loop is a C function (`_eventloop.c`, built and loaded by `eventloop`)
+reading the candidate arrays, the `RateTable` slot arrays and the uint8
+configuration in place, with the same arithmetic as `_select`/`_apply`, so
+both give the same bytes.  It is compiled on first use into the package's
+`__pycache__/` (a private temporary directory when that is not writable);
+with no C compiler `SimState` runs `_select`/`_apply`, the Python reference.
+`SimState.event_loop` and `SimulationResult.event_loop` say which ran.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -181,9 +201,6 @@ class Model:
         """Diffusive acceleration N^2 of the macroscopic clock."""
         return float(self.lattice.N) ** 2
 
-    def empty_configuration(self) -> Configuration:
-        return Configuration(self.lattice, self.vset)
-
 
 # --- single-event rate formulas (reference implementations) -----------------
 
@@ -229,6 +246,12 @@ def boundary_rate(model: Model, eta: np.ndarray, x: int, v_idx: int) -> float:
 
 EXCLUSION, COLLISION, BOUNDARY = 0, 1, 2
 KIND_NAMES = ("exclusion", "collision", "boundary")
+
+# Consecutive rejected candidates between absorbing-state checks.  In place
+# of an event family the compiled loop returns CHECK_ABSORBING when a check
+# is due and -1 when its candidate batch runs out.
+CHECK_EVERY = 10_000_000
+CHECK_ABSORBING = -2
 
 
 @dataclass(frozen=True)
@@ -401,53 +424,97 @@ class SimState:
     BATCH = 1 << 14
 
     def __init__(self, model: Model, eta: np.ndarray, rng, t0: float = 0.0):
+        from .eventloop import LoopState, load_kernel
+
         self.model = model
         self.table = table = RateTable(model)
-        # The event loop indexes Python lists: an element read costs about a
-        # third of an ndarray element read.
-        self.ex_src, self.ex_tgt = table.ex_src.tolist(), table.ex_tgt.tolist()
-        self.ex_pn = table.ex_pn.tolist()
-        self.col_slots = table.col_slots.tolist()
-        self.bd_slot = table.bd_slot.tolist()
-        self.bd_birth, self.bd_death = table.bd_birth.tolist(), table.bd_death.tolist()
         self.rng = rng
         self.t = t0
         self.nv = len(model.vset)
-        self.eta_flat = bytearray(np.ascontiguousarray(eta, dtype=np.uint8).tobytes())
-        if self.table.total_bound <= 0.0:
+        self.eta_flat = np.array(eta, dtype=np.uint8).reshape(-1)
+        if self.eta_flat.size != model.lattice.n_sites * self.nv:
+            raise ValueError(f"eta has {self.eta_flat.size} slots, the lattice "
+                             f"{model.lattice.n_sites * self.nv}")
+        if table.total_bound <= 0.0:
             raise NumericalFailure("no events are possible for this model")
-        self.gap_scale = 1.0 / (self.table.total_bound * model.time_scale)
-        w = self.table.weights
+        self.gap_scale = 1.0 / (table.total_bound * model.time_scale)
+        w = table.weights
         self.thr1 = w[0]
         self.thr2 = w[0] + w[1]
-        self._buf = []
+        self._gap = self._sel = self._acc = np.empty(0)
         self._pos = 0
-        self.n_events = 0
-        self.kind_counts = [0, 0, 0]
+        self.kind_counts = np.zeros(3, dtype=np.int64)
         self.trackers: list = []
+        self._run = load_kernel()
+        if self._run is not None:
+            self._held = [np.ascontiguousarray(a, dtype=dtype) for a, dtype in (
+                (table.ex_src, np.int64), (table.ex_tgt, np.int64), (table.ex_pn, float),
+                (table.col_slots, np.int64), (table.bd_slot, np.int64),
+                (table.bd_birth, float), (table.bd_death, float))]
+            pointers = [a.ctypes.data for a in self._held + [self.eta_flat, self.kind_counts]]
+            # in LoopState field order; the candidate pointers are set per batch
+            self._loop = LoopState(
+                None, None, None, *pointers, self.BATCH, *table.counts,
+                table.bound_ex, table.bound_col, table.bound_bd, self.thr1, self.thr2)
+
+    @property
+    def n_events(self) -> int:
+        return int(self.kind_counts.sum())
+
+    @property
+    def event_loop(self) -> str:
+        return "python" if self._run is None else "compiled"
 
     def _refill(self):
         rng, B = self.rng, self.BATCH
-        gaps = (rng.exponential(self.gap_scale, B)).tolist()
-        sel = (rng.random(B) * self.table.total_bound).tolist()
-        acc = rng.random(B).tolist()
-        self._buf = list(zip(gaps, sel, acc))
+        self._gap = rng.exponential(self.gap_scale, B)
+        self._sel = rng.random(B) * self.table.total_bound
+        self._acc = rng.random(B)
         self._pos = 0
 
     def _next_candidate(self):
-        if self._pos >= len(self._buf):
+        if self._pos >= len(self._gap):
             self._refill()
-        c = self._buf[self._pos]
+        i = self._pos
         self._pos += 1
-        return c
+        return self._gap[i], self._sel[i], self._acc[i]
 
     def snapshot(self) -> np.ndarray:
-        return np.frombuffer(bytes(self.eta_flat), dtype=np.uint8).reshape(
-            self.model.lattice.n_sites, self.nv
-        ).copy()
+        return self.eta_flat.reshape(self.model.lattice.n_sites, self.nv).copy()
+
+    def _check_absorbing(self) -> None:
+        if self.table.exact_totals(self.eta_flat).sum() == 0.0:
+            raise NumericalFailure("absorbing state reached: total rate is zero")
+
+    def advance(self, stop: float):
+        """Apply the accepted events before clock reading `stop` and return the
+        first accepted one at t >= stop as (kind, idx), unapplied, with the
+        clock at its time.  Runs the compiled loop when it is loaded; events
+        applied here bypass `trackers`, so tracked runs pass stop = -inf."""
+        if self._run is None:
+            while True:
+                kind, idx = self._select()
+                if self.t >= stop:
+                    return kind, idx
+                self._apply(kind, idx)
+        loop = self._loop
+        while True:
+            if self._pos >= len(self._gap):
+                self._refill()
+                loop.gap, loop.sel, loop.acc = (
+                    a.ctypes.data for a in (self._gap, self._sel, self._acc))
+            loop.t, loop.pos = self.t, self._pos
+            kind = self._run(loop, stop)
+            self.t, self._pos = loop.t, loop.pos
+            if kind >= 0:
+                return kind, loop.idx
+            if kind == CHECK_ABSORBING:
+                self._check_absorbing()
 
     def _select(self):
-        """Advance the clock to the next accepted event; return (kind, idx)."""
+        """Advance the clock to the next accepted event; return (kind, idx).
+
+        The Python reference for the compiled loop's candidate scan."""
         table, eta = self.table, self.eta_flat
         tried = 0
         while True:
@@ -455,38 +522,36 @@ class SimState:
             self.t += gap
             if sel < self.thr1:
                 idx = min(int(sel / table.bound_ex), table.counts[0] - 1)
-                src = self.ex_src[idx]
-                if eta[src] and not eta[self.ex_tgt[idx]]:
-                    if acc * table.bound_ex < self.ex_pn[idx]:
+                if eta[table.ex_src[idx]] and not eta[table.ex_tgt[idx]]:
+                    if acc * table.bound_ex < table.ex_pn[idx]:
                         return EXCLUSION, idx
             elif sel < self.thr2:
                 idx = min(int((sel - self.thr1) / table.bound_col), table.counts[1] - 1)
-                a, b, c, d = self.col_slots[idx]
+                a, b, c, d = table.col_slots[idx]
                 if eta[a] and eta[b] and not eta[c] and not eta[d]:
                     return COLLISION, idx
             else:
                 idx = min(int((sel - self.thr2) / table.bound_bd), table.counts[2] - 1)
-                slot = self.bd_slot[idx]
-                rate = self.bd_death[idx] if eta[slot] else self.bd_birth[idx]
+                slot = table.bd_slot[idx]
+                rate = table.bd_death[idx] if eta[slot] else table.bd_birth[idx]
                 if acc * table.bound_bd < rate:
                     return BOUNDARY, idx
             tried += 1
-            if tried % 10_000_000 == 0:
-                if self.table.exact_totals(self.snapshot()).sum() == 0.0:
-                    raise NumericalFailure("absorbing state reached: total rate is zero")
+            if tried % CHECK_EVERY == 0:
+                self._check_absorbing()
 
     def _apply(self, kind: int, idx: int) -> None:
-        eta = self.eta_flat
+        eta, table = self.eta_flat, self.table
         t = self.t
         if kind == EXCLUSION:
-            src, tgt = self.ex_src[idx], self.ex_tgt[idx]
+            src, tgt = table.ex_src[idx], table.ex_tgt[idx]
             eta[src] = 0
             eta[tgt] = 1
             for tr in self.trackers:
                 tr.on_flip(t, src, 1)
                 tr.on_flip(t, tgt, 0)
         elif kind == COLLISION:
-            a, b, c, d = self.col_slots[idx]
+            a, b, c, d = table.col_slots[idx]
             eta[a] = 0
             eta[b] = 0
             eta[c] = 1
@@ -497,12 +562,11 @@ class SimState:
                 tr.on_flip(t, c, 0)
                 tr.on_flip(t, d, 0)
         else:
-            slot = self.bd_slot[idx]
-            old = eta[slot]
+            slot = table.bd_slot[idx]
+            old = int(eta[slot])
             eta[slot] = 1 - old
             for tr in self.trackers:
                 tr.on_flip(t, slot, old)
-        self.n_events += 1
         self.kind_counts[kind] += 1
 
 
@@ -513,7 +577,7 @@ def step(state: SimState):
     the event is drawn proportionally to its rate.
     """
     t_before = state.t
-    kind, idx = state._select()
+    kind, idx = state.advance(-math.inf)
     state._apply(kind, idx)
     return state.table.event_from_entry(kind, idx), state.t - t_before
 
@@ -525,6 +589,7 @@ class SimulationResult:
     n_events: int
     kind_counts: tuple
     samples: list
+    event_loop: str  # "compiled" or "python"
 
 
 def simulate(initial: Configuration, model: Model, horizon: float, rng,
@@ -555,10 +620,14 @@ def simulate(initial: Configuration, model: Model, horizon: float, rng,
     if log_fh is not None:
         log_fh.write("time,kind,site,velocity,target,quadruple\n")
 
+    # trackers and the log see every event, so each one returns to Python
+    per_event = bool(state.trackers) or log_fh is not None
     next_i = 0
     if horizon > 0:
         while True:
-            kind, idx = state._select()
+            stop = -math.inf if per_event else (
+                times[next_i] if next_i < len(times) else horizon)
+            kind, idx = state.advance(stop)
             t_new = state.t
             while next_i < len(times) and times[next_i] <= min(t_new, horizon):
                 samples.append((times[next_i], state.snapshot()))
@@ -590,6 +659,7 @@ def simulate(initial: Configuration, model: Model, horizon: float, rng,
         final=final,
         t_end=horizon,
         n_events=state.n_events,
-        kind_counts=tuple(state.kind_counts),
+        kind_counts=tuple(int(k) for k in state.kind_counts),
         samples=samples,
+        event_loop=state.event_loop,
     )

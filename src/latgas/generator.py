@@ -77,7 +77,6 @@ class ExactGenerator:
     matrix: sp.csr_matrix  # includes diagonal; rows sum to zero exactly
     parts: tuple
     _off_rows: np.ndarray = None
-    _off_cols: np.ndarray = None
     _off_vals: np.ndarray = None
     _diag: np.ndarray = None
 
@@ -177,14 +176,12 @@ def assemble_exact_generator(model: Model, parts=ALL_PARTS) -> ExactGenerator:
         off = sp.csr_matrix((n_states, n_states))
     canon = off.tocoo()
     off_rows = canon.row.astype(np.int64)
-    off_cols = canon.col.astype(np.int64)
     off_vals = canon.data.copy()
     diag = np.zeros(n_states)
     np.add.at(diag, off_rows, off_vals)
     diag = -diag
     mat = (off + sp.diags(diag)).tocsr()
     gen = ExactGenerator(model=model, matrix=mat, parts=parts,
-                         _off_rows=off_rows, _off_cols=off_cols,
-                         _off_vals=off_vals, _diag=diag)
+                         _off_rows=off_rows, _off_vals=off_vals, _diag=diag)
     assert not np.any(gen.row_sums())
     return gen

@@ -321,7 +321,6 @@ class F06Report:
     rhs: float          # quarter of the squared control norm along it
     rel_gap: float
     rate: RateReport
-    trajectory: FieldTrajectory
 
 
 def verify_f06(gamma, boundary: BoundaryData, control, grid: Grid,
@@ -333,5 +332,4 @@ def verify_f06(gamma, boundary: BoundaryData, control, grid: Grid,
     report = rate_estimate(traj, traj.gamma, basis, vset)
     rhs = 0.25 * h_norm(traj, control, vset)
     gap = abs(report.estimate - rhs) / max(abs(rhs), 1e-300)
-    return F06Report(lhs=report.estimate, rhs=rhs, rel_gap=gap, rate=report,
-                     trajectory=traj)
+    return F06Report(lhs=report.estimate, rhs=rhs, rel_gap=gap, rate=report)

@@ -115,10 +115,6 @@ class ConvexDomain:
         out = -np.max(slack, axis=-1)
         return float(out) if out.ndim == 0 else out
 
-    def contains(self, x, strict: bool = True) -> np.ndarray:
-        m = self.margin(x)
-        return m > 0 if strict else m >= 0
-
     def project_inward(self, x, min_margin: float = 0.0) -> np.ndarray:
         """Pull points toward the centroid until margin >= min_margin.
 

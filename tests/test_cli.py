@@ -1,6 +1,7 @@
 import pytest
 import yaml
 
+from latgas import eventloop
 from latgas.cli import main
 from latgas.config import parse_config
 from latgas.errors import ConfigError
@@ -130,3 +131,55 @@ def test_threads_do_not_change_outputs(tmp_path, command):
         runs[threads] = {p.name: p.read_bytes() for p in out.iterdir()
                          if not p.name.startswith("manifest_")}
     assert runs[1] and runs[1] == runs[2]
+
+
+RUN_LINES = ("stream_keys", "event_loop", "n_events", "kind_counts")
+
+
+@pytest.mark.parametrize("command", ["simulate", "converge"])
+def test_manifest_records_each_cell_event_counts(tmp_path, command):
+    path = tiny_config(tmp_path)
+    lines = {}
+    for threads in (1, 2):
+        manifest = tmp_path / f"threads{threads}" / f"manifest_{command}.txt"
+        assert main([command, "--config", path, "--out", str(manifest.parent),
+                     "--threads", str(threads)]) == 0
+        lines[threads] = {key: manifest_line(manifest, key) for key in RUN_LINES}
+    assert lines[1] == lines[2]
+    keys = lines[1]["stream_keys"]
+    assert lines[1]["event_loop"] in (["compiled"], ["python"])
+    events = dict(item.split("=") for item in lines[1]["n_events"])
+    kinds = dict(item.split("=") for item in lines[1]["kind_counts"])
+    assert list(events) == list(kinds) == keys
+    for key in keys:
+        assert int(events[key]) > 0
+        assert sum(int(k) for k in kinds[key].split("/")) == int(events[key])
+
+
+def test_manifest_has_no_event_lines_without_simulation(tmp_path):
+    out = tmp_path / "out"
+    assert main(["exact", "--config", tiny_config(tmp_path), "--out", str(out)]) == 0
+    for key in RUN_LINES[1:]:
+        with pytest.raises(KeyError):
+            manifest_line(out / "manifest_exact.txt", key)
+
+
+@pytest.mark.parametrize("command", ["simulate", "converge"])
+def test_outputs_without_a_compiler_are_the_same_bytes(tmp_path, monkeypatch, command):
+    path = tiny_config(tmp_path)
+    runs, lines = {}, {}
+    for name in ("default", "no_compiler"):
+        if name == "no_compiler":
+            monkeypatch.setattr(eventloop, "_kernel", None)
+            monkeypatch.setattr(eventloop, "CACHE_DIR", str(tmp_path / "cache"))
+            monkeypatch.setattr(eventloop, "find_compiler", lambda: None)
+        out = tmp_path / name
+        assert main([command, "--config", path, "--out", str(out)]) == 0
+        runs[name] = {p.name: p.read_bytes() for p in out.iterdir()
+                      if not p.name.startswith("manifest_")}
+        lines[name] = {key: manifest_line(out / f"manifest_{command}.txt", key)
+                       for key in RUN_LINES}
+    assert runs["default"] and runs["default"] == runs["no_compiler"]
+    assert lines["no_compiler"].pop("event_loop") == ["python"]
+    lines["default"].pop("event_loop")
+    assert lines["default"] == lines["no_compiler"]

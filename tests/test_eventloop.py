@@ -1,0 +1,219 @@
+"""The compiled event loop against the Python reference loop and a recorded stream.
+
+`tests/data/sim_streams.json` was recorded with `stream_record` from the
+pure-Python event loop, before the compiled kernel existed.  Both loops must
+reproduce it exactly: same event counts, same configuration bytes at every
+sample time and at the end, same event log, tracker averages and `step()`
+draws.
+"""
+
+import hashlib
+import io
+import json
+import pathlib
+import tempfile
+
+import numpy as np
+import pytest
+
+from latgas import eventloop
+from latgas.errors import NumericalFailure
+from latgas.dynamics import Model, OccupationTracker, ReservoirProfiles, SimState, simulate, step
+from latgas.lattice import Configuration, Lattice
+from latgas.thermo import sample_product_state
+from latgas.velocities import VelocitySet, four_velocity_set, two_velocity_set
+
+VS2 = two_velocity_set(0.5)
+VS4 = four_velocity_set(0.5, 0.25)
+VS2D = VelocitySet(np.array([[0.5, 0.0], [-0.5, 0.0], [0.0, 0.5], [0.0, -0.5]]))
+
+# name -> (model factory, initial lambda, horizon, sample times)
+STREAM_CASES = {
+    "vs2_walls_N16": (
+        lambda: Model(Lattice(16, 1), VS2, profiles=ReservoirProfiles.constant(
+            VS2, [0.3, 0.4], [0.6, 0.5])),
+        [0.1, -0.2], 2.0, [0.0, 0.5, 1.25, 2.0]),
+    "vs4_walls_N16": (
+        lambda: Model(Lattice(16, 1), VS4, profiles=ReservoirProfiles.constant(
+            VS4, [0.3, 0.4, 0.35, 0.45], [0.6, 0.5, 0.55, 0.65])),
+        [0.0, 0.1], 2.0, [0.4, 1.0, 2.0]),
+    "vs2d_walls_N6": (
+        lambda: Model(Lattice(6, 2), VS2D, profiles=ReservoirProfiles.constant(
+            VS2D, [0.3, 0.4, 0.35, 0.45], [0.6, 0.5, 0.55, 0.65])),
+        [0.0, 0.1, 0.0], 1.0, [0.25, 0.75]),
+}
+SEEDS = (3, 11)
+N_STEPS = 300
+LOG_HORIZON = 0.05
+
+RECORDED = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "sim_streams.json").read_text())
+
+
+def _sha(*chunks) -> str:
+    h = hashlib.sha256()
+    for c in chunks:
+        h.update(c if isinstance(c, bytes) else repr(c).encode())
+    return h.hexdigest()
+
+
+def stream_record(name: str, seed: int) -> dict:
+    """Counts and hashes of one seeded run of a case through `simulate` and `step()`."""
+    make, lam, horizon, times = STREAM_CASES[name]
+    model = make()
+    lat, vs = model.lattice, model.vset
+
+    rng = np.random.default_rng(seed)
+    eta0 = Configuration(lat, vs, sample_product_state(lam, lat, vs, rng))
+    res = simulate(eta0, model, horizon, rng, sample_times=times)
+    record = {
+        "n_events": res.n_events,
+        "kind_counts": list(res.kind_counts),
+        "final_sha256": _sha(res.final.eta.tobytes()),
+        "samples_sha256": _sha(*[c for t, eta in res.samples for c in (t, eta.tobytes())]),
+    }
+
+    rng = np.random.default_rng(seed)
+    tracker, log = OccupationTracker(lat.n_sites * len(vs)), io.StringIO()
+    res = simulate(eta0, model, LOG_HORIZON, rng, trackers=[tracker], event_log=log)
+    occ = tracker.mean_occupation(LOG_HORIZON, res.final.eta.reshape(-1))
+    record["log_n_events"] = res.n_events
+    record["event_log_sha256"] = _sha(log.getvalue().encode())
+    record["tracker_sha256"] = _sha(occ.tobytes())
+
+    state = SimState(model, eta0.eta, np.random.default_rng(seed))
+    steps = [step(state) for _ in range(N_STEPS)]
+    record["steps_sha256"] = _sha(*[(ev, float(wait)) for ev, wait in steps])
+    record["steps_final_sha256"] = _sha(state.snapshot().tobytes())
+    return record
+
+
+CASES = [(name, seed) for name in STREAM_CASES for seed in SEEDS]
+IDS = [f"{name}-seed{seed}" for name, seed in CASES]
+
+
+@pytest.fixture
+def python_loop(monkeypatch):
+    """Run every SimState on the Python reference loop."""
+    monkeypatch.setattr(eventloop, "load_kernel", lambda: None)
+
+
+requires_compiler = pytest.mark.skipif(
+    eventloop.load_kernel() is None, reason="no C compiler to build the event loop")
+
+
+def event_loop_of(name: str) -> str:
+    model = STREAM_CASES[name][0]()
+    return SimState(model, np.zeros((model.lattice.n_sites, len(model.vset))), None).event_loop
+
+
+@requires_compiler
+@pytest.mark.parametrize("name,seed", CASES, ids=IDS)
+def test_compiled_loop_reproduces_recorded_stream(name, seed):
+    assert event_loop_of(name) == "compiled"
+    assert stream_record(name, seed) == RECORDED[f"{name}-seed{seed}"]
+
+
+@pytest.mark.parametrize("name,seed", CASES, ids=IDS)
+def test_python_loop_reproduces_recorded_stream(python_loop, name, seed):
+    assert event_loop_of(name) == "python"
+    assert stream_record(name, seed) == RECORDED[f"{name}-seed{seed}"]
+
+
+# models outside the recorded cases: a ring (no boundary family) and
+# exclusion only (no collision family)
+AGREE_CASES = {
+    "vs4_ring_N12": lambda: Model(Lattice(12, 1, periodic=True), VS4),
+    "vs4_exclusion_only_N12": lambda: Model(
+        Lattice(12, 1), VS4, include_collisions=False,
+        profiles=ReservoirProfiles.constant(VS4, [0.3, 0.4, 0.35, 0.45], [0.6, 0.5, 0.55, 0.65])),
+}
+
+
+def run_every_entry_point(make, seed: int) -> dict:
+    """Samples, final state, event log, tracker averages and `step()` draws."""
+    model = make()
+    lat, vs = model.lattice, model.vset
+    eta0 = Configuration(lat, vs, sample_product_state([0.2, 0.1], lat, vs,
+                                                       np.random.default_rng(seed)))
+    res = simulate(eta0, model, 4.0, np.random.default_rng(seed), sample_times=[0.5, 2.0, 4.0])
+    tracker, log = OccupationTracker(lat.n_sites * len(vs)), io.StringIO()
+    logged = simulate(eta0, model, 0.1, np.random.default_rng(seed), trackers=[tracker],
+                      event_log=log)
+    state = SimState(model, eta0.eta, np.random.default_rng(seed))
+    steps = [step(state) for _ in range(N_STEPS)]
+    return {
+        "counts": (res.n_events, res.kind_counts, logged.n_events, logged.kind_counts),
+        "samples": [(t, eta.tobytes()) for t, eta in res.samples],
+        "final": res.final.eta.tobytes(),
+        "log": log.getvalue(),
+        "tracker": tracker.mean_occupation(0.1, logged.final.eta.reshape(-1)).tobytes(),
+        "steps": [(ev, float(wait)) for ev, wait in steps],
+        "steps_final": state.snapshot().tobytes(),
+        "event_loop": res.event_loop,
+    }
+
+
+@requires_compiler
+@pytest.mark.parametrize("name", sorted(AGREE_CASES))
+def test_compiled_and_python_loops_agree(monkeypatch, name):
+    compiled = run_every_entry_point(AGREE_CASES[name], 5)
+    monkeypatch.setattr(eventloop, "load_kernel", lambda: None)
+    python = run_every_entry_point(AGREE_CASES[name], 5)
+    assert (compiled.pop("event_loop"), python.pop("event_loop")) == ("compiled", "python")
+    # acceptance is below 1/2 here, so the run spans several candidate batches
+    assert compiled["counts"][0] > SimState.BATCH // 2
+    assert compiled == python
+
+
+@pytest.fixture
+def fresh_kernel(monkeypatch, tmp_path):
+    """Forget the loaded kernel and build into an empty cache."""
+    monkeypatch.setattr(eventloop, "_kernel", None)
+    monkeypatch.setattr(eventloop, "CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    (tmp_path / "tmp").mkdir()
+    return tmp_path
+
+
+def test_no_compiler_falls_back_to_the_python_loop(monkeypatch, fresh_kernel):
+    monkeypatch.setattr(eventloop, "find_compiler", lambda: None)
+    assert eventloop.load_kernel() is None
+    assert event_loop_of("vs2_walls_N16") == "python"
+    assert stream_record("vs2_walls_N16", 3) == RECORDED["vs2_walls_N16-seed3"]
+    assert not (fresh_kernel / "cache").exists()
+
+
+@requires_compiler
+def test_unwritable_cache_builds_in_a_private_directory(fresh_kernel):
+    (fresh_kernel / "cache").write_text("a file where the cache directory should be")
+    assert eventloop.load_kernel() is not None
+    assert [p.suffix for p in (fresh_kernel / "tmp").glob("latgas-*/*")] == [".so"]
+    assert stream_record("vs2_walls_N16", 11) == RECORDED["vs2_walls_N16-seed11"]
+
+
+@requires_compiler
+def test_cached_build_is_reused(monkeypatch, fresh_kernel):
+    assert eventloop.load_kernel() is not None
+    built = list((fresh_kernel / "cache").iterdir())
+    assert [p.suffix for p in built] == [".so"]
+    monkeypatch.setattr(eventloop, "_kernel", None)
+    monkeypatch.setattr(eventloop, "find_compiler", lambda: None)
+    assert eventloop.load_kernel() is not None
+    assert list((fresh_kernel / "cache").iterdir()) == built
+
+
+@requires_compiler
+def test_absorbing_state_raises():
+    # a full ring: every exclusion hop is blocked and no collision can fire,
+    # so the loop rejects every candidate until the absorbing check runs
+    model = Model(Lattice(4, 1, periodic=True), VS2)
+    full = Configuration(model.lattice, VS2, np.ones((model.lattice.n_sites, 2), dtype=np.uint8))
+    with pytest.raises(NumericalFailure, match="absorbing"):
+        simulate(full, model, 1e9, np.random.default_rng(0))
+
+
+def test_configuration_of_the_wrong_size_is_rejected():
+    model = STREAM_CASES["vs2_walls_N16"][0]()
+    with pytest.raises(ValueError, match="slots"):
+        SimState(model, np.zeros((model.lattice.n_sites - 1, 2)), None)
