@@ -379,7 +379,7 @@ def cmd_rate(cfg: ExperimentConfig, args) -> list:
         raise ConfigError(f"ldp.basis_sizes {bad or 'is empty'}: "
                           f"each entry must lie in 1..{n}, the basis length")
     traj = _hydro_solve(cfg, m1)
-    full = rate_estimate(traj, traj.gamma, basis.subset(sizes[-1]), cfg.model.velocities)
+    full = rate_estimate(traj, basis.subset(sizes[-1]), cfg.model.velocities)
 
     sweep_path = os.path.join(out, "rate_sweep.csv")
     fh, writer = _csv_writer(sweep_path, ["basis_size", "estimate"],
@@ -425,9 +425,10 @@ def cmd_exact(cfg: ExperimentConfig, args) -> list:
     gen = assemble_exact_generator(model, parts=parts)
 
     row_max = float(np.max(np.abs(gen.row_sums()))) if gen.n_states else 0.0
-    inv_res = gen.invariance_residual(lam)
+    mu = gen.product_measure(lam)
+    inv_res = gen.invariance_residual(mu)
     audit = assemble_exact_generator(model, parts=("collision",)) \
-        .detailed_balance_audit(lam)
+        .detailed_balance_audit(mu)
 
     path = os.path.join(out, "exact_report.txt")
     with open(path, "w") as fh:

@@ -1,6 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps ConfigError to exit code 2 and NumericalFailure (including
+The CLI maps ConfigError (including StabilityError and SizeError, inputs
+rejected before any work) to exit code 2 and NumericalFailure (including
 ConvergenceError) to exit code 3; everything else is a plain bug.
 """
 
@@ -21,7 +22,7 @@ class DomainError(LatgasError, ValueError):
     """A point lies outside the admissible region (e.g. not interior to the hull)."""
 
 
-class SizeError(LatgasError, ValueError):
+class SizeError(ConfigError):
     """A problem instance exceeds an enforced size cap."""
 
 

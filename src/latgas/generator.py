@@ -115,19 +115,18 @@ class ExactGenerator:
             weights = weights * np.exp(site_I @ lam)
         return weights / weights.sum()
 
-    def invariance_residual(self, lam) -> float:
-        """sup-norm of mu^T L for the product measure at chemical potential lam."""
-        mu = self.product_measure(lam)
+    def invariance_residual(self, mu) -> float:
+        """sup-norm of mu^T L for a measure mu over all states (see product_measure)."""
         return float(np.max(np.abs(mu @ self.matrix)))
 
-    def detailed_balance_audit(self, lam) -> dict:
+    def detailed_balance_audit(self, mu) -> dict:
         """Check mu(eta) rate(eta->eta') == mu(eta') rate(eta'->eta) per transition.
 
-        Only meaningful for the collision part (build with parts=("collision",)).
+        `mu` is a measure over all states, as from `product_measure`.  Only
+        meaningful for the collision part (build with parts=("collision",)).
         Returns the number of transitions, the worst absolute imbalance, and
         whether every reverse transition exists with the same rate.
         """
-        mu = self.product_measure(lam)
         coo = self.matrix.tocoo()
         off = coo.row != coo.col
         n = self.n_states

@@ -13,10 +13,11 @@ divergence, and one second-order implicit-explicit (IMEX) time step: the
 Dirichlet values held by the implicit solve.  dt is bounded by the advective
 CFL condition of `advective_limit`; by default one step per frame.
 
-`QuadratureContext` evaluates the weak-form residual of a trajectory against a
-test function (trapezoid in space, midpoint in time) and the Gram matrix of the
-chi-weighted space-time inner product; the residual vanishes on solutions, which is the
-linear part of the trajectory cost functional.
+`QuadratureContext` stores, once per trajectory, the weights of the weak-form
+residual (trapezoid in space, midpoint in time) and evaluates it against a test
+function as inner products with those weights, together with the Gram matrix of
+the chi-weighted space-time inner product; the residual vanishes on solutions,
+which is the linear part of the trajectory cost functional.
 """
 
 from __future__ import annotations
@@ -623,21 +624,21 @@ class QuadratureContext:
     Time integrals use the midpoint rule on frame intervals (fields averaged
     between adjacent frames); space integrals use the grid's trapezoid rule.
     The chi weights chi(theta_v(w)) at the midpoints are computed once and
-    reused by the residual and by the Gram matrix of the pi inner product.
+    reused by the Gram matrix of the pi inner product.  The weak residual is
+    linear in the test function, so the trajectory fixes its weights: the
+    constructor stores them once and `linear_residual` pairs them with G.
     """
 
-    def __init__(self, traj: FieldTrajectory, vset: VelocitySet, gamma=None):
-        self.traj = traj
+    def __init__(self, traj: FieldTrajectory, vset: VelocitySet):
         self.vset = vset
-        self.grid = traj.grid
-        self.gamma = traj.gamma if gamma is None else np.asarray(gamma, dtype=float)
+        grid = self.grid = traj.grid
         times = traj.times
+        self.t_ends = times[[0, -1]]
         self.t_mid = 0.5 * (times[:-1] + times[1:])
         self.dt_f = np.diff(times)
-        self.w_mid = 0.5 * (traj.values[:-1] + traj.values[1:])
-        self.w_space = traj.grid.weights()
-        self.w_t = traj.grid.transverse_weights()
-        flat = self.w_mid.reshape(-1, vset.d + 1)
+        w_mid = 0.5 * (traj.values[:-1] + traj.values[1:])
+        self.w_space = grid.weights()
+        flat = w_mid.reshape(-1, vset.d + 1)
         margin = domain_of(vset).margin(flat)
         if float(np.min(margin)) <= 0:
             raise DomainError(
@@ -646,49 +647,38 @@ class QuadratureContext:
             )
         lam = invert_conserved(flat, vset, check_domain=False)
         th = theta_all(lam, vset)
-        self.chi = (th * (1.0 - th)).reshape(self.w_mid.shape[:-1] + (len(vset),))
+        self.chi = (th * (1.0 - th)).reshape(w_mid.shape[:-1] + (len(vset),))
 
-    def _space_sum(self, arr: np.ndarray) -> np.ndarray:
-        """Integrate over space: arr has shape (F, *shape); returns (F,)."""
-        axes = tuple(range(1, 1 + self.grid.d))
-        return np.sum(arr * self.w_space[None], axis=axes)
+        # weights of the weak residual: w at the endpoints, then dt_f w w_mid
+        # against dG/dt + (1/2) Lap G, then the gradient weights holding the
+        # flux term -dt_f w sum_v chi_v vtilde_k v_i and the wall terms
+        # (1/2) dt_f (b, -a) on d_1 G at u_1 = 1 and u_1 = 0
+        self.end_weights = self.w_space[..., None] * traj.values[[-1, 0]]
+        dtw = (self.dt_f.reshape((-1,) + (1,) * grid.d) * self.w_space)[..., None]
+        self.bulk_weights = dtw * w_mid
+        gw = -np.einsum("f...v,vk,vi->f...ik", dtw * self.chi, vset.vtilde,
+                        vset.velocities)
+        half = 0.5 * self.dt_f.reshape((-1,) + (1,) * grid.d)
+        tw = grid.transverse_weights().reshape(grid.tshape)[..., None]
+        gw[:, -1, ..., 0, :] += half * tw * traj.boundary.b
+        gw[:, 0, ..., 0, :] -= half * tw * traj.boundary.a
+        self.grad_weights = gw
 
     def linear_residual(self, G) -> float:
         """Weak-form residual of the trajectory against G (zero on solutions).
 
         endpoint pairings - int <w, dG/dt + (1/2) Lap G>
         + (1/2) int [b . d1G|_{u1=1} - a . d1G|_{u1=0}]
-        - int sum_v chi_v sum_i v_i (vtilde . d_i G).
+        - int sum_v chi_v sum_i v_i (vtilde . d_i G),
+        as four inner products of G with the stored weights.
         """
-        traj, grid, vset = self.traj, self.grid, self.vset
-        ends = G.values(np.array([traj.times[0], traj.times[-1]]), grid)
-        endpoint = (
-            float(np.sum(self.w_space[..., None] * traj.values[-1] * ends[1]))
-            - float(np.sum(self.w_space[..., None] * self.gamma * ends[0]))
+        grid, t_mid = self.grid, self.t_mid
+        ends = G.values(self.t_ends, grid)
+        return float(
+            np.vdot(self.end_weights[0], ends[1]) - np.vdot(self.end_weights[1], ends[0])
+            - np.vdot(self.bulk_weights, G.dt(t_mid, grid) + 0.5 * G.laplacian(t_mid, grid))
+            + np.vdot(self.grad_weights, G.gradient(t_mid, grid))
         )
-
-        dtg = G.dt(self.t_mid, grid) + 0.5 * G.laplacian(self.t_mid, grid)
-        bulk = float(np.sum(
-            self.dt_f * self._space_sum(np.sum(self.w_mid * dtg, axis=-1))
-        ))
-
-        grad = G.gradient(self.t_mid, grid)  # (F, *shape, d, ncomp)
-        b_arr, a_arr = traj.boundary.b, traj.boundary.a
-        g1_right = grad[:, -1, ..., 0, :]    # (F, *tshape, ncomp)
-        g1_left = grad[:, 0, ..., 0, :]
-        tw = self.w_t.reshape(grid.tshape) if grid.d > 1 else self.w_t[0]
-        surf_f = (np.sum((b_arr * g1_right) * (tw[..., None] if grid.d > 1 else tw),
-                         axis=tuple(range(1, g1_right.ndim)))
-                  - np.sum((a_arr * g1_left) * (tw[..., None] if grid.d > 1 else tw),
-                           axis=tuple(range(1, g1_left.ndim))))
-        surface = 0.5 * float(np.sum(self.dt_f * surf_f))
-
-        contr = np.einsum("f...ik,vk->f...iv", grad, vset.vtilde)
-        flux_density = np.einsum("f...iv,vi->f...", contr * self.chi[..., None, :],
-                                 vset.velocities)
-        flux_term = float(np.sum(self.dt_f * self._space_sum(flux_density)))
-
-        return endpoint - bulk + surface - flux_term
 
     def gram(self, fields) -> np.ndarray:
         """Gram matrix Q[a, b] = sum_v int int chi_v [vt.grad G_a][vt.grad G_b].
@@ -710,9 +700,9 @@ class QuadratureContext:
         return float(self.gram([G])[0, 0])
 
 
-def weak_residual(traj: FieldTrajectory, G, vset: VelocitySet, gamma=None) -> float:
+def weak_residual(traj: FieldTrajectory, G, vset: VelocitySet) -> float:
     """Signed LHS-RHS defect of the weak identity for one test function."""
-    return QuadratureContext(traj, vset, gamma=gamma).linear_residual(G)
+    return QuadratureContext(traj, vset).linear_residual(G)
 
 
 def field_energy(traj: FieldTrajectory) -> float:

@@ -1,26 +1,25 @@
-"""Trajectory cost functional and related variational quantities.
+"""Trajectory cost functional over a test basis, and the F06 identity.
 
 For a trajectory w and a vector test function G vanishing on the walls, the
 cost building block is
 
-    j_hat(w, G) = linear_residual(w, G) - |G|_pi^2,
+    j_hat(w, G) = l(G) - |G|_pi^2,
 
-with |G|_pi^2 = sum_v int int chi(theta_v(w)) sum_i (vtilde . d_i G)^2.  The
-trajectory cost is the supremum of j_hat over G; over the span of a finite
-basis this is a concave quadratic maximization
+with |G|_pi^2 = sum_v int int chi(theta_v(w)) sum_i (vtilde . d_i G)^2 and
+l(G) the weak-form residual of w against G.  l is linear in G, so the
+trajectory fixes its weights once: `QuadratureContext` stores them, and l(G)
+is a few inner products of G with those weights.  The trajectory cost is the
+supremum of j_hat over G; over the span of a finite basis this is a concave
+quadratic maximization
 
     sup_c  l.c - c.Q c  =  (1/4) l.Q^+ l,
 
 with l the per-mode residuals and Q the pi-inner-product Gram matrix
 (symmetric positive semidefinite; regularized by eps*I before solving).  On a
 solution of the plain system the estimate vanishes; on a solution of the
-controlled system with control H it equals (1/4) |H|_pi^2.  A prefix basis of
-size m has Gram matrix Q[:m, :m], so nested estimates are `RateReport.leading`.
-
-The field energy in variational form is, per component k and direction i,
-sup over compactly supported scalar g of 2 int <p_k, d_i g> - |g|_2^2, a
-quadratic maximization with the plain L2 Gram; summed over (i, k) it matches
-the gradient-quadrature energy.
+controlled system with control H it equals (1/4) |H|_pi^2, and `verify_f06`
+reads both sides from one context.  A prefix basis of size m has Gram matrix
+Q[:m, :m], so nested estimates are `RateReport.leading`.
 """
 
 from __future__ import annotations
@@ -106,9 +105,9 @@ def default_basis(d: int, horizon: float, n_space: int = 4,
 
 # --- cost functional ---------------------------------------------------------------
 
-def j_hat(traj: FieldTrajectory, gamma, G, vset: VelocitySet) -> float:
+def j_hat(traj: FieldTrajectory, G, vset: VelocitySet) -> float:
     """Cost integrand for one test function: linear residual minus |G|_pi^2."""
-    ctx = QuadratureContext(traj, vset, gamma=gamma)
+    ctx = QuadratureContext(traj, vset)
     return ctx.linear_residual(G) - ctx.pi_norm_sq(G)
 
 
@@ -207,13 +206,17 @@ class RateReport:
         )
 
 
-def rate_estimate(traj: FieldTrajectory, gamma, basis: TestBasis,
-                  vset: VelocitySet, reg_scale: float = DEFAULT_REG_SCALE) -> RateReport:
+def rate_estimate(traj: FieldTrajectory, basis: TestBasis, vset: VelocitySet,
+                  reg_scale: float = DEFAULT_REG_SCALE) -> RateReport:
     """Basis-restricted supremum of the cost functional over span{G_m}."""
-    ctx = QuadratureContext(traj, vset, gamma=gamma)
+    return _rate_report(QuadratureContext(traj, vset), basis, reg_scale)
+
+
+def _rate_report(ctx, basis: TestBasis, reg_scale: float) -> RateReport:
+    """`rate_estimate` on an already built context."""
     linear = np.array([ctx.linear_residual(G) for G in basis.modes])
-    quadrature = {"frames": len(traj.times) - 1, "m1": traj.grid.m1,
-                  "mt": traj.grid.mt, "horizon": traj.horizon}
+    quadrature = {"frames": len(ctx.dt_f), "m1": ctx.grid.m1, "mt": ctx.grid.mt,
+                  "horizon": float(ctx.t_ends[-1])}
     return RateReport.solve(linear, ctx.gram(basis.modes), quadrature, reg_scale)
 
 
@@ -223,94 +226,6 @@ def h_norm(traj: FieldTrajectory, control, vset: VelocitySet) -> float:
     """Squared control norm |H|_pi^2 along the trajectory (quadratic in H)."""
     ctx = QuadratureContext(traj, vset)
     return ctx.pi_norm_sq(control)
-
-
-# --- energy in variational form ------------------------------------------------------
-
-class EnergyBasis:
-    """Separable scalar modes sin(a pi t / T) sin(b pi u1) (x transverse trig).
-
-    All factors vanish on the respective boundaries and are exactly orthogonal
-    under the midpoint-time x trapezoid-space quadrature, so the Gram matrix
-    of the product family is diagonal.
-    """
-
-    def __init__(self, n_time: int, n_space: int, n_transverse: int = 0):
-        if n_time < 1 or n_space < 1:
-            raise ValueError("need at least one time and one space factor")
-        self.n_time = int(n_time)
-        self.n_space = int(n_space)
-        self.n_transverse = int(n_transverse)
-
-    def time_matrix(self, t_mid: np.ndarray, horizon: float) -> np.ndarray:
-        a = np.arange(1, self.n_time + 1)
-        return np.sin(np.pi * np.outer(t_mid, a) / horizon)  # (F, n_time)
-
-    def space_factors(self, grid: Grid):
-        """Per-axis factor value/derivative matrices: lists over axes."""
-        vals, ders = [], []
-        u1 = grid.axis(0)
-        b = np.arange(1, self.n_space + 1)
-        vals.append(np.sin(np.pi * np.outer(u1, b)))
-        ders.append(np.pi * b[None, :] * np.cos(np.pi * np.outer(u1, b)))
-        for ax in range(1, grid.d):
-            u = grid.axis(ax)
-            cols_v, cols_d = [np.ones_like(u)], [np.zeros_like(u)]
-            for m in range(1, self.n_transverse + 1):
-                w = 2 * np.pi * m
-                cols_v += [np.cos(w * u), np.sin(w * u)]
-                cols_d += [-w * np.sin(w * u), w * np.cos(w * u)]
-            vals.append(np.stack(cols_v, axis=1))
-            ders.append(np.stack(cols_d, axis=1))
-        return vals, ders
-
-
-def energy_variational(traj: FieldTrajectory, basis: EnergyBasis) -> float:
-    """Variational energy: sum over components and directions of the
-    basis-restricted supremum of 2 <p_k, d_i g> - |g|_2^2."""
-    grid = traj.grid
-    t_mid = 0.5 * (traj.times[:-1] + traj.times[1:])
-    dt_f = np.diff(traj.times)
-    w_mid = 0.5 * (traj.values[:-1] + traj.values[1:])
-    w_space = grid.weights().reshape(-1)
-    horizon = traj.horizon
-
-    tm = basis.time_matrix(t_mid, horizon)               # (F, nt)
-    tnorm = (dt_f[:, None] * tm * tm).sum(axis=0)        # (nt,)
-    vals, ders = basis.space_factors(grid)
-
-    ncomp = grid.d + 1
-    n_nodes = grid.n_nodes
-    fields = w_mid.reshape(len(t_mid), n_nodes, ncomp)
-
-    total = 0.0
-    for i in range(grid.d):
-        # space matrices for the modes' i-th derivative and plain values, flattened
-        mats_d = [ders[ax] if ax == i else vals[ax] for ax in range(grid.d)]
-        der_flat = _tensor_columns(mats_d).reshape(n_nodes, -1)
-        val_flat = _tensor_columns(vals).reshape(n_nodes, -1)
-        snorm = (w_space[:, None] * val_flat * val_flat).sum(axis=0)  # (ns,)
-        gram = np.outer(tnorm, snorm)  # diagonal Gram entries of the products
-        for k in range(ncomp):
-            # l[a, s] = sum_f dt tau_a(f) * sum_x w_x p_k(f,x) dg_s(x)
-            px = np.einsum("fx,x,xs->fs", fields[:, :, k], w_space, der_flat)
-            l_mat = (dt_f[:, None] * tm).T @ px          # (nt, ns)
-            total += float(np.sum(l_mat**2 / gram))
-    return total
-
-
-def _tensor_columns(mats):
-    """Column-wise tensor product of per-axis factor matrices.
-
-    mats[ax] has shape (len(axis_ax), n_ax); the result has shape
-    (*axis_lengths, prod n_ax) with columns ordered like itertools.product.
-    """
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.einsum("...a,yb->...yab", out, m).reshape(
-            out.shape[:-1] + (m.shape[0], out.shape[-1] * m.shape[1])
-        )
-    return out
 
 
 # --- controlled-equation identity ---------------------------------------------------
@@ -327,9 +242,12 @@ def verify_f06(gamma, boundary: BoundaryData, control, grid: Grid,
                vset: VelocitySet, horizon: float, basis: TestBasis,
                dt=None, n_frames: int = 256) -> F06Report:
     """Cross-check cost(controlled solution) against |H|_pi^2 / 4."""
-    traj = solve_controlled(gamma, boundary, horizon, grid, vset, control=control,
-                            dt=dt, n_frames=n_frames)
-    report = rate_estimate(traj, traj.gamma, basis, vset)
-    rhs = 0.25 * h_norm(traj, control, vset)
+    # both sides need only the context; holding the trajectory as well would
+    # add its frames to the memory peak of the Gram assembly
+    ctx = QuadratureContext(
+        solve_controlled(gamma, boundary, horizon, grid, vset, control=control,
+                         dt=dt, n_frames=n_frames), vset)
+    report = _rate_report(ctx, basis, DEFAULT_REG_SCALE)
+    rhs = 0.25 * ctx.pi_norm_sq(control)
     gap = abs(report.estimate - rhs) / max(abs(rhs), 1e-300)
     return F06Report(lhs=report.estimate, rhs=rhs, rel_gap=gap, rate=report)

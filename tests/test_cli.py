@@ -5,6 +5,7 @@ from latgas import eventloop
 from latgas.cli import main
 from latgas.config import parse_config
 from latgas.errors import ConfigError
+from latgas.generator import STATE_SPACE_CAP
 from latgas.hydro import FieldTrajectory
 
 
@@ -97,6 +98,14 @@ def test_rate_rejects_basis_sizes_outside_the_basis(tmp_path, capsys, sizes, bad
     assert bad in err
     if sizes:
         assert "1..16" in err
+
+
+def test_exact_rejects_state_spaces_past_the_cap(tmp_path, capsys):
+    # 12 sites x 2 velocities is 2^24 states, past the 2^20 cap: an input
+    # problem found before any work, so a config error (exit 2).
+    path = tiny_config(tmp_path, exact={"N": 12})
+    assert main(["exact", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert f"cap {STATE_SPACE_CAP}" in capsys.readouterr().err
 
 
 def manifest_line(path, key):

@@ -136,19 +136,19 @@ class TestInvariance:
     def test_product_measure_invariant_for_periodic_exclusion(self, vs2):
         gen = assemble_exact_generator(two_site_model(vs2), parts=("exclusion",))
         for lam in ([0.0, 0.0], [0.4, -0.3], [1.0, 0.7]):
-            assert gen.invariance_residual(np.array(lam)) <= 1e-12
+            assert gen.invariance_residual(gen.product_measure(np.array(lam))) <= 1e-12
 
     def test_product_measure_invariant_periodic_with_collisions(self, vs4):
         lat = Lattice(3, 1, periodic=True)
         gen = assemble_exact_generator(Model(lat, vs4, profiles=None),
                                        parts=("exclusion", "collision"))
-        assert gen.invariance_residual(np.array([0.2, -0.4])) <= 1e-12
+        assert gen.invariance_residual(gen.product_measure(np.array([0.2, -0.4]))) <= 1e-12
 
     def test_boundary_driven_measure_not_invariant(self, vs2):
         # mismatched reservoirs drive a current; the product measure fails
         prof = ReservoirProfiles.constant(vs2, [0.3, 0.4], [0.6, 0.5])
         gen = assemble_exact_generator(two_site_model(vs2, periodic=False, profiles=prof))
-        assert gen.invariance_residual(np.array([0.0, 0.0])) > 1e-3
+        assert gen.invariance_residual(gen.product_measure(np.array([0.0, 0.0]))) > 1e-3
 
 
 def dict_audit(gen, lam):
@@ -184,7 +184,7 @@ class TestDetailedBalance:
         audits = {}
         for name, gen in (("exclusion", exclusion), ("driven", driven),
                           ("collision", collision), ("one_way", one_way)):
-            audits[name] = gen.detailed_balance_audit(lam)
+            audits[name] = gen.detailed_balance_audit(gen.product_measure(lam))
             assert audits[name] == dict_audit(gen, lam), name
         assert audits["driven"]["worst_imbalance"] > 0.0
         assert not audits["one_way"]["all_reversible"]
@@ -193,7 +193,7 @@ class TestDetailedBalance:
     def test_two_velocity_system_has_no_collision_transitions(self, vs2):
         gen = assemble_exact_generator(two_site_model(vs2, periodic=False),
                                        parts=("collision",))
-        audit = gen.detailed_balance_audit(np.array([0.3, 0.2]))
+        audit = gen.detailed_balance_audit(gen.product_measure(np.array([0.3, 0.2])))
         assert audit["n_transitions"] == 0
         assert audit["worst_imbalance"] == 0.0
 
@@ -202,7 +202,7 @@ class TestDetailedBalance:
             gen = assemble_exact_generator(Model(n_sites_lat, vs4, profiles=None),
                                            parts=("collision",))
             for lam in ([0.0, 0.0], [0.3, 1.1], [-0.7, 0.4]):
-                audit = gen.detailed_balance_audit(np.array(lam))
+                audit = gen.detailed_balance_audit(gen.product_measure(np.array(lam)))
                 assert audit["n_transitions"] > 0
                 assert audit["all_reversible"]
                 assert audit["worst_imbalance"] == 0.0
@@ -217,7 +217,7 @@ class TestDetailedBalance:
         prof = ReservoirProfiles.constant(vs2, list(th), list(th))
         gen = assemble_exact_generator(two_site_model(vs2, periodic=False, profiles=prof),
                                        parts=("boundary",))
-        audit = gen.detailed_balance_audit(lam)
+        audit = gen.detailed_balance_audit(gen.product_measure(lam))
         assert audit["n_transitions"] > 0
         assert audit["all_reversible"]
         assert audit["worst_imbalance"] <= 1e-16

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import latgas.ldp
 from latgas.dynamics import ReservoirProfiles
 from latgas.grid import Grid
 from latgas.hydro import (
@@ -11,17 +12,14 @@ from latgas.hydro import (
     QuadratureContext,
     SeparableMode,
     TimeFactor,
-    field_energy,
     solve_controlled,
     solve_hydro,
     synthetic_trajectory,
 )
 from latgas.ldp import (
-    EnergyBasis,
     RateReport,
     TestBasis,
     default_basis,
-    energy_variational,
     h_norm,
     j_hat,
     quadratic_sup,
@@ -85,7 +83,7 @@ class TestJhat:
         vs, grid, bd, gamma, traj = solution
         zero = SeparableMode(2, 0, TimeFactor("const", T), [AxisFactor("sine", 1)],
                              amplitude=0.0)
-        assert j_hat(traj, traj.gamma, zero, vs) == 0.0
+        assert j_hat(traj, zero, vs) == 0.0
 
     def test_nonpositive_on_solutions(self, solution):
         # on a solution the linear part is (numerically) tiny, so the value
@@ -93,7 +91,7 @@ class TestJhat:
         vs, grid, bd, gamma, traj = solution
         basis = default_basis(1, T, n_space=3)
         for G in basis.modes[:9]:
-            assert j_hat(traj, traj.gamma, G, vs) < 0.0
+            assert j_hat(traj, G, vs) < 0.0
 
     def test_linear_plus_quadratic_structure(self, solution):
         vs, grid, bd, gamma, traj = solution
@@ -102,7 +100,7 @@ class TestJhat:
         vals = {}
         for c in (1.0, 2.0, 3.0):
             scaled = FieldSum([G], [c])
-            vals[c] = j_hat(traj, traj.gamma, scaled, vs)
+            vals[c] = j_hat(traj, scaled, vs)
         # fit j(c) = c l - c^2 q from c=1,2; predict c=3
         q = (2 * vals[1.0] - vals[2.0]) / 2.0
         l = vals[1.0] + q
@@ -111,12 +109,66 @@ class TestJhat:
     def test_bilinear_form_audit(self, solution, rng):
         vs, grid, bd, gamma, traj = solution
         basis = default_basis(1, T, n_space=2)
-        rep = rate_estimate(traj, traj.gamma, basis, vs)
+        rep = rate_estimate(traj, basis, vs)
         for _ in range(3):
             c = rng.normal(size=len(basis)) * 0.4
-            direct = j_hat(traj, traj.gamma, FieldSum(basis.modes, c), vs)
+            direct = j_hat(traj, FieldSum(basis.modes, c), vs)
             quadform = float(rep.linear_term @ c - c @ rep.quad_matrix @ c)
             assert direct == pytest.approx(quadform, abs=1e-10)
+
+
+D2_HORIZON = 0.2
+
+
+def d2_trajectory():
+    """A smooth interior d=2 path whose wall data vary along the torus."""
+    return synthetic_trajectory(
+        Grid(2, 17, 8), np.linspace(0, D2_HORIZON, 9),
+        lambda t, u: np.stack([
+            1.0 + 0.3 * np.sin(np.pi * u[..., 0]) * np.cos(2 * np.pi * u[..., 1]) * (1 + t),
+            0.05 * np.sin(2 * np.pi * u[..., 1]),
+            0.04 * u[..., 0] * (1 - t),
+        ], axis=-1))
+
+
+def einsum_residual(ctx, traj, G):
+    """Reference weak residual of one mode: einsums over G and the trajectory."""
+    grid, vset = traj.grid, ctx.vset
+    axes = tuple(range(1, 1 + grid.d))
+    w = ctx.w_space[..., None]
+    ends = G.values(traj.times[[0, -1]], grid)
+    endpoint = np.sum(w * traj.values[-1] * ends[1]) - np.sum(w * traj.gamma * ends[0])
+    w_mid = 0.5 * (traj.values[:-1] + traj.values[1:])
+    dtg = G.dt(ctx.t_mid, grid) + 0.5 * G.laplacian(ctx.t_mid, grid)
+    bulk = np.sum(ctx.dt_f * np.sum(np.sum(w_mid * dtg, axis=-1) * ctx.w_space, axis=axes))
+    grad = G.gradient(ctx.t_mid, grid)
+    tw = grid.transverse_weights().reshape(grid.tshape)[..., None]
+    wall = tuple(range(1, grid.d + 1))
+    surf = (np.sum(traj.boundary.b * grad[:, -1, ..., 0, :] * tw, axis=wall)
+            - np.sum(traj.boundary.a * grad[:, 0, ..., 0, :] * tw, axis=wall))
+    contr = np.einsum("f...ik,vk->f...iv", grad, vset.vtilde)
+    dens = np.einsum("f...iv,f...v,vi->f...", contr, ctx.chi, vset.velocities)
+    flux_term = np.sum(ctx.dt_f * np.sum(dens * ctx.w_space, axis=axes))
+    return float(endpoint - bulk + 0.5 * np.sum(ctx.dt_f * surf) - flux_term)
+
+
+class TestLinearResidual:
+    def test_matches_einsum_reference_d1(self, solution):
+        vs, grid, bd, gamma, traj = solution
+        ctx = QuadratureContext(traj, vs)
+        modes = default_basis(1, T, n_space=3).modes
+        lin = np.array([ctx.linear_residual(G) for G in modes])
+        ref = np.array([einsum_residual(ctx, traj, G) for G in modes])
+        assert np.max(np.abs(lin - ref)) <= 1e-12 * np.max(np.abs(lin))
+
+    def test_matches_einsum_reference_d2(self, vs2d):
+        tr = d2_trajectory()
+        ctx = QuadratureContext(tr, vs2d)
+        modes = default_basis(2, D2_HORIZON, n_space=2, n_transverse=1).modes
+        lin = np.array([ctx.linear_residual(G) for G in modes])
+        ref = np.array([einsum_residual(ctx, tr, G) for G in modes])
+        assert np.max(np.abs(lin)) > 1e-3  # the path is not a solution
+        assert np.max(np.abs(lin - ref)) <= 1e-12 * np.max(np.abs(lin))
 
 
 def pairwise_gram(ctx, modes):
@@ -143,16 +195,8 @@ class TestGram:
         assert np.max(np.abs(quad - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_matches_pairwise_reference_d2(self, vs2d):
-        horizon = 0.2
-        tr = synthetic_trajectory(
-            Grid(2, 17, 8), np.linspace(0, horizon, 9),
-            lambda t, u: np.stack([
-                1.0 + 0.3 * np.sin(np.pi * u[..., 0]) * np.cos(2 * np.pi * u[..., 1]) * (1 + t),
-                0.05 * np.sin(2 * np.pi * u[..., 1]),
-                0.04 * u[..., 0] * (1 - t),
-            ], axis=-1))
-        ctx = QuadratureContext(tr, vs2d)
-        modes = default_basis(2, horizon, n_space=2, n_transverse=1).modes
+        ctx = QuadratureContext(d2_trajectory(), vs2d)
+        modes = default_basis(2, D2_HORIZON, n_space=2, n_transverse=1).modes
         quad = ctx.gram(modes)
         assert np.array_equal(quad, quad.T)
         ref = pairwise_gram(ctx, modes)
@@ -163,13 +207,13 @@ class TestRateEstimate:
     def test_nonnegative_and_small_on_solution(self, solution):
         vs, grid, bd, gamma, traj = solution
         basis = default_basis(1, T, n_space=4)
-        rep = rate_estimate(traj, traj.gamma, basis, vs)
+        rep = rate_estimate(traj, basis, vs)
         assert 0.0 <= rep.estimate <= 1e-5
 
     def test_nested_monotone(self, solution):
         vs, grid, bd, gamma, traj = solution
         basis = default_basis(1, T, n_space=4)
-        full = rate_estimate(traj, traj.gamma, basis.subset(32), vs)
+        full = rate_estimate(traj, basis.subset(32), vs)
         values = [full.leading(m).estimate for m in (8, 16, 32)]
         assert values[0] <= values[1] + 1e-12
         assert values[1] <= values[2] + 1e-12
@@ -178,8 +222,8 @@ class TestRateEstimate:
     def test_leading_block_matches_separate_solve(self, solution, m):
         vs, grid, bd, gamma, traj = solution
         basis = default_basis(1, T, n_space=4)
-        lead = rate_estimate(traj, traj.gamma, basis, vs).leading(m)
-        alone = rate_estimate(traj, traj.gamma, basis.subset(m), vs)
+        lead = rate_estimate(traj, basis, vs).leading(m)
+        alone = rate_estimate(traj, basis.subset(m), vs)
         assert lead.basis_size == m
         assert lead.estimate == pytest.approx(alone.estimate, rel=1e-12)
         assert lead.regularization == alone.regularization
@@ -188,8 +232,8 @@ class TestRateEstimate:
     def test_leading_keeps_the_report_reg_scale(self, solution):
         vs, grid, bd, gamma, traj = solution
         basis = default_basis(1, T, n_space=4)
-        full = rate_estimate(traj, traj.gamma, basis, vs, reg_scale=1e-3)
-        alone = rate_estimate(traj, traj.gamma, basis.subset(8), vs, reg_scale=1e-3)
+        full = rate_estimate(traj, basis, vs, reg_scale=1e-3)
+        alone = rate_estimate(traj, basis.subset(8), vs, reg_scale=1e-3)
         lead = full.leading(8)
         assert lead.reg_scale == 1e-3
         assert lead.regularization == alone.regularization
@@ -197,7 +241,7 @@ class TestRateEstimate:
 
     def test_leading_rejects_sizes_outside_the_basis(self, solution):
         vs, grid, bd, gamma, traj = solution
-        rep = rate_estimate(traj, traj.gamma, default_basis(1, T, n_space=1), vs)
+        rep = rate_estimate(traj, default_basis(1, T, n_space=1), vs)
         for m in (0, len(rep.linear_term) + 1):
             with pytest.raises(ValueError, match="out of range"):
                 rep.leading(m)
@@ -205,13 +249,13 @@ class TestRateEstimate:
     def test_perturbation_raises_estimate(self, solution):
         vs, grid, bd, gamma, traj = solution
         basis = default_basis(1, T, n_space=4)
-        base = rate_estimate(traj, traj.gamma, basis, vs).estimate
+        base = rate_estimate(traj, basis, vs).estimate
         vals = traj.values.copy()
         x = grid.nodes()[..., 0]
         vals[1:] += 0.05 * np.sin(np.pi * x)[None, :, None] * np.array([1.0, 0.0])
         bad = FieldTrajectory(grid=grid, times=traj.times, values=vals,
                               gamma=traj.gamma, boundary=traj.boundary)
-        worse = rate_estimate(bad, bad.gamma, basis, vs).estimate
+        worse = rate_estimate(bad, basis, vs).estimate
         assert worse >= 10 * max(base, 1e-12)
 
     def test_quadratic_sup_matches_closed_form(self):
@@ -225,7 +269,7 @@ class TestRateEstimate:
     def test_report_roundtrip(self, solution, tmp_path):
         vs, grid, bd, gamma, traj = solution
         basis = default_basis(1, T, n_space=2)
-        rep = rate_estimate(traj, traj.gamma, basis, vs)
+        rep = rate_estimate(traj, basis, vs)
         path = tmp_path / "report.txt"
         rep.save(path)
         back = RateReport.load(path)
@@ -278,6 +322,21 @@ class TestControlledIdentity:
         assert rep.rel_gap <= 0.05
         assert rep.lhs > 1e-4  # genuinely nonzero cost
 
+    def test_one_quadrature_context(self, solution, monkeypatch):
+        vs, grid, bd, gamma, traj = solution
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return QuadratureContext(*args, **kwargs)
+
+        monkeypatch.setattr(latgas.ldp, "QuadratureContext", counting)
+        zero = FieldSum([SeparableMode(2, 0, TimeFactor("const", T),
+                                       [AxisFactor("sine", 1)], 0.0)])
+        basis = default_basis(1, T, n_space=1)
+        verify_f06(gamma, bd, zero, grid, vs, T, basis, n_frames=8)
+        assert len(built) == 1
+
     def test_zero_control_both_sides_vanish(self, solution):
         vs, grid, bd, gamma, traj = solution
         basis = default_basis(1, T, n_space=2)
@@ -286,50 +345,3 @@ class TestControlledIdentity:
         rep = verify_f06(gamma, bd, zero, grid, vs, T, basis, n_frames=64)
         assert rep.lhs <= 1e-6  # cost of the plain solution at this resolution
         assert rep.rhs == 0.0
-
-
-class TestEnergyVariational:
-    def test_constant_trajectory_zero(self, vs2_module):
-        grid = Grid(1, 65)
-        tr = synthetic_trajectory(
-            grid, np.linspace(0, 1, 33),
-            lambda t, u: np.broadcast_to([1.0, 0.1], u.shape[:-1] + (2,)).copy())
-        assert energy_variational(tr, EnergyBasis(16, 16)) <= 1e-20
-
-    def test_matches_gradient_energy_smooth_field(self, vs2_module):
-        grid = Grid(1, 129)
-        tr = synthetic_trajectory(
-            grid, np.linspace(0, 1, 129),
-            lambda t, u: np.stack([
-                1.0 + 0.3 * np.sin(np.pi * u[..., 0]),
-                0.1 * np.sin(2 * np.pi * u[..., 0]) * t,
-            ], axis=-1))
-        fe = field_energy(tr)
-        ev = energy_variational(tr, EnergyBasis(64, 64))
-        assert ev == pytest.approx(fe, rel=0.02)
-        assert ev <= fe * 1.001  # variational form approximates from below
-
-    def test_nested_nondecreasing(self, vs2_module):
-        grid = Grid(1, 129)
-        tr = synthetic_trajectory(
-            grid, np.linspace(0, 1, 65),
-            lambda t, u: np.stack([
-                1.0 + 0.2 * np.sin(np.pi * u[..., 0]) * (1 + t),
-                np.zeros_like(u[..., 0]),
-            ], axis=-1))
-        vals = [energy_variational(tr, EnergyBasis(n, n)) for n in (8, 16, 32)]
-        assert vals[0] <= vals[1] <= vals[2]
-
-    def test_discrete_orthogonality_assumption(self, vs2_module):
-        # the diagonal-Gram shortcut relies on exact discrete orthogonality of
-        # the sine families under the trapezoid/midpoint rules
-        grid = Grid(1, 65)
-        u = grid.axis(0)
-        w = grid.weights()
-        for a, b in ((1, 2), (3, 5), (2, 6)):
-            ip = float(np.sum(w * np.sin(a * np.pi * u) * np.sin(b * np.pi * u)))
-            assert abs(ip) < 1e-14
-        tmid = (np.arange(16) + 0.5) / 16
-        for a, b in ((1, 2), (2, 5)):
-            ip = float(np.mean(np.sin(a * np.pi * tmid) * np.sin(b * np.pi * tmid)))
-            assert abs(ip) < 1e-14
