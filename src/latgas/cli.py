@@ -42,7 +42,7 @@ from .hydro import (
 )
 from .lattice import Configuration, Lattice
 from .ldp import default_basis, rate_estimate, verify_f06
-from .thermo import sample_profile_state
+from .thermo import check_in_U, sample_profile_state, theta_field
 
 
 # --- shared builders -----------------------------------------------------------
@@ -81,27 +81,29 @@ def build_grid(cfg: ExperimentConfig, m1: int, mt=None) -> Grid:
         raise ConfigError(str(exc)) from None
 
 
-def build_gamma(cfg: ExperimentConfig, grid: Grid, boundary: BoundaryData):
+def build_gamma(cfg: ExperimentConfig, boundary: BoundaryData, points) -> np.ndarray:
+    """The initial profile gamma (`hydro.gamma`) at `points` (..., d).
+
+    A gamma outside the open hull is an input problem found before any work,
+    so it raises ConfigError (exit 2), not the DomainError of a run.
+    """
     spec = cfg.hydro.get("gamma", "linear")
     ncomp = cfg.model.d + 1
     if spec == "linear":
-        def gamma(u):
-            x = u[..., 0]
-            shape = u.shape[:-1] + (ncomp,)
-            a = np.broadcast_to(boundary.a, shape)
-            b = np.broadcast_to(boundary.b, shape)
-            return (1 - x)[..., None] * a + x[..., None] * b
-        return gamma
-    if isinstance(spec, list):
+        x = points[..., 0, None]
+        values = (1 - x) * boundary.a + x * boundary.b
+    elif isinstance(spec, list):
         if len(spec) != ncomp:
             raise ConfigError(f"hydro.gamma needs {ncomp} component expressions")
         names = [f"u{i}" for i in range(1, cfg.model.d + 1)]
-        fns = [compile_expression(s, names) for s in spec]
-
-        def gamma(u):
-            return np.stack([f(u) for f in fns], axis=-1)
-        return gamma
-    raise ConfigError("hydro.gamma must be 'linear' or a list of expressions")
+        values = np.stack([compile_expression(s, names)(points) for s in spec], axis=-1)
+    else:
+        raise ConfigError("hydro.gamma must be 'linear' or a list of expressions")
+    inside, margin = check_in_U(values, cfg.model.velocities)
+    if not inside:
+        raise ConfigError("hydro.gamma leaves the open hull of the conserved vectors "
+                          f"(worst margin {float(np.min(margin)):.3e})")
+    return values
 
 
 def _parse_time_mode(token: str, horizon: float) -> TimeFactor:
@@ -168,62 +170,55 @@ def _out_dir(cfg: ExperimentConfig, args) -> str:
 
 # --- simulate -------------------------------------------------------------------
 
-def _replica_start(cfg: ExperimentConfig, N: int, replica: int, grid_m1: int):
-    """Model, smoothing grid, rng and initial state of one (N, replica) cell.
+def _replica_cells(raw_config: dict, command: str, N: int, replicas: range) -> list:
+    """The cells (N, r), r in `replicas`, of `simulate` or `converge` (one run
+    to t_compare, sampled there); top-level so it can cross a process boundary.
 
-    The initial state samples the product measure along the PDE's initial
-    profile; it is the first draw from the cell's stream.
+    What the replicas share is built once: the model with its event catalog,
+    the smoothing grid, and the densities theta of the product measure along
+    gamma.  Each replica draws its initial state from theta, the first draw
+    of its own stream, and runs from it.
     """
-    model = build_model(cfg, N)
-    grid = build_grid(cfg, grid_m1, cfg.hydro.get("mt"))
-    boundary = build_boundary(cfg, model.profiles, grid)
-    gamma = build_gamma(cfg, grid, boundary)
-    rng = replica_rng(cfg.model.seed, N, replica)
-    lat = model.lattice
-    eta0 = Configuration(lat, cfg.model.velocities,
-                         sample_profile_state(gamma(lat.positions()), lat,
-                                              cfg.model.velocities, rng))
-    return model, grid, rng, eta0
-
-
-def _sim_replica(raw_config: dict, N: int, replica: int):
-    """One replica cell; top-level so it can cross a process boundary."""
     cfg = parse_config(raw_config)
-    sim = cfg.simulate
-    horizon = float(sim.get("horizon", 0.5))
-    eps = float(sim.get("eps", 0.1))
-    grid_m1 = int(sim.get("grid_m1", 65))
-    block_radius = int(sim.get("block_radius", 1))
-
-    if "sample_times" in sim:
-        times = [float(t) for t in sim["sample_times"]]
+    if command == "converge":
+        sec = cfg.converge
+        horizon = float(sec.get("t_compare", 0.25))
+        times, centers, block_radius = [horizon], [], 0
     else:
-        k = int(sim.get("n_samples", 5))
-        times = list(np.linspace(0.0, horizon, k))
+        sec = cfg.simulate
+        horizon = float(sec.get("horizon", 0.5))
+        block_radius = int(sec.get("block_radius", 1))
+        times = ([float(t) for t in sec["sample_times"]] if "sample_times" in sec
+                 else list(np.linspace(0.0, horizon, int(sec.get("n_samples", 5)))))
+        centers = sec.get("block_centers", "auto")
+        if centers == "auto":
+            lo, hi = block_radius + 1, N - 1 - block_radius
+            centers = sorted({min(max(c, lo), hi) for c in (N // 4, N // 2, (3 * N) // 4)}) \
+                if hi >= lo else []
+        centers = [int(c) for c in centers]
+    eps = float(sec.get("eps", 0.1))
 
-    model, grid, rng, eta0 = _replica_start(cfg, N, replica, grid_m1)
-    lat = model.lattice
-
-    centers_cfg = sim.get("block_centers", "auto")
-    if centers_cfg == "auto":
-        lo, hi = block_radius + 1, N - 1 - block_radius
-        centers = sorted({min(max(c, lo), hi) for c in (N // 4, N // 2, (3 * N) // 4)}) \
-            if hi >= lo else []
-    else:
-        centers = [int(c) for c in centers_cfg]
-
-    res = simulate(eta0, model, horizon, rng, sample_times=times)
-
-    fields, blocks = [], []
-    for t, eta in res.samples:
-        meas = empirical_measure(eta, lat, cfg.model.velocities)
-        sf = smooth(meas, eps, grid)
-        fields.append((t, sf.values))
-        for c in centers:
-            coords = (c,) + (0,) * (cfg.model.d - 1)
-            vec = block_average(eta, lat, cfg.model.velocities, coords, block_radius)
-            blocks.append((t, c, vec))
-    return {"fields": fields, "blocks": blocks, "run": _run_record(res)}
+    model = build_model(cfg, N)
+    grid = build_grid(cfg, int(sec.get("grid_m1", 65)), cfg.hydro.get("mt"))
+    lat, vset = model.lattice, model.vset
+    theta = theta_field(build_gamma(cfg, build_boundary(cfg, model.profiles, grid),
+                                    lat.positions()), vset)
+    cells = []
+    for replica in replicas:
+        rng = replica_rng(cfg.model.seed, N, replica)
+        eta0 = Configuration(lat, vset, sample_profile_state(theta, rng))
+        res = simulate(eta0, model, horizon, rng, sample_times=times)
+        fields, blocks = [], []
+        for t, eta in res.samples:
+            fields.append((t, smooth(empirical_measure(eta, lat, vset), eps, grid).values))
+            for c in centers:
+                coords = (c,) + (0,) * (cfg.model.d - 1)
+                blocks.append((t, c, block_average(eta, lat, vset, coords, block_radius)))
+        # the manifest's record of the run: its event loop and event counts
+        run = {"event_loop": res.event_loop, "n_events": res.n_events,
+               "kind_counts": res.kind_counts}
+        cells.append({"fields": fields, "blocks": blocks, "run": run})
+    return cells
 
 
 def cmd_simulate(cfg: ExperimentConfig, args) -> list:
@@ -231,7 +226,7 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> list:
     outputs = []
     grid = build_grid(cfg, int(cfg.simulate.get("grid_m1", 65)), cfg.hydro.get("mt"))
     ncomp = cfg.model.d + 1
-    for (N, r), res in _map_cells(_sim_replica, cfg, args):
+    for (N, r), res in _map_cells("simulate", cfg, args):
         fpath = os.path.join(out, f"sim_N{N}_r{r}_fields.csv")
         write_field_csv(fpath, grid, [t for t, _ in res["fields"]],
                         [values for _, values in res["fields"]],
@@ -247,39 +242,44 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> list:
     return outputs
 
 
-def _run_record(res) -> dict:
-    """The event loop and event counts of one simulation, for the manifest."""
-    return {"event_loop": res.event_loop, "n_events": res.n_events,
-            "kind_counts": res.kind_counts}
+def _map_cells(command: str, cfg: ExperimentConfig, args) -> list:
+    """(cell, result) per (N, replica) cell of `command`, in output order.
 
-
-def _map_cells(fn, cfg: ExperimentConfig, args) -> list:
-    """(cell, fn(cfg.raw, *cell)) per (N, replica) cell in output order; adds the
-    key N:replica of each cell's `replica_rng` stream, with the cell's
-    `_run_record` (its result's "run" entry), to `args.cells`."""
-    cells = [(N, r) for N in cfg.model.n_values for r in range(cfg.model.replicas)]
-    if args.threads <= 1 or len(cells) <= 1:
-        results = [fn(cfg.raw, *cell) for cell in cells]
+    Each `_replica_cells` task, one per (N, contiguous block of replicas),
+    parses the config and sets N up once.  `--threads k` splits each N's
+    replicas into k blocks for k worker processes; every cell has its own
+    `replica_rng` stream, so no output changes.  Adds each cell's stream key
+    N:replica and run record (its result's "run") to `args.cells`."""
+    R, k = cfg.model.replicas, max(1, args.threads)
+    cuts = [R * i // k for i in range(k + 1)]
+    tasks = [(N, range(lo, hi)) for N in cfg.model.n_values
+             for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+    if k == 1 or len(tasks) <= 1:
+        blocks = [_replica_cells(cfg.raw, command, *task) for task in tasks]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.threads) as pool:
-            futures = [pool.submit(fn, cfg.raw, *cell) for cell in cells]
-            results = [f.result() for f in futures]
+        with concurrent.futures.ProcessPoolExecutor(max_workers=k) as pool:
+            futures = [pool.submit(_replica_cells, cfg.raw, command, *task) for task in tasks]
+            blocks = [f.result() for f in futures]
+    cells = [(N, r) for N, replicas in tasks for r in replicas]
+    results = [res for block in blocks for res in block]
     args.cells += [(f"{N}:{r}", res["run"]) for (N, r), res in zip(cells, results)]
     return list(zip(cells, results))
 
 
 # --- hydro ----------------------------------------------------------------------
 
+def _initial_data(cfg: ExperimentConfig, grid: Grid):
+    """Wall data and gamma at the grid nodes; either outside the hull exits 2."""
+    boundary = build_boundary(cfg, build_profiles(cfg), grid)
+    return build_gamma(cfg, boundary, grid.nodes()), boundary
+
+
 def _hydro_solve(cfg: ExperimentConfig, m1: int):
     hyd = cfg.hydro
-    horizon = float(hyd.get("horizon", 0.5))
     grid = build_grid(cfg, m1, hyd.get("mt"))
-    profiles = build_profiles(cfg)
-    boundary = build_boundary(cfg, profiles, grid)
-    gamma = build_gamma(cfg, grid, boundary)
     dt = hyd.get("dt")
-    return solve_hydro(gamma, boundary, horizon, grid, cfg.model.velocities,
-                       dt=None if dt is None else float(dt),
+    return solve_hydro(*_initial_data(cfg, grid), float(hyd.get("horizon", 0.5)), grid,
+                       cfg.model.velocities, dt=None if dt is None else float(dt),
                        n_frames=int(hyd.get("n_frames", 256)))
 
 
@@ -312,18 +312,6 @@ def cmd_hydro(cfg: ExperimentConfig, args) -> list:
 
 # --- converge -------------------------------------------------------------------
 
-def _conv_replica(raw_config: dict, N: int, replica: int):
-    cfg = parse_config(raw_config)
-    conv = cfg.converge
-    t_cmp = float(conv.get("t_compare", 0.25))
-    eps = float(conv.get("eps", 0.1))
-    model, grid, rng, eta0 = _replica_start(cfg, N, replica, int(conv.get("grid_m1", 65)))
-    res = simulate(eta0, model, t_cmp, rng, sample_times=[t_cmp])
-    _, eta = res.samples[0]
-    meas = empirical_measure(eta, model.lattice, cfg.model.velocities)
-    return {"values": smooth(meas, eps, grid).values, "run": _run_record(res)}
-
-
 def cmd_converge(cfg: ExperimentConfig, args) -> list:
     if len(cfg.model.n_values) < 2:
         raise ConfigError("converge needs model.N to list at least two sizes")
@@ -337,18 +325,15 @@ def cmd_converge(cfg: ExperimentConfig, args) -> list:
     stride = (ref_m1 - 1) // (grid_m1 - 1)
 
     ref_grid = build_grid(cfg, ref_m1, cfg.hydro.get("mt"))
-    profiles = build_profiles(cfg)
-    boundary = build_boundary(cfg, profiles, ref_grid)
-    gamma = build_gamma(cfg, ref_grid, boundary)
-    ref = solve_hydro(gamma, boundary, t_cmp, ref_grid, cfg.model.velocities,
+    ref = solve_hydro(*_initial_data(cfg, ref_grid), t_cmp, ref_grid, cfg.model.velocities,
                       n_frames=int(conv.get("n_frames", 64)))
     pde_cmp = ref.values[-1][::stride]
     cmp_grid = build_grid(cfg, grid_m1, cfg.hydro.get("mt"))
 
     ncomp = cfg.model.d + 1
-    per_replica = {}
-    for (N, r), res in _map_cells(_conv_replica, cfg, args):
-        per_replica.setdefault(N, []).append(l1_distance(cmp_grid, res["values"], pde_cmp))
+    per_n = {}
+    for (N, r), res in _map_cells("converge", cfg, args):
+        per_n.setdefault(N, []).append(l1_distance(cmp_grid, res["fields"][0][1], pde_cmp))
 
     table = os.path.join(out, "converge.csv")
     fh, writer = _csv_writer(
@@ -356,7 +341,7 @@ def cmd_converge(cfg: ExperimentConfig, args) -> list:
         cfg, f"L1 distance smoothed empirical vs PDE at t={t_cmp}")
     with fh:
         for N in cfg.model.n_values:
-            errs = np.array(per_replica[N])
+            errs = np.array(per_n[N])
             mean = errs.mean(axis=0)
             sem = (errs.std(axis=0, ddof=1) / np.sqrt(len(errs))
                    if len(errs) > 1 else np.zeros(ncomp))

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -200,6 +201,11 @@ class Model:
     def time_scale(self) -> float:
         """Diffusive acceleration N^2 of the macroscopic clock."""
         return float(self.lattice.N) ** 2
+
+    @cached_property
+    def table(self) -> "RateTable":
+        """The event catalog, built on first use; every SimState and generator reads it."""
+        return RateTable(self)
 
 
 # --- single-event rate formulas (reference implementations) -----------------
@@ -419,7 +425,7 @@ class OccupationTracker:
 
 
 class SimState:
-    """Mutable simulation state driving the thinned candidate stream."""
+    """Mutable state driving the thinned candidate stream over `Model.table`."""
 
     BATCH = 1 << 14
 
@@ -427,7 +433,7 @@ class SimState:
         from .eventloop import LoopState, load_kernel
 
         self.model = model
-        self.table = table = RateTable(model)
+        self.table = table = model.table
         self.rng = rng
         self.t = t0
         self.nv = len(model.vset)

@@ -2,8 +2,8 @@
 
 States are integers whose bit `site * nv + v` holds eta(x, v), the slot index
 of the simulator's event catalog.  The generator is assembled from that
-catalog, `dynamics.RateTable`, so the simulator and the generator share one
-list of events: for each entry, a few bit operations over all 2^n_bits
+catalog, the model's `Model.table`, so the simulator and the generator share
+one list of events: for each entry, a few bit operations over all 2^n_bits
 states give the states where it fires, its target states and its rates.
 Off-diagonal entries are N^2 x (sum of rates of all events mapping one state
 to another), and a diagonal makes every row sum to zero.  Intended for
@@ -163,7 +163,7 @@ def assemble_exact_generator(model: Model, parts=ALL_PARTS) -> ExactGenerator:
             f"state space 2^{n_bits} exceeds the cap {STATE_SPACE_CAP}"
         )
     n_states = 1 << n_bits
-    rows, cols, vals = _firings(RateTable(model), parts, n_bits)
+    rows, cols, vals = _firings(model.table, parts, n_bits)
     scale = model.time_scale
     if len(rows):
         off = sp.coo_matrix(

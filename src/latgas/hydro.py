@@ -664,36 +664,40 @@ class QuadratureContext:
         gw[:, 0, ..., 0, :] -= half * tw * traj.boundary.a
         self.grad_weights = gw
 
-    def linear_residual(self, G) -> float:
+    def linear_residual(self, G, grad=None) -> float:
         """Weak-form residual of the trajectory against G (zero on solutions).
 
         endpoint pairings - int <w, dG/dt + (1/2) Lap G>
         + (1/2) int [b . d1G|_{u1=1} - a . d1G|_{u1=0}]
         - int sum_v chi_v sum_i v_i (vtilde . d_i G),
-        as four inner products of G with the stored weights.
+        as four inner products of G with the stored weights (`grad`: G's
+        gradient at the time midpoints, if already built).
         """
         grid, t_mid = self.grid, self.t_mid
         ends = G.values(self.t_ends, grid)
+        grad = G.gradient(t_mid, grid) if grad is None else grad
         return float(
             np.vdot(self.end_weights[0], ends[1]) - np.vdot(self.end_weights[1], ends[0])
             - np.vdot(self.bulk_weights, G.dt(t_mid, grid) + 0.5 * G.laplacian(t_mid, grid))
-            + np.vdot(self.grad_weights, G.gradient(t_mid, grid))
+            + np.vdot(self.grad_weights, grad)
         )
 
-    def gram(self, fields) -> np.ndarray:
+    def gram(self, fields, linear=None) -> np.ndarray:
         """Gram matrix Q[a, b] = sum_v int int chi_v [vt.grad G_a][vt.grad G_b].
 
         Q = B B^T (exactly symmetric), where row a of B is vtilde_v . d_i G_a
         at the time midpoints times sqrt(chi_v dt_f w_space), a real root
-        since the constructor rejects fields outside the open hull.
+        since the constructor rejects fields outside the open hull.  An array
+        `linear` gets linear[a] = `linear_residual(G_a)` from the same gradient.
         """
         dt = self.dt_f.reshape((-1,) + (1,) * self.grid.d)
         scale = np.sqrt(self.chi * (dt * self.w_space[None])[..., None])[..., None, :]
         B = np.empty((len(fields), scale.size * self.grid.d))
-        for row, G in zip(B, fields):
-            contr = np.einsum("f...ik,vk->f...iv", G.gradient(self.t_mid, self.grid),
-                              self.vset.vtilde)
-            row[:] = (contr * scale).reshape(-1)
+        for a, G in enumerate(fields):
+            grad = G.gradient(self.t_mid, self.grid)
+            if linear is not None:
+                linear[a] = self.linear_residual(G, grad)
+            B[a] = (np.einsum("f...ik,vk->f...iv", grad, self.vset.vtilde) * scale).reshape(-1)
         return B @ B.T
 
     def pi_norm_sq(self, G) -> float:

@@ -214,10 +214,11 @@ def rate_estimate(traj: FieldTrajectory, basis: TestBasis, vset: VelocitySet,
 
 def _rate_report(ctx, basis: TestBasis, reg_scale: float) -> RateReport:
     """`rate_estimate` on an already built context."""
-    linear = np.array([ctx.linear_residual(G) for G in basis.modes])
+    linear = np.empty(len(basis))
+    quad = ctx.gram(basis.modes, linear)
     quadrature = {"frames": len(ctx.dt_f), "m1": ctx.grid.m1, "mt": ctx.grid.mt,
                   "horizon": float(ctx.t_ends[-1])}
-    return RateReport.solve(linear, ctx.gram(basis.modes), quadrature, reg_scale)
+    return RateReport.solve(linear, quad, quadrature, reg_scale)
 
 
 # --- chi-weighted control norm ------------------------------------------------------

@@ -223,15 +223,13 @@ def sample_product_state(lam, lattice, vset: VelocitySet, rng) -> np.ndarray:
     Returns a (n_sites, nv) uint8 array; deterministic given the rng state.
     """
     th = theta_all(np.asarray(lam, dtype=float), vset)
-    u = rng.random((lattice.n_sites, len(vset)))
-    return (u < th[None, :]).astype(np.uint8)
+    return sample_profile_state(np.broadcast_to(th, (lattice.n_sites, len(vset))), rng)
 
 
-def sample_profile_state(targets, lattice, vset: VelocitySet, rng) -> np.ndarray:
-    """Sample a product state whose local equilibrium matches per-site targets.
-
-    targets: (n_sites, d+1) conserved vectors, each interior to the hull.
+def sample_profile_state(theta, rng) -> np.ndarray:
+    """Sample eta(x, v) ~ independent Bernoulli(theta[x, v]), theta of shape
+    (n_sites, nv): e.g. `theta_field` of per-site targets, inverted once and
+    shared by every replica of one profile.  Returns uint8 of that shape.
     """
-    th = theta_field(np.asarray(targets, dtype=float), vset)
-    u = rng.random(th.shape)
-    return (u < th).astype(np.uint8)
+    u = rng.random(theta.shape)
+    return (u < theta).astype(np.uint8)

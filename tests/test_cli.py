@@ -1,12 +1,21 @@
+import hashlib
+import json
+import pathlib
+
 import pytest
 import yaml
 
+import latgas.dynamics
+import latgas.hydro
+import latgas.thermo
 from latgas import eventloop
 from latgas.cli import main
 from latgas.config import parse_config
-from latgas.errors import ConfigError
+from latgas.dynamics import RateTable
+from latgas.errors import ConfigError, ConvergenceError, DomainError
 from latgas.generator import STATE_SPACE_CAP
 from latgas.hydro import FieldTrajectory
+from latgas.thermo import invert_conserved
 
 
 def test_hydro_rejects_wall_data_below_margin_floor(tmp_path, capsys):
@@ -86,6 +95,76 @@ def tiny_config(tmp_path, **sections):
     path = tmp_path / "tiny.yaml"
     path.write_text(yaml.safe_dump(config))
     return str(path)
+
+
+def output_digests(tmp_path, command, threads):
+    """sha256 of each data file (not the manifest) one command writes on the
+    tiny config."""
+    out = tmp_path / f"{command}-threads{threads}"
+    assert main([command, "--config", tiny_config(tmp_path), "--out", str(out),
+                 "--threads", str(threads)]) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir()) if not p.name.startswith("manifest_")}
+
+
+# recorded with `output_digests(..., threads=1)` before the per-N replica setup
+RECORDED_OUTPUTS = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "cli_outputs.json").read_text())
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("command", ["simulate", "converge"])
+def test_outputs_reproduce_recorded_bytes(tmp_path, command, threads):
+    assert output_digests(tmp_path, command, threads) == RECORDED_OUTPUTS[command]
+
+
+@pytest.mark.parametrize("command", ["simulate", "converge"])
+def test_one_replica_setup_per_lattice_size(tmp_path, monkeypatch, command):
+    # Model, event catalog and the densities along gamma depend on N only:
+    # one RateTable and one Newton inversion of gamma per N, whatever the
+    # replica count (the tiny config has two per N).
+    tables, inversions = [], []
+
+    def counting_table(model):
+        tables.append(model.lattice.N)
+        return RateTable(model)
+
+    def counting_inversion(targets, *args, **kwargs):
+        inversions.append(len(targets))
+        return invert_conserved(targets, *args, **kwargs)
+
+    monkeypatch.setattr(latgas.dynamics, "RateTable", counting_table)
+    monkeypatch.setattr(latgas.thermo, "invert_conserved", counting_inversion)
+    path = tiny_config(tmp_path)
+    assert main([command, "--config", path, "--out", str(tmp_path / "out"),
+                 "--threads", "1"]) == 0
+    assert tables == [4, 6]
+    assert inversions == [3, 5]  # the N - 1 sites of each lattice
+
+
+@pytest.mark.parametrize("command", ["hydro", "converge", "simulate"])
+def test_gamma_outside_the_hull_is_a_config_error(tmp_path, capsys, command):
+    # rho = 2.5 exceeds 2, the largest mass of a two-velocity site: an input
+    # problem found before any work, so exit 2.
+    path = tiny_config(tmp_path, hydro={"gamma": ["2.5", "0.0"]})
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert "hydro.gamma leaves the open hull" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [
+    ConvergenceError("Newton inversion did not reach 1e-12", residual=1.0),
+    DomainError("could not project points into the hull interior"),
+])
+def test_failures_during_a_run_exit_3(tmp_path, capsys, monkeypatch, error):
+    # No shipped config makes the PDE's Newton inversion fail, so the
+    # stepper's inversion raises; a DomainError raised mid-run exits 3 too.
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(latgas.hydro, "invert_conserved", failing)
+    path = tiny_config(tmp_path)
+    assert main(["hydro", "--config", path, "--out", str(tmp_path / "out")]) == 3
+    assert f"numerical failure: {error}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("sizes,bad", [

@@ -1,16 +1,20 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene: no module of the package imports a name it never uses,
+and every name the traced benchmark wraps still exists.
 
-A static scan with `ast`: a name bound by an import counts as used when it
-appears as a name anywhere in the module, inside a quoted annotation, or in
-`__all__`.
+The import check is a static scan with `ast`: a name bound by an import
+counts as used when it appears as a name anywhere in the module, inside a
+quoted annotation, or in `__all__`.
 """
 
 import ast
+import importlib
+import importlib.util
 import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "latgas"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "latgas"
 
 
 def _annotations(tree):
@@ -61,3 +65,22 @@ def test_scan_finds_an_unused_import(tmp_path):
                       "import os\nimport numpy as np\nfrom typing import Optional, Sequence\n"
                       "def f(x: \"Optional[int]\") -> None:\n    return np.abs(x)\n")
     assert unused_imports(module) == [(2, "os"), (4, "Sequence")]
+
+
+def test_traced_benchmark_targets_resolve():
+    # `perfbench/tracer.py` patches each TARGETS entry in its owner's
+    # __dict__; a refactor that drops one of these names would crash the
+    # traced run (`perfbench/run.py --trace 1`), so it fails here instead.
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for module, path, _, _ in tracer.TARGETS:
+        owner = importlib.import_module(module)
+        *outer, attr = path.split(".")
+        for part in outer:
+            owner = owner.__dict__.get(part)
+        if owner is None or attr not in owner.__dict__:
+            missing.append(f"{module}.{path}")
+    assert missing == []

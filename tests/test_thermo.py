@@ -221,7 +221,7 @@ class TestSampling:
         rng = np.random.default_rng(11)
         u = lat.positions()[:, 0]
         targets = np.stack([0.8 + 0.4 * u, 0.05 * np.sin(2 * np.pi * u)], axis=1)
-        eta = sample_profile_state(targets, lat, vs2, rng)
+        eta = sample_profile_state(theta_field(targets, vs2), rng)
         emp = (eta @ vs2.vtilde).mean(axis=0)
         expected = targets.mean(axis=0)
         assert np.abs(emp - expected).max() < 0.01
