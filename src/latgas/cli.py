@@ -81,17 +81,21 @@ def build_grid(cfg: ExperimentConfig, m1: int, mt=None) -> Grid:
         raise ConfigError(str(exc)) from None
 
 
-def build_gamma(cfg: ExperimentConfig, boundary: BoundaryData, points) -> np.ndarray:
+def build_gamma(cfg: ExperimentConfig, walls: tuple, points) -> np.ndarray:
     """The initial profile gamma (`hydro.gamma`) at `points` (..., d).
 
-    A gamma outside the open hull is an input problem found before any work,
-    so it raises ConfigError (exit 2), not the DomainError of a run.
+    `walls` holds the wall vectors (a, b) at each point's own transverse
+    position, broadcastable against points[..., :1]; linear gamma runs from
+    a at u_1 = 0 to b at u_1 = 1.  A gamma outside the open hull is an input
+    problem found before any work, so it raises ConfigError (exit 2), not the
+    DomainError of a run.
     """
     spec = cfg.hydro.get("gamma", "linear")
     ncomp = cfg.model.d + 1
     if spec == "linear":
+        a, b = walls
         x = points[..., 0, None]
-        values = (1 - x) * boundary.a + x * boundary.b
+        values = (1 - x) * a + x * b
     elif isinstance(spec, list):
         if len(spec) != ncomp:
             raise ConfigError(f"hydro.gamma needs {ncomp} component expressions")
@@ -168,9 +172,23 @@ def _out_dir(cfg: ExperimentConfig, args) -> str:
     return directory
 
 
+def lattice_walls(model: Model) -> tuple:
+    """The wall vectors (a, b) at each lattice site's own transverse position,
+    one row per site; exit 2 below the wall-data margin floor."""
+    lat = model.lattice
+    n_t = lat.N ** (lat.d - 1)
+    tilde = np.indices((lat.N,) * (lat.d - 1)).reshape(lat.d - 1, n_t).T / lat.N
+    try:
+        walls = BoundaryData.at_points(model.profiles, model.vset, tilde, (n_t,))
+    except DomainError as exc:
+        raise ConfigError(f"reservoir profiles: {exc}") from None
+    row = np.arange(lat.n_sites) % n_t  # the transverse coordinates vary fastest
+    return walls.a[row], walls.b[row]
+
+
 # --- simulate -------------------------------------------------------------------
 
-def _replica_cells(raw_config: dict, command: str, N: int, replicas: range) -> list:
+def _replica_cells(cfg: ExperimentConfig, command: str, N: int, replicas: range) -> list:
     """The cells (N, r), r in `replicas`, of `simulate` or `converge` (one run
     to t_compare, sampled there); top-level so it can cross a process boundary.
 
@@ -179,7 +197,6 @@ def _replica_cells(raw_config: dict, command: str, N: int, replicas: range) -> l
     gamma.  Each replica draws its initial state from theta, the first draw
     of its own stream, and runs from it.
     """
-    cfg = parse_config(raw_config)
     if command == "converge":
         sec = cfg.converge
         horizon = float(sec.get("t_compare", 0.25))
@@ -201,8 +218,7 @@ def _replica_cells(raw_config: dict, command: str, N: int, replicas: range) -> l
     model = build_model(cfg, N)
     grid = build_grid(cfg, int(sec.get("grid_m1", 65)), cfg.hydro.get("mt"))
     lat, vset = model.lattice, model.vset
-    theta = theta_field(build_gamma(cfg, build_boundary(cfg, model.profiles, grid),
-                                    lat.positions()), vset)
+    theta = theta_field(build_gamma(cfg, lattice_walls(model), lat.positions()), vset)
     cells = []
     for replica in replicas:
         rng = replica_rng(cfg.model.seed, N, replica)
@@ -246,8 +262,8 @@ def _map_cells(command: str, cfg: ExperimentConfig, args) -> list:
     """(cell, result) per (N, replica) cell of `command`, in output order.
 
     Each `_replica_cells` task, one per (N, contiguous block of replicas),
-    parses the config and sets N up once.  `--threads k` splits each N's
-    replicas into k blocks for k worker processes; every cell has its own
+    sets N up once.  `--threads k` splits each N's replicas into k blocks
+    for k worker processes; every cell has its own
     `replica_rng` stream, so no output changes.  Adds each cell's stream key
     N:replica and run record (its result's "run") to `args.cells`."""
     R, k = cfg.model.replicas, max(1, args.threads)
@@ -255,10 +271,10 @@ def _map_cells(command: str, cfg: ExperimentConfig, args) -> list:
     tasks = [(N, range(lo, hi)) for N in cfg.model.n_values
              for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
     if k == 1 or len(tasks) <= 1:
-        blocks = [_replica_cells(cfg.raw, command, *task) for task in tasks]
+        blocks = [_replica_cells(cfg, command, *task) for task in tasks]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=k) as pool:
-            futures = [pool.submit(_replica_cells, cfg.raw, command, *task) for task in tasks]
+            futures = [pool.submit(_replica_cells, cfg, command, *task) for task in tasks]
             blocks = [f.result() for f in futures]
     cells = [(N, r) for N, replicas in tasks for r in replicas]
     results = [res for block in blocks for res in block]
@@ -271,7 +287,7 @@ def _map_cells(command: str, cfg: ExperimentConfig, args) -> list:
 def _initial_data(cfg: ExperimentConfig, grid: Grid):
     """Wall data and gamma at the grid nodes; either outside the hull exits 2."""
     boundary = build_boundary(cfg, build_profiles(cfg), grid)
-    return build_gamma(cfg, boundary, grid.nodes()), boundary
+    return build_gamma(cfg, (boundary.a, boundary.b), grid.nodes()), boundary
 
 
 def _hydro_solve(cfg: ExperimentConfig, m1: int):
@@ -467,10 +483,10 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.raw["model"]["seed"] = int(args.seed)
-            cfg = parse_config(cfg.raw)
+            cfg = parse_config(cfg.raw, cfg.base_dir)
         if args.replicas is not None:
             cfg.raw["model"]["replicas"] = int(args.replicas)
-            cfg = parse_config(cfg.raw)
+            cfg = parse_config(cfg.raw, cfg.base_dir)
         args.cells = []
         outputs = COMMANDS[args.command](cfg, args)
         out = _out_dir(cfg, args)

@@ -133,6 +133,7 @@ class ExperimentConfig:
     ldp: dict = field(default_factory=dict)
     exact: dict = field(default_factory=dict)
     output: dict = field(default_factory=dict)
+    base_dir: str = "."  # resolves a relative model.velocities_file
 
     @property
     def config_hash(self) -> str:
@@ -223,7 +224,7 @@ def parse_config(raw, base_dir: str = ".") -> ExperimentConfig:
     return ExperimentConfig(raw=raw, model=model, simulate=sections["simulate"],
                             hydro=sections["hydro"], converge=sections["converge"],
                             ldp=sections["ldp"], exact=sections["exact"],
-                            output=sections["output"])
+                            output=sections["output"], base_dir=base_dir)
 
 
 def replica_rng(seed: int, *key) -> np.random.Generator:

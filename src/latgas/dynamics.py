@@ -20,13 +20,18 @@ between accepted events are therefore exactly Exponential(total rate x N^2)
 and events are chosen proportionally to their rates, with O(1) expected work
 per event.
 
-`SimState.advance(stop)` runs the candidate stream.  Candidates come in
-batches of `SimState.BATCH` draws made by `_refill` in a fixed order (gaps,
-then selectors, then accept variates), so a seed fixes the stream whichever
-loop consumes it.  The loop applies every accepted event with clock reading
-t < stop and returns the first accepted event at t >= stop unapplied, with
-the clock at its time: `simulate` passes the next sample time or the
-horizon, so samples see the state before any event at or after their time;
+`SimState.advance(stop)` runs the candidate stream.  `_refill` draws it in
+batches, each in a fixed order (gaps, then selectors, then accept variates).
+The first batch holds `SimState.FIRST_BATCH` = 2^8 candidates and each later
+one as many as all earlier batches together, up to `SimState.BATCH` = 2^14:
+a short run draws few more candidates than it reads (at most twice as many,
+or 2^8), and a long one draws 2^14 at a time.  The schedule is fixed by these
+constants alone, never by `stop`, the sample times or the horizon, so a seed
+fixes the stream whichever loop consumes it and however the run is observed.
+The loop applies every accepted event with clock reading t < stop and
+returns the first accepted event at t >= stop unapplied, with the clock at
+its time: `simulate` passes the next sample time or the horizon, so samples
+see the state before any event at or after their time;
 `step()`, trackers and event logs pass stop = -inf and apply each event in
 Python.  After every CHECK_EVERY consecutive rejections the loop checks
 `RateTable.exact_totals` and raises `NumericalFailure` in an absorbing state.
@@ -360,6 +365,16 @@ class RateTable:
         )
         self.total_bound = sum(self.weights)
 
+    @cached_property
+    def loop_pointers(self) -> tuple:
+        """Addresses of the slot arrays in `eventloop.LoopState` order, which
+        the compiled loop of every `SimState` on this table reads in place."""
+        self._loop_arrays = [np.ascontiguousarray(a, dtype=dtype) for a, dtype in (
+            (self.ex_src, np.int64), (self.ex_tgt, np.int64), (self.ex_pn, float),
+            (self.col_slots, np.int64), (self.bd_slot, np.int64),
+            (self.bd_birth, float), (self.bd_death, float))]
+        return tuple(a.ctypes.data for a in self._loop_arrays)
+
     def exact_totals(self, eta: np.ndarray) -> np.ndarray:
         """Microscopic (per unit N^2-time) total rate per event family."""
         flat = eta.reshape(-1)
@@ -427,7 +442,8 @@ class OccupationTracker:
 class SimState:
     """Mutable state driving the thinned candidate stream over `Model.table`."""
 
-    BATCH = 1 << 14
+    FIRST_BATCH = 1 << 8  # candidates in the first batch
+    BATCH = 1 << 14  # the cap on later batches, which double the stream drawn
 
     def __init__(self, model: Model, eta: np.ndarray, rng, t0: float = 0.0):
         from .eventloop import LoopState, load_kernel
@@ -448,19 +464,16 @@ class SimState:
         self.thr1 = w[0]
         self.thr2 = w[0] + w[1]
         self._gap = self._sel = self._acc = np.empty(0)
-        self._pos = 0
+        self._pos = self._drawn = 0
         self.kind_counts = np.zeros(3, dtype=np.int64)
         self.trackers: list = []
         self._run = load_kernel()
         if self._run is not None:
-            self._held = [np.ascontiguousarray(a, dtype=dtype) for a, dtype in (
-                (table.ex_src, np.int64), (table.ex_tgt, np.int64), (table.ex_pn, float),
-                (table.col_slots, np.int64), (table.bd_slot, np.int64),
-                (table.bd_birth, float), (table.bd_death, float))]
-            pointers = [a.ctypes.data for a in self._held + [self.eta_flat, self.kind_counts]]
-            # in LoopState field order; the candidate pointers are set per batch
+            # in LoopState field order; the candidate pointers and count are
+            # set per batch
             self._loop = LoopState(
-                None, None, None, *pointers, self.BATCH, *table.counts,
+                None, None, None, *table.loop_pointers,
+                self.eta_flat.ctypes.data, self.kind_counts.ctypes.data, 0, *table.counts,
                 table.bound_ex, table.bound_col, table.bound_bd, self.thr1, self.thr2)
 
     @property
@@ -472,7 +485,9 @@ class SimState:
         return "python" if self._run is None else "compiled"
 
     def _refill(self):
-        rng, B = self.rng, self.BATCH
+        rng = self.rng
+        B = min(max(self._drawn, self.FIRST_BATCH), self.BATCH)
+        self._drawn += B
         self._gap = rng.exponential(self.gap_scale, B)
         self._sel = rng.random(B) * self.table.total_bound
         self._acc = rng.random(B)
@@ -509,6 +524,7 @@ class SimState:
                 self._refill()
                 loop.gap, loop.sel, loop.acc = (
                     a.ctypes.data for a in (self._gap, self._sel, self._acc))
+                loop.n_cand = len(self._gap)
             loop.t, loop.pos = self.t, self._pos
             kind = self._run(loop, stop)
             self.t, self._pos = loop.t, loop.pos

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,10 +56,15 @@ class Grid:
         return np.arange(self.mt) / self.mt
 
     def nodes(self) -> np.ndarray:
-        """(shape..., d) array of node positions."""
+        """(shape..., d) array of node positions, built once per grid (read-only)."""
+        return self._nodes
+
+    @cached_property
+    def _nodes(self) -> np.ndarray:
         axes = [self.axis(i) for i in range(self.d)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack(mesh, axis=-1)
+        nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        nodes.flags.writeable = False
+        return nodes
 
     def weights(self) -> np.ndarray:
         """Space quadrature weights, shape = grid shape; sums to |D| = 1."""

@@ -77,14 +77,20 @@ class BoundaryData:
         rather than in ReservoirProfiles, because the simulator is well
         defined for them.
         """
-        pts = grid.transverse_points()
+        return cls.at_points(profiles, vset, grid.transverse_points(), grid.tshape)
+
+    @classmethod
+    def at_points(cls, profiles: ReservoirProfiles, vset: VelocitySet, pts,
+                  shape: tuple) -> "BoundaryData":
+        """Wall data at the transverse positions `pts` (n, d-1), as arrays of
+        shape `shape` + (d+1,), under the margin floor of `from_profiles`."""
         n_t = len(pts)
 
         def build(fns):
             dens = np.empty((n_t, len(vset)))
             for v, f in enumerate(fns):
                 dens[:, v] = np.broadcast_to(np.asarray(f(pts), dtype=float), (n_t,))
-            return (dens @ vset.vtilde).reshape(grid.tshape + (vset.d + 1,))
+            return (dens @ vset.vtilde).reshape(shape + (vset.d + 1,))
 
         a, b = build(profiles.alpha), build(profiles.beta)
         dom = domain_of(vset)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import pathlib
 
+import numpy as np
 import pytest
 import yaml
 
@@ -9,12 +10,13 @@ import latgas.dynamics
 import latgas.hydro
 import latgas.thermo
 from latgas import eventloop
-from latgas.cli import main
+from latgas.cli import build_model, lattice_walls, main
 from latgas.config import parse_config
 from latgas.dynamics import RateTable
 from latgas.errors import ConfigError, ConvergenceError, DomainError
 from latgas.generator import STATE_SPACE_CAP
-from latgas.hydro import FieldTrajectory
+from latgas.grid import Grid
+from latgas.hydro import BoundaryData, FieldTrajectory
 from latgas.thermo import invert_conserved
 
 
@@ -226,7 +228,13 @@ RUN_LINES = ("stream_keys", "event_loop", "n_events", "kind_counts")
 
 @pytest.mark.parametrize("command", ["simulate", "converge"])
 def test_manifest_records_each_cell_event_counts(tmp_path, command):
-    path = tiny_config(tmp_path)
+    # Every cell must record events.  Each of the four reservoir slots flips
+    # at rate at least min(alpha_v, 1 - alpha_v) or min(beta_v, 1 - beta_v):
+    # 0.3 + 0.4 + 0.4 + 0.5 = 1.6 in all, times N^2 on the macroscopic clock.
+    # So P(no event by T) <= exp(-1.6 N^2 T), for N = 4 exp(-32) = 1.3e-14 at
+    # T = 1.25; the tiny config's horizon 0.05 leaves about 3% per cell.
+    path = tiny_config(tmp_path, simulate={"horizon": 1.25},
+                       converge={"t_compare": 1.25})
     lines = {}
     for threads in (1, 2):
         manifest = tmp_path / f"threads{threads}" / f"manifest_{command}.txt"
@@ -271,3 +279,61 @@ def test_outputs_without_a_compiler_are_the_same_bytes(tmp_path, monkeypatch, co
     assert lines["no_compiler"].pop("event_loop") == ["python"]
     lines["default"].pop("event_loop")
     assert lines["default"] == lines["no_compiler"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "converge"])
+@pytest.mark.parametrize("flags", [[], ["--seed", "3"], ["--replicas", "1"]])
+def test_velocities_file_beside_the_config_from_another_directory(
+        tmp_path, monkeypatch, command, flags):
+    # A relative model.velocities_file is read beside the config, also when
+    # a flag or a replica task parses the config again.
+    config = yaml.safe_load(pathlib.Path(tiny_config(tmp_path)).read_text())
+    del config["model"]["velocities"]
+    config["model"]["velocities_file"] = "v.txt"
+    (tmp_path / "v.txt").write_text("0.5\n-0.5\n")
+    (tmp_path / "tiny.yaml").write_text(yaml.safe_dump(config))
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert main([command, "--config", str(tmp_path / "tiny.yaml"), "--out", "out",
+                 *flags]) == 0
+
+
+def tiny_config_2d(tmp_path):
+    """A small d = 2 four-velocity config whose alpha varies across the wall."""
+    config = {
+        "model": {"d": 2, "velocities": [[0.5, 0.0], [-0.5, 0.0], [0.0, 0.5], [0.0, -0.5]],
+                  "alpha": ["0.3 + 0.1*sin(2*pi*u2)", "0.4", "0.35", "0.45"],
+                  "beta": ["0.6", "0.5", "0.55", "0.65"],
+                  "N": [4, 6], "seed": 3, "replicas": 2},
+        "simulate": {"horizon": 0.05, "sample_times": [0.0, 0.05], "eps": 0.25,
+                     "grid_m1": 9},
+        "hydro": {"mt": 8, "m1": 9, "horizon": 0.05, "n_frames": 4},
+        "converge": {"t_compare": 0.05, "eps": 0.25, "grid_m1": 9, "reference_m1": 9,
+                     "n_frames": 4},
+    }
+    path = tmp_path / "tiny2d.yaml"
+    path.write_text(yaml.safe_dump(config))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["simulate", "converge"])
+def test_linear_gamma_in_two_dimensions(tmp_path, command):
+    # The lattice's transverse positions (multiples of 1/N) are not the
+    # grid's (multiples of 1/mt), so linear gamma reads the wall data at
+    # each site's own transverse position.
+    assert main([command, "--config", tiny_config_2d(tmp_path),
+                 "--out", str(tmp_path / "out")]) == 0
+
+
+def test_lattice_walls_are_the_wall_data_at_each_site(tmp_path):
+    # N = mt = 4: the lattice's transverse positions are the grid's nodes, so
+    # each site's row is the wall data of its own transverse node.
+    cfg = parse_config(yaml.safe_load(pathlib.Path(tiny_config_2d(tmp_path)).read_text()))
+    model = build_model(cfg, 4)
+    a, b = lattice_walls(model)
+    walls = BoundaryData.from_profiles(model.profiles, model.vset, Grid(2, 3, 4))
+    transverse = model.lattice.all_coords()[:, 1]
+    assert a.shape == b.shape == (model.lattice.n_sites, 3)
+    assert np.array_equal(a, walls.a[transverse]) and np.array_equal(b, walls.b[transverse])
+    assert len(np.unique(a[:, 0])) > 1

@@ -1,10 +1,10 @@
 """The compiled event loop against the Python reference loop and a recorded stream.
 
 `tests/data/sim_streams.json` was recorded with `stream_record` from the
-pure-Python event loop, before the compiled kernel existed.  Both loops must
-reproduce it exactly: same event counts, same configuration bytes at every
-sample time and at the end, same event log, tracker averages and `step()`
-draws.
+Python reference loop, with candidate batches growing from 2^8 to 2^14.  Both
+loops must reproduce it exactly: same event counts, same configuration bytes
+at every sample time and at the end, same event log, tracker averages and
+`step()` draws.
 """
 
 import hashlib
@@ -130,13 +130,31 @@ AGREE_CASES = {
 }
 
 
+class CountingRng:
+    """A seeded generator that records the length of each candidate batch
+    (one exponential draw of gaps per batch)."""
+
+    def __init__(self, seed: int):
+        self._rng = np.random.default_rng(seed)
+        self.batches = []
+
+    def exponential(self, scale, size):
+        self.batches.append(size)
+        return self._rng.exponential(scale, size)
+
+    def random(self, size=None):
+        return self._rng.random(size)
+
+
 def run_every_entry_point(make, seed: int) -> dict:
-    """Samples, final state, event log, tracker averages and `step()` draws."""
+    """Samples, final state, batch lengths, event log, tracker averages and
+    `step()` draws."""
     model = make()
     lat, vs = model.lattice, model.vset
     eta0 = Configuration(lat, vs, sample_product_state([0.2, 0.1], lat, vs,
                                                        np.random.default_rng(seed)))
-    res = simulate(eta0, model, 4.0, np.random.default_rng(seed), sample_times=[0.5, 2.0, 4.0])
+    rng = CountingRng(seed)
+    res = simulate(eta0, model, 8.0, rng, sample_times=[0.5, 2.0, 8.0])
     tracker, log = OccupationTracker(lat.n_sites * len(vs)), io.StringIO()
     logged = simulate(eta0, model, 0.1, np.random.default_rng(seed), trackers=[tracker],
                       event_log=log)
@@ -146,6 +164,7 @@ def run_every_entry_point(make, seed: int) -> dict:
         "counts": (res.n_events, res.kind_counts, logged.n_events, logged.kind_counts),
         "samples": [(t, eta.tobytes()) for t, eta in res.samples],
         "final": res.final.eta.tobytes(),
+        "batches": rng.batches,
         "log": log.getvalue(),
         "tracker": tracker.mean_occupation(0.1, logged.final.eta.reshape(-1)).tobytes(),
         "steps": [(ev, float(wait)) for ev, wait in steps],
@@ -161,9 +180,77 @@ def test_compiled_and_python_loops_agree(monkeypatch, name):
     monkeypatch.setattr(eventloop, "load_kernel", lambda: None)
     python = run_every_entry_point(AGREE_CASES[name], 5)
     assert (compiled.pop("event_loop"), python.pop("event_loop")) == ("compiled", "python")
-    # acceptance is below 1/2 here, so the run spans several candidate batches
-    assert compiled["counts"][0] > SimState.BATCH // 2
+    # the run spans the growing batches and several at the cap
+    assert compiled["batches"][:8] == [256, 256, 512, 1024, 2048, 4096, 8192, SimState.BATCH]
+    assert compiled["batches"].count(SimState.BATCH) >= 2
     assert compiled == python
+
+
+@pytest.fixture(params=["compiled", "python"])
+def loop(request, monkeypatch):
+    """Run every SimState on the named loop."""
+    if request.param == "compiled":
+        if eventloop.load_kernel() is None:
+            pytest.skip("no C compiler to build the event loop")
+    else:
+        monkeypatch.setattr(eventloop, "load_kernel", lambda: None)
+    return request.param
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_CASES))
+def test_sample_times_do_not_change_the_stream(loop, name):
+    # A sample stops the loop at its time, which must not move the batch
+    # boundaries: the seed alone fixes the trajectory.
+    model = STREAM_CASES[name][0]()
+    lat, vs = model.lattice, model.vset
+    eta0 = Configuration(lat, vs, np.zeros((lat.n_sites, len(vs)), dtype=np.uint8))
+    rngs = [CountingRng(7), CountingRng(7)]
+    runs = [simulate(eta0, model, 0.1, rng, sample_times=times)
+            for rng, times in zip(rngs, ([0.0, 0.05, 0.1], [0.0, 0.1]))]
+    assert runs[0].event_loop == loop
+    assert runs[0].final.eta.tobytes() == runs[1].final.eta.tobytes()
+    assert (runs[0].n_events, runs[0].kind_counts) == (runs[1].n_events, runs[1].kind_counts)
+    assert rngs[0].batches == rngs[1].batches and len(rngs[0].batches) >= 3
+
+
+def advance_through(state, stops) -> None:
+    """Apply every event before the last stop, calling `advance` once per stop
+    as `simulate` does for its sample times."""
+    i = 0
+    while True:
+        kind, idx = state.advance(stops[i])
+        while i < len(stops) and state.t >= stops[i]:
+            i += 1
+        if i == len(stops):
+            return
+        state._apply(kind, idx)
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_CASES))
+def test_stop_times_do_not_change_the_stream(loop, name):
+    model = STREAM_CASES[name][0]()
+    lat, vs = model.lattice, model.vset
+    eta0 = np.zeros((lat.n_sites, len(vs)), dtype=np.uint8)
+    one, many = (SimState(model, eta0, CountingRng(7)) for _ in range(2))
+    advance_through(one, [0.3])
+    advance_through(many, list(np.linspace(0.001, 0.3, 97)))
+    assert one.event_loop == loop
+    assert one.eta_flat.tobytes() == many.eta_flat.tobytes()
+    assert list(one.kind_counts) == list(many.kind_counts)
+    assert one.t == many.t and one.rng.batches == many.rng.batches
+    assert len(one.rng.batches) >= 4
+
+
+@pytest.mark.parametrize("horizon", [1e-5, 1e-3, 0.01, 0.03, 0.1, 0.3])
+def test_short_runs_draw_at_most_twice_what_they_read(loop, horizon):
+    model = STREAM_CASES["vs4_walls_N16"][0]()
+    lat, vs = model.lattice, model.vset
+    rng = CountingRng(5)
+    state = SimState(model, np.zeros((lat.n_sites, len(vs)), dtype=np.uint8), rng)
+    advance_through(state, [horizon])
+    drawn = sum(rng.batches)
+    read = drawn - (len(state._gap) - state._pos)
+    assert 0 < read <= drawn <= max(SimState.FIRST_BATCH, 2 * read)
 
 
 @pytest.fixture
