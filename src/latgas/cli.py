@@ -30,7 +30,7 @@ from .config import (
 from .dynamics import Model, ReservoirProfiles, simulate
 from .empirical import block_average, empirical_measure, l1_distance, smooth
 from .errors import ConfigError, DomainError, LatgasError, NumericalFailure
-from .generator import assemble_exact_generator
+from .generator import ALL_PARTS, assemble_exact_generator
 from .grid import Grid, write_field_csv
 from .hydro import (
     AxisFactor,
@@ -413,9 +413,9 @@ def cmd_rate(cfg: ExperimentConfig, args) -> list:
 def cmd_exact(cfg: ExperimentConfig, args) -> list:
     out = _out_dir(cfg, args)
     exact = cfg.exact
-    n = int(exact.get("N", 3))
+    n = exact.get("N", 3)
     periodic = bool(exact.get("periodic", False))
-    parts = tuple(exact.get("parts", ["boundary", "collision", "exclusion"]))
+    parts = tuple(exact.get("parts", ALL_PARTS))
     lam = np.array(exact.get("lambda", [0.0] * (cfg.model.d + 1)), dtype=float)
     if len(lam) != cfg.model.d + 1:
         raise ConfigError(f"exact.lambda needs {cfg.model.d + 1} entries")
@@ -425,7 +425,7 @@ def cmd_exact(cfg: ExperimentConfig, args) -> list:
     model = Model(lat, cfg.model.velocities, profiles=profiles)
     gen = assemble_exact_generator(model, parts=parts)
 
-    row_max = float(np.max(np.abs(gen.row_sums()))) if gen.n_states else 0.0
+    row_max = float(np.max(np.abs(gen.row_sums())))
     mu = gen.product_measure(lam)
     inv_res = gen.invariance_residual(mu)
     audit = assemble_exact_generator(model, parts=("collision",)) \

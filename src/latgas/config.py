@@ -22,6 +22,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError
+from .generator import ALL_PARTS
 from .velocities import VelocitySet, load_velocity_set
 
 _ALLOWED_FUNCS = {"sin": np.sin, "cos": np.cos}
@@ -220,6 +221,12 @@ def parse_config(raw, base_dir: str = ".") -> ExperimentConfig:
         sec = _require_mapping(sec, name)
         _check_keys(sec, keys, name)
         sections[name] = sec
+    n_exact = sections["exact"].get("N", 3)
+    if not isinstance(n_exact, int) or n_exact < 2:
+        raise ConfigError("exact.N must be an integer >= 2")
+    parts = _get(sections["exact"], "parts", "exact", list, default=[])
+    if any(part not in ALL_PARTS for part in parts):
+        raise ConfigError(f"exact.parts must be a subset of {list(ALL_PARTS)}, got {parts}")
 
     return ExperimentConfig(raw=raw, model=model, simulate=sections["simulate"],
                             hydro=sections["hydro"], converge=sections["converge"],
@@ -245,8 +252,13 @@ def write_manifest(path, command: str, config: ExperimentConfig, cells: list,
     in cell order; a run record has the `event_loop` that ran ("compiled" or
     "python"), `n_events` and `kind_counts` (exclusion, collision, boundary).
     Commands that simulate list them in `event_loop`, `n_events` and
-    `kind_counts` lines, per cell as key=value.
+    `kind_counts` lines, per cell as key=value.  `blas_threads` records the
+    OPENBLAS_NUM_THREADS and OMP_NUM_THREADS values the run saw (`unset` if
+    absent): outputs that go through BLAS, such as `rate_report.txt`, are
+    byte-reproducible only at one BLAS thread.
     """
+    import scipy
+
     import latgas
 
     lines = [
@@ -255,6 +267,9 @@ def write_manifest(path, command: str, config: ExperimentConfig, cells: list,
         f"config_hash: {config.config_hash}",
         f"package_version: {latgas.__version__}",
         f"numpy_version: {np.__version__}",
+        f"scipy_version: {scipy.__version__}",
+        " ".join(["blas_threads:"] + [f"{name}={os.environ.get(name, 'unset')}" for name
+                                      in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")]),
         f"master_seed: {config.model.seed}",
         " ".join(["stream_keys:"] + [key for key, _ in cells]),
     ]

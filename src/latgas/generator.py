@@ -1,20 +1,21 @@
-"""Exact generator matrices for tiny systems (full state-space enumeration).
+"""Exact generators of tiny systems, held as one rate row per flip mask.
 
 States are integers whose bit `site * nv + v` holds eta(x, v), the slot index
-of the simulator's event catalog.  The generator is assembled from that
-catalog, the model's `Model.table`, so the simulator and the generator share
-one list of events: for each entry, a few bit operations over all 2^n_bits
-states give the states where it fires, its target states and its rates.
-Off-diagonal entries are N^2 x (sum of rates of all events mapping one state
-to another), and a diagonal makes every row sum to zero.  Intended for
-verification: invariance of homogeneous product measures under periodic
-exclusion, and detailed balance of the collision dynamics with respect to the
-single-site product weights.
+of the simulator's event catalog `Model.table`, which the generator is built
+from.  Every event flips a fixed bit mask, so the generator is a sum of masked
+XOR permutations: L[s, s ^ flips[k]] = rates[k, s] (N^2-scaled) and
+L[s, s] = -exit[s] = -sum_k rates[k, s].  mu L (`left`) is one pass per mask,
+read through a view that reverses the mask's bits; the CSR `matrix` is built
+only when asked for.  Intended for verification: invariance of homogeneous
+product measures under periodic exclusion, and detailed balance of the
+collision dynamics with respect to the single-site product weights.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,70 +27,80 @@ STATE_SPACE_CAP = 2**20
 ALL_PARTS = ("boundary", "collision", "exclusion")
 
 
-def _firings(table: RateTable, parts, n_bits: int) -> tuple:
-    """(state, state', micro_rate) arrays of every catalog entry in `parts`.
-
-    Each entry contributes one triple per state where it fires, in state
-    order; entries follow the catalog order.  Two entries mapping the same
-    state to the same state' (a hop on a ring of two sites, say) stay separate
-    triples and are summed at assembly.
-    """
-    states = np.arange(1 << n_bits, dtype=np.int64)
-    occ = [((states >> k) & 1).astype(bool) for k in range(n_bits)]
-    rows, cols, vals = [], [], []
-
-    def fire(mask, flip, rate):
-        src = states[mask]
-        rows.append(src)
-        cols.append(src ^ flip)
-        vals.append(np.full(len(src), rate))
-
+def _rate_rows(table: RateTable, parts, n_bits: int, scale: float) -> tuple:
+    """(flips, rates): the flip masks of the catalog entries in `parts`, in
+    the catalog order of first appearance, and each mask's N^2-scaled rate
+    from every state (0 where nothing fires).  Entries sharing a mask (both
+    directions of a hop; two directions to one site on a ring of two) are
+    each scaled, then added in catalog order."""
+    entries = []  # (flip mask, slots of the mask occupied where it fires, micro rate)
     if "exclusion" in parts:
         for s, t, pn in zip(table.ex_src.tolist(), table.ex_tgt.tolist(),
                             table.ex_pn.tolist()):
-            fire(occ[s] & ~occ[t], (1 << s) | (1 << t), pn)
+            entries.append(((1 << s) | (1 << t), 1 << s, pn))
     if "collision" in parts:
         for a, b, c, d in table.col_slots.tolist():
-            fire(occ[a] & occ[b] & ~occ[c] & ~occ[d],
-                 (1 << a) | (1 << b) | (1 << c) | (1 << d), 1.0)
+            entries.append(((1 << a) | (1 << b) | (1 << c) | (1 << d),
+                            (1 << a) | (1 << b), 1.0))
     if "boundary" in parts:
         for slot, birth, death in zip(table.bd_slot.tolist(), table.bd_birth,
                                       table.bd_death):
-            rows.append(states)
-            cols.append(states ^ (1 << slot))
-            vals.append(np.where(occ[slot], death, birth))
-    if not rows:
-        return (), (), ()
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+            entries += [(1 << slot, 1 << slot, death), (1 << slot, 0, birth)]
+    flips = list(dict.fromkeys(flip for flip, _, _ in entries))
+    states = np.arange(1 << n_bits, dtype=np.int32)
+    rates = np.zeros((len(flips), len(states)))
+    for flip, occupied, rate in entries:
+        row = rates[flips.index(flip)]
+        np.add(row, rate * scale, out=row, where=(states & flip) == occupied)
+    return np.array(flips, dtype=np.int64), rates
+
+
+def _xor_view(flip: int, n_bits: int) -> tuple:
+    """(shape, index) such that x.reshape(shape)[index] is a view reading
+    x[j ^ flip] where x.reshape(shape) holds x[j].  Each run of bits that
+    `flip` sets or leaves is one axis (C order: top bit first); reversing an
+    axis of 2^r entries maps i to i ^ (2^r - 1)."""
+    runs = [(on, len(list(run))) for on, run in itertools.groupby(
+        (flip >> b) & 1 for b in reversed(range(n_bits)))]
+    return ([1 << r for _, r in runs],
+            tuple(slice(None, None, -1) if on else slice(None) for on, _ in runs))
 
 
 @dataclass
 class ExactGenerator:
-    """Assembled generator with helpers for invariance and balance checks.
+    """The generator L as its rate table, with invariance and balance checks.
 
-    `matrix` is the canonical CSR form.  `row_sums` re-evaluates each row in
-    the documented order (off-diagonal entries as accumulated during
-    assembly, diagonal last); since the diagonal is defined as the negated
-    running sum of its row, the result is exactly zero for every row.
+    `flips` (F,) holds the masks, `rates` (F, n_states) each mask's rate from
+    each state, and `exit` their sum in row order, so `row_sums` (the same sum
+    minus `exit`) is exactly zero.  `matrix`, the canonical CSR form with int32
+    indices, is built on first use.
     """
 
     model: Model
-    matrix: sp.csr_matrix  # includes diagonal; rows sum to zero exactly
     parts: tuple
-    _off_rows: np.ndarray = None
-    _off_vals: np.ndarray = None
-    _diag: np.ndarray = None
+    flips: np.ndarray
+    rates: np.ndarray
+    exit: np.ndarray
 
     @property
     def n_states(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.exit)
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        # row s holds the diagonal -exit[s], then rates[k, s] at s ^ flips[k]
+        n, width = self.n_states, len(self.flips) + 1
+        masks = np.concatenate(([0], self.flips)).astype(np.int32)
+        cols = np.arange(n, dtype=np.int32)[:, None] ^ masks
+        data = np.column_stack((-self.exit, self.rates.T))
+        indptr = np.arange(0, n * width + 1, width, dtype=np.int32)
+        mat = sp.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(n, n))
+        mat.eliminate_zeros()
+        mat.sort_indices()
+        return mat
 
     def row_sums(self) -> np.ndarray:
-        # np.add.at accumulates element-by-element in array order, which is
-        # exactly how the diagonal was built: the sum cancels bitwise.
-        sums = np.zeros(self.n_states)
-        np.add.at(sums, self._off_rows, self._off_vals)
-        return sums + self._diag
+        return self.rates.sum(axis=0) - self.exit
 
     def state_bits(self) -> np.ndarray:
         n_bits = self.model.lattice.n_sites * len(self.model.vset)
@@ -97,56 +108,59 @@ class ExactGenerator:
         return ((states[:, None] >> np.arange(n_bits)) & 1).astype(np.uint8)
 
     def product_measure(self, lam) -> np.ndarray:
-        """Normalized product-measure weights mu_lam over all states.
-
-        Per-site weights use exp(lam . I(xi)), so states whose per-site
-        conserved vectors coincide get bitwise-identical weights (exact for
-        velocity sets whose component sums are exactly representable).
-        """
-        lat, vset = self.model.lattice, self.model.vset
-        nv = len(vset)
-        bits = self.state_bits()
-        n_states = bits.shape[0]
-        lam = np.asarray(lam, dtype=float)
-        weights = np.ones(n_states)
-        for s in range(lat.n_sites):
-            xi = bits[:, s * nv:(s + 1) * nv].astype(float)
-            site_I = xi @ vset.vtilde
-            weights = weights * np.exp(site_I @ lam)
+        """Normalized product-measure weights mu_lam over all states: the
+        Kronecker product of the 2^nv single-site weights exp(lam . I(xi)),
+        multiplied from site 0 up, so states whose per-site conserved vectors
+        coincide get bitwise-identical weights."""
+        nv = len(self.model.vset)
+        xi = ((np.arange(1 << nv)[:, None] >> np.arange(nv)) & 1).astype(float)
+        site = np.exp((xi @ self.model.vset.vtilde) @ np.asarray(lam, dtype=float))
+        weights = np.ones(1)
+        for _ in range(self.model.lattice.n_sites):
+            weights = np.kron(site, weights)
         return weights / weights.sum()
 
+    def left(self, mu) -> np.ndarray:
+        """mu L for a row vector mu over all states: per mask the flux
+        mu rates[k] read at j ^ flips[k], added in table order, then -mu exit."""
+        out = np.zeros(self.n_states)
+        n_bits = self.n_states.bit_length() - 1
+        for flip, rate in zip(self.flips.tolist(), self.rates):
+            shape, index = _xor_view(flip, n_bits)
+            view = out.reshape(shape)
+            view += (mu * rate).reshape(shape)[index]
+        return out - mu * self.exit
+
     def invariance_residual(self, mu) -> float:
-        """sup-norm of mu^T L for a measure mu over all states (see product_measure)."""
-        return float(np.max(np.abs(mu @ self.matrix)))
+        """sup-norm of mu L for a measure mu over all states (see product_measure)."""
+        return float(np.max(np.abs(self.left(mu))))
 
     def detailed_balance_audit(self, mu) -> dict:
         """Check mu(eta) rate(eta->eta') == mu(eta') rate(eta'->eta) per transition.
 
         `mu` is a measure over all states, as from `product_measure`.  Only
         meaningful for the collision part (build with parts=("collision",)).
+        Each transition s -> s ^ flips[k] pairs with rates[k, s ^ flips[k]].
         Returns the number of transitions, the worst absolute imbalance, and
-        whether every reverse transition exists with the same rate.
-        """
-        coo = self.matrix.tocoo()
-        off = coo.row != coo.col
-        n = self.n_states
-        # pair (i, j) has key i*n + j; sorted keys find each reverse by bisection
-        keys = coo.row[off].astype(np.int64) * n + coo.col[off]
-        order = np.argsort(keys)
-        keys, rates = keys[order], coo.data[off][order]
-        rows, cols = np.divmod(keys, n)
-        back = np.minimum(np.searchsorted(keys, cols * n + rows), len(keys) - 1)
-        ok = keys[back] == cols * n + rows
-        imbalance = np.abs(mu[rows[ok]] * rates[ok] - mu[cols[ok]] * rates[back[ok]])
-        return {
-            "n_transitions": len(keys),
-            "worst_imbalance": float(np.max(imbalance, initial=0.0)),
-            "all_reversible": bool(np.all(ok)),
-        }
+        whether every transition has a reverse."""
+        n_bits = self.n_states.bit_length() - 1
+        count, worst, reversible = 0, 0.0, True
+        for flip, rate in zip(self.flips.tolist(), self.rates):
+            shape, index = _xor_view(flip, n_bits)
+            fwd = rate.reshape(shape)
+            fires = fwd != 0
+            paired = fires & fires[index]
+            flux = mu.reshape(shape) * fwd
+            count += int(np.count_nonzero(fires))
+            reversible = reversible and bool(np.array_equal(fires, paired))
+            worst = max(worst, float(np.max(np.abs(flux - flux[index])[paired],
+                                            initial=0.0)))
+        return {"n_transitions": count, "worst_imbalance": worst,
+                "all_reversible": reversible}
 
 
 def assemble_exact_generator(model: Model, parts=ALL_PARTS) -> ExactGenerator:
-    """Build the full generator matrix of a tiny system.
+    """Build the rate table of the full generator of a tiny system.
 
     `parts` selects which of the boundary/collision/exclusion dynamics are
     included; use a periodic lattice in the model to replace the walls by a
@@ -156,31 +170,11 @@ def assemble_exact_generator(model: Model, parts=ALL_PARTS) -> ExactGenerator:
     unknown = set(parts) - set(ALL_PARTS)
     if unknown:
         raise ValueError(f"unknown generator parts {sorted(unknown)}")
-    lat = model.lattice
-    n_bits = lat.n_sites * len(model.vset)
+    n_bits = model.lattice.n_sites * len(model.vset)
     if 2**n_bits > STATE_SPACE_CAP:
-        raise SizeError(
-            f"state space 2^{n_bits} exceeds the cap {STATE_SPACE_CAP}"
-        )
-    n_states = 1 << n_bits
-    rows, cols, vals = _firings(model.table, parts, n_bits)
-    scale = model.time_scale
-    if len(rows):
-        off = sp.coo_matrix(
-            (vals * scale, (rows, cols)), shape=(n_states, n_states)
-        ).tocsr()
-        off.sum_duplicates()
-        off.sort_indices()
-    else:
-        off = sp.csr_matrix((n_states, n_states))
-    canon = off.tocoo()
-    off_rows = canon.row.astype(np.int64)
-    off_vals = canon.data.copy()
-    diag = np.zeros(n_states)
-    np.add.at(diag, off_rows, off_vals)
-    diag = -diag
-    mat = (off + sp.diags(diag)).tocsr()
-    gen = ExactGenerator(model=model, matrix=mat, parts=parts,
-                         _off_rows=off_rows, _off_vals=off_vals, _diag=diag)
+        raise SizeError(f"state space 2^{n_bits} exceeds the cap {STATE_SPACE_CAP}")
+    flips, rates = _rate_rows(model.table, parts, n_bits, model.time_scale)
+    gen = ExactGenerator(model=model, parts=parts, flips=flips, rates=rates,
+                         exit=rates.sum(axis=0))
     assert not np.any(gen.row_sums())
     return gen

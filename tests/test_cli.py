@@ -14,7 +14,7 @@ from latgas.cli import build_model, lattice_walls, main
 from latgas.config import parse_config
 from latgas.dynamics import RateTable
 from latgas.errors import ConfigError, ConvergenceError, DomainError
-from latgas.generator import STATE_SPACE_CAP
+from latgas.generator import STATE_SPACE_CAP, ExactGenerator
 from latgas.grid import Grid
 from latgas.hydro import BoundaryData, FieldTrajectory
 from latgas.thermo import invert_conserved
@@ -109,7 +109,8 @@ def output_digests(tmp_path, command, threads):
             for p in sorted(out.iterdir()) if not p.name.startswith("manifest_")}
 
 
-# recorded with `output_digests(..., threads=1)` before the per-N replica setup
+# recorded with `output_digests(..., threads=1)` before the per-N replica setup;
+# the "exact" digests with `exact_report_digest` from the COO-assembled generator
 RECORDED_OUTPUTS = json.loads(
     (pathlib.Path(__file__).parent / "data" / "cli_outputs.json").read_text())
 
@@ -118,6 +119,55 @@ RECORDED_OUTPUTS = json.loads(
 @pytest.mark.parametrize("command", ["simulate", "converge"])
 def test_outputs_reproduce_recorded_bytes(tmp_path, command, threads):
     assert output_digests(tmp_path, command, threads) == RECORDED_OUTPUTS[command]
+
+
+VS4_MODEL = {"d": 1, "velocities": [[0.5], [-0.5], [0.25], [-0.25]],
+             "alpha": ["0.3", "0.4", "0.35", "0.45"],
+             "beta": ["0.6", "0.5", "0.55", "0.65"], "N": 4}
+# four velocities, so collisions fire; 3 sites x 4 velocities = 2^12 states
+EXACT_CONFIGS = {
+    "walls_driven_all_parts": {"N": 4, "periodic": False,
+                               "parts": ["boundary", "collision", "exclusion"],
+                               "lambda": [0.2, -0.1]},
+    "ring_with_collisions": {"N": 4, "periodic": True,
+                             "parts": ["collision", "exclusion"],
+                             "lambda": [0.3, 0.2]},
+}
+
+
+def exact_report_digest(tmp_path, name):
+    """sha256 of the exact_report.txt that `latgas exact` writes on one of
+    EXACT_CONFIGS."""
+    path = tmp_path / f"{name}.yaml"
+    path.write_text(yaml.safe_dump({"model": VS4_MODEL, "exact": EXACT_CONFIGS[name]}))
+    out = tmp_path / name
+    assert main(["exact", "--config", str(path), "--out", str(out)]) == 0
+    return hashlib.sha256((out / "exact_report.txt").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_CONFIGS))
+def test_exact_report_reproduces_recorded_bytes(tmp_path, name):
+    assert exact_report_digest(tmp_path, name) == RECORDED_OUTPUTS["exact"][name]
+
+
+def test_exact_never_builds_the_sparse_matrix(tmp_path, monkeypatch):
+    # every line of the report comes from the rate table
+    def no_matrix(gen):
+        raise AssertionError("latgas exact built the CSR matrix")
+
+    monkeypatch.setattr(ExactGenerator, "matrix", property(no_matrix))
+    exact_report_digest(tmp_path, "walls_driven_all_parts")
+
+
+@pytest.mark.parametrize("exact,message", [
+    ({"N": 1}, "exact.N must be an integer >= 2"),
+    ({"N": 0}, "exact.N must be an integer >= 2"),
+    ({"parts": ["exclusion", "drift"]}, "exact.parts must be a subset"),
+])
+def test_exact_section_errors_exit_2(tmp_path, capsys, exact, message):
+    path = tiny_config(tmp_path, exact=exact)
+    assert main(["exact", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["simulate", "converge"])
@@ -208,6 +258,20 @@ def test_manifest_lists_the_replica_streams_drawn(tmp_path, command, keys):
     out = tmp_path / "out"
     assert main([command, "--config", tiny_config(tmp_path), "--out", str(out)]) == 0
     assert manifest_line(out / f"manifest_{command}.txt", "stream_keys") == keys
+
+
+def test_manifest_records_scipy_and_blas_threads(tmp_path, monkeypatch):
+    # rate outputs are byte-reproducible only at one BLAS thread
+    import scipy
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    out = tmp_path / "out"
+    assert main(["exact", "--config", tiny_config(tmp_path), "--out", str(out)]) == 0
+    manifest = out / "manifest_exact.txt"
+    assert manifest_line(manifest, "scipy_version") == [scipy.__version__]
+    assert manifest_line(manifest, "blas_threads") == [
+        "OPENBLAS_NUM_THREADS=1", "OMP_NUM_THREADS=unset"]
 
 
 @pytest.mark.parametrize("command", ["simulate", "converge"])

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from latgas.dynamics import (
     exclusion_rate,
 )
 from latgas.errors import SizeError
-from latgas.generator import assemble_exact_generator
+from latgas.generator import ALL_PARTS, _xor_view, assemble_exact_generator
 from latgas.lattice import Lattice
 from latgas.velocities import VelocitySet, four_velocity_set, two_velocity_set
 
@@ -132,6 +133,46 @@ def test_off_diagonal_matches_reference_rates(name):
         assert got[key] == pytest.approx(rate, rel=1e-14), key
 
 
+@pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
+def test_left_product_matches_the_matrix(name):
+    # mu L from the rate table against the built CSR, for every subset of
+    # the dynamics; mu is a generic positive vector
+    model = REFERENCE_MODELS[name]()
+    for r in range(len(ALL_PARTS) + 1):
+        for parts in itertools.combinations(ALL_PARTS, r):
+            gen = assemble_exact_generator(model, parts=parts)
+            mu = np.random.default_rng(r).uniform(0.5, 1.5, gen.n_states)
+            got, want = gen.left(mu), mu @ gen.matrix
+            assert gen.matrix.indices.dtype == gen.matrix.indptr.dtype == np.int32
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), parts
+
+
+@pytest.mark.parametrize("flip", [0b000001, 0b100000, 0b100101, 0b010010,
+                                  0b111111, 0b000011, 0b110001])
+def test_xor_view_reads_the_flipped_state(flip):
+    # masks with bit 0, the top bit, adjacent and non-adjacent bits
+    x = np.arange(64)
+    shape, index = _xor_view(flip, 6)
+    view = x.reshape(shape)[index]
+    assert np.shares_memory(view, x)
+    assert np.array_equal(view.reshape(-1), x ^ flip)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
+def test_product_measure_matches_a_loop_over_states(name):
+    model = REFERENCE_MODELS[name]()
+    gen = assemble_exact_generator(model, parts=())
+    vt, nv = model.vset.vtilde, len(model.vset)
+    lam = np.linspace(0.3, -0.4, vt.shape[1])
+    weights = np.ones(gen.n_states)
+    for state in range(gen.n_states):
+        for site in range(model.lattice.n_sites):
+            xi = [(state >> (site * nv + v)) & 1 for v in range(nv)]
+            weights[state] *= np.exp(np.dot(xi @ vt, lam))
+    np.testing.assert_allclose(gen.product_measure(lam), weights / weights.sum(),
+                               rtol=1e-14, atol=0)
+
+
 class TestInvariance:
     def test_product_measure_invariant_for_periodic_exclusion(self, vs2):
         gen = assemble_exact_generator(two_site_model(vs2), parts=("exclusion",))
@@ -176,11 +217,12 @@ class TestDetailedBalance:
         driven = assemble_exact_generator(two_site_model(vs2, periodic=False, profiles=prof))
         collision = assemble_exact_generator(Model(Lattice(2, 1), vs4, profiles=None),
                                              parts=("collision",))
-        # drop one transition, leaving its reverse without a partner
-        lil = exclusion.matrix.tolil()
-        i, j = next((i, j) for i, j in zip(*exclusion.matrix.nonzero()) if i != j)
-        lil[i, j] = 0.0
-        one_way = dataclasses.replace(exclusion, matrix=lil.tocsr())
+        # drop one transition, leaving its reverse without a partner; the
+        # audit reads the rate table, and dict_audit the matrix built from it
+        rates = exclusion.rates.copy()
+        k, s = np.argwhere(rates)[0]
+        rates[k, s] = 0.0
+        one_way = dataclasses.replace(exclusion, rates=rates)
         audits = {}
         for name, gen in (("exclusion", exclusion), ("driven", driven),
                           ("collision", collision), ("one_way", one_way)):
