@@ -19,7 +19,9 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy
 import yaml
+from numpy.random import Generator, Philox, SeedSequence
 
 from .errors import ConfigError
 from .generator import ALL_PARTS
@@ -227,6 +229,11 @@ def parse_config(raw, base_dir: str = ".") -> ExperimentConfig:
     parts = _get(sections["exact"], "parts", "exact", list, default=[])
     if any(part not in ALL_PARTS for part in parts):
         raise ConfigError(f"exact.parts must be a subset of {list(ALL_PARTS)}, got {parts}")
+    _get(sections["exact"], "periodic", "exact", bool)
+    lam = _get(sections["exact"], "lambda", "exact", list, default=[0.0] * (d + 1))
+    if len(lam) != d + 1 or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                                    for x in lam):
+        raise ConfigError(f"exact.lambda needs {d + 1} numbers, got {lam}")
 
     return ExperimentConfig(raw=raw, model=model, simulate=sections["simulate"],
                             hydro=sections["hydro"], converge=sections["converge"],
@@ -234,14 +241,14 @@ def parse_config(raw, base_dir: str = ".") -> ExperimentConfig:
                             output=sections["output"], base_dir=base_dir)
 
 
-def replica_rng(seed: int, *key) -> np.random.Generator:
+def replica_rng(seed: int, *key) -> Generator:
     """Independent, reproducible stream for one (N, replica, ...) cell.
 
     Streams come from a counter-based bit generator keyed by the master seed
     and the spawn key, so replicas are independent and order-insensitive.
     """
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(int(k) for k in key))
-    return np.random.Generator(np.random.Philox(ss))
+    ss = SeedSequence(entropy=seed, spawn_key=tuple(int(k) for k in key))
+    return Generator(Philox(ss))
 
 
 def write_manifest(path, command: str, config: ExperimentConfig, cells: list,
@@ -257,8 +264,6 @@ def write_manifest(path, command: str, config: ExperimentConfig, cells: list,
     absent): outputs that go through BLAS, such as `rate_report.txt`, are
     byte-reproducible only at one BLAS thread.
     """
-    import scipy
-
     import latgas
 
     lines = [

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .dynamics import Model, RateTable
 from .errors import SizeError
@@ -87,7 +86,10 @@ class ExactGenerator:
         return len(self.exit)
 
     @cached_property
-    def matrix(self) -> sp.csr_matrix:
+    def matrix(self):
+        """The CSR form; scipy.sparse is imported here, since no command reads it."""
+        import scipy.sparse as sp
+
         # row s holds the diagonal -exit[s], then rates[k, s] at s ^ flips[k]
         n, width = self.n_states, len(self.flips) + 1
         masks = np.concatenate(([0], self.flips)).astype(np.int32)

@@ -28,7 +28,7 @@ from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import zpttrf, zpttrs
+from numpy import fft
 
 from .dynamics import ReservoirProfiles
 from .errors import DomainError, NumericalFailure, StabilityError
@@ -436,6 +436,19 @@ def advective_limit(grid: Grid, vset: VelocitySet, control=None, times=()) -> fl
     return min(dt_cfl, (4.0 * dt_cfl**2 / float(np.sum(speeds**2))) ** (1.0 / 3.0))
 
 
+def _dst(x: np.ndarray) -> np.ndarray:
+    """Orthonormal DST-I along axis 0, its own inverse.
+
+    For n rows, X_j = sqrt(2/(n+1)) sum_i x_i sin(pi i j / (n+1)), i, j = 1..n,
+    read off one rfft of the odd extension (0, x, 0, -reversed x).
+    """
+    n = len(x)
+    ext = np.zeros((2 * n + 2,) + x.shape[1:])
+    ext[1:n + 1] = x
+    ext[n + 2:] = -x[::-1]
+    return fft.rfft(ext, axis=0)[1:n + 1].imag * -np.sqrt(0.5 / (n + 1))
+
+
 class _Stepper:
     """IMEX trapezoidal step (Ascher, Ruuth & Spiteri 1997) at a fixed dt.
 
@@ -443,10 +456,12 @@ class _Stepper:
         (I - dt/2 A) W* = W + dt/2 A W + dt N(W)
         (I - dt/2 A) W' = W + dt/2 A W + dt/2 (N(W) + N(W*)),
     with identity rows at the walls holding a and b.  Eliminating the wall rows
-    leaves a symmetric positive definite system on the interior; an rfft along
-    the periodic transverse axes diagonalizes their Laplacian, leaving one
-    tridiagonal system in u_1 per transverse wavenumber (one for d = 1).  Each
-    is factored once, here, and solved twice per step.
+    leaves (I - dt/2 A) on the interior with Dirichlet ends, which sine modes
+    along u_1 and Fourier modes along the periodic transverse axes
+    diagonalize: with r = dt / (4 h_1^2), mode (j, k) has eigenvalue
+    1 + 4r sin^2(pi j / (2 (m1 - 1))) + s_k, s_k the transverse part.  The
+    solve is a DST-I along u_1, an rfftn across, a division by the
+    eigenvalues (computed once, here), and the two transforms back.
     """
 
     def __init__(self, vset: VelocitySet, grid: Grid, boundary: BoundaryData,
@@ -459,21 +474,14 @@ class _Stepper:
         self.dom = domain_of(vset)
         self.lam = None  # Newton warm start, shape (n_nodes, ncomp)
         self.axes = tuple(range(1, grid.d))
-        # (I - dt/2 A) on interior rows: -r, 1 + 2r + s_k, -r per wavenumber k.
         self.r = dt / (4.0 * grid.h1**2)
-        if grid.d > 1:
-            # rfftn keeps all wavenumbers on the leading axes, half on the last.
-            sin2 = [np.sin(np.pi * np.arange(m) / grid.mt) ** 2
-                    for m in [grid.mt] * (grid.d - 2) + [grid.mt // 2 + 1]]
-            s_k = (dt / grid.ht**2) * reduce(np.add.outer, sin2)
-        else:
-            s_k = np.zeros(1)
         n = grid.m1 - 2
-        # The f2py wrappers reject an empty off-diagonal; for m1 = 3 (n = 1)
-        # LAPACK reads none of it.
-        off = np.full(max(n - 1, 1), -self.r, dtype=complex)
-        self.factors = [zpttrf(np.full(n, 1.0 + 2.0 * self.r + s), off)[:2]
-                        for s in np.ravel(s_k)]
+        eig = 1.0 + 4.0 * self.r * np.sin(np.pi * np.arange(1, n + 1) / (2 * n + 2)) ** 2
+        # rfftn keeps all wavenumbers on the leading axes, half on the last.
+        for m in [grid.mt] * (grid.d - 2) + [grid.mt // 2 + 1] * (grid.d > 1):
+            s_k = (dt / grid.ht**2) * np.sin(np.pi * np.arange(m) / grid.mt) ** 2
+            eig = np.add.outer(eig, s_k)
+        self.inv_eig = 1.0 / eig[..., None]
 
     def _theta(self, W: np.ndarray) -> np.ndarray:
         flat = W.reshape(-1, self.vset.d + 1)
@@ -495,14 +503,14 @@ class _Stepper:
         rhs = R[1:-1].copy()
         rhs[0] += self.r * self.boundary.a
         rhs[-1] += self.r * self.boundary.b
-        rhs = np.fft.rfftn(rhs, axes=self.axes) if self.axes else rhs.astype(complex)
-        modes = rhs.reshape(len(rhs), -1, rhs.shape[-1])
-        for k, (d_k, e_k) in enumerate(self.factors):
-            modes[:, k] = zpttrs(d_k, e_k, modes[:, k])[0]
-        modes = modes.reshape(rhs.shape)
+        modes = _dst(rhs)
+        if self.axes:
+            modes = fft.irfftn(fft.rfftn(modes, axes=self.axes) * self.inv_eig,
+                               s=self.grid.tshape, axes=self.axes)
+        else:
+            modes = modes * self.inv_eig
         X = np.empty_like(R)
-        X[1:-1] = (np.fft.irfftn(modes, s=self.grid.tshape, axes=self.axes)
-                   if self.axes else modes.real)
+        X[1:-1] = _dst(modes)
         X[0] = self.boundary.a
         X[-1] = self.boundary.b
         return X

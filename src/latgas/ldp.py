@@ -28,7 +28,6 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConditioningError
 from .grid import Grid
@@ -123,12 +122,12 @@ def quadratic_sup(linear: np.ndarray, quad: np.ndarray,
     dim = len(linear)
     reg = reg_scale * max(np.trace(quad), np.finfo(float).tiny) / dim
     try:
-        chol = scipy.linalg.cho_factor(quad + reg * np.eye(dim))
-        sol = scipy.linalg.cho_solve(chol, linear)
-    except scipy.linalg.LinAlgError as exc:
+        chol = np.linalg.cholesky(quad + reg * np.eye(dim))
+    except np.linalg.LinAlgError as exc:
         raise ConditioningError(
             f"quadratic form numerically singular beyond regularization {reg:.3e}"
         ) from exc
+    sol = np.linalg.solve(chol.T, np.linalg.solve(chol, linear))
     c_star = 0.5 * sol
     value = max(0.25 * float(linear @ sol), 0.0)
     return value, c_star, reg

@@ -11,15 +11,18 @@ and the map lam -> (rho, p) = (sum theta_v, sum v theta_v) is a diffeomorphism
 onto the open convex hull U of the single-site conserved vectors.  This module
 evaluates the forward map, inverts it with a damped Newton iteration (exact
 Jacobian: sum_v chi(theta_v) vtilde vtilde^T, positive definite on U), tests
-hull membership, and samples product-measure configurations.
+membership of U through its closed-form zonotope facets, and samples
+product-measure configurations.
 """
 
 from __future__ import annotations
 
-import numpy as np
-from scipy.spatial import ConvexHull
+import itertools
+from functools import cached_property
 
-from .errors import ConvergenceError, DomainError
+import numpy as np
+
+from .errors import ConfigError, ConvergenceError, DomainError, SizeError
 from .velocities import VelocitySet
 
 NEWTON_TOL = 1e-12
@@ -75,11 +78,20 @@ def rho_p_of_lambda(lam, vset: VelocitySet) -> np.ndarray:
 
 
 class ConvexDomain:
-    """The convex hull of the single-site conserved vectors {I(xi)}.
+    """The open hull U of the single-site conserved vectors {I(xi)}.
 
-    Membership tests use the hull's facet inequalities; `margin` is the signed
-    Euclidean distance to the nearest facet plane (positive inside).  The
-    vertex enumeration is exhaustive over the 2^nv site states, capped at
+    U is the image of the cube {0,1}^V under xi -> xi @ vtilde, that is the
+    zonotope sum_v [0, vtilde_v], and its facets have a closed form.  Every
+    facet plane of a zonotope in R^(d+1) is spanned by d linearly independent
+    generators; its unit normal n is their generalized cross product (the
+    vector of signed d x d cofactors), and the zonotope lies between the planes
+    n.x = sum_v min(0, n.vtilde_v) and n.x = sum_v max(0, n.vtilde_v).  Each
+    d-subset of generators of rank d gives such a pair, parallel normals
+    counted once.  Membership tests use these facet inequalities; `margin` is
+    the signed Euclidean distance to the nearest facet plane (positive
+    inside).  The centre is (1/2) sum_v vtilde_v.  A velocity set whose
+    conserved vectors have rank below d+1 has no interior and is rejected.
+    The vertex enumeration is exhaustive over the 2^nv site states, capped at
     nv <= 16.
     """
 
@@ -88,25 +100,39 @@ class ConvexDomain:
     def __init__(self, vset: VelocitySet):
         nv = len(vset)
         if nv > self.MAX_VELOCITIES:
-            raise ValueError(
+            raise SizeError(
                 f"hull enumeration capped at {self.MAX_VELOCITIES} velocities, got {nv}"
             )
         self.vset = vset
-        states = ((np.arange(2**nv)[:, None] >> np.arange(nv)) & 1).astype(float)
-        points = states @ vset.vtilde
-        points = np.unique(points, axis=0)
-        try:
-            hull = ConvexHull(points)
-        except Exception as exc:  # degenerate (not full-dimensional) sets
-            raise ValueError(
+        vt = vset.vtilde
+        if np.linalg.matrix_rank(vt) <= vset.d:
+            raise ConfigError(
                 "conserved vectors are not full-dimensional; the density/momentum "
                 "parametrization is degenerate for this velocity set"
-            ) from exc
+            )
+        gens = vt[np.array(list(itertools.combinations(range(nv), vset.d)))]
+        cof = np.stack([(-1) ** i * np.linalg.det(np.delete(gens, i, axis=2))
+                        for i in range(vset.d + 1)], axis=-1)
+        size = np.linalg.norm(cof, axis=1)
+        rank_d = size > 1e-10 * np.prod(np.linalg.norm(gens, axis=2), axis=1)
+        n = cof[rank_d] / size[rank_d, None]
+        n = n[~np.triu(np.abs(n @ n.T) > 1.0 - 1e-12, 1).any(axis=0)]
+        proj = n @ vt.T
         # Facet inequalities normal . x + offset <= 0 with unit normals.
-        self.normals = hull.equations[:, :-1]
-        self.offsets = hull.equations[:, -1]
-        self.centroid = points[hull.vertices].mean(axis=0)
-        self.vertices = points[hull.vertices]
+        self.normals = np.vstack([n, -n])
+        self.offsets = np.concatenate([-np.maximum(proj, 0.0).sum(axis=1),
+                                       np.minimum(proj, 0.0).sum(axis=1)])
+        self.centroid = 0.5 * vt.sum(axis=0)
+
+    @cached_property
+    def vertices(self) -> np.ndarray:
+        """Site-state images lying on facets whose normals span R^(d+1)."""
+        nv = len(self.vset)
+        states = ((np.arange(2**nv)[:, None] >> np.arange(nv)) & 1).astype(float)
+        points = np.unique(states @ self.vset.vtilde, axis=0)
+        tight = points @ self.normals.T + self.offsets > -1e-9
+        rank = np.array([np.linalg.matrix_rank(self.normals[t]) for t in tight])
+        return points[rank == self.vset.d + 1]
 
     def margin(self, x) -> np.ndarray:
         """Signed distance to the hull boundary; positive strictly inside."""
@@ -172,6 +198,7 @@ def invert_conserved(targets, vset: VelocitySet, lam0=None,
                 f"target outside the open admissible region (worst margin {worst:.3e})"
             )
     vt = vset.vtilde
+    vv = (vt[:, :, None] * vt[:, None, :]).reshape(len(vt), -1)
     lam = np.zeros_like(t) if lam0 is None else np.array(lam0, dtype=float).reshape(t.shape)
     th = _logistic(lam @ vt.T)
     res = t - th @ vt
@@ -180,7 +207,7 @@ def invert_conserved(targets, vset: VelocitySet, lam0=None,
         if np.all(rnorm <= tol):
             break
         w = th * (1.0 - th)
-        jac = np.einsum("nv,vk,vl->nkl", w, vt, vt)
+        jac = (w @ vv).reshape(-1, vt.shape[1], vt.shape[1])
         step = np.linalg.solve(jac, res[..., None])[..., 0]
         alpha = np.ones(len(t))
         for _ in range(50):

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -163,11 +166,57 @@ def test_exact_never_builds_the_sparse_matrix(tmp_path, monkeypatch):
     ({"N": 1}, "exact.N must be an integer >= 2"),
     ({"N": 0}, "exact.N must be an integer >= 2"),
     ({"parts": ["exclusion", "drift"]}, "exact.parts must be a subset"),
+    ({"lambda": ["a", 1]}, "exact.lambda needs 2 numbers"),
+    ({"lambda": [0.1]}, "exact.lambda needs 2 numbers"),
+    ({"periodic": "no"}, "exact.periodic has wrong type str"),
 ])
 def test_exact_section_errors_exit_2(tmp_path, capsys, exact, message):
     path = tiny_config(tmp_path, exact=exact)
     assert main(["exact", "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
+
+
+# One velocity at rest: the conserved vectors (1, 0) span a line, so the hull
+# U has no interior and the (rho, p) parametrization is degenerate.  Eighteen
+# velocities pass the hull's cap of 16.
+AT_REST = [[0.0]]
+EIGHTEEN = [[s * k / 18] for k in range(1, 10) for s in (1, -1)]
+
+
+@pytest.mark.parametrize("command,velocities,message", [
+    ("hydro", AT_REST, "not full-dimensional"),
+    ("simulate", AT_REST, "not full-dimensional"),
+    ("rate", AT_REST, "not full-dimensional"),
+    ("hydro", EIGHTEEN, "capped at 16 velocities"),
+])
+def test_velocity_sets_without_a_hull_exit_2(tmp_path, capsys, command, velocities,
+                                              message):
+    path = tiny_config(tmp_path)
+    config = yaml.safe_load(pathlib.Path(path).read_text())
+    nv = len(velocities)
+    config["model"].update(velocities=velocities, alpha=["0.3"] * nv, beta=["0.6"] * nv)
+    pathlib.Path(path).write_text(yaml.safe_dump(config))
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_commands_load_no_scipy_submodule(tmp_path):
+    # Whichever of scipy.linalg, scipy.sparse and scipy.spatial loads first
+    # costs ~0.25 s of set-up; no command needs them (the CSR
+    # `ExactGenerator.matrix` imports scipy.sparse itself).
+    script = (
+        "import sys\n"
+        "from latgas.cli import main\n"
+        f"path, out = {tiny_config(tmp_path)!r}, {str(tmp_path / 'out')!r}\n"
+        "for command in ('exact', 'hydro', 'rate', 'simulate', 'converge'):\n"
+        "    assert main([command, '--config', path, '--out', out]) == 0\n"
+        "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse', 'scipy.spatial')\n"
+        "             if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, check=True)
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("command", ["simulate", "converge"])

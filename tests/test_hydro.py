@@ -290,6 +290,37 @@ def test_implicit_solve_inverts_the_crank_nicolson_matrix(grid, rng):
     assert np.array_equal(X[0], bd.a) and np.array_equal(X[-1], bd.b)
 
 
+def second_difference(m: int, h: float, periodic: bool) -> np.ndarray:
+    out = (np.eye(m, k=1) - 2 * np.eye(m) + np.eye(m, k=-1)) / h**2
+    if periodic:
+        out[0, -1] = out[-1, 0] = 1 / h**2
+    return out
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 3), Grid(1, 4), Grid(1, 65), Grid(2, 9, 4),
+                                  Grid(2, 9, 5)], ids=str)
+def test_implicit_solve_matches_dense_solve(grid, rng):
+    # (I - dt/2 A) assembled on every node, A = (1/2) Lap_h with periodic
+    # transverse rows, and identity rows at the walls holding a and b.
+    d, dt = grid.d, 0.02
+    vs = VelocitySet(np.vstack([s * 0.5 * np.eye(d) for s in (1, -1)]))
+    prof = ReservoirProfiles.constant(vs, [0.3] * 2 * d, [0.5] * 2 * d)
+    bd = BoundaryData.from_profiles(prof, vs, grid)
+    wall = np.zeros(grid.m1)
+    wall[[0, -1]] = 1.0
+    lap = np.kron(np.diag(1 - wall) @ second_difference(grid.m1, grid.h1, False),
+                  np.eye(grid.mt or 1))
+    if d == 2:
+        lap += np.kron(np.diag(1 - wall), second_difference(grid.mt, grid.ht, True))
+    matrix = np.eye(grid.n_nodes) - 0.25 * dt * lap
+    R = rng.normal(size=grid.shape + (d + 1,))
+    rhs = R.copy()
+    rhs[0], rhs[-1] = bd.a, bd.b
+    dense = np.linalg.solve(matrix, rhs.reshape(grid.n_nodes, d + 1)).reshape(rhs.shape)
+    X = _Stepper(vs, grid, bd, dt).implicit_solve(R)
+    assert np.max(np.abs(X - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
 class TestModes:
     def test_derivatives_match_finite_differences(self, vs2):
         grid = Grid(1, 401)

@@ -3,6 +3,7 @@ import pytest
 
 import latgas.ldp
 from latgas.dynamics import ReservoirProfiles
+from latgas.errors import ConditioningError
 from latgas.grid import Grid
 from latgas.hydro import (
     AxisFactor,
@@ -265,6 +266,10 @@ class TestRateEstimate:
         # max l.c - c.Q c = l Q^-1 l / 4
         assert value == pytest.approx(0.25 * (1 / 2 + 1 / 0.5), rel=1e-12)
         assert np.allclose(c_star, [0.25, 1.0])
+
+    def test_quadratic_sup_rejects_indefinite_forms(self):
+        with pytest.raises(ConditioningError, match="singular"):
+            quadratic_sup(np.ones(2), np.diag([1.0, -1.0]), reg_scale=0.0)
 
     def test_report_roundtrip(self, solution, tmp_path):
         vs, grid, bd, gamma, traj = solution

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from latgas.errors import DomainError
 from latgas.lattice import Lattice
 from latgas.thermo import (
+    ConvexDomain,
     check_in_U,
     chi,
     conserved_of_state,
@@ -21,6 +22,7 @@ from latgas.thermo import (
     theta_all,
     theta_field,
 )
+from latgas.velocities import VelocitySet
 
 
 def random_interior_targets(vset, rng, n):
@@ -193,6 +195,42 @@ class TestHull:
         y = dom.project_inward(x, min_margin=0.0)
         assert dom.margin(y) >= 0.0
         assert np.linalg.norm(y - x) < 1e-8
+
+
+HULL_SETS = {
+    "vs2": [[0.5], [-0.5]],
+    "vs4": [[0.5], [-0.5], [0.25], [-0.25]],
+    "unit": [[1.0], [-1.0]],
+    "rest": [[-1.0], [0.0], [1.0]],
+    "d2_four": [[0.5, 0.0], [-0.5, 0.0], [0.0, 0.5], [0.0, -0.5]],
+    "d2_five": [[0.5, 0.0], [-0.5, 0.0], [0.0, 0.5], [0.0, -0.5], [0.0, 0.0]],
+    "d2_eight": [[sx * a, sy * b] for a, b in ((0.5, 0.25), (0.25, 0.5))
+                 for sx in (1, -1) for sy in (1, -1)],
+    "d3_six": [list(s * 0.5 * e) for e in np.eye(3) for s in (1, -1)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(HULL_SETS))
+def test_zonotope_facets_match_qhull(name, rng):
+    # qhull on the 2^nv site-state images is the reference for the closed form.
+    from scipy.spatial import ConvexHull
+
+    vs = VelocitySet(np.array(HULL_SETS[name]))
+    dom = ConvexDomain(vs)
+    nv = len(vs)
+    states = ((np.arange(2**nv)[:, None] >> np.arange(nv)) & 1).astype(float)
+    points = np.unique(states @ vs.vtilde, axis=0)
+    hull = ConvexHull(points)
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    x = lo + (hi - lo) * rng.uniform(-0.2, 1.2, size=(2000, vs.d + 1))
+    reference = -np.max(x @ hull.equations[:, :-1].T + hull.equations[:, -1], axis=1)
+    assert np.any(reference > 0) and np.any(reference < 0)
+    assert np.max(np.abs(dom.margin(x) - reference)) < 1e-12
+    assert ({tuple(p) for p in np.round(dom.vertices, 12)}
+            == {tuple(p) for p in np.round(points[hull.vertices], 12)})
+    assert np.allclose(dom.centroid, points[hull.vertices].mean(axis=0))
+    cosines = dom.normals @ dom.normals.T
+    assert np.max(cosines - 2 * np.eye(len(cosines))) < 1 - 1e-9  # each facet once
 
 
 class TestSampling:
