@@ -230,9 +230,10 @@ def _replica_cells(cfg: ExperimentConfig, command: str, N: int, replicas: range)
             for c in centers:
                 coords = (c,) + (0,) * (cfg.model.d - 1)
                 blocks.append((t, c, block_average(eta, lat, vset, coords, block_radius)))
-        # the manifest's record of the run: its event loop and event counts
+        # the manifest's record of the run: its event loop, event and
+        # candidate counts
         run = {"event_loop": res.event_loop, "n_events": res.n_events,
-               "kind_counts": res.kind_counts}
+               "kind_counts": res.kind_counts, "candidates": res.candidates}
         cells.append({"fields": fields, "blocks": blocks, "run": run})
     return cells
 

@@ -257,12 +257,13 @@ def write_manifest(path, command: str, config: ExperimentConfig, cells: list,
 
     `cells` holds (stream key, run record) per simulated (N, replica) cell,
     in cell order; a run record has the `event_loop` that ran ("compiled" or
-    "python"), `n_events` and `kind_counts` (exclusion, collision, boundary).
-    Commands that simulate list them in `event_loop`, `n_events` and
-    `kind_counts` lines, per cell as key=value.  `blas_threads` records the
-    OPENBLAS_NUM_THREADS and OMP_NUM_THREADS values the run saw (`unset` if
-    absent): outputs that go through BLAS, such as `rate_report.txt`, are
-    byte-reproducible only at one BLAS thread.
+    "python"), `n_events`, `kind_counts` (exclusion, collision, boundary) and
+    the `candidates` read, so n_events / candidates is the cell's acceptance.
+    Commands that simulate list them in `event_loop`, `n_events`,
+    `kind_counts` and `candidates` lines, per cell as key=value.
+    `blas_threads` records the OPENBLAS_NUM_THREADS and OMP_NUM_THREADS values
+    the run saw (`unset` if absent): outputs that go through BLAS, such as
+    `rate_report.txt`, are byte-reproducible only at one BLAS thread.
     """
     import latgas
 
@@ -284,6 +285,7 @@ def write_manifest(path, command: str, config: ExperimentConfig, cells: list,
             " ".join(["n_events:"] + [f"{key}={run['n_events']}" for key, run in cells]),
             " ".join(["kind_counts:"] + [f"{key}=" + "/".join(map(str, run["kind_counts"]))
                                          for key, run in cells]),
+            " ".join(["candidates:"] + [f"{key}={run['candidates']}" for key, run in cells]),
         ]
     lines += [
         "outputs: " + " ".join(str(o) for o in outputs),

@@ -13,12 +13,23 @@ macroscopic clock:
     1 - alpha_v (left) and beta_v / 1 - beta_v (right).
 
 The simulator thins a Poisson candidate stream against static per-family rate
-bounds (composition-rejection): candidates arrive at the constant bound rate,
+bounds (Lewis & Shedler's thinning in the composition-rejection form of
+Slepoy, Thompson & Plimpton): candidates arrive at the constant bound rate,
 are accepted with probability rate/bound evaluated lazily from the current
 configuration, and rejected candidates advance the clock only.  Waiting times
 between accepted events are therefore exactly Exponential(total rate x N^2)
 and events are chosen proportionally to their rates, with O(1) expected work
 per event.
+
+Each event has a reverse on the same slots, and a configuration lets at most
+one of the two fire, so a candidate selects a reversible pair, uniformly
+within its family: a bond and a velocity (exclusion), a site and an
+unordered {incoming, outgoing} slot pair (collisions), a wall slot
+(boundary).  The configuration opens at most one direction of the pair; the
+accept variate, scaled by the family bound, picks the direction's catalog
+entry by running rate sums or rejects.  A family's bound is its largest
+direction total (`RateTable`): max P_N, 4 (the orderings of (v, w) and of
+(v', w'), so an open collision is always accepted) and max(alpha, 1 - alpha).
 
 `SimState.advance(stop)` runs the candidate stream.  `_refill` draws it in
 batches, each in a fixed order (gaps, then selectors, then accept variates).
@@ -37,7 +48,7 @@ Python.  After every CHECK_EVERY consecutive rejections the loop checks
 `RateTable.exact_totals` and raises `NumericalFailure` in an absorbing state.
 
 The loop is a C function (`_eventloop.c`, built and loaded by `eventloop`)
-reading the candidate arrays, the `RateTable` slot arrays and the uint8
+reading the candidate arrays, the `RateTable` pair arrays and the uint8
 configuration in place, with the same arithmetic as `_select`/`_apply`, so
 both give the same bytes.  It is compiled on first use into the package's
 `__pycache__/` (a private temporary directory when that is not writable);
@@ -300,21 +311,56 @@ def apply_event(eta: np.ndarray, event: Event) -> None:
 
 # --- rate table ---------------------------------------------------------------
 
+@dataclass(frozen=True)
+class ReversiblePairs:
+    """One family's catalog entries grouped into reversible pairs.
+
+    Row p of `slots` holds pair p's two slot sets of equal size: direction 0
+    empties the first set into the second, direction 1 the second into the
+    first, and a configuration opens at most one of them.  `entry[p, j]` lists
+    direction j's catalog entries and `cum[p, j]` their running rate sums;
+    the largest direction total `bound` is the family's rate bound.
+    """
+
+    slots: np.ndarray  # (pairs, 2 x set size)
+    entry: np.ndarray  # (pairs, 2, entries per direction)
+    cum: np.ndarray  # same shape as entry
+
+    @property
+    def bound(self) -> float:
+        return float(self.cum.max(initial=0.0))
+
+    def pick(self, p: int, direction: int, u: float) -> int:
+        """The entry of the direction whose running sum first exceeds u, or -1."""
+        for idx, total in zip(self.entry[p, direction], self.cum[p, direction]):
+            if u < total:
+                return int(idx)
+        return -1
+
+
 class RateTable:
     """The event catalog: every possible event as array entries, plus per-family
-    rate bounds.
+    rate bounds for the simulator.
 
     Entries are slot indices `site * nv + v` into the flat configuration:
     exclusion hops `ex_src` -> `ex_tgt` at constant `ex_pn` (ordered by site,
     velocity, direction), collisions `col_slots` = (v, w, v', w') slots of one
-    site (ordered by site, then `collisions.active`), and reservoir flips of
-    `bd_slot` at rate `bd_birth` when empty, `bd_death` when occupied (ordered
-    by wall site, then velocity).  The simulator's selector index and the exact
-    generator both read this order.  Entry rates are pure functions of the
-    current configuration and are evaluated lazily; `exact_totals` recomputes
-    the family sums for checks and waiting-time statistics.  Suppressed
-    exclusion moves (through a wall) are left out, as are collision quadruples
-    that can never fire.
+    site at rate 1 (ordered by site, then `collisions.active`), and reservoir
+    flips of `bd_slot` at rate `bd_birth` when empty, `bd_death` when occupied
+    (ordered by wall site, then velocity).  The exact generator and the
+    simulator's returned indices both read this order.  Suppressed exclusion
+    moves (through a wall) are left out, as are collision quadruples that can
+    never fire.  `exact_totals` recomputes the family sums for checks and
+    waiting-time statistics.
+
+    For the simulator, `ex_pairs` groups the hops into reversible pairs (a
+    bond and a velocity; a two-site ring has two bonds between its sites) and
+    `col_pairs` the quadruples (a site and an unordered {incoming, outgoing}
+    velocity pair, four orderings per direction); a boundary pair is one wall
+    slot.  `n_pairs` counts the pairs per family and `bound_ex`, `bound_col`,
+    `bound_bd` are the largest direction totals: max P_N, 4, and
+    max(alpha, 1 - alpha) over the walls.  `weights`, pairs x bound, is each
+    family's candidate rate.
     """
 
     def __init__(self, model: Model):
@@ -328,12 +374,36 @@ class RateTable:
         self.ex_src = s * nv + v
         self.ex_tgt = nbr[s, d] * nv + v
         self.ex_pn = model.jump_law.PN_matrix(lat.N)[v, d]
+        # a bond runs from a site along +e_a; its pair, one per velocity, is
+        # the hop along it and the hop back (a two-site ring has two bonds)
+        index = np.full((lat.n_sites, nv, 2 * lat.d), -1)
+        index[s, v, d] = np.arange(len(s))
+        along = np.flatnonzero(d % 2 == 0)
+        back = index[nbr[s[along], d[along]], v[along], d[along] + 1]
+        entry = np.stack((along, back), axis=1)[:, :, None]
+        self.ex_pairs = ReversiblePairs(
+            np.stack((self.ex_src[along], self.ex_tgt[along]), axis=1), entry,
+            self.ex_pn[entry])
 
         quads = []
         if model.include_collisions and model.collisions is not None:
             quads = [(q.v, q.w, q.vp, q.wp) for q in model.collisions.active]
         quads = np.array(quads, dtype=np.int64).reshape(-1, 4)
-        self.col_slots = (np.arange(lat.n_sites)[:, None, None] * nv + quads).reshape(-1, 4)
+        sites = np.arange(lat.n_sites)[:, None, None]
+        self.col_slots = (sites * nv + quads).reshape(-1, 4)
+        # a pair is one site's unordered {incoming, outgoing} velocity pair;
+        # each direction holds the four orderings of (v, w) and of (v', w')
+        pairs = {}
+        for k, q in enumerate(quads.tolist()):
+            out, into = sorted(q[:2]), sorted(q[2:])
+            first, second = sorted((out, into))
+            pairs.setdefault((*first, *second), ([], []))[out != first].append(k)
+        velocities = np.array(list(pairs), dtype=np.int64).reshape(-1, 4)
+        local = np.array(list(pairs.values()), dtype=np.int64).reshape(-1, 2, 4)
+        self.col_pairs = ReversiblePairs(
+            (sites * nv + velocities).reshape(-1, 4),
+            (sites[..., None] * len(quads) + local).reshape(-1, 2, 4),
+            np.tile(np.arange(1.0, 5.0), (lat.n_sites * len(pairs), 2, 1)))
 
         # boundary: one profile call per (wall layer, velocity); the left
         # layer's sites precede the right layer's in site order
@@ -354,25 +424,29 @@ class RateTable:
         self.bd_birth = np.concatenate(births)
         self.bd_death = 1.0 - self.bd_birth
 
-        self.bound_ex = float(self.ex_pn.max(initial=0.0))
-        self.bound_col = 1.0 if len(self.col_slots) else 0.0
+        self.bound_ex = self.ex_pairs.bound
+        self.bound_col = self.col_pairs.bound
         self.bound_bd = float(np.maximum(self.bd_birth, self.bd_death).max(initial=0.0))
         self.counts = (len(self.ex_src), len(self.col_slots), len(self.bd_slot))
+        self.n_pairs = (len(self.ex_pairs.slots), len(self.col_pairs.slots), self.counts[2])
         self.weights = (
-            self.counts[0] * self.bound_ex,
-            self.counts[1] * self.bound_col,
-            self.counts[2] * self.bound_bd,
+            self.n_pairs[0] * self.bound_ex,
+            self.n_pairs[1] * self.bound_col,
+            self.n_pairs[2] * self.bound_bd,
         )
         self.total_bound = sum(self.weights)
 
     @cached_property
     def loop_pointers(self) -> tuple:
-        """Addresses of the slot arrays in `eventloop.LoopState` order, which
-        the compiled loop of every `SimState` on this table reads in place."""
-        self._loop_arrays = [np.ascontiguousarray(a, dtype=dtype) for a, dtype in (
-            (self.ex_src, np.int64), (self.ex_tgt, np.int64), (self.ex_pn, float),
-            (self.col_slots, np.int64), (self.bd_slot, np.int64),
-            (self.bd_birth, float), (self.bd_death, float))]
+        """Addresses of the pair and boundary arrays in `eventloop.LoopState`
+        order, which the compiled loop of every `SimState` on this table reads
+        in place."""
+        ex, col = self.ex_pairs, self.col_pairs
+        arrays = (ex.slots, ex.entry, ex.cum, col.slots, col.entry, col.cum,
+                  self.bd_slot, self.bd_birth, self.bd_death)
+        self._loop_arrays = [
+            np.ascontiguousarray(a, dtype=float if a.dtype.kind == "f" else np.int64)
+            for a in arrays]
         return tuple(a.ctypes.data for a in self._loop_arrays)
 
     def exact_totals(self, eta: np.ndarray) -> np.ndarray:
@@ -473,12 +547,17 @@ class SimState:
             # set per batch
             self._loop = LoopState(
                 None, None, None, *table.loop_pointers,
-                self.eta_flat.ctypes.data, self.kind_counts.ctypes.data, 0, *table.counts,
+                self.eta_flat.ctypes.data, self.kind_counts.ctypes.data, 0, *table.n_pairs,
                 table.bound_ex, table.bound_col, table.bound_bd, self.thr1, self.thr2)
 
     @property
     def n_events(self) -> int:
         return int(self.kind_counts.sum())
+
+    @property
+    def candidates(self) -> int:
+        """Candidates read so far: those drawn less the unread rest of the batch."""
+        return self._drawn - (len(self._gap) - self._pos)
 
     @property
     def event_loop(self) -> str:
@@ -536,24 +615,31 @@ class SimState:
     def _select(self):
         """Advance the clock to the next accepted event; return (kind, idx).
 
-        The Python reference for the compiled loop's candidate scan."""
+        The Python reference for the compiled loop's candidate scan: a
+        candidate selects a reversible pair, the configuration opens at most
+        one of its directions, and the accept variate picks an entry of it."""
         table, eta = self.table, self.eta_flat
+        n_ex, n_col, n_bd = table.n_pairs
         tried = 0
         while True:
             gap, sel, acc = self._next_candidate()
             self.t += gap
             if sel < self.thr1:
-                idx = min(int(sel / table.bound_ex), table.counts[0] - 1)
-                if eta[table.ex_src[idx]] and not eta[table.ex_tgt[idx]]:
-                    if acc * table.bound_ex < table.ex_pn[idx]:
+                p = min(int(sel / table.bound_ex), n_ex - 1)
+                a, b = table.ex_pairs.slots[p]
+                if eta[a] != eta[b]:
+                    idx = table.ex_pairs.pick(p, eta[b], acc * table.bound_ex)
+                    if idx >= 0:
                         return EXCLUSION, idx
             elif sel < self.thr2:
-                idx = min(int((sel - self.thr1) / table.bound_col), table.counts[1] - 1)
-                a, b, c, d = table.col_slots[idx]
-                if eta[a] and eta[b] and not eta[c] and not eta[d]:
-                    return COLLISION, idx
+                p = min(int((sel - self.thr1) / table.bound_col), n_col - 1)
+                a, b, c, d = table.col_pairs.slots[p]
+                if eta[a] == eta[b] != eta[c] == eta[d]:
+                    idx = table.col_pairs.pick(p, eta[c], acc * table.bound_col)
+                    if idx >= 0:
+                        return COLLISION, idx
             else:
-                idx = min(int((sel - self.thr2) / table.bound_bd), table.counts[2] - 1)
+                idx = min(int((sel - self.thr2) / table.bound_bd), n_bd - 1)
                 slot = table.bd_slot[idx]
                 rate = table.bd_death[idx] if eta[slot] else table.bd_birth[idx]
                 if acc * table.bound_bd < rate:
@@ -610,6 +696,7 @@ class SimulationResult:
     t_end: float
     n_events: int
     kind_counts: tuple
+    candidates: int  # candidates read, accepted or not
     samples: list
     event_loop: str  # "compiled" or "python"
 
@@ -682,6 +769,7 @@ def simulate(initial: Configuration, model: Model, horizon: float, rng,
         t_end=horizon,
         n_events=state.n_events,
         kind_counts=tuple(int(k) for k in state.kind_counts),
+        candidates=state.candidates,
         samples=samples,
         event_loop=state.event_loop,
     )

@@ -25,13 +25,15 @@ SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_eventloop.c"
 CACHE_DIR = os.path.join(os.path.dirname(SOURCE), "__pycache__")
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
-_POINTERS = ("gap", "sel", "acc", "ex_src", "ex_tgt", "ex_pn", "col_slots",
-             "bd_slot", "bd_birth", "bd_death", "eta", "kind_counts")
+_POINTERS = ("gap", "sel", "acc", "ex_pair", "ex_entry", "ex_cum", "col_pair",
+             "col_entry", "col_cum", "bd_slot", "bd_birth", "bd_death", "eta",
+             "kind_counts")
 
 
 class LoopState(ctypes.Structure):
-    """The C `loop_state`: array pointers, sizes and bounds, then the clock,
-    next candidate, consecutive rejections and pending entry."""
+    """The C `loop_state`: array pointers, the candidate count and the pairs
+    per family, the bounds, then the clock, next candidate, consecutive
+    rejections and pending entry."""
 
     _fields_ = ([(name, ctypes.c_void_p) for name in _POINTERS]
                 + [(name, ctypes.c_int64) for name in ("n_cand", "n_ex", "n_col", "n_bd")]

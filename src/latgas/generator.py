@@ -134,8 +134,30 @@ class ExactGenerator:
         return out - mu * self.exit
 
     def invariance_residual(self, mu) -> float:
-        """sup-norm of mu L for a measure mu over all states (see product_measure)."""
-        return float(np.max(np.abs(self.left(mu))))
+        """max|mu L| relative to max_j mu_j exit_j for a measure mu over all
+        states (see product_measure), or exactly 0.0 when it is within
+        `rounding_bound`, which rounding alone can produce."""
+        scale = float(np.max(mu * self.exit, initial=0.0))
+        if scale == 0.0:
+            return 0.0
+        residual = float(np.max(np.abs(self.left(mu)))) / scale
+        return 0.0 if residual <= self.rounding_bound else residual
+
+    @property
+    def rounding_bound(self) -> float:
+        """Largest `invariance_residual` that rounding can give an exactly
+        invariant product measure: (F + 1) gamma_n, gamma_n = n u / (1 - n u).
+
+        Each entry of mu L sums F + 1 terms, the F inflows mu rates[k] and the
+        outflow mu exit, each at most max mu exit in size.  Forming the terms
+        (the outflow's exit sums F rates) and adding them takes 2F roundings;
+        each mu entry takes three per site (the site weight's argument, its
+        exp and the product) and one to normalize, each rate three (P_N =
+        1/2 + p/N, times N^2): n = 2F + 3 n_sites + 4, with u = 2^-53.
+        """
+        n = 2 * len(self.flips) + 3 * self.model.lattice.n_sites + 4
+        u = np.finfo(float).eps / 2
+        return (len(self.flips) + 1) * n * u / (1 - n * u)
 
     def detailed_balance_audit(self, mu) -> dict:
         """Check mu(eta) rate(eta->eta') == mu(eta') rate(eta'->eta) per transition.

@@ -1,0 +1,52 @@
+"""Rewrite the recorded simulator streams and command-output digests.
+
+    python tests/record_data.py
+
+Every case runs on the Python reference loop; the compiled loop must then
+reproduce the files byte for byte.  It rewrites
+
+  tests/data/sim_streams.json  `test_eventloop.stream_record` of each case and seed;
+  tests/data/cli_outputs.json  the `simulate` and `converge` digests of
+                               `test_cli.output_digests` at one thread, and the
+                               `exact` digests of `test_cli.exact_report_digest`.
+
+Re-record only for a change that is meant to move these outputs (a new
+candidate stream, a new report line), and say in CHANGES.md which moved.
+"""
+
+from __future__ import annotations
+
+import json
+import pathlib
+import sys
+import tempfile
+
+HERE = pathlib.Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
+
+from latgas import eventloop  # noqa: E402
+
+import test_cli  # noqa: E402
+import test_eventloop  # noqa: E402
+
+
+def write(path: pathlib.Path, data: dict) -> None:
+    path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+
+
+def main() -> None:
+    eventloop.load_kernel = lambda: None
+    streams = {f"{name}-seed{seed}": test_eventloop.stream_record(name, seed)
+               for name, seed in test_eventloop.CASES}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        outputs = {command: test_cli.output_digests(tmp, command, threads=1)
+                   for command in ("simulate", "converge")}
+        outputs["exact"] = {name: test_cli.exact_report_digest(tmp, name)
+                            for name in sorted(test_cli.EXACT_CONFIGS)}
+    write(HERE / "data" / "sim_streams.json", streams)
+    write(HERE / "data" / "cli_outputs.json", outputs)
+
+
+if __name__ == "__main__":
+    main()

@@ -112,8 +112,8 @@ def output_digests(tmp_path, command, threads):
             for p in sorted(out.iterdir()) if not p.name.startswith("manifest_")}
 
 
-# recorded with `output_digests(..., threads=1)` before the per-N replica setup;
-# the "exact" digests with `exact_report_digest` from the COO-assembled generator
+# recorded by `tests/record_data.py`: `output_digests(..., threads=1)` on the
+# Python loop and `exact_report_digest`
 RECORDED_OUTPUTS = json.loads(
     (pathlib.Path(__file__).parent / "data" / "cli_outputs.json").read_text())
 
@@ -336,7 +336,7 @@ def test_threads_do_not_change_outputs(tmp_path, command):
     assert runs[1] and runs[1] == runs[2]
 
 
-RUN_LINES = ("stream_keys", "event_loop", "n_events", "kind_counts")
+RUN_LINES = ("stream_keys", "event_loop", "n_events", "kind_counts", "candidates")
 
 
 @pytest.mark.parametrize("command", ["simulate", "converge"])
@@ -359,10 +359,13 @@ def test_manifest_records_each_cell_event_counts(tmp_path, command):
     assert lines[1]["event_loop"] in (["compiled"], ["python"])
     events = dict(item.split("=") for item in lines[1]["n_events"])
     kinds = dict(item.split("=") for item in lines[1]["kind_counts"])
-    assert list(events) == list(kinds) == keys
+    candidates = dict(item.split("=") for item in lines[1]["candidates"])
+    assert list(events) == list(kinds) == list(candidates) == keys
     for key in keys:
         assert int(events[key]) > 0
         assert sum(int(k) for k in kinds[key].split("/")) == int(events[key])
+        # every event is a read candidate, and so is the first one past the horizon
+        assert int(candidates[key]) > int(events[key])
 
 
 def test_manifest_has_no_event_lines_without_simulation(tmp_path):

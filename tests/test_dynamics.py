@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import math
 import pathlib
@@ -220,6 +221,36 @@ class TestRateTable:
         inside = sorted((s, t) for s in range(lat.n_sites) for t, _ in lat.neighbors(s))
         assert hops == sorted(inside * nv)
 
+    @pytest.mark.parametrize("name", sorted(CATALOG_MODELS))
+    def test_reversible_pairs_partition_the_catalog(self, name):
+        # Every entry sits in one direction of one pair, that direction empties
+        # the entry's out slots into its in slots, and the running sums are
+        # the entries' rates added in order.
+        table = CATALOG_MODELS[name]().table
+        families = (
+            (table.ex_pairs, table.ex_src[:, None], table.ex_tgt[:, None], table.ex_pn),
+            (table.col_pairs, table.col_slots[:, :2], table.col_slots[:, 2:],
+             np.ones(len(table.col_slots))),
+        )
+        for pairs, out_slots, in_slots, rates in families:
+            assert sorted(pairs.entry.ravel()) == list(range(len(rates)))
+            half = out_slots.shape[1]
+            for p, row in enumerate(pairs.slots):
+                for j, (out, into) in enumerate(((row[:half], row[half:]),
+                                                 (row[half:], row[:half]))):
+                    for k in pairs.entry[p, j]:
+                        assert set(out_slots[k]) == set(out) and set(in_slots[k]) == set(into)
+                    assert list(pairs.cum[p, j]) == list(
+                        itertools.accumulate(rates[pairs.entry[p, j]]))
+        # a hop and its reverse per bond, and the four orderings of (v, w)
+        # and (v', w') per collision direction
+        assert 2 * table.n_pairs[0] == table.counts[0]
+        assert 8 * table.n_pairs[1] == table.counts[1]
+        assert table.bound_ex == table.ex_pn.max()
+        assert table.bound_col == (4.0 if table.counts[1] else 0.0)
+        assert table.weights == tuple(n * b for n, b in zip(
+            table.n_pairs, (table.bound_ex, table.bound_col, table.bound_bd)))
+
     @pytest.mark.parametrize("name", sorted(RECORDED_EVENTS))
     def test_event_from_entry_matches_recorded_catalog(self, name):
         # Recorded from the per-entry metadata lists the catalog kept before
@@ -388,27 +419,36 @@ class TestSimulate:
         # strongest dynamics oracle: time-averaged slot occupations of a long
         # run against the stationary distribution of the exact generator
         model = make_model(3, vs2, alpha=[0.3, 0.4], beta=[0.6, 0.5])
-        gen = assemble_exact_generator(model)
-        # stationary distribution: left null vector of the generator
-        import scipy.linalg
+        assert_matches_exact_stationary(model, seed=400)
 
-        q = gen.matrix.toarray()
-        w, vl = scipy.linalg.eig(q.T)
-        k = int(np.argmin(np.abs(w)))
-        pi = np.real(vl[:, k])
-        pi = pi / pi.sum()
-        bits = gen.state_bits()
-        exact = pi @ bits  # marginal occupation per slot
+    def test_simulator_with_collisions_matches_exact_stationary_distribution(self, vs4):
+        # the same oracle on 256 states, where collisions fire in both
+        # directions (about 1 event in 7); the longer runs keep the SEM near
+        # 0.01 at this slower event rate
+        model = make_model(3, vs4, alpha=[0.3, 0.4, 0.35, 0.45], beta=[0.6, 0.5, 0.55, 0.65])
+        assert_matches_exact_stationary(model, seed=500, horizon=100.0)
 
-        reps, horizon = 4, 30.0
-        sims = []
-        for r in range(reps):
-            rng = np.random.default_rng(400 + r)
-            eta0 = Configuration(model.lattice, vs2)
-            tracker = OccupationTracker(4)
-            res = simulate(eta0, model, horizon, rng, trackers=[tracker])
-            sims.append(tracker.mean_occupation(horizon, res.final.eta.reshape(-1)))
-        sims = np.array(sims)
-        mean = sims.mean(axis=0)
-        sem = sims.std(axis=0, ddof=1) / math.sqrt(reps)
-        assert np.all(np.abs(mean - exact) <= 4 * sem + 0.01)
+
+def assert_matches_exact_stationary(model, seed, reps=4, horizon=30.0):
+    """Per-slot occupations averaged over `reps` runs from the empty state lie
+    within 4 SEM + 0.01 of the exact generator's stationary marginals."""
+    import scipy.linalg
+
+    gen = assemble_exact_generator(model)
+    # stationary distribution: left null vector of the generator
+    w, vl = scipy.linalg.eig(gen.matrix.toarray().T)
+    pi = np.real(vl[:, int(np.argmin(np.abs(w)))])
+    exact = (pi / pi.sum()) @ gen.state_bits()  # marginal occupation per slot
+
+    n_slots = model.lattice.n_sites * len(model.vset)
+    sims = []
+    for r in range(reps):
+        rng = np.random.default_rng(seed + r)
+        tracker = OccupationTracker(n_slots)
+        res = simulate(Configuration(model.lattice, model.vset), model, horizon, rng,
+                       trackers=[tracker])
+        sims.append(tracker.mean_occupation(horizon, res.final.eta.reshape(-1)))
+    sims = np.array(sims)
+    mean = sims.mean(axis=0)
+    sem = sims.std(axis=0, ddof=1) / math.sqrt(reps)
+    assert np.all(np.abs(mean - exact) <= 4 * sem + 0.01)

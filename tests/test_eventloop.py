@@ -1,10 +1,11 @@
 """The compiled event loop against the Python reference loop and a recorded stream.
 
-`tests/data/sim_streams.json` was recorded with `stream_record` from the
-Python reference loop, with candidate batches growing from 2^8 to 2^14.  Both
-loops must reproduce it exactly: same event counts, same configuration bytes
-at every sample time and at the end, same event log, tracker averages and
-`step()` draws.
+`tests/data/sim_streams.json` holds `stream_record` of each case, recorded
+from the Python reference loop by `tests/record_data.py`, with candidate
+batches growing from 2^8 to 2^14.  Both loops must reproduce it exactly: same
+event counts, same configuration bytes at every sample time and at the end,
+same event log, tracker averages and `step()` draws.  Both must also draw the
+first event from a fixed state with the catalog's law.
 """
 
 import hashlib
@@ -15,6 +16,7 @@ import tempfile
 
 import numpy as np
 import pytest
+from scipy.special import chdtri, ndtri
 
 from latgas import eventloop
 from latgas.errors import NumericalFailure
@@ -154,7 +156,7 @@ def run_every_entry_point(make, seed: int) -> dict:
     eta0 = Configuration(lat, vs, sample_product_state([0.2, 0.1], lat, vs,
                                                        np.random.default_rng(seed)))
     rng = CountingRng(seed)
-    res = simulate(eta0, model, 8.0, rng, sample_times=[0.5, 2.0, 8.0])
+    res = simulate(eta0, model, 16.0, rng, sample_times=[0.5, 2.0, 16.0])
     tracker, log = OccupationTracker(lat.n_sites * len(vs)), io.StringIO()
     logged = simulate(eta0, model, 0.1, np.random.default_rng(seed), trackers=[tracker],
                       event_log=log)
@@ -200,13 +202,14 @@ def loop(request, monkeypatch):
 @pytest.mark.parametrize("name", sorted(STREAM_CASES))
 def test_sample_times_do_not_change_the_stream(loop, name):
     # A sample stops the loop at its time, which must not move the batch
-    # boundaries: the seed alone fixes the trajectory.
+    # boundaries: the seed alone fixes the trajectory.  The horizon spans at
+    # least three batches on every case.
     model = STREAM_CASES[name][0]()
     lat, vs = model.lattice, model.vset
     eta0 = Configuration(lat, vs, np.zeros((lat.n_sites, len(vs)), dtype=np.uint8))
     rngs = [CountingRng(7), CountingRng(7)]
-    runs = [simulate(eta0, model, 0.1, rng, sample_times=times)
-            for rng, times in zip(rngs, ([0.0, 0.05, 0.1], [0.0, 0.1]))]
+    runs = [simulate(eta0, model, 0.2, rng, sample_times=times)
+            for rng, times in zip(rngs, ([0.0, 0.1, 0.2], [0.0, 0.2]))]
     assert runs[0].event_loop == loop
     assert runs[0].final.eta.tobytes() == runs[1].final.eta.tobytes()
     assert (runs[0].n_events, runs[0].kind_counts) == (runs[1].n_events, runs[1].kind_counts)
@@ -249,8 +252,80 @@ def test_short_runs_draw_at_most_twice_what_they_read(loop, horizon):
     state = SimState(model, np.zeros((lat.n_sites, len(vs)), dtype=np.uint8), rng)
     advance_through(state, [horizon])
     drawn = sum(rng.batches)
-    read = drawn - (len(state._gap) - state._pos)
+    read = state.candidates
     assert 0 < read <= drawn <= max(SimState.FIRST_BATCH, 2 * read)
+
+
+# name -> (model factory, fixed states as (sites, velocities) occupations)
+LAW_CASES = {
+    "vs2_walls_N3": (
+        lambda: Model(Lattice(3, 1), VS2, profiles=ReservoirProfiles.constant(
+            VS2, [0.3, 0.4], [0.6, 0.5])),
+        [[[1, 0], [0, 0]], [[1, 1], [0, 1]]]),
+    # a collision open forward at site 0 and backward at site 1, then one
+    # open at neither site
+    "vs4_walls_N3": (
+        lambda: Model(Lattice(3, 1), VS4, profiles=ReservoirProfiles.constant(
+            VS4, [0.3, 0.4, 0.35, 0.45], [0.6, 0.5, 0.55, 0.65])),
+        [[[1, 1, 0, 0], [0, 0, 1, 1]], [[1, 1, 0, 1], [1, 0, 1, 0]]]),
+    "vs2d_walls_N3": (
+        lambda: Model(Lattice(3, 2), VS2D, profiles=ReservoirProfiles.constant(
+            VS2D, [0.3, 0.4, 0.35, 0.45], [0.6, 0.5, 0.55, 0.65])),
+        [[[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0],
+          [0, 1, 0, 0], [0, 0, 0, 1], [1, 1, 1, 0]]]),
+    "vs4_ring_N4": (
+        lambda: Model(Lattice(4, 1, periodic=True), VS4),
+        [[[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 0, 1]]]),
+    # each hop between the two sites has two entries, one per direction of
+    # the ring, with different rates
+    "vs2_ring_N3": (
+        lambda: Model(Lattice(3, 1, periodic=True), VS2),
+        [[[1, 0], [0, 1]], [[1, 1], [0, 0]]]),
+}
+LAW_DRAWS = 20_000
+LAW_P = 1e-6
+
+
+def entry_rates(table, eta) -> np.ndarray:
+    """The rate of every catalog entry under eta, in catalog order."""
+    flat = eta.reshape(-1)
+    col = flat[table.col_slots]
+    occupied = flat[table.bd_slot]
+    return np.concatenate((
+        flat[table.ex_src] * (1 - flat[table.ex_tgt]) * table.ex_pn,
+        col[:, 0] * col[:, 1] * (1 - col[:, 2]) * (1 - col[:, 3]),
+        np.where(occupied == 0, table.bd_birth, table.bd_death)))
+
+
+@pytest.mark.parametrize("name", sorted(LAW_CASES))
+def test_first_event_law(loop, name):
+    # From a fixed state each `advance(-inf)` returns the next accepted event
+    # unapplied, so repeated calls are independent draws of the first event:
+    # its entry must have the catalog law and its waiting time must be
+    # exponential with the total rate.
+    make, states = LAW_CASES[name]
+    model = make()
+    table = model.table
+    offsets = np.cumsum((0,) + table.counts)
+    for i, rows in enumerate(states):
+        eta = np.array(rows, dtype=np.uint8)
+        rates = entry_rates(table, eta)
+        assert np.isclose(rates.sum(), table.exact_totals(eta).sum(), rtol=1e-14)
+        state = SimState(model, eta, np.random.default_rng(i))
+        assert state.event_loop == loop
+        counts = np.zeros(len(rates))
+        for _ in range(LAW_DRAWS):
+            kind, idx = state.advance(-np.inf)
+            counts[offsets[kind] + idx] += 1
+        assert state.eta_flat.tobytes() == eta.tobytes()
+        fires = rates > 0
+        assert counts[~fires].sum() == 0
+        expected = LAW_DRAWS * rates[fires] / rates.sum()
+        chi2 = np.sum((counts[fires] - expected) ** 2 / expected)
+        assert chi2 <= chdtri(fires.sum() - 1, LAW_P), (i, chi2)
+        # state.t sums LAW_DRAWS Exponential(total rate) waiting times
+        ratio = state.t / LAW_DRAWS * table.total_rate(eta)
+        assert abs(ratio - 1) <= ndtri(1 - LAW_P / 2) / np.sqrt(LAW_DRAWS), (i, ratio)
 
 
 @pytest.fixture

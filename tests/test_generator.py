@@ -191,6 +191,28 @@ class TestInvariance:
         gen = assemble_exact_generator(two_site_model(vs2, periodic=False, profiles=prof))
         assert gen.invariance_residual(gen.product_measure(np.array([0.0, 0.0]))) > 1e-3
 
+    def test_rounding_noise_reads_zero_in_any_summation_order(self, vs4):
+        # mu L of an invariant measure is rounding noise whose value depends on
+        # the order the rate rows are added; below the rounding bound the
+        # residual is exactly 0, so both orders report the same
+        gen = assemble_exact_generator(Model(Lattice(5, 1, periodic=True), vs4),
+                                       parts=("exclusion", "collision"))
+        reverse = dataclasses.replace(gen, flips=gen.flips[::-1], rates=gen.rates[::-1])
+        noisy = 0
+        for lam in ([0.3, 0.2], [0.2, -0.4], [1.5, -0.7]):
+            mu = gen.product_measure(np.array(lam))
+            noisy += np.max(np.abs(gen.left(mu))) > 0
+            assert gen.invariance_residual(mu) == reverse.invariance_residual(mu) == 0.0
+        assert noisy and gen.rounding_bound < 1e-12
+
+    def test_residual_is_relative_to_the_largest_outflow(self, vs4):
+        prof = ReservoirProfiles.constant(vs4, [0.3, 0.4, 0.35, 0.45], [0.6, 0.5, 0.55, 0.65])
+        gen = assemble_exact_generator(Model(Lattice(4, 1), vs4, profiles=prof))
+        mu = gen.product_measure(np.array([0.2, -0.1]))
+        relative = np.max(np.abs(mu @ gen.matrix)) / np.max(mu * gen.exit)
+        assert gen.invariance_residual(mu) == pytest.approx(relative, rel=1e-12)
+        assert relative > 0.1
+
 
 def dict_audit(gen, lam):
     """Reference detailed-balance audit: a walk over a dict of the entries."""
