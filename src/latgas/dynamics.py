@@ -12,9 +12,9 @@ macroscopic clock:
   * boundary: slots on the wall layers flip at reservoir rates alpha_v /
     1 - alpha_v (left) and beta_v / 1 - beta_v (right).
 
-The simulator thins a Poisson candidate stream against static per-family rate
+The simulator thins a Poisson candidate stream against per-family rate
 bounds (Lewis & Shedler's thinning in the composition-rejection form of
-Slepoy, Thompson & Plimpton): candidates arrive at the constant bound rate,
+Slepoy, Thompson & Plimpton): candidates arrive at the summed bound rate,
 are accepted with probability rate/bound evaluated lazily from the current
 configuration, and rejected candidates advance the clock only.  Waiting times
 between accepted events are therefore exactly Exponential(total rate x N^2)
@@ -29,14 +29,32 @@ unordered {incoming, outgoing} slot pair (collisions), a wall slot
 accept variate, scaled by the family bound, picks the direction's catalog
 entry by running rate sums or rejects.  A family's bound is its largest
 direction total (`RateTable`): max P_N, 4 (the orderings of (v, w) and of
-(v', w'), so an open collision is always accepted) and max(alpha, 1 - alpha).
+(v', w')) and max(alpha, 1 - alpha).
+
+Exclusion and boundary candidates are thinned against their static weights
+(`RateTable.weights`, pairs x bound).  A collision pair is seldom open, so
+collisions use the n-fold way (Bortz, Kalos & Lebowitz) within that scheme:
+each `SimState` keeps the list of its open collision pairs, whose slots read
+(1, 1, 0, 0) or (0, 0, 1, 1), and draws collision candidates uniformly from
+it.  An open direction's total rate is 4, so a collision candidate is never
+rejected, and the candidate rate is R = W_ex + 4 n_open + W_bd: `weights[1]`
+stays the static collision bound, the simulator's collision rate is
+4 n_open.  R changes only when an applied event opens or closes a pair;
+after each event the collision pairs of the sites it touched (site s owns
+pairs s G ... s G + G - 1 of `col_pairs`, G = `RateTable.col_groups`) are
+re-tested, in increasing site order, an opened pair appended to the list and
+a closed one swap-removed.  R = 0 is an absorbing state and raises
+`NumericalFailure` before any candidate is read.
 
 `SimState.advance(stop)` runs the candidate stream.  `_refill` draws it in
-batches, each in a fixed order (gaps, then selectors, then accept variates).
-The first batch holds `SimState.FIRST_BATCH` = 2^8 candidates and each later
-one as many as all earlier batches together, up to `SimState.BATCH` = 2^14:
-a short run draws few more candidates than it reads (at most twice as many,
-or 2^8), and a long one draws 2^14 at a time.  The schedule is fixed by these
+batches, each in a fixed order (standard exponentials, then selector
+uniforms, then accept variates); the loop scales them by the current R,
+a gap E / (R N^2) and a selector u R.  For a model without collision pairs
+R is `RateTable.total_bound` throughout.  The first batch holds
+`SimState.FIRST_BATCH` = 2^8 candidates and each later one as many as all
+earlier batches together, up to `SimState.BATCH` = 2^14: a short run draws
+few more candidates than it reads (at most twice as many, or 2^8), and a
+long one draws 2^14 at a time.  The schedule is fixed by these
 constants alone, never by `stop`, the sample times or the horizon, so a seed
 fixes the stream whichever loop consumes it and however the run is observed.
 The loop applies every accepted event with clock reading t < stop and
@@ -48,11 +66,12 @@ Python.  After every CHECK_EVERY consecutive rejections the loop checks
 `RateTable.exact_totals` and raises `NumericalFailure` in an absorbing state.
 
 The loop is a C function (`_eventloop.c`, built and loaded by `eventloop`)
-reading the candidate arrays, the `RateTable` pair arrays and the uint8
-configuration in place, with the same arithmetic as `_select`/`_apply`, so
-both give the same bytes.  It is compiled on first use into the package's
-`__pycache__/` (a private temporary directory when that is not writable);
-with no C compiler `SimState` runs `_select`/`_apply`, the Python reference.
+reading the candidate arrays, the `RateTable` pair arrays, the uint8
+configuration and the open collision list in place, with the same arithmetic
+and list updates as `_select`/`_apply`, so both give the same bytes.  It is
+compiled on first use into the package's `__pycache__/` (a private temporary
+directory when that is not writable); with no C compiler `SimState` runs
+`_select`/`_apply`, the Python reference.
 `SimState.event_loop` and `SimulationResult.event_loop` say which ran.
 """
 
@@ -357,10 +376,13 @@ class RateTable:
     bond and a velocity; a two-site ring has two bonds between its sites) and
     `col_pairs` the quadruples (a site and an unordered {incoming, outgoing}
     velocity pair, four orderings per direction); a boundary pair is one wall
-    slot.  `n_pairs` counts the pairs per family and `bound_ex`, `bound_col`,
+    slot.  `n_pairs` counts the pairs per family, `col_groups` the collision
+    pairs per site (`col_pairs` is site-major), and `bound_ex`, `bound_col`,
     `bound_bd` are the largest direction totals: max P_N, 4, and
     max(alpha, 1 - alpha) over the walls.  `weights`, pairs x bound, is each
-    family's candidate rate.
+    family's static rate bound: the exclusion and boundary candidate rates,
+    and for collisions the bound 4 x pairs, while the simulator's collision
+    candidate rate is 4 x the pairs open (`SimState.n_open`).
     """
 
     def __init__(self, model: Model):
@@ -400,6 +422,7 @@ class RateTable:
             pairs.setdefault((*first, *second), ([], []))[out != first].append(k)
         velocities = np.array(list(pairs), dtype=np.int64).reshape(-1, 4)
         local = np.array(list(pairs.values()), dtype=np.int64).reshape(-1, 2, 4)
+        self.col_groups = len(pairs)  # collision pairs per site, site-major
         self.col_pairs = ReversiblePairs(
             (sites * nv + velocities).reshape(-1, 4),
             (sites[..., None] * len(quads) + local).reshape(-1, 2, 4),
@@ -533,22 +556,36 @@ class SimState:
                              f"{model.lattice.n_sites * self.nv}")
         if table.total_bound <= 0.0:
             raise NumericalFailure("no events are possible for this model")
-        self.gap_scale = 1.0 / (table.total_bound * model.time_scale)
-        w = table.weights
-        self.thr1 = w[0]
-        self.thr2 = w[0] + w[1]
         self._gap = self._sel = self._acc = np.empty(0)
         self._pos = self._drawn = 0
         self.kind_counts = np.zeros(3, dtype=np.int64)
         self.trackers: list = []
+        # the open collision pairs in `_open[:n_open]`, and each pair's place
+        # there or -1 in `_where`; a model without collision pairs has neither
+        self.n_open = 0
+        if table.col_groups:
+            n_col = table.n_pairs[1]
+            sl = self.eta_flat[table.col_pairs.slots]
+            opened = np.flatnonzero((sl[:, 0] == sl[:, 1]) & (sl[:, 1] != sl[:, 2])
+                                    & (sl[:, 2] == sl[:, 3]))
+            self.n_open = len(opened)
+            self._open = np.empty(n_col, dtype=np.int64)
+            self._open[:self.n_open] = opened
+            self._where = np.full(n_col, -1, dtype=np.int64)
+            self._where[opened] = np.arange(self.n_open)
         self._run = load_kernel()
         if self._run is not None:
             # in LoopState field order; the candidate pointers and count are
-            # set per batch
+            # set per batch, and n_open, the clock and position per call
             self._loop = LoopState(
                 None, None, None, *table.loop_pointers,
-                self.eta_flat.ctypes.data, self.kind_counts.ctypes.data, 0, *table.n_pairs,
-                table.bound_ex, table.bound_col, table.bound_bd, self.thr1, self.thr2)
+                self.eta_flat.ctypes.data, self.kind_counts.ctypes.data, None, None,
+                0, table.n_pairs[0], table.n_pairs[2], self.nv, table.col_groups, 0,
+                table.bound_ex, table.bound_col, table.bound_bd,
+                table.weights[0], table.weights[2], model.time_scale)
+            if table.col_groups:
+                self._loop.open = self._open.ctypes.data
+                self._loop.where = self._where.ctypes.data
 
     @property
     def n_events(self) -> int:
@@ -567,8 +604,8 @@ class SimState:
         rng = self.rng
         B = min(max(self._drawn, self.FIRST_BATCH), self.BATCH)
         self._drawn += B
-        self._gap = rng.exponential(self.gap_scale, B)
-        self._sel = rng.random(B) * self.table.total_bound
+        self._gap = rng.standard_exponential(B)
+        self._sel = rng.random(B)
         self._acc = rng.random(B)
         self._pos = 0
 
@@ -604,9 +641,9 @@ class SimState:
                 loop.gap, loop.sel, loop.acc = (
                     a.ctypes.data for a in (self._gap, self._sel, self._acc))
                 loop.n_cand = len(self._gap)
-            loop.t, loop.pos = self.t, self._pos
+            loop.t, loop.pos, loop.n_open = self.t, self._pos, self.n_open
             kind = self._run(loop, stop)
-            self.t, self._pos = loop.t, loop.pos
+            self.t, self._pos, self.n_open = loop.t, loop.pos, loop.n_open
             if kind >= 0:
                 return kind, loop.idx
             if kind == CHECK_ABSORBING:
@@ -616,33 +653,40 @@ class SimState:
         """Advance the clock to the next accepted event; return (kind, idx).
 
         The Python reference for the compiled loop's candidate scan: a
-        candidate selects a reversible pair, the configuration opens at most
-        one of its directions, and the accept variate picks an entry of it."""
+        candidate selects an exclusion pair, an open collision pair or a wall
+        slot; the configuration opens at most one direction of the pair, and
+        the accept variate picks an entry of it or rejects."""
         table, eta = self.table, self.eta_flat
-        n_ex, n_col, n_bd = table.n_pairs
+        n_ex, n_bd = table.n_pairs[0], table.n_pairs[2]
+        w_ex, w_bd = table.weights[0], table.weights[2]
+        # the candidate rate changes only when an applied event opens or
+        # closes a collision pair, so it holds until this call returns
+        thr2 = w_ex + table.bound_col * self.n_open
+        rate = thr2 + w_bd
+        if rate == 0.0:
+            self._check_absorbing()
+        scale = 1.0 / (rate * self.model.time_scale)
         tried = 0
         while True:
             gap, sel, acc = self._next_candidate()
-            self.t += gap
-            if sel < self.thr1:
+            sel *= rate
+            self.t += gap * scale
+            if sel < w_ex:
                 p = min(int(sel / table.bound_ex), n_ex - 1)
                 a, b = table.ex_pairs.slots[p]
                 if eta[a] != eta[b]:
                     idx = table.ex_pairs.pick(p, eta[b], acc * table.bound_ex)
                     if idx >= 0:
                         return EXCLUSION, idx
-            elif sel < self.thr2:
-                p = min(int((sel - self.thr1) / table.bound_col), n_col - 1)
-                a, b, c, d = table.col_pairs.slots[p]
-                if eta[a] == eta[b] != eta[c] == eta[d]:
-                    idx = table.col_pairs.pick(p, eta[c], acc * table.bound_col)
-                    if idx >= 0:
-                        return COLLISION, idx
+            elif sel < thr2:
+                p = self._open[min(int((sel - w_ex) / table.bound_col), self.n_open - 1)]
+                c = table.col_pairs.slots[p, 2]
+                return COLLISION, table.col_pairs.pick(p, eta[c], acc * table.bound_col)
             else:
-                idx = min(int((sel - self.thr2) / table.bound_bd), n_bd - 1)
+                idx = min(int((sel - thr2) / table.bound_bd), n_bd - 1)
                 slot = table.bd_slot[idx]
-                rate = table.bd_death[idx] if eta[slot] else table.bd_birth[idx]
-                if acc * table.bound_bd < rate:
+                flip = table.bd_death[idx] if eta[slot] else table.bd_birth[idx]
+                if acc * table.bound_bd < flip:
                     return BOUNDARY, idx
             tried += 1
             if tried % CHECK_EVERY == 0:
@@ -658,6 +702,7 @@ class SimState:
             for tr in self.trackers:
                 tr.on_flip(t, src, 1)
                 tr.on_flip(t, tgt, 0)
+            sites = sorted((src // self.nv, tgt // self.nv))
         elif kind == COLLISION:
             a, b, c, d = table.col_slots[idx]
             eta[a] = 0
@@ -669,13 +714,39 @@ class SimState:
                 tr.on_flip(t, b, 1)
                 tr.on_flip(t, c, 0)
                 tr.on_flip(t, d, 0)
+            sites = (a // self.nv,)
         else:
             slot = table.bd_slot[idx]
             old = int(eta[slot])
             eta[slot] = 1 - old
             for tr in self.trackers:
                 tr.on_flip(t, slot, old)
+            sites = (slot // self.nv,)
         self.kind_counts[kind] += 1
+        if table.col_groups:
+            for site in sites:
+                self._retest(site)
+
+    def _retest(self, site: int) -> None:
+        """Re-test one site's collision pairs (`col_pairs` is site-major):
+        append those that opened to the open list, swap-remove those that
+        closed."""
+        eta, slots, where = self.eta_flat, self.table.col_pairs.slots, self._where
+        groups = self.table.col_groups
+        for p in range(site * groups, site * groups + groups):
+            a, b, c, d = slots[p]
+            is_open = eta[a] == eta[b] != eta[c] == eta[d]
+            k = where[p]
+            if is_open and k < 0:
+                where[p] = self.n_open
+                self._open[self.n_open] = p
+                self.n_open += 1
+            elif not is_open and k >= 0:
+                self.n_open -= 1
+                last = self._open[self.n_open]
+                self._open[k] = last
+                where[last] = k
+                where[p] = -1
 
 
 def step(state: SimState):

@@ -27,18 +27,25 @@ FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 _POINTERS = ("gap", "sel", "acc", "ex_pair", "ex_entry", "ex_cum", "col_pair",
              "col_entry", "col_cum", "bd_slot", "bd_birth", "bd_death", "eta",
-             "kind_counts")
+             "kind_counts", "open", "where")
 
 
 class LoopState(ctypes.Structure):
-    """The C `loop_state`: array pointers, the candidate count and the pairs
-    per family, the bounds, then the clock, next candidate, consecutive
-    rejections and pending entry."""
+    """The C `loop_state`: array pointers (the candidate batch, the
+    `RateTable` pair arrays, the configuration, the event counts and the
+    `SimState` open collision list with each pair's place in it), the
+    candidate count, the exclusion and boundary pair counts, the slots and
+    collision pairs per site and the number of open pairs, the largest
+    direction totals, the static weights `RateTable.weights[0]` and
+    `weights[2]` and N^2, then the clock, next candidate, consecutive
+    rejections and pending entry.  `weights[1]` stays the static collision
+    bound; the loop's collision rate is bound_col x n_open."""
 
     _fields_ = ([(name, ctypes.c_void_p) for name in _POINTERS]
-                + [(name, ctypes.c_int64) for name in ("n_cand", "n_ex", "n_col", "n_bd")]
+                + [(name, ctypes.c_int64) for name in
+                   ("n_cand", "n_ex", "n_bd", "nv", "groups", "n_open")]
                 + [(name, ctypes.c_double) for name in
-                   ("bound_ex", "bound_col", "bound_bd", "thr1", "thr2", "t")]
+                   ("bound_ex", "bound_col", "bound_bd", "w_ex", "w_bd", "time_scale", "t")]
                 + [(name, ctypes.c_int64) for name in ("pos", "tried", "idx")])
 
 

@@ -47,13 +47,10 @@ def conserved_of_state(xi, vset: VelocitySet) -> np.ndarray:
 
 
 def _logistic(z):
-    # Stable branch: exponentiate negative arguments only.
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # Stable form: exponentiate -|z| only, 1 / (1 + e^-z) for z >= 0 and
+    # e^z / (1 + e^z) below.
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
 
 
 def theta_all(lam, vset: VelocitySet) -> np.ndarray:
@@ -187,8 +184,14 @@ def invert_conserved(targets, vset: VelocitySet, lam0=None,
     point increases.  Raises DomainError for non-interior targets (when
     check_domain) and ConvergenceError with the worst residual on failure.
     """
+    return _invert(targets, vset, lam0, tol, max_iter, check_domain)[0]
+
+
+def _invert(targets, vset: VelocitySet, lam0, tol: float, max_iter: int,
+            check_domain: bool) -> tuple:
+    """`invert_conserved`, returning (lam, theta_v(lam)): the densities at the
+    solution come from the last Newton evaluation, shaped (..., nv)."""
     targets = np.asarray(targets, dtype=float)
-    single = targets.ndim == 1
     t = np.atleast_2d(targets)
     if check_domain:
         ok, margin = check_in_U(t, vset)
@@ -226,7 +229,7 @@ def invert_conserved(targets, vset: VelocitySet, lam0=None,
             f"(worst residual {float(np.max(rnorm)):.3e})",
             residual=float(np.max(rnorm)),
         )
-    return lam[0] if single else lam.reshape(targets.shape)
+    return lam.reshape(targets.shape), th.reshape(targets.shape[:-1] + (len(vt),))
 
 
 def lambda_of_rho_p(target, vset: VelocitySet) -> np.ndarray:
@@ -240,8 +243,7 @@ def theta_field(target, vset: VelocitySet, lam0=None, check_domain: bool = True)
     Accepts batches (..., d+1) and returns (..., nv); sums against vtilde
     reproduce the target up to the Newton tolerance.
     """
-    lam = invert_conserved(target, vset, lam0=lam0, check_domain=check_domain)
-    return theta_all(lam, vset)
+    return _invert(target, vset, lam0, NEWTON_TOL, NEWTON_MAX_ITER, check_domain)[1]
 
 
 def sample_product_state(lam, lattice, vset: VelocitySet, rng) -> np.ndarray:

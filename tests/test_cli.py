@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 import yaml
 
+import latgas.cli
 import latgas.dynamics
 import latgas.hydro
-import latgas.thermo
 from latgas import eventloop
 from latgas.cli import build_model, lattice_walls, main
 from latgas.config import parse_config
@@ -20,7 +20,7 @@ from latgas.errors import ConfigError, ConvergenceError, DomainError
 from latgas.generator import STATE_SPACE_CAP, ExactGenerator
 from latgas.grid import Grid
 from latgas.hydro import BoundaryData, FieldTrajectory
-from latgas.thermo import invert_conserved
+from latgas.thermo import theta_field
 
 
 def test_hydro_rejects_wall_data_below_margin_floor(tmp_path, capsys):
@@ -232,10 +232,10 @@ def test_one_replica_setup_per_lattice_size(tmp_path, monkeypatch, command):
 
     def counting_inversion(targets, *args, **kwargs):
         inversions.append(len(targets))
-        return invert_conserved(targets, *args, **kwargs)
+        return theta_field(targets, *args, **kwargs)
 
     monkeypatch.setattr(latgas.dynamics, "RateTable", counting_table)
-    monkeypatch.setattr(latgas.thermo, "invert_conserved", counting_inversion)
+    monkeypatch.setattr(latgas.cli, "theta_field", counting_inversion)
     path = tiny_config(tmp_path)
     assert main([command, "--config", path, "--out", str(tmp_path / "out"),
                  "--threads", "1"]) == 0

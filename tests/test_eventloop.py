@@ -5,13 +5,15 @@ from the Python reference loop by `tests/record_data.py`, with candidate
 batches growing from 2^8 to 2^14.  Both loops must reproduce it exactly: same
 event counts, same configuration bytes at every sample time and at the end,
 same event log, tracker averages and `step()` draws.  Both must also draw the
-first event from a fixed state with the catalog's law.
+first event from a fixed state with the catalog's law, and keep their list of
+open collision pairs equal to the pairs the configuration opens.
 """
 
 import hashlib
 import io
 import json
 import pathlib
+import subprocess
 import tempfile
 
 import numpy as np
@@ -20,7 +22,8 @@ from scipy.special import chdtri, ndtri
 
 from latgas import eventloop
 from latgas.errors import NumericalFailure
-from latgas.dynamics import Model, OccupationTracker, ReservoirProfiles, SimState, simulate, step
+from latgas.dynamics import (COLLISION, Model, OccupationTracker, ReservoirProfiles, SimState,
+                             simulate, step)
 from latgas.lattice import Configuration, Lattice
 from latgas.thermo import sample_product_state
 from latgas.velocities import VelocitySet, four_velocity_set, two_velocity_set
@@ -28,6 +31,19 @@ from latgas.velocities import VelocitySet, four_velocity_set, two_velocity_set
 VS2 = two_velocity_set(0.5)
 VS4 = four_velocity_set(0.5, 0.25)
 VS2D = VelocitySet(np.array([[0.5, 0.0], [-0.5, 0.0], [0.0, 0.5], [0.0, -0.5]]))
+# three collision pairs per site: {0.5, -0.5}, {0.3, -0.3} and {0.13, -0.13}
+# each collide with the other two
+VS6 = VelocitySet(np.array([[0.5], [-0.5], [0.3], [-0.3], [0.13], [-0.13]]))
+# six collision pairs per site: the four opposite pairs collide pairwise
+VS8_2D = VelocitySet(np.array([[0.5, 0.0], [-0.5, 0.0], [0.0, 0.5], [0.0, -0.5],
+                               [0.25, 0.0], [-0.25, 0.0], [0.0, 0.25], [0.0, -0.25]]))
+
+
+def walls(lattice, vset):
+    """A model between reservoirs of distinct densities in [0.3, 0.65]."""
+    nv = len(vset)
+    return Model(lattice, vset, profiles=ReservoirProfiles.constant(
+        vset, np.linspace(0.3, 0.45, nv), np.linspace(0.65, 0.5, nv)))
 
 # name -> (model factory, initial lambda, horizon, sample times)
 STREAM_CASES = {
@@ -122,27 +138,28 @@ def test_python_loop_reproduces_recorded_stream(python_loop, name, seed):
     assert stream_record(name, seed) == RECORDED[f"{name}-seed{seed}"]
 
 
-# models outside the recorded cases: a ring (no boundary family) and
-# exclusion only (no collision family)
+# models outside the recorded cases: a ring (no boundary family), exclusion
+# only (no collision family) and three collision pairs per site
 AGREE_CASES = {
     "vs4_ring_N12": lambda: Model(Lattice(12, 1, periodic=True), VS4),
     "vs4_exclusion_only_N12": lambda: Model(
         Lattice(12, 1), VS4, include_collisions=False,
         profiles=ReservoirProfiles.constant(VS4, [0.3, 0.4, 0.35, 0.45], [0.6, 0.5, 0.55, 0.65])),
+    "vs6_walls_N12": lambda: walls(Lattice(12, 1), VS6),
 }
 
 
 class CountingRng:
     """A seeded generator that records the length of each candidate batch
-    (one exponential draw of gaps per batch)."""
+    (one standard exponential draw of gaps per batch)."""
 
     def __init__(self, seed: int):
         self._rng = np.random.default_rng(seed)
         self.batches = []
 
-    def exponential(self, scale, size):
+    def standard_exponential(self, size):
         self.batches.append(size)
-        return self._rng.exponential(scale, size)
+        return self._rng.standard_exponential(size)
 
     def random(self, size=None):
         return self._rng.random(size)
@@ -256,6 +273,49 @@ def test_short_runs_draw_at_most_twice_what_they_read(loop, horizon):
     assert 0 < read <= drawn <= max(SimState.FIRST_BATCH, 2 * read)
 
 
+# name -> (model factory, collision pairs per site)
+OPEN_SET_CASES = {
+    "vs4_walls_N16": (STREAM_CASES["vs4_walls_N16"][0], 1),
+    "vs2d_walls_N6": (STREAM_CASES["vs2d_walls_N6"][0], 1),
+    "vs6_walls_N8": (lambda: walls(Lattice(8, 1), VS6), 3),
+    "vs8_2d_walls_N4": (lambda: walls(Lattice(4, 2), VS8_2D), 6),
+}
+
+
+def assert_open_list_matches(state) -> None:
+    """The state's open collision list holds exactly the pairs whose slots
+    read (1, 1, 0, 0) or (0, 0, 1, 1), and each pair's recorded place in it."""
+    sl = state.eta_flat[state.table.col_pairs.slots]
+    opened = (sl[:, 0] == sl[:, 1]) & (sl[:, 1] != sl[:, 2]) & (sl[:, 2] == sl[:, 3])
+    listed = state._open[:state.n_open]
+    assert sorted(listed) == list(np.flatnonzero(opened))
+    assert list(state._where[listed]) == list(range(state.n_open))
+    assert np.count_nonzero(state._where >= 0) == state.n_open
+
+
+@pytest.mark.parametrize("name", sorted(OPEN_SET_CASES))
+def test_open_collision_list_matches_the_configuration(loop, name):
+    # `step()` applies each event in Python and `advance(stop)` many in the
+    # loop itself; after either the list must equal the open pairs of eta
+    make, groups = OPEN_SET_CASES[name]
+    model = make()
+    lat, vs = model.lattice, model.vset
+    assert model.table.col_groups == groups
+    eta0 = sample_product_state(np.zeros(vs.d + 1), lat, vs, np.random.default_rng(1))
+    state = SimState(model, eta0, np.random.default_rng(2))
+    assert state.event_loop == loop
+    assert_open_list_matches(state)
+    for _ in range(2000):
+        step(state)
+        assert_open_list_matches(state)
+    for stop in state.t + np.linspace(0.001, 0.05, 50):
+        kind, idx = state.advance(stop)
+        assert_open_list_matches(state)
+        state._apply(kind, idx)
+        assert_open_list_matches(state)
+    assert state.kind_counts[COLLISION] > 100
+
+
 # name -> (model factory, fixed states as (sites, velocities) occupations)
 LAW_CASES = {
     "vs2_walls_N3": (
@@ -273,6 +333,10 @@ LAW_CASES = {
             VS2D, [0.3, 0.4, 0.35, 0.45], [0.6, 0.5, 0.55, 0.65])),
         [[[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0],
           [0, 1, 0, 0], [0, 0, 0, 1], [1, 1, 1, 0]]]),
+    # two of site 0's three collision pairs open, forward then backward
+    "vs6_walls_N3": (
+        lambda: walls(Lattice(3, 1), VS6),
+        [[[1, 1, 0, 0, 0, 0], [0, 1, 1, 1, 0, 0]], [[0, 0, 1, 1, 1, 1], [1, 0, 0, 1, 1, 0]]]),
     "vs4_ring_N4": (
         lambda: Model(Lattice(4, 1, periodic=True), VS4),
         [[[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 0, 1]]]),
@@ -373,6 +437,31 @@ def test_absorbing_state_raises():
     full = Configuration(model.lattice, VS2, np.ones((model.lattice.n_sites, 2), dtype=np.uint8))
     with pytest.raises(NumericalFailure, match="absorbing"):
         simulate(full, model, 1e9, np.random.default_rng(0))
+
+
+def test_zero_candidate_rate_raises_at_once(loop):
+    # one site and no reservoirs: no exclusion or boundary candidates, and
+    # with every collision closed no collision candidate either, so the state
+    # is absorbing before any candidate is read
+    model = Model(Lattice(2, 1), VS4)
+    assert model.table.weights[0] == model.table.weights[2] == 0.0
+    state = SimState(model, np.array([[1, 0, 1, 0]], dtype=np.uint8), np.random.default_rng(0))
+    assert state.event_loop == loop
+    with pytest.raises(NumericalFailure, match="absorbing"):
+        state.advance(np.inf)
+    assert state.candidates == 0 and state.t == 0.0
+
+
+def test_event_loop_compiles_without_warnings(tmp_path):
+    # the shipped FLAGS carry no warning options; this build adds them
+    compiler = eventloop.find_compiler()
+    if compiler is None:
+        pytest.skip("no C compiler to build the event loop")
+    built = subprocess.run(
+        [compiler, *eventloop.FLAGS, "-Wall", "-Wextra", "-Werror",
+         "-o", str(tmp_path / "eventloop.so"), eventloop.SOURCE],
+        capture_output=True, text=True)
+    assert built.returncode == 0, built.stderr
 
 
 def test_configuration_of_the_wrong_size_is_rejected():
