@@ -35,10 +35,12 @@ class NumericalFailure(LatgasError, RuntimeError):
 
 
 class ConvergenceError(NumericalFailure):
-    """An iterative solver failed to reach its tolerance.
+    """An iterative solver failed to reach its tolerance, or an exact inverse
+    left its admissible range (densities outside (0, 1)).
 
     Attributes:
-        residual: sup-norm residual at the final iterate (float or array).
+        residual: sup-norm residual at the final iterate (float or array), or
+            None when there is no iterate.
     """
 
     def __init__(self, message, residual=None):

@@ -33,7 +33,7 @@ from numpy import fft
 from .dynamics import ReservoirProfiles
 from .errors import DomainError, NumericalFailure, StabilityError
 from .grid import Grid, write_field_csv
-from .thermo import NEWTON_TOL, domain_of, invert_conserved, theta_all
+from .thermo import NEWTON_TOL, domain_of, invert_conserved, local_equilibrium, theta_all
 from .velocities import VelocitySet
 
 HULL_EXCURSION_TOL = 1e-9
@@ -62,7 +62,10 @@ class BoundaryData:
         """Wall data a, b from the reservoir densities at the transverse nodes.
 
         Raises DomainError unless every wall value has hull margin at least
-        RESERVOIR_MIN_MARGIN = sqrt(NEWTON_TOL) = 1e-6.  The floor is numerical:
+        RESERVOIR_MIN_MARGIN = sqrt(NEWTON_TOL) = 1e-6, for every velocity set:
+        the check validates input.  The derivation of the floor concerns the
+        Newton path (sets of more than d+1 velocities; sets of exactly d+1
+        invert in closed form, see `thermo`).  The floor is numerical there:
         `invert_conserved` stops at sup-norm residual NEWTON_TOL, which leaves
         an error of about NEWTON_TOL / lambda_min in the chemical potential,
         where lambda_min is the smallest eigenvalue of the Jacobian
@@ -472,7 +475,7 @@ class _Stepper:
         self.control = control
         self.dt = dt
         self.dom = domain_of(vset)
-        self.lam = None  # Newton warm start, shape (n_nodes, ncomp)
+        self.lam = None  # Newton warm start, shaped like the field
         self.axes = tuple(range(1, grid.d))
         self.r = dt / (4.0 * grid.h1**2)
         n = grid.m1 - 2
@@ -484,10 +487,8 @@ class _Stepper:
         self.inv_eig = 1.0 / eig[..., None]
 
     def _theta(self, W: np.ndarray) -> np.ndarray:
-        flat = W.reshape(-1, self.vset.d + 1)
-        lam = invert_conserved(flat, self.vset, lam0=self.lam, check_domain=False)
-        self.lam = lam
-        return theta_all(lam, self.vset).reshape(W.shape[:-1] + (len(self.vset),))
+        self.lam, th = local_equilibrium(W, self.vset, lam0=self.lam, check_domain=False)
+        return th
 
     def flux_divergence(self, W: np.ndarray, t: float) -> np.ndarray:
         """N(W) = -sum_i d_i F_i(W), with the control drift when there is one."""
@@ -659,6 +660,8 @@ class QuadratureContext:
                 "trajectory leaves the open hull; the cost functional requires "
                 f"interior fields (worst margin {float(np.min(margin)):.3e})"
             )
+        # `invert_conserved` is the inversion that perfbench/tracer.py times;
+        # theta is recomputed from lam here, once per trajectory, not per stage.
         lam = invert_conserved(flat, vset, check_domain=False)
         th = theta_all(lam, vset)
         self.chi = (th * (1.0 - th)).reshape(w_mid.shape[:-1] + (len(vset),))

@@ -9,9 +9,12 @@ has per-velocity occupation probability
 
 and the map lam -> (rho, p) = (sum theta_v, sum v theta_v) is a diffeomorphism
 onto the open convex hull U of the single-site conserved vectors.  This module
-evaluates the forward map, inverts it with a damped Newton iteration (exact
-Jacobian: sum_v chi(theta_v) vtilde vtilde^T, positive definite on U), tests
-membership of U through its closed-form zonotope facets, and samples
+evaluates the forward map and inverts it.  The conserved vector w = theta
+vtilde is linear in theta, so a set of exactly d+1 velocities (square vtilde)
+inverts in closed form: theta = w vtilde^-1 and lam = logit(theta) vtilde^-T.
+Larger sets are inverted by a damped Newton iteration (exact Jacobian:
+sum_v chi(theta_v) vtilde vtilde^T, positive definite on U).  The module also
+tests membership of U through its closed-form zonotope facets and samples
 product-measure configurations.
 """
 
@@ -177,22 +180,34 @@ def check_in_U(target, vset: VelocitySet) -> tuple:
 def invert_conserved(targets, vset: VelocitySet, lam0=None,
                      tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_ITER,
                      check_domain: bool = True) -> np.ndarray:
-    """Batched inverse of the (rho, p) parametrization by damped Newton.
+    """Batched inverse lam(rho, p) of the (rho, p) parametrization.
 
-    targets: (..., d+1) interior points; lam0 optionally warm-starts the
-    iteration (same shape).  Steps are halved while the sup-norm residual of a
+    targets: (..., d+1) interior points.  For a set of d+1 velocities the
+    inverse is exact (see the module docstring) and lam0, tol and max_iter
+    are unused.  Otherwise damped Newton runs, warm-started from lam0 (same
+    shape) when given; steps are halved while the sup-norm residual of a
     point increases.  Raises DomainError for non-interior targets (when
-    check_domain) and ConvergenceError with the worst residual on failure.
+    check_domain), and ConvergenceError when Newton fails (with the worst
+    residual) or the exact densities leave (0, 1).
     """
     return _invert(targets, vset, lam0, tol, max_iter, check_domain)[0]
 
 
+def local_equilibrium(targets, vset: VelocitySet, lam0=None,
+                      check_domain: bool = True) -> tuple:
+    """(lam, theta_v(lam)) at the targets, shaped (..., d+1) and (..., nv).
+
+    The inversion of `invert_conserved` at the default tolerance; theta is the
+    inversion's own (exact, or from the last Newton evaluation), so callers
+    that need both do not recompute it from lam.
+    """
+    return _invert(targets, vset, lam0, NEWTON_TOL, NEWTON_MAX_ITER, check_domain)
+
+
 def _invert(targets, vset: VelocitySet, lam0, tol: float, max_iter: int,
             check_domain: bool) -> tuple:
-    """`invert_conserved`, returning (lam, theta_v(lam)): the densities at the
-    solution come from the last Newton evaluation, shaped (..., nv)."""
     targets = np.asarray(targets, dtype=float)
-    t = np.atleast_2d(targets)
+    t = targets.reshape(-1, targets.shape[-1])
     if check_domain:
         ok, margin = check_in_U(t, vset)
         if not ok:
@@ -200,6 +215,28 @@ def _invert(targets, vset: VelocitySet, lam0, tol: float, max_iter: int,
             raise DomainError(
                 f"target outside the open admissible region (worst margin {worst:.3e})"
             )
+    if len(vset) == vset.d + 1:
+        lam, th = _invert_exact(t, vset)
+    else:
+        lam, th = _invert_newton(t, vset, lam0, tol, max_iter)
+    return lam.reshape(targets.shape), th.reshape(targets.shape[:-1] + (len(vset),))
+
+
+def _invert_exact(t: np.ndarray, vset: VelocitySet) -> tuple:
+    """theta = t vtilde^-1 and lam = logit(theta) vtilde^-T for square vtilde."""
+    th = t @ vset.vtilde_inv
+    if not np.all((th > 0.0) & (th < 1.0)):
+        raise ConvergenceError(
+            "conserved target outside the open hull: exact densities span "
+            f"[{float(np.min(th)):.3e}, {float(np.max(th)):.3e}], not inside (0, 1)"
+        )
+    return (np.log(th) - np.log1p(-th)) @ vset.vtilde_inv.T, th
+
+
+def _invert_newton(t: np.ndarray, vset: VelocitySet, lam0, tol: float,
+                   max_iter: int) -> tuple:
+    """Damped Newton on (n, d+1) targets; returns (lam, theta) of the last
+    evaluation."""
     vt = vset.vtilde
     vv = (vt[:, :, None] * vt[:, None, :]).reshape(len(vt), -1)
     lam = np.zeros_like(t) if lam0 is None else np.array(lam0, dtype=float).reshape(t.shape)
@@ -229,7 +266,7 @@ def _invert(targets, vset: VelocitySet, lam0, tol: float, max_iter: int,
             f"(worst residual {float(np.max(rnorm)):.3e})",
             residual=float(np.max(rnorm)),
         )
-    return lam.reshape(targets.shape), th.reshape(targets.shape[:-1] + (len(vt),))
+    return lam, th
 
 
 def lambda_of_rho_p(target, vset: VelocitySet) -> np.ndarray:
@@ -241,9 +278,10 @@ def theta_field(target, vset: VelocitySet, lam0=None, check_domain: bool = True)
     """Per-velocity densities theta_v at the chemical potential matching target.
 
     Accepts batches (..., d+1) and returns (..., nv); sums against vtilde
-    reproduce the target up to the Newton tolerance.
+    reproduce the target to rounding for a set of d+1 velocities (exact
+    inverse) and up to the Newton tolerance otherwise.
     """
-    return _invert(target, vset, lam0, NEWTON_TOL, NEWTON_MAX_ITER, check_domain)[1]
+    return local_equilibrium(target, vset, lam0, check_domain)[1]
 
 
 def sample_product_state(lam, lattice, vset: VelocitySet, rng) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -65,6 +66,11 @@ class VelocitySet:
 
     def __len__(self) -> int:
         return len(self.velocities)
+
+    @cached_property
+    def vtilde_inv(self) -> np.ndarray:
+        """Inverse of the square vtilde of a set with exactly d+1 velocities."""
+        return np.linalg.inv(self.vtilde)
 
     def index_of(self, v) -> int:
         v = np.asarray(v, dtype=float)

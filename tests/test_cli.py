@@ -257,12 +257,12 @@ def test_gamma_outside_the_hull_is_a_config_error(tmp_path, capsys, command):
     DomainError("could not project points into the hull interior"),
 ])
 def test_failures_during_a_run_exit_3(tmp_path, capsys, monkeypatch, error):
-    # No shipped config makes the PDE's Newton inversion fail, so the
-    # stepper's inversion raises; a DomainError raised mid-run exits 3 too.
+    # No shipped config makes the PDE's inversion fail, so the stepper's
+    # `local_equilibrium` raises; a DomainError raised mid-run exits 3 too.
     def failing(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(latgas.hydro, "invert_conserved", failing)
+    monkeypatch.setattr(latgas.hydro, "local_equilibrium", failing)
     path = tiny_config(tmp_path)
     assert main(["hydro", "--config", path, "--out", str(tmp_path / "out")]) == 3
     assert f"numerical failure: {error}" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latgas.errors import DomainError
+from latgas.errors import ConvergenceError, DomainError
 from latgas.lattice import Lattice
 from latgas.thermo import (
     ConvexDomain,
@@ -162,6 +162,54 @@ class TestThetaField:
                 (1 - eps) * theta_field(a, vs2) + eps * theta_field(b, vs2)
             )
             assert np.max(np.abs(gap)) <= 1e-10
+
+
+class _UncheckedVelocitySet(VelocitySet):
+    """A velocity set without the reflection/permutation check.  The
+    thermodynamics reads only vtilde, and no symmetric set in d = 2 has
+    exactly d+1 velocities."""
+
+    def _validate(self):
+        pass
+
+
+@pytest.fixture
+def vs_square_d2():
+    """d=2 set {(1, 0), (0, 1), (-1, -1)}: vtilde is square with det 3."""
+    return _UncheckedVelocitySet(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]))
+
+
+class TestExactInverse:
+    """Sets of d+1 velocities invert in closed form, theta = w vtilde^-1."""
+
+    def test_reproduces_interior_targets(self, vs_square_d2, rng):
+        assert np.linalg.det(vs_square_d2.vtilde) == pytest.approx(3.0, abs=1e-14)
+        targets = random_interior_targets(vs_square_d2, rng, 200)
+        lam = invert_conserved(targets, vs_square_d2)
+        th = theta_field(targets, vs_square_d2)
+        assert np.max(np.abs(th @ vs_square_d2.vtilde - targets)) <= 1e-14
+        assert np.max(np.abs(theta_all(lam, vs_square_d2) - th)) <= 1e-13
+
+    def test_exterior_target(self, vs_square_d2):
+        outside = np.array([[0.5, 0.5, 0.5], [1.2, 0.5, 0.5]]) @ vs_square_d2.vtilde
+        with pytest.raises(ConvergenceError):
+            theta_field(outside, vs_square_d2, check_domain=False)
+        with pytest.raises(ConvergenceError):
+            invert_conserved(np.full(3, np.nan), vs_square_d2, check_domain=False)
+        with pytest.raises(DomainError):
+            theta_field(outside, vs_square_d2, check_domain=True)
+
+    @pytest.mark.parametrize("name", ["vs2", "vs4"])
+    def test_batches_with_several_leading_axes(self, name, request, rng):
+        # vs2 inverts in closed form, vs4 by Newton; a (5, 3, d+1) batch gives
+        # the values of the same 15 targets passed as one (15, d+1) batch.
+        vs = request.getfixturevalue(name)
+        targets = random_interior_targets(vs, rng, 15)
+        batch = targets.reshape(5, 3, vs.d + 1)
+        lam, th = invert_conserved(batch, vs), theta_field(batch, vs)
+        assert lam.shape == (5, 3, vs.d + 1) and th.shape == (5, 3, len(vs))
+        assert np.array_equal(lam.reshape(targets.shape), invert_conserved(targets, vs))
+        assert np.array_equal(th.reshape(15, len(vs)), theta_field(targets, vs))
 
 
 class TestHull:
