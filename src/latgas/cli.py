@@ -195,7 +195,8 @@ def _replica_cells(cfg: ExperimentConfig, command: str, N: int, replicas: range)
     What the replicas share is built once: the model with its event catalog,
     the smoothing grid, and the densities theta of the product measure along
     gamma.  Each replica draws its initial state from theta, the first draw
-    of its own stream, and runs from it.
+    of its own stream, and runs from it; then the samples of every replica
+    are measured and smoothed in one call.
     """
     if command == "converge":
         sec = cfg.converge
@@ -219,14 +220,20 @@ def _replica_cells(cfg: ExperimentConfig, command: str, N: int, replicas: range)
     grid = build_grid(cfg, int(sec.get("grid_m1", 65)), cfg.hydro.get("mt"))
     lat, vset = model.lattice, model.vset
     theta = theta_field(build_gamma(cfg, lattice_walls(model), lat.positions()), vset)
-    cells = []
+    runs = []
     for replica in replicas:
         rng = replica_rng(cfg.model.seed, N, replica)
         eta0 = Configuration(lat, vset, sample_profile_state(theta, rng))
-        res = simulate(eta0, model, horizon, rng, sample_times=times)
+        runs.append(simulate(eta0, model, horizon, rng, sample_times=times))
+    # (replicas, samples, n_sites, nv), smoothed to (replicas, samples, *grid.shape, d+1)
+    snapshots = np.array([[eta for _, eta in res.samples] for res in runs], dtype=np.uint8)
+    snapshots = snapshots.reshape(len(runs), len(times), lat.n_sites, len(vset))
+    values = smooth(empirical_measure(snapshots, lat, vset), eps, grid).values
+    cells = []
+    for res, replica_values in zip(runs, values):
         fields, blocks = [], []
-        for t, eta in res.samples:
-            fields.append((t, smooth(empirical_measure(eta, lat, vset), eps, grid).values))
+        for (t, eta), field in zip(res.samples, replica_values):
+            fields.append((t, field))
             for c in centers:
                 coords = (c,) + (0,) * (cfg.model.d - 1)
                 blocks.append((t, c, block_average(eta, lat, vset, coords, block_radius)))
@@ -350,7 +357,7 @@ def cmd_converge(cfg: ExperimentConfig, args) -> list:
     ncomp = cfg.model.d + 1
     per_n = {}
     for (N, r), res in _map_cells("converge", cfg, args):
-        per_n.setdefault(N, []).append(l1_distance(cmp_grid, res["fields"][0][1], pde_cmp))
+        per_n.setdefault(N, []).append(res["fields"][0][1])
 
     table = os.path.join(out, "converge.csv")
     fh, writer = _csv_writer(
@@ -358,7 +365,7 @@ def cmd_converge(cfg: ExperimentConfig, args) -> list:
         cfg, f"L1 distance smoothed empirical vs PDE at t={t_cmp}")
     with fh:
         for N in cfg.model.n_values:
-            errs = np.array(per_n[N])
+            errs = l1_distance(cmp_grid, np.array(per_n[N]), pde_cmp)
             mean = errs.mean(axis=0)
             sem = (errs.std(axis=0, ddof=1) / np.sqrt(len(errs))
                    if len(errs) > 1 else np.zeros(ncomp))

@@ -48,9 +48,10 @@ a closed one swap-removed.  R = 0 is an absorbing state and raises
 
 `SimState.advance(stop)` runs the candidate stream.  `_refill` draws it in
 batches, each in a fixed order (standard exponentials, then selector
-uniforms, then accept variates); the loop scales them by the current R,
-a gap E / (R N^2) and a selector u R.  For a model without collision pairs
-R is `RateTable.total_bound` throughout.  The first batch holds
+uniforms, then accept variates) into a gap array and a (2, B) block of
+uniforms, both kept until the batch size B grows; the loop scales them by the
+current R, a gap E / (R N^2) and a selector u R.  For a model without
+collision pairs R is `RateTable.total_bound` throughout.  The first batch holds
 `SimState.FIRST_BATCH` = 2^8 candidates and each later one as many as all
 earlier batches together, up to `SimState.BATCH` = 2^14: a short run draws
 few more candidates than it reads (at most twice as many, or 2^8), and a
@@ -487,7 +488,12 @@ class RateTable:
         return float(self.exact_totals(eta).sum()) * self.model.time_scale
 
     def event_from_entry(self, kind: int, idx: int) -> Event:
-        """The `Event` of one catalog entry, decoded from its slots."""
+        """The `Event` of one catalog entry, decoded from its slots.
+
+        An exclusion `Event` names its sites, not its direction, so on a
+        ring of two sites the two entries of a hop x -> z (via +e_1 and via
+        -e_1, at different rates) decode to one `Event`, whose `rate_of` is
+        their summed rate; a per-entry audit reads `ex_pn[idx]` instead."""
         nv = self.nv
         if kind == EXCLUSION:
             src, tgt = int(self.ex_src[idx]), int(self.ex_tgt[idx])
@@ -500,7 +506,11 @@ class RateTable:
         return Event(BOUNDARY, site=slot // nv, velocity=slot % nv)
 
     def rate_of(self, eta: np.ndarray, event: Event) -> float:
-        """Microscopic rate of an event under eta (audit helper)."""
+        """Microscopic rate of an event under eta (audit helper).
+
+        An exclusion hop's rate sums every move taking its site to its
+        target: on a ring of two sites that is both catalog entries of the
+        hop (see `event_from_entry`), so it is not one entry's `ex_pn`."""
         if event.kind == EXCLUSION:
             return exclusion_rate(self.model, eta, event.site, event.target, event.velocity)
         if event.kind == COLLISION:
@@ -556,7 +566,9 @@ class SimState:
                              f"{model.lattice.n_sites * self.nv}")
         if table.total_bound <= 0.0:
             raise NumericalFailure("no events are possible for this model")
-        self._gap = self._sel = self._acc = np.empty(0)
+        # the candidate batch: gaps, and the rows of selector and accept uniforms
+        self._gap, self._uni = np.empty(0), np.empty((2, 0))
+        self._sel, self._acc = self._uni
         self._pos = self._drawn = 0
         self.kind_counts = np.zeros(3, dtype=np.int64)
         self.trackers: list = []
@@ -576,7 +588,7 @@ class SimState:
         self._run = load_kernel()
         if self._run is not None:
             # in LoopState field order; the candidate pointers and count are
-            # set per batch, and n_open, the clock and position per call
+            # set when the batch grows, n_open, the clock and position per call
             self._loop = LoopState(
                 None, None, None, *table.loop_pointers,
                 self.eta_flat.ctypes.data, self.kind_counts.ctypes.data, None, None,
@@ -601,12 +613,24 @@ class SimState:
         return "python" if self._run is None else "compiled"
 
     def _refill(self):
-        rng = self.rng
+        """Draw the next batch of B candidates in place: B standard
+        exponentials into `_gap`, then 2B uniforms filling the selector and
+        accept rows of `_uni`, the stream of three separate draws.  New arrays
+        are allocated only when B grows, after every view of the old ones is
+        dropped."""
         B = min(max(self._drawn, self.FIRST_BATCH), self.BATCH)
+        if B != len(self._gap):
+            self._gap = self._uni = self._sel = self._acc = None
+            self._gap, self._uni = np.empty(B), np.empty((2, B))
+            self._sel, self._acc = self._uni
+            if self._run is not None:
+                loop = self._loop
+                loop.gap, loop.sel, loop.acc = (
+                    a.ctypes.data for a in (self._gap, self._sel, self._acc))
+                loop.n_cand = B
+        self.rng.standard_exponential(out=self._gap)
+        self.rng.random(out=self._uni)
         self._drawn += B
-        self._gap = rng.standard_exponential(B)
-        self._sel = rng.random(B)
-        self._acc = rng.random(B)
         self._pos = 0
 
     def _next_candidate(self):
@@ -638,9 +662,6 @@ class SimState:
         while True:
             if self._pos >= len(self._gap):
                 self._refill()
-                loop.gap, loop.sel, loop.acc = (
-                    a.ctypes.data for a in (self._gap, self._sel, self._acc))
-                loop.n_cand = len(self._gap)
             loop.t, loop.pos, loop.n_open = self.t, self._pos, self.n_open
             kind = self._run(loop, stop)
             self.t, self._pos, self.n_open = loop.t, loop.pos, loop.n_open

@@ -5,6 +5,9 @@ component k; block averages coarse-grain the conserved vector over cubes;
 the box smoother turns the atomic measure into grid-sampled densities
 (mass in the sup-norm eps-box around each node, divided by the box's Lebesgue
 measure inside the domain and by the inflation constant U_eps = 1 + eps).
+`empirical_measure`, `smooth` and `l1_distance` take leading batch axes
+(replicas, sample times), so a stack of configurations is measured, smoothed
+and compared in one call, with the bytes of one call per configuration.
 """
 
 from __future__ import annotations
@@ -21,23 +24,26 @@ from .velocities import VelocitySet
 
 @dataclass
 class EmpiricalMeasure:
-    """Atomic representation: one atom per site, d+1 mass components."""
+    """Atomic representation: one atom per site, d+1 mass components; a
+    batch of measures on the same atoms carries leading axes in `masses`."""
 
     positions: np.ndarray   # (n_sites, d), x/N
-    masses: np.ndarray      # (n_sites, d+1), N^{-d} I(eta_x)
+    masses: np.ndarray      # (..., n_sites, d+1), N^{-d} I(eta_x)
     N: int
     d: int
 
     @property
     def component_totals(self) -> np.ndarray:
-        return self.masses.sum(axis=0)
+        return self.masses.sum(axis=-2)
 
 
 def empirical_measure(eta, lattice: Lattice, vset: VelocitySet) -> EmpiricalMeasure:
+    """The empirical measure of a configuration (n_sites, nv), or of a stack
+    of them (..., n_sites, nv) whose leading batch axes lead `masses` too."""
     if isinstance(eta, Configuration):
         eta = eta.eta
     eta = np.asarray(eta)
-    if eta.shape != (lattice.n_sites, len(vset)):
+    if eta.shape[-2:] != (lattice.n_sites, len(vset)):
         raise ValueError("configuration shape does not match lattice/velocity set")
     site_I = eta.astype(float) @ vset.vtilde
     scale = float(lattice.N) ** (-lattice.d)
@@ -53,7 +59,7 @@ def pair(measure: EmpiricalMeasure, G, component: int = 0) -> float:
         gvals = np.asarray(G(measure.positions), dtype=float)
     else:
         gvals = np.full(len(measure.positions), float(G))
-    return float(measure.masses[:, component] @ gvals)
+    return float(measure.masses[..., component] @ gvals)
 
 
 def block_average(eta, lattice: Lattice, vset: VelocitySet, x, L: int) -> np.ndarray:
@@ -92,7 +98,7 @@ class SmoothedField:
     grid: Grid
     eps: float
     u_eps: float
-    values: np.ndarray  # (*grid.shape, d+1)
+    values: np.ndarray  # (..., *grid.shape, d+1)
 
 
 def smooth(measure: EmpiricalMeasure, eps: float, grid: Grid) -> SmoothedField:
@@ -100,7 +106,9 @@ def smooth(measure: EmpiricalMeasure, eps: float, grid: Grid) -> SmoothedField:
 
     At node u the density is (mass of atoms within sup-norm distance eps,
     wrapping transverse axes) / (Lebesgue measure of the box clipped to the
-    domain) / U_eps with U_eps = 1 + eps.
+    domain) / U_eps with U_eps = 1 + eps.  The box membership of the atoms
+    and the box volumes are built once for a batch of measures, whose
+    leading axes lead `values`.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -116,20 +124,25 @@ def smooth(measure: EmpiricalMeasure, eps: float, grid: Grid) -> SmoothedField:
     for j in range(1, grid.d):
         diff = np.abs(pos[None, :, j] - nodes[:, None, j])
         inside &= np.minimum(diff, 1.0 - diff) <= eps
-    mass = inside @ measure.masses  # (n_nodes, d+1)
+    mass = inside @ measure.masses  # (..., n_nodes, d+1)
     len0 = np.minimum(nodes[:, 0] + eps, 1.0) - np.maximum(nodes[:, 0] - eps, 0.0)
     volume = len0 * (min(2 * eps, 1.0) ** (grid.d - 1))
     u_eps = 1.0 + eps
     values = mass / (volume[:, None] * u_eps)
     return SmoothedField(grid=grid, eps=eps, u_eps=u_eps,
-                         values=values.reshape(grid.shape + (-1,)))
+                         values=values.reshape(mass.shape[:-2] + grid.shape + mass.shape[-1:]))
 
 
 def l1_distance(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Componentwise integral of |a - b| over the domain (trapezoid weights)."""
-    if a.shape != b.shape:
+    """Componentwise integral of |a - b| over the domain (trapezoid weights).
+
+    `a` and `b` are fields (*grid.shape, ncomp) with leading batch axes that
+    broadcast against each other, such as a stack of replicas against one
+    reference; the result is (..., ncomp) over the broadcast leading axes."""
+    tail = grid.d + 1
+    if min(a.ndim, b.ndim) < tail or a.shape[-tail:] != b.shape[-tail:]:
         raise ValueError("field shapes differ")
     w = grid.weights()
     diff = np.abs(a - b)
-    axes = tuple(range(grid.d))
+    axes = tuple(range(-tail, -1))
     return np.sum(diff * w[..., None], axis=axes)

@@ -4,11 +4,17 @@ States are integers whose bit `site * nv + v` holds eta(x, v), the slot index
 of the simulator's event catalog `Model.table`, which the generator is built
 from.  Every event flips a fixed bit mask, so the generator is a sum of masked
 XOR permutations: L[s, s ^ flips[k]] = rates[k, s] (N^2-scaled) and
-L[s, s] = -exit[s] = -sum_k rates[k, s].  mu L (`left`) is one pass per mask,
-read through a view that reverses the mask's bits; the CSR `matrix` is built
-only when asked for.  Intended for verification: invariance of homogeneous
-product measures under periodic exclusion, and detailed balance of the
-collision dynamics with respect to the single-site product weights.
+L[s, s] = -exit[s] = -sum_k rates[k, s].  A catalog entry fires from the
+states whose bits under its mask read one pattern (its source slots full,
+its targets empty).  With a rate row seen as a (2,)*n_bits array, one axis
+per bit, those states are the basic-index view that cuts each masked axis
+to the pattern's bit, so each entry's rate is added through a view, without
+a pass over the states where it does not fire.  mu L (`left`) is one pass
+per mask, read through a view that reverses the mask's bits; the CSR
+`matrix` is built only when asked for.  Intended for verification:
+invariance of homogeneous product measures under periodic exclusion, and
+detailed balance of the collision dynamics with respect to the single-site
+product weights.
 """
 
 from __future__ import annotations
@@ -46,12 +52,23 @@ def _rate_rows(table: RateTable, parts, n_bits: int, scale: float) -> tuple:
                                       table.bd_death):
             entries += [(1 << slot, 1 << slot, death), (1 << slot, 0, birth)]
     flips = list(dict.fromkeys(flip for flip, _, _ in entries))
-    states = np.arange(1 << n_bits, dtype=np.int32)
-    rates = np.zeros((len(flips), len(states)))
+    rates = np.zeros((len(flips), 1 << n_bits))
     for flip, occupied, rate in entries:
-        row = rates[flips.index(flip)]
-        np.add(row, rate * scale, out=row, where=(states & flip) == occupied)
+        view = _fired(rates[flips.index(flip)], flip, occupied, n_bits)
+        view += rate * scale
     return np.array(flips, dtype=np.int64), rates
+
+
+def _fired(row: np.ndarray, flip: int, occupied: int, n_bits: int) -> np.ndarray:
+    """The view of `row` (one entry per state) at the states whose bits
+    under `flip` equal `occupied`: `row` as a (2,)*n_bits array (C order: top
+    bit first) with the axis of each bit of `flip` cut to that bit of
+    `occupied`."""
+    index = []
+    for b in reversed(range(n_bits)):
+        bit = (occupied >> b) & 1
+        index.append(slice(bit, bit + 1) if (flip >> b) & 1 else slice(None))
+    return row.reshape((2,) * n_bits)[tuple(index)]
 
 
 def _xor_view(flip: int, n_bits: int) -> tuple:

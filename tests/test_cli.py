@@ -124,6 +124,18 @@ def test_outputs_reproduce_recorded_bytes(tmp_path, command, threads):
     assert output_digests(tmp_path, command, threads) == RECORDED_OUTPUTS[command]
 
 
+def test_simulate_with_no_sample_times(tmp_path):
+    # every replica's field and blocks files hold their headers alone
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", tiny_config(tmp_path, simulate={"sample_times": []}),
+                 "--out", str(out)]) == 0
+    for kind, columns in (("fields", "t,u1,comp0,comp1"), ("blocks", "t,x1,comp0,comp1")):
+        paths = sorted(out.glob(f"sim_N*_{kind}.csv"))
+        assert len(paths) == 4
+        for path in paths:
+            assert path.read_text().splitlines()[-1] == columns
+
+
 VS4_MODEL = {"d": 1, "velocities": [[0.5], [-0.5], [0.25], [-0.25]],
              "alpha": ["0.3", "0.4", "0.35", "0.45"],
              "beta": ["0.6", "0.5", "0.55", "0.65"], "N": 4}

@@ -175,6 +175,38 @@ class TestSmoothing:
         assert lines[4].strip() == f"0.3333333333,0.03125,{rho:.12g},{p:.12g}"
 
 
+@pytest.mark.parametrize("d, N, m1, mt, eps", [(1, 6, 17, 0, 0.125), (2, 5, 9, 8, 0.25)])
+def test_batched_calls_match_single_calls(d, N, m1, mt, eps, vs2, vs2d):
+    # a (3, 2) stack of configurations measured, smoothed and compared in one
+    # call each gives the bytes of six single calls; in d = 2 the boxes wrap
+    # the transverse axis (eps = 1/4 on a transverse ring of five sites)
+    vs, lat, grid = (vs2, Lattice(N, 1), Grid(1, m1)) if d == 1 else (
+        vs2d, Lattice(N, 2), Grid(2, m1, mt))
+    rng = np.random.default_rng(d)
+    etas = rng.integers(0, 2, size=(3, 2, lat.n_sites, len(vs)), dtype=np.uint8)
+    ref = rng.random(grid.shape + (d + 1,))
+    batch = empirical_measure(etas, lat, vs)
+    fields = smooth(batch, eps, grid).values
+    l1 = l1_distance(grid, fields, ref)
+    assert fields.shape == (3, 2) + grid.shape + (d + 1,) and l1.shape == (3, 2, d + 1)
+    for i, j in np.ndindex(3, 2):
+        one = empirical_measure(etas[i, j], lat, vs)
+        field = smooth(one, eps, grid).values
+        assert batch.masses[i, j].tobytes() == one.masses.tobytes()
+        assert fields[i, j].tobytes() == field.tobytes()
+        assert l1[i, j].tobytes() == l1_distance(grid, field, ref).tobytes()
+        assert batch.component_totals[i, j].tobytes() == one.component_totals.tobytes()
+    # a run with no sample times smooths an empty stack
+    empty = smooth(empirical_measure(etas[:, :0], lat, vs), eps, grid).values
+    assert empty.shape == (3, 0) + grid.shape + (d + 1,)
+    with pytest.raises(ValueError):
+        empirical_measure(etas[..., :-1, :], lat, vs)
+    with pytest.raises(ValueError):
+        l1_distance(grid, fields, ref[..., :-1])
+    with pytest.raises(ValueError):
+        l1_distance(grid, fields, ref[:-1])
+
+
 def test_l1_distance():
     grid = Grid(1, 11)
     a = np.zeros((11, 2))

@@ -151,18 +151,18 @@ AGREE_CASES = {
 
 class CountingRng:
     """A seeded generator that records the length of each candidate batch
-    (one standard exponential draw of gaps per batch)."""
+    (one standard exponential draw of gaps per batch, into `out`)."""
 
     def __init__(self, seed: int):
         self._rng = np.random.default_rng(seed)
         self.batches = []
 
-    def standard_exponential(self, size):
-        self.batches.append(size)
-        return self._rng.standard_exponential(size)
+    def standard_exponential(self, out):
+        self.batches.append(len(out))
+        return self._rng.standard_exponential(out=out)
 
-    def random(self, size=None):
-        return self._rng.random(size)
+    def random(self, out):
+        return self._rng.random(out=out)
 
 
 def run_every_entry_point(make, seed: int) -> dict:
@@ -259,6 +259,47 @@ def test_stop_times_do_not_change_the_stream(loop, name):
     assert list(one.kind_counts) == list(many.kind_counts)
     assert one.t == many.t and one.rng.batches == many.rng.batches
     assert len(one.rng.batches) >= 4
+
+
+def test_candidates_are_the_stream_of_three_draws_per_batch(loop):
+    # each batch of B reads B standard exponentials, then B selector and B
+    # accept uniforms, as three separate draws would; the arrays are kept
+    # while B holds and replaced when it grows
+    model = STREAM_CASES["vs2_walls_N16"][0]()
+    zeros = np.zeros((model.lattice.n_sites, len(model.vset)), dtype=np.uint8)
+    state, fresh = SimState(model, zeros, np.random.default_rng(9)), np.random.default_rng(9)
+    assert state.event_loop == loop
+    buffers = []
+    for B in (256, 256, 512, 1024):
+        got = np.array([state._next_candidate() for _ in range(B)])
+        want = np.column_stack((fresh.standard_exponential(B), fresh.random(B),
+                                fresh.random(B)))
+        assert got.tobytes() == want.tobytes()
+        buffers.append((state._gap, state._uni))
+    assert all(a is b for a, b in zip(buffers[1], buffers[0]))
+    for old, new in zip(buffers[1:], buffers[2:]):
+        assert old[0] is not new[0] and old[1] is not new[1]
+
+
+@requires_compiler
+def test_loops_agree_across_buffer_growths(monkeypatch):
+    # read into the fifth batch: the first arrays serve two batches, then
+    # grow three times (to 512, 1024 and 2048 candidates)
+    def run():
+        model = STREAM_CASES["vs4_walls_N16"][0]()
+        rng = CountingRng(4)
+        state = SimState(model, np.zeros((model.lattice.n_sites, len(model.vset)),
+                                         dtype=np.uint8), rng)
+        advance_through(state, list(np.linspace(0.03, 0.3, 10)))
+        return (state.event_loop, rng.batches, state.candidates, state.t,
+                state.eta_flat.tobytes(), list(state.kind_counts))
+
+    compiled = run()
+    monkeypatch.setattr(eventloop, "load_kernel", lambda: None)
+    python = run()
+    assert (compiled[0], python[0]) == ("compiled", "python")
+    assert compiled[1] == [256, 256, 512, 1024, 2048] and compiled[2] > 2048
+    assert compiled[1:] == python[1:]
 
 
 @pytest.mark.parametrize("horizon", [1e-5, 1e-3, 0.01, 0.03, 0.1, 0.3])

@@ -12,7 +12,7 @@ from latgas.dynamics import (
     exclusion_rate,
 )
 from latgas.errors import SizeError
-from latgas.generator import ALL_PARTS, _xor_view, assemble_exact_generator
+from latgas.generator import ALL_PARTS, _rate_rows, _xor_view, assemble_exact_generator
 from latgas.lattice import Lattice
 from latgas.velocities import VelocitySet, four_velocity_set, two_velocity_set
 
@@ -131,6 +131,55 @@ def test_off_diagonal_matches_reference_rates(name):
     assert sorted(got) == sorted(ref)
     for key, rate in ref.items():
         assert got[key] == pytest.approx(rate, rel=1e-14), key
+
+
+def masked_rate_rows(table, parts, n_bits: int, scale: float) -> tuple:
+    """`generator._rate_rows` as one masked pass over all states per catalog
+    entry: each entry's N^2-scaled rate is added, in catalog order, where the
+    state's bits under the flip mask equal the entry's occupied pattern."""
+    entries = []  # (flip mask, slots of the mask occupied where it fires, micro rate)
+    if "exclusion" in parts:
+        for s, t, pn in zip(table.ex_src.tolist(), table.ex_tgt.tolist(),
+                            table.ex_pn.tolist()):
+            entries.append(((1 << s) | (1 << t), 1 << s, pn))
+    if "collision" in parts:
+        for a, b, c, d in table.col_slots.tolist():
+            entries.append(((1 << a) | (1 << b) | (1 << c) | (1 << d),
+                            (1 << a) | (1 << b), 1.0))
+    if "boundary" in parts:
+        for slot, birth, death in zip(table.bd_slot.tolist(), table.bd_birth,
+                                      table.bd_death):
+            entries += [(1 << slot, 1 << slot, death), (1 << slot, 0, birth)]
+    flips = list(dict.fromkeys(flip for flip, _, _ in entries))
+    states = np.arange(1 << n_bits, dtype=np.int32)
+    rates = np.zeros((len(flips), len(states)))
+    for flip, occupied, rate in entries:
+        row = rates[flips.index(flip)]
+        np.add(row, rate * scale, out=row, where=(states & flip) == occupied)
+    return np.array(flips, dtype=np.int64), rates
+
+
+RATE_ROW_MODELS = {
+    # the crosscheck benchmark's walls: 9 sites x 2 velocities = 2^18 states
+    "vs2_walls_N10": lambda: Model(Lattice(10, 1), VS2, profiles=ReservoirProfiles.constant(
+        VS2, [0.3, 0.4], [0.6, 0.5])),
+    "vs4_ring_N4": lambda: Model(Lattice(4, 1, periodic=True), VS4),
+    "vs2d_N2": REFERENCE_MODELS["vs2d_N2"],
+    "vs0_d2_N3": REFERENCE_MODELS["vs0_d2_N3"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(RATE_ROW_MODELS))
+def test_rate_rows_match_the_masked_pass(name):
+    model = RATE_ROW_MODELS[name]()
+    n_bits = model.lattice.n_sites * len(model.vset)
+    for r in range(1, len(ALL_PARTS) + 1):
+        for parts in itertools.combinations(ALL_PARTS, r):
+            flips, rates = _rate_rows(model.table, parts, n_bits, model.time_scale)
+            want_flips, want_rates = masked_rate_rows(model.table, parts, n_bits,
+                                                      model.time_scale)
+            assert flips.tobytes() == want_flips.tobytes(), parts
+            assert rates.tobytes() == want_rates.tobytes(), parts
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
