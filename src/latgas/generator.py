@@ -1,20 +1,26 @@
-"""Exact generators of tiny systems, held as one rate row per flip mask.
+"""Exact generators of tiny systems, held as one small rate table per flip mask.
 
 States are integers whose bit `site * nv + v` holds eta(x, v), the slot index
 of the simulator's event catalog `Model.table`, which the generator is built
 from.  Every event flips a fixed bit mask, so the generator is a sum of masked
-XOR permutations: L[s, s ^ flips[k]] = rates[k, s] (N^2-scaled) and
-L[s, s] = -exit[s] = -sum_k rates[k, s].  A catalog entry fires from the
-states whose bits under its mask read one pattern (its source slots full,
-its targets empty).  With a rate row seen as a (2,)*n_bits array, one axis
-per bit, those states are the basic-index view that cuts each masked axis
-to the pattern's bit, so each entry's rate is added through a view, without
-a pass over the states where it does not fire.  mu L (`left`) is one pass
-per mask, read through a view that reverses the mask's bits; the CSR
-`matrix` is built only when asked for.  Intended for verification:
-invariance of homogeneous product measures under periodic exclusion, and
-detailed balance of the collision dynamics with respect to the single-site
-product weights.
+XOR permutations: L[s, s ^ flips[k]] = r_k(s) (N^2-scaled) and
+L[s, s] = -exit[s] = -sum_k r_k(s).  A catalog entry fires from the states
+whose bits under its mask read one pattern (its source slots full, its
+targets empty), so r_k(s) depends only on those 1-4 bits: `tables[k]` holds
+it as a (2,)*popcount(flips[k]) array, one axis per bit of the mask (top bit
+first).  Memory is O(states): the tables take a few entries each, and only
+`exit` and the vectors a method is given or returns have one entry per state.
+
+Every pass over the states goes through views.  With a vector over all
+states reshaped so that each run of bits that a mask sets or leaves is one
+axis (C order: top bit first), the states whose bits under the mask read a
+pattern p are the basic-index view that cuts each set run's axis to the bits
+p has there.  A pass visits only the views of the patterns whose rate is
+nonzero, each paired with the view at p ^ mask, where those states go; the
+states where a mask does not fire are not visited.  The CSR `matrix` is
+built only when asked for.  Intended for verification: invariance of
+homogeneous product measures under periodic exclusion, and detailed balance
+of the collision dynamics with respect to the single-site product weights.
 """
 
 from __future__ import annotations
@@ -32,12 +38,12 @@ STATE_SPACE_CAP = 2**20
 ALL_PARTS = ("boundary", "collision", "exclusion")
 
 
-def _rate_rows(table: RateTable, parts, n_bits: int, scale: float) -> tuple:
-    """(flips, rates): the flip masks of the catalog entries in `parts`, in
+def _rate_tables(table: RateTable, parts, scale: float) -> tuple:
+    """(flips, tables): the flip masks of the catalog entries in `parts`, in
     the catalog order of first appearance, and each mask's N^2-scaled rate
-    from every state (0 where nothing fires).  Entries sharing a mask (both
-    directions of a hop; two directions to one site on a ring of two) are
-    each scaled, then added in catalog order."""
+    table, indexed by the state's bits under the mask (top bit first).
+    Entries sharing a mask (both directions of a hop; two directions to one
+    site on a ring of two) are each scaled, then added in catalog order."""
     entries = []  # (flip mask, slots of the mask occupied where it fires, micro rate)
     if "exclusion" in parts:
         for s, t, pn in zip(table.ex_src.tolist(), table.ex_tgt.tolist(),
@@ -51,67 +57,111 @@ def _rate_rows(table: RateTable, parts, n_bits: int, scale: float) -> tuple:
         for slot, birth, death in zip(table.bd_slot.tolist(), table.bd_birth,
                                       table.bd_death):
             entries += [(1 << slot, 1 << slot, death), (1 << slot, 0, birth)]
-    flips = list(dict.fromkeys(flip for flip, _, _ in entries))
-    rates = np.zeros((len(flips), 1 << n_bits))
+    tables: dict = {}
     for flip, occupied, rate in entries:
-        view = _fired(rates[flips.index(flip)], flip, occupied, n_bits)
-        view += rate * scale
-    return np.array(flips, dtype=np.int64), rates
+        bits = _mask_bits(flip)
+        rates = tables.setdefault(flip, np.zeros((2,) * len(bits)))
+        rates[tuple((occupied >> b) & 1 for b in bits)] += rate * scale
+    return np.array(list(tables), dtype=np.int64), tuple(tables.values())
 
 
-def _fired(row: np.ndarray, flip: int, occupied: int, n_bits: int) -> np.ndarray:
-    """The view of `row` (one entry per state) at the states whose bits
-    under `flip` equal `occupied`: `row` as a (2,)*n_bits array (C order: top
-    bit first) with the axis of each bit of `flip` cut to that bit of
-    `occupied`."""
-    index = []
-    for b in reversed(range(n_bits)):
-        bit = (occupied >> b) & 1
-        index.append(slice(bit, bit + 1) if (flip >> b) & 1 else slice(None))
-    return row.reshape((2,) * n_bits)[tuple(index)]
+def _mask_bits(flip: int) -> list:
+    """The bits that `flip` sets, top bit first: the axes of its table."""
+    return [b for b in reversed(range(flip.bit_length())) if (flip >> b) & 1]
 
 
-def _xor_view(flip: int, n_bits: int) -> tuple:
-    """(shape, index) such that x.reshape(shape)[index] is a view reading
-    x[j ^ flip] where x.reshape(shape) holds x[j].  Each run of bits that
-    `flip` sets or leaves is one axis (C order: top bit first); reversing an
-    axis of 2^r entries maps i to i ^ (2^r - 1)."""
-    runs = [(on, len(list(run))) for on, run in itertools.groupby(
-        (flip >> b) & 1 for b in reversed(range(n_bits)))]
-    return ([1 << r for _, r in runs],
-            tuple(slice(None, None, -1) if on else slice(None) for on, _ in runs))
+def _patterns(flip: int, rates: np.ndarray) -> list:
+    """(pattern, rate) for each nonzero entry of a mask's table, the pattern
+    being the state's bits under `flip` (as an integer) where it fires."""
+    bits = _mask_bits(flip)
+    return [(sum(int(i) << b for i, b in zip(index, bits)), float(rates[index]))
+            for index in zip(*np.nonzero(rates))]
+
+
+def _cuts(flip: int, n_bits: int) -> tuple:
+    """(shape, cut) such that x.reshape(shape)[cut(p)] is the view of x (one
+    entry per state) at the states whose bits under `flip` read pattern p.
+    Each run of bits that `flip` sets or leaves is one axis (C order: top bit
+    first); a set run's axis is cut to the entry that p's bits spell there
+    (a slice, so the view is an array even when `flip` sets every bit)."""
+    runs, low = [], n_bits  # (set, lowest bit, length), top run first
+    for on, run in itertools.groupby((flip >> b) & 1 for b in reversed(range(n_bits))):
+        length = len(list(run))
+        low -= length
+        runs.append((on, low, length))
+
+    def cut(pattern: int) -> tuple:
+        index = []
+        for on, lo, r in runs:
+            i = (pattern >> lo) & ((1 << r) - 1)
+            index.append(slice(i, i + 1) if on else slice(None))
+        return tuple(index)
+
+    return [1 << r for _, _, r in runs], cut
+
+
+def _expand(flip: int, rates: np.ndarray, n_bits: int) -> np.ndarray:
+    """A mask's rate from every state (0 where it does not fire)."""
+    row = np.zeros(1 << n_bits)
+    shape, cut = _cuts(flip, n_bits)
+    view = row.reshape(shape)
+    for pattern, rate in _patterns(flip, rates):
+        view[cut(pattern)] = rate
+    return row
+
+
+def _exit_rates(flips, tables, n_bits: int) -> np.ndarray:
+    """Each state's total rate: the tables' rates added mask by mask, in table
+    order, as a sum over the expanded rows (axis 0) adds them."""
+    out = np.zeros(1 << n_bits)
+    for flip, rates in zip(flips.tolist(), tables):
+        shape, cut = _cuts(flip, n_bits)
+        view = out.reshape(shape)
+        for pattern, rate in _patterns(flip, rates):
+            view[cut(pattern)] += rate
+    return out
 
 
 @dataclass
 class ExactGenerator:
-    """The generator L as its rate table, with invariance and balance checks.
+    """The generator L as its rate tables, with invariance and balance checks.
 
-    `flips` (F,) holds the masks, `rates` (F, n_states) each mask's rate from
-    each state, and `exit` their sum in row order, so `row_sums` (the same sum
-    minus `exit`) is exactly zero.  `matrix`, the canonical CSR form with int32
-    indices, is built on first use.
+    `flips` (F,) holds the masks and `tables` each mask's N^2-scaled rate as
+    a (2,)*popcount array indexed by the state's bits under the mask (top bit
+    first); `exit` (n_states,) is their sum per state in table order, so
+    `row_sums` (the same sum minus `exit`) is exactly zero.  Every method
+    reads the states through one view per nonzero pattern of a mask and the
+    view at pattern ^ mask, so memory stays O(states).  `matrix`, the
+    canonical CSR form with int32 indices, is built on first use.
     """
 
     model: Model
     parts: tuple
     flips: np.ndarray
-    rates: np.ndarray
+    tables: tuple
     exit: np.ndarray
 
     @property
     def n_states(self) -> int:
         return len(self.exit)
 
+    @property
+    def n_bits(self) -> int:
+        return self.n_states.bit_length() - 1
+
     @cached_property
     def matrix(self):
         """The CSR form; scipy.sparse is imported here, since no command reads it."""
         import scipy.sparse as sp
 
-        # row s holds the diagonal -exit[s], then rates[k, s] at s ^ flips[k]
+        # row s holds the diagonal -exit[s], then mask k's rate at s ^ flips[k]
         n, width = self.n_states, len(self.flips) + 1
         masks = np.concatenate(([0], self.flips)).astype(np.int32)
         cols = np.arange(n, dtype=np.int32)[:, None] ^ masks
-        data = np.column_stack((-self.exit, self.rates.T))
+        data = np.empty((n, width))
+        data[:, 0] = -self.exit
+        for k, (flip, rates) in enumerate(zip(self.flips.tolist(), self.tables)):
+            data[:, k + 1] = _expand(flip, rates, self.n_bits)
         indptr = np.arange(0, n * width + 1, width, dtype=np.int32)
         mat = sp.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(n, n))
         mat.eliminate_zeros()
@@ -119,12 +169,11 @@ class ExactGenerator:
         return mat
 
     def row_sums(self) -> np.ndarray:
-        return self.rates.sum(axis=0) - self.exit
+        return _exit_rates(self.flips, self.tables, self.n_bits) - self.exit
 
     def state_bits(self) -> np.ndarray:
-        n_bits = self.model.lattice.n_sites * len(self.model.vset)
         states = np.arange(self.n_states, dtype=np.int64)
-        return ((states[:, None] >> np.arange(n_bits)) & 1).astype(np.uint8)
+        return ((states[:, None] >> np.arange(self.n_bits)) & 1).astype(np.uint8)
 
     def product_measure(self, lam) -> np.ndarray:
         """Normalized product-measure weights mu_lam over all states: the
@@ -140,14 +189,16 @@ class ExactGenerator:
         return weights / weights.sum()
 
     def left(self, mu) -> np.ndarray:
-        """mu L for a row vector mu over all states: per mask the flux
-        mu rates[k] read at j ^ flips[k], added in table order, then -mu exit."""
+        """mu L for a row vector mu over all states: per mask, the flux
+        mu rate out of each firing pattern's view lands on the view at
+        pattern ^ mask, masks added in table order; then -mu exit."""
         out = np.zeros(self.n_states)
-        n_bits = self.n_states.bit_length() - 1
-        for flip, rate in zip(self.flips.tolist(), self.rates):
-            shape, index = _xor_view(flip, n_bits)
-            view = out.reshape(shape)
-            view += (mu * rate).reshape(shape)[index]
+        mu = np.asarray(mu)
+        for flip, rates in zip(self.flips.tolist(), self.tables):
+            shape, cut = _cuts(flip, self.n_bits)
+            src, dst = mu.reshape(shape), out.reshape(shape)
+            for pattern, rate in _patterns(flip, rates):
+                dst[cut(pattern ^ flip)] += src[cut(pattern)] * rate
         return out - mu * self.exit
 
     def invariance_residual(self, mu) -> float:
@@ -165,7 +216,7 @@ class ExactGenerator:
         """Largest `invariance_residual` that rounding can give an exactly
         invariant product measure: (F + 1) gamma_n, gamma_n = n u / (1 - n u).
 
-        Each entry of mu L sums F + 1 terms, the F inflows mu rates[k] and the
+        Each entry of mu L sums F + 1 terms, the F inflows mu r_k and the
         outflow mu exit, each at most max mu exit in size.  Forming the terms
         (the outflow's exit sums F rates) and adding them takes 2F roundings;
         each mu entry takes three per site (the site weight's argument, its
@@ -181,27 +232,32 @@ class ExactGenerator:
 
         `mu` is a measure over all states, as from `product_measure`.  Only
         meaningful for the collision part (build with parts=("collision",)).
-        Each transition s -> s ^ flips[k] pairs with rates[k, s ^ flips[k]].
+        A mask's transitions from pattern p pair with its rate from p ^ mask:
+        a table with n nonzero entries holds n 2^(n_bits - popcount)
+        transitions, all reversible when each nonzero pattern's flipped
+        pattern is nonzero too, and the imbalance is read on the two views.
         Returns the number of transitions, the worst absolute imbalance, and
         whether every transition has a reverse."""
-        n_bits = self.n_states.bit_length() - 1
         count, worst, reversible = 0, 0.0, True
-        for flip, rate in zip(self.flips.tolist(), self.rates):
-            shape, index = _xor_view(flip, n_bits)
-            fwd = rate.reshape(shape)
-            fires = fwd != 0
-            paired = fires & fires[index]
-            flux = mu.reshape(shape) * fwd
-            count += int(np.count_nonzero(fires))
-            reversible = reversible and bool(np.array_equal(fires, paired))
-            worst = max(worst, float(np.max(np.abs(flux - flux[index])[paired],
-                                            initial=0.0)))
+        mu = np.asarray(mu)
+        for flip, rates in zip(self.flips.tolist(), self.tables):
+            shape, cut = _cuts(flip, self.n_bits)
+            count += int(np.count_nonzero(rates)) << (self.n_bits - rates.ndim)
+            fired = dict(_patterns(flip, rates))
+            view = mu.reshape(shape)
+            for pattern, rate in fired.items():
+                back = fired.get(pattern ^ flip)
+                if back is None:
+                    reversible = False
+                    continue
+                flux = view[cut(pattern)] * rate - view[cut(pattern ^ flip)] * back
+                worst = max(worst, float(np.max(np.abs(flux), initial=0.0)))
         return {"n_transitions": count, "worst_imbalance": worst,
                 "all_reversible": reversible}
 
 
 def assemble_exact_generator(model: Model, parts=ALL_PARTS) -> ExactGenerator:
-    """Build the rate table of the full generator of a tiny system.
+    """Build the rate tables of the full generator of a tiny system.
 
     `parts` selects which of the boundary/collision/exclusion dynamics are
     included; use a periodic lattice in the model to replace the walls by a
@@ -214,8 +270,6 @@ def assemble_exact_generator(model: Model, parts=ALL_PARTS) -> ExactGenerator:
     n_bits = model.lattice.n_sites * len(model.vset)
     if 2**n_bits > STATE_SPACE_CAP:
         raise SizeError(f"state space 2^{n_bits} exceeds the cap {STATE_SPACE_CAP}")
-    flips, rates = _rate_rows(model.table, parts, n_bits, model.time_scale)
-    gen = ExactGenerator(model=model, parts=parts, flips=flips, rates=rates,
-                         exit=rates.sum(axis=0))
-    assert not np.any(gen.row_sums())
-    return gen
+    flips, tables = _rate_tables(model.table, parts, model.time_scale)
+    return ExactGenerator(model=model, parts=parts, flips=flips, tables=tables,
+                          exit=_exit_rates(flips, tables, n_bits))

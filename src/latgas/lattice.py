@@ -9,7 +9,6 @@ workbench to check invariance of product measures).
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from enum import Enum
 
@@ -168,45 +167,3 @@ def totals(eta, vset: VelocitySet) -> np.ndarray:
     counts = eta.sum(axis=0, dtype=np.int64).astype(float)
     return counts @ vset.vtilde
 
-
-# Checkpoint byte layout (little-endian):
-#   magic     4 bytes  b"LGCK"
-#   version   u8       currently 1
-#   d         u8
-#   flags     u8       bit 0: periodic first axis
-#   reserved  u8       zero
-#   N         u32
-#   n_vel     u32
-#   payload   packbits of eta.ravel(order="C"), bitorder="little"
-_CKPT_MAGIC = b"LGCK"
-_CKPT_HEADER = struct.Struct("<4sBBBBII")
-
-
-def save_configuration(cfg: Configuration, path) -> None:
-    lat = cfg.lattice
-    header = _CKPT_HEADER.pack(
-        _CKPT_MAGIC, 1, lat.d, 1 if lat.periodic else 0, 0, lat.N, len(cfg.vset)
-    )
-    payload = np.packbits(cfg.eta.ravel(order="C"), bitorder="little").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
-
-
-def load_configuration(path, vset: VelocitySet) -> Configuration:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    magic, version, d, flags, _, n, nv = _CKPT_HEADER.unpack_from(raw, 0)
-    if magic != _CKPT_MAGIC:
-        raise ValueError("not a configuration checkpoint")
-    if version != 1:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    if nv != len(vset) or d != vset.d:
-        raise ValueError("checkpoint velocity layout does not match the given set")
-    lat = Lattice(n, d, periodic=bool(flags & 1))
-    n_bits = lat.n_sites * nv
-    bits = np.unpackbits(
-        np.frombuffer(raw, dtype=np.uint8, offset=_CKPT_HEADER.size),
-        bitorder="little", count=n_bits,
-    )
-    return Configuration(lat, vset, bits.reshape(lat.n_sites, nv))

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from latgas.dynamics import (
     exclusion_rate,
 )
 from latgas.errors import SizeError
-from latgas.generator import ALL_PARTS, _rate_rows, _xor_view, assemble_exact_generator
+from latgas.generator import ALL_PARTS, _cuts, _expand, _rate_tables, assemble_exact_generator
 from latgas.lattice import Lattice
 from latgas.velocities import VelocitySet, four_velocity_set, two_velocity_set
 
@@ -65,6 +66,29 @@ class TestAssembly:
         n = model.lattice.N
         expected = n**2 * ((0.5 + 0.75 / n) + (0.5 + 0.25 / n))
         assert gen.matrix[state, target] == pytest.approx(expected, rel=1e-14)
+
+
+def test_a_million_states_stay_under_64_mib(vs4):
+    # everything `latgas exact` runs, on the walled four-velocity chain at
+    # N = 6 (2^20 states, 29 masks): the rate tables keep the traced peak to
+    # a few vectors over the states, where one dense (masks x states) array
+    # alone would take 232 MiB
+    prof = ReservoirProfiles.constant(vs4, [0.3, 0.4, 0.35, 0.45], [0.6, 0.5, 0.55, 0.65])
+    model = Model(Lattice(6, 1), vs4, profiles=prof)
+    tracemalloc.start()
+    try:
+        gen = assemble_exact_generator(model)
+        row_max = np.max(np.abs(gen.row_sums()))
+        mu = gen.product_measure(np.array([0.2, -0.1]))
+        residual = gen.invariance_residual(mu)
+        audit = assemble_exact_generator(model, parts=("collision",)) \
+            .detailed_balance_audit(mu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (gen.n_states, len(gen.flips), row_max) == (2**20, 29, 0.0)
+    assert residual > 0.1 and audit["all_reversible"] and audit["n_transitions"] > 0
+    assert peak < 64 * 2**20
 
 
 def wavy(base):
@@ -134,9 +158,10 @@ def test_off_diagonal_matches_reference_rates(name):
 
 
 def masked_rate_rows(table, parts, n_bits: int, scale: float) -> tuple:
-    """`generator._rate_rows` as one masked pass over all states per catalog
-    entry: each entry's N^2-scaled rate is added, in catalog order, where the
-    state's bits under the flip mask equal the entry's occupied pattern."""
+    """The generator's rate tables expanded to one row over all states per
+    mask, by one masked pass per catalog entry: each entry's N^2-scaled rate
+    is added, in catalog order, where the state's bits under the flip mask
+    equal the entry's occupied pattern."""
     entries = []  # (flip mask, slots of the mask occupied where it fires, micro rate)
     if "exclusion" in parts:
         for s, t, pn in zip(table.ex_src.tolist(), table.ex_tgt.tolist(),
@@ -175,11 +200,35 @@ def test_rate_rows_match_the_masked_pass(name):
     n_bits = model.lattice.n_sites * len(model.vset)
     for r in range(1, len(ALL_PARTS) + 1):
         for parts in itertools.combinations(ALL_PARTS, r):
-            flips, rates = _rate_rows(model.table, parts, n_bits, model.time_scale)
+            flips, tables = _rate_tables(model.table, parts, model.time_scale)
             want_flips, want_rates = masked_rate_rows(model.table, parts, n_bits,
                                                       model.time_scale)
+            rates = np.array([_expand(flip, table, n_bits)
+                              for flip, table in zip(flips.tolist(), tables)])
             assert flips.tobytes() == want_flips.tobytes(), parts
             assert rates.tobytes() == want_rates.tobytes(), parts
+
+
+@pytest.mark.parametrize("name", sorted(RATE_ROW_MODELS))
+def test_left_and_exit_match_the_dense_rows_bit_for_bit(name):
+    # exit is the rows' sum over axis 0 and mu L adds each row's flux
+    # mu rates[k] read at j ^ flips[k] in row order, then -mu exit; mu is
+    # generic, with negative entries
+    model = RATE_ROW_MODELS[name]()
+    n_bits = model.lattice.n_sites * len(model.vset)
+    states = np.arange(1 << n_bits)
+    mu = np.random.default_rng(7).uniform(-0.5, 1.5, len(states))
+    for r in range(len(ALL_PARTS) + 1):
+        for parts in itertools.combinations(ALL_PARTS, r):
+            gen = assemble_exact_generator(model, parts=parts)
+            flips, rates = masked_rate_rows(model.table, parts, n_bits, model.time_scale)
+            exit_rates = rates.sum(axis=0)
+            want = np.zeros(len(states))
+            for flip, rate in zip(flips.tolist(), rates):
+                want += (mu * rate)[states ^ flip]
+            want -= mu * exit_rates
+            assert gen.exit.tobytes() == exit_rates.tobytes(), parts
+            assert gen.left(mu).tobytes() == want.tobytes(), parts
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
@@ -198,13 +247,17 @@ def test_left_product_matches_the_matrix(name):
 
 @pytest.mark.parametrize("flip", [0b000001, 0b100000, 0b100101, 0b010010,
                                   0b111111, 0b000011, 0b110001])
-def test_xor_view_reads_the_flipped_state(flip):
-    # masks with bit 0, the top bit, adjacent and non-adjacent bits
+def test_pattern_views_read_the_masked_states(flip):
+    # masks with bit 0, the top bit, adjacent and non-adjacent bits; every
+    # pattern's view is the states whose bits under the mask read it
     x = np.arange(64)
-    shape, index = _xor_view(flip, 6)
-    view = x.reshape(shape)[index]
-    assert np.shares_memory(view, x)
-    assert np.array_equal(view.reshape(-1), x ^ flip)
+    shape, cut = _cuts(flip, 6)
+    for pattern in range(64):
+        if pattern & ~flip:
+            continue
+        view = x.reshape(shape)[cut(pattern)]
+        assert np.shares_memory(view, x)
+        assert np.array_equal(view.reshape(-1), x[(x & flip) == pattern])
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
@@ -242,11 +295,11 @@ class TestInvariance:
 
     def test_rounding_noise_reads_zero_in_any_summation_order(self, vs4):
         # mu L of an invariant measure is rounding noise whose value depends on
-        # the order the rate rows are added; below the rounding bound the
+        # the order the rate tables are added; below the rounding bound the
         # residual is exactly 0, so both orders report the same
         gen = assemble_exact_generator(Model(Lattice(5, 1, periodic=True), vs4),
                                        parts=("exclusion", "collision"))
-        reverse = dataclasses.replace(gen, flips=gen.flips[::-1], rates=gen.rates[::-1])
+        reverse = dataclasses.replace(gen, flips=gen.flips[::-1], tables=gen.tables[::-1])
         noisy = 0
         for lam in ([0.3, 0.2], [0.2, -0.4], [1.5, -0.7]):
             mu = gen.product_measure(np.array(lam))
@@ -288,12 +341,15 @@ class TestDetailedBalance:
         driven = assemble_exact_generator(two_site_model(vs2, periodic=False, profiles=prof))
         collision = assemble_exact_generator(Model(Lattice(2, 1), vs4, profiles=None),
                                              parts=("collision",))
-        # drop one transition, leaving its reverse without a partner; the
-        # audit reads the rate table, and dict_audit the matrix built from it
-        rates = exclusion.rates.copy()
-        k, s = np.argwhere(rates)[0]
-        rates[k, s] = 0.0
-        one_way = dataclasses.replace(exclusion, rates=rates)
+        # drop one table entry, leaving the transitions from its pattern's
+        # states without a partner; the audit reads the rate tables, and
+        # dict_audit the matrix built from them
+        tables = list(exclusion.tables)
+        tables[0] = tables[0].copy()
+        index = tuple(np.argwhere(tables[0])[0])
+        tables[0][index] = 0.0
+        one_way = dataclasses.replace(exclusion, tables=tuple(tables))
+        dropped = exclusion.n_states >> tables[0].ndim
         audits = {}
         for name, gen in (("exclusion", exclusion), ("driven", driven),
                           ("collision", collision), ("one_way", one_way)):
@@ -301,7 +357,8 @@ class TestDetailedBalance:
             assert audits[name] == dict_audit(gen, lam), name
         assert audits["driven"]["worst_imbalance"] > 0.0
         assert not audits["one_way"]["all_reversible"]
-        assert audits["one_way"]["n_transitions"] == audits["exclusion"]["n_transitions"] - 1
+        assert audits["one_way"]["n_transitions"] == \
+            audits["exclusion"]["n_transitions"] - dropped
 
     def test_two_velocity_system_has_no_collision_transitions(self, vs2):
         gen = assemble_exact_generator(two_site_model(vs2, periodic=False),

@@ -5,8 +5,6 @@ from latgas.lattice import (
     BoundarySide,
     Configuration,
     Lattice,
-    load_configuration,
-    save_configuration,
     totals,
 )
 from latgas.thermo import conserved_of_state, sample_product_state
@@ -132,20 +130,3 @@ class TestConfiguration:
         lat = Lattice(4, 1)
         with pytest.raises(ValueError):
             Configuration(lat, vs2, 2 * np.ones((3, 2), dtype=np.uint8))
-
-    def test_checkpoint_roundtrip(self, vs4, rng, tmp_path):
-        lat = Lattice(7, 1)
-        cfg = Configuration(lat, vs4, sample_product_state([0.1, -0.4], lat, vs4, rng))
-        path = tmp_path / "state.lgck"
-        save_configuration(cfg, path)
-        back = load_configuration(path, vs4)
-        assert back.lattice == cfg.lattice
-        assert np.array_equal(back.eta, cfg.eta)
-
-    def test_checkpoint_rejects_wrong_velocity_set(self, vs4, vs2, rng, tmp_path):
-        lat = Lattice(5, 1)
-        cfg = Configuration(lat, vs4, sample_product_state([0.0, 0.0], lat, vs4, rng))
-        path = tmp_path / "state.lgck"
-        save_configuration(cfg, path)
-        with pytest.raises(ValueError, match="velocity"):
-            load_configuration(path, vs2)
