@@ -9,8 +9,8 @@ against each other.
 __version__ = "0.1.0"
 
 from .velocities import VelocitySet, CollisionSet, load_velocity_set
-from .lattice import Lattice, Configuration, BoundarySide
-from .dynamics import Model, JumpLaw, ReservoirProfiles, simulate
+from .lattice import Lattice, Configuration
+from .dynamics import Model, ReservoirProfiles, simulate
 
 __all__ = [
     "__version__",
@@ -19,9 +19,7 @@ __all__ = [
     "load_velocity_set",
     "Lattice",
     "Configuration",
-    "BoundarySide",
     "Model",
-    "JumpLaw",
     "ReservoirProfiles",
     "simulate",
 ]

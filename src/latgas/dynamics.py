@@ -86,73 +86,28 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import NumericalFailure
-from .lattice import BoundarySide, Configuration, Lattice
+from .lattice import Configuration, Lattice
 from .velocities import Collision, CollisionSet, VelocitySet
 
-_UNIT_MEAN_TOL = 1e-15
 
-
-class JumpLaw:
-    """Per-velocity jump probabilities p(y, v) on the 2d unit displacements.
-
-    Columns follow the direction indexing (+e_1, -e_1, +e_2, -e_2, ...).  Each
-    row must be a probability vector whose mean displacement equals the
-    velocity exactly (to 1e-15 per component).  Longer-range laws are not
-    supported; the nearest-neighbor default below covers every velocity set
-    with max_l1_speed <= 1.
-    """
-
-    def __init__(self, vset: VelocitySet, probs):
-        probs = np.asarray(probs, dtype=float)
-        d, nv = vset.d, len(vset)
-        if probs.shape != (nv, 2 * d):
-            raise ValueError(f"probs shape {probs.shape}, expected {(nv, 2 * d)}")
-        if np.any(probs < 0):
-            raise ValueError("jump probabilities must be nonnegative")
-        if np.max(np.abs(probs.sum(axis=1) - 1.0)) > 1e-12:
-            raise ValueError("jump probabilities must sum to 1 per velocity")
-        mean = probs[:, 0::2] - probs[:, 1::2]
-        if np.max(np.abs(mean - vset.velocities)) > _UNIT_MEAN_TOL:
-            raise ValueError("mean displacement does not equal the velocity")
-        self.vset = vset
-        self.probs = probs
-
-    @classmethod
-    def nearest_neighbor(cls, vset: VelocitySet) -> "JumpLaw":
-        """Minimal law p(+-e_j, v) = (a_j +- v_j)/2, a_j = |v_j| + (1 - sum|v_k|)/d."""
-        v = vset.velocities
-        excess = vset.max_l1_speed()
-        if excess > 1.0 + 1e-12:
-            raise ValueError(
-                f"max l1 speed {excess:.3g} exceeds 1; rescale the velocity set "
-                "before building the nearest-neighbor jump law"
-            )
-        a = np.abs(v) + (1.0 - np.sum(np.abs(v), axis=1, keepdims=True)) / vset.d
-        probs = np.empty((len(vset), 2 * vset.d))
-        probs[:, 0::2] = (a + v) / 2.0
-        probs[:, 1::2] = (a - v) / 2.0
-        return cls(vset, probs)
-
-    def p(self, y, v_idx: int) -> float:
-        """p(y, v) for an arbitrary integer displacement y (0 off the support)."""
-        y = np.asarray(y)
-        nz = np.nonzero(y)[0]
-        if len(nz) != 1 or abs(y[nz[0]]) != 1:
-            return 0.0
-        axis = int(nz[0])
-        direction = 2 * axis + (0 if y[axis] > 0 else 1)
-        return float(self.probs[v_idx, direction])
-
-    def P_N(self, y, v_idx: int, N: int) -> float:
-        """Weakly asymmetric hop rate 1/2 [|y| unit] + p(y, v)/N."""
-        y = np.asarray(y)
-        nz = np.nonzero(y)[0]
-        unit = len(nz) == 1 and abs(y[nz[0]]) == 1
-        return (0.5 if unit else 0.0) + self.p(y, v_idx) / N
-
-    def PN_matrix(self, N: int) -> np.ndarray:
-        """(nv, 2d) table of P_N over unit directions."""
-        return 0.5 + self.probs / N
+def jump_probabilities(vset: VelocitySet) -> np.ndarray:
+    """The nearest-neighbor jump law as an (nv, 2d) table of p(y, v) over the
+    unit displacements y, columns in the direction order (+e_1, -e_1, +e_2,
+    -e_2, ...): p(+-e_j, v) = (a_j +- v_j)/2 with a_j = |v_j| + (1 - sum|v_k|)/d.
+    Each row is a probability vector whose mean displacement is v; that needs
+    max_l1_speed <= 1, and a faster set raises ValueError."""
+    v = vset.velocities
+    excess = vset.max_l1_speed()
+    if excess > 1.0 + 1e-12:
+        raise ValueError(
+            f"max l1 speed {excess:.3g} exceeds 1; rescale the velocity set "
+            "before building the nearest-neighbor jump law"
+        )
+    a = np.abs(v) + (1.0 - np.sum(np.abs(v), axis=1, keepdims=True)) / vset.d
+    probs = np.empty((len(vset), 2 * vset.d))
+    probs[:, 0::2] = (a + v) / 2.0
+    probs[:, 1::2] = (a - v) / 2.0
+    return probs
 
 
 class ReservoirProfiles:
@@ -197,12 +152,6 @@ class ReservoirProfiles:
                         f"[{vals.min():.4g}, {vals.max():.4g}]"
                     )
 
-    def alpha_at(self, v_idx: int, tilde_u) -> float:
-        return float(np.asarray(self.alpha[v_idx](np.atleast_2d(tilde_u))).ravel()[0])
-
-    def beta_at(self, v_idx: int, tilde_u) -> float:
-        return float(np.asarray(self.beta[v_idx](np.atleast_2d(tilde_u))).ravel()[0])
-
     @classmethod
     def constant(cls, vset: VelocitySet, alpha, beta) -> "ReservoirProfiles":
         return cls(vset, list(np.atleast_1d(alpha)), list(np.atleast_1d(beta)))
@@ -218,18 +167,20 @@ class ReservoirProfiles:
 
 @dataclass
 class Model:
-    """A lattice-gas instance: geometry, velocities, jump law, reservoirs."""
+    """A lattice-gas instance: geometry, velocities, reservoirs, collisions.
+
+    `jump_probs` is the velocities' `jump_probabilities`, built (and a set
+    too fast for it rejected) here."""
 
     lattice: Lattice
     vset: VelocitySet
-    jump_law: JumpLaw = None
     profiles: Optional[ReservoirProfiles] = None
     collisions: Optional[CollisionSet] = field(default=None)
     include_collisions: bool = True
+    jump_probs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.jump_law is None:
-            self.jump_law = JumpLaw.nearest_neighbor(self.vset)
+        self.jump_probs = jump_probabilities(self.vset)
         if self.collisions is None and self.include_collisions:
             self.collisions = CollisionSet(self.vset)
 
@@ -242,46 +193,6 @@ class Model:
     def table(self) -> "RateTable":
         """The event catalog, built on first use; every SimState and generator reads it."""
         return RateTable(self)
-
-
-# --- single-event rate formulas (reference implementations) -----------------
-
-def exclusion_rate(model: Model, eta: np.ndarray, x: int, z: int, v_idx: int) -> float:
-    """eta(x,v) (1 - eta(z,v)) times P_N(y, v) summed over the unit moves y
-    taking x to z.
-
-    That is one move, except on a ring of two sites, where both directions
-    lead to z; the rate is zero when no move does (e.g. through a wall).
-    """
-    lat = model.lattice
-    if not (0 <= x < lat.n_sites and 0 <= z < lat.n_sites):
-        return 0.0
-    pn = 0.0
-    for direction in range(2 * lat.d):
-        if lat.neighbor_site(x, direction) == z:
-            y = np.zeros(lat.d, dtype=int)
-            y[direction // 2] = 1 if direction % 2 == 0 else -1
-            pn += model.jump_law.P_N(y, v_idx, lat.N)
-    return float(eta[x, v_idx]) * (1.0 - float(eta[z, v_idx])) * pn
-
-
-def collision_rate(eta: np.ndarray, y: int, q: Collision) -> float:
-    """1 if the incoming pair is present and the outgoing pair absent, else 0."""
-    row = eta[y]
-    return float(row[q.v] * row[q.w] * (1 - row[q.vp]) * (1 - row[q.wp]))
-
-
-def boundary_rate(model: Model, eta: np.ndarray, x: int, v_idx: int) -> float:
-    """Reservoir flip rate at a wall site: birth alpha_v / beta_v, death 1 - it."""
-    side = model.lattice.classify(x)
-    if side == BoundarySide.BULK or model.profiles is None:
-        return 0.0
-    tilde = np.array(model.lattice.coords(x)[1:], dtype=float) / model.lattice.N
-    if side == BoundarySide.LEFT:
-        dens = model.profiles.alpha_at(v_idx, tilde)
-    else:
-        dens = model.profiles.beta_at(v_idx, tilde)
-    return dens if eta[x, v_idx] == 0 else 1.0 - dens
 
 
 # --- events ------------------------------------------------------------------
@@ -307,26 +218,6 @@ class Event:
     @property
     def kind_name(self) -> str:
         return KIND_NAMES[self.kind]
-
-
-def apply_event(eta: np.ndarray, event: Event) -> None:
-    """Apply an event in place.  The event must have positive rate under eta."""
-    if event.kind == EXCLUSION:
-        x, z, v = event.site, event.target, event.velocity
-        if not (eta[x, v] == 1 and eta[z, v] == 0):
-            raise NumericalFailure("exclusion event has zero rate under this state")
-        eta[x, v], eta[z, v] = eta[z, v], eta[x, v]
-    elif event.kind == COLLISION:
-        q, y = event.quadruple, event.site
-        if collision_rate(eta, y, q) <= 0:
-            raise NumericalFailure("collision event has zero rate under this state")
-        row = eta[y]
-        row[q.v], row[q.w], row[q.vp], row[q.wp] = row[q.vp], row[q.wp], row[q.v], row[q.w]
-    elif event.kind == BOUNDARY:
-        x, v = event.site, event.velocity
-        eta[x, v] = 1 - eta[x, v]
-    else:
-        raise ValueError(f"unknown event kind {event.kind}")
 
 
 # --- rate table ---------------------------------------------------------------
@@ -396,7 +287,7 @@ class RateTable:
         s, v, d = np.nonzero(np.repeat(nbr[:, None, :] >= 0, nv, axis=1))
         self.ex_src = s * nv + v
         self.ex_tgt = nbr[s, d] * nv + v
-        self.ex_pn = model.jump_law.PN_matrix(lat.N)[v, d]
+        self.ex_pn = (0.5 + model.jump_probs / lat.N)[v, d]
         # a bond runs from a site along +e_a; its pair, one per velocity, is
         # the hop along it and the hop back (a two-site ring has two bonds)
         index = np.full((lat.n_sites, nv, 2 * lat.d), -1)
@@ -483,17 +374,13 @@ class RateTable:
         bd = np.sum(np.where(occ == 0, self.bd_birth, self.bd_death))
         return np.array([ex, col, bd], dtype=float)
 
-    def total_rate(self, eta: np.ndarray) -> float:
-        """Total event rate on the macroscopic clock (includes the N^2 factor)."""
-        return float(self.exact_totals(eta).sum()) * self.model.time_scale
-
     def event_from_entry(self, kind: int, idx: int) -> Event:
         """The `Event` of one catalog entry, decoded from its slots.
 
         An exclusion `Event` names its sites, not its direction, so on a
         ring of two sites the two entries of a hop x -> z (via +e_1 and via
-        -e_1, at different rates) decode to one `Event`, whose `rate_of` is
-        their summed rate; a per-entry audit reads `ex_pn[idx]` instead."""
+        -e_1, at different rates) decode to one `Event`, whose rate is
+        their summed `ex_pn`; a per-entry audit reads `ex_pn[idx]` instead."""
         nv = self.nv
         if kind == EXCLUSION:
             src, tgt = int(self.ex_src[idx]), int(self.ex_tgt[idx])
@@ -504,18 +391,6 @@ class RateTable:
                          quadruple=Collision(*(s % nv for s in slots)))
         slot = int(self.bd_slot[idx])
         return Event(BOUNDARY, site=slot // nv, velocity=slot % nv)
-
-    def rate_of(self, eta: np.ndarray, event: Event) -> float:
-        """Microscopic rate of an event under eta (audit helper).
-
-        An exclusion hop's rate sums every move taking its site to its
-        target: on a ring of two sites that is both catalog entries of the
-        hop (see `event_from_entry`), so it is not one entry's `ex_pn`."""
-        if event.kind == EXCLUSION:
-            return exclusion_rate(self.model, eta, event.site, event.target, event.velocity)
-        if event.kind == COLLISION:
-            return collision_rate(eta, event.site, event.quadruple)
-        return boundary_rate(self.model, eta, event.site, event.velocity)
 
 
 # --- simulation ---------------------------------------------------------------

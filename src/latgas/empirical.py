@@ -32,10 +32,6 @@ class EmpiricalMeasure:
     N: int
     d: int
 
-    @property
-    def component_totals(self) -> np.ndarray:
-        return self.masses.sum(axis=-2)
-
 
 def empirical_measure(eta, lattice: Lattice, vset: VelocitySet) -> EmpiricalMeasure:
     """The empirical measure of a configuration (n_sites, nv), or of a stack
@@ -51,15 +47,6 @@ def empirical_measure(eta, lattice: Lattice, vset: VelocitySet) -> EmpiricalMeas
         positions=lattice.positions(), masses=scale * site_I,
         N=lattice.N, d=lattice.d,
     )
-
-
-def pair(measure: EmpiricalMeasure, G, component: int = 0) -> float:
-    """<pi_k, G> = sum over atoms of mass_k(x) G(x); exact for atomic measures."""
-    if callable(G):
-        gvals = np.asarray(G(measure.positions), dtype=float)
-    else:
-        gvals = np.full(len(measure.positions), float(G))
-    return float(measure.masses[..., component] @ gvals)
 
 
 def block_average(eta, lattice: Lattice, vset: VelocitySet, x, L: int) -> np.ndarray:

@@ -35,10 +35,6 @@ class Grid:
         return (self.m1,) + (self.mt,) * (self.d - 1)
 
     @property
-    def n_nodes(self) -> int:
-        return int(np.prod(self.shape))
-
-    @property
     def h1(self) -> float:
         return 1.0 / (self.m1 - 1)
 

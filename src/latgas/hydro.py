@@ -302,20 +302,6 @@ class FieldTrajectory:
         if not np.array_equal(self.values[0], self.gamma):
             raise ValueError("frame 0 must equal the initial profile")
 
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
-
-    @property
-    def ncomp(self) -> int:
-        return self.grid.d + 1
-
-    def frame_at(self, t: float) -> np.ndarray:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9 * max(1.0, self.horizon):
-            raise ValueError(f"no frame at t={t} (nearest {self.times[i]})")
-        return self.values[i]
-
     def save(self, path) -> None:
         """Write a compressed .npz; `meta` is stored as a JSON string."""
         np.savez_compressed(
@@ -343,30 +329,7 @@ class FieldTrajectory:
                         [header_comment] if header_comment else [])
 
 
-def synthetic_trajectory(grid: Grid, times, fn, boundary: Optional[BoundaryData] = None,
-                         meta: Optional[dict] = None) -> FieldTrajectory:
-    """Build a trajectory by sampling fn(t, nodes)->(shape..., d+1) on the grid."""
-    times = np.asarray(times, dtype=float)
-    nodes = grid.nodes()
-    frames = np.stack([np.asarray(fn(t, nodes), dtype=float) for t in times])
-    if boundary is None:
-        boundary = BoundaryData(a=frames[0][0].copy(), b=frames[0][-1].copy())
-    return FieldTrajectory(grid=grid, times=times, values=frames,
-                           gamma=frames[0].copy(), boundary=boundary,
-                           meta=meta or {})
-
-
 # --- flux and spatial operators ---------------------------------------------------
-
-def flux(value, vset: VelocitySet) -> np.ndarray:
-    """Node flux tensor F[i, k] = sum_v vtilde_k v_i chi(theta_v) at one state."""
-    value = np.asarray(value, dtype=float)
-    from .thermo import theta_field
-
-    th = theta_field(value, vset)
-    ch = th * (1.0 - th)
-    return np.einsum("v,vi,vk->ik", ch, vset.velocities, vset.vtilde)
-
 
 def _flux_grid(chi_v: np.ndarray, vset: VelocitySet, drift=None) -> np.ndarray:
     """Batched flux F[..., i, k]; `drift` replaces v_i by v_i - vtilde.d_iH."""
@@ -719,11 +682,6 @@ class QuadratureContext:
 
     def pi_norm_sq(self, G) -> float:
         return float(self.gram([G])[0, 0])
-
-
-def weak_residual(traj: FieldTrajectory, G, vset: VelocitySet) -> float:
-    """Signed LHS-RHS defect of the weak identity for one test function."""
-    return QuadratureContext(traj, vset).linear_residual(G)
 
 
 def field_energy(traj: FieldTrajectory) -> float:

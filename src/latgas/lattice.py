@@ -1,26 +1,22 @@
-"""Cylinder lattice {1..N-1} x T_N^{d-1}: indexing, neighbors, configurations.
+"""Cylinder lattice {1..N-1} x T_N^{d-1}: site indexing, the neighbor table,
+and validated configurations.
 
 The first coordinate runs over 1..N-1 with hard walls (no wrap); the remaining
 d-1 coordinates are periodic with period N.  Directions are indexed
-0..2d-1 as (+e_1, -e_1, +e_2, -e_2, ...).  A `periodic=True` lattice wraps the
-first coordinate on its ring of N-1 sites instead (used by the exact-generator
-workbench to check invariance of product measures).
+0..2d-1 as (+e_1, -e_1, +e_2, -e_2, ...); `neighbor_table` gives every
+site's jump target per direction, -1 through a wall, and is the geometry the
+event catalog (`dynamics.RateTable`) is built from.  A `periodic=True`
+lattice wraps the first coordinate on its ring of N-1 sites instead (used by
+the exact generator to check invariance of product measures).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .velocities import VelocitySet
-
-
-class BoundarySide(Enum):
-    LEFT = "left"
-    RIGHT = "right"
-    BULK = "bulk"
 
 
 @dataclass(frozen=True)
@@ -70,35 +66,6 @@ class Lattice:
         """Macroscopic positions x/N of all sites, shape (n_sites, d)."""
         return self.all_coords() / self.N
 
-    def neighbor_site(self, site: int, direction: int) -> int:
-        """Target of a unit jump, or -1 if it would exit through a wall."""
-        axis, sign = divmod(direction, 2)
-        step = 1 if sign == 0 else -1
-        c = list(self.coords(site))
-        if axis == 0:
-            x1 = c[0] + step
-            if self.periodic:
-                x1 = (x1 - 1) % (self.N - 1) + 1
-            elif not 1 <= x1 <= self.N - 1:
-                return -1
-            c[0] = x1
-        else:
-            c[axis] = (c[axis] + step) % self.N
-        return self.index(c)
-
-    def neighbors(self, site_or_coords) -> list:
-        """All (neighbor_site, direction) pairs with jumps through walls omitted."""
-        site = (site_or_coords if isinstance(site_or_coords, (int, np.integer))
-                else self.index(site_or_coords))
-        if not 0 <= site < self.n_sites:
-            raise ValueError(f"site {site} out of range")
-        out = []
-        for direction in range(2 * self.d):
-            tgt = self.neighbor_site(site, direction)
-            if tgt >= 0:
-                out.append((tgt, direction))
-        return out
-
     def neighbor_table(self) -> np.ndarray:
         """(n_sites, 2d) table of jump targets, -1 where suppressed."""
         coords = self.all_coords()
@@ -116,19 +83,6 @@ class Lattice:
             flat = np.ravel_multi_index(tuple(c.T), self.shape, mode="clip")
             table[:, direction] = np.where(inside, flat, -1)
         return table
-
-    def classify(self, site_or_coords) -> BoundarySide:
-        coords = (self.coords(site_or_coords)
-                  if isinstance(site_or_coords, (int, np.integer))
-                  else tuple(site_or_coords))
-        if self.periodic:
-            return BoundarySide.BULK
-        x1 = coords[0]
-        if x1 == 1:
-            return BoundarySide.LEFT
-        if x1 == self.N - 1:
-            return BoundarySide.RIGHT
-        return BoundarySide.BULK
 
 
 class Configuration:
@@ -148,22 +102,3 @@ class Configuration:
         if not np.all(eta <= 1):
             raise ValueError("occupations must be 0 or 1")
         self.eta = eta
-
-    def copy(self) -> "Configuration":
-        return Configuration(self.lattice, self.vset, self.eta.copy())
-
-    def totals(self) -> np.ndarray:
-        return totals(self.eta, self.vset)
-
-    def per_velocity_counts(self) -> np.ndarray:
-        return self.eta.sum(axis=0, dtype=np.int64)
-
-
-def totals(eta, vset: VelocitySet) -> np.ndarray:
-    """Extensive conserved vector sum_x (mass, momentum)(eta_x)."""
-    eta = np.asarray(eta)
-    if eta.shape[1] != len(vset):
-        raise ValueError("eta/velocity-set shape mismatch")
-    counts = eta.sum(axis=0, dtype=np.int64).astype(float)
-    return counts @ vset.vtilde
-

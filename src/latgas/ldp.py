@@ -15,11 +15,12 @@ quadratic maximization
     sup_c  l.c - c.Q c  =  (1/4) l.Q^+ l,
 
 with l the per-mode residuals and Q the pi-inner-product Gram matrix
-(symmetric positive semidefinite; regularized by eps*I before solving).  On a
-solution of the plain system the estimate vanishes; on a solution of the
-controlled system with control H it equals (1/4) |H|_pi^2, and `verify_f06`
-reads both sides from one context.  A prefix basis of size m has Gram matrix
-Q[:m, :m], so nested estimates are `RateReport.leading`.
+(symmetric positive semidefinite; regularized by eps*I before solving, with
+eps = DEFAULT_REG_SCALE x trace(Q) / m for m modes).  On a solution of the
+plain system the estimate vanishes; on a solution of the controlled system
+with control H it equals (1/4) |H|_pi^2, and `verify_f06` reads both sides
+from one context.  A prefix basis of size m has Gram matrix Q[:m, :m], so
+nested estimates are `RateReport.leading`.
 """
 
 from __future__ import annotations
@@ -104,12 +105,6 @@ def default_basis(d: int, horizon: float, n_space: int = 4,
 
 # --- cost functional ---------------------------------------------------------------
 
-def j_hat(traj: FieldTrajectory, G, vset: VelocitySet) -> float:
-    """Cost integrand for one test function: linear residual minus |G|_pi^2."""
-    ctx = QuadratureContext(traj, vset)
-    return ctx.linear_residual(G) - ctx.pi_norm_sq(G)
-
-
 def quadratic_sup(linear: np.ndarray, quad: np.ndarray,
                   reg_scale: float = DEFAULT_REG_SCALE):
     """Maximize l.c - c.Q c over c for symmetric PSD Q (regularized).
@@ -144,22 +139,21 @@ class RateReport:
     basis_size: int
     regularization: float
     quadrature: dict = dc_field(default_factory=dict)
-    reg_scale: float = DEFAULT_REG_SCALE
 
     @classmethod
-    def solve(cls, linear, quad, quadrature: dict, reg_scale: float) -> "RateReport":
+    def solve(cls, linear, quad, quadrature: dict) -> "RateReport":
         """Report of the maximization of l.c - c.Q c (see `quadratic_sup`)."""
-        value, c_star, reg = quadratic_sup(linear, quad, reg_scale)
+        value, c_star, reg = quadratic_sup(linear, quad)
         return cls(estimate=value, coefficients=c_star, linear_term=linear,
                    quad_matrix=quad, basis_size=len(linear), regularization=reg,
-                   quadrature=dict(quadrature), reg_scale=reg_scale)
+                   quadrature=dict(quadrature))
 
     def leading(self, m: int) -> "RateReport":
         """Report of the first m modes: the solve on the leading block of Q."""
         if not 1 <= m <= self.basis_size:
             raise ValueError(f"leading size {m} out of range 1..{self.basis_size}")
         return RateReport.solve(self.linear_term[:m], self.quad_matrix[:m, :m],
-                                self.quadrature, self.reg_scale)
+                                self.quadrature)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -205,19 +199,18 @@ class RateReport:
         )
 
 
-def rate_estimate(traj: FieldTrajectory, basis: TestBasis, vset: VelocitySet,
-                  reg_scale: float = DEFAULT_REG_SCALE) -> RateReport:
+def rate_estimate(traj: FieldTrajectory, basis: TestBasis, vset: VelocitySet) -> RateReport:
     """Basis-restricted supremum of the cost functional over span{G_m}."""
-    return _rate_report(QuadratureContext(traj, vset), basis, reg_scale)
+    return _rate_report(QuadratureContext(traj, vset), basis)
 
 
-def _rate_report(ctx, basis: TestBasis, reg_scale: float) -> RateReport:
+def _rate_report(ctx, basis: TestBasis) -> RateReport:
     """`rate_estimate` on an already built context."""
     linear = np.empty(len(basis))
     quad = ctx.gram(basis.modes, linear)
     quadrature = {"frames": len(ctx.dt_f), "m1": ctx.grid.m1, "mt": ctx.grid.mt,
                   "horizon": float(ctx.t_ends[-1])}
-    return RateReport.solve(linear, quad, quadrature, reg_scale)
+    return RateReport.solve(linear, quad, quadrature)
 
 
 # --- chi-weighted control norm ------------------------------------------------------
@@ -247,7 +240,7 @@ def verify_f06(gamma, boundary: BoundaryData, control, grid: Grid,
     ctx = QuadratureContext(
         solve_controlled(gamma, boundary, horizon, grid, vset, control=control,
                          dt=dt, n_frames=n_frames), vset)
-    report = _rate_report(ctx, basis, DEFAULT_REG_SCALE)
+    report = _rate_report(ctx, basis)
     rhs = 0.25 * ctx.pi_norm_sq(control)
     gap = abs(report.estimate - rhs) / max(abs(rhs), 1e-300)
     return F06Report(lhs=report.estimate, rhs=rhs, rel_gap=gap, rate=report)

@@ -9,19 +9,19 @@ has per-velocity occupation probability
 
 and the map lam -> (rho, p) = (sum theta_v, sum v theta_v) is a diffeomorphism
 onto the open convex hull U of the single-site conserved vectors.  This module
-evaluates the forward map and inverts it.  The conserved vector w = theta
+evaluates theta_v(lam) and inverts the map.  The conserved vector w = theta
 vtilde is linear in theta, so a set of exactly d+1 velocities (square vtilde)
 inverts in closed form: theta = w vtilde^-1 and lam = logit(theta) vtilde^-T.
 Larger sets are inverted by a damped Newton iteration (exact Jacobian:
-sum_v chi(theta_v) vtilde vtilde^T, positive definite on U).  The module also
-tests membership of U through its closed-form zonotope facets and samples
-product-measure configurations.
+sum_v chi(theta_v) vtilde vtilde^T with chi(r) = r(1-r), positive definite on
+U), to sup-norm residual NEWTON_TOL within NEWTON_MAX_ITER steps.  The module
+also tests membership of U through its closed-form zonotope facets and samples
+configurations from per-site densities.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
 
 import numpy as np
 
@@ -30,23 +30,6 @@ from .velocities import VelocitySet
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 100
-
-
-def chi(r):
-    """Static compressibility r(1-r)."""
-    r = np.asarray(r, dtype=float)
-    out = r * (1.0 - r)
-    return float(out) if out.ndim == 0 else out
-
-
-def conserved_of_state(xi, vset: VelocitySet) -> np.ndarray:
-    """(mass, momentum) of a single-site occupation vector xi in {0,1}^V."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (len(vset),):
-        raise ValueError(f"state has {xi.shape} entries, expected {(len(vset),)}")
-    if not np.all((xi == 0) | (xi == 1)):
-        raise ValueError("occupations must be 0 or 1")
-    return xi @ vset.vtilde
 
 
 def _logistic(z):
@@ -66,17 +49,6 @@ def theta_all(lam, vset: VelocitySet) -> np.ndarray:
     return _logistic(z)
 
 
-def theta(lam, v, vset: VelocitySet) -> float:
-    """theta_v(lam) for one velocity (given as a vector or an index)."""
-    idx = v if isinstance(v, (int, np.integer)) else vset.index_of(v)
-    return float(theta_all(np.asarray(lam, dtype=float), vset)[..., idx])
-
-
-def rho_p_of_lambda(lam, vset: VelocitySet) -> np.ndarray:
-    """Forward map: conserved vector (rho, p) of the product measure at lam."""
-    return theta_all(lam, vset) @ vset.vtilde
-
-
 class ConvexDomain:
     """The open hull U of the single-site conserved vectors {I(xi)}.
 
@@ -91,8 +63,9 @@ class ConvexDomain:
     the signed Euclidean distance to the nearest facet plane (positive
     inside).  The centre is (1/2) sum_v vtilde_v.  A velocity set whose
     conserved vectors have rank below d+1 has no interior and is rejected.
-    The vertex enumeration is exhaustive over the 2^nv site states, capped at
-    nv <= 16.
+    Sets are capped at MAX_VELOCITIES = 16 velocities (SizeError, exit 2),
+    which bounds the facet construction: one cofactor vector per d-subset of
+    the nv generators.
     """
 
     MAX_VELOCITIES = 16
@@ -101,7 +74,7 @@ class ConvexDomain:
         nv = len(vset)
         if nv > self.MAX_VELOCITIES:
             raise SizeError(
-                f"hull enumeration capped at {self.MAX_VELOCITIES} velocities, got {nv}"
+                f"velocity sets are capped at {self.MAX_VELOCITIES} velocities, got {nv}"
             )
         self.vset = vset
         vt = vset.vtilde
@@ -123,16 +96,6 @@ class ConvexDomain:
         self.offsets = np.concatenate([-np.maximum(proj, 0.0).sum(axis=1),
                                        np.minimum(proj, 0.0).sum(axis=1)])
         self.centroid = 0.5 * vt.sum(axis=0)
-
-    @cached_property
-    def vertices(self) -> np.ndarray:
-        """Site-state images lying on facets whose normals span R^(d+1)."""
-        nv = len(self.vset)
-        states = ((np.arange(2**nv)[:, None] >> np.arange(nv)) & 1).astype(float)
-        points = np.unique(states @ self.vset.vtilde, axis=0)
-        tight = points @ self.normals.T + self.offsets > -1e-9
-        rank = np.array([np.linalg.matrix_rank(self.normals[t]) for t in tight])
-        return points[rank == self.vset.d + 1]
 
     def margin(self, x) -> np.ndarray:
         """Signed distance to the hull boundary; positive strictly inside."""
@@ -178,34 +141,32 @@ def check_in_U(target, vset: VelocitySet) -> tuple:
 
 
 def invert_conserved(targets, vset: VelocitySet, lam0=None,
-                     tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_ITER,
                      check_domain: bool = True) -> np.ndarray:
     """Batched inverse lam(rho, p) of the (rho, p) parametrization.
 
     targets: (..., d+1) interior points.  For a set of d+1 velocities the
-    inverse is exact (see the module docstring) and lam0, tol and max_iter
-    are unused.  Otherwise damped Newton runs, warm-started from lam0 (same
+    inverse is exact (see the module docstring) and lam0 is unused.
+    Otherwise damped Newton runs to NEWTON_TOL, warm-started from lam0 (same
     shape) when given; steps are halved while the sup-norm residual of a
     point increases.  Raises DomainError for non-interior targets (when
     check_domain), and ConvergenceError when Newton fails (with the worst
     residual) or the exact densities leave (0, 1).
     """
-    return _invert(targets, vset, lam0, tol, max_iter, check_domain)[0]
+    return _invert(targets, vset, lam0, check_domain)[0]
 
 
 def local_equilibrium(targets, vset: VelocitySet, lam0=None,
                       check_domain: bool = True) -> tuple:
     """(lam, theta_v(lam)) at the targets, shaped (..., d+1) and (..., nv).
 
-    The inversion of `invert_conserved` at the default tolerance; theta is the
-    inversion's own (exact, or from the last Newton evaluation), so callers
-    that need both do not recompute it from lam.
+    The inversion of `invert_conserved`; theta is the inversion's own (exact,
+    or from the last Newton evaluation), so callers that need both do not
+    recompute it from lam.
     """
-    return _invert(targets, vset, lam0, NEWTON_TOL, NEWTON_MAX_ITER, check_domain)
+    return _invert(targets, vset, lam0, check_domain)
 
 
-def _invert(targets, vset: VelocitySet, lam0, tol: float, max_iter: int,
-            check_domain: bool) -> tuple:
+def _invert(targets, vset: VelocitySet, lam0, check_domain: bool) -> tuple:
     targets = np.asarray(targets, dtype=float)
     t = targets.reshape(-1, targets.shape[-1])
     if check_domain:
@@ -218,7 +179,7 @@ def _invert(targets, vset: VelocitySet, lam0, tol: float, max_iter: int,
     if len(vset) == vset.d + 1:
         lam, th = _invert_exact(t, vset)
     else:
-        lam, th = _invert_newton(t, vset, lam0, tol, max_iter)
+        lam, th = _invert_newton(t, vset, lam0)
     return lam.reshape(targets.shape), th.reshape(targets.shape[:-1] + (len(vset),))
 
 
@@ -233,8 +194,7 @@ def _invert_exact(t: np.ndarray, vset: VelocitySet) -> tuple:
     return (np.log(th) - np.log1p(-th)) @ vset.vtilde_inv.T, th
 
 
-def _invert_newton(t: np.ndarray, vset: VelocitySet, lam0, tol: float,
-                   max_iter: int) -> tuple:
+def _invert_newton(t: np.ndarray, vset: VelocitySet, lam0) -> tuple:
     """Damped Newton on (n, d+1) targets; returns (lam, theta) of the last
     evaluation."""
     vt = vset.vtilde
@@ -243,8 +203,8 @@ def _invert_newton(t: np.ndarray, vset: VelocitySet, lam0, tol: float,
     th = _logistic(lam @ vt.T)
     res = t - th @ vt
     rnorm = np.max(np.abs(res), axis=-1)
-    for _ in range(max_iter):
-        if np.all(rnorm <= tol):
+    for _ in range(NEWTON_MAX_ITER):
+        if np.all(rnorm <= NEWTON_TOL):
             break
         w = th * (1.0 - th)
         jac = (w @ vv).reshape(-1, vt.shape[1], vt.shape[1])
@@ -256,22 +216,17 @@ def _invert_newton(t: np.ndarray, vset: VelocitySet, lam0, tol: float,
             res_c = t - th_c @ vt
             rn_c = np.max(np.abs(res_c), axis=-1)
             worse = rn_c > rnorm
-            if not np.any(worse & (rnorm > tol)):
+            if not np.any(worse & (rnorm > NEWTON_TOL)):
                 break
             alpha = np.where(worse, alpha * 0.5, alpha)
         lam, th, res, rnorm = cand, th_c, res_c, rn_c
-    if np.any(rnorm > tol):
+    if np.any(rnorm > NEWTON_TOL):
         raise ConvergenceError(
-            f"Newton inversion did not reach {tol:.1e} "
+            f"Newton inversion did not reach {NEWTON_TOL:.1e} "
             f"(worst residual {float(np.max(rnorm)):.3e})",
             residual=float(np.max(rnorm)),
         )
     return lam, th
-
-
-def lambda_of_rho_p(target, vset: VelocitySet) -> np.ndarray:
-    """Chemical potential with conserved vector `target` (interior of the hull)."""
-    return invert_conserved(np.asarray(target, dtype=float), vset)
 
 
 def theta_field(target, vset: VelocitySet, lam0=None, check_domain: bool = True) -> np.ndarray:
@@ -282,15 +237,6 @@ def theta_field(target, vset: VelocitySet, lam0=None, check_domain: bool = True)
     inverse) and up to the Newton tolerance otherwise.
     """
     return local_equilibrium(target, vset, lam0, check_domain)[1]
-
-
-def sample_product_state(lam, lattice, vset: VelocitySet, rng) -> np.ndarray:
-    """Sample eta(x, v) ~ independent Bernoulli(theta_v(lam)) over all sites.
-
-    Returns a (n_sites, nv) uint8 array; deterministic given the rng state.
-    """
-    th = theta_all(np.asarray(lam, dtype=float), vset)
-    return sample_profile_state(np.broadcast_to(th, (lattice.n_sites, len(vset))), rng)
 
 
 def sample_profile_state(theta, rng) -> np.ndarray:

@@ -72,19 +72,9 @@ class VelocitySet:
         """Inverse of the square vtilde of a set with exactly d+1 velocities."""
         return np.linalg.inv(self.vtilde)
 
-    def index_of(self, v) -> int:
-        v = np.asarray(v, dtype=float)
-        hits = np.where(np.all(self.velocities == v, axis=1))[0]
-        if len(hits) != 1:
-            raise ValueError(f"velocity {v} not in set")
-        return int(hits[0])
-
     def max_l1_speed(self) -> float:
-        """max_v sum_j |v_j|; must be <= 1 for the default nearest-neighbor jump law."""
+        """max_v sum_j |v_j|; must be <= 1 for `dynamics.jump_probabilities`."""
         return float(np.max(np.sum(np.abs(self.velocities), axis=1)))
-
-    def rescaled(self, factor: float) -> "VelocitySet":
-        return VelocitySet(self.velocities * factor)
 
 
 def load_velocity_set(path) -> VelocitySet:
@@ -104,12 +94,6 @@ def load_velocity_set(path) -> VelocitySet:
     return VelocitySet(np.array(rows))
 
 
-def save_velocity_set(vset: VelocitySet, path) -> None:
-    with open(path, "w") as fh:
-        for row in vset.velocities:
-            fh.write(" ".join(repr(float(c)) for c in row) + "\n")
-
-
 @dataclass(frozen=True)
 class Collision:
     """Ordered quadruple of velocity indices (v, w, v', w') with v+w = v'+w'."""
@@ -118,9 +102,6 @@ class Collision:
     w: int
     vp: int
     wp: int
-
-    def reversed(self) -> "Collision":
-        return Collision(self.vp, self.wp, self.v, self.w)
 
 
 class CollisionSet:
@@ -160,15 +141,6 @@ class CollisionSet:
         return len(self.quadruples)
 
 
-# Two ready-made sets used throughout tests and shipped configs.  Both have
-# max_l1_speed <= 1 so the default nearest-neighbor jump law applies directly.
 def two_velocity_set(speed: float = 0.5) -> VelocitySet:
     """d=1 minimal set {+speed, -speed}; collisions are all no-ops for this set."""
     return VelocitySet(np.array([[speed], [-speed]]))
-
-
-def four_velocity_set(fast: float = 0.5, slow: float = 0.25) -> VelocitySet:
-    """d=1 set {±fast, ±slow} with genuine pair-exchange collisions."""
-    if fast == slow:
-        raise ValueError("speeds must differ")
-    return VelocitySet(np.array([[fast], [-fast], [slow], [-slow]]))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from latgas.velocities import VelocitySet, two_velocity_set, four_velocity_set
+from latgas.velocities import VelocitySet, two_velocity_set
+from reference import four_velocity_set
 
 
 @pytest.fixture

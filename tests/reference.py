@@ -1,0 +1,184 @@
+"""Reference formulas the tests compare the package against, and fixtures.
+
+The package states the chain once, as the event catalog `RateTable`.  These
+references restate it one event, site or test function at a time on plain
+lattice coordinates: single-event rates, the neighbor map, conserved totals,
+and the weak residual and cost integrand of one test function.
+"""
+
+from __future__ import annotations
+
+from enum import Enum
+
+import numpy as np
+
+from latgas.dynamics import COLLISION, EXCLUSION, jump_probabilities
+from latgas.hydro import BoundaryData, FieldTrajectory, QuadratureContext
+from latgas.thermo import sample_profile_state, theta_all
+from latgas.velocities import VelocitySet
+
+
+def four_velocity_set(fast: float = 0.5, slow: float = 0.25) -> VelocitySet:
+    """d=1 set {±fast, ±slow} with genuine pair-exchange collisions."""
+    if fast == slow:
+        raise ValueError("speeds must differ")
+    return VelocitySet(np.array([[fast], [-fast], [slow], [-slow]]))
+
+
+# --- lattice geometry ---------------------------------------------------------
+
+def neighbor_site(lattice, site: int, direction: int) -> int:
+    """Target of a unit jump, or -1 if it would exit through a wall."""
+    axis, sign = divmod(direction, 2)
+    step = 1 if sign == 0 else -1
+    c = list(lattice.coords(site))
+    if axis == 0:
+        x1 = c[0] + step
+        if lattice.periodic:
+            x1 = (x1 - 1) % (lattice.N - 1) + 1
+        elif not 1 <= x1 <= lattice.N - 1:
+            return -1
+        c[0] = x1
+    else:
+        c[axis] = (c[axis] + step) % lattice.N
+    return lattice.index(c)
+
+
+def neighbor_sites(lattice, site: int) -> set:
+    """The sites that one unit jump from `site` reaches."""
+    return {neighbor_site(lattice, site, d) for d in range(2 * lattice.d)} - {-1}
+
+
+class BoundarySide(Enum):
+    LEFT = "left"
+    RIGHT = "right"
+    BULK = "bulk"
+
+
+def side_of(lattice, site: int) -> BoundarySide:
+    """The reservoir a site touches: x1 = 1 the left one (also at N = 2,
+    where x1 = N-1 too), x1 = N-1 the right one, none on a ring."""
+    x1 = lattice.coords(site)[0]
+    if lattice.periodic or 1 < x1 < lattice.N - 1:
+        return BoundarySide.BULK
+    return BoundarySide.LEFT if x1 == 1 else BoundarySide.RIGHT
+
+
+# --- conserved quantities -----------------------------------------------------
+
+def conserved_of_state(xi, vset: VelocitySet) -> np.ndarray:
+    """(mass, momentum) of a single-site occupation vector xi in {0,1}^V."""
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape != (len(vset),):
+        raise ValueError(f"state has {xi.shape} entries, expected {(len(vset),)}")
+    if not np.all((xi == 0) | (xi == 1)):
+        raise ValueError("occupations must be 0 or 1")
+    return xi @ vset.vtilde
+
+
+def totals(eta, vset: VelocitySet) -> np.ndarray:
+    """Extensive conserved vector sum_x (mass, momentum)(eta_x)."""
+    eta = np.asarray(eta)
+    if eta.shape[1] != len(vset):
+        raise ValueError("eta/velocity-set shape mismatch")
+    counts = eta.sum(axis=0, dtype=np.int64).astype(float)
+    return counts @ vset.vtilde
+
+
+def chi(r):
+    """Static compressibility r(1-r)."""
+    return r * (1.0 - r)
+
+
+# --- single-event rates -------------------------------------------------------
+
+def exclusion_rate(model, eta: np.ndarray, x: int, z: int, v_idx: int) -> float:
+    """eta(x,v) (1 - eta(z,v)) times P_N(y, v) = 1/2 + p(y, v)/N summed over
+    the unit moves y taking x to z.
+
+    That is one move, except on a ring of two sites, where both directions
+    lead to z; the rate is zero when no move does (e.g. through a wall).
+    """
+    lat = model.lattice
+    if not (0 <= x < lat.n_sites and 0 <= z < lat.n_sites):
+        return 0.0
+    probs = jump_probabilities(model.vset)
+    pn = 0.0
+    for direction in range(2 * lat.d):
+        if neighbor_site(lat, x, direction) == z:
+            pn += 0.5 + float(probs[v_idx, direction]) / lat.N
+    return float(eta[x, v_idx]) * (1.0 - float(eta[z, v_idx])) * pn
+
+
+def collision_rate(eta: np.ndarray, y: int, q) -> float:
+    """1 if the incoming pair is present and the outgoing pair absent, else 0."""
+    row = eta[y]
+    return float(row[q.v] * row[q.w] * (1 - row[q.vp]) * (1 - row[q.wp]))
+
+
+def boundary_rate(model, eta: np.ndarray, x: int, v_idx: int) -> float:
+    """Reservoir flip rate at a wall site: birth alpha_v / beta_v, death 1 - it."""
+    lat = model.lattice
+    side = side_of(lat, x)
+    if side == BoundarySide.BULK or model.profiles is None:
+        return 0.0
+    tilde = np.array(lat.coords(x)[1:], dtype=float)[None] / lat.N
+    fns = model.profiles.alpha if side == BoundarySide.LEFT else model.profiles.beta
+    dens = float(np.asarray(fns[v_idx](tilde)).ravel()[0])
+    return dens if eta[x, v_idx] == 0 else 1.0 - dens
+
+
+def entry_rates(table, eta) -> np.ndarray:
+    """The rate of every catalog entry under eta, in catalog order."""
+    flat = eta.reshape(-1)
+    col = flat[table.col_slots]
+    occupied = flat[table.bd_slot]
+    return np.concatenate((
+        flat[table.ex_src] * (1 - flat[table.ex_tgt]) * table.ex_pn,
+        col[:, 0] * col[:, 1] * (1 - col[:, 2]) * (1 - col[:, 3]),
+        np.where(occupied == 0, table.bd_birth, table.bd_death)))
+
+
+def event_rate(model, eta: np.ndarray, event) -> float:
+    """Rate of a `dynamics.Event` under eta.  An exclusion hop's rate sums
+    every move taking its site to its target: on a ring of two sites that is
+    both catalog entries of the hop (see `RateTable.event_from_entry`)."""
+    if event.kind == EXCLUSION:
+        return exclusion_rate(model, eta, event.site, event.target, event.velocity)
+    if event.kind == COLLISION:
+        return collision_rate(eta, event.site, event.quadruple)
+    return boundary_rate(model, eta, event.site, event.velocity)
+
+
+# --- fixtures -----------------------------------------------------------------
+
+def sample_product_state(lam, lattice, vset: VelocitySet, rng) -> np.ndarray:
+    """Sample eta(x, v) ~ independent Bernoulli(theta_v(lam)) over all sites.
+
+    Returns a (n_sites, nv) uint8 array; deterministic given the rng state.
+    """
+    th = theta_all(np.asarray(lam, dtype=float), vset)
+    return sample_profile_state(np.broadcast_to(th, (lattice.n_sites, len(vset))), rng)
+
+
+def synthetic_trajectory(grid, times, fn) -> FieldTrajectory:
+    """A trajectory sampling fn(t, nodes)->(shape..., d+1) on the grid, with
+    its first frame's wall values as the boundary data."""
+    times = np.asarray(times, dtype=float)
+    frames = np.stack([np.asarray(fn(t, grid.nodes()), dtype=float) for t in times])
+    first = frames[0]
+    return FieldTrajectory(grid=grid, times=times, values=frames, gamma=first.copy(),
+                           boundary=BoundaryData(a=first[0].copy(), b=first[-1].copy()))
+
+
+# --- the cost functional for one test function ---------------------------------
+
+def weak_residual(traj: FieldTrajectory, G, vset: VelocitySet) -> float:
+    """Signed LHS-RHS defect of the weak identity for one test function."""
+    return QuadratureContext(traj, vset).linear_residual(G)
+
+
+def j_hat(traj: FieldTrajectory, G, vset: VelocitySet) -> float:
+    """Cost integrand for one test function: linear residual minus |G|_pi^2."""
+    ctx = QuadratureContext(traj, vset)
+    return ctx.linear_residual(G) - ctx.pi_norm_sq(G)

@@ -12,29 +12,29 @@ from latgas.dynamics import (
     COLLISION,
     EXCLUSION,
     Event,
-    JumpLaw,
     Model,
     OccupationTracker,
     RateTable,
     ReservoirProfiles,
     SimState,
-    apply_event,
-    boundary_rate,
-    collision_rate,
-    exclusion_rate,
+    jump_probabilities,
     simulate,
     step,
 )
-from latgas.errors import NumericalFailure
 from latgas.generator import assemble_exact_generator
 from latgas.lattice import Configuration, Lattice
-from latgas.thermo import sample_product_state, theta_all
-from latgas.velocities import (
-    Collision,
-    CollisionSet,
-    VelocitySet,
+from latgas.thermo import theta_all
+from latgas.velocities import Collision, VelocitySet, two_velocity_set
+from reference import (
+    boundary_rate,
+    collision_rate,
+    entry_rates,
+    event_rate,
+    exclusion_rate,
     four_velocity_set,
-    two_velocity_set,
+    neighbor_sites,
+    sample_product_state,
+    totals,
 )
 
 
@@ -64,34 +64,37 @@ def make_model(N, vs, alpha=None, beta=None, periodic=False, collisions=True):
 
 class TestJumpLaw:
     def test_nearest_neighbor_mean_velocity(self, vs4):
-        law = JumpLaw.nearest_neighbor(vs4)
-        mean = law.probs[:, 0::2] - law.probs[:, 1::2]
+        probs = jump_probabilities(vs4)
+        mean = probs[:, 0::2] - probs[:, 1::2]
         assert np.max(np.abs(mean - vs4.velocities)) <= 1e-15
-        assert np.allclose(law.probs.sum(axis=1), 1.0)
-        assert np.all(law.probs >= 0)
+        assert np.allclose(probs.sum(axis=1), 1.0)
+        assert np.all(probs >= 0)
 
     def test_reference_probabilities(self, vs2):
-        # v = +1/2 in d=1: a = 1, p(+1) = 3/4, p(-1) = 1/4
-        law = JumpLaw.nearest_neighbor(vs2)
-        assert law.p([1], 0) == pytest.approx(0.75)
-        assert law.p([-1], 0) == pytest.approx(0.25)
-        assert law.p([2], 0) == 0.0
+        # v = +1/2 in d=1: a = 1, p(+1) = 3/4, p(-1) = 1/4; columns (+e_1, -e_1)
+        probs = jump_probabilities(vs2)
+        assert probs.shape == (2, 2)
+        assert probs[0] == pytest.approx([0.75, 0.25])
+        assert probs[1] == pytest.approx([0.25, 0.75])
 
     def test_PN(self, vs2):
-        law = JumpLaw.nearest_neighbor(vs2)
-        assert law.P_N([1], 0, 10) == pytest.approx(0.5 + 0.75 / 10)
-        assert law.P_N([3], 0, 10) == 0.0
+        # the catalog's hop rates are P_N = 1/2 + p/N, and only unit hops exist
+        table = make_model(10, vs2).table
+        forward = (table.ex_src % 2 == 0) & (table.ex_tgt > table.ex_src)
+        assert forward.sum() == 8
+        assert np.allclose(table.ex_pn[forward], 0.5 + 0.75 / 10, rtol=1e-15, atol=0)
+        assert np.all(np.abs(table.ex_tgt // 2 - table.ex_src // 2) == 1)
 
     def test_fast_sets_rejected(self):
-        from latgas.velocities import VelocitySet
-
         vs = VelocitySet(np.array([[2.0], [-2.0]]))
         with pytest.raises(ValueError, match="rescale"):
-            JumpLaw.nearest_neighbor(vs)
+            jump_probabilities(vs)
+        with pytest.raises(ValueError, match="rescale"):
+            Model(Lattice(4), vs)
 
     def test_d2_law(self, vs2d):
-        law = JumpLaw.nearest_neighbor(vs2d)
-        mean = law.probs[:, 0::2] - law.probs[:, 1::2]
+        probs = jump_probabilities(vs2d)
+        mean = probs[:, 0::2] - probs[:, 1::2]
         assert np.max(np.abs(mean - vs2d.velocities)) <= 1e-15
 
 
@@ -101,16 +104,14 @@ class TestProfiles:
             ReservoirProfiles.constant(vs2, [0.0, 0.5], [0.5, 0.5])
 
     def test_matched(self, vs2):
+        # both walls' reservoir births in the catalog are theta_v(lam)
         prof = ReservoirProfiles.matched(vs2, [0.2, -0.1])
         th = theta_all(np.array([0.2, -0.1]), vs2)
-        assert prof.alpha_at(0, np.zeros(0)) == pytest.approx(th[0])
-        assert prof.beta_at(1, np.zeros(0)) == pytest.approx(th[1])
+        table = Model(Lattice(4), vs2, profiles=prof).table
+        assert table.bd_birth == pytest.approx(np.tile(th, 2))
 
 
 class TestRates:
-    def setup_method(self):
-        pass
-
     def test_exclusion_no_particle(self, vs2):
         model = make_model(5, vs2)
         eta = np.zeros((4, 2), dtype=np.uint8)
@@ -154,36 +155,55 @@ class TestRates:
         assert boundary_rate(model, eta, right, 1) == pytest.approx(0.5)
 
 
+def applied(model, eta, event):
+    """The configuration after `SimState._apply` of the catalog entry that
+    decodes to `event`."""
+    table = model.table
+    idx = next(i for i in range(table.counts[event.kind])
+               if table.event_from_entry(event.kind, i) == event)
+    state = SimState(model, eta, np.random.default_rng(0))
+    state._apply(event.kind, idx)
+    return state.snapshot()
+
+
 class TestApplyEvent:
     def test_collision_preserves_site_conservation(self, vs4):
+        model = make_model(2, vs4)
         eta = np.zeros((1, 4), dtype=np.uint8)
         eta[0, [0, 1]] = 1
         before = eta[0].astype(float) @ vs4.vtilde
-        apply_event(eta, Event(COLLISION, site=0, quadruple=Collision(0, 1, 2, 3)))
+        eta = applied(model, eta, Event(COLLISION, site=0, quadruple=Collision(0, 1, 2, 3)))
         after = eta[0].astype(float) @ vs4.vtilde
         assert np.array_equal(before, after)
         assert list(eta[0]) == [0, 0, 1, 1]
 
     def test_exclusion_preserves_velocity_counts(self, vs2):
+        model = make_model(5, vs2)
         eta = np.zeros((4, 2), dtype=np.uint8)
         eta[1, 0] = 1
-        before = eta.sum(axis=0).copy()
-        apply_event(eta, Event(EXCLUSION, site=1, velocity=0, target=2))
+        before = eta.sum(axis=0)
+        eta = applied(model, eta, Event(EXCLUSION, site=1, velocity=0, target=2))
         assert np.array_equal(eta.sum(axis=0), before)
         assert eta[2, 0] == 1 and eta[1, 0] == 0
 
     def test_boundary_changes_totals_by_vtilde(self, vs2):
-        from latgas.lattice import totals
-
+        model = make_model(5, vs2, alpha=[0.3, 0.4], beta=[0.6, 0.5])
         eta = np.zeros((4, 2), dtype=np.uint8)
         before = totals(eta, vs2)
-        apply_event(eta, Event(BOUNDARY, site=0, velocity=0))
+        eta = applied(model, eta, Event(BOUNDARY, site=0, velocity=0))
         assert np.allclose(totals(eta, vs2) - before, vs2.vtilde[0])
 
-    def test_zero_rate_event_rejected(self, vs2):
-        eta = np.zeros((4, 2), dtype=np.uint8)
-        with pytest.raises(NumericalFailure):
-            apply_event(eta, Event(EXCLUSION, site=1, velocity=0, target=2))
+    def test_zero_rate_event_rejected(self, vs4):
+        # the simulator applies only events of positive rate: every event
+        # `step` returns had a positive reference rate just before it
+        model = make_model(4, vs4, alpha=[0.3, 0.4, 0.35, 0.45], beta=[0.6, 0.5, 0.55, 0.65])
+        eta = np.zeros((3, 4), dtype=np.uint8)
+        eta[1, [0, 1]] = 1
+        state = SimState(model, eta, np.random.default_rng(8))
+        for _ in range(300):
+            before = state.snapshot()
+            event, _ = step(state)
+            assert event_rate(model, before, event) > 0.0
 
 
 class TestRateTable:
@@ -196,7 +216,7 @@ class TestRateTable:
         lat = model.lattice
         for s in range(lat.n_sites):
             for v in range(4):
-                for t, _ in lat.neighbors(s):
+                for t in neighbor_sites(lat, s):
                     brute[0] += exclusion_rate(model, eta, s, t, v)
                 brute[2] += boundary_rate(model, eta, s, v)
             for q in model.collisions.active:
@@ -204,13 +224,16 @@ class TestRateTable:
         assert np.allclose(tot, brute, atol=1e-12)
 
     def test_rate_of_agrees_with_event_lookup(self, vs4, rng):
+        # each entry's catalog rate under eta (its hop rate, 1, or its flip
+        # rate where it fires) is the reference rate of its decoded Event
         model = make_model(5, vs4, alpha=[0.3, 0.4, 0.35, 0.45], beta=[0.6, 0.5, 0.55, 0.65])
         table = RateTable(model)
         eta = sample_product_state([0.0, 0.0], model.lattice, vs4, rng)
+        rates, offsets = entry_rates(table, eta), np.cumsum((0,) + table.counts)
         for kind, count in enumerate(table.counts):
             for idx in range(0, count, 7):
                 ev = table.event_from_entry(kind, idx)
-                assert table.rate_of(eta, ev) >= 0.0
+                assert event_rate(model, eta, ev) == rates[offsets[kind] + idx]
 
     def test_no_wall_jumps_in_catalog(self, vs2):
         model = make_model(4, vs2)
@@ -218,7 +241,7 @@ class TestRateTable:
         lat, nv = model.lattice, table.nv
         assert np.array_equal(table.ex_src % nv, table.ex_tgt % nv)
         hops = sorted(zip((table.ex_src // nv).tolist(), (table.ex_tgt // nv).tolist()))
-        inside = sorted((s, t) for s in range(lat.n_sites) for t, _ in lat.neighbors(s))
+        inside = sorted((s, t) for s in range(lat.n_sites) for t in neighbor_sites(lat, s))
         assert hops == sorted(inside * nv)
 
     @pytest.mark.parametrize("name", sorted(CATALOG_MODELS))
@@ -285,7 +308,7 @@ class TestStep:
         eta = np.zeros((2, 2), dtype=np.uint8)
         eta[0, 0] = 1
         table = RateTable(model)
-        expected = 1.0 / table.total_rate(eta)
+        expected = 1.0 / (table.exact_totals(eta).sum() * model.time_scale)
         n = 20_000
         rng = np.random.default_rng(99)
         total = 0.0
@@ -330,22 +353,22 @@ class TestSimulate:
         model = make_model(8, vs4)
         eta0 = Configuration(model.lattice, vs4,
                              sample_product_state([0.0, 0.0], model.lattice, vs4, rng))
-        before_counts = eta0.per_velocity_counts()
-        before_totals = eta0.totals()
+        before_counts = eta0.eta.sum(axis=0)
+        before_totals = totals(eta0.eta, vs4)
         res = simulate(eta0, model, 2.0, rng)
         assert res.n_events > 500
         assert res.kind_counts[COLLISION] > 0
         # collisions change per-velocity counts but conserve (mass, momentum)
-        assert np.array_equal(res.final.totals(), before_totals)
-        assert res.final.per_velocity_counts().sum() == before_counts.sum()
+        assert np.array_equal(totals(res.final.eta, vs4), before_totals)
+        assert res.final.eta.sum() == before_counts.sum()
 
     def test_exclusion_only_preserves_velocity_counts(self, vs4, rng):
         model = make_model(8, vs4, collisions=False)
         eta0 = Configuration(model.lattice, vs4,
                              sample_product_state([0.0, 0.0], model.lattice, vs4, rng))
-        before = eta0.per_velocity_counts()
+        before = eta0.eta.sum(axis=0)
         res = simulate(eta0, model, 0.2, rng)
-        assert np.array_equal(res.final.per_velocity_counts(), before)
+        assert np.array_equal(res.final.eta.sum(axis=0), before)
 
     def test_seed_determinism(self, vs4):
         model = make_model(6, vs4, alpha=[0.3, 0.4, 0.35, 0.45], beta=[0.6, 0.5, 0.55, 0.65])

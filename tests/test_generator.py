@@ -5,17 +5,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from latgas.dynamics import (
-    Model,
-    ReservoirProfiles,
-    boundary_rate,
-    collision_rate,
-    exclusion_rate,
-)
+from latgas.dynamics import Model, ReservoirProfiles
 from latgas.errors import SizeError
 from latgas.generator import ALL_PARTS, _cuts, _expand, _rate_tables, assemble_exact_generator
 from latgas.lattice import Lattice
-from latgas.velocities import VelocitySet, four_velocity_set, two_velocity_set
+from latgas.velocities import VelocitySet, two_velocity_set
+from reference import (
+    boundary_rate,
+    collision_rate,
+    exclusion_rate,
+    four_velocity_set,
+    neighbor_sites,
+)
 
 
 def two_site_model(vs2, periodic=True, profiles=None):
@@ -113,7 +114,7 @@ def reference_off_diagonal(model) -> dict:
         eta = ((state >> np.arange(n_bits)) & 1).reshape(lat.n_sites, nv)
         for x in range(lat.n_sites):
             for v in range(nv):
-                for z in sorted({t for t, _ in lat.neighbors(x)}):
+                for z in sorted(neighbor_sites(lat, x)):
                     add(state, (x * nv + v, z * nv + v),
                         exclusion_rate(model, eta, x, z, v))
                 add(state, (x * nv + v,), boundary_rate(model, eta, x, v))

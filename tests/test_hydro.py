@@ -10,22 +10,20 @@ from latgas.hydro import (
     BoundaryData,
     FieldSum,
     FieldTrajectory,
-    QuadratureContext,
     SeparableMode,
     TimeFactor,
     advective_limit,
     check_vanishes_on_walls,
     field_energy,
-    flux,
     solve_controlled,
     solve_hydro,
-    synthetic_trajectory,
-    weak_residual,
+    _flux_grid,
     _lap_axis,
     _Stepper,
 )
-from latgas.thermo import domain_of
+from latgas.thermo import domain_of, theta_all, theta_field
 from latgas.velocities import VelocitySet
+from reference import chi, synthetic_trajectory, weak_residual
 
 T = 0.5
 
@@ -53,9 +51,15 @@ def linear_gamma(bd):
 
 def closed_form_flux(rho, p, v):
     """d=1 two-velocity oracle from theta_± = rho/2 ± p/(2v)."""
-    thp, thm = rho / 2 + p / (2 * v), rho / 2 - p / (2 * v)
-    chip, chim = thp * (1 - thp), thm * (1 - thm)
+    chip, chim = chi(rho / 2 + p / (2 * v)), chi(rho / 2 - p / (2 * v))
     return np.array([[v * (chip - chim), v * v * (chip + chim)]])
+
+
+def node_flux(w, vset):
+    """The flux F[..., i, k] at conserved vectors w, as `_Stepper.flux_divergence`
+    forms it: theta from the inversion, then `_flux_grid` of chi(theta)."""
+    th = theta_field(w, vset)
+    return _flux_grid(th * (1.0 - th), vset)
 
 
 class TestBoundaryData:
@@ -90,25 +94,23 @@ class TestBoundaryData:
 class TestFlux:
     def test_hand_value_unit_speeds(self, vs_unit):
         # (rho, p) = (1, 0): theta_± = 1/2, chi = 1/4: mass flux 0, momentum 1/2
-        f = flux([1.0, 0.0], vs_unit)
+        f = node_flux([1.0, 0.0], vs_unit)
         assert f.shape == (1, 2)
         assert np.allclose(f, [[0.0, 0.5]], atol=1e-13)
 
     def test_matches_closed_form(self, vs2, rng):
-        from latgas.thermo import rho_p_of_lambda
-
-        targets = rho_p_of_lambda(rng.normal(size=(20, 2)), vs2)
-        for t in targets:
-            assert np.allclose(flux(t, vs2), closed_form_flux(t[0], t[1], 0.5),
-                               atol=1e-12)
+        targets = theta_all(rng.normal(size=(20, 2)), vs2) @ vs2.vtilde
+        fluxes = node_flux(targets, vs2)
+        for t, f in zip(targets, fluxes):
+            assert np.allclose(f, closed_form_flux(t[0], t[1], 0.5), atol=1e-12)
 
     def test_vacuum_limit(self, vs2):
-        f = flux([1e-9, 0.0], vs2)
+        f = node_flux([1e-9, 0.0], vs2)
         assert np.max(np.abs(f)) < 1e-9
 
     def test_outside_domain(self, vs2):
         with pytest.raises(DomainError):
-            flux([3.0, 0.0], vs2)
+            node_flux([3.0, 0.0], vs2)
 
 
 class TestSolver:
@@ -306,6 +308,7 @@ def test_implicit_solve_matches_dense_solve(grid, rng):
     # (I - dt/2 A) assembled on every node, A = (1/2) Lap_h with periodic
     # transverse rows, and identity rows at the walls holding a and b.
     d, dt = grid.d, 0.02
+    n_nodes = int(np.prod(grid.shape))
     vs = VelocitySet(np.vstack([s * 0.5 * np.eye(d) for s in (1, -1)]))
     prof = ReservoirProfiles.constant(vs, [0.3] * 2 * d, [0.5] * 2 * d)
     bd = BoundaryData.from_profiles(prof, vs, grid)
@@ -315,11 +318,11 @@ def test_implicit_solve_matches_dense_solve(grid, rng):
                   np.eye(grid.mt or 1))
     if d == 2:
         lap += np.kron(np.diag(1 - wall), second_difference(grid.mt, grid.ht, True))
-    matrix = np.eye(grid.n_nodes) - 0.25 * dt * lap
+    matrix = np.eye(n_nodes) - 0.25 * dt * lap
     R = rng.normal(size=grid.shape + (d + 1,))
     rhs = R.copy()
     rhs[0], rhs[-1] = bd.a, bd.b
-    dense = np.linalg.solve(matrix, rhs.reshape(grid.n_nodes, d + 1)).reshape(rhs.shape)
+    dense = np.linalg.solve(matrix, rhs.reshape(n_nodes, d + 1)).reshape(rhs.shape)
     X = _Stepper(vs, grid, bd, dt).implicit_solve(R)
     assert np.max(np.abs(X - dense)) <= 1e-13 * np.max(np.abs(dense))
 
@@ -436,11 +439,13 @@ class TestTrajectoryIO:
         assert back.meta == traj.meta == {"dt": 0.05 / 4, "n_steps": 4, "controlled": False}
 
     def test_frame_lookup(self, vs2, setup):
+        # frames sit on the uniform time grid, so a time's frame is found by
+        # its index: t = 0.05 is frame 5 and t = 0.033 is no frame
         grid, bd, gamma = setup
         traj = solve_hydro(gamma, bd, 0.1, grid, vs2, n_frames=10)
-        assert np.array_equal(traj.frame_at(0.05), traj.values[5])
-        with pytest.raises(ValueError):
-            traj.frame_at(0.033)
+        assert np.allclose(traj.times, np.linspace(0.0, 0.1, 11), rtol=0, atol=1e-15)
+        assert np.flatnonzero(np.isclose(traj.times, 0.05, rtol=0, atol=1e-12)).tolist() == [5]
+        assert not np.any(np.isclose(traj.times, 0.033, rtol=0, atol=1e-9))
 
     def test_csv_export(self, vs2, setup, tmp_path):
         grid, bd, gamma = setup

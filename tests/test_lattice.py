@@ -1,13 +1,22 @@
 import numpy as np
 import pytest
 
-from latgas.lattice import (
+from latgas.dynamics import Model, ReservoirProfiles
+from latgas.lattice import Configuration, Lattice
+from latgas.velocities import two_velocity_set
+from reference import (
     BoundarySide,
-    Configuration,
-    Lattice,
+    conserved_of_state,
+    neighbor_site,
+    sample_product_state,
+    side_of,
     totals,
 )
-from latgas.thermo import conserved_of_state, sample_product_state
+
+
+def neighbors(lat, site) -> list:
+    """The jump targets of one site's row of the neighbor table."""
+    return [int(t) for t in lat.neighbor_table()[site] if t >= 0]
 
 
 class TestGeometry:
@@ -32,38 +41,37 @@ class TestGeometry:
 class TestNeighbors:
     def test_d1_bulk(self):
         lat = Lattice(4, 1)
-        nbrs = {lat.coords(t)[0] for t, _ in lat.neighbors(lat.index((2,)))}
+        nbrs = {lat.coords(t)[0] for t in neighbors(lat, lat.index((2,)))}
         assert nbrs == {1, 3}
 
     def test_d1_wall(self):
         lat = Lattice(4, 1)
-        nbrs = {lat.coords(t)[0] for t, _ in lat.neighbors(lat.index((1,)))}
+        nbrs = {lat.coords(t)[0] for t in neighbors(lat, lat.index((1,)))}
         assert nbrs == {2}
 
     def test_d2_transverse_wrap(self):
         lat = Lattice(3, 2)
-        nbrs = {lat.coords(t) for t, _ in lat.neighbors(lat.index((1, 0)))}
+        nbrs = {lat.coords(t) for t in neighbors(lat, lat.index((1, 0)))}
         assert nbrs == {(2, 0), (1, 1), (1, 2)}
 
     def test_symmetry(self):
         lat = Lattice(5, 2)
         for s in range(lat.n_sites):
-            for t, _ in lat.neighbors(s):
-                back = {u for u, _ in lat.neighbors(t)}
-                assert s in back
+            for t in neighbors(lat, s):
+                assert s in neighbors(lat, t)
 
     def test_neighbor_counts(self):
         for d in (1, 2):
             lat = Lattice(5, d)
             for s in range(lat.n_sites):
-                expected = 2 * d if lat.classify(s) == BoundarySide.BULK else 2 * d - 1
-                assert len(lat.neighbors(s)) == expected
+                expected = 2 * d if side_of(lat, s) == BoundarySide.BULK else 2 * d - 1
+                assert len(neighbors(lat, s)) == expected
 
     def test_periodic_wrap_first_axis(self):
         lat = Lattice(4, 1, periodic=True)
-        nbrs = {lat.coords(t)[0] for t, _ in lat.neighbors(lat.index((3,)))}
+        nbrs = {lat.coords(t)[0] for t in neighbors(lat, lat.index((3,)))}
         assert nbrs == {2, 1}  # wraps on the ring of 3 sites
-        assert all(len(lat.neighbors(s)) == 2 for s in range(lat.n_sites))
+        assert all(len(neighbors(lat, s)) == 2 for s in range(lat.n_sites))
 
     @pytest.mark.parametrize("lat", [
         Lattice(2, 1), Lattice(5, 1), Lattice(2, 1, periodic=True),
@@ -75,22 +83,38 @@ class TestNeighbors:
         assert table.shape == (lat.n_sites, 2 * lat.d)
         for s in range(lat.n_sites):
             for direction in range(2 * lat.d):
-                assert table[s, direction] == lat.neighbor_site(s, direction)
+                assert table[s, direction] == neighbor_site(lat, s, direction)
+
+
+VS2 = two_velocity_set(0.5)
+ALPHA, BETA = (0.3, 0.4), (0.6, 0.55)
+
+
+def catalog_side(lat, site):
+    """The reservoir of a site's flips in the event catalog, told apart by
+    their birth rates: alpha on the left wall, beta on the right."""
+    table = Model(lat, VS2, profiles=ReservoirProfiles.constant(VS2, ALPHA, BETA)).table
+    births = tuple(table.bd_birth[table.bd_slot // len(VS2) == site])
+    return {(): BoundarySide.BULK, ALPHA: BoundarySide.LEFT, BETA: BoundarySide.RIGHT}[births]
 
 
 class TestClassify:
     @pytest.mark.parametrize("x1,side", [(1, BoundarySide.LEFT), (4, BoundarySide.RIGHT),
                                          (2, BoundarySide.BULK), (3, BoundarySide.BULK)])
     def test_n5(self, x1, side):
-        assert Lattice(5, 1).classify((x1,)) == side
+        lat = Lattice(5, 1)
+        assert side_of(lat, lat.index((x1,))) == side
+        assert catalog_side(lat, lat.index((x1,))) == side
 
     def test_n2_single_site_is_left(self):
-        # x1 = 1 = N-1: the left classification takes precedence
-        assert Lattice(2, 1).classify((1,)) == BoundarySide.LEFT
+        # x1 = 1 = N-1: the left wall's reservoir takes precedence
+        lat = Lattice(2, 1)
+        assert side_of(lat, 0) == catalog_side(lat, 0) == BoundarySide.LEFT
 
     def test_periodic_all_bulk(self):
         lat = Lattice(5, 1, periodic=True)
-        assert all(lat.classify(s) == BoundarySide.BULK for s in range(lat.n_sites))
+        assert all(side_of(lat, s) == catalog_side(lat, s) == BoundarySide.BULK
+                   for s in range(lat.n_sites))
 
 
 class TestTotals:

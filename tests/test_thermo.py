@@ -10,19 +10,19 @@ from latgas.lattice import Lattice
 from latgas.thermo import (
     ConvexDomain,
     check_in_U,
-    chi,
-    conserved_of_state,
     domain_of,
     invert_conserved,
-    lambda_of_rho_p,
-    rho_p_of_lambda,
-    sample_product_state,
     sample_profile_state,
-    theta,
     theta_all,
     theta_field,
 )
 from latgas.velocities import VelocitySet
+from reference import chi, conserved_of_state, sample_product_state
+
+
+def rho_p_of_lambda(lam, vset):
+    """Forward map: conserved vector (rho, p) of the product measure at lam."""
+    return theta_all(lam, vset) @ vset.vtilde
 
 
 def random_interior_targets(vset, rng, n):
@@ -48,12 +48,12 @@ class TestConservedOfState:
 
 class TestTheta:
     def test_zero_potential(self, vs2):
-        assert theta([0.0, 0.0], 0, vs2) == 0.5
-        assert theta([0.0, 0.0], [-0.5], vs2) == 0.5
+        assert theta_all([0.0, 0.0], vs2).tolist() == [0.5, 0.5]
 
     def test_log3_values(self, vs_unit):
-        assert theta([math.log(3), 0.0], [1.0], vs_unit) == pytest.approx(0.75, abs=1e-15)
-        assert theta([0.0, math.log(3)], [-1.0], vs_unit) == pytest.approx(0.25, abs=1e-15)
+        # velocity +1 is slot 0, velocity -1 slot 1
+        assert theta_all([math.log(3), 0.0], vs_unit)[0] == pytest.approx(0.75, abs=1e-15)
+        assert theta_all([0.0, math.log(3)], vs_unit)[1] == pytest.approx(0.25, abs=1e-15)
 
     def test_stable_for_large_potentials(self, vs2):
         with np.errstate(over="raise"):
@@ -105,13 +105,12 @@ class TestForwardMap:
 
 class TestInverse:
     def test_center(self, vs_unit):
-        assert np.allclose(lambda_of_rho_p([1.0, 0.0], vs_unit), [0.0, 0.0], atol=1e-13)
+        assert np.allclose(invert_conserved([1.0, 0.0], vs_unit), [0.0, 0.0], atol=1e-13)
 
     def test_closed_form_two_velocities(self, vs_unit):
         # theta_{±v}(Lambda(rho, p)) = rho/2 ± p/(2v) for the minimal d=1 set
-        lam = lambda_of_rho_p([1.0, 0.5], vs_unit)
-        assert theta(lam, [1.0], vs_unit) == pytest.approx(0.75, abs=1e-12)
-        assert theta(lam, [-1.0], vs_unit) == pytest.approx(0.25, abs=1e-12)
+        lam = invert_conserved([1.0, 0.5], vs_unit)
+        assert theta_all(lam, vs_unit) == pytest.approx([0.75, 0.25], abs=1e-12)
 
     def test_closed_form_randomized(self, vs2, rng):
         v = 0.5
@@ -124,9 +123,9 @@ class TestInverse:
 
     def test_rejects_boundary_and_exterior(self, vs_unit):
         with pytest.raises(DomainError):
-            lambda_of_rho_p([2.0, 0.0], vs_unit)  # hull vertex
+            invert_conserved([2.0, 0.0], vs_unit)  # hull vertex
         with pytest.raises(DomainError):
-            lambda_of_rho_p([3.0, 0.0], vs_unit)
+            invert_conserved([3.0, 0.0], vs_unit)
 
     def test_warm_start(self, vs4, rng):
         targets = random_interior_targets(vs4, rng, 32)
@@ -222,8 +221,12 @@ class TestHull:
         assert ok and margin > 0
 
     def test_positive_mixture_of_all_vertices_interior(self, vs4, rng):
-        dom = domain_of(vs4)
-        verts = dom.vertices
+        from scipy.spatial import ConvexHull
+
+        nv = len(vs4)
+        states = ((np.arange(2**nv)[:, None] >> np.arange(nv)) & 1).astype(float)
+        points = np.unique(states @ vs4.vtilde, axis=0)
+        verts = points[ConvexHull(points).vertices]
         for _ in range(25):
             w = rng.dirichlet(np.ones(len(verts))) + 1e-3
             w = w / w.sum()
@@ -274,8 +277,6 @@ def test_zonotope_facets_match_qhull(name, rng):
     reference = -np.max(x @ hull.equations[:, :-1].T + hull.equations[:, -1], axis=1)
     assert np.any(reference > 0) and np.any(reference < 0)
     assert np.max(np.abs(dom.margin(x) - reference)) < 1e-12
-    assert ({tuple(p) for p in np.round(dom.vertices, 12)}
-            == {tuple(p) for p in np.round(points[hull.vertices], 12)})
     assert np.allclose(dom.centroid, points[hull.vertices].mean(axis=0))
     cosines = dom.normals @ dom.normals.T
     assert np.max(cosines - 2 * np.eye(len(cosines))) < 1 - 1e-9  # each facet once

@@ -1,15 +1,12 @@
 import numpy as np
 import pytest
 
-from latgas.velocities import (
-    Collision,
-    CollisionSet,
-    VelocitySet,
-    four_velocity_set,
-    load_velocity_set,
-    save_velocity_set,
-    two_velocity_set,
-)
+from latgas.velocities import Collision, CollisionSet, VelocitySet, load_velocity_set
+
+
+def reversed_collision(q: Collision) -> Collision:
+    """The collision that undoes q: (v', w') back into (v, w)."""
+    return Collision(q.vp, q.wp, q.v, q.w)
 
 
 def test_basic_properties(vs4):
@@ -37,15 +34,10 @@ def test_d2_requires_permutation_closure():
     VelocitySet(np.array([[0.5, 0.0], [-0.5, 0.0], [0.0, 0.5], [0.0, -0.5]]))
 
 
-def test_rescaled():
-    vs = VelocitySet(np.array([[1.0], [-1.0]])).rescaled(0.5)
-    assert np.array_equal(vs.velocities, [[0.5], [-0.5]])
-    assert vs.max_l1_speed() == 0.5
-
-
 def test_file_roundtrip(tmp_path, vs4):
     path = tmp_path / "vels.txt"
-    save_velocity_set(vs4, path)
+    path.write_text("# v\n" + "".join(f"{row[0]!r}  # slot {i}\n"
+                                       for i, row in enumerate(vs4.velocities.tolist())))
     loaded = load_velocity_set(path)
     assert np.array_equal(loaded.velocities, vs4.velocities)
 
@@ -72,10 +64,10 @@ def test_collision_set_closed_under_reversal(vs4):
     cs = CollisionSet(vs4)
     quads = set(cs.quadruples)
     for q in cs.quadruples:
-        assert q.reversed() in quads
+        assert reversed_collision(q) in quads
     active = set(cs.active)
     for q in cs.active:
-        assert q.reversed() in active
+        assert reversed_collision(q) in active
 
 
 def test_two_velocity_collisions_never_fire(vs2):
@@ -102,6 +94,10 @@ def test_mass_nonconserving_set_rejected():
         CollisionSet(vs)
 
 
-def test_collision_reversal_involution():
-    q = Collision(0, 1, 2, 3)
-    assert q.reversed().reversed() == q
+def test_collision_reversal_involution(vs4):
+    # reversal pairs every active collision with another active one, never
+    # with itself: the two directions of one reversible pair of the catalog
+    active = CollisionSet(vs4).active
+    for q in active:
+        back = reversed_collision(q)
+        assert back != q and reversed_collision(back) == q
