@@ -23,7 +23,6 @@ from .config import (
     ExperimentConfig,
     compile_expression,
     load_config,
-    parse_config,
     replica_rng,
     write_manifest,
 )
@@ -32,16 +31,9 @@ from .empirical import block_average, empirical_measure, l1_distance, smooth
 from .errors import ConfigError, DomainError, LatgasError, NumericalFailure
 from .generator import ALL_PARTS, assemble_exact_generator
 from .grid import Grid, write_field_csv
-from .hydro import (
-    AxisFactor,
-    BoundaryData,
-    FieldSum,
-    SeparableMode,
-    TimeFactor,
-    solve_hydro,
-)
+from .hydro import BoundaryData, Factor, SeparableField, solve_hydro
 from .lattice import Configuration, Lattice
-from .ldp import default_basis, rate_estimate, verify_f06
+from .ldp import TIME_MODES, default_basis, rate_estimate, time_factor, verify_f06
 from .thermo import check_in_U, sample_profile_state, theta_field
 
 
@@ -63,10 +55,13 @@ def build_boundary(cfg: ExperimentConfig, profiles: ReservoirProfiles,
         raise ConfigError(f"reservoir profiles: {exc}") from None
 
 
-def build_model(cfg: ExperimentConfig, N: int) -> Model:
-    lat = Lattice(N, cfg.model.d)
+def build_model(cfg: ExperimentConfig, N: int, periodic: bool = False,
+                reservoirs: bool = True) -> Model:
+    """The model on the N-lattice; a velocity set or reservoir it rejects exits 2."""
+    lat = Lattice(N, cfg.model.d, periodic=periodic)
     try:
-        return Model(lat, cfg.model.velocities, profiles=build_profiles(cfg))
+        return Model(lat, cfg.model.velocities,
+                     profiles=build_profiles(cfg) if reservoirs else None)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -110,48 +105,28 @@ def build_gamma(cfg: ExperimentConfig, walls: tuple, points) -> np.ndarray:
     return values
 
 
-def _parse_time_mode(token: str, horizon: float) -> TimeFactor:
-    token = str(token)
-    if token in ("const", "linear"):
-        return TimeFactor(token, horizon)
-    kind, _, num = token.partition(":")
-    if kind in ("cos", "sin") and num.isdigit() and int(num) >= 1:
-        return TimeFactor(kind, horizon, int(num))
-    raise ConfigError(f"bad time mode {token!r} (use const|linear|cos:N|sin:N)")
-
-
-def build_basis(cfg: ExperimentConfig, horizon: float):
-    d = cfg.model.d
-    n_space = cfg.ldp.get("n_space_modes", 4)
-    tokens = cfg.ldp.get("time_modes", ["const", "linear", "cos:1", "sin:1"])
-    kinds = []
-    for tok in tokens:
-        tf = _parse_time_mode(tok, horizon)
-        kinds.append((tf.kind, tf.n))
-    n_tr = cfg.ldp.get("n_transverse", 0)
-    return default_basis(d, horizon, n_space=n_space, time_kinds=kinds,
-                         n_transverse=n_tr)
+def build_basis(cfg: ExperimentConfig, horizon: float) -> list:
+    factors = [time_factor(tok, horizon) for tok in cfg.ldp.get("time_modes", TIME_MODES)]
+    if len(set(factors)) != len(factors):
+        raise ConfigError(f"ldp.time_modes repeats a mode: {cfg.ldp['time_modes']}")
+    return default_basis(cfg.model.d, factors, cfg.ldp.get("n_space_modes", 4),
+                         cfg.ldp.get("n_transverse", 0))
 
 
 def build_control(cfg: ExperimentConfig, horizon: float):
+    """The control of `ldp.control`, one term per entry, or None."""
     terms = cfg.ldp.get("control")
     if not terms:
         return None
     d = cfg.model.d
-    modes = []
-    for i, term in enumerate(terms):
-        if not isinstance(term, dict):
-            raise ConfigError(f"ldp.control[{i}] must be a mapping")
-        unknown = set(term) - {"component", "amplitude", "space_mode", "time_mode"}
-        if unknown:
-            raise ConfigError(f"unknown key(s) {sorted(unknown)} in ldp.control[{i}]")
-        comp = int(term.get("component", 0))
-        amp = float(term.get("amplitude", 0.1))
-        k = int(term.get("space_mode", 1))
-        tf = _parse_time_mode(term.get("time_mode", "const"), horizon)
-        axes = [AxisFactor("sine", k)] + [AxisFactor("one")] * (d - 1)
-        modes.append(SeparableMode(d + 1, comp, tf, axes, amplitude=amp))
-    return FieldSum(modes)
+    try:
+        return SeparableField(d + 1, [
+            (term.get("component", 0), term.get("amplitude", 0.1),
+             time_factor(term.get("time_mode", "const"), horizon),
+             [Factor("sin", np.pi * term.get("space_mode", 1))] + [Factor("one")] * (d - 1))
+            for term in terms])
+    except ValueError as exc:
+        raise ConfigError(f"ldp.control: {exc}") from None
 
 
 def _csv_header(cfg: ExperimentConfig, units: str) -> str:
@@ -200,24 +175,23 @@ def _replica_cells(cfg: ExperimentConfig, command: str, N: int, replicas: range)
     """
     if command == "converge":
         sec = cfg.converge
-        horizon = float(sec.get("t_compare", 0.25))
+        horizon = sec.get("t_compare", 0.25)
         times, centers, block_radius = [horizon], [], 0
     else:
         sec = cfg.simulate
-        horizon = float(sec.get("horizon", 0.5))
-        block_radius = int(sec.get("block_radius", 1))
-        times = ([float(t) for t in sec["sample_times"]] if "sample_times" in sec
-                 else list(np.linspace(0.0, horizon, int(sec.get("n_samples", 5)))))
+        horizon = sec.get("horizon", 0.5)
+        block_radius = sec.get("block_radius", 1)
+        times = (sec["sample_times"] if "sample_times" in sec
+                 else list(np.linspace(0.0, horizon, sec.get("n_samples", 5))))
         centers = sec.get("block_centers", "auto")
         if centers == "auto":
             lo, hi = block_radius + 1, N - 1 - block_radius
             centers = sorted({min(max(c, lo), hi) for c in (N // 4, N // 2, (3 * N) // 4)}) \
                 if hi >= lo else []
-        centers = [int(c) for c in centers]
-    eps = float(sec.get("eps", 0.1))
+    eps = sec.get("eps", 0.1)
 
     model = build_model(cfg, N)
-    grid = build_grid(cfg, int(sec.get("grid_m1", 65)), cfg.hydro.get("mt"))
+    grid = build_grid(cfg, sec.get("grid_m1", 65), cfg.hydro.get("mt"))
     lat, vset = model.lattice, model.vset
     theta = theta_field(build_gamma(cfg, lattice_walls(model), lat.positions()), vset)
     runs = []
@@ -248,7 +222,7 @@ def _replica_cells(cfg: ExperimentConfig, command: str, N: int, replicas: range)
 def cmd_simulate(cfg: ExperimentConfig, args) -> list:
     out = _out_dir(cfg, args)
     outputs = []
-    grid = build_grid(cfg, int(cfg.simulate.get("grid_m1", 65)), cfg.hydro.get("mt"))
+    grid = build_grid(cfg, cfg.simulate.get("grid_m1", 65), cfg.hydro.get("mt"))
     ncomp = cfg.model.d + 1
     for (N, r), res in _map_cells("simulate", cfg, args):
         fpath = os.path.join(out, f"sim_N{N}_r{r}_fields.csv")
@@ -301,15 +275,14 @@ def _initial_data(cfg: ExperimentConfig, grid: Grid):
 def _hydro_solve(cfg: ExperimentConfig, m1: int):
     hyd = cfg.hydro
     grid = build_grid(cfg, m1, hyd.get("mt"))
-    dt = hyd.get("dt")
-    return solve_hydro(*_initial_data(cfg, grid), float(hyd.get("horizon", 0.5)), grid,
-                       cfg.model.velocities, dt=None if dt is None else float(dt),
-                       n_frames=int(hyd.get("n_frames", 256)))
+    return solve_hydro(*_initial_data(cfg, grid), hyd.get("horizon", 0.5), grid,
+                       cfg.model.velocities, dt=hyd.get("dt"),
+                       n_frames=hyd.get("n_frames", 256))
 
 
 def cmd_hydro(cfg: ExperimentConfig, args) -> list:
     out = _out_dir(cfg, args)
-    m1 = int(cfg.hydro.get("m1", 129))
+    m1 = cfg.hydro.get("m1", 129)
     traj = _hydro_solve(cfg, m1)
     npz = os.path.join(out, "hydro_traj.npz")
     traj.save(npz)
@@ -341,16 +314,16 @@ def cmd_converge(cfg: ExperimentConfig, args) -> list:
         raise ConfigError("converge needs model.N to list at least two sizes")
     out = _out_dir(cfg, args)
     conv = cfg.converge
-    t_cmp = float(conv.get("t_compare", 0.25))
-    grid_m1 = int(conv.get("grid_m1", 65))
-    ref_m1 = int(conv.get("reference_m1", 2 * (grid_m1 - 1) + 1))
+    t_cmp = conv.get("t_compare", 0.25)
+    grid_m1 = conv.get("grid_m1", 65)
+    ref_m1 = conv.get("reference_m1", 2 * (grid_m1 - 1) + 1)
     if (ref_m1 - 1) % (grid_m1 - 1) != 0:
         raise ConfigError("converge.reference_m1 - 1 must be a multiple of grid_m1 - 1")
     stride = (ref_m1 - 1) // (grid_m1 - 1)
 
     ref_grid = build_grid(cfg, ref_m1, cfg.hydro.get("mt"))
     ref = solve_hydro(*_initial_data(cfg, ref_grid), t_cmp, ref_grid, cfg.model.velocities,
-                      n_frames=int(conv.get("n_frames", 64)))
+                      n_frames=conv.get("n_frames", 64))
     pde_cmp = ref.values[-1][::stride]
     cmp_grid = build_grid(cfg, grid_m1, cfg.hydro.get("mt"))
 
@@ -378,17 +351,17 @@ def cmd_converge(cfg: ExperimentConfig, args) -> list:
 
 def cmd_rate(cfg: ExperimentConfig, args) -> list:
     out = _out_dir(cfg, args)
-    m1 = int(cfg.hydro.get("m1", 129))
-    horizon = float(cfg.hydro.get("horizon", 0.5))
+    m1 = cfg.hydro.get("m1", 129)
+    horizon = cfg.hydro.get("horizon", 0.5)
     basis = build_basis(cfg, horizon)
     n = len(basis)
-    sizes = sorted({int(s) for s in cfg.ldp.get("basis_sizes", [min(8, n), min(16, n), n])})
+    sizes = sorted(set(cfg.ldp.get("basis_sizes", [min(8, n), min(16, n), n])))
     bad = [m for m in sizes if not 1 <= m <= n]
     if bad or not sizes:
         raise ConfigError(f"ldp.basis_sizes {bad or 'is empty'}: "
                           f"each entry must lie in 1..{n}, the basis length")
     traj = _hydro_solve(cfg, m1)
-    full = rate_estimate(traj, basis.subset(sizes[-1]), cfg.model.velocities)
+    full = rate_estimate(traj, basis[:sizes[-1]], cfg.model.velocities)
 
     sweep_path = os.path.join(out, "rate_sweep.csv")
     fh, writer = _csv_writer(sweep_path, ["basis_size", "estimate"],
@@ -403,7 +376,7 @@ def cmd_rate(cfg: ExperimentConfig, args) -> list:
     if control is not None:
         rep6 = verify_f06(traj.gamma, traj.boundary, control, traj.grid,
                           cfg.model.velocities, horizon, basis,
-                          n_frames=int(cfg.hydro.get("n_frames", 256)))
+                          n_frames=cfg.hydro.get("n_frames", 256))
         f06_path = os.path.join(out, "f06_report.txt")
         with open(f06_path, "w") as fh:
             fh.write("format: latgas-f06-report v1\n")
@@ -426,9 +399,8 @@ def cmd_exact(cfg: ExperimentConfig, args) -> list:
     parts = tuple(exact.get("parts", ALL_PARTS))
     lam = np.array(exact.get("lambda", [0.0] * (cfg.model.d + 1)), dtype=float)
 
-    lat = Lattice(n, cfg.model.d, periodic=periodic)
-    profiles = None if periodic or "boundary" not in parts else build_profiles(cfg)
-    model = Model(lat, cfg.model.velocities, profiles=profiles)
+    model = build_model(cfg, n, periodic,
+                        reservoirs=not periodic and "boundary" in parts)
     gen = assemble_exact_generator(model, parts=parts)
 
     row_max = float(np.max(np.abs(gen.row_sums())))
@@ -486,13 +458,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.raw["model"]["seed"] = int(args.seed)
-            cfg = parse_config(cfg.raw, cfg.base_dir)
-        if args.replicas is not None:
-            cfg.raw["model"]["replicas"] = int(args.replicas)
-            cfg = parse_config(cfg.raw, cfg.base_dir)
+        cfg = load_config(args.config, seed=args.seed, replicas=args.replicas)
         args.cells = []
         outputs = COMMANDS[args.command](cfg, args)
         out = _out_dir(cfg, args)

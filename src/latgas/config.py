@@ -1,11 +1,12 @@
 """Experiment configuration: YAML schema, safe expression parsing, manifests.
 
 A config file is a YAML mapping with sections `model`, `simulate`, `hydro`,
-`converge`, `ldp`, `exact`, `output`.  Unknown keys anywhere are rejected with
-their full path.  Reservoir profiles and initial profiles are restricted
-closed-form expressions (numbers, + - * / **, sin, cos, pi, and the allowed
-coordinates), parsed through the ast module with a strict whitelist so they
-stay twice continuously differentiable and safe to evaluate.
+`converge`, `ldp`, `exact`, `output`.  Unknown keys anywhere, and values of
+the wrong type, are rejected with their full path.  Reservoir profiles and
+initial profiles are restricted closed-form expressions (numbers, + - * / **,
+sin, cos, pi, and the allowed coordinates), parsed through the ast module with
+a strict whitelist so they stay twice continuously differentiable and safe to
+evaluate.
 """
 
 from __future__ import annotations
@@ -136,7 +137,6 @@ class ExperimentConfig:
     ldp: dict = field(default_factory=dict)
     exact: dict = field(default_factory=dict)
     output: dict = field(default_factory=dict)
-    base_dir: str = "."  # resolves a relative model.velocities_file
 
     @property
     def config_hash(self) -> str:
@@ -144,24 +144,75 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
+def _integer(val) -> int:
+    if int(val) != float(val):
+        raise ValueError
+    return int(val)
+
+
+def _wavenumber(val) -> int:
+    if _integer(val) < 1:
+        raise ValueError
+    return int(val)
+
+
+def _list_of(read):
+    def read_list(val) -> list:
+        if not isinstance(val, list):
+            raise TypeError
+        return [read(x) for x in val]
+    return read_list
+
+
+def _read_section(sec: dict, readers: dict, path: str) -> dict:
+    """A copy of the section with each value read by its key's reader (None
+    keeps it as is) and null values left out, so their keys take their
+    defaults; a value its reader rejects is a ConfigError naming its path."""
+    _check_keys(sec, set(readers), path)
+    out = {}
+    for key, val in sec.items():
+        try:
+            if val is not None:
+                out[key] = val if readers[key] is None else readers[key](val)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{path}.{key} has wrong type or value {val!r}") from None
+    return out
+
+
+# Each section's keys with the reader of their values.  Sections are read
+# into copies, so `raw`, and with it the config hash, keeps the file's values.
 _TOP_KEYS = {"model", "simulate", "hydro", "converge", "ldp", "exact", "output"}
 _MODEL_KEYS = {"d", "velocities", "velocities_file", "alpha", "beta", "N",
                "seed", "replicas"}
-_SIM_KEYS = {"horizon", "sample_times", "n_samples", "eps", "grid_m1",
-             "block_radius", "block_centers"}
-_HYDRO_KEYS = {"m1", "mt", "horizon", "n_frames", "dt", "refine", "gamma"}
-_CONV_KEYS = {"t_compare", "eps", "grid_m1", "reference_m1", "n_frames"}
-_LDP_KEYS = {"n_space_modes", "time_modes", "n_transverse", "basis_sizes", "control"}
-_EXACT_KEYS = {"N", "periodic", "parts", "lambda"}
-_OUTPUT_KEYS = {"directory"}
+_SECTIONS = {
+    "simulate": {"horizon": float, "sample_times": _list_of(float), "n_samples": _integer,
+                 "eps": float, "grid_m1": _integer, "block_radius": _integer,
+                 "block_centers": lambda v: v if v == "auto" else _list_of(_integer)(v)},
+    "hydro": {"m1": _integer, "mt": _integer, "horizon": float, "n_frames": _integer,
+              "dt": float, "refine": None, "gamma": None},
+    "converge": {"t_compare": float, "eps": float, "grid_m1": _integer,
+                 "reference_m1": _integer, "n_frames": _integer},
+    "ldp": {"n_space_modes": _integer, "time_modes": None,
+            "n_transverse": _integer, "basis_sizes": _list_of(_integer), "control": None},
+    "exact": {"N": None, "periodic": None, "parts": None, "lambda": None},
+    "output": {"directory": None},
+}
+_CONTROL_KEYS = {"component": _integer, "amplitude": float, "space_mode": _wavenumber,
+                 "time_mode": None}
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, seed=None, replicas=None) -> ExperimentConfig:
+    """Read and parse a config file; a given `seed` or `replicas` (--seed,
+    --replicas) replaces model.seed or model.replicas before the parse."""
     with open(path) as fh:
         try:
             raw = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from None
+    model = raw.get("model") if isinstance(raw, dict) else None
+    for key, val in (("seed", seed), ("replicas", replicas)):
+        if val is not None and isinstance(model, dict):
+            model[key] = int(val)
     return parse_config(raw, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
@@ -215,14 +266,16 @@ def parse_config(raw, base_dir: str = ".") -> ExperimentConfig:
     # compile now so bad expressions fail at load time
     model.profile_callables()
 
-    sections = {}
-    for name, keys in (("simulate", _SIM_KEYS), ("hydro", _HYDRO_KEYS),
-                       ("converge", _CONV_KEYS), ("ldp", _LDP_KEYS),
-                       ("exact", _EXACT_KEYS), ("output", _OUTPUT_KEYS)):
-        sec = raw.get(name, {}) or {}
-        sec = _require_mapping(sec, name)
-        _check_keys(sec, keys, name)
-        sections[name] = sec
+    sections = {name: _read_section(_require_mapping(raw.get(name) or {}, name), readers, name)
+                for name, readers in _SECTIONS.items()}
+    control = sections["ldp"].get("control")
+    if control:
+        if not isinstance(control, list):
+            raise ConfigError("ldp.control must be a list of mappings")
+        sections["ldp"]["control"] = [
+            _read_section(_require_mapping(term, f"ldp.control[{i}]"), _CONTROL_KEYS,
+                          f"ldp.control[{i}]")
+            for i, term in enumerate(control)]
     n_exact = sections["exact"].get("N", 3)
     if not isinstance(n_exact, int) or n_exact < 2:
         raise ConfigError("exact.N must be an integer >= 2")
@@ -238,7 +291,7 @@ def parse_config(raw, base_dir: str = ".") -> ExperimentConfig:
     return ExperimentConfig(raw=raw, model=model, simulate=sections["simulate"],
                             hydro=sections["hydro"], converge=sections["converge"],
                             ldp=sections["ldp"], exact=sections["exact"],
-                            output=sections["output"], base_dir=base_dir)
+                            output=sections["output"])
 
 
 def replica_rng(seed: int, *key) -> Generator:

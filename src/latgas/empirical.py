@@ -57,7 +57,7 @@ def block_average(eta, lattice: Lattice, vset: VelocitySet, x, L: int) -> np.nda
     """
     if isinstance(eta, Configuration):
         eta = eta.eta
-    coords = (lattice.coords(x) if isinstance(x, (int, np.integer)) else tuple(x))
+    coords = tuple(x)
     if L < 0:
         raise ValueError("block radius must be nonnegative")
     if not L + 1 <= coords[0] <= lattice.N - 1 - L:

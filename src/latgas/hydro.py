@@ -108,170 +108,113 @@ class BoundaryData:
 
 # --- test functions and controls -------------------------------------------------
 
-class TimeFactor:
-    """Scalar factor tau(t) with an analytic derivative."""
+@dataclass(frozen=True)
+class Factor:
+    """One 1-D factor with analytic first and second derivatives.
 
-    def __init__(self, kind: str, horizon: float, n: int = 0):
-        if kind not in ("const", "linear", "cos", "sin"):
-            raise ValueError(f"unknown time factor {kind!r}")
-        self.kind, self.T, self.n = kind, float(horizon), int(n)
-
-    def value(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "const":
-            return np.ones_like(t)
-        if self.kind == "linear":
-            return t / self.T
-        w = 2 * np.pi * self.n / self.T
-        return np.cos(w * t) if self.kind == "cos" else np.sin(w * t)
-
-    def deriv(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "const":
-            return np.zeros_like(t)
-        if self.kind == "linear":
-            return np.full_like(t, 1.0 / self.T)
-        w = 2 * np.pi * self.n / self.T
-        return -w * np.sin(w * t) if self.kind == "cos" else w * np.cos(w * t)
-
-
-class AxisFactor:
-    """1D spatial factor with analytic first/second derivatives.
-
-    kind "sine" (sin(k pi u), k >= 1) vanishes at u = 0, 1 and is used along
-    the wall axis; "cos"/"sin" Fourier factors (period 1) serve the transverse
-    torus axes; "one" is the constant factor.
+    kind "one" is the constant 1, "linear" is x / scale, and "cos" and "sin"
+    are cos(scale x) and sin(scale x).  It serves time and space alike: the
+    wall-axis sine is Factor("sin", pi k), which vanishes at u = 0, 1; the
+    transverse Fourier factors have scale 2 pi m; time factors are "one",
+    Factor("linear", T) or a trig factor of scale 2 pi n / T.
     """
 
-    def __init__(self, kind: str, k: int = 1):
-        if kind not in ("sine", "cos", "sin", "one"):
-            raise ValueError(f"unknown axis factor {kind!r}")
-        if kind == "sine" and k < 1:
-            raise ValueError("sine wavenumber must be >= 1")
-        self.kind, self.k = kind, int(k)
+    kind: str
+    scale: float = 1.0
 
-    def _omega(self) -> float:
-        return np.pi * self.k if self.kind == "sine" else 2 * np.pi * self.k
+    def __post_init__(self):
+        if self.kind not in ("one", "linear", "cos", "sin"):
+            raise ValueError(f"unknown factor {self.kind!r}")
 
-    def value(self, u):
-        u = np.asarray(u, dtype=float)
+    def value(self, x):
+        x = np.asarray(x, dtype=float)
         if self.kind == "one":
-            return np.ones_like(u)
-        w = self._omega()
-        return np.cos(w * u) if self.kind == "cos" else np.sin(w * u)
+            return np.ones_like(x)
+        if self.kind == "linear":
+            return x / self.scale
+        w = self.scale
+        return np.cos(w * x) if self.kind == "cos" else np.sin(w * x)
 
-    def d1(self, u):
-        u = np.asarray(u, dtype=float)
+    def d1(self, x):
+        x = np.asarray(x, dtype=float)
         if self.kind == "one":
-            return np.zeros_like(u)
-        w = self._omega()
-        return -w * np.sin(w * u) if self.kind == "cos" else w * np.cos(w * u)
+            return np.zeros_like(x)
+        if self.kind == "linear":
+            return np.full_like(x, 1.0 / self.scale)
+        w = self.scale
+        return -w * np.sin(w * x) if self.kind == "cos" else w * np.cos(w * x)
 
-    def d2(self, u):
-        return -self._omega() ** 2 * self.value(u) if self.kind != "one" \
-            else np.zeros_like(np.asarray(u, dtype=float))
+    def d2(self, x):
+        if self.kind in ("one", "linear"):
+            return np.zeros_like(np.asarray(x, dtype=float))
+        return -self.scale ** 2 * self.value(x)
 
 
 def _outer(arrays: Sequence[np.ndarray]) -> np.ndarray:
     return reduce(np.multiply.outer, arrays)
 
 
-class SeparableMode:
-    """One vector test mode G(t,u) = amp * tau(t) * prod_i s_i(u_i) * e_comp.
+class SeparableField:
+    """Vector field G(t,u) = sum_j amp_j tau_j(t) prod_i s_ji(u_i) e_comp_j.
 
-    The wall-axis factor must be a sine so the mode vanishes on the walls.
-    Space arrays are cached per grid.
+    `terms` holds (component, amplitude, time factor, axis factors) per term,
+    summed in order; a basis mode is a one-term field and a control a sum of
+    terms.  Each wall-axis factor must be a sine so the field vanishes on the
+    walls.  Space arrays are cached per grid.
     """
 
-    def __init__(self, ncomp: int, component: int, time_factor: TimeFactor,
-                 axis_factors: Sequence[AxisFactor], amplitude: float = 1.0):
-        if not 0 <= component < ncomp:
-            raise ValueError("component index out of range")
-        if axis_factors[0].kind != "sine":
-            raise ValueError("wall-axis factor must vanish at the walls (sine)")
+    def __init__(self, ncomp: int, terms: Sequence[tuple]):
+        if not terms:
+            raise ValueError("a field needs at least one term")
+        for component, _, _, axes in terms:
+            if not 0 <= component < ncomp:
+                raise ValueError("component index out of range")
+            if axes[0].kind != "sin":
+                raise ValueError("wall-axis factor must vanish at the walls (sine)")
         self.ncomp = ncomp
-        self.component = component
-        self.tf = time_factor
-        self.axes = list(axis_factors)
-        self.amplitude = float(amplitude)
+        self.terms = [(comp, float(amp), tf, list(axes)) for comp, amp, tf, axes in terms]
         self._cache = {}
 
-    def _space(self, grid: Grid):
-        key = id(grid)
-        if key not in self._cache:
+    def _space(self, grid: Grid) -> list:
+        """(value, gradient, laplacian) of each term's space factor on `grid`."""
+        if grid not in self._cache:
             d = grid.d
-            if len(self.axes) != d:
-                raise ValueError(f"mode has {len(self.axes)} axis factors, grid is {d}-d")
-            vals = [f.value(grid.axis(i)) for i, f in enumerate(self.axes)]
-            d1s = [f.d1(grid.axis(i)) for i, f in enumerate(self.axes)]
-            d2s = [f.d2(grid.axis(i)) for i, f in enumerate(self.axes)]
-            value = _outer(vals)
-            grad = np.stack(
-                [_outer([d1s[i] if j == i else vals[j] for j in range(d)])
-                 for i in range(d)], axis=-1)
-            lap = sum(
-                _outer([d2s[i] if j == i else vals[j] for j in range(d)])
-                for i in range(d))
-            self._cache[key] = (value, grad, lap)
-        return self._cache[key]
+            spaces = []
+            for _, _, _, axes in self.terms:
+                if len(axes) != d:
+                    raise ValueError(f"field has {len(axes)} axis factors, grid is {d}-d")
+                vals = [f.value(grid.axis(i)) for i, f in enumerate(axes)]
+                d1s = [f.d1(grid.axis(i)) for i, f in enumerate(axes)]
+                d2s = [f.d2(grid.axis(i)) for i, f in enumerate(axes)]
+                grad = np.stack([_outer(vals[:i] + [d1s[i]] + vals[i + 1:])
+                                 for i in range(d)], axis=-1)
+                lap = sum(_outer(vals[:i] + [d2s[i]] + vals[i + 1:]) for i in range(d))
+                spaces.append((_outer(vals), grad, lap))
+            self._cache[grid] = spaces
+        return self._cache[grid]
 
-    def _lift(self, tvals: np.ndarray, space: np.ndarray) -> np.ndarray:
-        out = np.zeros((len(tvals),) + space.shape + (self.ncomp,))
-        out[..., self.component] = tvals.reshape((-1,) + (1,) * space.ndim) * space
-        return out
-
-    def values(self, times, grid: Grid) -> np.ndarray:
+    def _sum(self, times, grid: Grid, part: int, time_deriv: bool = False) -> np.ndarray:
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        value, _, _ = self._space(grid)
-        return self._lift(self.tf.value(times) * self.amplitude, value)
-
-    def dt(self, times, grid: Grid) -> np.ndarray:
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        value, _, _ = self._space(grid)
-        return self._lift(self.tf.deriv(times) * self.amplitude, value)
-
-    def gradient(self, times, grid: Grid) -> np.ndarray:
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        _, grad, _ = self._space(grid)
-        return self._lift(self.tf.value(times) * self.amplitude, grad)
-
-    def laplacian(self, times, grid: Grid) -> np.ndarray:
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        _, _, lap = self._space(grid)
-        return self._lift(self.tf.value(times) * self.amplitude, lap)
-
-
-class FieldSum:
-    """Linear combination of vector test modes (shared ncomp)."""
-
-    def __init__(self, modes: Sequence, coefficients: Optional[Sequence[float]] = None):
-        if not modes:
-            raise ValueError("empty combination")
-        self.modes = list(modes)
-        self.coefficients = (np.ones(len(modes)) if coefficients is None
-                             else np.asarray(coefficients, dtype=float))
-        if len(self.coefficients) != len(self.modes):
-            raise ValueError("one coefficient per mode required")
-        self.ncomp = modes[0].ncomp
-
-    def _combine(self, method, times, grid):
         out = None
-        for c, m in zip(self.coefficients, self.modes):
-            term = c * getattr(m, method)(times, grid)
+        for (comp, amp, tf, _), space in zip(self.terms, self._space(grid)):
+            tvals = (tf.d1(times) if time_deriv else tf.value(times)) * amp
+            space = space[part]
+            term = np.zeros((len(times),) + space.shape + (self.ncomp,))
+            term[..., comp] = tvals.reshape((-1,) + (1,) * space.ndim) * space
             out = term if out is None else out + term
         return out
 
-    def values(self, times, grid):
-        return self._combine("values", times, grid)
+    def values(self, times, grid: Grid) -> np.ndarray:
+        return self._sum(times, grid, 0)
 
-    def dt(self, times, grid):
-        return self._combine("dt", times, grid)
+    def dt(self, times, grid: Grid) -> np.ndarray:
+        return self._sum(times, grid, 0, time_deriv=True)
 
-    def gradient(self, times, grid):
-        return self._combine("gradient", times, grid)
+    def gradient(self, times, grid: Grid) -> np.ndarray:
+        return self._sum(times, grid, 1)
 
-    def laplacian(self, times, grid):
-        return self._combine("laplacian", times, grid)
+    def laplacian(self, times, grid: Grid) -> np.ndarray:
+        return self._sum(times, grid, 2)
 
 
 def check_vanishes_on_walls(fld, grid: Grid, horizon: float, tol: float = WALL_VANISH_TOL):

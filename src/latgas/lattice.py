@@ -52,10 +52,6 @@ class Lattice:
             raise ValueError(f"transverse coordinate out of range in {coords}")
         return int(np.ravel_multi_index((x1 - 1,) + rest, self.shape))
 
-    def coords(self, site: int) -> tuple:
-        idx = np.unravel_index(int(site), self.shape)
-        return (int(idx[0]) + 1,) + tuple(int(c) for c in idx[1:])
-
     def all_coords(self) -> np.ndarray:
         """(n_sites, d) integer coordinates in site-index order."""
         grids = np.indices(self.shape).reshape(self.d, -1).T

@@ -19,8 +19,9 @@ with l the per-mode residuals and Q the pi-inner-product Gram matrix
 eps = DEFAULT_REG_SCALE x trace(Q) / m for m modes).  On a solution of the
 plain system the estimate vanishes; on a solution of the controlled system
 with control H it equals (1/4) |H|_pi^2, and `verify_f06` reads both sides
-from one context.  A prefix basis of size m has Gram matrix Q[:m, :m], so
-nested estimates are `RateReport.leading`.
+from one context.  A basis is a list of `SeparableField` modes, and its
+prefix basis[:m] is the nested basis of size m: its Gram matrix is Q[:m, :m],
+so nested estimates are `RateReport.leading`.
 """
 
 from __future__ import annotations
@@ -30,15 +31,14 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import ConditioningError
+from .errors import ConditioningError, ConfigError
 from .grid import Grid
 from .hydro import (
-    AxisFactor,
     BoundaryData,
+    Factor,
     FieldTrajectory,
     QuadratureContext,
-    SeparableMode,
-    TimeFactor,
+    SeparableField,
     solve_controlled,
 )
 from .velocities import VelocitySet
@@ -48,59 +48,40 @@ DEFAULT_REG_SCALE = 1e-10
 
 # --- vector test basis ------------------------------------------------------------
 
-class TestBasis:
-    """Ordered family of separable vector modes vanishing on the walls.
-
-    Modes are grouped by wall-axis wavenumber so that prefixes of the family
-    are natural nested bases; `subset(m)` returns the first m modes as a new
-    basis.  Mode signatures must be pairwise distinct, which together with
-    separable-factor orthogonality makes the family linearly independent.
-    """
-
-    __test__ = False  # a library class, not a pytest test class
-
-    def __init__(self, modes, signatures=None):
-        if not modes:
-            raise ValueError("empty basis")
-        self.modes = list(modes)
-        self.signatures = list(signatures) if signatures is not None else None
-        if self.signatures is not None:
-            if len(set(self.signatures)) != len(self.signatures):
-                raise ValueError("basis modes are not pairwise distinct")
-
-    def __len__(self) -> int:
-        return len(self.modes)
-
-    def subset(self, m: int) -> "TestBasis":
-        if not 1 <= m <= len(self.modes):
-            raise ValueError(f"subset size {m} out of range")
-        sigs = self.signatures[:m] if self.signatures is not None else None
-        return TestBasis(self.modes[:m], sigs)
+# The default ldp.time_modes: constant, linear, and one period of cos and sin.
+TIME_MODES = ("const", "linear", "cos:1", "sin:1")
 
 
-def default_basis(d: int, horizon: float, n_space: int = 4,
-                  time_kinds=(("const", 0), ("linear", 0), ("cos", 1), ("sin", 1)),
-                  n_transverse: int = 0) -> TestBasis:
-    """Separable modes: components x sine(k pi u1) x time factors.
+def time_factor(token, horizon: float) -> Factor:
+    """The time factor a time-mode token names: const | linear | cos:N | sin:N,
+    N >= 1 periods over the horizon."""
+    token = str(token)
+    if token == "const":
+        return Factor("one")
+    if token == "linear":
+        return Factor("linear", horizon)
+    kind, _, num = token.partition(":")
+    if kind in ("cos", "sin") and num.isdigit() and int(num) >= 1:
+        return Factor(kind, 2 * np.pi * int(num) / horizon)
+    raise ConfigError(f"bad time mode {token!r} (use const|linear|cos:N|sin:N)")
+
+
+def default_basis(d: int, time_factors, n_space: int, n_transverse: int = 0) -> list:
+    """Separable one-term modes: components x sine(k pi u1) x time factors.
 
     Ordered by wall wavenumber first, so the leading 8 (for d=1 and four time
-    kinds) span the k=1 block, the leading 16 the k<=2 blocks, and so on.
+    factors) span the k=1 block, the leading 16 the k<=2 blocks, and so on.
     Transverse Fourier factors are added for d > 1 when n_transverse > 0.
+    Distinct factors give linearly independent modes.
     """
-    ncomp = d + 1
-    tfactors = [(kind, n, TimeFactor(kind, horizon, n)) for kind, n in time_kinds]
-    tr_factors = [("one", 0)]
+    transverse = [Factor("one")]
     for m in range(1, n_transverse + 1):
-        tr_factors += [("cos", m), ("sin", m)]
-    modes, sigs = [], []
-    for k in range(1, n_space + 1):
-        for kind, n, tf in tfactors:
-            for tr in itertools.product(tr_factors, repeat=d - 1):
-                for comp in range(ncomp):
-                    axes = [AxisFactor("sine", k)] + [AxisFactor(kd, m) for kd, m in tr]
-                    modes.append(SeparableMode(ncomp, comp, tf, axes))
-                    sigs.append((k, kind, n, tr, comp))
-    return TestBasis(modes, sigs)
+        transverse += [Factor("cos", 2 * np.pi * m), Factor("sin", 2 * np.pi * m)]
+    return [SeparableField(d + 1, [(comp, 1.0, tf, [Factor("sin", np.pi * k), *tr])])
+            for k in range(1, n_space + 1)
+            for tf in time_factors
+            for tr in itertools.product(transverse, repeat=d - 1)
+            for comp in range(d + 1)]
 
 
 # --- cost functional ---------------------------------------------------------------
@@ -199,15 +180,15 @@ class RateReport:
         )
 
 
-def rate_estimate(traj: FieldTrajectory, basis: TestBasis, vset: VelocitySet) -> RateReport:
+def rate_estimate(traj: FieldTrajectory, basis: list, vset: VelocitySet) -> RateReport:
     """Basis-restricted supremum of the cost functional over span{G_m}."""
     return _rate_report(QuadratureContext(traj, vset), basis)
 
 
-def _rate_report(ctx, basis: TestBasis) -> RateReport:
+def _rate_report(ctx, basis: list) -> RateReport:
     """`rate_estimate` on an already built context."""
     linear = np.empty(len(basis))
-    quad = ctx.gram(basis.modes, linear)
+    quad = ctx.gram(basis, linear)
     quadrature = {"frames": len(ctx.dt_f), "m1": ctx.grid.m1, "mt": ctx.grid.mt,
                   "horizon": float(ctx.t_ends[-1])}
     return RateReport.solve(linear, quad, quadrature)
@@ -232,7 +213,7 @@ class F06Report:
 
 
 def verify_f06(gamma, boundary: BoundaryData, control, grid: Grid,
-               vset: VelocitySet, horizon: float, basis: TestBasis,
+               vset: VelocitySet, horizon: float, basis: list,
                dt=None, n_frames: int = 256) -> F06Report:
     """Cross-check cost(controlled solution) against |H|_pi^2 / 4."""
     # both sides need only the context; holding the trajectory as well would

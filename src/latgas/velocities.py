@@ -31,14 +31,12 @@ class VelocitySet:
     Attributes:
         velocities: (nv, d) float array, one velocity per row.
         d: spatial dimension.
-        breve_v: maximum first coordinate over the set.
         vtilde: (nv, d+1) array with rows (1, v_1, ..., v_d), the per-particle
             contribution to the (mass, momentum) vector.
     """
 
     velocities: np.ndarray
     d: int = field(init=False)
-    breve_v: float = field(init=False)
     vtilde: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -47,7 +45,6 @@ class VelocitySet:
             raise ValueError("velocity set must be nonempty")
         object.__setattr__(self, "velocities", v)
         object.__setattr__(self, "d", v.shape[1])
-        object.__setattr__(self, "breve_v", float(np.max(v[:, 0])))
         object.__setattr__(self, "vtilde", np.hstack([np.ones((len(v), 1)), v]))
         self._validate()
 
@@ -105,10 +102,10 @@ class Collision:
 
 
 class CollisionSet:
-    """All ordered momentum-conserving quadruples over a velocity set.
+    """The momentum-conserving collisions of a velocity set that can fire.
 
-    `quadruples` holds every (v, w, v', w') in V^4 with v + w = v' + w' exactly.
-    `active` is the subset that can ever fire under the occupancy rate
+    `active` holds every (v, w, v', w') in V^4 with v + w = v' + w' exactly
+    that can ever fire under the occupancy rate
     eta(v) eta(w) (1-eta(v')) (1-eta(w')): those with {v, w} disjoint from
     {v', w'}.  Construction rejects velocity sets containing a fireable
     quadruple with a repeated incoming or outgoing slot, since the slot swap
@@ -119,13 +116,11 @@ class CollisionSet:
         self.vset = vset
         vel = vset.velocities
         nv = len(vset)
-        quadruples = []
         active = []
         for i, j, k, l in itertools.product(range(nv), repeat=4):
             if not np.array_equal(vel[i] + vel[j], vel[k] + vel[l]):
                 continue
             q = Collision(i, j, k, l)
-            quadruples.append(q)
             if {i, j}.isdisjoint({k, l}):
                 if i == j or k == l:
                     raise ValueError(
@@ -134,11 +129,7 @@ class CollisionSet:
                         "are not supported"
                     )
                 active.append(q)
-        self.quadruples = tuple(quadruples)
         self.active = tuple(active)
-
-    def __len__(self) -> int:
-        return len(self.quadruples)
 
 
 def two_velocity_set(speed: float = 0.5) -> VelocitySet:

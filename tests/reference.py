@@ -13,7 +13,14 @@ from enum import Enum
 import numpy as np
 
 from latgas.dynamics import COLLISION, EXCLUSION, jump_probabilities
-from latgas.hydro import BoundaryData, FieldTrajectory, QuadratureContext
+from latgas.hydro import (
+    BoundaryData,
+    Factor,
+    FieldTrajectory,
+    QuadratureContext,
+    SeparableField,
+)
+from latgas.ldp import TIME_MODES, default_basis, time_factor
 from latgas.thermo import sample_profile_state, theta_all
 from latgas.velocities import VelocitySet
 
@@ -27,11 +34,17 @@ def four_velocity_set(fast: float = 0.5, slow: float = 0.25) -> VelocitySet:
 
 # --- lattice geometry ---------------------------------------------------------
 
+def coords(lattice, site: int) -> tuple:
+    """Coordinates (x1, ..., xd) of a flat site index, x1 in 1..N-1."""
+    idx = np.unravel_index(int(site), lattice.shape)
+    return (int(idx[0]) + 1,) + tuple(int(c) for c in idx[1:])
+
+
 def neighbor_site(lattice, site: int, direction: int) -> int:
     """Target of a unit jump, or -1 if it would exit through a wall."""
     axis, sign = divmod(direction, 2)
     step = 1 if sign == 0 else -1
-    c = list(lattice.coords(site))
+    c = list(coords(lattice, site))
     if axis == 0:
         x1 = c[0] + step
         if lattice.periodic:
@@ -58,7 +71,7 @@ class BoundarySide(Enum):
 def side_of(lattice, site: int) -> BoundarySide:
     """The reservoir a site touches: x1 = 1 the left one (also at N = 2,
     where x1 = N-1 too), x1 = N-1 the right one, none on a ring."""
-    x1 = lattice.coords(site)[0]
+    x1 = coords(lattice, site)[0]
     if lattice.periodic or 1 < x1 < lattice.N - 1:
         return BoundarySide.BULK
     return BoundarySide.LEFT if x1 == 1 else BoundarySide.RIGHT
@@ -122,7 +135,7 @@ def boundary_rate(model, eta: np.ndarray, x: int, v_idx: int) -> float:
     side = side_of(lat, x)
     if side == BoundarySide.BULK or model.profiles is None:
         return 0.0
-    tilde = np.array(lat.coords(x)[1:], dtype=float)[None] / lat.N
+    tilde = np.array(coords(lat, x)[1:], dtype=float)[None] / lat.N
     fns = model.profiles.alpha if side == BoundarySide.LEFT else model.profiles.beta
     dens = float(np.asarray(fns[v_idx](tilde)).ravel()[0])
     return dens if eta[x, v_idx] == 0 else 1.0 - dens
@@ -169,6 +182,26 @@ def synthetic_trajectory(grid, times, fn) -> FieldTrajectory:
     first = frames[0]
     return FieldTrajectory(grid=grid, times=times, values=frames, gamma=first.copy(),
                            boundary=BoundaryData(a=first[0].copy(), b=first[-1].copy()))
+
+
+# --- test fields ----------------------------------------------------------------
+
+def wall_mode(component: int, tau: Factor, k: int, amplitude: float = 1.0):
+    """The d = 1 field amplitude tau(t) sin(k pi u) e_component of (rho, p)."""
+    return SeparableField(2, [(component, amplitude, tau, [Factor("sin", np.pi * k)])])
+
+
+def combination(fields, coefficients) -> SeparableField:
+    """sum_j c_j G_j as one field: each term's amplitude times its c_j."""
+    return SeparableField(fields[0].ncomp, [
+        (comp, c * amp, tau, axes)
+        for c, G in zip(coefficients, fields) for comp, amp, tau, axes in G.terms])
+
+
+def basis(d: int, horizon: float, n_space: int, n_transverse: int = 0) -> list:
+    """`default_basis` over the default time modes."""
+    return default_basis(d, [time_factor(t, horizon) for t in TIME_MODES], n_space,
+                         n_transverse)
 
 
 # --- the cost functional for one test function ---------------------------------

@@ -212,6 +212,48 @@ def test_velocity_sets_without_a_hull_exit_2(tmp_path, capsys, command, velociti
     assert message in capsys.readouterr().err
 
 
+def test_exact_rejects_a_velocity_set_the_model_rejects(tmp_path, capsys):
+    # 2 x 1/18 = 3/18 - 1/18: a fireable collision with a repeated incoming slot
+    path = tiny_config(tmp_path, exact={"N": 2})
+    config = yaml.safe_load(pathlib.Path(path).read_text())
+    config["model"].update(velocities=EIGHTEEN, alpha=["0.3"] * 18, beta=["0.6"] * 18)
+    pathlib.Path(path).write_text(yaml.safe_dump(config))
+    assert main(["exact", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert "mass-non-conserving" in capsys.readouterr().err
+
+
+REFERENCE = pathlib.Path(__file__).parents[1] / "configs" / "reference.yaml"
+
+
+@pytest.mark.parametrize("command,section,key,value", [
+    ("simulate", "simulate", "horizon", "abc"),
+    ("simulate", "simulate", "block_radius", "one"),
+    ("hydro", "hydro", "m1", "x"),
+    ("hydro", "hydro", "n_frames", 2.5),
+    ("converge", "converge", "eps", "e"),
+    ("rate", "ldp", "n_space_modes", "four"),
+    ("rate", "ldp", "time_modes", ["const", "const"]),
+    ("rate", "ldp", "control", [{"amplitude": "big"}]),
+])
+def test_values_of_the_wrong_type_exit_2(tmp_path, capsys, command, section, key, value):
+    config = yaml.safe_load(REFERENCE.read_text())
+    config[section][key] = value
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(config))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+
+
+def test_numbers_written_as_text_still_read():
+    # PyYAML reads 1e-3 as a string; integral floats are integers
+    config = yaml.safe_load(REFERENCE.read_text())
+    config["converge"].update(eps="1e-3", grid_m1=65.0)
+    cfg = parse_config(config)
+    assert cfg.converge["eps"] == 1e-3
+    assert cfg.converge["grid_m1"] == 65 and isinstance(cfg.converge["grid_m1"], int)
+    assert cfg.raw["converge"]["eps"] == "1e-3"  # the hash covers the file's values
+
+
 def test_commands_load_no_scipy_submodule(tmp_path):
     # Whichever of scipy.linalg, scipy.sparse and scipy.spatial loads first
     # costs ~0.25 s of set-up; no command needs them (the CSR

@@ -6,7 +6,7 @@ from latgas.errors import DomainError
 from latgas.grid import Grid, write_field_csv
 from latgas.lattice import Lattice
 from latgas.thermo import theta_all
-from reference import conserved_of_state, sample_product_state
+from reference import conserved_of_state, coords, sample_product_state
 
 
 def pair(measure, G, component: int = 0) -> float:
@@ -35,7 +35,7 @@ class TestEmpiricalMeasure:
         for k in range(2):
             brute = 0.0
             for s in range(lat.n_sites):
-                x = lat.coords(s)[0] / lat.N
+                x = coords(lat, s)[0] / lat.N
                 brute += (conserved_of_state(eta[s], vs4)[k] / lat.N) * (1.5 * x - 0.25)
             assert pair(m, g, component=k) == pytest.approx(brute, abs=1e-14)
 
@@ -156,7 +156,7 @@ class TestSmoothing:
         sf = smooth(empirical_measure(eta, lat, vs2), 0.1, Grid(1, 65))
         assert np.all(sf.values[..., 0] >= 0.0)
         assert np.all(sf.values[..., 0] <= len(vs2))
-        assert np.all(np.abs(sf.values[..., 1]) <= vs2.breve_v * len(vs2))
+        assert np.all(np.abs(sf.values[..., 1]) <= np.max(vs2.velocities) * len(vs2))
 
     def test_csv_export(self, vs2, rng, tmp_path):
         lat = Lattice(32, 1)

@@ -6,12 +6,10 @@ from latgas.errors import DomainError, NumericalFailure, StabilityError
 from latgas.grid import Grid
 from latgas.hydro import (
     RESERVOIR_MIN_MARGIN,
-    AxisFactor,
     BoundaryData,
-    FieldSum,
+    Factor,
     FieldTrajectory,
-    SeparableMode,
-    TimeFactor,
+    SeparableField,
     advective_limit,
     check_vanishes_on_walls,
     field_energy,
@@ -23,7 +21,7 @@ from latgas.hydro import (
 )
 from latgas.thermo import domain_of, theta_all, theta_field
 from latgas.velocities import VelocitySet
-from reference import chi, synthetic_trajectory, weak_residual
+from reference import chi, synthetic_trajectory, wall_mode, weak_residual
 
 T = 0.5
 
@@ -188,8 +186,7 @@ class TestSolver:
     def test_zero_control_reduces_exactly(self, vs2, setup):
         grid, bd, gamma = setup
         plain = solve_hydro(gamma, bd, 0.1, grid, vs2, n_frames=8)
-        zero = FieldSum([SeparableMode(2, 0, TimeFactor("const", 0.1),
-                                       [AxisFactor("sine", 1)], amplitude=0.0)])
+        zero = wall_mode(0, Factor("one"), 1, amplitude=0.0)
         controlled = solve_controlled(gamma, bd, 0.1, grid, vs2, control=zero,
                                       n_frames=8)
         assert np.array_equal(plain.values, controlled.values)
@@ -199,8 +196,7 @@ class TestSolver:
         plain = solve_hydro(gamma, bd, 0.1, grid, vs2, n_frames=8)
         deltas = []
         for amp in (0.08, 0.04, 0.02):
-            ctrl = FieldSum([SeparableMode(2, 0, TimeFactor("const", 0.1),
-                                           [AxisFactor("sine", 1)], amplitude=amp)])
+            ctrl = wall_mode(0, Factor("one"), 1, amplitude=amp)
             out = solve_controlled(gamma, bd, 0.1, grid, vs2, control=ctrl, n_frames=8)
             deltas.append(np.max(np.abs(out.values - plain.values)))
         assert deltas[0] > deltas[1] > deltas[2] > 0
@@ -225,8 +221,7 @@ class TestSolver:
 
     def test_runaway_control_hits_hull_guard(self, vs2, setup):
         grid, bd, gamma = setup
-        ctrl = FieldSum([SeparableMode(2, 0, TimeFactor("const", 0.2),
-                                       [AxisFactor("sine", 1)], amplitude=40.0)])
+        ctrl = wall_mode(0, Factor("one"), 1, amplitude=40.0)
         with pytest.raises(NumericalFailure, match="hull"):
             solve_controlled(gamma, bd, 0.2, grid, vs2, control=ctrl, n_frames=8)
 
@@ -330,8 +325,7 @@ def test_implicit_solve_matches_dense_solve(grid, rng):
 class TestModes:
     def test_derivatives_match_finite_differences(self, vs2):
         grid = Grid(1, 401)
-        mode = SeparableMode(2, 1, TimeFactor("sin", T, 1), [AxisFactor("sine", 3)],
-                             amplitude=0.7)
+        mode = wall_mode(1, Factor("sin", 2 * np.pi / T), 3, amplitude=0.7)
         times = np.array([0.123])
         vals = mode.values(times, grid)[0]
         grad = mode.gradient(times, grid)[0]
@@ -351,12 +345,29 @@ class TestModes:
 
     def test_wall_axis_must_be_sine(self):
         with pytest.raises(ValueError, match="sine"):
-            SeparableMode(2, 0, TimeFactor("const", T), [AxisFactor("cos", 1)])
+            SeparableField(2, [(0, 1.0, Factor("one"), [Factor("cos", 2 * np.pi)])])
 
     def test_vanishing_check(self, vs2):
         grid = Grid(1, 33)
-        good = SeparableMode(2, 0, TimeFactor("const", T), [AxisFactor("sine", 2)])
+        good = wall_mode(0, Factor("one"), 2)
         check_vanishes_on_walls(good, grid, T)
+
+    def test_space_arrays_follow_the_grid(self):
+        # the cache is keyed by the grid's value: CPython builds the second
+        # grid where the dropped first one lived, with the same id
+        mode = wall_mode(0, Factor("one"), 1)
+        shapes = [mode.values([0.0], Grid(1, m1)).shape for m1 in (33, 65)]
+        assert shapes == [(1, 33, 2), (1, 65, 2)]
+
+    def test_terms_sum_in_order(self):
+        grid, times = Grid(1, 17), np.array([0.0, 0.3])
+        a = wall_mode(0, Factor("linear", T), 1, amplitude=0.2)
+        b = wall_mode(1, Factor("cos", 2 * np.pi / T), 2, amplitude=0.5)
+        both = SeparableField(2, a.terms + b.terms)
+        for part in ("values", "dt", "gradient", "laplacian"):
+            assert np.array_equal(getattr(both, part)(times, grid),
+                                  getattr(a, part)(times, grid)
+                                  + getattr(b, part)(times, grid))
 
 
 class TestWeakResidual:
@@ -366,7 +377,7 @@ class TestWeakResidual:
         bd = BoundaryData(a=c, b=c)
         traj = solve_hydro(lambda u: np.broadcast_to(c, u.shape[:-1] + (2,)).copy(),
                            bd, 0.2, grid, vs2, n_frames=16)
-        G = SeparableMode(2, 0, TimeFactor("cos", 0.2, 1), [AxisFactor("sine", 1)])
+        G = wall_mode(0, Factor("cos", 2 * np.pi / 0.2), 1)
         assert abs(weak_residual(traj, G, vs2)) <= 1e-10
 
     def test_residual_decreases_under_refinement(self, vs2):
@@ -378,7 +389,7 @@ class TestWeakResidual:
             gamma = lambda u: (1 - u[..., 0])[..., None] * bd.a \
                 + u[..., 0][..., None] * bd.b
             traj = solve_hydro(gamma, bd, 0.2, grid, vs2, n_frames=nf)
-            G = SeparableMode(2, 0, TimeFactor("const", 0.2), [AxisFactor("sine", 1)])
+            G = wall_mode(0, Factor("one"), 1)
             res.append(abs(weak_residual(traj, G, vs2)))
         assert res[0] > res[1] > res[2]
         assert res[2] < 1e-4
@@ -391,7 +402,7 @@ class TestWeakResidual:
         vals[1:] += 0.1 * np.sin(np.pi * x)[None, :, None] * np.array([1.0, 0.0])
         bad = FieldTrajectory(grid=grid, times=traj.times, values=vals,
                               gamma=traj.gamma, boundary=traj.boundary)
-        G = SeparableMode(2, 0, TimeFactor("const", 0.2), [AxisFactor("sine", 1)])
+        G = wall_mode(0, Factor("one"), 1)
         r = abs(weak_residual(bad, G, vs2))
         assert 0.01 < r < 1.0
 
@@ -402,7 +413,7 @@ class TestWeakResidual:
         bad = FieldTrajectory(grid=grid, times=times, values=vals,
                               gamma=vals[0].copy(),
                               boundary=BoundaryData(a=vals[0][0], b=vals[0][-1]))
-        G = SeparableMode(2, 0, TimeFactor("const", 0.1), [AxisFactor("sine", 1)])
+        G = wall_mode(0, Factor("one"), 1)
         with pytest.raises(DomainError):
             weak_residual(bad, G, vs2)
 

@@ -7,6 +7,7 @@ from latgas.velocities import two_velocity_set
 from reference import (
     BoundarySide,
     conserved_of_state,
+    coords,
     neighbor_site,
     sample_product_state,
     side_of,
@@ -28,7 +29,7 @@ class TestGeometry:
     def test_index_coord_roundtrip(self):
         lat = Lattice(4, 2)
         for s in range(lat.n_sites):
-            assert lat.index(lat.coords(s)) == s
+            assert lat.index(coords(lat, s)) == s
 
     def test_invalid_coordinates(self):
         lat = Lattice(4, 1)
@@ -41,17 +42,17 @@ class TestGeometry:
 class TestNeighbors:
     def test_d1_bulk(self):
         lat = Lattice(4, 1)
-        nbrs = {lat.coords(t)[0] for t in neighbors(lat, lat.index((2,)))}
+        nbrs = {coords(lat, t)[0] for t in neighbors(lat, lat.index((2,)))}
         assert nbrs == {1, 3}
 
     def test_d1_wall(self):
         lat = Lattice(4, 1)
-        nbrs = {lat.coords(t)[0] for t in neighbors(lat, lat.index((1,)))}
+        nbrs = {coords(lat, t)[0] for t in neighbors(lat, lat.index((1,)))}
         assert nbrs == {2}
 
     def test_d2_transverse_wrap(self):
         lat = Lattice(3, 2)
-        nbrs = {lat.coords(t) for t in neighbors(lat, lat.index((1, 0)))}
+        nbrs = {coords(lat, t) for t in neighbors(lat, lat.index((1, 0)))}
         assert nbrs == {(2, 0), (1, 1), (1, 2)}
 
     def test_symmetry(self):
@@ -69,7 +70,7 @@ class TestNeighbors:
 
     def test_periodic_wrap_first_axis(self):
         lat = Lattice(4, 1, periodic=True)
-        nbrs = {lat.coords(t)[0] for t in neighbors(lat, lat.index((3,)))}
+        nbrs = {coords(lat, t)[0] for t in neighbors(lat, lat.index((3,)))}
         assert nbrs == {2, 1}  # wraps on the ring of 3 sites
         assert all(len(neighbors(lat, s)) == 2 for s in range(lat.n_sites))
 

@@ -6,25 +6,20 @@ from latgas.dynamics import ReservoirProfiles
 from latgas.errors import ConditioningError
 from latgas.grid import Grid
 from latgas.hydro import (
-    AxisFactor,
     BoundaryData,
-    FieldSum,
+    Factor,
     FieldTrajectory,
     QuadratureContext,
-    SeparableMode,
-    TimeFactor,
     solve_hydro,
 )
 from latgas.ldp import (
     RateReport,
-    TestBasis,
-    default_basis,
     h_norm,
     quadratic_sup,
     rate_estimate,
     verify_f06,
 )
-from reference import j_hat, synthetic_trajectory
+from reference import basis, combination, j_hat, synthetic_trajectory, wall_mode
 
 T = 0.5
 
@@ -51,54 +46,43 @@ def vs2_module():
     return two_velocity_set(0.5)
 
 
+def wall_factor(G) -> Factor:
+    """The wall-axis factor of a one-term field."""
+    return G.terms[0][3][0]
+
+
 class TestBasisConstruction:
     def test_default_sizes_and_order(self):
-        basis = default_basis(1, T, n_space=4)
-        assert len(basis) == 32
+        modes = basis(1, T, n_space=4)
+        assert len(modes) == 32
         # leading 8 modes all have wall wavenumber 1
-        assert all(sig[0] == 1 for sig in basis.signatures[:8])
-        assert all(sig[0] == 2 for sig in basis.signatures[8:16])
-
-    def test_subset(self):
-        basis = default_basis(1, T, n_space=2)
-        sub = basis.subset(5)
-        assert len(sub) == 5
-        with pytest.raises(ValueError):
-            basis.subset(0)
-
-    def test_duplicate_modes_rejected(self):
-        basis = default_basis(1, T, n_space=1)
-        with pytest.raises(ValueError, match="distinct"):
-            TestBasis(basis.modes + basis.modes[:1],
-                      basis.signatures + basis.signatures[:1])
+        assert all(wall_factor(G) == Factor("sin", np.pi) for G in modes[:8])
+        assert all(wall_factor(G) == Factor("sin", np.pi * 2) for G in modes[8:16])
 
     def test_d2_includes_transverse_modes(self):
-        basis = default_basis(2, 0.1, n_space=2, n_transverse=1)
-        assert len(basis) == 2 * 4 * 3 * 3
+        modes = basis(2, 0.1, n_space=2, n_transverse=1)
+        assert len(modes) == 2 * 4 * 3 * 3
 
 
 class TestJhat:
     def test_zero_function(self, solution):
         vs, grid, bd, gamma, traj = solution
-        zero = SeparableMode(2, 0, TimeFactor("const", T), [AxisFactor("sine", 1)],
-                             amplitude=0.0)
+        zero = wall_mode(0, Factor("one"), 1, amplitude=0.0)
         assert j_hat(traj, zero, vs) == 0.0
 
     def test_nonpositive_on_solutions(self, solution):
         # on a solution the linear part is (numerically) tiny, so the value
         # is dominated by the negative quadratic term
         vs, grid, bd, gamma, traj = solution
-        basis = default_basis(1, T, n_space=3)
-        for G in basis.modes[:9]:
+        for G in basis(1, T, n_space=3)[:9]:
             assert j_hat(traj, G, vs) < 0.0
 
     def test_linear_plus_quadratic_structure(self, solution):
         vs, grid, bd, gamma, traj = solution
-        G = SeparableMode(2, 1, TimeFactor("linear", T), [AxisFactor("sine", 2)],
-                          amplitude=0.6)
+        G = wall_mode(1, Factor("linear", T), 2, amplitude=0.6)
         vals = {}
         for c in (1.0, 2.0, 3.0):
-            scaled = FieldSum([G], [c])
+            scaled = combination([G], [c])
             vals[c] = j_hat(traj, scaled, vs)
         # fit j(c) = c l - c^2 q from c=1,2; predict c=3
         q = (2 * vals[1.0] - vals[2.0]) / 2.0
@@ -107,11 +91,11 @@ class TestJhat:
 
     def test_bilinear_form_audit(self, solution, rng):
         vs, grid, bd, gamma, traj = solution
-        basis = default_basis(1, T, n_space=2)
-        rep = rate_estimate(traj, basis, vs)
+        modes = basis(1, T, n_space=2)
+        rep = rate_estimate(traj, modes, vs)
         for _ in range(3):
-            c = rng.normal(size=len(basis)) * 0.4
-            direct = j_hat(traj, FieldSum(basis.modes, c), vs)
+            c = rng.normal(size=len(modes)) * 0.4
+            direct = j_hat(traj, combination(modes, c), vs)
             quadform = float(rep.linear_term @ c - c @ rep.quad_matrix @ c)
             assert direct == pytest.approx(quadform, abs=1e-10)
 
@@ -155,7 +139,7 @@ class TestLinearResidual:
     def test_matches_einsum_reference_d1(self, solution):
         vs, grid, bd, gamma, traj = solution
         ctx = QuadratureContext(traj, vs)
-        modes = default_basis(1, T, n_space=3).modes
+        modes = basis(1, T, n_space=3)
         lin = np.array([ctx.linear_residual(G) for G in modes])
         ref = np.array([einsum_residual(ctx, traj, G) for G in modes])
         assert np.max(np.abs(lin - ref)) <= 1e-12 * np.max(np.abs(lin))
@@ -163,7 +147,7 @@ class TestLinearResidual:
     def test_matches_einsum_reference_d2(self, vs2d):
         tr = d2_trajectory()
         ctx = QuadratureContext(tr, vs2d)
-        modes = default_basis(2, D2_HORIZON, n_space=2, n_transverse=1).modes
+        modes = basis(2, D2_HORIZON, n_space=2, n_transverse=1)
         lin = np.array([ctx.linear_residual(G) for G in modes])
         ref = np.array([einsum_residual(ctx, tr, G) for G in modes])
         assert np.max(np.abs(lin)) > 1e-3  # the path is not a solution
@@ -187,7 +171,7 @@ class TestGram:
     def test_matches_pairwise_reference_d1(self, solution):
         vs, grid, bd, gamma, traj = solution
         ctx = QuadratureContext(traj, vs)
-        modes = default_basis(1, T, n_space=3).modes
+        modes = basis(1, T, n_space=3)
         quad = ctx.gram(modes)
         assert np.array_equal(quad, quad.T)
         ref = pairwise_gram(ctx, modes)
@@ -195,7 +179,7 @@ class TestGram:
 
     def test_matches_pairwise_reference_d2(self, vs2d):
         ctx = QuadratureContext(d2_trajectory(), vs2d)
-        modes = default_basis(2, D2_HORIZON, n_space=2, n_transverse=1).modes
+        modes = basis(2, D2_HORIZON, n_space=2, n_transverse=1)
         quad = ctx.gram(modes)
         assert np.array_equal(quad, quad.T)
         ref = pairwise_gram(ctx, modes)
@@ -205,14 +189,12 @@ class TestGram:
 class TestRateEstimate:
     def test_nonnegative_and_small_on_solution(self, solution):
         vs, grid, bd, gamma, traj = solution
-        basis = default_basis(1, T, n_space=4)
-        rep = rate_estimate(traj, basis, vs)
+        rep = rate_estimate(traj, basis(1, T, n_space=4), vs)
         assert 0.0 <= rep.estimate <= 1e-5
 
     def test_nested_monotone(self, solution):
         vs, grid, bd, gamma, traj = solution
-        basis = default_basis(1, T, n_space=4)
-        full = rate_estimate(traj, basis.subset(32), vs)
+        full = rate_estimate(traj, basis(1, T, n_space=4)[:32], vs)
         values = [full.leading(m).estimate for m in (8, 16, 32)]
         assert values[0] <= values[1] + 1e-12
         assert values[1] <= values[2] + 1e-12
@@ -220,9 +202,9 @@ class TestRateEstimate:
     @pytest.mark.parametrize("m", [8, 16])
     def test_leading_block_matches_separate_solve(self, solution, m):
         vs, grid, bd, gamma, traj = solution
-        basis = default_basis(1, T, n_space=4)
-        lead = rate_estimate(traj, basis, vs).leading(m)
-        alone = rate_estimate(traj, basis.subset(m), vs)
+        modes = basis(1, T, n_space=4)
+        lead = rate_estimate(traj, modes, vs).leading(m)
+        alone = rate_estimate(traj, modes[:m], vs)
         assert lead.basis_size == m
         assert lead.estimate == pytest.approx(alone.estimate, rel=1e-12)
         assert lead.regularization == alone.regularization
@@ -230,21 +212,21 @@ class TestRateEstimate:
 
     def test_leading_rejects_sizes_outside_the_basis(self, solution):
         vs, grid, bd, gamma, traj = solution
-        rep = rate_estimate(traj, default_basis(1, T, n_space=1), vs)
+        rep = rate_estimate(traj, basis(1, T, n_space=1), vs)
         for m in (0, len(rep.linear_term) + 1):
             with pytest.raises(ValueError, match="out of range"):
                 rep.leading(m)
 
     def test_perturbation_raises_estimate(self, solution):
         vs, grid, bd, gamma, traj = solution
-        basis = default_basis(1, T, n_space=4)
-        base = rate_estimate(traj, basis, vs).estimate
+        modes = basis(1, T, n_space=4)
+        base = rate_estimate(traj, modes, vs).estimate
         vals = traj.values.copy()
         x = grid.nodes()[..., 0]
         vals[1:] += 0.05 * np.sin(np.pi * x)[None, :, None] * np.array([1.0, 0.0])
         bad = FieldTrajectory(grid=grid, times=traj.times, values=vals,
                               gamma=traj.gamma, boundary=traj.boundary)
-        worse = rate_estimate(bad, basis, vs).estimate
+        worse = rate_estimate(bad, modes, vs).estimate
         assert worse >= 10 * max(base, 1e-12)
 
     def test_quadratic_sup_matches_closed_form(self):
@@ -261,8 +243,7 @@ class TestRateEstimate:
 
     def test_report_roundtrip(self, solution, tmp_path):
         vs, grid, bd, gamma, traj = solution
-        basis = default_basis(1, T, n_space=2)
-        rep = rate_estimate(traj, basis, vs)
+        rep = rate_estimate(traj, basis(1, T, n_space=2), vs)
         path = tmp_path / "report.txt"
         rep.save(path)
         back = RateReport.load(path)
@@ -275,8 +256,7 @@ class TestRateEstimate:
 class TestHNorm:
     def test_zero_control(self, solution):
         vs, grid, bd, gamma, traj = solution
-        zero = SeparableMode(2, 0, TimeFactor("const", T), [AxisFactor("sine", 1)],
-                             amplitude=0.0)
+        zero = wall_mode(0, Factor("one"), 1, amplitude=0.0)
         assert h_norm(traj, zero, vs) == 0.0
 
     def test_hand_value_constant_field(self, vs2_module):
@@ -288,30 +268,25 @@ class TestHNorm:
         tr = synthetic_trajectory(
             grid, np.linspace(0, horizon, 17),
             lambda t, u: np.broadcast_to([1.0, 0.0], u.shape[:-1] + (2,)).copy())
-        H = SeparableMode(2, 0, TimeFactor("const", horizon), [AxisFactor("sine", 1)])
+        H = wall_mode(0, Factor("one"), 1)
         assert h_norm(tr, H, vs) == pytest.approx(horizon * np.pi**2 / 4, rel=1e-10)
 
     def test_quadratic_scaling_exact(self, solution):
         vs, grid, bd, gamma, traj = solution
-        H = FieldSum([
-            SeparableMode(2, 0, TimeFactor("const", T), [AxisFactor("sine", 1)], 0.2),
-            SeparableMode(2, 1, TimeFactor("linear", T), [AxisFactor("sine", 2)], 0.1),
-        ])
+        H = combination([wall_mode(0, Factor("one"), 1), wall_mode(1, Factor("linear", T), 2)],
+                        [0.2, 0.1])
         base = h_norm(traj, H, vs)
         for c in (2.0, 3.0, 0.5):
-            scaled = FieldSum(H.modes, c * np.ones(len(H.modes)))
+            scaled = combination([H], [c])
             assert h_norm(traj, scaled, vs) == pytest.approx(c**2 * base, rel=1e-12)
 
 
 class TestControlledIdentity:
     def test_f06_reference_gap(self, solution):
         vs, grid, bd, gamma, traj = solution
-        basis = default_basis(1, T, n_space=4)
-        ctrl = FieldSum([
-            SeparableMode(2, 0, TimeFactor("const", T), [AxisFactor("sine", 1)], 0.2),
-            SeparableMode(2, 1, TimeFactor("linear", T), [AxisFactor("sine", 2)], 0.15),
-        ])
-        rep = verify_f06(gamma, bd, ctrl, grid, vs, T, basis, n_frames=128)
+        ctrl = combination([wall_mode(0, Factor("one"), 1), wall_mode(1, Factor("linear", T), 2)],
+                           [0.2, 0.15])
+        rep = verify_f06(gamma, bd, ctrl, grid, vs, T, basis(1, T, n_space=4), n_frames=128)
         assert rep.rel_gap <= 0.05
         assert rep.lhs > 1e-4  # genuinely nonzero cost
 
@@ -324,17 +299,13 @@ class TestControlledIdentity:
             return QuadratureContext(*args, **kwargs)
 
         monkeypatch.setattr(latgas.ldp, "QuadratureContext", counting)
-        zero = FieldSum([SeparableMode(2, 0, TimeFactor("const", T),
-                                       [AxisFactor("sine", 1)], 0.0)])
-        basis = default_basis(1, T, n_space=1)
-        verify_f06(gamma, bd, zero, grid, vs, T, basis, n_frames=8)
+        zero = wall_mode(0, Factor("one"), 1, amplitude=0.0)
+        verify_f06(gamma, bd, zero, grid, vs, T, basis(1, T, n_space=1), n_frames=8)
         assert len(built) == 1
 
     def test_zero_control_both_sides_vanish(self, solution):
         vs, grid, bd, gamma, traj = solution
-        basis = default_basis(1, T, n_space=2)
-        zero = FieldSum([SeparableMode(2, 0, TimeFactor("const", T),
-                                       [AxisFactor("sine", 1)], 0.0)])
-        rep = verify_f06(gamma, bd, zero, grid, vs, T, basis, n_frames=64)
+        zero = wall_mode(0, Factor("one"), 1, amplitude=0.0)
+        rep = verify_f06(gamma, bd, zero, grid, vs, T, basis(1, T, n_space=2), n_frames=64)
         assert rep.lhs <= 1e-6  # cost of the plain solution at this resolution
         assert rep.rhs == 0.0

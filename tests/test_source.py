@@ -1,6 +1,6 @@
-"""Source hygiene: no module of the package imports a name it never uses,
-every public name has a caller, and every name the traced benchmark wraps
-still exists.
+"""Source hygiene: no module of the package or of the tests imports a name it
+never uses, every public name has a caller, and every name the traced
+benchmark wraps still exists.
 
 The import check is a static scan with `ast`: a name bound by an import
 counts as used when it appears as a name anywhere in the module, inside a
@@ -29,6 +29,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "latgas"
 PERFBENCH = ROOT / "perfbench"
+TESTS = ROOT / "tests"
 
 # Public names without a caller yet, each held for the open ROADMAP item that
 # will call it.
@@ -77,7 +78,8 @@ def unused_imports(path) -> list:
     return sorted((line, name) for line, name in imported if name not in used)
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
 
