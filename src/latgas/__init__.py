@@ -9,7 +9,7 @@ against each other.
 __version__ = "0.1.0"
 
 from .velocities import VelocitySet, CollisionSet, load_velocity_set
-from .lattice import Lattice, Configuration
+from .lattice import Lattice
 from .dynamics import Model, ReservoirProfiles, simulate
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "CollisionSet",
     "load_velocity_set",
     "Lattice",
-    "Configuration",
     "Model",
     "ReservoirProfiles",
     "simulate",

@@ -32,7 +32,7 @@ from .errors import ConfigError, DomainError, LatgasError, NumericalFailure
 from .generator import ALL_PARTS, assemble_exact_generator
 from .grid import Grid, write_field_csv
 from .hydro import BoundaryData, Factor, SeparableField, solve_hydro
-from .lattice import Configuration, Lattice
+from .lattice import Lattice
 from .ldp import TIME_MODES, default_basis, rate_estimate, time_factor, verify_f06
 from .thermo import check_in_U, sample_profile_state, theta_field
 
@@ -169,9 +169,10 @@ def _replica_cells(cfg: ExperimentConfig, command: str, N: int, replicas: range)
 
     What the replicas share is built once: the model with its event catalog,
     the smoothing grid, and the densities theta of the product measure along
-    gamma.  Each replica draws its initial state from theta, the first draw
-    of its own stream, and runs from it; then the samples of every replica
-    are measured and smoothed in one call.
+    gamma.  Block centers that leave the cylinder exit 2 before any run.
+    Each replica draws its initial state from theta, the first draw of its
+    own stream, and runs from it; then the samples of every replica are
+    measured, smoothed and block-averaged in one call each.
     """
     if command == "converge":
         sec = cfg.converge
@@ -184,10 +185,13 @@ def _replica_cells(cfg: ExperimentConfig, command: str, N: int, replicas: range)
         times = (sec["sample_times"] if "sample_times" in sec
                  else list(np.linspace(0.0, horizon, sec.get("n_samples", 5))))
         centers = sec.get("block_centers", "auto")
+        lo, hi = block_radius + 1, N - 1 - block_radius
         if centers == "auto":
-            lo, hi = block_radius + 1, N - 1 - block_radius
             centers = sorted({min(max(c, lo), hi) for c in (N // 4, N // 2, (3 * N) // 4)}) \
                 if hi >= lo else []
+        elif any(not lo <= c <= hi for c in centers):
+            raise ConfigError(f"simulate.block_centers {centers}: a block of radius "
+                              f"{block_radius} at N={N} needs {lo} <= x1 <= {hi}")
     eps = sec.get("eps", 0.1)
 
     model = build_model(cfg, N)
@@ -197,20 +201,21 @@ def _replica_cells(cfg: ExperimentConfig, command: str, N: int, replicas: range)
     runs = []
     for replica in replicas:
         rng = replica_rng(cfg.model.seed, N, replica)
-        eta0 = Configuration(lat, vset, sample_profile_state(theta, rng))
-        runs.append(simulate(eta0, model, horizon, rng, sample_times=times))
-    # (replicas, samples, n_sites, nv), smoothed to (replicas, samples, *grid.shape, d+1)
+        runs.append(simulate(sample_profile_state(theta, rng), model, horizon, rng,
+                             sample_times=times))
+    # (replicas, samples, n_sites, nv), smoothed to (replicas, samples,
+    # *grid.shape, d+1) and block-averaged to (replicas, samples, centers, d+1);
+    # the samples are in increasing time, which `times` need not be
     snapshots = np.array([[eta for _, eta in res.samples] for res in runs], dtype=np.uint8)
     snapshots = snapshots.reshape(len(runs), len(times), lat.n_sites, len(vset))
-    values = smooth(empirical_measure(snapshots, lat, vset), eps, grid).values
+    values = smooth(empirical_measure(snapshots, lat, vset), lat, eps, grid)
+    averages = block_average(snapshots, lat, vset, centers, block_radius)
     cells = []
-    for res, replica_values in zip(runs, values):
-        fields, blocks = [], []
-        for (t, eta), field in zip(res.samples, replica_values):
-            fields.append((t, field))
-            for c in centers:
-                coords = (c,) + (0,) * (cfg.model.d - 1)
-                blocks.append((t, c, block_average(eta, lat, vset, coords, block_radius)))
+    for res, replica_values, replica_blocks in zip(runs, values, averages):
+        sampled = [t for t, _ in res.samples]
+        fields = list(zip(sampled, replica_values))
+        blocks = [(t, c, vec) for t, row in zip(sampled, replica_blocks)
+                  for c, vec in zip(centers, row)]
         # the manifest's record of the run: its event loop, event and
         # candidate counts
         run = {"event_loop": res.event_loop, "n_events": res.n_events,
@@ -376,7 +381,7 @@ def cmd_rate(cfg: ExperimentConfig, args) -> list:
     if control is not None:
         rep6 = verify_f06(traj.gamma, traj.boundary, control, traj.grid,
                           cfg.model.velocities, horizon, basis,
-                          n_frames=cfg.hydro.get("n_frames", 256))
+                          dt=cfg.hydro.get("dt"), n_frames=cfg.hydro.get("n_frames", 256))
         f06_path = os.path.join(out, "f06_report.txt")
         with open(f06_path, "w") as fh:
             fh.write("format: latgas-f06-report v1\n")

@@ -150,6 +150,12 @@ def _integer(val) -> int:
     return int(val)
 
 
+def _count(val) -> int:
+    if _integer(val) < 0:
+        raise ValueError
+    return int(val)
+
+
 def _wavenumber(val) -> int:
     if _integer(val) < 1:
         raise ValueError
@@ -186,7 +192,7 @@ _MODEL_KEYS = {"d", "velocities", "velocities_file", "alpha", "beta", "N",
                "seed", "replicas"}
 _SECTIONS = {
     "simulate": {"horizon": float, "sample_times": _list_of(float), "n_samples": _integer,
-                 "eps": float, "grid_m1": _integer, "block_radius": _integer,
+                 "eps": float, "grid_m1": _integer, "block_radius": _count,
                  "block_centers": lambda v: v if v == "auto" else _list_of(_integer)(v)},
     "hydro": {"m1": _integer, "mt": _integer, "horizon": float, "n_frames": _integer,
               "dt": float, "refine": None, "gamma": None},

@@ -86,7 +86,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import NumericalFailure
-from .lattice import Configuration, Lattice
+from .lattice import Lattice
 from .velocities import Collision, CollisionSet, VelocitySet
 
 
@@ -279,7 +279,6 @@ class RateTable:
 
     def __init__(self, model: Model):
         lat, nv = model.lattice, len(model.vset)
-        self.model = model
         self.nv = nv
         # exclusion: np.nonzero walks the (site, velocity, direction) grid in
         # C order, skipping moves through a wall
@@ -422,23 +421,28 @@ class OccupationTracker:
 
 
 class SimState:
-    """Mutable state driving the thinned candidate stream over `Model.table`."""
+    """Mutable state driving the thinned candidate stream over `Model.table`,
+    from a configuration `eta` (n_sites, nv) of 0/1 occupations at time 0;
+    any other shape or value raises ValueError."""
 
     FIRST_BATCH = 1 << 8  # candidates in the first batch
     BATCH = 1 << 14  # the cap on later batches, which double the stream drawn
 
-    def __init__(self, model: Model, eta: np.ndarray, rng, t0: float = 0.0):
+    def __init__(self, model: Model, eta: np.ndarray, rng):
         from .eventloop import LoopState, load_kernel
 
         self.model = model
         self.table = table = model.table
         self.rng = rng
-        self.t = t0
+        self.t = 0.0
         self.nv = len(model.vset)
-        self.eta_flat = np.array(eta, dtype=np.uint8).reshape(-1)
-        if self.eta_flat.size != model.lattice.n_sites * self.nv:
-            raise ValueError(f"eta has {self.eta_flat.size} slots, the lattice "
-                             f"{model.lattice.n_sites * self.nv}")
+        eta = np.asarray(eta)
+        if eta.shape != (model.lattice.n_sites, self.nv):
+            raise ValueError(f"eta has shape {eta.shape}; the lattice has "
+                             f"{model.lattice.n_sites} sites of {self.nv} velocity slots")
+        if not ((eta == 0) | (eta == 1)).all():
+            raise ValueError("occupations must be 0 or 1")
+        self.eta_flat = eta.astype(np.uint8).reshape(-1)
         if table.total_bound <= 0.0:
             raise NumericalFailure("no events are possible for this model")
         # the candidate batch: gaps, and the rows of selector and accept uniforms
@@ -659,8 +663,7 @@ def step(state: SimState):
 
 @dataclass
 class SimulationResult:
-    final: Configuration
-    t_end: float
+    final: np.ndarray  # (n_sites, nv) uint8, the state at the horizon
     n_events: int
     kind_counts: tuple
     candidates: int  # candidates read, accepted or not
@@ -668,15 +671,17 @@ class SimulationResult:
     event_loop: str  # "compiled" or "python"
 
 
-def simulate(initial: Configuration, model: Model, horizon: float, rng,
+def simulate(initial: np.ndarray, model: Model, horizon: float, rng,
              sample_times: Optional[Sequence[float]] = None,
              trackers: Sequence = (),
              event_log=None) -> SimulationResult:
-    """Run the chain to macroscopic time `horizon`.
+    """Run the chain from the configuration `initial`, an (n_sites, nv) 0/1
+    array (checked by `SimState`), to macroscopic time `horizon`.
 
     The returned samples list holds (t, eta array) pairs at each requested
-    sample time: the state at t, i.e. before any event at a later clock
-    reading.  `trackers` receive every slot flip; `event_log` (a path or an
+    sample time, in increasing t: the state at t, i.e. before any event at a
+    later clock reading.  `final` is the (n_sites, nv) uint8 state at the
+    horizon.  `trackers` receive every slot flip; `event_log` (a path or an
     open text file) receives one CSV line per event.  Deterministic given the
     rng seed.
     """
@@ -687,7 +692,7 @@ def simulate(initial: Configuration, model: Model, horizon: float, rng,
         raise ValueError("sample times must lie in [0, horizon]")
 
     samples: list = []
-    state = SimState(model, initial.eta, rng)
+    state = SimState(model, initial, rng)
     for tr in trackers:
         tr.start(0.0, state.eta_flat)
         state.trackers.append(tr)
@@ -725,15 +730,12 @@ def simulate(initial: Configuration, model: Model, horizon: float, rng,
     while next_i < len(times):
         samples.append((times[next_i], state.snapshot()))
         next_i += 1
-    state.t = min(state.t, horizon)
 
     if isinstance(event_log, (str, bytes)) and log_fh is not None:
         log_fh.close()
 
-    final = Configuration(model.lattice, model.vset, state.snapshot())
     return SimulationResult(
-        final=final,
-        t_end=horizon,
+        final=state.snapshot(),
         n_events=state.n_events,
         kind_counts=tuple(int(k) for k in state.kind_counts),
         candidates=state.candidates,

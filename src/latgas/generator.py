@@ -136,7 +136,6 @@ class ExactGenerator:
     """
 
     model: Model
-    parts: tuple
     flips: np.ndarray
     tables: tuple
     exit: np.ndarray
@@ -271,5 +270,5 @@ def assemble_exact_generator(model: Model, parts=ALL_PARTS) -> ExactGenerator:
     if 2**n_bits > STATE_SPACE_CAP:
         raise SizeError(f"state space 2^{n_bits} exceeds the cap {STATE_SPACE_CAP}")
     flips, tables = _rate_tables(model.table, parts, model.time_scale)
-    return ExactGenerator(model=model, parts=parts, flips=flips, tables=tables,
+    return ExactGenerator(model=model, flips=flips, tables=tables,
                           exit=_exit_rates(flips, tables, n_bits))

@@ -1,13 +1,16 @@
-"""Cylinder lattice {1..N-1} x T_N^{d-1}: site indexing, the neighbor table,
-and validated configurations.
+"""Cylinder lattice {1..N-1} x T_N^{d-1}: site coordinates and the neighbor table.
 
 The first coordinate runs over 1..N-1 with hard walls (no wrap); the remaining
-d-1 coordinates are periodic with period N.  Directions are indexed
-0..2d-1 as (+e_1, -e_1, +e_2, -e_2, ...); `neighbor_table` gives every
-site's jump target per direction, -1 through a wall, and is the geometry the
-event catalog (`dynamics.RateTable`) is built from.  A `periodic=True`
-lattice wraps the first coordinate on its ring of N-1 sites instead (used by
-the exact generator to check invariance of product measures).
+d-1 coordinates are periodic with period N.  Sites are numbered in the C
+order of `shape`, (x1 - 1, x2, ..., xd) with the last coordinate fastest; a
+configuration is a plain (n_sites, nv) array of 0/1 occupations eta(x, v) in
+that order, checked where the simulator takes it (`dynamics.SimState`).
+Directions are indexed 0..2d-1 as (+e_1, -e_1, +e_2, -e_2, ...);
+`neighbor_table` gives every site's jump target per direction, -1 through a
+wall, and is the geometry the event catalog (`dynamics.RateTable`) is built
+from.  A `periodic=True` lattice wraps the first coordinate on its ring of
+N-1 sites instead (used by the exact generator to check invariance of
+product measures).
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .velocities import VelocitySet
 
 
 @dataclass(frozen=True)
@@ -38,19 +39,6 @@ class Lattice:
     @property
     def n_sites(self) -> int:
         return (self.N - 1) * self.N ** (self.d - 1)
-
-    def index(self, coords) -> int:
-        """Flat site index of coordinates (x1, ..., xd), x1 in 1..N-1."""
-        coords = tuple(int(c) for c in coords)
-        if len(coords) != self.d:
-            raise ValueError(f"expected {self.d} coordinates, got {len(coords)}")
-        x1 = coords[0]
-        if not 1 <= x1 <= self.N - 1:
-            raise ValueError(f"x1={x1} outside 1..{self.N - 1}")
-        rest = coords[1:]
-        if any(not 0 <= c <= self.N - 1 for c in rest):
-            raise ValueError(f"transverse coordinate out of range in {coords}")
-        return int(np.ravel_multi_index((x1 - 1,) + rest, self.shape))
 
     def all_coords(self) -> np.ndarray:
         """(n_sites, d) integer coordinates in site-index order."""
@@ -79,22 +67,3 @@ class Lattice:
             flat = np.ravel_multi_index(tuple(c.T), self.shape, mode="clip")
             table[:, direction] = np.where(inside, flat, -1)
         return table
-
-
-class Configuration:
-    """Occupation field eta(x, v) in {0,1} on lattice sites x and velocities v."""
-
-    def __init__(self, lattice: Lattice, vset: VelocitySet, eta=None):
-        self.lattice = lattice
-        self.vset = vset
-        if eta is None:
-            eta = np.zeros((lattice.n_sites, len(vset)), dtype=np.uint8)
-        eta = np.asarray(eta, dtype=np.uint8)
-        if eta.shape != (lattice.n_sites, len(vset)):
-            raise ValueError(
-                f"eta shape {eta.shape} does not match "
-                f"(n_sites={lattice.n_sites}, nv={len(vset)})"
-            )
-        if not np.all(eta <= 1):
-            raise ValueError("occupations must be 0 or 1")
-        self.eta = eta

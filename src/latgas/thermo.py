@@ -25,7 +25,7 @@ import itertools
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError, DomainError, SizeError
+from .errors import ConfigError, ConvergenceError, DomainError
 from .velocities import VelocitySet
 
 NEWTON_TOL = 1e-12
@@ -63,19 +63,13 @@ class ConvexDomain:
     the signed Euclidean distance to the nearest facet plane (positive
     inside).  The centre is (1/2) sum_v vtilde_v.  A velocity set whose
     conserved vectors have rank below d+1 has no interior and is rejected.
-    Sets are capped at MAX_VELOCITIES = 16 velocities (SizeError, exit 2),
-    which bounds the facet construction: one cofactor vector per d-subset of
-    the nv generators.
+    The facet construction takes one cofactor vector per d-subset of the nv
+    generators, bounded by the cap on velocity sets
+    (`velocities.MAX_VELOCITIES`).
     """
-
-    MAX_VELOCITIES = 16
 
     def __init__(self, vset: VelocitySet):
         nv = len(vset)
-        if nv > self.MAX_VELOCITIES:
-            raise SizeError(
-                f"velocity sets are capped at {self.MAX_VELOCITIES} velocities, got {nv}"
-            )
         self.vset = vset
         vt = vset.vtilde
         if np.linalg.matrix_rank(vt) <= vset.d:

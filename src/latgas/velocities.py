@@ -14,6 +14,13 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import SizeError
+
+# The largest velocity set accepted: the collision table scans nv^4
+# quadruples and the hull (`thermo.ConvexDomain`) one cofactor vector per
+# d-subset of the nv generators.
+MAX_VELOCITIES = 16
+
 
 def _symmetry_orbit(v: tuple) -> set:
     """All images of v under coordinate sign flips and permutations."""
@@ -26,7 +33,9 @@ def _symmetry_orbit(v: tuple) -> set:
 
 @dataclass(frozen=True)
 class VelocitySet:
-    """An ordered, duplicate-free, reflection/permutation-invariant velocity set.
+    """An ordered, duplicate-free, reflection/permutation-invariant velocity
+    set of at most MAX_VELOCITIES = 16 velocities (more raise SizeError,
+    exit 2, before any work that grows with nv).
 
     Attributes:
         velocities: (nv, d) float array, one velocity per row.
@@ -50,6 +59,10 @@ class VelocitySet:
 
     def _validate(self):
         rows = [tuple(r) for r in self.velocities]
+        if len(rows) > MAX_VELOCITIES:
+            raise SizeError(
+                f"velocity sets are capped at {MAX_VELOCITIES} velocities, got {len(rows)}"
+            )
         if len(set(rows)) != len(rows):
             raise ValueError("duplicate velocities in set")
         members = set(rows)

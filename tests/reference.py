@@ -2,8 +2,9 @@
 
 The package states the chain once, as the event catalog `RateTable`.  These
 references restate it one event, site or test function at a time on plain
-lattice coordinates: single-event rates, the neighbor map, conserved totals,
-and the weak residual and cost integrand of one test function.
+lattice coordinates: site indices, single-event rates, the neighbor map,
+conserved totals, and the weak residual and cost integrand of one test
+function.
 """
 
 from __future__ import annotations
@@ -34,6 +35,20 @@ def four_velocity_set(fast: float = 0.5, slow: float = 0.25) -> VelocitySet:
 
 # --- lattice geometry ---------------------------------------------------------
 
+def index(lattice, coords) -> int:
+    """Flat site index of coordinates (x1, ..., xd), x1 in 1..N-1."""
+    coords = tuple(int(c) for c in coords)
+    if len(coords) != lattice.d:
+        raise ValueError(f"expected {lattice.d} coordinates, got {len(coords)}")
+    x1 = coords[0]
+    if not 1 <= x1 <= lattice.N - 1:
+        raise ValueError(f"x1={x1} outside 1..{lattice.N - 1}")
+    rest = coords[1:]
+    if any(not 0 <= c <= lattice.N - 1 for c in rest):
+        raise ValueError(f"transverse coordinate out of range in {coords}")
+    return int(np.ravel_multi_index((x1 - 1,) + rest, lattice.shape))
+
+
 def coords(lattice, site: int) -> tuple:
     """Coordinates (x1, ..., xd) of a flat site index, x1 in 1..N-1."""
     idx = np.unravel_index(int(site), lattice.shape)
@@ -54,7 +69,7 @@ def neighbor_site(lattice, site: int, direction: int) -> int:
         c[0] = x1
     else:
         c[axis] = (c[axis] + step) % lattice.N
-    return lattice.index(c)
+    return index(lattice, c)
 
 
 def neighbor_sites(lattice, site: int) -> set:

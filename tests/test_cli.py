@@ -190,7 +190,8 @@ def test_exact_section_errors_exit_2(tmp_path, capsys, exact, message):
 
 # One velocity at rest: the conserved vectors (1, 0) span a line, so the hull
 # U has no interior and the (rho, p) parametrization is degenerate.  Eighteen
-# velocities pass the hull's cap of 16.
+# velocities pass the cap of 16 on velocity sets, which is checked before the
+# collision table or the hull is built.
 AT_REST = [[0.0]]
 EIGHTEEN = [[s * k / 18] for k in range(1, 10) for s in (1, -1)]
 
@@ -200,6 +201,7 @@ EIGHTEEN = [[s * k / 18] for k in range(1, 10) for s in (1, -1)]
     ("simulate", AT_REST, "not full-dimensional"),
     ("rate", AT_REST, "not full-dimensional"),
     ("hydro", EIGHTEEN, "capped at 16 velocities"),
+    ("simulate", EIGHTEEN, "capped at 16 velocities"),
 ])
 def test_velocity_sets_without_a_hull_exit_2(tmp_path, capsys, command, velocities,
                                               message):
@@ -213,16 +215,18 @@ def test_velocity_sets_without_a_hull_exit_2(tmp_path, capsys, command, velociti
 
 
 def test_exact_rejects_a_velocity_set_the_model_rejects(tmp_path, capsys):
-    # 2 x 1/18 = 3/18 - 1/18: a fireable collision with a repeated incoming slot
+    # 2 x 1/4 = 1/8 + 3/8: a fireable collision with a repeated incoming slot
     path = tiny_config(tmp_path, exact={"N": 2})
     config = yaml.safe_load(pathlib.Path(path).read_text())
-    config["model"].update(velocities=EIGHTEEN, alpha=["0.3"] * 18, beta=["0.6"] * 18)
+    velocities = [[s * k / 8] for k in (1, 2, 3) for s in (1, -1)]
+    config["model"].update(velocities=velocities, alpha=["0.3"] * 6, beta=["0.6"] * 6)
     pathlib.Path(path).write_text(yaml.safe_dump(config))
     assert main(["exact", "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert "mass-non-conserving" in capsys.readouterr().err
 
 
 REFERENCE = pathlib.Path(__file__).parents[1] / "configs" / "reference.yaml"
+RATE_BENCH = pathlib.Path(__file__).parents[1] / "perfbench" / "configs" / "rate.yaml"
 
 
 @pytest.mark.parametrize("command,section,key,value", [
@@ -234,6 +238,7 @@ REFERENCE = pathlib.Path(__file__).parents[1] / "configs" / "reference.yaml"
     ("rate", "ldp", "n_space_modes", "four"),
     ("rate", "ldp", "time_modes", ["const", "const"]),
     ("rate", "ldp", "control", [{"amplitude": "big"}]),
+    ("simulate", "simulate", "block_radius", -1),
 ])
 def test_values_of_the_wrong_type_exit_2(tmp_path, capsys, command, section, key, value):
     config = yaml.safe_load(REFERENCE.read_text())
@@ -242,6 +247,36 @@ def test_values_of_the_wrong_type_exit_2(tmp_path, capsys, command, section, key
     path.write_text(yaml.safe_dump(config))
     assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert f"{section}.{key}" in capsys.readouterr().err
+
+
+def test_block_centers_outside_the_cylinder_exit_2_before_any_run(tmp_path, capsys,
+                                                                 monkeypatch):
+    # a block of radius 1 needs 2 <= x1 <= N - 2, so x1 = 1 fits no lattice
+    def no_run(*args, **kwargs):
+        raise AssertionError("a replica ran before the block centers were checked")
+
+    monkeypatch.setattr(latgas.cli, "simulate", no_run)
+    config = yaml.safe_load(REFERENCE.read_text())
+    config["simulate"]["block_centers"] = [1]
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(config))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "simulate.block_centers [1]" in capsys.readouterr().err
+
+
+def test_hydro_dt_reaches_the_f06_solve(tmp_path):
+    # the controlled solve of the F06 check steps at hydro.dt, as the plain one does
+    config = yaml.safe_load(RATE_BENCH.read_text())
+    reports = []
+    for steps in (128, 512):
+        config["hydro"]["dt"] = 0.5 / steps
+        path = tmp_path / f"rate{steps}.yaml"
+        path.write_text(yaml.safe_dump(config))
+        out = tmp_path / f"out{steps}"
+        assert main(["rate", "--config", str(path), "--out", str(out)]) == 0
+        f06 = (out / "f06_report.txt").read_text().splitlines()
+        reports.append([line for line in f06 if not line.startswith("config_hash")])
+    assert reports[0] != reports[1]
 
 
 def test_numbers_written_as_text_still_read():

@@ -22,7 +22,7 @@ from latgas.dynamics import (
     step,
 )
 from latgas.generator import assemble_exact_generator
-from latgas.lattice import Configuration, Lattice
+from latgas.lattice import Lattice
 from latgas.thermo import theta_all
 from latgas.velocities import Collision, VelocitySet, two_velocity_set
 from reference import (
@@ -32,6 +32,7 @@ from reference import (
     event_rate,
     exclusion_rate,
     four_velocity_set,
+    index,
     neighbor_sites,
     sample_product_state,
     totals,
@@ -60,6 +61,26 @@ def make_model(N, vs, alpha=None, beta=None, periodic=False, collisions=True):
     if alpha is not None:
         profiles = ReservoirProfiles.constant(vs, alpha, beta)
     return Model(lat, vs, profiles=profiles, include_collisions=collisions)
+
+
+def empty_state(model):
+    """The configuration with every slot empty."""
+    return np.zeros((model.lattice.n_sites, len(model.vset)), dtype=np.uint8)
+
+
+class TestSimStateInput:
+    # SimState is where a configuration array is checked
+    def test_shape_validation(self, vs2):
+        model = make_model(4, vs2)
+        # too few sites; sites and velocities swapped (the same slot count)
+        for eta in (np.zeros((2, 2), dtype=np.uint8), np.zeros((2, 3), dtype=np.uint8)):
+            with pytest.raises(ValueError):
+                SimState(model, eta, None)
+
+    def test_binary_validation(self, vs2):
+        model = make_model(4, vs2)
+        with pytest.raises(ValueError):
+            SimState(model, 2 * np.ones((3, 2), dtype=np.uint8), None)
 
 
 class TestJumpLaw:
@@ -145,13 +166,13 @@ class TestRates:
     def test_boundary_rates(self, vs2):
         model = make_model(5, vs2, alpha=[0.3, 0.4], beta=[0.6, 0.5])
         eta = np.zeros((4, 2), dtype=np.uint8)
-        left = model.lattice.index((1,))
+        left = index(model.lattice, (1,))
         assert boundary_rate(model, eta, left, 0) == pytest.approx(0.3)
         eta[left, 0] = 1
         assert boundary_rate(model, eta, left, 0) == pytest.approx(0.7)
-        bulk = model.lattice.index((2,))
+        bulk = index(model.lattice, (2,))
         assert boundary_rate(model, eta, bulk, 0) == 0.0
-        right = model.lattice.index((4,))
+        right = index(model.lattice, (4,))
         assert boundary_rate(model, eta, right, 1) == pytest.approx(0.5)
 
 
@@ -326,13 +347,13 @@ class TestStep:
         # stationary occupation equals alpha_v
         alpha = [0.3, 0.4]
         model = make_model(2, vs2, alpha=alpha, beta=[0.9, 0.9])
-        eta0 = Configuration(model.lattice, vs2)
+        eta0 = empty_state(model)
         tracker = OccupationTracker(2)
         # mean total flip rate at stationarity is sum_v 2 alpha_v (1 - alpha_v)
         horizon = 33_000.0
         res = simulate(eta0, model, horizon, np.random.default_rng(3), trackers=[tracker])
         assert res.n_events >= 100_000
-        occ = tracker.mean_occupation(horizon, res.final.eta.reshape(-1))
+        occ = tracker.mean_occupation(horizon, res.final.reshape(-1))
         for v in range(2):
             rate_sum = 1.0 * model.time_scale  # birth + death = 1, accelerated
             var = 2 * alpha[v] * (1 - alpha[v]) / (rate_sum * horizon)
@@ -342,57 +363,51 @@ class TestStep:
 class TestSimulate:
     def test_zero_horizon(self, vs2, rng):
         model = make_model(5, vs2, alpha=[0.3, 0.4], beta=[0.6, 0.5])
-        eta0 = Configuration(model.lattice, vs2,
-                             sample_product_state([0.0, 0.0], model.lattice, vs2, rng))
+        eta0 = sample_product_state([0.0, 0.0], model.lattice, vs2, rng)
         res = simulate(eta0, model, 0.0, rng, sample_times=[0.0])
         assert res.n_events == 0
-        assert np.array_equal(res.final.eta, eta0.eta)
+        assert np.array_equal(res.final, eta0)
         assert len(res.samples) == 1
 
     def test_conservation_with_boundary_disabled(self, vs4, rng):
         model = make_model(8, vs4)
-        eta0 = Configuration(model.lattice, vs4,
-                             sample_product_state([0.0, 0.0], model.lattice, vs4, rng))
-        before_counts = eta0.eta.sum(axis=0)
-        before_totals = totals(eta0.eta, vs4)
+        eta0 = sample_product_state([0.0, 0.0], model.lattice, vs4, rng)
+        before_counts = eta0.sum(axis=0)
+        before_totals = totals(eta0, vs4)
         res = simulate(eta0, model, 2.0, rng)
         assert res.n_events > 500
         assert res.kind_counts[COLLISION] > 0
         # collisions change per-velocity counts but conserve (mass, momentum)
-        assert np.array_equal(totals(res.final.eta, vs4), before_totals)
-        assert res.final.eta.sum() == before_counts.sum()
+        assert np.array_equal(totals(res.final, vs4), before_totals)
+        assert res.final.sum() == before_counts.sum()
 
     def test_exclusion_only_preserves_velocity_counts(self, vs4, rng):
         model = make_model(8, vs4, collisions=False)
-        eta0 = Configuration(model.lattice, vs4,
-                             sample_product_state([0.0, 0.0], model.lattice, vs4, rng))
-        before = eta0.eta.sum(axis=0)
+        eta0 = sample_product_state([0.0, 0.0], model.lattice, vs4, rng)
+        before = eta0.sum(axis=0)
         res = simulate(eta0, model, 0.2, rng)
-        assert np.array_equal(res.final.eta.sum(axis=0), before)
+        assert np.array_equal(res.final.sum(axis=0), before)
 
     def test_seed_determinism(self, vs4):
         model = make_model(6, vs4, alpha=[0.3, 0.4, 0.35, 0.45], beta=[0.6, 0.5, 0.55, 0.65])
-        eta0 = Configuration(
-            model.lattice, vs4,
-            sample_product_state([0.1, 0.0], model.lattice, vs4, np.random.default_rng(1)),
-        )
+        eta0 = sample_product_state([0.1, 0.0], model.lattice, vs4, np.random.default_rng(1))
         runs = [simulate(eta0, model, 0.1, np.random.default_rng(77),
                          sample_times=[0.05, 0.1]) for _ in range(2)]
         assert runs[0].n_events == runs[1].n_events
         assert runs[0].kind_counts == runs[1].kind_counts
-        assert np.array_equal(runs[0].final.eta, runs[1].final.eta)
+        assert np.array_equal(runs[0].final, runs[1].final)
         for (ta, ea), (tb, eb) in zip(runs[0].samples, runs[1].samples):
             assert ta == tb and np.array_equal(ea, eb)
 
     def test_sample_times_validation(self, vs2, rng):
         model = make_model(4, vs2, alpha=[0.3, 0.4], beta=[0.6, 0.5])
-        eta0 = Configuration(model.lattice, vs2)
+        eta0 = empty_state(model)
         with pytest.raises(ValueError):
             simulate(eta0, model, 0.1, rng, sample_times=[0.5])
 
     def test_event_log(self, vs2, rng):
         model = make_model(4, vs2, alpha=[0.3, 0.4], beta=[0.6, 0.5])
-        eta0 = Configuration(model.lattice, vs2)
+        eta0 = empty_state(model)
         buf = io.StringIO()
         res = simulate(eta0, model, 0.02, rng, event_log=buf)
         lines = buf.getvalue().strip().split("\n")
@@ -411,10 +426,10 @@ class TestSimulate:
         means = []
         for r in range(reps):
             rng = np.random.default_rng(100 + r)
-            eta0 = Configuration(lat, vs2, sample_product_state(lam, lat, vs2, rng))
+            eta0 = sample_product_state(lam, lat, vs2, rng)
             tracker = OccupationTracker(lat.n_sites * 2)
             res = simulate(eta0, model, horizon, rng, trackers=[tracker])
-            means.append(tracker.mean_occupation(horizon, res.final.eta.reshape(-1)))
+            means.append(tracker.mean_occupation(horizon, res.final.reshape(-1)))
         means = np.array(means).reshape(reps, lat.n_sites, 2)
         mean = means.mean(axis=0)
         sem = means.std(axis=0, ddof=1) / math.sqrt(reps)
@@ -427,10 +442,7 @@ class TestSimulate:
         for N in (12, 24):
             model = make_model(N, vs2, alpha=[0.3, 0.4], beta=[0.6, 0.5])
             rng = np.random.default_rng(5)
-            eta0 = Configuration(
-                model.lattice, vs2,
-                sample_product_state([0.0, 0.0], model.lattice, vs2, rng),
-            )
+            eta0 = sample_product_state([0.0, 0.0], model.lattice, vs2, rng)
             res = simulate(eta0, model, 0.5, rng)
             counts[N] = res.kind_counts
         bulk_ratio = counts[24][EXCLUSION] / counts[12][EXCLUSION]
@@ -468,9 +480,8 @@ def assert_matches_exact_stationary(model, seed, reps=4, horizon=30.0):
     for r in range(reps):
         rng = np.random.default_rng(seed + r)
         tracker = OccupationTracker(n_slots)
-        res = simulate(Configuration(model.lattice, model.vset), model, horizon, rng,
-                       trackers=[tracker])
-        sims.append(tracker.mean_occupation(horizon, res.final.eta.reshape(-1)))
+        res = simulate(empty_state(model), model, horizon, rng, trackers=[tracker])
+        sims.append(tracker.mean_occupation(horizon, res.final.reshape(-1)))
     sims = np.array(sims)
     mean = sims.mean(axis=0)
     sem = sims.std(axis=0, ddof=1) / math.sqrt(reps)

@@ -24,7 +24,7 @@ from latgas import eventloop
 from latgas.errors import NumericalFailure
 from latgas.dynamics import (COLLISION, Model, OccupationTracker, ReservoirProfiles, SimState,
                              simulate, step)
-from latgas.lattice import Configuration, Lattice
+from latgas.lattice import Lattice
 from latgas.velocities import VelocitySet, two_velocity_set
 from reference import entry_rates, four_velocity_set, sample_product_state
 
@@ -82,24 +82,24 @@ def stream_record(name: str, seed: int) -> dict:
     lat, vs = model.lattice, model.vset
 
     rng = np.random.default_rng(seed)
-    eta0 = Configuration(lat, vs, sample_product_state(lam, lat, vs, rng))
+    eta0 = sample_product_state(lam, lat, vs, rng)
     res = simulate(eta0, model, horizon, rng, sample_times=times)
     record = {
         "n_events": res.n_events,
         "kind_counts": list(res.kind_counts),
-        "final_sha256": _sha(res.final.eta.tobytes()),
+        "final_sha256": _sha(res.final.tobytes()),
         "samples_sha256": _sha(*[c for t, eta in res.samples for c in (t, eta.tobytes())]),
     }
 
     rng = np.random.default_rng(seed)
     tracker, log = OccupationTracker(lat.n_sites * len(vs)), io.StringIO()
     res = simulate(eta0, model, LOG_HORIZON, rng, trackers=[tracker], event_log=log)
-    occ = tracker.mean_occupation(LOG_HORIZON, res.final.eta.reshape(-1))
+    occ = tracker.mean_occupation(LOG_HORIZON, res.final.reshape(-1))
     record["log_n_events"] = res.n_events
     record["event_log_sha256"] = _sha(log.getvalue().encode())
     record["tracker_sha256"] = _sha(occ.tobytes())
 
-    state = SimState(model, eta0.eta, np.random.default_rng(seed))
+    state = SimState(model, eta0, np.random.default_rng(seed))
     steps = [step(state) for _ in range(N_STEPS)]
     record["steps_sha256"] = _sha(*[(ev, float(wait)) for ev, wait in steps])
     record["steps_final_sha256"] = _sha(state.snapshot().tobytes())
@@ -170,22 +170,21 @@ def run_every_entry_point(make, seed: int) -> dict:
     `step()` draws."""
     model = make()
     lat, vs = model.lattice, model.vset
-    eta0 = Configuration(lat, vs, sample_product_state([0.2, 0.1], lat, vs,
-                                                       np.random.default_rng(seed)))
+    eta0 = sample_product_state([0.2, 0.1], lat, vs, np.random.default_rng(seed))
     rng = CountingRng(seed)
     res = simulate(eta0, model, 16.0, rng, sample_times=[0.5, 2.0, 16.0])
     tracker, log = OccupationTracker(lat.n_sites * len(vs)), io.StringIO()
     logged = simulate(eta0, model, 0.1, np.random.default_rng(seed), trackers=[tracker],
                       event_log=log)
-    state = SimState(model, eta0.eta, np.random.default_rng(seed))
+    state = SimState(model, eta0, np.random.default_rng(seed))
     steps = [step(state) for _ in range(N_STEPS)]
     return {
         "counts": (res.n_events, res.kind_counts, logged.n_events, logged.kind_counts),
         "samples": [(t, eta.tobytes()) for t, eta in res.samples],
-        "final": res.final.eta.tobytes(),
+        "final": res.final.tobytes(),
         "batches": rng.batches,
         "log": log.getvalue(),
-        "tracker": tracker.mean_occupation(0.1, logged.final.eta.reshape(-1)).tobytes(),
+        "tracker": tracker.mean_occupation(0.1, logged.final.reshape(-1)).tobytes(),
         "steps": [(ev, float(wait)) for ev, wait in steps],
         "steps_final": state.snapshot().tobytes(),
         "event_loop": res.event_loop,
@@ -223,12 +222,12 @@ def test_sample_times_do_not_change_the_stream(loop, name):
     # least three batches on every case.
     model = STREAM_CASES[name][0]()
     lat, vs = model.lattice, model.vset
-    eta0 = Configuration(lat, vs, np.zeros((lat.n_sites, len(vs)), dtype=np.uint8))
+    eta0 = np.zeros((lat.n_sites, len(vs)), dtype=np.uint8)
     rngs = [CountingRng(7), CountingRng(7)]
     runs = [simulate(eta0, model, 0.2, rng, sample_times=times)
             for rng, times in zip(rngs, ([0.0, 0.1, 0.2], [0.0, 0.2]))]
     assert runs[0].event_loop == loop
-    assert runs[0].final.eta.tobytes() == runs[1].final.eta.tobytes()
+    assert runs[0].final.tobytes() == runs[1].final.tobytes()
     assert (runs[0].n_events, runs[0].kind_counts) == (runs[1].n_events, runs[1].kind_counts)
     assert rngs[0].batches == rngs[1].batches and len(rngs[0].batches) >= 3
 
@@ -464,7 +463,7 @@ def test_absorbing_state_raises():
     # a full ring: every exclusion hop is blocked and no collision can fire,
     # so the loop rejects every candidate until the absorbing check runs
     model = Model(Lattice(4, 1, periodic=True), VS2)
-    full = Configuration(model.lattice, VS2, np.ones((model.lattice.n_sites, 2), dtype=np.uint8))
+    full = np.ones((model.lattice.n_sites, 2), dtype=np.uint8)
     with pytest.raises(NumericalFailure, match="absorbing"):
         simulate(full, model, 1e9, np.random.default_rng(0))
 

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from latgas.dynamics import Model, ReservoirProfiles
-from latgas.lattice import Configuration, Lattice
+from latgas.lattice import Lattice
 from latgas.velocities import two_velocity_set
 from reference import (
     BoundarySide,
     conserved_of_state,
     coords,
+    index,
     neighbor_site,
     sample_product_state,
     side_of,
@@ -29,30 +30,30 @@ class TestGeometry:
     def test_index_coord_roundtrip(self):
         lat = Lattice(4, 2)
         for s in range(lat.n_sites):
-            assert lat.index(coords(lat, s)) == s
+            assert index(lat, coords(lat, s)) == s
 
     def test_invalid_coordinates(self):
         lat = Lattice(4, 1)
         with pytest.raises(ValueError):
-            lat.index((0,))
+            index(lat, (0,))
         with pytest.raises(ValueError):
-            lat.index((4,))
+            index(lat, (4,))
 
 
 class TestNeighbors:
     def test_d1_bulk(self):
         lat = Lattice(4, 1)
-        nbrs = {coords(lat, t)[0] for t in neighbors(lat, lat.index((2,)))}
+        nbrs = {coords(lat, t)[0] for t in neighbors(lat, index(lat, (2,)))}
         assert nbrs == {1, 3}
 
     def test_d1_wall(self):
         lat = Lattice(4, 1)
-        nbrs = {coords(lat, t)[0] for t in neighbors(lat, lat.index((1,)))}
+        nbrs = {coords(lat, t)[0] for t in neighbors(lat, index(lat, (1,)))}
         assert nbrs == {2}
 
     def test_d2_transverse_wrap(self):
         lat = Lattice(3, 2)
-        nbrs = {coords(lat, t) for t in neighbors(lat, lat.index((1, 0)))}
+        nbrs = {coords(lat, t) for t in neighbors(lat, index(lat, (1, 0)))}
         assert nbrs == {(2, 0), (1, 1), (1, 2)}
 
     def test_symmetry(self):
@@ -70,7 +71,7 @@ class TestNeighbors:
 
     def test_periodic_wrap_first_axis(self):
         lat = Lattice(4, 1, periodic=True)
-        nbrs = {coords(lat, t)[0] for t in neighbors(lat, lat.index((3,)))}
+        nbrs = {coords(lat, t)[0] for t in neighbors(lat, index(lat, (3,)))}
         assert nbrs == {2, 1}  # wraps on the ring of 3 sites
         assert all(len(neighbors(lat, s)) == 2 for s in range(lat.n_sites))
 
@@ -104,8 +105,8 @@ class TestClassify:
                                          (2, BoundarySide.BULK), (3, BoundarySide.BULK)])
     def test_n5(self, x1, side):
         lat = Lattice(5, 1)
-        assert side_of(lat, lat.index((x1,))) == side
-        assert catalog_side(lat, lat.index((x1,))) == side
+        assert side_of(lat, index(lat, (x1,))) == side
+        assert catalog_side(lat, index(lat, (x1,))) == side
 
     def test_n2_single_site_is_left(self):
         # x1 = 1 = N-1: the left wall's reservoir takes precedence
@@ -144,14 +145,3 @@ class TestTotals:
         parts = totals(eta[:3], vs4) + totals(eta[3:], vs4)
         assert np.allclose(whole, parts, atol=1e-12)
 
-
-class TestConfiguration:
-    def test_shape_validation(self, vs2):
-        lat = Lattice(4, 1)
-        with pytest.raises(ValueError):
-            Configuration(lat, vs2, np.zeros((2, 2), dtype=np.uint8))
-
-    def test_binary_validation(self, vs2):
-        lat = Lattice(4, 1)
-        with pytest.raises(ValueError):
-            Configuration(lat, vs2, 2 * np.ones((3, 2), dtype=np.uint8))
