@@ -169,10 +169,10 @@ def _replica_cells(cfg: ExperimentConfig, command: str, N: int, replicas: range)
 
     What the replicas share is built once: the model with its event catalog,
     the smoothing grid, and the densities theta of the product measure along
-    gamma.  Block centers that leave the cylinder exit 2 before any run.
-    Each replica draws its initial state from theta, the first draw of its
-    own stream, and runs from it; then the samples of every replica are
-    measured, smoothed and block-averaged in one call each.
+    gamma (`cmd_simulate` checks the block centers).  Each replica draws its
+    initial state from theta, the first draw of its own stream, and runs from
+    it; then the samples of every replica are measured, smoothed and
+    block-averaged in one call each.
     """
     if command == "converge":
         sec = cfg.converge
@@ -189,9 +189,6 @@ def _replica_cells(cfg: ExperimentConfig, command: str, N: int, replicas: range)
         if centers == "auto":
             centers = sorted({min(max(c, lo), hi) for c in (N // 4, N // 2, (3 * N) // 4)}) \
                 if hi >= lo else []
-        elif any(not lo <= c <= hi for c in centers):
-            raise ConfigError(f"simulate.block_centers {centers}: a block of radius "
-                              f"{block_radius} at N={N} needs {lo} <= x1 <= {hi}")
     eps = sec.get("eps", 0.1)
 
     model = build_model(cfg, N)
@@ -225,9 +222,15 @@ def _replica_cells(cfg: ExperimentConfig, command: str, N: int, replicas: range)
 
 
 def cmd_simulate(cfg: ExperimentConfig, args) -> list:
+    sec = cfg.simulate
+    centers, lo = sec.get("block_centers", "auto"), sec.get("block_radius", 1) + 1
+    for N in cfg.model.n_values:  # every lattice size, before any replica runs
+        if centers != "auto" and any(not lo <= c <= N - lo for c in centers):
+            raise ConfigError(f"simulate.block_centers {centers}: a block of radius "
+                              f"{lo - 1} at N={N} needs {lo} <= x1 <= {N - lo}")
     out = _out_dir(cfg, args)
     outputs = []
-    grid = build_grid(cfg, cfg.simulate.get("grid_m1", 65), cfg.hydro.get("mt"))
+    grid = build_grid(cfg, sec.get("grid_m1", 65), cfg.hydro.get("mt"))
     ncomp = cfg.model.d + 1
     for (N, r), res in _map_cells("simulate", cfg, args):
         fpath = os.path.join(out, f"sim_N{N}_r{r}_fields.csv")

@@ -14,6 +14,8 @@ of one call per configuration.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DomainError
@@ -22,19 +24,19 @@ from .lattice import Lattice
 from .velocities import VelocitySet
 
 
-def _site_vectors(eta, lattice: Lattice, vset: VelocitySet) -> np.ndarray:
-    """The conserved vector I(eta_x) of every site, (..., n_sites, d+1)."""
+def _occupations(eta, lattice: Lattice, vset: VelocitySet) -> np.ndarray:
+    """eta as an array, checked to be (..., n_sites, nv)."""
     eta = np.asarray(eta)
     if eta.shape[-2:] != (lattice.n_sites, len(vset)):
         raise ValueError("configuration shape does not match lattice/velocity set")
-    return eta.astype(float) @ vset.vtilde
+    return eta
 
 
 def empirical_measure(eta, lattice: Lattice, vset: VelocitySet) -> np.ndarray:
     """The masses N^{-d} I(eta_x) of the atoms at `lattice.positions()`,
     (..., n_sites, d+1), of a configuration (n_sites, nv) or of a stack of
     them (..., n_sites, nv)."""
-    return float(lattice.N) ** (-lattice.d) * _site_vectors(eta, lattice, vset)
+    return float(lattice.N) ** (-lattice.d) * (_occupations(eta, lattice, vset) @ vset.vtilde)
 
 
 def block_average(eta, lattice: Lattice, vset: VelocitySet, centers, L: int) -> np.ndarray:
@@ -43,9 +45,10 @@ def block_average(eta, lattice: Lattice, vset: VelocitySet, centers, L: int) -> 
     configuration (n_sites, nv) or a stack (..., n_sites, nv).
 
     Transverse directions wrap; each wall coordinate must satisfy
-    L+1 <= c <= N-1-L so the cube stays inside the walls.  The conserved
-    vectors of a cube's sites are added one by one in the C order of their
-    offsets.
+    L+1 <= c <= N-1-L so the cube stays inside the walls.  A cube's
+    occupation counts are summed as integers, and their products with the
+    conserved vectors are summed exactly, so opposite velocities occupied
+    equally often cancel to exactly 0.
     """
     if L < 0:
         raise ValueError("block radius must be nonnegative")
@@ -56,20 +59,19 @@ def block_average(eta, lattice: Lattice, vset: VelocitySet, centers, L: int) -> 
             f"blocks of radius {L} around x1={outside} leave the cylinder "
             f"(need {lo} <= x1 <= {hi})"
         )
-    site = _site_vectors(eta, lattice, vset)
-    lead, ncomp = site.ndim - 2, site.shape[-1]
+    eta = _occupations(eta, lattice, vset)
+    lead, nv = eta.ndim - 2, eta.shape[-1]
     offsets = np.arange(-L, L + 1)
     # x1 - 1 of each cube's sites, (centers, 2L+1), then each transverse axis
     # cut to the offsets around 0, wrapped
-    cube = np.take(site.reshape(site.shape[:-2] + lattice.shape + (ncomp,)),
+    cube = np.take(eta.reshape(eta.shape[:-2] + lattice.shape + (nv,)),
                    np.asarray(centers, dtype=np.int64)[:, None] - 1 + offsets, axis=lead)
     for axis in range(lead + 2, lead + lattice.d + 1):
         cube = np.take(cube, offsets, axis=axis, mode="wrap")
-    cube = cube.reshape(cube.shape[:lead + 1] + (len(offsets) ** lattice.d, ncomp))
-    total = np.zeros(cube.shape[:-2] + (ncomp,))
-    for k in range(cube.shape[-2]):
-        total += cube[..., k, :]
-    return total / cube.shape[-2]
+    size = len(offsets) ** lattice.d
+    counts = cube.reshape(cube.shape[:lead + 1] + (size, nv)).sum(axis=-2, dtype=np.int64)
+    terms = np.swapaxes(counts[..., None] * vset.vtilde, -1, -2)
+    return np.array([math.fsum(t) for t in terms.reshape(-1, nv)]).reshape(terms.shape[:-1]) / size
 
 
 def smooth(masses, lattice: Lattice, eps: float, grid: Grid) -> np.ndarray:

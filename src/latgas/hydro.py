@@ -14,10 +14,9 @@ Dirichlet values held by the implicit solve.  dt is bounded by the advective
 CFL condition of `advective_limit`; by default one step per frame.
 
 `QuadratureContext` stores, once per trajectory, the weights of the weak-form
-residual (trapezoid in space, midpoint in time) and evaluates it against a test
-function as inner products with those weights, together with the Gram matrix of
-the chi-weighted space-time inner product; the residual vanishes on solutions,
-which is the linear part of the trajectory cost functional.
+residual (trapezoid in space, midpoint in time), the linear part of the cost
+functional, which vanishes on solutions.  It evaluates the residual and the Gram
+matrix of the chi-weighted inner product from the test functions' 1-D factors.
 """
 
 from __future__ import annotations
@@ -150,8 +149,20 @@ class Factor:
         return -self.scale ** 2 * self.value(x)
 
 
-def _outer(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    return reduce(np.multiply.outer, arrays)
+def _space(axes, grid: Grid) -> tuple:
+    """(value, gradient, laplacian) on `grid` of the product of the 1-D factors
+    `axes`, one per axis; the gradient has a trailing axis of length d."""
+    if len(axes) != grid.d:
+        raise ValueError(f"field has {len(axes)} axis factors, grid is {grid.d}-d")
+    x = [grid.axis(i) for i in range(grid.d)]
+    vals = [f.value(x[i]) for i, f in enumerate(axes)]
+
+    def swap(i, part):  # the product with factor i replaced by `part`
+        return reduce(np.multiply.outer, vals[:i] + [part] + vals[i + 1:])
+
+    grad = np.stack([swap(i, f.d1(x[i])) for i, f in enumerate(axes)], axis=-1)
+    lap = sum(swap(i, f.d2(x[i])) for i, f in enumerate(axes))
+    return reduce(np.multiply.outer, vals), grad, lap
 
 
 class SeparableField:
@@ -160,7 +171,7 @@ class SeparableField:
     `terms` holds (component, amplitude, time factor, axis factors) per term,
     summed in order; a basis mode is a one-term field and a control a sum of
     terms.  Each wall-axis factor must be a sine so the field vanishes on the
-    walls.  Space arrays are cached per grid.
+    walls.
     """
 
     def __init__(self, ncomp: int, terms: Sequence[tuple]):
@@ -172,49 +183,23 @@ class SeparableField:
             if axes[0].kind != "sin":
                 raise ValueError("wall-axis factor must vanish at the walls (sine)")
         self.ncomp = ncomp
-        self.terms = [(comp, float(amp), tf, list(axes)) for comp, amp, tf, axes in terms]
-        self._cache = {}
+        self.terms = [(comp, float(amp), tf, tuple(axes)) for comp, amp, tf, axes in terms]
 
-    def _space(self, grid: Grid) -> list:
-        """(value, gradient, laplacian) of each term's space factor on `grid`."""
-        if grid not in self._cache:
-            d = grid.d
-            spaces = []
-            for _, _, _, axes in self.terms:
-                if len(axes) != d:
-                    raise ValueError(f"field has {len(axes)} axis factors, grid is {d}-d")
-                vals = [f.value(grid.axis(i)) for i, f in enumerate(axes)]
-                d1s = [f.d1(grid.axis(i)) for i, f in enumerate(axes)]
-                d2s = [f.d2(grid.axis(i)) for i, f in enumerate(axes)]
-                grad = np.stack([_outer(vals[:i] + [d1s[i]] + vals[i + 1:])
-                                 for i in range(d)], axis=-1)
-                lap = sum(_outer(vals[:i] + [d2s[i]] + vals[i + 1:]) for i in range(d))
-                spaces.append((_outer(vals), grad, lap))
-            self._cache[grid] = spaces
-        return self._cache[grid]
-
-    def _sum(self, times, grid: Grid, part: int, time_deriv: bool = False) -> np.ndarray:
+    def _sum(self, times, grid: Grid, part: int) -> np.ndarray:
         times = np.atleast_1d(np.asarray(times, dtype=float))
         out = None
-        for (comp, amp, tf, _), space in zip(self.terms, self._space(grid)):
-            tvals = (tf.d1(times) if time_deriv else tf.value(times)) * amp
-            space = space[part]
+        for comp, amp, tf, axes in self.terms:
+            space = _space(axes, grid)[part]
             term = np.zeros((len(times),) + space.shape + (self.ncomp,))
-            term[..., comp] = tvals.reshape((-1,) + (1,) * space.ndim) * space
+            term[..., comp] = (tf.value(times) * amp).reshape((-1,) + (1,) * space.ndim) * space
             out = term if out is None else out + term
         return out
 
     def values(self, times, grid: Grid) -> np.ndarray:
         return self._sum(times, grid, 0)
 
-    def dt(self, times, grid: Grid) -> np.ndarray:
-        return self._sum(times, grid, 0, time_deriv=True)
-
     def gradient(self, times, grid: Grid) -> np.ndarray:
         return self._sum(times, grid, 1)
-
-    def laplacian(self, times, grid: Grid) -> np.ndarray:
-        return self._sum(times, grid, 2)
 
 
 def check_vanishes_on_walls(fld, grid: Grid, horizon: float, tol: float = WALL_VANISH_TOL):
@@ -283,38 +268,37 @@ def _flux_grid(chi_v: np.ndarray, vset: VelocitySet, drift=None) -> np.ndarray:
 
 def _grad_central(f: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     """Central difference along a spatial axis; wall rows are left at zero."""
+    if axis:
+        return (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)) / (2 * grid.ht)
     out = np.zeros_like(f)
-    if axis == 0:
-        sl = [slice(None)] * f.ndim
-        hi, lo, mid = sl.copy(), sl.copy(), sl.copy()
-        hi[0], lo[0], mid[0] = slice(2, None), slice(None, -2), slice(1, -1)
-        out[tuple(mid)] = (f[tuple(hi)] - f[tuple(lo)]) / (2 * grid.h1)
-    else:
-        out = (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)) / (2 * grid.ht)
+    out[1:-1] = (f[2:] - f[:-2]) / (2 * grid.h1)
     return out
 
 
 def _lap_axis(f: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
+    if axis:
+        return (np.roll(f, -1, axis=axis) - 2 * f + np.roll(f, 1, axis=axis)) / grid.ht**2
     out = np.zeros_like(f)
-    if axis == 0:
-        sl = [slice(None)] * f.ndim
-        hi, lo, mid = sl.copy(), sl.copy(), sl.copy()
-        hi[0], lo[0], mid[0] = slice(2, None), slice(None, -2), slice(1, -1)
-        out[tuple(mid)] = (f[tuple(hi)] - 2 * f[tuple(mid)] + f[tuple(lo)]) / grid.h1**2
-    else:
-        out = (np.roll(f, -1, axis=axis) - 2 * f + np.roll(f, 1, axis=axis)) / grid.ht**2
+    out[1:-1] = (f[2:] - 2 * f[1:-1] + f[:-2]) / grid.h1**2
     return out
 
 
 # --- solver ----------------------------------------------------------------------
 
-def _drift(control, t: float, grid: Grid, vset: VelocitySet) -> np.ndarray:
-    """Controlled velocities v_i - vtilde_v . d_iH at time t, shape (*shape, d, nv)."""
-    gh = control.gradient(np.array([t]), grid)[0]
-    return vset.velocities.T - np.einsum("...ik,vk->...iv", gh, vset.vtilde)
+def _drifts(control, grid: Grid, vset: VelocitySet, probes, dt: float, n_steps: int):
+    """Controlled velocities v_i - vtilde_v . d_iH, (*shape, d, nv), at the
+    probes and at both stage times of each of n_steps steps of dt, keyed by
+    the exact float time: one `control.gradient` call.  None without a control."""
+    if control is None:
+        return None
+    starts = np.arange(n_steps) * dt
+    times = np.unique(np.concatenate([probes, starts, starts + dt]))
+    gh = control.gradient(times, grid)
+    drift = vset.velocities.T - np.einsum("t...ik,vk->t...iv", gh, vset.vtilde)
+    return dict(zip(times.tolist(), drift))
 
 
-def advective_limit(grid: Grid, vset: VelocitySet, control=None, times=()) -> float:
+def advective_limit(grid: Grid, vset: VelocitySet, drifts=()) -> float:
     """Largest dt for which the IMEX step is stable on frozen coefficients.
 
     Linearize the flux about a state w: dF_i/dw = M_i J^-1 with
@@ -333,13 +317,12 @@ def advective_limit(grid: Grid, vset: VelocitySet, control=None, times=()) -> fl
     hold when sigma <= 1 (CFL 1) and dt sigma^2 |c|^2 <= 4.  The limit is
     min(dt_cfl, (4 dt_cfl^2 / |c|^2)^(1/3)) with dt_cfl = 1 / sum_i c_i / h_i.
     For d = 1 without control it is h_1 / max_v |v_1| whenever
-    h_1 max_v |v_1| <= 4.  A control's drift enters c_i through its values at
-    `times`.
+    h_1 max_v |v_1| <= 4.  A control enters c_i through `drifts`, its
+    controlled velocities (*shape, d, nv) at sampled times (see `_drifts`).
     """
     speeds = np.max(np.abs(vset.velocities), axis=0)
-    for t in times:
-        drift = np.abs(_drift(control, t, grid, vset))
-        speeds = np.maximum(speeds, drift.max(axis=tuple(range(grid.d)) + (-1,)))
+    for drift in drifts:
+        speeds = np.maximum(speeds, np.abs(drift).max(axis=tuple(range(grid.d)) + (-1,)))
     spacing = np.array([grid.h1] + [grid.ht] * (grid.d - 1))
     dt_cfl = 1.0 / float(np.sum(speeds / spacing))
     return min(dt_cfl, (4.0 * dt_cfl**2 / float(np.sum(speeds**2))) ** (1.0 / 3.0))
@@ -370,15 +353,16 @@ class _Stepper:
     diagonalize: with r = dt / (4 h_1^2), mode (j, k) has eigenvalue
     1 + 4r sin^2(pi j / (2 (m1 - 1))) + s_k, s_k the transverse part.  The
     solve is a DST-I along u_1, an rfftn across, a division by the
-    eigenvalues (computed once, here), and the two transforms back.
+    eigenvalues (computed once, here), and the two transforms back.  `drifts`
+    maps each stage time to a control's drift (`_drifts`), None for no control.
     """
 
     def __init__(self, vset: VelocitySet, grid: Grid, boundary: BoundaryData,
-                 dt: float, control=None):
+                 dt: float, drifts=None):
         self.vset = vset
         self.grid = grid
         self.boundary = boundary
-        self.control = control
+        self.drifts = drifts
         self.dt = dt
         self.dom = domain_of(vset)
         self.lam = None  # Newton warm start, shaped like the field
@@ -399,8 +383,7 @@ class _Stepper:
     def flux_divergence(self, W: np.ndarray, t: float) -> np.ndarray:
         """N(W) = -sum_i d_i F_i(W), with the control drift when there is one."""
         th = self._theta(W)
-        drift = None if self.control is None else _drift(self.control, t, self.grid,
-                                                         self.vset)
+        drift = None if self.drifts is None else self.drifts[t]
         fl = _flux_grid(th * (1.0 - th), self.vset, drift)
         return -sum(_grad_central(fl[..., i, :], self.grid, axis=i)
                     for i in range(self.grid.d))
@@ -487,6 +470,8 @@ def solve_controlled(gamma, boundary: BoundaryData, horizon: float, grid: Grid,
       so n_frames sets that quadrature's accuracy as well as the default
       step count.
 
+    One call tabulates a control's drift at every frame and stage time; when
+    the advective limit is the shorter step, the solve restarts with it.
     The run's dt, step count and whether it was controlled land in `meta`.
     """
     if horizon <= 0:
@@ -494,24 +479,24 @@ def solve_controlled(gamma, boundary: BoundaryData, horizon: float, grid: Grid,
     if control is not None:
         check_vanishes_on_walls(control, grid, horizon)
     n_frames = max(1, n_frames)
+    step = horizon / n_frames if dt is None else dt
+    n_steps = int(np.ceil(horizon / step - 1e-12))
+    stride = int(np.ceil(n_steps / min(n_frames, n_steps)))
+    n_steps = stride * int(np.ceil(n_steps / stride))
     probes = np.linspace(0.0, horizon, n_frames + 1) if control is not None else ()
-    bound = advective_limit(grid, vset, control, probes)
-    if dt is None:
-        dt = min(horizon / n_frames, bound)
-    elif dt > bound * (1 + 1e-12):
+    drifts = _drifts(control, grid, vset, probes, horizon / n_steps, n_steps)
+    bound = advective_limit(grid, vset, [drifts[t] for t in probes])
+    if dt is None and bound < step:
+        return solve_controlled(gamma, boundary, horizon, grid, vset, control, bound, n_frames)
+    if dt is not None and dt > bound * (1 + 1e-12):
         raise StabilityError(
             f"dt={dt:.3e} exceeds the advective step bound {bound:.3e} for this grid"
         )
-
-    n_steps = int(np.ceil(horizon / dt - 1e-12))
-    n_frames = min(n_frames, n_steps)
-    stride = int(np.ceil(n_steps / n_frames))
-    n_steps = stride * int(np.ceil(n_steps / stride))
     dt = horizon / n_steps
     n_frames = n_steps // stride
 
     gamma_arr = _prepare_gamma(gamma, grid, vset)
-    stepper = _Stepper(vset, grid, boundary, dt, control=control)
+    stepper = _Stepper(vset, grid, boundary, dt, drifts)
     W = gamma_arr.copy()
     frames = np.empty((n_frames + 1,) + W.shape)
     frames[0] = W
@@ -545,9 +530,15 @@ class QuadratureContext:
     Time integrals use the midpoint rule on frame intervals (fields averaged
     between adjacent frames); space integrals use the grid's trapezoid rule.
     The chi weights chi(theta_v(w)) at the midpoints are computed once and
-    reused by the Gram matrix of the pi inner product.  The weak residual is
-    linear in the test function, so the trajectory fixes its weights: the
-    constructor stores them once and `linear_residual` pairs them with G.
+    reused by the Gram matrix of the pi inner product.  The weak residual of
+    a test function G, zero on solutions,
+
+        endpoint pairings - int <w, dG/dt + (1/2) Lap G>
+        + (1/2) int [b . d1G|_{u1=1} - a . d1G|_{u1=0}]
+        - int sum_v chi_v sum_i v_i (vtilde . d_i G),
+
+    is linear in G, so the trajectory fixes its weights: the constructor
+    stores them once and `gram` contracts them with the factors of G.
     """
 
     def __init__(self, traj: FieldTrajectory, vset: VelocitySet):
@@ -572,56 +563,62 @@ class QuadratureContext:
         th = theta_all(lam, vset)
         self.chi = (th * (1.0 - th)).reshape(w_mid.shape[:-1] + (len(vset),))
 
-        # weights of the weak residual: w at the endpoints, then dt_f w w_mid
-        # against dG/dt + (1/2) Lap G, then the gradient weights holding the
-        # flux term -dt_f w sum_v chi_v vtilde_k v_i and the wall terms
+        # weights of the weak residual, against G at the frame midpoints
+        # (dG/dt) and the ends (G(T), G(0)): -dt_f w w_mid, w w(T), -w w(0);
+        # against (Lap G, d_1 G, ..., d_d G) at the midpoints: -(1/2) dt_f w w_mid
+        # and the flux term -dt_f w sum_v chi_v vtilde_k v_i with the wall terms
         # (1/2) dt_f (b, -a) on d_1 G at u_1 = 1 and u_1 = 0
-        self.end_weights = self.w_space[..., None] * traj.values[[-1, 0]]
         dtw = (self.dt_f.reshape((-1,) + (1,) * grid.d) * self.w_space)[..., None]
-        self.bulk_weights = dtw * w_mid
-        gw = -np.einsum("f...v,vk,vi->f...ik", dtw * self.chi, vset.vtilde,
-                        vset.velocities)
+        ends = self.w_space[..., None] * traj.values[[-1, 0]]
+        self.value_weights = np.concatenate([-dtw * w_mid, ends[:1], -ends[1:]])
+        cw = dtw * self.chi
+        gw = -np.einsum("f...v,vk,vi->f...ik", cw, vset.vtilde, vset.velocities)
         half = 0.5 * self.dt_f.reshape((-1,) + (1,) * grid.d)
         tw = grid.transverse_weights().reshape(grid.tshape)[..., None]
         gw[:, -1, ..., 0, :] += half * tw * traj.boundary.b
         gw[:, 0, ..., 0, :] -= half * tw * traj.boundary.a
-        self.grad_weights = gw
-
-    def linear_residual(self, G, grad=None) -> float:
-        """Weak-form residual of the trajectory against G (zero on solutions).
-
-        endpoint pairings - int <w, dG/dt + (1/2) Lap G>
-        + (1/2) int [b . d1G|_{u1=1} - a . d1G|_{u1=0}]
-        - int sum_v chi_v sum_i v_i (vtilde . d_i G),
-        as four inner products of G with the stored weights (`grad`: G's
-        gradient at the time midpoints, if already built).
-        """
-        grid, t_mid = self.grid, self.t_mid
-        ends = G.values(self.t_ends, grid)
-        grad = G.gradient(t_mid, grid) if grad is None else grad
-        return float(
-            np.vdot(self.end_weights[0], ends[1]) - np.vdot(self.end_weights[1], ends[0])
-            - np.vdot(self.bulk_weights, G.dt(t_mid, grid) + 0.5 * G.laplacian(t_mid, grid))
-            + np.vdot(self.grad_weights, grad)
-        )
+        self.lap_grad_weights = np.concatenate([-0.5 * (dtw * w_mid)[..., None, :], gw], axis=-2)
+        # the Gram matrix's weights M_cc' = sum_v chi_v vt_vc vt_vc' dt_f w, (nodes, ...)
+        self.pi_weights = np.einsum("f...v,vc,vk->...fck", cw, vset.vtilde,
+                                    vset.vtilde).reshape(self.w_space.size, -1)
 
     def gram(self, fields, linear=None) -> np.ndarray:
         """Gram matrix Q[a, b] = sum_v int int chi_v [vt.grad G_a][vt.grad G_b].
 
-        Q = B B^T (exactly symmetric), where row a of B is vtilde_v . d_i G_a
-        at the time midpoints times sqrt(chi_v dt_f w_space), a real root
-        since the constructor rejects fields outside the open hull.  An array
-        `linear` gets linear[a] = `linear_residual(G_a)` from the same gradient.
+        Fields are sums of terms amp tau(t) s(u) e_c over few distinct factors.
+        The weights M_cc' = sum_v chi_v vt_vc vt_vc' dt_f w, summed over the
+        nodes against grad s . grad s' and over the frames against tau tau',
+        give every pair of terms; the amplitudes map terms to fields, and Q is
+        symmetrized to be exactly symmetric.  An array `linear` gets each
+        field's weak residual, from the stored weights likewise.  Each product
+        has one shape per factor or pair, so no entry depends on other fields.
         """
-        dt = self.dt_f.reshape((-1,) + (1,) * self.grid.d)
-        scale = np.sqrt(self.chi * (dt * self.w_space[None])[..., None])[..., None, :]
-        B = np.empty((len(fields), scale.size * self.grid.d))
-        for a, G in enumerate(fields):
-            grad = G.gradient(self.t_mid, self.grid)
-            if linear is not None:
-                linear[a] = self.linear_residual(G, grad)
-            B[a] = (np.einsum("f...ik,vk->f...iv", grad, self.vset.vtilde) * scale).reshape(-1)
-        return B @ B.T
+        grid, ncomp, n_f, n_x = self.grid, self.vset.d + 1, len(self.dt_f), self.w_space.size
+        terms = [term for G in fields for term in G.terms]
+        taus = list(dict.fromkeys(term[2] for term in terms))
+        spaces = list(dict.fromkeys(term[3] for term in terms))
+        ti, si, ci = np.array([(taus.index(tf), spaces.index(axes), comp)
+                               for comp, _, tf, axes in terms]).T
+        amps = np.zeros((len(fields), len(terms)))
+        amps[[a for a, G in enumerate(fields) for _ in G.terms], range(len(terms))] = \
+            [term[1] for term in terms]
+        val, grad, lap = (np.stack(part).reshape(len(spaces), n_x, -1)
+                          for part in zip(*(_space(axes, grid) for axes in spaces)))
+        tau = np.array([tf.value(self.t_mid) for tf in taus])
+        k = (grad[:, None] * grad[None]).sum(axis=-1)[:, :, None] @ self.pi_weights
+        k = (tau[:, None] * tau[None])[:, :, None, None, None] @ k.reshape(k.shape[:2] + (n_f, -1))
+        quad = amps @ k[ti[:, None], ti, si[:, None], si, 0, ci[:, None] * ncomp + ci] @ amps.T
+        if linear is not None:
+            # time factors (d/dt at the midpoints, at the ends, at the midpoints) against
+            # per-frame sums, the large, nearly cancelling Lap and flux terms summed together
+            frame = np.concatenate([
+                val[:, None, None, :, 0] @ self.value_weights.reshape(n_f + 2, n_x, -1),
+                np.concatenate([lap, grad], axis=-1).reshape(len(spaces), 1, 1, -1)
+                @ self.lap_grad_weights.reshape(n_f, -1, ncomp)], axis=1)[:, :, 0]
+            time = np.concatenate([[tf.d1(self.t_mid) for tf in taus],
+                                   [tf.value(self.t_ends[::-1]) for tf in taus], tau], axis=1)
+            linear[:] = amps @ (time[:, None, None] @ frame)[:, :, 0][ti, si, ci]
+        return 0.5 * (quad + quad.T)
 
     def pi_norm_sq(self, G) -> float:
         return float(self.gram([G])[0, 0])

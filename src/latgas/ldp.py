@@ -198,8 +198,7 @@ def _rate_report(ctx, basis: list) -> RateReport:
 
 def h_norm(traj: FieldTrajectory, control, vset: VelocitySet) -> float:
     """Squared control norm |H|_pi^2 along the trajectory (quadratic in H)."""
-    ctx = QuadratureContext(traj, vset)
-    return ctx.pi_norm_sq(control)
+    return QuadratureContext(traj, vset).pi_norm_sq(control)
 
 
 # --- controlled-equation identity ---------------------------------------------------
@@ -216,8 +215,7 @@ def verify_f06(gamma, boundary: BoundaryData, control, grid: Grid,
                vset: VelocitySet, horizon: float, basis: list,
                dt=None, n_frames: int = 256) -> F06Report:
     """Cross-check cost(controlled solution) against |H|_pi^2 / 4."""
-    # both sides need only the context; holding the trajectory as well would
-    # add its frames to the memory peak of the Gram assembly
+    # both sides read only the context, so the trajectory's frames are not kept
     ctx = QuadratureContext(
         solve_controlled(gamma, boundary, horizon, grid, vset, control=control,
                          dt=dt, n_frames=n_frames), vset)

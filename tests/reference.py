@@ -3,13 +3,15 @@
 The package states the chain once, as the event catalog `RateTable`.  These
 references restate it one event, site or test function at a time on plain
 lattice coordinates: site indices, single-event rates, the neighbor map,
-conserved totals, and the weak residual and cost integrand of one test
-function.
+conserved totals, the control drift at one time, and the weak residual and
+cost integrand of one test function.
 """
 
 from __future__ import annotations
 
+import math
 from enum import Enum
+from functools import reduce
 
 import numpy as np
 
@@ -219,14 +221,64 @@ def basis(d: int, horizon: float, n_space: int, n_transverse: int = 0) -> list:
                          n_transverse)
 
 
-# --- the cost functional for one test function ---------------------------------
+# --- one control or test function at a time ----------------------------------
+
+def drift(control, t: float, grid, vset: VelocitySet) -> np.ndarray:
+    """Controlled velocities v_i - vtilde_v . d_iH at time t, (*shape, d, nv)."""
+    gh = control.gradient(np.array([t]), grid)[0]
+    return vset.velocities.T - np.einsum("...ik,vk->...iv", gh, vset.vtilde)
+
+
+class PerCallDrift:
+    """A `drifts` mapping for `hydro._Stepper` that evaluates `drift` anew at
+    every lookup."""
+
+    def __init__(self, control, grid, vset: VelocitySet):
+        self.control, self.grid, self.vset = control, grid, vset
+
+    def __getitem__(self, t: float) -> np.ndarray:
+        return drift(self.control, t, self.grid, self.vset)
+
+
+def field_dt(G, times, grid) -> np.ndarray:
+    """dG/dt of a `SeparableField` at `times`, (times, *shape, ncomp)."""
+    out = np.zeros((len(times),) + grid.shape + (G.ncomp,))
+    for comp, amp, tau, axes in G.terms:
+        space = reduce(np.multiply.outer, [f.value(grid.axis(i)) for i, f in enumerate(axes)])
+        out[..., comp] += amp * np.multiply.outer(tau.d1(times), space)
+    return out
+
+
+def field_laplacian(G, times, grid) -> np.ndarray:
+    """Lap G of a `SeparableField` at `times`, (times, *shape, ncomp)."""
+    out = np.zeros((len(times),) + grid.shape + (G.ncomp,))
+    for comp, amp, tau, axes in G.terms:
+        vals = [f.value(grid.axis(i)) for i, f in enumerate(axes)]
+        lap = sum(reduce(np.multiply.outer, vals[:i] + [f.d2(grid.axis(i))] + vals[i + 1:])
+                  for i, f in enumerate(axes))
+        out[..., comp] += amp * np.multiply.outer(tau.value(times), lap)
+    return out
+
+
+def linear_residual(ctx: QuadratureContext, G) -> float:
+    """Weak-form residual of the context's trajectory against G (zero on
+    solutions; see `QuadratureContext`): the inner products of G's full
+    arrays, dG/dt at the midpoints and G at the ends, and (Lap G, grad G) at
+    the midpoints, with the context's weights, the products summed by `math.fsum`."""
+    grid, t_mid = ctx.grid, ctx.t_mid
+    values = np.concatenate([field_dt(G, t_mid, grid), G.values(ctx.t_ends[::-1], grid)])
+    lap_grad = np.concatenate([field_laplacian(G, t_mid, grid)[..., None, :],
+                               G.gradient(t_mid, grid)], axis=-2)
+    return math.fsum(np.concatenate([(ctx.value_weights * values).ravel(),
+                                     (ctx.lap_grad_weights * lap_grad).ravel()]))
+
 
 def weak_residual(traj: FieldTrajectory, G, vset: VelocitySet) -> float:
     """Signed LHS-RHS defect of the weak identity for one test function."""
-    return QuadratureContext(traj, vset).linear_residual(G)
+    return linear_residual(QuadratureContext(traj, vset), G)
 
 
 def j_hat(traj: FieldTrajectory, G, vset: VelocitySet) -> float:
     """Cost integrand for one test function: linear residual minus |G|_pi^2."""
     ctx = QuadratureContext(traj, vset)
-    return ctx.linear_residual(G) - ctx.pi_norm_sq(G)
+    return linear_residual(ctx, G) - ctx.pi_norm_sq(G)

@@ -264,6 +264,24 @@ def test_block_centers_outside_the_cylinder_exit_2_before_any_run(tmp_path, caps
     assert "simulate.block_centers [1]" in capsys.readouterr().err
 
 
+def test_block_centers_are_checked_at_every_size_before_any_run(tmp_path, capsys,
+                                                                monkeypatch):
+    # x1 = 20 fits N = 64 but not N = 16, listed second
+    def no_run(*args, **kwargs):
+        raise AssertionError("a replica ran before the block centers were checked")
+
+    monkeypatch.setattr(latgas.cli, "simulate", no_run)
+    config = yaml.safe_load(REFERENCE.read_text())
+    config["model"]["N"] = [64, 16]
+    config["simulate"]["block_centers"] = [20]
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(config))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    assert "a block of radius 1 at N=16" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("sim_*"))
+
+
 def test_hydro_dt_reaches_the_f06_solve(tmp_path):
     # the controlled solve of the F06 check steps at hydro.dt, as the plain one does
     config = yaml.safe_load(RATE_BENCH.read_text())

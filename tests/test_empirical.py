@@ -6,6 +6,7 @@ from latgas.errors import DomainError
 from latgas.grid import Grid, write_field_csv
 from latgas.lattice import Lattice
 from latgas.thermo import theta_all
+from latgas.velocities import VelocitySet
 from reference import conserved_of_state, coords, index, sample_product_state
 
 
@@ -84,6 +85,15 @@ class TestBlockAverage:
                 site = index(lat, (2 + dx, (0 + dy) % 5))
                 brute += conserved_of_state(eta[site], vs2d)
         assert np.allclose(got, brute / 9, atol=1e-14)
+
+    def test_zero_momentum_reads_exactly_zero(self):
+        # 0.35 + 0.1 - 0.35 - 0.1 added site by site in floats is not 0
+        vs = VelocitySet(np.array([[0.5], [-0.5], [0.35], [-0.35], [0.1], [-0.1]]))
+        lat = Lattice(8, 1)
+        eta = np.zeros((7, 6), dtype=np.uint8)
+        eta[[1, 2, 3, 4], [2, 4, 3, 5]] = 1
+        assert sum(conserved_of_state(row, vs)[1] for row in eta[1:6]) != 0.0
+        assert block_average(eta, lat, vs, [4], 2)[0].tolist() == [4 / 5, 0.0]
 
     def test_wall_violation(self, vs2):
         lat = Lattice(8, 1)

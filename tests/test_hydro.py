@@ -21,7 +21,16 @@ from latgas.hydro import (
 )
 from latgas.thermo import domain_of, theta_all, theta_field
 from latgas.velocities import VelocitySet
-from reference import chi, synthetic_trajectory, wall_mode, weak_residual
+from reference import (
+    PerCallDrift,
+    chi,
+    combination,
+    field_dt,
+    field_laplacian,
+    synthetic_trajectory,
+    wall_mode,
+    weak_residual,
+)
 
 T = 0.5
 
@@ -203,6 +212,23 @@ class TestSolver:
         assert deltas[0] / deltas[1] == pytest.approx(2.0, rel=0.15)
         assert deltas[1] / deltas[2] == pytest.approx(2.0, rel=0.15)
 
+    @pytest.mark.parametrize("n_frames", [16, 2])
+    def test_batched_drift_matches_per_call_drift(self, vs2, setup, n_frames):
+        # two frames: the advective limit, not the frame spacing, sets dt
+        grid, bd, gamma = setup
+        ctrl = combination([wall_mode(0, Factor("one"), 1),
+                            wall_mode(1, Factor("cos", 2 * np.pi / 0.1), 2)], [0.2, 0.15])
+        traj = solve_controlled(gamma, bd, 0.1, grid, vs2, control=ctrl, n_frames=n_frames)
+        dt, n_steps = traj.meta["dt"], traj.meta["n_steps"]
+        assert (n_steps > n_frames) == (n_frames == 2)
+        stepper = _Stepper(vs2, grid, bd, dt, PerCallDrift(ctrl, grid, vs2))
+        W = traj.gamma.copy()
+        for step_idx in range(n_steps):
+            W = stepper.step(W, step_idx * dt)
+            if n_steps == n_frames:
+                assert np.array_equal(W, traj.values[step_idx + 1])
+        assert np.array_equal(W, traj.values[-1])
+
     def test_control_must_vanish_on_walls(self, vs2, setup):
         grid, bd, gamma = setup
 
@@ -329,7 +355,7 @@ class TestModes:
         times = np.array([0.123])
         vals = mode.values(times, grid)[0]
         grad = mode.gradient(times, grid)[0]
-        lap = mode.laplacian(times, grid)[0]
+        lap = field_laplacian(mode, times, grid)[0]
         h = grid.h1
         # The mode is A sin(k u); for a sine each stencil below errs by less than
         # its leading truncation term, a multiple of h^2 A k^3 or h^2 A k^4.
@@ -341,7 +367,7 @@ class TestModes:
         num_lap = (vals[2:] - 2 * vals[1:-1] + vals[:-2]) / h**2
         assert np.max(np.abs(num_lap - lap[1:-1])) < h**2 * A * k**4 / 12
         dt_num = (mode.values(times + 1e-6, grid)[0] - mode.values(times - 1e-6, grid)[0]) / 2e-6
-        assert np.max(np.abs(dt_num - mode.dt(times, grid)[0])) < 1e-6
+        assert np.max(np.abs(dt_num - field_dt(mode, times, grid)[0])) < 1e-6
 
     def test_wall_axis_must_be_sine(self):
         with pytest.raises(ValueError, match="sine"):
@@ -353,8 +379,8 @@ class TestModes:
         check_vanishes_on_walls(good, grid, T)
 
     def test_space_arrays_follow_the_grid(self):
-        # the cache is keyed by the grid's value: CPython builds the second
-        # grid where the dropped first one lived, with the same id
+        # CPython builds the second grid where the dropped first one lived,
+        # with the same id
         mode = wall_mode(0, Factor("one"), 1)
         shapes = [mode.values([0.0], Grid(1, m1)).shape for m1 in (33, 65)]
         assert shapes == [(1, 33, 2), (1, 65, 2)]
@@ -364,10 +390,10 @@ class TestModes:
         a = wall_mode(0, Factor("linear", T), 1, amplitude=0.2)
         b = wall_mode(1, Factor("cos", 2 * np.pi / T), 2, amplitude=0.5)
         both = SeparableField(2, a.terms + b.terms)
-        for part in ("values", "dt", "gradient", "laplacian"):
-            assert np.array_equal(getattr(both, part)(times, grid),
-                                  getattr(a, part)(times, grid)
-                                  + getattr(b, part)(times, grid))
+        for part in (SeparableField.values, SeparableField.gradient, field_dt,
+                     field_laplacian):
+            assert np.array_equal(part(both, times, grid),
+                                  part(a, times, grid) + part(b, times, grid))
 
 
 class TestWeakResidual:

@@ -10,6 +10,7 @@ from latgas.hydro import (
     Factor,
     FieldTrajectory,
     QuadratureContext,
+    SeparableField,
     solve_hydro,
 )
 from latgas.ldp import (
@@ -19,7 +20,16 @@ from latgas.ldp import (
     rate_estimate,
     verify_f06,
 )
-from reference import basis, combination, j_hat, synthetic_trajectory, wall_mode
+from reference import (
+    basis,
+    combination,
+    field_dt,
+    field_laplacian,
+    j_hat,
+    linear_residual,
+    synthetic_trajectory,
+    wall_mode,
+)
 
 T = 0.5
 
@@ -122,7 +132,7 @@ def einsum_residual(ctx, traj, G):
     ends = G.values(traj.times[[0, -1]], grid)
     endpoint = np.sum(w * traj.values[-1] * ends[1]) - np.sum(w * traj.gamma * ends[0])
     w_mid = 0.5 * (traj.values[:-1] + traj.values[1:])
-    dtg = G.dt(ctx.t_mid, grid) + 0.5 * G.laplacian(ctx.t_mid, grid)
+    dtg = field_dt(G, ctx.t_mid, grid) + 0.5 * field_laplacian(G, ctx.t_mid, grid)
     bulk = np.sum(ctx.dt_f * np.sum(np.sum(w_mid * dtg, axis=-1) * ctx.w_space, axis=axes))
     grad = G.gradient(ctx.t_mid, grid)
     tw = grid.transverse_weights().reshape(grid.tshape)[..., None]
@@ -135,12 +145,19 @@ def einsum_residual(ctx, traj, G):
     return float(endpoint - bulk + 0.5 * np.sum(ctx.dt_f * surf) - flux_term)
 
 
+def gram_linear(ctx, fields):
+    """The weak residuals that `gram` writes into its `linear` array."""
+    lin = np.empty(len(fields))
+    ctx.gram(fields, lin)
+    return lin
+
+
 class TestLinearResidual:
     def test_matches_einsum_reference_d1(self, solution):
         vs, grid, bd, gamma, traj = solution
         ctx = QuadratureContext(traj, vs)
         modes = basis(1, T, n_space=3)
-        lin = np.array([ctx.linear_residual(G) for G in modes])
+        lin = gram_linear(ctx, modes)
         ref = np.array([einsum_residual(ctx, traj, G) for G in modes])
         assert np.max(np.abs(lin - ref)) <= 1e-12 * np.max(np.abs(lin))
 
@@ -148,7 +165,7 @@ class TestLinearResidual:
         tr = d2_trajectory()
         ctx = QuadratureContext(tr, vs2d)
         modes = basis(2, D2_HORIZON, n_space=2, n_transverse=1)
-        lin = np.array([ctx.linear_residual(G) for G in modes])
+        lin = gram_linear(ctx, modes)
         ref = np.array([einsum_residual(ctx, tr, G) for G in modes])
         assert np.max(np.abs(lin)) > 1e-3  # the path is not a solution
         assert np.max(np.abs(lin - ref)) <= 1e-12 * np.max(np.abs(lin))
@@ -184,6 +201,30 @@ class TestGram:
         assert np.array_equal(quad, quad.T)
         ref = pairwise_gram(ctx, modes)
         assert np.max(np.abs(quad - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_mixed_terms_match_per_field_references(self, solution, vs2d, d):
+        # one-term modes, a two-term control (both components, different time
+        # factors, the wall factor of a mode) and a mode listed twice
+        if d == 1:
+            vs, traj, horizon = solution[0], solution[-1], T
+        else:
+            vs, traj, horizon = vs2d, d2_trajectory(), D2_HORIZON
+        ctx = QuadratureContext(traj, vs)
+        modes = basis(d, horizon, n_space=2, n_transverse=1)
+        wall, transverse = modes[0].terms[0][3][0], modes[-1].terms[0][3][1:]
+        control = SeparableField(d + 1, [(0, 0.2, Factor("one"), [wall, *transverse]),
+                                         (d, -0.3, Factor("linear", horizon),
+                                          [Factor("sin", 3 * np.pi), *transverse])])
+        fields = modes[:5] + [control, modes[3]] + modes[5:]
+        lin = np.empty(len(fields))
+        quad = ctx.gram(fields, lin)
+        assert np.array_equal(quad, quad.T)
+        ref = pairwise_gram(ctx, fields)
+        assert np.max(np.abs(quad - ref)) <= 1e-13 * np.max(np.abs(ref))
+        ref_lin = np.array([linear_residual(ctx, G) for G in fields])
+        assert np.max(np.abs(lin - ref_lin)) <= 1e-12 * np.max(np.abs(ref_lin))
+        assert np.array_equal(quad[3], quad[6]) and lin[3] == lin[6]
 
 
 class TestRateEstimate:
@@ -302,6 +343,22 @@ class TestControlledIdentity:
         zero = wall_mode(0, Factor("one"), 1, amplitude=0.0)
         verify_f06(gamma, bd, zero, grid, vs, T, basis(1, T, n_space=1), n_frames=8)
         assert len(built) == 1
+
+    def test_one_control_gradient_call(self, solution, monkeypatch):
+        # the drift comes from one batched call, and the Gram matrix and |H|
+        # are built from the control's factors, not from its gradient
+        vs, grid, bd, gamma, traj = solution
+        ctrl = combination([wall_mode(0, Factor("one"), 1), wall_mode(1, Factor("linear", T), 2)],
+                           [0.2, 0.15])
+        calls = []
+
+        def counting(times, grid):
+            calls.append(len(times))
+            return SeparableField.gradient(ctrl, times, grid)
+
+        monkeypatch.setattr(ctrl, "gradient", counting)
+        verify_f06(gamma, bd, ctrl, grid, vs, T, basis(1, T, n_space=1), n_frames=128)
+        assert len(calls) == 1
 
     def test_zero_control_both_sides_vanish(self, solution):
         vs, grid, bd, gamma, traj = solution
