@@ -29,11 +29,11 @@ from .config import (
 from .dynamics import Model, ReservoirProfiles, simulate
 from .empirical import block_average, empirical_measure, l1_distance, smooth
 from .errors import ConfigError, DomainError, LatgasError, NumericalFailure
-from .generator import ALL_PARTS, assemble_exact_generator
+from .generator import assemble_exact_generator
 from .grid import Grid, write_field_csv
 from .hydro import BoundaryData, Factor, SeparableField, solve_hydro
 from .lattice import Lattice
-from .ldp import TIME_MODES, default_basis, rate_estimate, time_factor, verify_f06
+from .ldp import default_basis, rate_estimate, time_factor, verify_f06
 from .thermo import check_in_U, sample_profile_state, theta_field
 
 
@@ -85,19 +85,17 @@ def build_gamma(cfg: ExperimentConfig, walls: tuple, points) -> np.ndarray:
     problem found before any work, so it raises ConfigError (exit 2), not the
     DomainError of a run.
     """
-    spec = cfg.hydro.get("gamma", "linear")
+    spec = cfg.hydro["gamma"]
     ncomp = cfg.model.d + 1
     if spec == "linear":
         a, b = walls
         x = points[..., 0, None]
         values = (1 - x) * a + x * b
-    elif isinstance(spec, list):
+    else:
         if len(spec) != ncomp:
             raise ConfigError(f"hydro.gamma needs {ncomp} component expressions")
         names = [f"u{i}" for i in range(1, cfg.model.d + 1)]
         values = np.stack([compile_expression(s, names)(points) for s in spec], axis=-1)
-    else:
-        raise ConfigError("hydro.gamma must be 'linear' or a list of expressions")
     inside, margin = check_in_U(values, cfg.model.velocities)
     if not inside:
         raise ConfigError("hydro.gamma leaves the open hull of the conserved vectors "
@@ -106,24 +104,23 @@ def build_gamma(cfg: ExperimentConfig, walls: tuple, points) -> np.ndarray:
 
 
 def build_basis(cfg: ExperimentConfig, horizon: float) -> list:
-    factors = [time_factor(tok, horizon) for tok in cfg.ldp.get("time_modes", TIME_MODES)]
+    ldp = cfg.ldp
+    factors = [time_factor(tok, horizon) for tok in ldp["time_modes"]]
     if len(set(factors)) != len(factors):
-        raise ConfigError(f"ldp.time_modes repeats a mode: {cfg.ldp['time_modes']}")
-    return default_basis(cfg.model.d, factors, cfg.ldp.get("n_space_modes", 4),
-                         cfg.ldp.get("n_transverse", 0))
+        raise ConfigError(f"ldp.time_modes repeats a mode: {ldp['time_modes']}")
+    return default_basis(cfg.model.d, factors, ldp["n_space_modes"], ldp["n_transverse"])
 
 
 def build_control(cfg: ExperimentConfig, horizon: float):
     """The control of `ldp.control`, one term per entry, or None."""
-    terms = cfg.ldp.get("control")
+    terms = cfg.ldp["control"]
     if not terms:
         return None
     d = cfg.model.d
     try:
         return SeparableField(d + 1, [
-            (term.get("component", 0), term.get("amplitude", 0.1),
-             time_factor(term.get("time_mode", "const"), horizon),
-             [Factor("sin", np.pi * term.get("space_mode", 1))] + [Factor("one")] * (d - 1))
+            (term["component"], term["amplitude"], time_factor(term["time_mode"], horizon),
+             [Factor("sin", np.pi * term["space_mode"])] + [Factor("one")] * (d - 1))
             for term in terms])
     except ValueError as exc:
         raise ConfigError(f"ldp.control: {exc}") from None
@@ -142,7 +139,7 @@ def _csv_writer(path, header_cols, cfg: ExperimentConfig, units: str):
 
 
 def _out_dir(cfg: ExperimentConfig, args) -> str:
-    directory = args.out or cfg.output.get("directory", "out")
+    directory = args.out or cfg.output["directory"]
     os.makedirs(directory, exist_ok=True)
     return directory
 
@@ -176,23 +173,19 @@ def _replica_cells(cfg: ExperimentConfig, command: str, N: int, replicas: range)
     """
     if command == "converge":
         sec = cfg.converge
-        horizon = sec.get("t_compare", 0.25)
+        horizon = sec["t_compare"]
         times, centers, block_radius = [horizon], [], 0
     else:
         sec = cfg.simulate
-        horizon = sec.get("horizon", 0.5)
-        block_radius = sec.get("block_radius", 1)
-        times = (sec["sample_times"] if "sample_times" in sec
-                 else list(np.linspace(0.0, horizon, sec.get("n_samples", 5))))
-        centers = sec.get("block_centers", "auto")
+        horizon, times = sec["horizon"], sec["sample_times"]
+        block_radius, centers = sec["block_radius"], sec["block_centers"]
         lo, hi = block_radius + 1, N - 1 - block_radius
         if centers == "auto":
             centers = sorted({min(max(c, lo), hi) for c in (N // 4, N // 2, (3 * N) // 4)}) \
                 if hi >= lo else []
-    eps = sec.get("eps", 0.1)
 
     model = build_model(cfg, N)
-    grid = build_grid(cfg, sec.get("grid_m1", 65), cfg.hydro.get("mt"))
+    grid = build_grid(cfg, sec["grid_m1"], cfg.hydro["mt"])
     lat, vset = model.lattice, model.vset
     theta = theta_field(build_gamma(cfg, lattice_walls(model), lat.positions()), vset)
     runs = []
@@ -205,7 +198,7 @@ def _replica_cells(cfg: ExperimentConfig, command: str, N: int, replicas: range)
     # the samples are in increasing time, which `times` need not be
     snapshots = np.array([[eta for _, eta in res.samples] for res in runs], dtype=np.uint8)
     snapshots = snapshots.reshape(len(runs), len(times), lat.n_sites, len(vset))
-    values = smooth(empirical_measure(snapshots, lat, vset), lat, eps, grid)
+    values = smooth(empirical_measure(snapshots, lat, vset), lat, sec["eps"], grid)
     averages = block_average(snapshots, lat, vset, centers, block_radius)
     cells = []
     for res, replica_values, replica_blocks in zip(runs, values, averages):
@@ -223,14 +216,14 @@ def _replica_cells(cfg: ExperimentConfig, command: str, N: int, replicas: range)
 
 def cmd_simulate(cfg: ExperimentConfig, args) -> list:
     sec = cfg.simulate
-    centers, lo = sec.get("block_centers", "auto"), sec.get("block_radius", 1) + 1
+    centers, lo = sec["block_centers"], sec["block_radius"] + 1
     for N in cfg.model.n_values:  # every lattice size, before any replica runs
         if centers != "auto" and any(not lo <= c <= N - lo for c in centers):
             raise ConfigError(f"simulate.block_centers {centers}: a block of radius "
                               f"{lo - 1} at N={N} needs {lo} <= x1 <= {N - lo}")
     out = _out_dir(cfg, args)
     outputs = []
-    grid = build_grid(cfg, sec.get("grid_m1", 65), cfg.hydro.get("mt"))
+    grid = build_grid(cfg, sec["grid_m1"], cfg.hydro["mt"])
     ncomp = cfg.model.d + 1
     for (N, r), res in _map_cells("simulate", cfg, args):
         fpath = os.path.join(out, f"sim_N{N}_r{r}_fields.csv")
@@ -280,39 +273,21 @@ def _initial_data(cfg: ExperimentConfig, grid: Grid):
     return build_gamma(cfg, (boundary.a, boundary.b), grid.nodes()), boundary
 
 
-def _hydro_solve(cfg: ExperimentConfig, m1: int):
+def _hydro_solve(cfg: ExperimentConfig):
     hyd = cfg.hydro
-    grid = build_grid(cfg, m1, hyd.get("mt"))
-    return solve_hydro(*_initial_data(cfg, grid), hyd.get("horizon", 0.5), grid,
-                       cfg.model.velocities, dt=hyd.get("dt"),
-                       n_frames=hyd.get("n_frames", 256))
+    grid = build_grid(cfg, hyd["m1"], hyd["mt"])
+    return solve_hydro(*_initial_data(cfg, grid), hyd["horizon"], grid,
+                       cfg.model.velocities, dt=hyd["dt"], n_frames=hyd["n_frames"])
 
 
 def cmd_hydro(cfg: ExperimentConfig, args) -> list:
     out = _out_dir(cfg, args)
-    m1 = cfg.hydro.get("m1", 129)
-    traj = _hydro_solve(cfg, m1)
+    traj = _hydro_solve(cfg)
     npz = os.path.join(out, "hydro_traj.npz")
     traj.save(npz)
     csv_path = os.path.join(out, "hydro_fields.csv")
     traj.to_csv(csv_path, header_comment=f"config_hash={cfg.config_hash}")
-    outputs = [npz, csv_path]
-    if cfg.hydro.get("refine", False):
-        fine_m1 = 2 * (m1 - 1) + 1
-        fine = _hydro_solve(cfg, fine_m1)
-        coarse_end = traj.values[-1]
-        fine_end = fine.values[-1][::2]
-        ncomp = cfg.model.d + 1
-        table = os.path.join(out, "hydro_convergence.csv")
-        fh, writer = _csv_writer(table, ["component", "l1_error", "linf_error"],
-                                 cfg, f"coarse m1={m1} vs fine m1={fine_m1} at T")
-        with fh:
-            l1 = l1_distance(traj.grid, coarse_end, fine_end)
-            for k in range(ncomp):
-                linf = float(np.max(np.abs(coarse_end[..., k] - fine_end[..., k])))
-                writer.writerow([k, f"{l1[k]:.6e}", f"{linf:.6e}"])
-        outputs.append(table)
-    return outputs
+    return [npz, csv_path]
 
 
 # --- converge -------------------------------------------------------------------
@@ -322,18 +297,16 @@ def cmd_converge(cfg: ExperimentConfig, args) -> list:
         raise ConfigError("converge needs model.N to list at least two sizes")
     out = _out_dir(cfg, args)
     conv = cfg.converge
-    t_cmp = conv.get("t_compare", 0.25)
-    grid_m1 = conv.get("grid_m1", 65)
-    ref_m1 = conv.get("reference_m1", 2 * (grid_m1 - 1) + 1)
+    t_cmp, grid_m1, ref_m1 = conv["t_compare"], conv["grid_m1"], conv["reference_m1"]
     if (ref_m1 - 1) % (grid_m1 - 1) != 0:
         raise ConfigError("converge.reference_m1 - 1 must be a multiple of grid_m1 - 1")
     stride = (ref_m1 - 1) // (grid_m1 - 1)
 
-    ref_grid = build_grid(cfg, ref_m1, cfg.hydro.get("mt"))
+    ref_grid = build_grid(cfg, ref_m1, cfg.hydro["mt"])
     ref = solve_hydro(*_initial_data(cfg, ref_grid), t_cmp, ref_grid, cfg.model.velocities,
-                      n_frames=conv.get("n_frames", 64))
+                      n_frames=conv["n_frames"])
     pde_cmp = ref.values[-1][::stride]
-    cmp_grid = build_grid(cfg, grid_m1, cfg.hydro.get("mt"))
+    cmp_grid = build_grid(cfg, grid_m1, cfg.hydro["mt"])
 
     ncomp = cfg.model.d + 1
     per_n = {}
@@ -359,16 +332,17 @@ def cmd_converge(cfg: ExperimentConfig, args) -> list:
 
 def cmd_rate(cfg: ExperimentConfig, args) -> list:
     out = _out_dir(cfg, args)
-    m1 = cfg.hydro.get("m1", 129)
-    horizon = cfg.hydro.get("horizon", 0.5)
+    hyd = cfg.hydro
+    horizon = hyd["horizon"]
     basis = build_basis(cfg, horizon)
     n = len(basis)
-    sizes = sorted(set(cfg.ldp.get("basis_sizes", [min(8, n), min(16, n), n])))
+    sizes = cfg.ldp["basis_sizes"]
+    sizes = sorted(set([min(8, n), min(16, n), n] if sizes is None else sizes))
     bad = [m for m in sizes if not 1 <= m <= n]
     if bad or not sizes:
         raise ConfigError(f"ldp.basis_sizes {bad or 'is empty'}: "
                           f"each entry must lie in 1..{n}, the basis length")
-    traj = _hydro_solve(cfg, m1)
+    traj = _hydro_solve(cfg)
     full = rate_estimate(traj, basis[:sizes[-1]], cfg.model.velocities)
 
     sweep_path = os.path.join(out, "rate_sweep.csv")
@@ -384,7 +358,7 @@ def cmd_rate(cfg: ExperimentConfig, args) -> list:
     if control is not None:
         rep6 = verify_f06(traj.gamma, traj.boundary, control, traj.grid,
                           cfg.model.velocities, horizon, basis,
-                          dt=cfg.hydro.get("dt"), n_frames=cfg.hydro.get("n_frames", 256))
+                          dt=hyd["dt"], n_frames=hyd["n_frames"])
         f06_path = os.path.join(out, "f06_report.txt")
         with open(f06_path, "w") as fh:
             fh.write("format: latgas-f06-report v1\n")
@@ -402,10 +376,8 @@ def cmd_rate(cfg: ExperimentConfig, args) -> list:
 def cmd_exact(cfg: ExperimentConfig, args) -> list:
     out = _out_dir(cfg, args)
     exact = cfg.exact
-    n = exact.get("N", 3)
-    periodic = exact.get("periodic", False)
-    parts = tuple(exact.get("parts", ALL_PARTS))
-    lam = np.array(exact.get("lambda", [0.0] * (cfg.model.d + 1)), dtype=float)
+    n, periodic, parts = exact["N"], exact["periodic"], exact["parts"]
+    lam = np.array(exact["lambda"], dtype=float)
 
     model = build_model(cfg, n, periodic,
                         reservoirs=not periodic and "boundary" in parts)

@@ -1,12 +1,12 @@
 """Experiment configuration: YAML schema, safe expression parsing, manifests.
 
 A config file is a YAML mapping with sections `model`, `simulate`, `hydro`,
-`converge`, `ldp`, `exact`, `output`.  Unknown keys anywhere, and values of
-the wrong type, are rejected with their full path.  Reservoir profiles and
-initial profiles are restricted closed-form expressions (numbers, + - * / **,
-sin, cos, pi, and the allowed coordinates), parsed through the ast module with
-a strict whitelist so they stay twice continuously differentiable and safe to
-evaluate.
+`converge`, `ldp`, `exact`, `output`.  `_SECTIONS` holds every key with its
+reader and default; unknown keys anywhere, and values their reader rejects,
+are rejected with their full path.  Reservoir profiles and initial profiles
+are restricted closed-form expressions (numbers, + - * / **, sin, cos, pi, and
+the allowed coordinates), parsed through the ast module with a strict
+whitelist so they stay twice continuously differentiable and safe to evaluate.
 """
 
 from __future__ import annotations
@@ -17,15 +17,15 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy
 import yaml
 from numpy.random import Generator, Philox, SeedSequence
 
+from .dynamics import ALL_PARTS
 from .errors import ConfigError
-from .generator import ALL_PARTS
 from .velocities import VelocitySet, load_velocity_set
 
 _ALLOWED_FUNCS = {"sin": np.sin, "cos": np.cos}
@@ -93,21 +93,10 @@ def _require_mapping(obj, path):
     return obj
 
 
-def _check_keys(obj: dict, allowed: set, path: str):
-    unknown = set(obj) - allowed
+def _check_keys(obj: dict, allowed, path: str):
+    unknown = set(obj) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} under {path}")
-
-
-def _get(obj, key, path, kind=None, default=None, required=False):
-    if key not in obj:
-        if required:
-            raise ConfigError(f"missing required key {path}.{key}")
-        return default
-    val = obj[key]
-    if kind is not None and not isinstance(val, kind):
-        raise ConfigError(f"{path}.{key} has wrong type {type(val).__name__}")
-    return val
 
 
 @dataclass
@@ -131,17 +120,24 @@ class ModelConfig:
 class ExperimentConfig:
     raw: dict
     model: ModelConfig
-    simulate: dict = field(default_factory=dict)
-    hydro: dict = field(default_factory=dict)
-    converge: dict = field(default_factory=dict)
-    ldp: dict = field(default_factory=dict)
-    exact: dict = field(default_factory=dict)
-    output: dict = field(default_factory=dict)
+    simulate: dict
+    hydro: dict
+    converge: dict
+    ldp: dict
+    exact: dict
+    output: dict
 
     @property
     def config_hash(self) -> str:
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+
+# --- readers: each takes a given value and returns it read, or raises
+# TypeError or ValueError; a `_Rejected` carries the reason for the message
+
+class _Rejected(ValueError):
+    pass
 
 
 def _integer(val) -> int:
@@ -150,16 +146,24 @@ def _integer(val) -> int:
     return int(val)
 
 
-def _count(val) -> int:
-    if _integer(val) < 0:
-        raise ValueError
-    return int(val)
+def _at_least(low: int):
+    def read(val) -> int:
+        try:
+            n = _integer(val)
+        except (TypeError, ValueError, OverflowError):
+            n = None
+        if n is None or n < low:
+            raise _Rejected(f"must be an integer >= {low}")
+        return n
+    return read
 
 
-def _wavenumber(val) -> int:
-    if _integer(val) < 1:
-        raise ValueError
-    return int(val)
+def _of_type(kind):
+    def read(val):
+        if not isinstance(val, kind):
+            raise _Rejected(f"has wrong type {type(val).__name__}")
+        return val
+    return read
 
 
 def _list_of(read):
@@ -170,41 +174,93 @@ def _list_of(read):
     return read_list
 
 
-def _read_section(sec: dict, readers: dict, path: str) -> dict:
-    """A copy of the section with each value read by its key's reader (None
-    keeps it as is) and null values left out, so their keys take their
-    defaults; a value its reader rejects is a ConfigError naming its path."""
-    _check_keys(sec, set(readers), path)
+def _lattice_sizes(val) -> list:
+    try:
+        sizes = [_at_least(2)(n) for n in (val if isinstance(val, list) else [val])]
+    except _Rejected:
+        sizes = []
+    if not sizes:
+        raise _Rejected("must be an integer >= 2 or a list of them")
+    return sizes
+
+
+def _block_centers(val):
+    return val if val == "auto" else _list_of(_integer)(val)
+
+
+def _gamma(val):
+    if val != "linear" and not isinstance(val, list):
+        raise _Rejected("must be 'linear' or a list of expressions")
+    return val
+
+
+def _parts(val) -> tuple:
+    if not isinstance(val, list) or not all(part in ALL_PARTS for part in val):
+        raise _Rejected(f"must be a subset of {list(ALL_PARTS)}, got {val}")
+    return tuple(val)
+
+
+def _control_terms(val) -> list:
+    if not isinstance(val, list):
+        raise _Rejected("must be a list of mappings")
+    return [_read_section(term, _CONTROL, f"ldp.control[{i}]") for i, term in enumerate(val)]
+
+
+def _read_section(sec, schema: dict, path: str) -> dict:
+    """The section with every key of its schema: a given value read by the
+    key's reader, a missing or null one set to the key's default.  A value
+    its reader rejects, or a missing required one, is a ConfigError naming
+    its path."""
+    sec = {} if sec is None else _require_mapping(sec, path)
+    _check_keys(sec, schema, path)
     out = {}
-    for key, val in sec.items():
+    for key, (read, default) in schema.items():
+        val = sec.get(key)
+        if val is None and default is _REQUIRED:
+            raise ConfigError(f"missing required key {path}.{key}")
         try:
-            if val is not None:
-                out[key] = val if readers[key] is None else readers[key](val)
-        except (TypeError, ValueError):
+            out[key] = default if val is None else read(val)
+        except ConfigError:
+            raise
+        except _Rejected as exc:
+            raise ConfigError(f"{path}.{key} {exc}") from None
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"{path}.{key} has wrong type or value {val!r}") from None
     return out
 
 
-# Each section's keys with the reader of their values.  Sections are read
-# into copies, so `raw`, and with it the config hash, keeps the file's values.
-_TOP_KEYS = {"model", "simulate", "hydro", "converge", "ldp", "exact", "output"}
-_MODEL_KEYS = {"d", "velocities", "velocities_file", "alpha", "beta", "N",
-               "seed", "replicas"}
+# Every key of every section with its (reader, default); None defers the
+# value to the command (hydro.mt, hydro.dt, ldp.basis_sizes) or to
+# `parse_config`, which fills the defaults that depend on other keys.
+# Sections are read into copies, so `raw`, and with it the config hash, keeps
+# the file's values.
+_REQUIRED = object()
+_NODES = _at_least(3)  # a grid axis's node count
+# the default ldp.time_modes: constant, linear, and one period of cos and sin
+TIME_MODES = ("const", "linear", "cos:1", "sin:1")
 _SECTIONS = {
-    "simulate": {"horizon": float, "sample_times": _list_of(float), "n_samples": _integer,
-                 "eps": float, "grid_m1": _integer, "block_radius": _count,
-                 "block_centers": lambda v: v if v == "auto" else _list_of(_integer)(v)},
-    "hydro": {"m1": _integer, "mt": _integer, "horizon": float, "n_frames": _integer,
-              "dt": float, "refine": None, "gamma": None},
-    "converge": {"t_compare": float, "eps": float, "grid_m1": _integer,
-                 "reference_m1": _integer, "n_frames": _integer},
-    "ldp": {"n_space_modes": _integer, "time_modes": None,
-            "n_transverse": _integer, "basis_sizes": _list_of(_integer), "control": None},
-    "exact": {"N": None, "periodic": None, "parts": None, "lambda": None},
-    "output": {"directory": None},
+    "model": {"d": (_at_least(1), _REQUIRED), "velocities": (_of_type(list), None),
+              "velocities_file": (_of_type(str), None),
+              "alpha": (_list_of(str), _REQUIRED), "beta": (_list_of(str), _REQUIRED),
+              "N": (_lattice_sizes, _REQUIRED), "seed": (_at_least(0), 0),
+              "replicas": (_at_least(1), 1)},
+    "simulate": {"horizon": (float, 0.5), "sample_times": (_list_of(float), None),
+                 "eps": (float, 0.1), "grid_m1": (_NODES, 65),
+                 "block_radius": (_at_least(0), 1), "block_centers": (_block_centers, "auto")},
+    "hydro": {"m1": (_NODES, 129), "mt": (_NODES, None), "horizon": (float, 0.5),
+              "n_frames": (_at_least(1), 256), "dt": (float, None),
+              "gamma": (_gamma, "linear")},
+    "converge": {"t_compare": (float, 0.25), "eps": (float, 0.1), "grid_m1": (_NODES, 65),
+                 "reference_m1": (_NODES, None), "n_frames": (_at_least(1), 64)},
+    "ldp": {"n_space_modes": (_at_least(1), 4), "time_modes": (_list_of(str), TIME_MODES),
+            "n_transverse": (_at_least(0), 0), "basis_sizes": (_list_of(_integer), None),
+            "control": (_control_terms, ())},
+    "exact": {"N": (_at_least(2), 3), "periodic": (_of_type(bool), False),
+              "parts": (_parts, ALL_PARTS), "lambda": (_of_type(list), None)},
+    "output": {"directory": (str, "out")},
 }
-_CONTROL_KEYS = {"component": _integer, "amplitude": float, "space_mode": _wavenumber,
-                 "time_mode": None}
+_CONTROL = {"component": (_integer, 0), "amplitude": (float, 0.1),
+            "space_mode": (_at_least(1), 1), "time_mode": (str, "const")}
 
 
 def load_config(path, seed=None, replicas=None) -> ExperimentConfig:
@@ -223,81 +279,50 @@ def load_config(path, seed=None, replicas=None) -> ExperimentConfig:
 
 
 def parse_config(raw, base_dir: str = ".") -> ExperimentConfig:
+    """Every section read through its schema, then the checks and defaults
+    that tie keys to each other."""
     raw = _require_mapping(raw, "config")
-    _check_keys(raw, _TOP_KEYS, "config")
-    model_raw = _require_mapping(_get(raw, "model", "config", required=True), "model")
-    _check_keys(model_raw, _MODEL_KEYS, "model")
-
-    d = _get(model_raw, "d", "model", int, required=True)
-    if d < 1:
-        raise ConfigError("model.d must be >= 1")
-    if "velocities" in model_raw and "velocities_file" in model_raw:
+    _check_keys(raw, _SECTIONS, "config")
+    sections = {name: _read_section(raw.get(name), schema, name)
+                for name, schema in _SECTIONS.items()}
+    m = sections.pop("model")
+    if m["velocities"] is not None and m["velocities_file"] is not None:
         raise ConfigError("give model.velocities or model.velocities_file, not both")
-    if "velocities_file" in model_raw:
-        vpath = model_raw["velocities_file"]
-        if not os.path.isabs(vpath):
-            vpath = os.path.join(base_dir, vpath)
+    if m["velocities_file"] is not None:
         try:
-            vset = load_velocity_set(vpath)
+            vset = load_velocity_set(os.path.join(base_dir, m["velocities_file"]))
         except (OSError, ValueError) as exc:
             raise ConfigError(f"model.velocities_file: {exc}") from None
+    elif m["velocities"] is None:
+        raise ConfigError("missing required key model.velocities")
     else:
-        rows = _get(model_raw, "velocities", "model", list, required=True)
+        rows = m["velocities"]
         try:
             vset = VelocitySet(np.array(rows, dtype=float).reshape(len(rows), -1))
         except ValueError as exc:
             raise ConfigError(f"model.velocities: {exc}") from None
+    d = m["d"]
     if vset.d != d:
         raise ConfigError(f"velocity set is {vset.d}-dimensional, model.d = {d}")
-
-    alpha = _get(model_raw, "alpha", "model", list, required=True)
-    beta = _get(model_raw, "beta", "model", list, required=True)
-    if len(alpha) != len(vset) or len(beta) != len(vset):
+    if len(m["alpha"]) != len(vset) or len(m["beta"]) != len(vset):
         raise ConfigError("model.alpha/beta need one entry per velocity")
-
-    n_raw = _get(model_raw, "N", "model", required=True)
-    n_values = [n_raw] if isinstance(n_raw, int) else list(n_raw)
-    if (not n_values or not all(isinstance(n, int) and n >= 2 for n in n_values)):
-        raise ConfigError("model.N must be an integer >= 2 or a list of them")
-
-    seed = _get(model_raw, "seed", "model", int, default=0)
-    replicas = _get(model_raw, "replicas", "model", int, default=1)
-    if replicas < 1:
-        raise ConfigError("model.replicas must be >= 1")
-
-    model = ModelConfig(d=d, velocities=vset,
-                        alpha_exprs=[str(a) for a in alpha],
-                        beta_exprs=[str(b) for b in beta],
-                        n_values=n_values, seed=seed, replicas=replicas)
+    model = ModelConfig(d=d, velocities=vset, alpha_exprs=m["alpha"], beta_exprs=m["beta"],
+                        n_values=m["N"], seed=m["seed"], replicas=m["replicas"])
     # compile now so bad expressions fail at load time
     model.profile_callables()
 
-    sections = {name: _read_section(_require_mapping(raw.get(name) or {}, name), readers, name)
-                for name, readers in _SECTIONS.items()}
-    control = sections["ldp"].get("control")
-    if control:
-        if not isinstance(control, list):
-            raise ConfigError("ldp.control must be a list of mappings")
-        sections["ldp"]["control"] = [
-            _read_section(_require_mapping(term, f"ldp.control[{i}]"), _CONTROL_KEYS,
-                          f"ldp.control[{i}]")
-            for i, term in enumerate(control)]
-    n_exact = sections["exact"].get("N", 3)
-    if not isinstance(n_exact, int) or n_exact < 2:
-        raise ConfigError("exact.N must be an integer >= 2")
-    parts = _get(sections["exact"], "parts", "exact", list, default=[])
-    if any(part not in ALL_PARTS for part in parts):
-        raise ConfigError(f"exact.parts must be a subset of {list(ALL_PARTS)}, got {parts}")
-    _get(sections["exact"], "periodic", "exact", bool)
-    lam = _get(sections["exact"], "lambda", "exact", list, default=[0.0] * (d + 1))
+    simulate, converge, exact = sections["simulate"], sections["converge"], sections["exact"]
+    if simulate["sample_times"] is None:
+        simulate["sample_times"] = list(np.linspace(0.0, simulate["horizon"], 5))
+    if converge["reference_m1"] is None:
+        converge["reference_m1"] = 2 * (converge["grid_m1"] - 1) + 1
+    if exact["lambda"] is None:
+        exact["lambda"] = [0.0] * (d + 1)
+    lam = exact["lambda"]
     if len(lam) != d + 1 or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
                                     for x in lam):
         raise ConfigError(f"exact.lambda needs {d + 1} numbers, got {lam}")
-
-    return ExperimentConfig(raw=raw, model=model, simulate=sections["simulate"],
-                            hydro=sections["hydro"], converge=sections["converge"],
-                            ldp=sections["ldp"], exact=sections["exact"],
-                            output=sections["output"])
+    return ExperimentConfig(raw=raw, model=model, **sections)
 
 
 def replica_rng(seed: int, *key) -> Generator:

@@ -175,14 +175,13 @@ class Model:
     lattice: Lattice
     vset: VelocitySet
     profiles: Optional[ReservoirProfiles] = None
-    collisions: Optional[CollisionSet] = field(default=None)
     include_collisions: bool = True
+    collisions: Optional[CollisionSet] = field(init=False)
     jump_probs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.jump_probs = jump_probabilities(self.vset)
-        if self.collisions is None and self.include_collisions:
-            self.collisions = CollisionSet(self.vset)
+        self.collisions = CollisionSet(self.vset) if self.include_collisions else None
 
     @property
     def time_scale(self) -> float:
@@ -199,6 +198,8 @@ class Model:
 
 EXCLUSION, COLLISION, BOUNDARY = 0, 1, 2
 KIND_NAMES = ("exclusion", "collision", "boundary")
+# the event families the exact generator assembles (`exact.parts`)
+ALL_PARTS = ("boundary", "collision", "exclusion")
 
 # Consecutive rejected candidates between absorbing-state checks.  In place
 # of an event family the compiled loop returns CHECK_ABSORBING when a check
@@ -298,9 +299,8 @@ class RateTable:
             np.stack((self.ex_src[along], self.ex_tgt[along]), axis=1), entry,
             self.ex_pn[entry])
 
-        quads = []
-        if model.include_collisions and model.collisions is not None:
-            quads = [(q.v, q.w, q.vp, q.wp) for q in model.collisions.active]
+        quads = [] if model.collisions is None else \
+            [(q.v, q.w, q.vp, q.wp) for q in model.collisions.active]
         quads = np.array(quads, dtype=np.int64).reshape(-1, 4)
         sites = np.arange(lat.n_sites)[:, None, None]
         self.col_slots = (sites * nv + quads).reshape(-1, 4)

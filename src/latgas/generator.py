@@ -31,11 +31,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import Model, RateTable
+from .dynamics import ALL_PARTS, Model, RateTable
 from .errors import SizeError
 
 STATE_SPACE_CAP = 2**20
-ALL_PARTS = ("boundary", "collision", "exclusion")
 
 
 def _rate_tables(table: RateTable, parts, scale: float) -> tuple:

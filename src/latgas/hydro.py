@@ -239,18 +239,6 @@ class FieldTrajectory:
             meta=np.array(json.dumps(self.meta)),
         )
 
-    @classmethod
-    def load(cls, path) -> "FieldTrajectory":
-        """Read a file written by `save`; files without meta load with meta {}."""
-        data = np.load(path)
-        d, m1, mt = (int(x) for x in data["grid"])
-        return cls(
-            grid=Grid(d, m1, mt), times=data["times"], values=data["values"],
-            gamma=data["gamma"],
-            boundary=BoundaryData(a=data["bound_a"], b=data["bound_b"]),
-            meta=json.loads(str(data["meta"])) if "meta" in data.files else {},
-        )
-
     def to_csv(self, path, header_comment: str = "") -> None:
         """Long-format CSV: t, u_1..u_d, comp_0..comp_d per row."""
         write_field_csv(path, self.grid, self.times, self.values,
@@ -432,10 +420,7 @@ class _Stepper:
 
 
 def _prepare_gamma(gamma, grid: Grid, vset: VelocitySet) -> np.ndarray:
-    if callable(gamma):
-        arr = np.asarray(gamma(grid.nodes()), dtype=float)
-    else:
-        arr = np.asarray(gamma, dtype=float)
+    arr = np.asarray(gamma, dtype=float)
     expected = grid.shape + (vset.d + 1,)
     if arr.shape != expected:
         raise ValueError(f"initial profile shape {arr.shape}, expected {expected}")

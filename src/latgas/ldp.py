@@ -48,10 +48,6 @@ DEFAULT_REG_SCALE = 1e-10
 
 # --- vector test basis ------------------------------------------------------------
 
-# The default ldp.time_modes: constant, linear, and one period of cos and sin.
-TIME_MODES = ("const", "linear", "cos:1", "sin:1")
-
-
 def time_factor(token, horizon: float) -> Factor:
     """The time factor a time-mode token names: const | linear | cos:N | sin:N,
     N >= 1 periods over the horizon."""
@@ -150,34 +146,6 @@ class RateReport:
             for row in self.quad_matrix:
                 fh.write("  " + " ".join(f"{x:.17g}" for x in row) + "\n")
 
-    @classmethod
-    def load(cls, path) -> "RateReport":
-        scalars, quadrature, arrays, rows = {}, {}, {}, []
-        in_matrix = False
-        with open(path) as fh:
-            for line in fh:
-                if in_matrix:
-                    rows.append([float(x) for x in line.split()])
-                    continue
-                key, _, rest = line.partition(":")
-                key, rest = key.strip(), rest.strip()
-                if key == "quad_matrix":
-                    in_matrix = True
-                elif key in ("linear_term", "coefficients"):
-                    arrays[key] = np.array([float(x) for x in rest.split()])
-                elif key.startswith("quadrature."):
-                    quadrature[key.split(".", 1)[1]] = rest
-                elif key != "format":
-                    scalars[key] = rest
-        return cls(
-            estimate=float(scalars["estimate"]),
-            coefficients=arrays["coefficients"],
-            linear_term=arrays["linear_term"],
-            quad_matrix=np.array(rows),
-            basis_size=int(scalars["basis_size"]),
-            regularization=float(scalars["regularization"]),
-            quadrature=quadrature,
-        )
 
 
 def rate_estimate(traj: FieldTrajectory, basis: list, vset: VelocitySet) -> RateReport:

@@ -15,6 +15,7 @@ from functools import reduce
 
 import numpy as np
 
+from latgas.config import TIME_MODES
 from latgas.dynamics import COLLISION, EXCLUSION, jump_probabilities
 from latgas.hydro import (
     BoundaryData,
@@ -23,7 +24,7 @@ from latgas.hydro import (
     QuadratureContext,
     SeparableField,
 )
-from latgas.ldp import TIME_MODES, default_basis, time_factor
+from latgas.ldp import default_basis, time_factor
 from latgas.thermo import sample_profile_state, theta_all
 from latgas.velocities import VelocitySet
 

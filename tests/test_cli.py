@@ -14,12 +14,12 @@ import latgas.dynamics
 import latgas.hydro
 from latgas import eventloop
 from latgas.cli import build_model, lattice_walls, main
-from latgas.config import parse_config
+from latgas.config import _CONTROL, _SECTIONS, load_config, parse_config
 from latgas.dynamics import RateTable
 from latgas.errors import ConfigError, ConvergenceError, DomainError
 from latgas.generator import STATE_SPACE_CAP, ExactGenerator
 from latgas.grid import Grid
-from latgas.hydro import BoundaryData, FieldTrajectory
+from latgas.hydro import BoundaryData
 from latgas.thermo import theta_field
 
 
@@ -52,7 +52,7 @@ def test_hydro_dt_against_advective_bound(tmp_path, capsys):
         path.write_text(yaml.safe_dump(config))
         assert main(["hydro", "--config", str(path), "--out", str(out)]) == code
     assert "advective" in capsys.readouterr().err
-    meta = FieldTrajectory.load(out / "hydro_traj.npz").meta
+    meta = json.loads(str(np.load(out / "hydro_traj.npz")["meta"]))
     assert meta == {"dt": pytest.approx(0.005), "n_steps": 2, "controlled": False}
 
 
@@ -188,6 +188,28 @@ def test_exact_section_errors_exit_2(tmp_path, capsys, exact, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model,key", [
+    ({"d": 0}, "model.d"),
+    ({"N": 1}, "model.N"),
+    ({"N": [4, 1]}, "model.N"),
+    ({"replicas": 0}, "model.replicas"),
+    ({"seed": "x"}, "model.seed"),
+    ({"velocities_file": "v.txt"}, "model.velocities_file"),
+    ({"alpha": ["0.3"]}, "model.alpha"),
+    ({"alpha": None}, "model.alpha"),
+])
+def test_model_section_errors_exit_2(tmp_path, capsys, model, key):
+    # a None value deletes the key
+    path = pathlib.Path(tiny_config(tmp_path))
+    config = yaml.safe_load(path.read_text())
+    config["model"].update(model)
+    config["model"] = {k: v for k, v in config["model"].items() if v is not None}
+    path.write_text(yaml.safe_dump(config))
+    assert main(["exact", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # One velocity at rest: the conserved vectors (1, 0) span a line, so the hull
 # U has no interior and the (rho, p) parametrization is degenerate.  Eighteen
 # velocities pass the cap of 16 on velocity sets, which is checked before the
@@ -239,6 +261,12 @@ RATE_BENCH = pathlib.Path(__file__).parents[1] / "perfbench" / "configs" / "rate
     ("rate", "ldp", "time_modes", ["const", "const"]),
     ("rate", "ldp", "control", [{"amplitude": "big"}]),
     ("simulate", "simulate", "block_radius", -1),
+    # a given value never falls back to its default
+    ("converge", "converge", "reference_m1", 0),
+    ("exact", "exact", "lambda", []),
+    ("converge", "converge", "grid_m1", 1),
+    ("hydro", "hydro", "n_frames", 0),
+    ("rate", "ldp", "n_transverse", -1),
 ])
 def test_values_of_the_wrong_type_exit_2(tmp_path, capsys, command, section, key, value):
     config = yaml.safe_load(REFERENCE.read_text())
@@ -305,6 +333,52 @@ def test_numbers_written_as_text_still_read():
     assert cfg.converge["eps"] == 1e-3
     assert cfg.converge["grid_m1"] == 65 and isinstance(cfg.converge["grid_m1"], int)
     assert cfg.raw["converge"]["eps"] == "1e-3"  # the hash covers the file's values
+
+
+class RecordingSection(dict):
+    """A parsed config section that records each key read from it."""
+
+    def __init__(self, values, name, reads):
+        super().__init__(values)
+        self.name, self.reads = name, reads
+
+    def __getitem__(self, key):
+        self.reads.add((self.name, key))
+        return super().__getitem__(key)
+
+
+def test_every_config_key_is_read(tmp_path, monkeypatch):
+    # No key is accepted and then ignored: over the five commands, on a
+    # config with a control and with one command run without --out, the keys
+    # read from the parsed sections and control terms are the schema's keys.
+    # `parse_config` reads the model section whole into `cfg.model`.
+    reads = set()
+
+    def recording_config(*args, **kwargs):
+        cfg = load_config(*args, **kwargs)
+        sections = {name: dict(getattr(cfg, name)) for name in _SECTIONS if name != "model"}
+        sections["ldp"]["control"] = [RecordingSection(term, "ldp.control", reads)
+                                      for term in sections["ldp"]["control"]]
+        for name, values in sections.items():
+            setattr(cfg, name, RecordingSection(values, name, reads))
+        return cfg
+
+    monkeypatch.setattr(latgas.cli, "load_config", recording_config)
+    path = pathlib.Path(tiny_config(tmp_path))
+    config = yaml.safe_load(path.read_text())
+    config["ldp"]["control"] = [{"component": 1, "amplitude": 0.05, "space_mode": 2,
+                                 "time_mode": "linear"}]
+    config["output"] = {"directory": "outdir"}
+    path.write_text(yaml.safe_dump(config))
+    monkeypatch.chdir(tmp_path)
+    for command in ("simulate", "hydro", "converge", "rate"):
+        assert main([command, "--config", str(path), "--out", "out"]) == 0
+    assert main(["exact", "--config", str(path)]) == 0
+    assert (tmp_path / "out" / "f06_report.txt").exists()
+    assert (tmp_path / "outdir" / "exact_report.txt").exists()
+    schema = {(name, key) for name, keys in _SECTIONS.items() if name != "model"
+              for key in keys}
+    assert reads == schema | {("ldp.control", key) for key in _CONTROL}
 
 
 def test_commands_load_no_scipy_submodule(tmp_path):

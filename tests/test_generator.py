@@ -5,9 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from latgas.dynamics import Model, ReservoirProfiles
+from latgas.dynamics import ALL_PARTS, Model, ReservoirProfiles
 from latgas.errors import SizeError
-from latgas.generator import ALL_PARTS, _cuts, _expand, _rate_tables, assemble_exact_generator
+from latgas.generator import _cuts, _expand, _rate_tables, assemble_exact_generator
 from latgas.lattice import Lattice
 from latgas.velocities import VelocitySet, two_velocity_set
 from reference import (
