@@ -10,7 +10,6 @@ hash in a header comment.  Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import os
 import sys
@@ -29,7 +28,7 @@ from .config import (
 from .dynamics import Model, ReservoirProfiles, simulate
 from .empirical import block_average, empirical_measure, l1_distance, smooth
 from .errors import ConfigError, DomainError, LatgasError, NumericalFailure
-from .generator import assemble_exact_generator
+from .generator import assemble_exact_generator, max_abs
 from .grid import Grid, write_field_csv
 from .hydro import BoundaryData, Factor, SeparableField, solve_hydro
 from .lattice import Lattice
@@ -256,6 +255,8 @@ def _map_cells(command: str, cfg: ExperimentConfig, args) -> list:
     if k == 1 or len(tasks) <= 1:
         blocks = [_replica_cells(cfg, command, *task) for task in tasks]
     else:
+        import concurrent.futures  # only a pool needs it (6.6 ms)
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=k) as pool:
             futures = [pool.submit(_replica_cells, cfg, command, *task) for task in tasks]
             blocks = [f.result() for f in futures]
@@ -383,7 +384,7 @@ def cmd_exact(cfg: ExperimentConfig, args) -> list:
                         reservoirs=not periodic and "boundary" in parts)
     gen = assemble_exact_generator(model, parts=parts)
 
-    row_max = float(np.max(np.abs(gen.row_sums())))
+    row_max = max_abs(gen.row_sums())
     mu = gen.product_measure(lam)
     inv_res = gen.invariance_residual(mu)
     audit = assemble_exact_generator(model, parts=("collision",)) \

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import importlib.util
 import json
 import os
 import tempfile
@@ -20,7 +21,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 import yaml
 from numpy.random import Generator, Philox, SeedSequence
 
@@ -335,6 +335,21 @@ def replica_rng(seed: int, *key) -> Generator:
     return Generator(Philox(ss))
 
 
+def _scipy_version() -> str:
+    """The `version = "..."` string of scipy's installed `version.py`, which
+    `scipy.__version__` re-exports, read without importing scipy (no command
+    uses it); `unknown` when the file cannot be read."""
+    try:
+        directory = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        with open(os.path.join(directory, "version.py")) as fh:
+            for line in fh:
+                if line.startswith("version = "):
+                    return ast.literal_eval(line[len("version = "):].strip())
+    except (AttributeError, OSError, SyntaxError, TypeError, ValueError):
+        pass
+    return "unknown"
+
+
 def write_manifest(path, command: str, config: ExperimentConfig, cells: list,
                    outputs: list, wallclock: float) -> None:
     """Atomically write the run manifest (temp file + rename).
@@ -348,6 +363,8 @@ def write_manifest(path, command: str, config: ExperimentConfig, cells: list,
     `blas_threads` records the OPENBLAS_NUM_THREADS and OMP_NUM_THREADS values
     the run saw (`unset` if absent): outputs that go through BLAS, such as
     `rate_report.txt`, are byte-reproducible only at one BLAS thread.
+    `scipy_version` is read from scipy's `version.py` (`_scipy_version`), so
+    writing the manifest imports nothing.
     """
     import latgas
 
@@ -357,7 +374,7 @@ def write_manifest(path, command: str, config: ExperimentConfig, cells: list,
         f"config_hash: {config.config_hash}",
         f"package_version: {latgas.__version__}",
         f"numpy_version: {np.__version__}",
-        f"scipy_version: {scipy.__version__}",
+        f"scipy_version: {_scipy_version()}",
         " ".join(["blas_threads:"] + [f"{name}={os.environ.get(name, 'unset')}" for name
                                       in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")]),
         f"master_seed: {config.model.seed}",

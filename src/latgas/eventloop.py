@@ -9,7 +9,9 @@ so concurrent worker processes may build at the same time.  When
 `__pycache__/` is not writable the library goes to a private temporary
 directory.  `load_kernel` returns None when the source or a compiler is
 missing or the build fails; `SimState` then runs its Python loop, which
-gives the same stream.
+gives the same stream.  `find_compiler` and `_build`, which run only when
+the kernel must be compiled, import `shutil` and `subprocess` themselves, so
+a process that loads the cached library never imports `subprocess`.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
-import shutil
-import subprocess
 import tempfile
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_eventloop.c")
@@ -54,6 +54,8 @@ _kernel = None  # None: not tried yet; False: unavailable
 
 def find_compiler():
     """Path of the system C compiler, or None."""
+    import shutil
+
     return shutil.which("gcc") or shutil.which("cc")
 
 
@@ -94,6 +96,8 @@ def _load():
 
 def _build(compiler: str, directory: str, name: str):
     """Compile into directory/name; None if the compiler fails."""
+    import subprocess
+
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".eventloop-", suffix=".so")
     os.close(fd)

@@ -35,6 +35,12 @@ from .dynamics import ALL_PARTS, Model, RateTable
 from .errors import SizeError
 
 STATE_SPACE_CAP = 2**20
+CHUNK = 2**14  # states per slice of an in-place update over all states
+
+
+def max_abs(x: np.ndarray) -> float:
+    """max|x|, without the full-size temporary of np.abs."""
+    return float(max(x.max(), -x.min()))
 
 
 def _rate_tables(table: RateTable, parts, scale: float) -> tuple:
@@ -167,7 +173,9 @@ class ExactGenerator:
         return mat
 
     def row_sums(self) -> np.ndarray:
-        return _exit_rates(self.flips, self.tables, self.n_bits) - self.exit
+        out = _exit_rates(self.flips, self.tables, self.n_bits)
+        out -= self.exit
+        return out
 
     def state_bits(self) -> np.ndarray:
         states = np.arange(self.n_states, dtype=np.int64)
@@ -184,12 +192,14 @@ class ExactGenerator:
         weights = np.ones(1)
         for _ in range(self.model.lattice.n_sites):
             weights = np.kron(site, weights)
-        return weights / weights.sum()
+        weights /= weights.sum()
+        return weights
 
     def left(self, mu) -> np.ndarray:
         """mu L for a row vector mu over all states: per mask, the flux
         mu rate out of each firing pattern's view lands on the view at
-        pattern ^ mask, masks added in table order; then -mu exit."""
+        pattern ^ mask, masks added in table order; then -mu exit, in place
+        one slice of CHUNK states at a time."""
         out = np.zeros(self.n_states)
         mu = np.asarray(mu)
         for flip, rates in zip(self.flips.tolist(), self.tables):
@@ -197,7 +207,10 @@ class ExactGenerator:
             src, dst = mu.reshape(shape), out.reshape(shape)
             for pattern, rate in _patterns(flip, rates):
                 dst[cut(pattern ^ flip)] += src[cut(pattern)] * rate
-        return out - mu * self.exit
+        for lo in range(0, self.n_states, CHUNK):
+            part = slice(lo, lo + CHUNK)
+            out[part] -= mu[part] * self.exit[part]
+        return out
 
     def invariance_residual(self, mu) -> float:
         """max|mu L| relative to max_j mu_j exit_j for a measure mu over all
@@ -206,7 +219,7 @@ class ExactGenerator:
         scale = float(np.max(mu * self.exit, initial=0.0))
         if scale == 0.0:
             return 0.0
-        residual = float(np.max(np.abs(self.left(mu)))) / scale
+        residual = max_abs(self.left(mu)) / scale
         return 0.0 if residual <= self.rounding_bound else residual
 
     @property

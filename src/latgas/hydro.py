@@ -273,14 +273,13 @@ def _lap_axis(f: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
 
 # --- solver ----------------------------------------------------------------------
 
-def _drifts(control, grid: Grid, vset: VelocitySet, probes, dt: float, n_steps: int):
+def _drifts(control, grid: Grid, vset: VelocitySet, times) -> dict:
     """Controlled velocities v_i - vtilde_v . d_iH, (*shape, d, nv), at the
-    probes and at both stage times of each of n_steps steps of dt, keyed by
-    the exact float time: one `control.gradient` call.  None without a control."""
-    if control is None:
-        return None
-    starts = np.arange(n_steps) * dt
-    times = np.unique(np.concatenate([probes, starts, starts + dt]))
+    float `times` (sorted and deduplicated as plain floats: `np.unique` would
+    import numpy.ma), keyed by the exact float time: one `control.gradient`
+    call.  Each time's drift is computed on its own, so it does not depend on
+    the other times in the call."""
+    times = np.array(sorted(set(times)))
     gh = control.gradient(times, grid)
     drift = vset.velocities.T - np.einsum("t...ik,vk->t...iv", gh, vset.vtilde)
     return dict(zip(times.tolist(), drift))
@@ -342,7 +341,8 @@ class _Stepper:
     1 + 4r sin^2(pi j / (2 (m1 - 1))) + s_k, s_k the transverse part.  The
     solve is a DST-I along u_1, an rfftn across, a division by the
     eigenvalues (computed once, here), and the two transforms back.  `drifts`
-    maps each stage time to a control's drift (`_drifts`), None for no control.
+    maps each stage time of the steps about to be taken to a control's drift
+    (`_drifts`), None for no control.
     """
 
     def __init__(self, vset: VelocitySet, grid: Grid, boundary: BoundaryData,
@@ -455,9 +455,13 @@ def solve_controlled(gamma, boundary: BoundaryData, horizon: float, grid: Grid,
       so n_frames sets that quadrature's accuracy as well as the default
       step count.
 
-    One call tabulates a control's drift at every frame and stage time; when
-    the advective limit is the shorter step, the solve restarts with it.
-    The run's dt, step count and whether it was controlled land in `meta`.
+    A control's drift is tabulated in blocks of max(steps per frame,
+    n_frames) steps as the march reaches them, the first block together with
+    the frame times that the advective limit reads.  So the table grows with
+    the frame stride and count, not the step count, and at one step per frame
+    it is one `control.gradient` call.  When the advective limit is the
+    shorter step, the solve restarts with it.  The run's dt, step count and
+    whether it was controlled land in `meta`.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -468,31 +472,43 @@ def solve_controlled(gamma, boundary: BoundaryData, horizon: float, grid: Grid,
     n_steps = int(np.ceil(horizon / step - 1e-12))
     stride = int(np.ceil(n_steps / min(n_frames, n_steps)))
     n_steps = stride * int(np.ceil(n_steps / stride))
-    probes = np.linspace(0.0, horizon, n_frames + 1) if control is not None else ()
-    drifts = _drifts(control, grid, vset, probes, horizon / n_steps, n_steps)
-    bound = advective_limit(grid, vset, [drifts[t] for t in probes])
+    run_dt = horizon / n_steps
+    block = max(stride, n_frames)  # steps per drift table
+
+    def stage_times(first: int) -> list:
+        """Both stage times of each step of the block from step `first`."""
+        starts = [k * run_dt for k in range(first, min(first + block, n_steps))]
+        return starts + [t + run_dt for t in starts]
+
+    probes = np.linspace(0.0, horizon, n_frames + 1).tolist()
+    drifts = None if control is None else _drifts(control, grid, vset,
+                                                  probes + stage_times(0))
+    bound = advective_limit(grid, vset, () if drifts is None else [drifts[t] for t in probes])
     if dt is None and bound < step:
         return solve_controlled(gamma, boundary, horizon, grid, vset, control, bound, n_frames)
     if dt is not None and dt > bound * (1 + 1e-12):
         raise StabilityError(
             f"dt={dt:.3e} exceeds the advective step bound {bound:.3e} for this grid"
         )
-    dt = horizon / n_steps
+    dt = run_dt
     n_frames = n_steps // stride
 
     gamma_arr = _prepare_gamma(gamma, grid, vset)
     stepper = _Stepper(vset, grid, boundary, dt, drifts)
+    del drifts  # the stepper holds the only reference to the table
     W = gamma_arr.copy()
     frames = np.empty((n_frames + 1,) + W.shape)
     frames[0] = W
     times = np.empty(n_frames + 1)
     times[0] = 0.0
-    for step_idx in range(1, n_steps + 1):
-        W = stepper.step(W, (step_idx - 1) * dt)
-        if step_idx % stride == 0:
-            f = step_idx // stride
-            frames[f] = W
-            times[f] = step_idx * dt
+    for k in range(n_steps):
+        if control is not None and k and k % block == 0:
+            stepper.drifts = None  # the last table goes before the next is built
+            stepper.drifts = _drifts(control, grid, vset, stage_times(k))
+        W = stepper.step(W, k * dt)
+        if (k + 1) % stride == 0:
+            frames[(k + 1) // stride] = W
+            times[(k + 1) // stride] = (k + 1) * dt
     return FieldTrajectory(
         grid=grid, times=times, values=frames, gamma=gamma_arr, boundary=boundary,
         meta={"dt": dt, "n_steps": n_steps, "controlled": control is not None},

@@ -381,23 +381,35 @@ def test_every_config_key_is_read(tmp_path, monkeypatch):
     assert reads == schema | {("ldp.control", key) for key in _CONTROL}
 
 
+def fresh_python(script: str) -> list:
+    """The stdout lines of `script` run in a fresh interpreter on this sys.path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True).stdout.splitlines()
+
+
 def test_commands_load_no_scipy_submodule(tmp_path):
-    # Whichever of scipy.linalg, scipy.sparse and scipy.spatial loads first
-    # costs ~0.25 s of set-up; no command needs them (the CSR
-    # `ExactGenerator.matrix` imports scipy.sparse itself).
-    script = (
+    # A command imports only what it runs.  Set-up loads neither scipy (the
+    # manifest reads its version from a file; any scipy submodule costs
+    # ~0.25 s), the process pool (only --threads > 1 starts one) nor
+    # subprocess (only a kernel build runs one).  No command at one thread
+    # loads scipy or numpy.ma (16 ms; numpy 2's `np.unique` imports it),
+    # the controlled solve of `rate` included.  subprocess is not checked
+    # after the commands: a first run in a fresh checkout builds the kernel.
+    control = [{"component": 0, "amplitude": 0.2, "space_mode": 1, "time_mode": "const"}]
+    path = tiny_config(tmp_path, ldp={"control": control})
+    lines = fresh_python(
         "import sys\n"
         "from latgas.cli import main\n"
-        f"path, out = {tiny_config(tmp_path)!r}, {str(tmp_path / 'out')!r}\n"
+        "loaded = lambda *names: sorted(m for m in names if m in sys.modules)\n"
+        "print(loaded('scipy', 'concurrent.futures', 'subprocess'))\n"
+        f"path, out = {path!r}, {str(tmp_path / 'out')!r}\n"
         "for command in ('exact', 'hydro', 'rate', 'simulate', 'converge'):\n"
-        "    assert main([command, '--config', path, '--out', out]) == 0\n"
-        "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse', 'scipy.spatial')\n"
-        "             if m in sys.modules))\n"
+        "    assert main([command, '--config', path, '--out', out, '--threads', '1']) == 0\n"
+        "print(loaded('scipy', 'numpy.ma'))\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         env=env, check=True)
-    assert run.stdout.splitlines()[-1] == "[]"
+    assert (lines[0], lines[-1]) == ("[]", "[]")
+    assert (tmp_path / "out" / "f06_report.txt").exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "converge"])
@@ -502,6 +514,20 @@ def test_manifest_records_scipy_and_blas_threads(tmp_path, monkeypatch):
     assert manifest_line(manifest, "scipy_version") == [scipy.__version__]
     assert manifest_line(manifest, "blas_threads") == [
         "OPENBLAS_NUM_THREADS=1", "OMP_NUM_THREADS=unset"]
+
+
+def test_manifest_scipy_version_is_the_installed_one_without_importing_scipy(tmp_path):
+    from importlib.metadata import version
+
+    out = tmp_path / "out"
+    lines = fresh_python(
+        "import sys\n"
+        "from latgas.cli import main\n"
+        f"assert main(['exact', '--config', {tiny_config(tmp_path)!r}, '--out', {str(out)!r}]) == 0\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    assert lines[-1] == "False"
+    assert manifest_line(out / "manifest_exact.txt", "scipy_version") == [version("scipy")]
 
 
 @pytest.mark.parametrize("command", ["simulate", "converge"])

@@ -7,7 +7,7 @@ import pytest
 
 from latgas.dynamics import ALL_PARTS, Model, ReservoirProfiles
 from latgas.errors import SizeError
-from latgas.generator import _cuts, _expand, _rate_tables, assemble_exact_generator
+from latgas.generator import _cuts, _expand, _rate_tables, assemble_exact_generator, max_abs
 from latgas.lattice import Lattice
 from latgas.velocities import VelocitySet, two_velocity_set
 from reference import (
@@ -69,17 +69,17 @@ class TestAssembly:
         assert gen.matrix[state, target] == pytest.approx(expected, rel=1e-14)
 
 
-def test_a_million_states_stay_under_64_mib(vs4):
+def test_a_million_states_stay_under_32_mib(vs4):
     # everything `latgas exact` runs, on the walled four-velocity chain at
     # N = 6 (2^20 states, 29 masks): the rate tables keep the traced peak to
-    # a few vectors over the states, where one dense (masks x states) array
-    # alone would take 232 MiB
+    # a few vectors over the states (8 MiB each; 28.2 MiB measured), where one
+    # dense (masks x states) array alone would take 232 MiB
     prof = ReservoirProfiles.constant(vs4, [0.3, 0.4, 0.35, 0.45], [0.6, 0.5, 0.55, 0.65])
     model = Model(Lattice(6, 1), vs4, profiles=prof)
     tracemalloc.start()
     try:
         gen = assemble_exact_generator(model)
-        row_max = np.max(np.abs(gen.row_sums()))
+        row_max = max_abs(gen.row_sums())
         mu = gen.product_measure(np.array([0.2, -0.1]))
         residual = gen.invariance_residual(mu)
         audit = assemble_exact_generator(model, parts=("collision",)) \
@@ -89,7 +89,7 @@ def test_a_million_states_stay_under_64_mib(vs4):
         tracemalloc.stop()
     assert (gen.n_states, len(gen.flips), row_max) == (2**20, 29, 0.0)
     assert residual > 0.1 and audit["all_reversible"] and audit["n_transitions"] > 0
-    assert peak < 64 * 2**20
+    assert peak < 32 * 2**20
 
 
 def wavy(base):
