@@ -32,7 +32,8 @@ from numpy import fft
 from .dynamics import ReservoirProfiles
 from .errors import DomainError, NumericalFailure, StabilityError
 from .grid import Grid, write_field_csv
-from .thermo import NEWTON_TOL, domain_of, invert_conserved, local_equilibrium, theta_all
+from .thermo import (NEWTON_TOL, domain_of, exact_theta, invert_conserved, local_equilibrium,
+                     theta_all)
 from .velocities import VelocitySet
 
 HULL_EXCURSION_TOL = 1e-9
@@ -95,8 +96,7 @@ class BoundaryData:
             return (dens @ vset.vtilde).reshape(shape + (vset.d + 1,))
 
         a, b = build(profiles.alpha), build(profiles.beta)
-        dom = domain_of(vset)
-        worst = min(float(np.min(dom.margin(a))), float(np.min(dom.margin(b))))
+        worst = float(np.min(domain_of(vset).margin([a, b])))
         if worst < RESERVOIR_MIN_MARGIN:
             raise DomainError(
                 f"reservoir data must keep hull margin >= {RESERVOIR_MIN_MARGIN:.0e} "
@@ -203,9 +203,7 @@ class SeparableField:
 
 
 def check_vanishes_on_walls(fld, grid: Grid, horizon: float, tol: float = WALL_VANISH_TOL):
-    probes = np.linspace(0.0, horizon, 5)
-    vals = fld.values(probes, grid)
-    worst = max(float(np.max(np.abs(vals[:, 0]))), float(np.max(np.abs(vals[:, -1]))))
+    worst = float(np.max(np.abs(fld.values(np.linspace(0.0, horizon, 5), grid)[:, [0, -1]])))
     if worst > tol:
         raise ValueError(f"field does not vanish on the walls (max {worst:.2e})")
 
@@ -258,7 +256,7 @@ def _grad_central(f: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     """Central difference along a spatial axis; wall rows are left at zero."""
     if axis:
         return (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)) / (2 * grid.ht)
-    out = np.zeros_like(f)
+    out = np.zeros(f.shape)
     out[1:-1] = (f[2:] - f[:-2]) / (2 * grid.h1)
     return out
 
@@ -266,7 +264,7 @@ def _grad_central(f: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
 def _lap_axis(f: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     if axis:
         return (np.roll(f, -1, axis=axis) - 2 * f + np.roll(f, 1, axis=axis)) / grid.ht**2
-    out = np.zeros_like(f)
+    out = np.zeros(f.shape)
     out[1:-1] = (f[2:] - 2 * f[1:-1] + f[:-2]) / grid.h1**2
     return out
 
@@ -315,19 +313,6 @@ def advective_limit(grid: Grid, vset: VelocitySet, drifts=()) -> float:
     return min(dt_cfl, (4.0 * dt_cfl**2 / float(np.sum(speeds**2))) ** (1.0 / 3.0))
 
 
-def _dst(x: np.ndarray) -> np.ndarray:
-    """Orthonormal DST-I along axis 0, its own inverse.
-
-    For n rows, X_j = sqrt(2/(n+1)) sum_i x_i sin(pi i j / (n+1)), i, j = 1..n,
-    read off one rfft of the odd extension (0, x, 0, -reversed x).
-    """
-    n = len(x)
-    ext = np.zeros((2 * n + 2,) + x.shape[1:])
-    ext[1:n + 1] = x
-    ext[n + 2:] = -x[::-1]
-    return fft.rfft(ext, axis=0)[1:n + 1].imag * -np.sqrt(0.5 / (n + 1))
-
-
 class _Stepper:
     """IMEX trapezoidal step (Ascher, Ruuth & Spiteri 1997) at a fixed dt.
 
@@ -342,7 +327,8 @@ class _Stepper:
     solve is a DST-I along u_1, an rfftn across, a division by the
     eigenvalues (computed once, here), and the two transforms back.  `drifts`
     maps each stage time of the steps about to be taken to a control's drift
-    (`_drifts`), None for no control.
+    (`_drifts`), None for no control.  A step skips what it never reads: lam
+    for d+1 velocities, per-node hull margins while every node is inside.
     """
 
     def __init__(self, vset: VelocitySet, grid: Grid, boundary: BoundaryData,
@@ -363,56 +349,77 @@ class _Stepper:
             s_k = (dt / grid.ht**2) * np.sin(np.pi * np.arange(m) / grid.mt) ** 2
             eig = np.add.outer(eig, s_k)
         self.inv_eig = 1.0 / eig[..., None]
+        # the DST's odd extension (0, x, 0, -reversed x), one buffer for every
+        # transform (rows 0 and n+1 stay 0), and its orthonormal scale
+        self.ext = np.zeros((2 * n + 2,) + grid.tshape + (vset.d + 1,))
+        self.dst_scale = -np.sqrt(0.5 / (n + 1))
 
-    def _theta(self, W: np.ndarray) -> np.ndarray:
-        self.lam, th = local_equilibrium(W, self.vset, lam0=self.lam, check_domain=False)
-        return th
+    def _dst(self, x: np.ndarray) -> np.ndarray:
+        """Orthonormal DST-I along axis 0, its own inverse.
+
+        For n rows, X_j = sqrt(2/(n+1)) sum_i x_i sin(pi i j / (n+1)), i, j = 1..n,
+        read off one rfft of the odd extension (0, x, 0, -reversed x).
+        """
+        n = len(x)
+        self.ext[1:n + 1] = x
+        np.negative(x[::-1], out=self.ext[n + 2:])
+        return fft.rfft(self.ext, axis=0)[1:n + 1].imag * self.dst_scale
 
     def flux_divergence(self, W: np.ndarray, t: float) -> np.ndarray:
         """N(W) = -sum_i d_i F_i(W), with the control drift when there is one."""
-        th = self._theta(W)
+        vset = self.vset
+        # a set of d+1 velocities takes theta alone; larger sets run Newton,
+        # warm-started from the last stage's lam
+        if len(vset) == vset.d + 1:
+            th = exact_theta(W, vset)
+        else:
+            self.lam, th = local_equilibrium(W, vset, lam0=self.lam, check_domain=False)
         drift = None if self.drifts is None else self.drifts[t]
-        fl = _flux_grid(th * (1.0 - th), self.vset, drift)
-        return -sum(_grad_central(fl[..., i, :], self.grid, axis=i)
-                    for i in range(self.grid.d))
+        fl = _flux_grid(th * (1.0 - th), vset, drift)
+        return -reduce(np.add, (_grad_central(fl[..., i, :], self.grid, axis=i)
+                                for i in range(self.grid.d)))
 
     def implicit_solve(self, R: np.ndarray) -> np.ndarray:
         """Solve (I - dt/2 A) X = R; R's wall rows are ignored, X's are a and b."""
         rhs = R[1:-1].copy()
         rhs[0] += self.r * self.boundary.a
         rhs[-1] += self.r * self.boundary.b
-        modes = _dst(rhs)
+        modes = self._dst(rhs)
         if self.axes:
             modes = fft.irfftn(fft.rfftn(modes, axes=self.axes) * self.inv_eig,
                                s=self.grid.tshape, axes=self.axes)
         else:
-            modes = modes * self.inv_eig
+            modes *= self.inv_eig
         X = np.empty_like(R)
-        X[1:-1] = _dst(modes)
+        X[1:-1] = self._dst(modes)
         X[0] = self.boundary.a
         X[-1] = self.boundary.b
         return X
 
     def guard(self, W: np.ndarray, t: float) -> np.ndarray:
         flat = W.reshape(-1, self.vset.d + 1)
-        margin = np.atleast_1d(self.dom.margin(flat))
-        worst = float(margin.min())
+        slack = flat @ self.dom.normals.T + self.dom.offsets
+        # one reduction gives the worst node's margin exactly; per-node margins
+        # only when it is below the pad (a NaN passes, as it did node by node)
+        worst = -float(slack.max())
+        if not worst < HULL_INTERIOR_PAD:
+            return W
+        margin = -slack.max(axis=-1)
         if worst < -HULL_EXCURSION_TOL:
             k = int(np.argmin(margin))
             raise NumericalFailure(
                 f"field left the admissible hull at t={t:.6g} "
                 f"(node {k}, value {flat[k]}, margin {worst:.3e})"
             )
-        if worst < HULL_INTERIOR_PAD:
-            bad = margin < HULL_INTERIOR_PAD
-            flat[bad] = self.dom.project_inward(flat[bad], min_margin=HULL_INTERIOR_PAD)
+        bad = margin < HULL_INTERIOR_PAD
+        flat[bad] = self.dom.project_inward(flat[bad], min_margin=HULL_INTERIOR_PAD)
         return W
 
     def step(self, W: np.ndarray, t: float) -> np.ndarray:
         """Advance W from t to t + dt."""
         dt = self.dt
-        base = W + 0.25 * dt * sum(_lap_axis(W, self.grid, axis=i)
-                                   for i in range(self.grid.d))
+        base = W + 0.25 * dt * reduce(np.add, (_lap_axis(W, self.grid, axis=i)
+                                               for i in range(self.grid.d)))
         n0 = self.flux_divergence(W, t)
         W1 = self.guard(self.implicit_solve(base + dt * n0), t + dt)
         n1 = self.flux_divergence(W1, t + dt)
@@ -424,11 +431,11 @@ def _prepare_gamma(gamma, grid: Grid, vset: VelocitySet) -> np.ndarray:
     expected = grid.shape + (vset.d + 1,)
     if arr.shape != expected:
         raise ValueError(f"initial profile shape {arr.shape}, expected {expected}")
-    margin = domain_of(vset).margin(arr.reshape(-1, vset.d + 1))
-    if float(np.min(margin)) <= HULL_INTERIOR_PAD:
+    worst = float(np.min(domain_of(vset).margin(arr.reshape(-1, vset.d + 1))))
+    if worst <= HULL_INTERIOR_PAD:
         raise DomainError(
             "initial profile must lie strictly inside the admissible hull "
-            f"(worst margin {float(np.min(margin)):.3e})"
+            f"(worst margin {worst:.3e})"
         )
     return arr
 
@@ -499,8 +506,7 @@ def solve_controlled(gamma, boundary: BoundaryData, horizon: float, grid: Grid,
     W = gamma_arr.copy()
     frames = np.empty((n_frames + 1,) + W.shape)
     frames[0] = W
-    times = np.empty(n_frames + 1)
-    times[0] = 0.0
+    times = np.arange(0, n_steps + 1, stride) * dt  # frame j is step j * stride
     for k in range(n_steps):
         if control is not None and k and k % block == 0:
             stepper.drifts = None  # the last table goes before the next is built
@@ -508,7 +514,6 @@ def solve_controlled(gamma, boundary: BoundaryData, horizon: float, grid: Grid,
         W = stepper.step(W, k * dt)
         if (k + 1) % stride == 0:
             frames[(k + 1) // stride] = W
-            times[(k + 1) // stride] = (k + 1) * dt
     return FieldTrajectory(
         grid=grid, times=times, values=frames, gamma=gamma_arr, boundary=boundary,
         meta={"dt": dt, "n_steps": n_steps, "controlled": control is not None},
@@ -552,17 +557,17 @@ class QuadratureContext:
         w_mid = 0.5 * (traj.values[:-1] + traj.values[1:])
         self.w_space = grid.weights()
         flat = w_mid.reshape(-1, vset.d + 1)
-        margin = domain_of(vset).margin(flat)
-        if float(np.min(margin)) <= 0:
+        worst = float(np.min(domain_of(vset).margin(flat)))
+        if worst <= 0:
             raise DomainError(
                 "trajectory leaves the open hull; the cost functional requires "
-                f"interior fields (worst margin {float(np.min(margin)):.3e})"
+                f"interior fields (worst margin {worst:.3e})"
             )
         # `invert_conserved` is the inversion that perfbench/tracer.py times;
         # theta is recomputed from lam here, once per trajectory, not per stage.
-        lam = invert_conserved(flat, vset, check_domain=False)
-        th = theta_all(lam, vset)
+        th = theta_all(invert_conserved(flat, vset, check_domain=False), vset)
         self.chi = (th * (1.0 - th)).reshape(w_mid.shape[:-1] + (len(vset),))
+        del th  # each frame-sized temporary goes as soon as it is read
 
         # weights of the weak residual, against G at the frame midpoints
         # (dG/dt) and the ends (G(T), G(0)): -dt_f w w_mid, w w(T), -w w(0);
@@ -573,15 +578,16 @@ class QuadratureContext:
         ends = self.w_space[..., None] * traj.values[[-1, 0]]
         self.value_weights = np.concatenate([-dtw * w_mid, ends[:1], -ends[1:]])
         cw = dtw * self.chi
+        # the Gram matrix's weights M_cc' = sum_v chi_v vt_vc vt_vc' dt_f w, (nodes, ...)
+        self.pi_weights = np.einsum("f...v,vc,vk->...fck", cw, vset.vtilde,
+                                    vset.vtilde).reshape(self.w_space.size, -1)
         gw = -np.einsum("f...v,vk,vi->f...ik", cw, vset.vtilde, vset.velocities)
+        del cw
         half = 0.5 * self.dt_f.reshape((-1,) + (1,) * grid.d)
         tw = grid.transverse_weights().reshape(grid.tshape)[..., None]
         gw[:, -1, ..., 0, :] += half * tw * traj.boundary.b
         gw[:, 0, ..., 0, :] -= half * tw * traj.boundary.a
         self.lap_grad_weights = np.concatenate([-0.5 * (dtw * w_mid)[..., None, :], gw], axis=-2)
-        # the Gram matrix's weights M_cc' = sum_v chi_v vt_vc vt_vc' dt_f w, (nodes, ...)
-        self.pi_weights = np.einsum("f...v,vc,vk->...fck", cw, vset.vtilde,
-                                    vset.vtilde).reshape(self.w_space.size, -1)
 
     def gram(self, fields, linear=None) -> np.ndarray:
         """Gram matrix Q[a, b] = sum_v int int chi_v [vt.grad G_a][vt.grad G_b].

@@ -133,6 +133,9 @@ class RateReport:
                                 self.quadrature)
 
     def save(self, path) -> None:
+        def floats(x):  # Python floats format faster than numpy scalars
+            return " ".join(map("{:.17g}".format, x.tolist()))
+
         with open(path, "w") as fh:
             fh.write("format: latgas-rate-report v1\n")
             fh.write(f"estimate: {self.estimate:.17g}\n")
@@ -140,11 +143,11 @@ class RateReport:
             fh.write(f"regularization: {self.regularization:.17g}\n")
             for key, val in sorted(self.quadrature.items()):
                 fh.write(f"quadrature.{key}: {val}\n")
-            fh.write("linear_term: " + " ".join(f"{x:.17g}" for x in self.linear_term) + "\n")
-            fh.write("coefficients: " + " ".join(f"{x:.17g}" for x in self.coefficients) + "\n")
+            fh.write("linear_term: " + floats(self.linear_term) + "\n")
+            fh.write("coefficients: " + floats(self.coefficients) + "\n")
             fh.write("quad_matrix:\n")
             for row in self.quad_matrix:
-                fh.write("  " + " ".join(f"{x:.17g}" for x in row) + "\n")
+                fh.write("  " + floats(row) + "\n")
 
 
 

@@ -11,7 +11,8 @@ and the map lam -> (rho, p) = (sum theta_v, sum v theta_v) is a diffeomorphism
 onto the open convex hull U of the single-site conserved vectors.  This module
 evaluates theta_v(lam) and inverts the map.  The conserved vector w = theta
 vtilde is linear in theta, so a set of exactly d+1 velocities (square vtilde)
-inverts in closed form: theta = w vtilde^-1 and lam = logit(theta) vtilde^-T.
+inverts in closed form: theta = w vtilde^-1 and lam = logit(theta) vtilde^-T,
+and `exact_theta` gives theta alone, for callers that never read lam.
 Larger sets are inverted by a damped Newton iteration (exact Jacobian:
 sum_v chi(theta_v) vtilde vtilde^T with chi(r) = r(1-r), positive definite on
 U), to sup-norm residual NEWTON_TOL within NEWTON_MAX_ITER steps.  The module
@@ -44,9 +45,7 @@ def theta_all(lam, vset: VelocitySet) -> np.ndarray:
 
     lam may be a single (d+1,) vector or a batch (..., d+1); returns (..., nv).
     """
-    lam = np.asarray(lam, dtype=float)
-    z = lam @ vset.vtilde.T
-    return _logistic(z)
+    return _logistic(np.asarray(lam, dtype=float) @ vset.vtilde.T)
 
 
 class ConvexDomain:
@@ -93,10 +92,7 @@ class ConvexDomain:
 
     def margin(self, x) -> np.ndarray:
         """Signed distance to the hull boundary; positive strictly inside."""
-        x = np.asarray(x, dtype=float)
-        slack = x @ self.normals.T + self.offsets
-        out = -np.max(slack, axis=-1)
-        return float(out) if out.ndim == 0 else out
+        return -np.max(np.asarray(x, dtype=float) @ self.normals.T + self.offsets, axis=-1)
 
     def project_inward(self, x, min_margin: float = 0.0) -> np.ndarray:
         """Pull points toward the centroid until margin >= min_margin.
@@ -108,7 +104,7 @@ class ConvexDomain:
         single = x.ndim == 1
         x = np.atleast_2d(x).copy()
         for _ in range(60):
-            m = np.atleast_1d(self.margin(x))
+            m = self.margin(x)
             bad = m < min_margin
             if not np.any(bad):
                 return x[0] if single else x
@@ -146,7 +142,7 @@ def invert_conserved(targets, vset: VelocitySet, lam0=None,
     check_domain), and ConvergenceError when Newton fails (with the worst
     residual) or the exact densities leave (0, 1).
     """
-    return _invert(targets, vset, lam0, check_domain)[0]
+    return local_equilibrium(targets, vset, lam0, check_domain)[0]
 
 
 def local_equilibrium(targets, vset: VelocitySet, lam0=None,
@@ -157,35 +153,35 @@ def local_equilibrium(targets, vset: VelocitySet, lam0=None,
     or from the last Newton evaluation), so callers that need both do not
     recompute it from lam.
     """
-    return _invert(targets, vset, lam0, check_domain)
-
-
-def _invert(targets, vset: VelocitySet, lam0, check_domain: bool) -> tuple:
     targets = np.asarray(targets, dtype=float)
     t = targets.reshape(-1, targets.shape[-1])
     if check_domain:
-        ok, margin = check_in_U(t, vset)
-        if not ok:
-            worst = float(np.min(margin))
+        worst = float(np.min(domain_of(vset).margin(t)))
+        if not worst > 0:
             raise DomainError(
                 f"target outside the open admissible region (worst margin {worst:.3e})"
             )
     if len(vset) == vset.d + 1:
-        lam, th = _invert_exact(t, vset)
+        th = exact_theta(t, vset)
+        lam = (np.log(th) - np.log1p(-th)) @ vset.vtilde_inv.T
     else:
         lam, th = _invert_newton(t, vset, lam0)
     return lam.reshape(targets.shape), th.reshape(targets.shape[:-1] + (len(vset),))
 
 
-def _invert_exact(t: np.ndarray, vset: VelocitySet) -> tuple:
-    """theta = t vtilde^-1 and lam = logit(theta) vtilde^-T for square vtilde."""
-    th = t @ vset.vtilde_inv
-    if not np.all((th > 0.0) & (th < 1.0)):
+def exact_theta(targets: np.ndarray, vset: VelocitySet) -> np.ndarray:
+    """theta = w vtilde^-1 at targets (..., d+1), for a set of d+1 velocities.
+
+    The exact inversion without lam, taken as one (n, d+1) batch; raises
+    ConvergenceError unless every density lies in (0, 1).
+    """
+    th = targets.reshape(-1, vset.d + 1) @ vset.vtilde_inv
+    if not ((th > 0.0) & (th < 1.0)).all():
         raise ConvergenceError(
             "conserved target outside the open hull: exact densities span "
             f"[{float(np.min(th)):.3e}, {float(np.max(th)):.3e}], not inside (0, 1)"
         )
-    return (np.log(th) - np.log1p(-th)) @ vset.vtilde_inv.T, th
+    return th.reshape(targets.shape)
 
 
 def _invert_newton(t: np.ndarray, vset: VelocitySet, lam0) -> tuple:

@@ -6,9 +6,10 @@ Every case runs on the Python reference loop; the compiled loop must then
 reproduce the files byte for byte.  It rewrites
 
   tests/data/sim_streams.json  `test_eventloop.stream_record` of each case and seed;
-  tests/data/cli_outputs.json  the `simulate` and `converge` digests of
-                               `test_cli.output_digests` at one thread, and the
-                               `exact` digests of `test_cli.exact_report_digest`.
+  tests/data/cli_outputs.json  the `simulate`, `converge` and `hydro` digests
+                               of `test_cli.output_digests` at one thread, and
+                               the `exact` digests of
+                               `test_cli.exact_report_digest`.
 
 Re-record only for a change that is meant to move these outputs (a new
 candidate stream, a new report line), and say in CHANGES.md which moved.
@@ -42,6 +43,7 @@ def main() -> None:
         tmp = pathlib.Path(tmp)
         outputs = {command: test_cli.output_digests(tmp, command, threads=1)
                    for command in ("simulate", "converge")}
+        outputs["hydro"] = test_cli.output_digests(tmp, "hydro", threads=1)
         outputs["exact"] = {name: test_cli.exact_report_digest(tmp, name)
                             for name in sorted(test_cli.EXACT_CONFIGS)}
     write(HERE / "data" / "sim_streams.json", streams)

@@ -124,6 +124,11 @@ def test_outputs_reproduce_recorded_bytes(tmp_path, command, threads):
     assert output_digests(tmp_path, command, threads) == RECORDED_OUTPUTS[command]
 
 
+def test_hydro_reproduces_recorded_bytes(tmp_path):
+    # the PDE march is deterministic: its trajectory files pin every step
+    assert output_digests(tmp_path, "hydro", threads=1) == RECORDED_OUTPUTS["hydro"]
+
+
 def test_simulate_with_no_sample_times(tmp_path):
     # every replica's field and blocks files hold their headers alone
     out = tmp_path / "out"
@@ -451,11 +456,12 @@ def test_gamma_outside_the_hull_is_a_config_error(tmp_path, capsys, command):
 ])
 def test_failures_during_a_run_exit_3(tmp_path, capsys, monkeypatch, error):
     # No shipped config makes the PDE's inversion fail, so the stepper's
-    # `local_equilibrium` raises; a DomainError raised mid-run exits 3 too.
+    # exact theta (the tiny config's two velocities are a set of d+1) raises;
+    # a DomainError raised mid-run exits 3 too.
     def failing(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(latgas.hydro, "local_equilibrium", failing)
+    monkeypatch.setattr(latgas.hydro, "exact_theta", failing)
     path = tiny_config(tmp_path)
     assert main(["hydro", "--config", path, "--out", str(tmp_path / "out")]) == 3
     assert f"numerical failure: {error}" in capsys.readouterr().err

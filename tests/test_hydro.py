@@ -8,6 +8,7 @@ from latgas.dynamics import ReservoirProfiles
 from latgas.errors import DomainError, NumericalFailure, StabilityError
 from latgas.grid import Grid
 from latgas.hydro import (
+    HULL_INTERIOR_PAD,
     RESERVOIR_MIN_MARGIN,
     BoundaryData,
     Factor,
@@ -374,6 +375,61 @@ def test_implicit_solve_matches_dense_solve(grid, rng):
     dense = np.linalg.solve(matrix, rhs.reshape(n_nodes, d + 1)).reshape(rhs.shape)
     X = _Stepper(vs, grid, bd, dt).implicit_solve(R)
     assert np.max(np.abs(X - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+class TestStepperFastPaths:
+    """The guard returns at once when every node keeps the interior pad, and a
+    set of d+1 velocities takes theta without lam."""
+
+    @pytest.fixture
+    def stepper(self, vs2, setup):
+        grid, bd, gamma = setup
+        return _Stepper(vs2, grid, bd, 0.01), gamma
+
+    @staticmethod
+    def push_out(W, dom, k, margin):
+        """Move node k along its nearest facet's normal to the given margin."""
+        slack = dom.normals @ W[k] + dom.offsets
+        j = int(np.argmax(slack))
+        W[k] += (-margin - slack[j]) * dom.normals[j]
+
+    def test_interior_field_is_returned_unchanged(self, stepper):
+        st, gamma = stepper
+        W = gamma.copy()
+        assert st.guard(W, 0.0) is W
+        assert np.array_equal(W, gamma)
+
+    def test_rounding_excursion_is_projected_at_one_node(self, stepper):
+        st, gamma = stepper
+        W = gamma.copy()
+        self.push_out(W, st.dom, 20, -1e-10)
+        assert -1e-9 < st.dom.margin(W[20]) < 0
+        before = W.copy()
+        st.guard(W, 0.0)
+        assert st.dom.margin(W[20]) >= HULL_INTERIOR_PAD
+        others = np.arange(len(W)) != 20
+        assert np.array_equal(W[others], before[others])
+
+    def test_excursion_past_the_tolerance_names_the_node(self, stepper):
+        st, gamma = stepper
+        W = gamma.copy()
+        self.push_out(W, st.dom, 20, -1e-6)
+        with pytest.raises(NumericalFailure, match="node 20,"):
+            st.guard(W, 0.0)
+
+    @pytest.mark.parametrize("name", ["vs2", "vs4"])
+    def test_only_the_newton_path_keeps_a_warm_start(self, name, request):
+        vs = request.getfixturevalue(name)
+        grid = Grid(1, 17)
+        prof = ReservoirProfiles.constant(vs, [0.3, 0.4, 0.35, 0.45][:len(vs)],
+                                          [0.6, 0.5, 0.55, 0.65][:len(vs)])
+        bd = BoundaryData.from_profiles(prof, vs, grid)
+        st = _Stepper(vs, grid, bd, 0.01)
+        W = st.step(linear_gamma(bd, grid), 0.0)
+        if len(vs) == vs.d + 1:
+            assert st.lam is None
+        else:
+            assert st.lam.shape == W.shape
 
 
 class TestModes:

@@ -11,6 +11,7 @@ from latgas.thermo import (
     ConvexDomain,
     check_in_U,
     domain_of,
+    exact_theta,
     invert_conserved,
     sample_profile_state,
     theta_all,
@@ -197,6 +198,17 @@ class TestExactInverse:
             invert_conserved(np.full(3, np.nan), vs_square_d2, check_domain=False)
         with pytest.raises(DomainError):
             theta_field(outside, vs_square_d2, check_domain=True)
+
+    @pytest.mark.parametrize("name", ["vs2", "vs_square_d2"])
+    def test_theta_alone_is_the_inversions_theta(self, name, request, rng):
+        # `exact_theta`, the PDE step's inversion, skips lam but not the check
+        vs = request.getfixturevalue(name)
+        targets = random_interior_targets(vs, rng, 50)
+        assert np.array_equal(exact_theta(targets, vs), theta_field(targets, vs))
+        outside = np.full((1, len(vs)), 0.5)
+        outside[0, 0] = 1.2
+        with pytest.raises(ConvergenceError, match="not inside"):
+            exact_theta(outside @ vs.vtilde, vs)
 
     @pytest.mark.parametrize("name", ["vs2", "vs4"])
     def test_batches_with_several_leading_axes(self, name, request, rng):
