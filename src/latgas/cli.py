@@ -30,33 +30,22 @@ from .empirical import block_average, empirical_measure, l1_distance, smooth
 from .errors import ConfigError, DomainError, LatgasError, NumericalFailure
 from .generator import assemble_exact_generator, max_abs
 from .grid import Grid, write_field_csv
-from .hydro import BoundaryData, Factor, SeparableField, solve_hydro
+from .hydro import HULL_INTERIOR_PAD, BoundaryData, Factor, SeparableField, solve_hydro
 from .lattice import Lattice
 from .ldp import default_basis, rate_estimate, time_factor, verify_f06
-from .thermo import check_in_U, sample_profile_state, theta_field
+from .thermo import domain_of, sample_profile_state, theta_field
 
 
 # --- shared builders -----------------------------------------------------------
 
 def build_profiles(cfg: ExperimentConfig) -> ReservoirProfiles:
-    alpha, beta = cfg.model.profile_callables()
-    try:
-        return ReservoirProfiles(cfg.model.velocities, alpha, beta)
-    except ValueError as exc:
-        raise ConfigError(f"reservoir profiles: {exc}") from None
-
-
-def build_boundary(cfg: ExperimentConfig, profiles: ReservoirProfiles,
-                   grid: Grid) -> BoundaryData:
-    try:
-        return BoundaryData.from_profiles(profiles, cfg.model.velocities, grid)
-    except DomainError as exc:
-        raise ConfigError(f"reservoir profiles: {exc}") from None
+    return ReservoirProfiles(cfg.model.velocities, *cfg.model.profile_callables())
 
 
 def build_model(cfg: ExperimentConfig, N: int, periodic: bool = False,
                 reservoirs: bool = True) -> Model:
-    """The model on the N-lattice; a velocity set or reservoir it rejects exits 2."""
+    """The model on the N-lattice; a velocity set it rejects, or a reservoir
+    density outside (0, 1) at a lattice point, exits 2."""
     lat = Lattice(N, cfg.model.d, periodic=periodic)
     try:
         return Model(lat, cfg.model.velocities,
@@ -69,10 +58,7 @@ def build_grid(cfg: ExperimentConfig, m1: int, mt=None) -> Grid:
     d = cfg.model.d
     if d > 1 and mt is None:
         raise ConfigError("hydro.mt is required for d > 1")
-    try:
-        return Grid(d, m1, mt or 0)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return Grid(d, m1, mt or 0)
 
 
 def build_gamma(cfg: ExperimentConfig, walls: tuple, points) -> np.ndarray:
@@ -80,9 +66,10 @@ def build_gamma(cfg: ExperimentConfig, walls: tuple, points) -> np.ndarray:
 
     `walls` holds the wall vectors (a, b) at each point's own transverse
     position, broadcastable against points[..., :1]; linear gamma runs from
-    a at u_1 = 0 to b at u_1 = 1.  A gamma outside the open hull is an input
-    problem found before any work, so it raises ConfigError (exit 2), not the
-    DomainError of a run.
+    a at u_1 = 0 to b at u_1 = 1.  A gamma within HULL_INTERIOR_PAD of the
+    hull boundary (or NaN), which the PDE solver would reject, is an input
+    problem found before any work, so it raises ConfigError (exit 2) in every
+    command, not the DomainError of a run.
     """
     spec = cfg.hydro["gamma"]
     ncomp = cfg.model.d + 1
@@ -95,10 +82,11 @@ def build_gamma(cfg: ExperimentConfig, walls: tuple, points) -> np.ndarray:
             raise ConfigError(f"hydro.gamma needs {ncomp} component expressions")
         names = [f"u{i}" for i in range(1, cfg.model.d + 1)]
         values = np.stack([compile_expression(s, names)(points) for s in spec], axis=-1)
-    inside, margin = check_in_U(values, cfg.model.velocities)
-    if not inside:
+    worst = domain_of(cfg.model.velocities).worst(values)
+    if not worst > HULL_INTERIOR_PAD:
         raise ConfigError("hydro.gamma leaves the open hull of the conserved vectors "
-                          f"(worst margin {float(np.min(margin)):.3e})")
+                          f"(worst margin {worst:.3e}, the solver needs more than "
+                          f"{HULL_INTERIOR_PAD:.0e})")
     return values
 
 
@@ -144,16 +132,15 @@ def _out_dir(cfg: ExperimentConfig, args) -> str:
 
 
 def lattice_walls(model: Model) -> tuple:
-    """The wall vectors (a, b) at each lattice site's own transverse position,
-    one row per site; exit 2 below the wall-data margin floor."""
-    lat = model.lattice
-    n_t = lat.N ** (lat.d - 1)
-    tilde = np.indices((lat.N,) * (lat.d - 1)).reshape(lat.d - 1, n_t).T / lat.N
+    """The wall vectors (a, b) at each lattice site's own transverse position
+    (from `model.walls`), one row per site; exit 2 below the wall-data margin
+    floor."""
     try:
-        walls = BoundaryData.at_points(model.profiles, model.vset, tilde, (n_t,))
+        walls = BoundaryData.from_densities(model.walls, model.vset)
     except DomainError as exc:
-        raise ConfigError(f"reservoir profiles: {exc}") from None
-    row = np.arange(lat.n_sites) % n_t  # the transverse coordinates vary fastest
+        raise ConfigError(str(exc)) from None
+    # the transverse coordinates vary fastest
+    row = np.arange(model.lattice.n_sites) % len(walls.a)
     return walls.a[row], walls.b[row]
 
 
@@ -270,7 +257,10 @@ def _map_cells(command: str, cfg: ExperimentConfig, args) -> list:
 
 def _initial_data(cfg: ExperimentConfig, grid: Grid):
     """Wall data and gamma at the grid nodes; either outside the hull exits 2."""
-    boundary = build_boundary(cfg, build_profiles(cfg), grid)
+    try:
+        boundary = BoundaryData.from_profiles(build_profiles(cfg), cfg.model.velocities, grid)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
     return build_gamma(cfg, (boundary.a, boundary.b), grid.nodes()), boundary
 
 

@@ -36,7 +36,9 @@ def compile_expression(src: str, variables: list):
     """Compile a restricted arithmetic expression into a vectorized callable.
 
     `variables` lists the coordinate names in order; the returned callable
-    takes an array (..., len(variables)) and returns an array (...).
+    takes an array (..., len(variables)) and returns an array (...).  An
+    arithmetic error ("0/0") or complex value raises ConfigError; NaN and inf
+    of arrays pass, unwarned, to the range and hull checks.
     """
     try:
         tree = ast.parse(str(src), mode="eval")
@@ -81,8 +83,12 @@ def compile_expression(src: str, variables: list):
         env = {"pi": np.pi, **_ALLOWED_FUNCS}
         for i, name in enumerate(variables):
             env[name] = coords[..., i]
-        out = eval(code, {"__builtins__": {}}, env)  # noqa: S307 - whitelisted AST
-        return np.broadcast_to(np.asarray(out, dtype=float), coords.shape[:-1]).copy()
+        try:
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                out = np.asarray(eval(code, {"__builtins__": {}}, env), dtype=float)  # noqa: S307
+        except (ArithmeticError, TypeError) as exc:
+            raise ConfigError(f"cannot evaluate expression {src!r}: {exc}") from None
+        return np.broadcast_to(out, coords.shape[:-1]).copy()
 
     return fn
 

@@ -85,7 +85,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import NumericalFailure
+from .errors import DomainError, NumericalFailure
 from .lattice import Lattice
 from .velocities import Collision, CollisionSet, VelocitySet
 
@@ -114,20 +114,19 @@ class ReservoirProfiles:
     """Reservoir densities alpha_v, beta_v as functions on the transverse torus.
 
     Each entry is a callable taking a (..., d-1) array of transverse positions
-    and returning densities; plain numbers are promoted to constants.  Only
-    the open range (0, 1) is checked, on a sampling grid: the simulator is
-    well defined for any such density.  The stricter floor that numerical
-    conditioning needs is applied where wall data enters the PDE, in
-    `hydro.BoundaryData.from_profiles`.
+    and returning densities; plain numbers are promoted to constants.  `at`
+    is the one evaluation of them, and it checks the open range (0, 1), where
+    the simulator is well defined, at the points it is given; a NaN is
+    outside.  `Model` evaluates its wall layer, `hydro.BoundaryData` the
+    grid's transverse nodes, where it also applies the stricter hull-margin
+    floor that numerical conditioning needs.
     """
 
     def __init__(self, vset: VelocitySet, alpha: Sequence, beta: Sequence):
         if len(alpha) != len(vset) or len(beta) != len(vset):
             raise ValueError("need one alpha and one beta profile per velocity")
-        self.vset = vset
         self.alpha = [self._promote(f) for f in alpha]
         self.beta = [self._promote(f) for f in beta]
-        self._check_range()
 
     @staticmethod
     def _promote(f) -> Callable:
@@ -136,21 +135,21 @@ class ReservoirProfiles:
         value = float(f)
         return lambda u, _v=value: np.full(np.shape(u)[:-1], _v) if np.ndim(u) else _v
 
-    def _check_range(self, n_probe: int = 64):
-        dm1 = self.vset.d - 1
-        if dm1 == 0:
-            probe = np.zeros((1, 0))
-        else:
-            axes = [np.linspace(0.0, 1.0, n_probe, endpoint=False)] * dm1
-            probe = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dm1)
+    def at(self, pts) -> tuple:
+        """(alpha, beta) at the transverse positions `pts` (n, d-1), each an
+        (n, nv) array; raises DomainError unless every density lies in (0, 1)."""
+        walls = []
         for name, fns in (("alpha", self.alpha), ("beta", self.beta)):
-            for i, f in enumerate(fns):
-                vals = np.asarray(f(probe), dtype=float)
-                if vals.size and (vals.min() <= 0.0 or vals.max() >= 1.0):
-                    raise ValueError(
-                        f"{name}[{i}] leaves (0,1): range "
-                        f"[{vals.min():.4g}, {vals.max():.4g}]"
-                    )
+            dens = np.stack([np.broadcast_to(np.asarray(f(pts), dtype=float), len(pts))
+                             for f in fns], axis=1)
+            outside = ~((dens > 0.0) & (dens < 1.0))
+            if outside.any():
+                k, v = np.argwhere(outside)[0]
+                where = f" at transverse position {pts[k].tolist()}" if pts.shape[1] else ""
+                raise DomainError(f"reservoir density {name}[{v}] = {dens[k, v]:.4g}"
+                                  f"{where} leaves (0, 1)")
+            walls.append(dens)
+        return tuple(walls)
 
     @classmethod
     def constant(cls, vset: VelocitySet, alpha, beta) -> "ReservoirProfiles":
@@ -170,7 +169,10 @@ class Model:
     """A lattice-gas instance: geometry, velocities, reservoirs, collisions.
 
     `jump_probs` is the velocities' `jump_probabilities`, built (and a set
-    too fast for it rejected) here."""
+    too fast for it rejected) here.  `walls` is `profiles.at` the transverse
+    positions x~/N of a wall layer, in site order, evaluated once here (so a
+    density outside (0, 1) raises DomainError); None without reservoirs or
+    walls."""
 
     lattice: Lattice
     vset: VelocitySet
@@ -178,10 +180,16 @@ class Model:
     include_collisions: bool = True
     collisions: Optional[CollisionSet] = field(init=False)
     jump_probs: np.ndarray = field(init=False, repr=False, compare=False)
+    walls: Optional[tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.jump_probs = jump_probabilities(self.vset)
         self.collisions = CollisionSet(self.vset) if self.include_collisions else None
+        lat = self.lattice
+        self.walls = None
+        if self.profiles is not None and not lat.periodic:
+            # the first wall layer's sites, x_1 = 1, come first in site order
+            self.walls = self.profiles.at(lat.all_coords()[:lat.N ** (lat.d - 1), 1:] / lat.N)
 
     @property
     def time_scale(self) -> float:
@@ -319,21 +327,16 @@ class RateTable:
             (sites[..., None] * len(quads) + local).reshape(-1, 2, 4),
             np.tile(np.arange(1.0, 5.0), (lat.n_sites * len(pairs), 2, 1)))
 
-        # boundary: one profile call per (wall layer, velocity); the left
-        # layer's sites precede the right layer's in site order
+        # boundary: the wall layers' slots are the first and the last of the
+        # configuration, alpha's layer first; at N = 2 one layer faces both walls
+        # and takes alpha
         slots, births = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-        if model.profiles is not None and not lat.periodic:
-            coords = lat.all_coords()
-            layers = [(coords[:, 0] == 1, model.profiles.alpha)]
-            if lat.N > 2:
-                layers.append((coords[:, 0] == lat.N - 1, model.profiles.beta))
-            for on_wall, fns in layers:
-                wall = np.flatnonzero(on_wall)
-                tilde = coords[wall, 1:] / lat.N
-                dens = [np.broadcast_to(np.asarray(f(tilde), dtype=float), wall.shape)
-                        for f in fns]
-                slots.append((wall[:, None] * nv + np.arange(nv)).reshape(-1))
-                births.append(np.stack(dens, axis=1).reshape(-1))
+        if model.walls is not None:
+            layers = model.walls[:1 + (lat.N > 2)]
+            per_layer = layers[0].size
+            starts = (0, lat.n_sites * nv - per_layer)
+            slots += [start + np.arange(per_layer) for start in starts[:len(layers)]]
+            births += [dens.reshape(-1) for dens in layers]
         self.bd_slot = np.concatenate(slots)
         self.bd_birth = np.concatenate(births)
         self.bd_death = 1.0 - self.bd_birth

@@ -4,9 +4,10 @@ The CLI maps ConfigError (including StabilityError and SizeError, inputs
 rejected before any work) to exit code 2 and NumericalFailure (including
 ConvergenceError) to exit code 3; everything else is a plain bug.
 
-An input outside the hull (wall data, hydro.gamma), found where the CLI first
-evaluates it, is a ConfigError (exit 2); a DomainError raised mid-run (a
-trajectory or iterate leaving the hull) exits 3.
+An input is checked once, where it is evaluated before any work (reservoir
+densities at the lattice and grid points, hull margins by
+`thermo.ConvexDomain.worst`; a NaN fails), and exits 2; a DomainError raised
+mid-run (a trajectory or iterate leaving the hull) exits 3.
 """
 
 

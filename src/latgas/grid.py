@@ -76,13 +76,9 @@ class Grid:
         return (self.mt,) * (self.d - 1)
 
     def transverse_points(self) -> np.ndarray:
-        """(n_t, d-1) flattened positions on the wall torus; a single
-        zero-coordinate point for d=1."""
-        if self.d == 1:
-            return np.zeros((1, 0))
-        axes = [self.axis(1)] * (self.d - 1)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack(mesh, axis=-1).reshape(-1, self.d - 1)
+        """(n_t, d-1) positions of the wall nodes on the torus, in node order;
+        a single empty point for d=1."""
+        return self.nodes()[0, ..., 1:].reshape(self.mt ** (self.d - 1), self.d - 1)
 
     def transverse_weights(self) -> np.ndarray:
         """Flattened surface quadrature weights on T^{d-1}; total mass 1."""

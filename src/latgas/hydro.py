@@ -39,7 +39,7 @@ from .velocities import VelocitySet
 HULL_EXCURSION_TOL = 1e-9
 HULL_INTERIOR_PAD = 1e-12
 WALL_VANISH_TOL = 1e-12
-# Smallest hull margin admitted for wall data; see BoundaryData.from_profiles.
+# Smallest hull margin admitted for wall data; see BoundaryData.from_densities.
 RESERVOIR_MIN_MARGIN = float(np.sqrt(NEWTON_TOL))
 
 
@@ -50,7 +50,9 @@ class BoundaryData:
     """Dirichlet values on the two walls: a at u_1 = 0, b at u_1 = 1.
 
     Arrays have shape tshape + (d+1,); for d=1 they are plain (d+1,) vectors
-    a = sum_v (alpha_v, v alpha_v) and b likewise with beta_v.
+    a = sum_v (alpha_v, v alpha_v) and b likewise with beta_v.  The package
+    builds wall data from densities only through `from_densities`, which holds
+    it to the margin floor.
     """
 
     a: np.ndarray
@@ -59,7 +61,15 @@ class BoundaryData:
     @classmethod
     def from_profiles(cls, profiles: ReservoirProfiles, vset: VelocitySet,
                       grid: Grid) -> "BoundaryData":
-        """Wall data a, b from the reservoir densities at the transverse nodes.
+        """Wall data a, b from the reservoir densities at the transverse nodes;
+        `profiles.at` raises DomainError for a density outside (0, 1)."""
+        return cls.from_densities(profiles.at(grid.transverse_points()), vset, grid.tshape)
+
+    @classmethod
+    def from_densities(cls, walls: tuple, vset: VelocitySet,
+                       shape: tuple = (-1,)) -> "BoundaryData":
+        """Wall data from the densities (alpha, beta), each (n, nv), as arrays
+        of shape `shape` + (d+1,).
 
         Raises DomainError unless every wall value has hull margin at least
         RESERVOIR_MIN_MARGIN = sqrt(NEWTON_TOL) = 1e-6, for every velocity set:
@@ -77,27 +87,12 @@ class BoundaryData:
         that corner (1e-5 at the smallest ratio, 0.1, seen over sampled
         interior points), of the order of the densities the floor excludes.
         Densities inside (0, 1) with a smaller margin are rejected here
-        rather than in ReservoirProfiles, because the simulator is well
-        defined for them.
+        rather than in `ReservoirProfiles.at`, because the simulator is well
+        defined for them.  A NaN fails.
         """
-        return cls.at_points(profiles, vset, grid.transverse_points(), grid.tshape)
-
-    @classmethod
-    def at_points(cls, profiles: ReservoirProfiles, vset: VelocitySet, pts,
-                  shape: tuple) -> "BoundaryData":
-        """Wall data at the transverse positions `pts` (n, d-1), as arrays of
-        shape `shape` + (d+1,), under the margin floor of `from_profiles`."""
-        n_t = len(pts)
-
-        def build(fns):
-            dens = np.empty((n_t, len(vset)))
-            for v, f in enumerate(fns):
-                dens[:, v] = np.broadcast_to(np.asarray(f(pts), dtype=float), (n_t,))
-            return (dens @ vset.vtilde).reshape(shape + (vset.d + 1,))
-
-        a, b = build(profiles.alpha), build(profiles.beta)
-        worst = float(np.min(domain_of(vset).margin([a, b])))
-        if worst < RESERVOIR_MIN_MARGIN:
+        a, b = ((dens @ vset.vtilde).reshape(shape + (vset.d + 1,)) for dens in walls)
+        worst = domain_of(vset).worst((a, b))
+        if not worst >= RESERVOIR_MIN_MARGIN:
             raise DomainError(
                 f"reservoir data must keep hull margin >= {RESERVOIR_MIN_MARGIN:.0e} "
                 f"(worst wall margin {worst:.3e})"
@@ -398,13 +393,12 @@ class _Stepper:
 
     def guard(self, W: np.ndarray, t: float) -> np.ndarray:
         flat = W.reshape(-1, self.vset.d + 1)
-        slack = flat @ self.dom.normals.T + self.dom.offsets
-        # one reduction gives the worst node's margin exactly; per-node margins
-        # only when it is below the pad (a NaN passes, as it did node by node)
-        worst = -float(slack.max())
+        # per-node margins only when the worst is below the pad; a NaN passes
+        # on to the next inversion
+        worst = self.dom.worst(flat)
         if not worst < HULL_INTERIOR_PAD:
             return W
-        margin = -slack.max(axis=-1)
+        margin = self.dom.margin(flat)
         if worst < -HULL_EXCURSION_TOL:
             k = int(np.argmin(margin))
             raise NumericalFailure(
@@ -431,8 +425,8 @@ def _prepare_gamma(gamma, grid: Grid, vset: VelocitySet) -> np.ndarray:
     expected = grid.shape + (vset.d + 1,)
     if arr.shape != expected:
         raise ValueError(f"initial profile shape {arr.shape}, expected {expected}")
-    worst = float(np.min(domain_of(vset).margin(arr.reshape(-1, vset.d + 1))))
-    if worst <= HULL_INTERIOR_PAD:
+    worst = domain_of(vset).worst(arr)
+    if not worst > HULL_INTERIOR_PAD:
         raise DomainError(
             "initial profile must lie strictly inside the admissible hull "
             f"(worst margin {worst:.3e})"
@@ -557,8 +551,8 @@ class QuadratureContext:
         w_mid = 0.5 * (traj.values[:-1] + traj.values[1:])
         self.w_space = grid.weights()
         flat = w_mid.reshape(-1, vset.d + 1)
-        worst = float(np.min(domain_of(vset).margin(flat)))
-        if worst <= 0:
+        worst = domain_of(vset).worst(flat)
+        if not worst > 0:
             raise DomainError(
                 "trajectory leaves the open hull; the cost functional requires "
                 f"interior fields (worst margin {worst:.3e})"

@@ -60,8 +60,10 @@ class ConvexDomain:
     d-subset of generators of rank d gives such a pair, parallel normals
     counted once.  Membership tests use these facet inequalities; `margin` is
     the signed Euclidean distance to the nearest facet plane (positive
-    inside).  The centre is (1/2) sum_v vtilde_v.  A velocity set whose
-    conserved vectors have rank below d+1 has no interior and is rejected.
+    inside), and `worst` the smallest margin of a batch, the one reduction
+    that every hull check reads.  The centre is (1/2) sum_v vtilde_v.  A
+    velocity set whose conserved vectors have rank below d+1 has no interior
+    and is rejected.
     The facet construction takes one cofactor vector per d-subset of the nv
     generators, bounded by the cap on velocity sets
     (`velocities.MAX_VELOCITIES`).
@@ -94,6 +96,12 @@ class ConvexDomain:
         """Signed distance to the hull boundary; positive strictly inside."""
         return -np.max(np.asarray(x, dtype=float) @ self.normals.T + self.offsets, axis=-1)
 
+    def worst(self, x) -> float:
+        """The smallest margin of the points x (..., d+1), one max over points
+        and facets; NaN when a point is, so `not worst > floor` rejects it."""
+        x = np.asarray(x, dtype=float)
+        return -float((x.reshape(-1, x.shape[-1]) @ self.normals.T + self.offsets).max())
+
     def project_inward(self, x, min_margin: float = 0.0) -> np.ndarray:
         """Pull points toward the centroid until margin >= min_margin.
 
@@ -124,12 +132,6 @@ def domain_of(vset: VelocitySet) -> ConvexDomain:
     return dom
 
 
-def check_in_U(target, vset: VelocitySet) -> tuple:
-    """Whether target lies in the open hull of conserved vectors, plus its margin."""
-    m = domain_of(vset).margin(np.asarray(target, dtype=float))
-    return bool(np.all(m > 0)), m
-
-
 def invert_conserved(targets, vset: VelocitySet, lam0=None,
                      check_domain: bool = True) -> np.ndarray:
     """Batched inverse lam(rho, p) of the (rho, p) parametrization.
@@ -156,7 +158,7 @@ def local_equilibrium(targets, vset: VelocitySet, lam0=None,
     targets = np.asarray(targets, dtype=float)
     t = targets.reshape(-1, targets.shape[-1])
     if check_domain:
-        worst = float(np.min(domain_of(vset).margin(t)))
+        worst = domain_of(vset).worst(t)
         if not worst > 0:
             raise DomainError(
                 f"target outside the open admissible region (worst margin {worst:.3e})"

@@ -7,8 +7,10 @@ reproduce the files byte for byte.  It rewrites
 
   tests/data/sim_streams.json  `test_eventloop.stream_record` of each case and seed;
   tests/data/cli_outputs.json  the `simulate`, `converge` and `hydro` digests
-                               of `test_cli.output_digests` at one thread, and
-                               the `exact` digests of
+                               of `test_cli.output_digests` at one thread, the
+                               `simulate` and `hydro` digests of the d = 2
+                               config `test_cli.tiny_config_2d` (under "2d"),
+                               and the `exact` digests of
                                `test_cli.exact_report_digest`.
 
 Re-record only for a change that is meant to move these outputs (a new
@@ -44,6 +46,9 @@ def main() -> None:
         outputs = {command: test_cli.output_digests(tmp, command, threads=1)
                    for command in ("simulate", "converge")}
         outputs["hydro"] = test_cli.output_digests(tmp, "hydro", threads=1)
+        outputs["2d"] = {command: test_cli.output_digests(tmp, command, threads=1,
+                                                          config=test_cli.tiny_config_2d)
+                         for command in ("simulate", "hydro")}
         outputs["exact"] = {name: test_cli.exact_report_digest(tmp, name)
                             for name in sorted(test_cli.EXACT_CONFIGS)}
     write(HERE / "data" / "sim_streams.json", streams)

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import latgas.dynamics
 import latgas.hydro
 from latgas import eventloop
 from latgas.cli import build_model, lattice_walls, main
-from latgas.config import _CONTROL, _SECTIONS, load_config, parse_config
+from latgas.config import _CONTROL, _SECTIONS, compile_expression, load_config, parse_config
 from latgas.dynamics import RateTable
 from latgas.errors import ConfigError, ConvergenceError, DomainError
 from latgas.generator import STATE_SPACE_CAP, ExactGenerator
@@ -102,11 +103,12 @@ def tiny_config(tmp_path, **sections):
     return str(path)
 
 
-def output_digests(tmp_path, command, threads):
+def output_digests(tmp_path, command, threads, config=None):
     """sha256 of each data file (not the manifest) one command writes on the
-    tiny config."""
+    config `config(tmp_path)` (default `tiny_config`)."""
     out = tmp_path / f"{command}-threads{threads}"
-    assert main([command, "--config", tiny_config(tmp_path), "--out", str(out),
+    path = (config or tiny_config)(tmp_path)
+    assert main([command, "--config", path, "--out", str(out),
                  "--threads", str(threads)]) == 0
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(out.iterdir()) if not p.name.startswith("manifest_")}
@@ -127,6 +129,14 @@ def test_outputs_reproduce_recorded_bytes(tmp_path, command, threads):
 def test_hydro_reproduces_recorded_bytes(tmp_path):
     # the PDE march is deterministic: its trajectory files pin every step
     assert output_digests(tmp_path, "hydro", threads=1) == RECORDED_OUTPUTS["hydro"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "hydro"])
+def test_two_dimensional_outputs_reproduce_recorded_bytes(tmp_path, command):
+    # alpha varies across the wall, so these pin the wall data at the
+    # lattice's and at the grid's transverse positions
+    assert output_digests(tmp_path, command, threads=1, config=tiny_config_2d) \
+        == RECORDED_OUTPUTS["2d"][command]
 
 
 def test_simulate_with_no_sample_times(tmp_path):
@@ -448,6 +458,58 @@ def test_gamma_outside_the_hull_is_a_config_error(tmp_path, capsys, command):
     path = tiny_config(tmp_path, hydro={"gamma": ["2.5", "0.0"]})
     assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert "hydro.gamma leaves the open hull" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["hydro", "converge", "simulate"])
+def test_gamma_inside_the_hull_by_less_than_the_pad_is_a_config_error(tmp_path, capsys,
+                                                                      command):
+    # margin 4.5e-14: inside the hull but within the solver's pad of 1e-12,
+    # so every command rejects it before any work rather than the solver
+    # mid-run (exit 3)
+    path = tiny_config(tmp_path, hydro={"gamma": ["1e-13", "0.0"]})
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert "worst margin 4.472e-14" in capsys.readouterr().err
+
+
+def config_with(tmp_path, section, key, value):
+    """The tiny config with `section.key` set to `value`, and an exact
+    section whose boundary events read the reservoir densities."""
+    path = pathlib.Path(tiny_config(tmp_path, exact={"N": 3, "periodic": False,
+                                                     "parts": ["boundary", "exclusion"]}))
+    config = yaml.safe_load(path.read_text())
+    config[section][key] = value
+    path.write_text(yaml.safe_dump(config))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["exact", "hydro", "simulate"])
+def test_a_nan_reservoir_density_exits_2(tmp_path, capsys, command):
+    # inf - inf is NaN, which is not inside (0, 1)
+    path = config_with(tmp_path, "model", "alpha", ["1e400-1e400", "0.4"])
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert "reservoir density alpha[0] = nan leaves (0, 1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,section,key,value", [
+    ("exact", "model", "alpha", ["0/0", "0.4"]),
+    ("simulate", "model", "alpha", ["1/0", "0.4"]),
+    ("hydro", "model", "alpha", ["2.0**2000", "0.4"]),
+    ("converge", "hydro", "gamma", ["0/0", "0.0"]),
+])
+def test_expressions_that_cannot_be_evaluated_exit_2(tmp_path, capsys, command, section,
+                                                     key, value):
+    path = config_with(tmp_path, section, key, value)
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert f"cannot evaluate expression {value[0]!r}" in capsys.readouterr().err
+
+
+def test_expressions_give_nan_and_inf_on_arrays_without_a_warning():
+    # the range and hull checks reject them; numpy's RuntimeWarning is muted
+    fn = compile_expression("1/u2 + 0*u2/u2", ["u2"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = fn(np.array([[0.0], [0.5]]))
+    assert np.isnan(values[0]) and values[1] == 2.0
 
 
 @pytest.mark.parametrize("error", [

@@ -21,6 +21,7 @@ from latgas.dynamics import (
     simulate,
     step,
 )
+from latgas.errors import DomainError
 from latgas.generator import assemble_exact_generator
 from latgas.lattice import Lattice
 from latgas.thermo import theta_all
@@ -121,8 +122,39 @@ class TestJumpLaw:
 
 class TestProfiles:
     def test_range_validation(self, vs2):
-        with pytest.raises(ValueError, match="leaves"):
-            ReservoirProfiles.constant(vs2, [0.0, 0.5], [0.5, 0.5])
+        # densities are checked where they are evaluated: at the model's
+        # wall layer, or at the points given to `at`; a NaN is outside
+        profiles = ReservoirProfiles.constant(vs2, [0.0, 0.5], [0.5, 0.5])
+        with pytest.raises(DomainError, match=r"alpha\[0\] = 0 leaves \(0, 1\)"):
+            Model(Lattice(4), vs2, profiles=profiles)
+        with pytest.raises(DomainError, match=r"beta\[1\] = nan leaves"):
+            ReservoirProfiles.constant(vs2, [0.3, 0.5], [0.5, np.nan]).at(np.zeros((1, 0)))
+        # a periodic lattice has no walls and evaluates none
+        assert Model(Lattice(4, periodic=True), vs2, profiles=profiles).walls is None
+
+    def test_range_checked_at_every_lattice_point(self, vs2d):
+        # 0.5 + 0.6 sin(2 pi 64 u) is 1/2 on every multiple of 1/64, but
+        # reaches 1.0196 at u = 1/3 on the wall layer of N = 3
+        wavy = lambda u: 0.5 + 0.6 * np.sin(2 * np.pi * 64 * u[..., 0])  # noqa: E731
+        profiles = ReservoirProfiles(vs2d, [wavy, 0.4, 0.35, 0.45], [0.6, 0.5, 0.55, 0.65])
+        alpha, _ = profiles.at(np.arange(64)[:, None] / 64)
+        assert alpha[:, 0] == pytest.approx(np.full(64, 0.5), abs=1e-12)
+        with pytest.raises(DomainError, match=r"alpha\[0\] = 1\.02 at transverse "
+                                              r"position \[0\.333"):
+            Model(Lattice(3, 2), vs2d, profiles=profiles)
+
+    def test_walls_are_the_wall_layer_densities(self, vs2d):
+        # one row per transverse position x~/N of a wall layer, in site order
+        profiles = ReservoirProfiles(
+            vs2d, [lambda u: 0.3 + 0.1 * u[..., 0], 0.4, 0.35, 0.45], [0.6, 0.5, 0.55, 0.65])
+        model = Model(Lattice(5, 2), vs2d, profiles=profiles)
+        alpha, beta = model.walls
+        assert alpha.shape == beta.shape == (5, 4)
+        assert np.array_equal(alpha[:, 0], 0.3 + 0.1 * np.arange(5) / 5)
+        table = model.table
+        assert np.array_equal(table.bd_birth, np.concatenate([alpha.ravel(), beta.ravel()]))
+        assert np.array_equal(table.bd_slot[:20] // 4, np.repeat(np.arange(5), 4))
+        assert np.array_equal(table.bd_slot[20:] // 4, np.repeat(np.arange(15, 20), 4))
 
     def test_matched(self, vs2):
         # both walls' reservoir births in the catalog are theta_v(lam)

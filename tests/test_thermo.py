@@ -9,7 +9,6 @@ from latgas.errors import ConvergenceError, DomainError
 from latgas.lattice import Lattice
 from latgas.thermo import (
     ConvexDomain,
-    check_in_U,
     domain_of,
     exact_theta,
     invert_conserved,
@@ -225,12 +224,10 @@ class TestExactInverse:
 
 class TestHull:
     def test_vertex_not_interior(self, vs2):
-        ok, margin = check_in_U([len(vs2), 0.0], vs2)
-        assert not ok and margin <= 0
+        assert not domain_of(vs2).worst([len(vs2), 0.0]) > 0
 
     def test_center_interior(self, vs2):
-        ok, margin = check_in_U([len(vs2) / 2, 0.0], vs2)
-        assert ok and margin > 0
+        assert domain_of(vs2).worst([len(vs2) / 2, 0.0]) > 0
 
     def test_positive_mixture_of_all_vertices_interior(self, vs4, rng):
         from scipy.spatial import ConvexHull
@@ -243,14 +240,12 @@ class TestHull:
             w = rng.dirichlet(np.ones(len(verts))) + 1e-3
             w = w / w.sum()
             point = w @ verts
-            ok, margin = check_in_U(point, vs4)
-            assert ok and margin > 0
+            assert domain_of(vs4).worst(point) > 0
 
     def test_margin_is_distance(self, vs_unit):
         # for {±1} the hull is the square with vertices (0,0),(1,±1),(2,0)
-        ok, m = check_in_U([1.0, 0.0], vs_unit)
-        assert ok
-        assert m == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+        assert domain_of(vs_unit).worst([1.0, 0.0]) == pytest.approx(1 / math.sqrt(2),
+                                                                     abs=1e-12)
 
     def test_project_inward(self, vs2):
         dom = domain_of(vs2)
@@ -289,6 +284,11 @@ def test_zonotope_facets_match_qhull(name, rng):
     reference = -np.max(x @ hull.equations[:, :-1].T + hull.equations[:, -1], axis=1)
     assert np.any(reference > 0) and np.any(reference < 0)
     assert np.max(np.abs(dom.margin(x) - reference)) < 1e-12
+    # the one reduction of margins: the smallest margin, bit for bit, and NaN
+    # for a NaN point
+    assert dom.worst(x) == np.min(dom.margin(x))
+    x[7, 0] = np.nan
+    assert np.isnan(dom.worst(x))
     assert np.allclose(dom.centroid, points[hull.vertices].mean(axis=0))
     cosines = dom.normals @ dom.normals.T
     assert np.max(cosines - 2 * np.eye(len(cosines))) < 1 - 1e-9  # each facet once
