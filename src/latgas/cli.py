@@ -20,9 +20,9 @@ import numpy as np
 from . import __version__
 from .config import (
     ExperimentConfig,
+    ReplicaStreams,
     compile_expression,
     load_config,
-    replica_rng,
     write_manifest,
 )
 from .dynamics import Model, ReservoirProfiles, simulate
@@ -150,12 +150,14 @@ def _replica_cells(cfg: ExperimentConfig, command: str, N: int, replicas: range)
     """The cells (N, r), r in `replicas`, of `simulate` or `converge` (one run
     to t_compare, sampled there); top-level so it can cross a process boundary.
 
-    What the replicas share is built once: the model with its event catalog,
-    the smoothing grid, and the densities theta of the product measure along
-    gamma (`cmd_simulate` checks the block centers).  Each replica draws its
-    initial state from theta, the first draw of its own stream, and runs from
-    it; then the samples of every replica are measured, smoothed and
-    block-averaged in one call each.
+    What the replicas share is built once: the model with its event catalog
+    and its one `SimState` (loop state, open-pair list and candidate buffers,
+    restarted per replica by `simulate`), one `ReplicaStreams` generator
+    re-keyed per replica, the smoothing grid, and the densities theta of the
+    product measure along gamma (`cmd_simulate` checks the block centers).
+    Each replica draws its initial state from theta, the first draw of its
+    own stream, and runs from it; then the samples of every replica are
+    measured, smoothed and block-averaged in one call each.
     """
     if command == "converge":
         sec = cfg.converge
@@ -174,11 +176,13 @@ def _replica_cells(cfg: ExperimentConfig, command: str, N: int, replicas: range)
     grid = build_grid(cfg, sec["grid_m1"], cfg.hydro["mt"])
     lat, vset = model.lattice, model.vset
     theta = theta_field(build_gamma(cfg, lattice_walls(model), lat.positions()), vset)
+    streams = ReplicaStreams(cfg.model.seed)
     runs = []
     for replica in replicas:
-        rng = replica_rng(cfg.model.seed, N, replica)
+        rng = streams.at(N, replica)
         runs.append(simulate(sample_profile_state(theta, rng), model, horizon, rng,
                              sample_times=times))
+    del model  # and its state's candidate buffers, before the samples are measured
     # (replicas, samples, n_sites, nv), smoothed to (replicas, samples,
     # *grid.shape, d+1) and block-averaged to (replicas, samples, centers, d+1);
     # the samples are in increasing time, which `times` need not be
@@ -231,10 +235,12 @@ def _map_cells(command: str, cfg: ExperimentConfig, args) -> list:
     """(cell, result) per (N, replica) cell of `command`, in output order.
 
     Each `_replica_cells` task, one per (N, contiguous block of replicas),
-    sets N up once.  `--threads k` splits each N's replicas into k blocks
-    for k worker processes; every cell has its own
-    `replica_rng` stream, so no output changes.  Adds each cell's stream key
-    N:replica and run record (its result's "run") to `args.cells`."""
+    sets N up once: its replicas share one model, one `SimState` and one
+    re-keyed generator.  `--threads k` splits each N's replicas into k blocks
+    for k worker processes; every cell has its own `ReplicaStreams` stream
+    and a restarted state is a new one, so no output changes.  Adds each
+    cell's stream key N:replica and run record (its result's "run") to
+    `args.cells`."""
     R, k = cfg.model.replicas, max(1, args.threads)
     cuts = [R * i // k for i in range(k + 1)]
     tasks = [(N, range(lo, hi)) for N in cfg.model.n_values

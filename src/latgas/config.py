@@ -331,14 +331,32 @@ def parse_config(raw, base_dir: str = ".") -> ExperimentConfig:
     return ExperimentConfig(raw=raw, model=model, **sections)
 
 
-def replica_rng(seed: int, *key) -> Generator:
-    """Independent, reproducible stream for one (N, replica, ...) cell.
+class ReplicaStreams:
+    """Independent, reproducible streams, one per (N, replica, ...) cell of
+    the master seed `seed`, all served by one generator.
 
-    Streams come from a counter-based bit generator keyed by the master seed
-    and the spawn key, so replicas are independent and order-insensitive.
+    A cell's stream is Philox keyed by `SeedSequence(seed, spawn_key=cell)`
+    from counter 0, so replicas are independent and order-insensitive.
+    Philox is counter-based (Salmon, Moraes, Dror & Shaw, SC'11): `at(*cell)`
+    sets the one generator's key and zeroes its counter and buffer through
+    the public `bit_generator.state`, which gives exactly the stream of
+    `Generator(Philox(SeedSequence(seed, spawn_key=cell)))` without building
+    one per cell.  The generator `at` returns is the one of every cell, so a
+    cell's stream ends at the next `at` call.
     """
-    ss = SeedSequence(entropy=seed, spawn_key=tuple(int(k) for k in key))
-    return Generator(Philox(ss))
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self.rng = Generator(Philox(0))
+
+    def at(self, *cell) -> Generator:
+        key = SeedSequence(self.seed, spawn_key=tuple(int(k) for k in cell)) \
+            .generate_state(2, np.uint64)
+        zeros = np.zeros(4, dtype=np.uint64)
+        self.rng.bit_generator.state = {
+            "bit_generator": "Philox", "state": {"counter": zeros, "key": key},
+            "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        return self.rng
 
 
 def _scipy_version() -> str:

@@ -48,14 +48,15 @@ a closed one swap-removed.  R = 0 is an absorbing state and raises
 
 `SimState.advance(stop)` runs the candidate stream.  `_refill` draws it in
 batches, each in a fixed order (standard exponentials, then selector
-uniforms, then accept variates) into a gap array and a (2, B) block of
-uniforms, both kept until the batch size B grows; the loop scales them by the
-current R, a gap E / (R N^2) and a selector u R.  For a model without
-collision pairs R is `RateTable.total_bound` throughout.  The first batch holds
-`SimState.FIRST_BATCH` = 2^8 candidates and each later one as many as all
-earlier batches together, up to `SimState.BATCH` = 2^14: a short run draws
-few more candidates than it reads (at most twice as many, or 2^8), and a
-long one draws 2^14 at a time.  The schedule is fixed by these
+uniforms, then accept variates) into prefix views of a gap buffer and a
+uniform buffer, a gap array and a (2, B) block; the buffers persist across
+`SimState.restart` and grow only when B outgrows them.  The loop scales the
+candidates by the current R, a gap E / (R N^2) and a selector u R.  For a
+model without collision pairs R is `RateTable.total_bound` throughout.  The
+first batch holds `SimState.FIRST_BATCH` = 2^8 candidates and each later one
+as many as all earlier batches together, up to `SimState.BATCH` = 2^14: a
+short run draws few more candidates than it reads (at most twice as many, or
+2^8), and a long one draws 2^14 at a time.  The schedule is fixed by these
 constants alone, never by `stop`, the sample times or the horizon, so a seed
 fixes the stream whichever loop consumes it and however the run is observed.
 The loop applies every accepted event with clock reading t < stop and
@@ -74,6 +75,11 @@ compiled on first use into the package's `__pycache__/` (a private temporary
 directory when that is not writable); with no C compiler `SimState` runs
 `_select`/`_apply`, the Python reference.
 `SimState.event_loop` and `SimulationResult.event_loop` say which ran.
+
+Each `Model` holds one `SimState` for `simulate` (`Model.sim_state`): the
+first call builds it, with its loop state, open-pair list and candidate
+buffers, and later calls `restart` it from their own configuration and
+stream, which leaves it as a new `SimState` would be.
 """
 
 from __future__ import annotations
@@ -181,6 +187,7 @@ class Model:
     collisions: Optional[CollisionSet] = field(init=False)
     jump_probs: np.ndarray = field(init=False, repr=False, compare=False)
     walls: Optional[tuple] = field(init=False, repr=False, compare=False)
+    _state: Optional["SimState"] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.jump_probs = jump_probabilities(self.vset)
@@ -201,13 +208,24 @@ class Model:
         """The event catalog, built on first use; every SimState and generator reads it."""
         return RateTable(self)
 
+    def sim_state(self, eta: np.ndarray, rng) -> "SimState":
+        """The model's one `SimState` for `simulate`, from `eta` at time 0 on
+        `rng`: the first call builds it, later ones restart it, so runs on one
+        model share its set-up and must not overlap."""
+        if self._state is None:
+            self._state = SimState(self, eta, rng)
+        else:
+            self._state.restart(eta, rng)
+        return self._state
+
 
 # --- events ------------------------------------------------------------------
 
 EXCLUSION, COLLISION, BOUNDARY = 0, 1, 2
 KIND_NAMES = ("exclusion", "collision", "boundary")
-# the event families the exact generator assembles (`exact.parts`)
-ALL_PARTS = ("boundary", "collision", "exclusion")
+# the event families the exact generator assembles (`exact.parts`), in the
+# order reports print them
+ALL_PARTS = tuple(sorted(KIND_NAMES))
 
 # Consecutive rejected candidates between absorbing-state checks.  In place
 # of an event family the compiled loop returns CHECK_ABSORBING when a check
@@ -426,7 +444,12 @@ class OccupationTracker:
 class SimState:
     """Mutable state driving the thinned candidate stream over `Model.table`,
     from a configuration `eta` (n_sites, nv) of 0/1 occupations at time 0;
-    any other shape or value raises ValueError."""
+    any other shape or value raises ValueError.
+
+    `__init__` does the model-level set-up (the configuration buffer, the
+    open-pair list, the loop state and its pointers) and then calls
+    `restart`, which later runs call too: a restarted state is a new one from
+    its configuration and stream."""
 
     FIRST_BATCH = 1 << 8  # candidates in the first batch
     BATCH = 1 << 14  # the cap on later batches, which double the stream drawn
@@ -434,43 +457,30 @@ class SimState:
     def __init__(self, model: Model, eta: np.ndarray, rng):
         from .eventloop import LoopState, load_kernel
 
-        self.model = model
+        # the model's sizes and clock, not the model, which holds this state
         self.table = table = model.table
-        self.rng = rng
-        self.t = 0.0
-        self.nv = len(model.vset)
-        eta = np.asarray(eta)
-        if eta.shape != (model.lattice.n_sites, self.nv):
-            raise ValueError(f"eta has shape {eta.shape}; the lattice has "
-                             f"{model.lattice.n_sites} sites of {self.nv} velocity slots")
-        if not ((eta == 0) | (eta == 1)).all():
-            raise ValueError("occupations must be 0 or 1")
-        self.eta_flat = eta.astype(np.uint8).reshape(-1)
+        self.n_sites, self.nv = model.lattice.n_sites, len(model.vset)
+        self.time_scale = model.time_scale
         if table.total_bound <= 0.0:
             raise NumericalFailure("no events are possible for this model")
-        # the candidate batch: gaps, and the rows of selector and accept uniforms
-        self._gap, self._uni = np.empty(0), np.empty((2, 0))
+        self.eta_flat = np.empty(self.n_sites * self.nv, dtype=np.uint8)
+        # the candidate buffers, of which `_refill` views one batch; empty
+        # until the first
+        self._gaps, self._uniforms = np.empty(0), np.empty(0)
+        self._gap, self._uni = self._gaps, self._uniforms.reshape(2, 0)
         self._sel, self._acc = self._uni
-        self._pos = self._drawn = 0
         self.kind_counts = np.zeros(3, dtype=np.int64)
-        self.trackers: list = []
         # the open collision pairs in `_open[:n_open]`, and each pair's place
         # there or -1 in `_where`; a model without collision pairs has neither
-        self.n_open = 0
         if table.col_groups:
             n_col = table.n_pairs[1]
-            sl = self.eta_flat[table.col_pairs.slots]
-            opened = np.flatnonzero((sl[:, 0] == sl[:, 1]) & (sl[:, 1] != sl[:, 2])
-                                    & (sl[:, 2] == sl[:, 3]))
-            self.n_open = len(opened)
             self._open = np.empty(n_col, dtype=np.int64)
-            self._open[:self.n_open] = opened
-            self._where = np.full(n_col, -1, dtype=np.int64)
-            self._where[opened] = np.arange(self.n_open)
+            self._where = np.empty(n_col, dtype=np.int64)
         self._run = load_kernel()
         if self._run is not None:
             # in LoopState field order; the candidate pointers and count are
-            # set when the batch grows, n_open, the clock and position per call
+            # set when the batch size changes, n_open, the clock and position
+            # per call
             self._loop = LoopState(
                 None, None, None, *table.loop_pointers,
                 self.eta_flat.ctypes.data, self.kind_counts.ctypes.data, None, None,
@@ -480,10 +490,37 @@ class SimState:
             if table.col_groups:
                 self._loop.open = self._open.ctypes.data
                 self._loop.where = self._where.ctypes.data
+        self.restart(eta, rng)
 
-    @property
-    def n_events(self) -> int:
-        return int(self.kind_counts.sum())
+    def restart(self, eta: np.ndarray, rng) -> None:
+        """Start over from the configuration `eta` at time 0 on the stream
+        `rng`, as a new `SimState` would, keeping the buffers; `eta` is
+        checked before anything changes."""
+        table = self.table
+        eta = np.asarray(eta)
+        if eta.shape != (self.n_sites, self.nv):
+            raise ValueError(f"eta has shape {eta.shape}; the lattice has "
+                             f"{self.n_sites} sites of {self.nv} velocity slots")
+        if not ((eta == 0) | (eta == 1)).all():
+            raise ValueError("occupations must be 0 or 1")
+        self.eta_flat[:] = eta.reshape(-1)
+        self.rng = rng
+        self.t = 0.0
+        self.kind_counts[:] = 0
+        self.trackers: list = []
+        # the batch in hand counts as read, so the first candidate draws anew
+        self._pos, self._drawn = len(self._gap), 0
+        self.n_open = 0
+        if table.col_groups:
+            sl = self.eta_flat[table.col_pairs.slots]
+            opened = np.flatnonzero((sl[:, 0] == sl[:, 1]) & (sl[:, 1] != sl[:, 2])
+                                    & (sl[:, 2] == sl[:, 3]))
+            self.n_open = len(opened)
+            self._open[:self.n_open] = opened
+            self._where.fill(-1)
+            self._where[opened] = np.arange(self.n_open)
+        if self._run is not None:
+            self._loop.tried = 0
 
     @property
     def candidates(self) -> int:
@@ -497,19 +534,26 @@ class SimState:
     def _refill(self):
         """Draw the next batch of B candidates in place: B standard
         exponentials into `_gap`, then 2B uniforms filling the selector and
-        accept rows of `_uni`, the stream of three separate draws.  New arrays
-        are allocated only when B grows, after every view of the old ones is
-        dropped."""
+        accept rows of `_uni`, the stream of three separate draws.  `_gap`
+        and `_uni` are prefix views of buffers that persist across restarts,
+        `_gaps[:B]` and `_uniforms[:2B].reshape(2, B)`, re-made when B
+        changes; the buffers are re-allocated only when B outgrows them,
+        after every view of the old ones is dropped."""
         B = min(max(self._drawn, self.FIRST_BATCH), self.BATCH)
         if B != len(self._gap):
-            self._gap = self._uni = self._sel = self._acc = None
-            self._gap, self._uni = np.empty(B), np.empty((2, B))
+            if B > len(self._gaps):
+                self._gap = self._uni = self._sel = self._acc = None
+                self._gaps = self._uniforms = None
+                self._gaps, self._uniforms = np.empty(B), np.empty(2 * B)
+                if self._run is not None:
+                    self._loop.gap = self._gaps.ctypes.data
+                    self._loop.sel = self._uniforms.ctypes.data
+            self._gap, self._uni = self._gaps[:B], self._uniforms[:2 * B].reshape(2, B)
             self._sel, self._acc = self._uni
             if self._run is not None:
-                loop = self._loop
-                loop.gap, loop.sel, loop.acc = (
-                    a.ctypes.data for a in (self._gap, self._sel, self._acc))
-                loop.n_cand = B
+                # the accept row follows the B selectors
+                self._loop.acc = self._loop.sel + B * self._uniforms.itemsize
+                self._loop.n_cand = B
         self.rng.standard_exponential(out=self._gap)
         self.rng.random(out=self._uni)
         self._drawn += B
@@ -523,7 +567,7 @@ class SimState:
         return self._gap[i], self._sel[i], self._acc[i]
 
     def snapshot(self) -> np.ndarray:
-        return self.eta_flat.reshape(self.model.lattice.n_sites, self.nv).copy()
+        return self.eta_flat.reshape(self.n_sites, self.nv).copy()
 
     def _check_absorbing(self) -> None:
         if self.table.exact_totals(self.eta_flat).sum() == 0.0:
@@ -568,7 +612,7 @@ class SimState:
         rate = thr2 + w_bd
         if rate == 0.0:
             self._check_absorbing()
-        scale = 1.0 / (rate * self.model.time_scale)
+        scale = 1.0 / (rate * self.time_scale)
         tried = 0
         while True:
             gap, sel, acc = self._next_candidate()
@@ -679,7 +723,8 @@ def simulate(initial: np.ndarray, model: Model, horizon: float, rng,
              trackers: Sequence = (),
              event_log=None) -> SimulationResult:
     """Run the chain from the configuration `initial`, an (n_sites, nv) 0/1
-    array (checked by `SimState`), to macroscopic time `horizon`.
+    array (checked by `SimState`), to macroscopic time `horizon`, on the
+    model's one state (`Model.sim_state`).
 
     The returned samples list holds (t, eta array) pairs at each requested
     sample time, in increasing t: the state at t, i.e. before any event at a
@@ -695,7 +740,7 @@ def simulate(initial: np.ndarray, model: Model, horizon: float, rng,
         raise ValueError("sample times must lie in [0, horizon]")
 
     samples: list = []
-    state = SimState(model, initial, rng)
+    state = model.sim_state(initial, rng)
     for tr in trackers:
         tr.start(0.0, state.eta_flat)
         state.trackers.append(tr)
@@ -737,10 +782,11 @@ def simulate(initial: np.ndarray, model: Model, horizon: float, rng,
     if isinstance(event_log, (str, bytes)) and log_fh is not None:
         log_fh.close()
 
+    kind_counts = tuple(int(k) for k in state.kind_counts)
     return SimulationResult(
         final=state.snapshot(),
-        n_events=state.n_events,
-        kind_counts=tuple(int(k) for k in state.kind_counts),
+        n_events=sum(kind_counts),
+        kind_counts=kind_counts,
         candidates=state.candidates,
         samples=samples,
         event_loop=state.event_loop,

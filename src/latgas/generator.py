@@ -198,15 +198,26 @@ class ExactGenerator:
     def left(self, mu) -> np.ndarray:
         """mu L for a row vector mu over all states: per mask, the flux
         mu rate out of each firing pattern's view lands on the view at
-        pattern ^ mask, masks added in table order; then -mu exit, in place
-        one slice of CHUNK states at a time."""
+        pattern ^ mask, masks added in table order; then -mu exit.  Both
+        steps run in place, about CHUNK states at a time, so the temporaries
+        stay small beside the three vectors over all states (`exit`, mu and
+        the result)."""
         out = np.zeros(self.n_states)
         mu = np.asarray(mu)
         for flip, rates in zip(self.flips.tolist(), self.tables):
             shape, cut = _cuts(flip, self.n_bits)
             src, dst = mu.reshape(shape), out.reshape(shape)
             for pattern, rate in _patterns(flip, rates):
-                dst[cut(pattern ^ flip)] += src[cut(pattern)] * rate
+                into, view = dst[cut(pattern ^ flip)], src[cut(pattern)]
+                # slices of the outermost axis whose inner block fits a CHUNK
+                axis, inner = 0, view.size // view.shape[0]
+                while inner > CHUNK:
+                    axis += 1
+                    inner //= view.shape[axis]
+                step = max(1, CHUNK // inner)
+                for lo in range(0, view.shape[axis], step):
+                    part = (slice(None),) * axis + (slice(lo, lo + step),)
+                    into[part] += view[part] * rate
         for lo in range(0, self.n_states, CHUNK):
             part = slice(lo, lo + CHUNK)
             out[part] -= mu[part] * self.exit[part]

@@ -9,13 +9,16 @@ import warnings
 import numpy as np
 import pytest
 import yaml
+from numpy.random import Generator, Philox, SeedSequence
 
 import latgas.cli
+import latgas.config
 import latgas.dynamics
 import latgas.hydro
 from latgas import eventloop
 from latgas.cli import build_model, lattice_walls, main
-from latgas.config import _CONTROL, _SECTIONS, compile_expression, load_config, parse_config
+from latgas.config import (_CONTROL, _SECTIONS, ReplicaStreams, compile_expression, load_config,
+                           parse_config)
 from latgas.dynamics import RateTable
 from latgas.errors import ConfigError, ConvergenceError, DomainError
 from latgas.generator import STATE_SPACE_CAP, ExactGenerator
@@ -350,6 +353,13 @@ def test_numbers_written_as_text_still_read():
     assert cfg.raw["converge"]["eps"] == "1e-3"  # the hash covers the file's values
 
 
+def test_malformed_yaml_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text("model: [1, 2\nsimulate: {horizon: 0.1\n")
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "cannot parse" in capsys.readouterr().err
+
+
 class RecordingSection(dict):
     """A parsed config section that records each key read from it."""
 
@@ -568,6 +578,54 @@ def test_manifest_lists_the_replica_streams_drawn(tmp_path, command, keys):
     out = tmp_path / "out"
     assert main([command, "--config", tiny_config(tmp_path), "--out", str(out)]) == 0
     assert manifest_line(out / f"manifest_{command}.txt", "stream_keys") == keys
+
+
+@pytest.mark.parametrize("seed", [0, 1, 20240809, 2**40 + 3])
+def test_replica_streams_are_the_keyed_philox_streams(seed):
+    # each re-keyed stream, after an odd count of 32-bit draws on the one
+    # before it, is the stream of its own new generator
+    def draws(rng):
+        return (rng.integers(0, 2**32, 3, dtype=np.uint32).tobytes(),
+                rng.random(5).tobytes(), rng.standard_exponential(7).tobytes())
+
+    streams = ReplicaStreams(seed)
+    for N in (4, 8, 16, 128):
+        for r in range(0, 200, 7):
+            want = draws(Generator(Philox(SeedSequence(seed, spawn_key=(N, r)))))
+            assert draws(streams.at(N, r)) == want
+
+
+def test_one_state_and_one_generator_per_replica_block(tmp_path, monkeypatch):
+    # each `_replica_cells` task, one per N at --threads 1, builds one
+    # SimState and one Philox generator for all its replicas; the state,
+    # and with it the event catalog, is built inside the task's first
+    # `simulate` call
+    built, calls = [], []
+
+    def counting(name, make):
+        def build(*args, **kwargs):
+            built.append((name, len(calls)))
+            return make(*args, **kwargs)
+        return build
+
+    def counting_simulate(*args, **kwargs):
+        calls.append(args[1].lattice.N)
+        return simulate(*args, **kwargs)
+
+    simulate = latgas.cli.simulate
+    monkeypatch.setattr(latgas.cli, "simulate", counting_simulate)
+    monkeypatch.setattr(latgas.dynamics, "SimState",
+                        counting("SimState", latgas.dynamics.SimState))
+    monkeypatch.setattr(latgas.dynamics, "RateTable", counting("RateTable", RateTable))
+    monkeypatch.setattr(latgas.config, "Philox", counting("Philox", Philox))
+    path = tiny_config(tmp_path, model={"N": [4, 6, 8], "replicas": 3})
+    assert main(["converge", "--config", path, "--out", str(tmp_path / "out"),
+                 "--threads", "1"]) == 0
+    assert calls == [4, 4, 4, 6, 6, 6, 8, 8, 8]
+    # (what, simulate calls begun when it was built)
+    assert built == [("Philox", 0), ("SimState", 1), ("RateTable", 1),
+                     ("Philox", 3), ("SimState", 4), ("RateTable", 4),
+                     ("Philox", 6), ("SimState", 7), ("RateTable", 7)]
 
 
 def test_manifest_records_scipy_and_blas_threads(tmp_path, monkeypatch):

@@ -15,6 +15,7 @@ import json
 import pathlib
 import subprocess
 import tempfile
+import weakref
 
 import numpy as np
 import pytest
@@ -278,6 +279,71 @@ def test_candidates_are_the_stream_of_three_draws_per_batch(loop):
     assert all(a is b for a, b in zip(buffers[1], buffers[0]))
     for old, new in zip(buffers[1:], buffers[2:]):
         assert old[0] is not new[0] and old[1] is not new[1]
+
+
+def restart_record(state, stops) -> tuple:
+    """A state's open collision list and counters as it starts, then its
+    candidate batches, counters, clock and configuration after running
+    through `stops`."""
+    started = (state._open[:state.n_open].tolist(), state._where.tolist()) \
+        if state.table.col_groups else ()
+    started += (state.candidates, state.t, list(state.kind_counts), state.eta_flat.tobytes())
+    advance_through(state, stops)
+    return started, (state.rng.batches, list(state.kind_counts), state.candidates, state.t,
+                     state.n_open, state.eta_flat.tobytes())
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_CASES))
+def test_a_restarted_state_runs_as_a_new_one(loop, name):
+    # a state restarted after a run long enough to draw a batch at the 2^14
+    # cap, which leaves open collision pairs in its list, keeps its buffers
+    # and runs as a new SimState from the same configuration and stream
+    make, lam, _, _ = STREAM_CASES[name]
+    model = make()
+    lat, vs = model.lattice, model.vset
+    used = SimState(model, sample_product_state(lam, lat, vs, np.random.default_rng(1)),
+                    CountingRng(2))
+    assert used.event_loop == loop
+    while SimState.BATCH not in used.rng.batches:
+        kind, idx = used.advance(used.t + 0.01)
+        used._apply(kind, idx)
+    assert (used.n_open > 0) == (model.table.col_groups > 0)
+    eta0 = sample_product_state(lam, lat, vs, np.random.default_rng(3))
+    before = used.eta_flat.copy()
+    with pytest.raises(ValueError, match="0 or 1"):
+        used.restart(2 * eta0, CountingRng(4))
+    assert used.eta_flat.tobytes() == before.tobytes()
+    used.restart(eta0, CountingRng(4))
+    assert len(used._gaps) == SimState.BATCH
+    fresh = SimState(model, eta0, CountingRng(4))
+    stops = list(np.linspace(0.01, 0.3, 7))
+    assert restart_record(used, stops) == restart_record(fresh, stops)
+    assert len(fresh.rng.batches) >= 4
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_CASES))
+def test_simulate_restarts_one_state_per_model(loop, name):
+    # `simulate` builds a model's state on its first run and restarts it on
+    # later ones, which give what a new model gives
+    make, lam, horizon, times = STREAM_CASES[name]
+    model = make()
+    eta0 = sample_product_state(lam, model.lattice, model.vset, np.random.default_rng(5))
+
+    def run(on, seed):
+        res = simulate(eta0, on, horizon / 4, np.random.default_rng(seed), sample_times=[0.0])
+        return (res.event_loop, res.n_events, res.kind_counts, res.candidates,
+                res.final.tobytes(), [(t, eta.tobytes()) for t, eta in res.samples])
+
+    first = run(model, 6)
+    state = model._state
+    assert run(model, 7) == run(make(), 7)
+    assert run(model, 6) == first and model._state is state
+    assert first[0] == loop
+    # the state does not hold its model, so both go with the model's last
+    # reference, without waiting for the cycle collector
+    freed = weakref.ref(state)
+    del model, state
+    assert freed() is None
 
 
 @requires_compiler

@@ -72,7 +72,7 @@ class TestAssembly:
 def test_a_million_states_stay_under_32_mib(vs4):
     # everything `latgas exact` runs, on the walled four-velocity chain at
     # N = 6 (2^20 states, 29 masks): the rate tables keep the traced peak to
-    # a few vectors over the states (8 MiB each; 28.2 MiB measured), where one
+    # a few vectors over the states (8 MiB each; 25.6 MiB measured), where one
     # dense (masks x states) array alone would take 232 MiB
     prof = ReservoirProfiles.constant(vs4, [0.3, 0.4, 0.35, 0.45], [0.6, 0.5, 0.55, 0.65])
     model = Model(Lattice(6, 1), vs4, profiles=prof)
