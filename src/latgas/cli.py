@@ -152,8 +152,9 @@ def _replica_cells(cfg: ExperimentConfig, command: str, N: int, replicas: range)
 
     What the replicas share is built once: the model with its event catalog
     and its one `SimState` (loop state, open-pair list and candidate buffers,
-    restarted per replica by `simulate`), one `ReplicaStreams` generator
-    re-keyed per replica, the smoothing grid, and the densities theta of the
+    restarted per replica by `simulate`), the Philox keys of every replica,
+    derived in one pass (`ReplicaStreams.keys`), with one generator re-keyed
+    to each in turn, the smoothing grid, and the densities theta of the
     product measure along gamma (`cmd_simulate` checks the block centers).
     Each replica draws its initial state from theta, the first draw of its
     own stream, and runs from it; then the samples of every replica are
@@ -176,12 +177,8 @@ def _replica_cells(cfg: ExperimentConfig, command: str, N: int, replicas: range)
     grid = build_grid(cfg, sec["grid_m1"], cfg.hydro["mt"])
     lat, vset = model.lattice, model.vset
     theta = theta_field(build_gamma(cfg, lattice_walls(model), lat.positions()), vset)
-    streams = ReplicaStreams(cfg.model.seed)
-    runs = []
-    for replica in replicas:
-        rng = streams.at(N, replica)
-        runs.append(simulate(sample_profile_state(theta, rng), model, horizon, rng,
-                             sample_times=times))
+    runs = [simulate(sample_profile_state(theta, rng), model, horizon, rng, sample_times=times)
+            for rng in ReplicaStreams(cfg.model.seed).block(N, replicas)]
     del model  # and its state's candidate buffers, before the samples are measured
     # (replicas, samples, n_sites, nv), smoothed to (replicas, samples,
     # *grid.shape, d+1) and block-averaged to (replicas, samples, centers, d+1);
@@ -236,9 +233,10 @@ def _map_cells(command: str, cfg: ExperimentConfig, args) -> list:
 
     Each `_replica_cells` task, one per (N, contiguous block of replicas),
     sets N up once: its replicas share one model, one `SimState` and one
-    re-keyed generator.  `--threads k` splits each N's replicas into k blocks
-    for k worker processes; every cell has its own `ReplicaStreams` stream
-    and a restarted state is a new one, so no output changes.  Adds each
+    generator, re-keyed from the block's one pass of key derivation.
+    `--threads k` splits each N's replicas into k blocks for k worker
+    processes; every cell's key depends only on (seed, N, r), and a restarted
+    state is a new one, so no output changes.  Adds each
     cell's stream key N:replica and run record (its result's "run") to
     `args.cells`."""
     R, k = cfg.model.replicas, max(1, args.threads)

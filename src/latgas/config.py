@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import yaml
-from numpy.random import Generator, Philox, SeedSequence
+from numpy.random import Generator, Philox
 
 from .dynamics import ALL_PARTS
 from .errors import ConfigError
@@ -331,32 +331,77 @@ def parse_config(raw, base_dir: str = ".") -> ExperimentConfig:
     return ExperimentConfig(raw=raw, model=model, **sections)
 
 
-class ReplicaStreams:
-    """Independent, reproducible streams, one per (N, replica, ...) cell of
-    the master seed `seed`, all served by one generator.
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), on 32-bit words
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _WORD = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
 
-    A cell's stream is Philox keyed by `SeedSequence(seed, spawn_key=cell)`
-    from counter 0, so replicas are independent and order-insensitive.
-    Philox is counter-based (Salmon, Moraes, Dror & Shaw, SC'11): `at(*cell)`
-    sets the one generator's key and zeroes its counter and buffer through
-    the public `bit_generator.state`, which gives exactly the stream of
-    `Generator(Philox(SeedSequence(seed, spawn_key=cell)))` without building
-    one per cell.  The generator `at` returns is the one of every cell, so a
-    cell's stream ends at the next `at` call.
+
+def _words(n: int) -> list:
+    """The 32-bit words of n >= 0, lowest first ([0] for 0), as SeedSequence reads it."""
+    return [n >> s & _WORD for s in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _mix(x, y):
+    z = (_MIX_L * x - _MIX_R * y) & _WORD
+    return z ^ z >> 16
+
+
+class ReplicaStreams:
+    """Independent, reproducible streams, one per cell (N, r) of the master
+    seed `seed`, all served by one generator.
+
+    A cell's stream is Philox from counter 0 keyed by
+    `SeedSequence(seed, spawn_key=(N, r)).generate_state(2, np.uint64)`, so
+    replicas are independent and order-insensitive.  Philox is counter-based
+    (Salmon, Moraes, Dror & Shaw, SC'11) and SeedSequence's hash is fixed, so
+    `keys` computes the keys of a block of replicas in one pass of that hash:
+    the entropy words (the seed's, zero-padded to the pool size 4 before a
+    spawn key, numpy gh-16539; N's; r's) are mixed into a pool of four under
+    multipliers that advance per hash whatever the data, the seed and N once
+    as Python ints, r as uint64 arrays over the block.  `block` sets the one
+    generator's key, counter 0 and empty buffer through the public
+    `bit_generator.state` per replica: exactly the stream of
+    `Generator(Philox(SeedSequence(seed, spawn_key=(N, r))))`, which
+    tests/test_cli.py checks against numpy's own SeedSequence.  A replica's
+    stream ends when the next is yielded.
     """
 
     def __init__(self, seed: int):
         self.seed = seed
         self.rng = Generator(Philox(0))
 
-    def at(self, *cell) -> Generator:
-        key = SeedSequence(self.seed, spawn_key=tuple(int(k) for k in cell)) \
-            .generate_state(2, np.uint64)
+    def keys(self, N: int, replicas: range) -> np.ndarray:
+        """The (len(replicas), 2) uint64 Philox keys of the cells (N, r)."""
+        const, mult = _INIT_A, _MULT_A
+
+        def hashmix(value):
+            nonlocal const
+            value = (value ^ const) * (const := const * mult & _WORD) & _WORD
+            return value ^ value >> 16
+
+        seed = _words(self.seed)
+        entropy = seed + [0] * (4 - len(seed)) + _words(N)
+        pool = [hashmix(word) for word in entropy[:4]]
+        for src, dst in ((s, d) for s in range(4) for d in range(4) if s != d):
+            pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+        r = np.arange(replicas.start, replicas.stop, replicas.step, dtype=np.uint64)
+        for word in entropy[4:] + [r & _WORD]:
+            pool = [_mix(p, hashmix(word)) for p in pool]
+        high = r >> 32  # r's second word, where r >= 2^32
+        pool = [np.where(high > 0, _mix(p, hashmix(high)), p) for p in pool]
+        const, mult = _INIT_B, _MULT_B  # the output hash
+        out = [hashmix(p) for p in pool]
+        return np.stack([out[0] | out[1] << 32, out[2] | out[3] << 32], axis=1)
+
+    def block(self, N: int, replicas: range):
+        """The generator, re-keyed to each cell (N, r), r in `replicas`, in turn."""
         zeros = np.zeros(4, dtype=np.uint64)
-        self.rng.bit_generator.state = {
-            "bit_generator": "Philox", "state": {"counter": zeros, "key": key},
-            "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        return self.rng
+        state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": None},
+                 "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        for key in self.keys(N, replicas):
+            state["state"]["key"] = key
+            self.rng.bit_generator.state = state
+            yield self.rng
 
 
 def _scipy_version() -> str:

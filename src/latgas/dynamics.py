@@ -501,7 +501,8 @@ class SimState:
         if eta.shape != (self.n_sites, self.nv):
             raise ValueError(f"eta has shape {eta.shape}; the lattice has "
                              f"{self.n_sites} sites of {self.nv} velocity slots")
-        if not ((eta == 0) | (eta == 1)).all():
+        # one reduction for the unsigned dtypes (`sample_profile_state` gives uint8)
+        if not (eta.max() <= 1 if eta.dtype.kind in "bu" else ((eta == 0) | (eta == 1)).all()):
             raise ValueError("occupations must be 0 or 1")
         self.eta_flat[:] = eta.reshape(-1)
         self.rng = rng
@@ -782,7 +783,7 @@ def simulate(initial: np.ndarray, model: Model, horizon: float, rng,
     if isinstance(event_log, (str, bytes)) and log_fh is not None:
         log_fh.close()
 
-    kind_counts = tuple(int(k) for k in state.kind_counts)
+    kind_counts = tuple(state.kind_counts.tolist())
     return SimulationResult(
         final=state.snapshot(),
         n_events=sum(kind_counts),

@@ -11,13 +11,16 @@ it as a (2,)*popcount(flips[k]) array, one axis per bit of the mask (top bit
 first).  Memory is O(states): the tables take a few entries each, and only
 `exit` and the vectors a method is given or returns have one entry per state.
 
-Every pass over the states goes through views.  With a vector over all
+The passes over the states go through views.  With a vector over all
 states reshaped so that each run of bits that a mask sets or leaves is one
 axis (C order: top bit first), the states whose bits under the mask read a
 pattern p are the basic-index view that cuts each set run's axis to the bits
 p has there.  A pass visits only the views of the patterns whose rate is
 nonzero, each paired with the view at p ^ mask, where those states go; the
-states where a mask does not fire are not visited.  The CSR `matrix` is
+states where a mask does not fire are not visited.  The one exception is
+`exit`'s sum (`_exit_rates`): a mask within the lowest log2(CHUNK) bits,
+whose views have inner runs of a few states, is added as its rate row over
+those bits, tiled, to every CHUNK-wide row of states.  The CSR `matrix` is
 built only when asked for.  Intended for verification: invariance of
 homogeneous product measures under periodic exclusion, and detailed balance
 of the collision dynamics with respect to the single-site product weights.
@@ -117,9 +120,18 @@ def _expand(flip: int, rates: np.ndarray, n_bits: int) -> np.ndarray:
 
 def _exit_rates(flips, tables, n_bits: int) -> np.ndarray:
     """Each state's total rate: the tables' rates added mask by mask, in table
-    order, as a sum over the expanded rows (axis 0) adds them."""
+    order, as a sum over the expanded rows (axis 0) adds them.  A mask below
+    the width (CHUNK, or every state if fewer) adds its rate row over its bits,
+    tiled to the width, to each width-long row of `out` (+0.0 where it does
+    not fire); a wider mask adds through the views of its nonzero patterns."""
     out = np.zeros(1 << n_bits)
+    width = min(CHUNK, len(out))
+    rows = out.reshape(-1, width)
     for flip, rates in zip(flips.tolist(), tables):
+        if flip < width:
+            w = flip.bit_length()
+            rows += np.tile(_expand(flip, rates, w), width >> w)
+            continue
         shape, cut = _cuts(flip, n_bits)
         view = out.reshape(shape)
         for pattern, rate in _patterns(flip, rates):
@@ -134,9 +146,9 @@ class ExactGenerator:
     `flips` (F,) holds the masks and `tables` each mask's N^2-scaled rate as
     a (2,)*popcount array indexed by the state's bits under the mask (top bit
     first); `exit` (n_states,) is their sum per state in table order, so
-    `row_sums` (the same sum minus `exit`) is exactly zero.  Every method
-    reads the states through one view per nonzero pattern of a mask and the
-    view at pattern ^ mask, so memory stays O(states).  `matrix`, the
+    `row_sums` (the same sum minus `exit`) is exactly zero.  The other
+    methods read the states through one view per nonzero pattern of a mask
+    and the view at pattern ^ mask, so memory stays O(states).  `matrix`, the
     canonical CSR form with int32 indices, is built on first use.
     """
 

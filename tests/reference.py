@@ -17,6 +17,7 @@ import numpy as np
 
 from latgas.config import TIME_MODES
 from latgas.dynamics import COLLISION, EXCLUSION, jump_probabilities
+from latgas.generator import _cuts, _patterns
 from latgas.hydro import (
     BoundaryData,
     Factor,
@@ -179,6 +180,21 @@ def event_rate(model, eta: np.ndarray, event) -> float:
     if event.kind == COLLISION:
         return collision_rate(eta, event.site, event.quadruple)
     return boundary_rate(model, eta, event.site, event.velocity)
+
+
+# --- the exact generator -----------------------------------------------------
+
+def exit_rates_by_views(flips, tables, n_bits: int) -> np.ndarray:
+    """Each state's total rate: mask by mask in table order, each nonzero
+    pattern's rate added on its own view of the states (`_cuts`), low masks
+    included."""
+    out = np.zeros(1 << n_bits)
+    for flip, rates in zip(flips.tolist(), tables):
+        shape, cut = _cuts(flip, n_bits)
+        view = out.reshape(shape)
+        for pattern, rate in _patterns(flip, rates):
+            view[cut(pattern)] += rate
+    return out
 
 
 # --- fixtures -----------------------------------------------------------------

@@ -580,26 +580,41 @@ def test_manifest_lists_the_replica_streams_drawn(tmp_path, command, keys):
     assert manifest_line(out / f"manifest_{command}.txt", "stream_keys") == keys
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 20240809])
+def test_replica_keys_are_numpys_seed_sequence_keys(seed):
+    # one pass per block gives SeedSequence's keys, for blocks at 0 and at
+    # the --threads 2 offset of 192 replicas, N of one and two words, and
+    # replica indices of two words
+    streams = ReplicaStreams(seed)
+    for N in (2, 4, 128, 2**32 + 1):
+        for replicas in (range(0, 96), range(96, 192), range(2**32 - 2, 2**32 + 2)):
+            want = [SeedSequence(seed, spawn_key=(N, r)).generate_state(2, np.uint64)
+                    for r in replicas]
+            keys = streams.keys(N, replicas)
+            assert keys.dtype == np.uint64 and keys.tobytes() == np.array(want).tobytes()
+
+
 @pytest.mark.parametrize("seed", [0, 1, 20240809, 2**40 + 3])
 def test_replica_streams_are_the_keyed_philox_streams(seed):
-    # each re-keyed stream, after an odd count of 32-bit draws on the one
-    # before it, is the stream of its own new generator
+    # each re-keyed stream of a block, after an odd count of 32-bit draws on
+    # the one before it, is the stream of its own new generator
     def draws(rng):
         return (rng.integers(0, 2**32, 3, dtype=np.uint32).tobytes(),
                 rng.random(5).tobytes(), rng.standard_exponential(7).tobytes())
 
     streams = ReplicaStreams(seed)
     for N in (4, 8, 16, 128):
-        for r in range(0, 200, 7):
-            want = draws(Generator(Philox(SeedSequence(seed, spawn_key=(N, r)))))
-            assert draws(streams.at(N, r)) == want
+        for replicas in (range(0, 200, 7), range(96, 192, 5)):
+            got = [draws(rng) for rng in streams.block(N, replicas)]
+            assert got == [draws(Generator(Philox(SeedSequence(seed, spawn_key=(N, r)))))
+                           for r in replicas]
 
 
 def test_one_state_and_one_generator_per_replica_block(tmp_path, monkeypatch):
     # each `_replica_cells` task, one per N at --threads 1, builds one
-    # SimState and one Philox generator for all its replicas; the state,
-    # and with it the event catalog, is built inside the task's first
-    # `simulate` call
+    # Philox generator and derives its replicas' keys in one pass, with no
+    # SeedSequence; it builds one SimState, and with it the event catalog,
+    # inside the task's first `simulate` call
     built, calls = [], []
 
     def counting(name, make):
@@ -618,14 +633,17 @@ def test_one_state_and_one_generator_per_replica_block(tmp_path, monkeypatch):
                         counting("SimState", latgas.dynamics.SimState))
     monkeypatch.setattr(latgas.dynamics, "RateTable", counting("RateTable", RateTable))
     monkeypatch.setattr(latgas.config, "Philox", counting("Philox", Philox))
+    monkeypatch.setattr(ReplicaStreams, "keys", counting("keys", ReplicaStreams.keys))
+    monkeypatch.setattr(np.random, "SeedSequence", counting("SeedSequence", SeedSequence))
+    assert not hasattr(latgas.config, "SeedSequence")
     path = tiny_config(tmp_path, model={"N": [4, 6, 8], "replicas": 3})
     assert main(["converge", "--config", path, "--out", str(tmp_path / "out"),
                  "--threads", "1"]) == 0
     assert calls == [4, 4, 4, 6, 6, 6, 8, 8, 8]
     # (what, simulate calls begun when it was built)
-    assert built == [("Philox", 0), ("SimState", 1), ("RateTable", 1),
-                     ("Philox", 3), ("SimState", 4), ("RateTable", 4),
-                     ("Philox", 6), ("SimState", 7), ("RateTable", 7)]
+    assert built == [("Philox", 0), ("keys", 0), ("SimState", 1), ("RateTable", 1),
+                     ("Philox", 3), ("keys", 3), ("SimState", 4), ("RateTable", 4),
+                     ("Philox", 6), ("keys", 6), ("SimState", 7), ("RateTable", 7)]
 
 
 def test_manifest_records_scipy_and_blas_threads(tmp_path, monkeypatch):

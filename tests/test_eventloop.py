@@ -321,6 +321,35 @@ def test_a_restarted_state_runs_as_a_new_one(loop, name):
     assert len(fresh.rng.batches) >= 4
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.int64, np.float64, np.float32])
+def test_restart_rejects_a_bad_configuration_before_it_changes_anything(dtype):
+    # a value other than 0 and 1 in any dtype, or a wrong shape, raises and
+    # leaves the configuration and clock alone; 0/1 in any dtype, bool too,
+    # is accepted
+    model = STREAM_CASES["vs4_walls_N16"][0]()
+    shape = (model.lattice.n_sites, len(model.vset))
+    eta0 = sample_product_state(STREAM_CASES["vs4_walls_N16"][1], model.lattice, model.vset,
+                                np.random.default_rng(3))
+    state = SimState(model, eta0, np.random.default_rng(4))
+    state.advance(state.t + 0.01)
+    before = (state.eta_flat.tobytes(), state.t, state.candidates)
+    values = [2, 255] if np.dtype(dtype).kind == "u" else [2, -1, 0.5, np.nan, np.inf]
+    for value in values:
+        if np.dtype(dtype).kind in "ui" and not float(value).is_integer():
+            continue
+        bad = eta0.astype(dtype)
+        bad[-1, -1] = value
+        with pytest.raises(ValueError, match="0 or 1"):
+            state.restart(bad, np.random.default_rng(5))
+        assert (state.eta_flat.tobytes(), state.t, state.candidates) == before
+    with pytest.raises(ValueError, match="slots"):
+        state.restart(eta0.astype(dtype).reshape(shape[::-1]), np.random.default_rng(5))
+    assert (state.eta_flat.tobytes(), state.t, state.candidates) == before
+    for good in (eta0.astype(dtype), eta0.astype(bool)):
+        state.restart(good, np.random.default_rng(5))
+        assert state.eta_flat.tobytes() == eta0.astype(np.uint8).tobytes()
+
+
 @pytest.mark.parametrize("name", sorted(STREAM_CASES))
 def test_simulate_restarts_one_state_per_model(loop, name):
     # `simulate` builds a model's state on its first run and restarts it on

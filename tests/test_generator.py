@@ -7,13 +7,15 @@ import pytest
 
 from latgas.dynamics import ALL_PARTS, Model, ReservoirProfiles
 from latgas.errors import SizeError
-from latgas.generator import _cuts, _expand, _rate_tables, assemble_exact_generator, max_abs
+from latgas.generator import (CHUNK, _cuts, _exit_rates, _expand, _rate_tables,
+                              assemble_exact_generator, max_abs)
 from latgas.lattice import Lattice
 from latgas.velocities import VelocitySet, two_velocity_set
 from reference import (
     boundary_rate,
     collision_rate,
     exclusion_rate,
+    exit_rates_by_views,
     four_velocity_set,
     neighbor_sites,
 )
@@ -230,6 +232,49 @@ def test_left_and_exit_match_the_dense_rows_bit_for_bit(name):
             want -= mu * exit_rates
             assert gen.exit.tobytes() == exit_rates.tobytes(), parts
             assert gen.left(mu).tobytes() == want.tobytes(), parts
+
+
+@pytest.mark.parametrize("n_bits", range(1, 21))
+def test_tiled_exit_rates_match_the_pattern_views(n_bits):
+    # random masks of 1-4 bits in a random table order, on both sides of
+    # CHUNK where the states reach past it, with tables of random rates and
+    # zeros: the tiled pass adds the same terms in the same order
+    rng = np.random.default_rng(n_bits)
+    low_bits = min(n_bits, CHUNK.bit_length() - 1)
+    flips = set()
+    for k in range(24):
+        width = n_bits if k % 2 else low_bits  # every other mask fits below CHUNK
+        bits = rng.choice(width, size=rng.integers(1, min(width, 4) + 1), replace=False)
+        flips.add(sum(1 << int(b) for b in bits))
+    flips = np.array(sorted(flips, key=lambda f: rng.random()), dtype=np.int64)
+    tables = tuple(rng.uniform(0.1, 3.0, (2,) * bin(f).count("1"))
+                   * (rng.random((2,) * bin(f).count("1")) < 0.7) for f in flips.tolist())
+    if n_bits > low_bits:
+        assert min(flips) < CHUNK <= max(flips)
+    want = exit_rates_by_views(flips, tables, n_bits)
+    assert _exit_rates(flips, tables, n_bits).tobytes() == want.tobytes()
+
+
+TILED_EXIT_MODELS = {
+    "vs2_walls_N10": RATE_ROW_MODELS["vs2_walls_N10"],
+    "vs2_ring_N11": lambda: Model(Lattice(11, 1, periodic=True), VS2),
+    "vs4_walls_N5": lambda: Model(Lattice(5, 1), VS4, profiles=ReservoirProfiles.constant(
+        VS4, [0.3, 0.4, 0.35, 0.45], [0.6, 0.5, 0.55, 0.65])),
+    "vs4_ring_N4": RATE_ROW_MODELS["vs4_ring_N4"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(TILED_EXIT_MODELS))
+def test_exit_tiles_the_low_masks_bit_for_bit(name):
+    # walled and periodic chains of 12 to 20 bits, masks below and above
+    # CHUNK: `exit` equals the per-pattern pass, and `row_sums` is zero
+    model = TILED_EXIT_MODELS[name]()
+    for r in range(1, len(ALL_PARTS) + 1):
+        for parts in itertools.combinations(ALL_PARTS, r):
+            gen = assemble_exact_generator(model, parts=parts)
+            want = exit_rates_by_views(gen.flips, gen.tables, gen.n_bits)
+            assert gen.exit.tobytes() == want.tobytes(), parts
+            assert not gen.row_sums().any(), parts
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
