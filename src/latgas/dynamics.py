@@ -62,8 +62,8 @@ fixes the stream whichever loop consumes it and however the run is observed.
 The loop applies every accepted event with clock reading t < stop and
 returns the first accepted event at t >= stop unapplied, with the clock at
 its time: `simulate` passes the next sample time or the horizon, so samples
-see the state before any event at or after their time;
-`step()`, trackers and event logs pass stop = -inf and apply each event in
+see the state before any event at or after their time.  With an event log,
+the one per-event path, it passes stop = -inf and applies each event in
 Python.  After every CHECK_EVERY consecutive rejections the loop checks
 `RateTable.exact_totals` and raises `NumericalFailure` in an absorbing state.
 
@@ -415,32 +415,6 @@ class RateTable:
 
 # --- simulation ---------------------------------------------------------------
 
-class OccupationTracker:
-    """Time-weighted occupation averages, updated only when slots flip."""
-
-    def __init__(self, n_slots: int):
-        self.occ_time = np.zeros(n_slots)
-        self.last = np.zeros(n_slots)
-        self.t0 = 0.0
-
-    def start(self, t: float, eta_flat) -> None:
-        self.t0 = t
-        self.last[:] = t
-
-    def on_flip(self, t: float, slot: int, old: int) -> None:
-        if old == 1:
-            self.occ_time[slot] += t - self.last[slot]
-        self.last[slot] = t
-
-    def mean_occupation(self, t_end: float, eta_flat) -> np.ndarray:
-        occ = self.occ_time.copy()
-        for slot in range(len(occ)):
-            if eta_flat[slot]:
-                occ[slot] += t_end - self.last[slot]
-        span = t_end - self.t0
-        return occ / span if span > 0 else occ
-
-
 class SimState:
     """Mutable state driving the thinned candidate stream over `Model.table`,
     from a configuration `eta` (n_sites, nv) of 0/1 occupations at time 0;
@@ -508,7 +482,6 @@ class SimState:
         self.rng = rng
         self.t = 0.0
         self.kind_counts[:] = 0
-        self.trackers: list = []
         # the batch in hand counts as read, so the first candidate draws anew
         self._pos, self._drawn = len(self._gap), 0
         self.n_open = 0
@@ -577,8 +550,9 @@ class SimState:
     def advance(self, stop: float):
         """Apply the accepted events before clock reading `stop` and return the
         first accepted one at t >= stop as (kind, idx), unapplied, with the
-        clock at its time.  Runs the compiled loop when it is loaded; events
-        applied here bypass `trackers`, so tracked runs pass stop = -inf."""
+        clock at its time.  Runs the compiled loop when it is loaded; stop =
+        -inf returns the next accepted event, which the caller applies with
+        `_apply`."""
         if self._run is None:
             while True:
                 kind, idx = self._select()
@@ -642,14 +616,10 @@ class SimState:
 
     def _apply(self, kind: int, idx: int) -> None:
         eta, table = self.eta_flat, self.table
-        t = self.t
         if kind == EXCLUSION:
             src, tgt = table.ex_src[idx], table.ex_tgt[idx]
             eta[src] = 0
             eta[tgt] = 1
-            for tr in self.trackers:
-                tr.on_flip(t, src, 1)
-                tr.on_flip(t, tgt, 0)
             sites = sorted((src // self.nv, tgt // self.nv))
         elif kind == COLLISION:
             a, b, c, d = table.col_slots[idx]
@@ -657,18 +627,10 @@ class SimState:
             eta[b] = 0
             eta[c] = 1
             eta[d] = 1
-            for tr in self.trackers:
-                tr.on_flip(t, a, 1)
-                tr.on_flip(t, b, 1)
-                tr.on_flip(t, c, 0)
-                tr.on_flip(t, d, 0)
             sites = (a // self.nv,)
         else:
             slot = table.bd_slot[idx]
-            old = int(eta[slot])
-            eta[slot] = 1 - old
-            for tr in self.trackers:
-                tr.on_flip(t, slot, old)
+            eta[slot] = 1 - eta[slot]
             sites = (slot // self.nv,)
         self.kind_counts[kind] += 1
         if table.col_groups:
@@ -697,18 +659,6 @@ class SimState:
                 where[p] = -1
 
 
-def step(state: SimState):
-    """Execute one event: returns (event, waiting_time) and updates the state.
-
-    The waiting time is exponential with the current total macroscopic rate;
-    the event is drawn proportionally to its rate.
-    """
-    t_before = state.t
-    kind, idx = state.advance(-math.inf)
-    state._apply(kind, idx)
-    return state.table.event_from_entry(kind, idx), state.t - t_before
-
-
 @dataclass
 class SimulationResult:
     final: np.ndarray  # (n_sites, nv) uint8, the state at the horizon
@@ -721,7 +671,6 @@ class SimulationResult:
 
 def simulate(initial: np.ndarray, model: Model, horizon: float, rng,
              sample_times: Optional[Sequence[float]] = None,
-             trackers: Sequence = (),
              event_log=None) -> SimulationResult:
     """Run the chain from the configuration `initial`, an (n_sites, nv) 0/1
     array (checked by `SimState`), to macroscopic time `horizon`, on the
@@ -730,9 +679,10 @@ def simulate(initial: np.ndarray, model: Model, horizon: float, rng,
     The returned samples list holds (t, eta array) pairs at each requested
     sample time, in increasing t: the state at t, i.e. before any event at a
     later clock reading.  `final` is the (n_sites, nv) uint8 state at the
-    horizon.  `trackers` receive every slot flip; `event_log` (a path or an
-    open text file) receives one CSV line per event.  Deterministic given the
-    rng seed.
+    horizon.  `event_log`, an open text stream, receives a CSV header and
+    one line per event; it makes every event return to Python, while a plain
+    run calls `SimState.advance` at most once per sample time and once for
+    the horizon.  Deterministic given the rng seed, with or without the log.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
@@ -742,16 +692,10 @@ def simulate(initial: np.ndarray, model: Model, horizon: float, rng,
 
     samples: list = []
     state = model.sim_state(initial, rng)
-    for tr in trackers:
-        tr.start(0.0, state.eta_flat)
-        state.trackers.append(tr)
-
-    log_fh = open(event_log, "w") if isinstance(event_log, (str, bytes)) else event_log
-    if log_fh is not None:
-        log_fh.write("time,kind,site,velocity,target,quadruple\n")
-
-    # trackers and the log see every event, so each one returns to Python
-    per_event = bool(state.trackers) or log_fh is not None
+    # the log sees every event, so each one returns to Python
+    per_event = event_log is not None
+    if per_event:
+        event_log.write("time,kind,site,velocity,target,quadruple\n")
     next_i = 0
     if horizon > 0:
         while True:
@@ -765,12 +709,12 @@ def simulate(initial: np.ndarray, model: Model, horizon: float, rng,
             if t_new >= horizon:
                 break
             state._apply(kind, idx)
-            if log_fh is not None:
+            if per_event:
                 ev = state.table.event_from_entry(kind, idx)
                 q = "" if ev.quadruple is None else (
                     f"{ev.quadruple.v}|{ev.quadruple.w}|{ev.quadruple.vp}|{ev.quadruple.wp}"
                 )
-                log_fh.write(
+                event_log.write(
                     f"{t_new:.12g},{ev.kind_name},{ev.site},"
                     f"{'' if ev.velocity is None else ev.velocity},"
                     f"{'' if ev.target is None else ev.target},{q}\n"
@@ -779,9 +723,6 @@ def simulate(initial: np.ndarray, model: Model, horizon: float, rng,
     while next_i < len(times):
         samples.append((times[next_i], state.snapshot()))
         next_i += 1
-
-    if isinstance(event_log, (str, bytes)) and log_fh is not None:
-        log_fh.close()
 
     kind_counts = tuple(state.kind_counts.tolist())
     return SimulationResult(

@@ -624,23 +624,3 @@ class QuadratureContext:
     def pi_norm_sq(self, G) -> float:
         return float(self.gram([G])[0, 0])
 
-
-def field_energy(traj: FieldTrajectory) -> float:
-    """Time-integrated squared spatial gradients, all components.
-
-    Central differences (second-order one-sided at the walls, periodic across
-    the transverse axes), trapezoid rule in space and time.
-    """
-    grid = traj.grid
-    w_space = grid.weights()
-    total_t = np.zeros(len(traj.times))
-    for i in range(grid.d):
-        if i == 0:
-            g = np.gradient(traj.values, grid.h1, axis=1, edge_order=2)
-        else:
-            g = (np.roll(traj.values, -1, axis=1 + i)
-                 - np.roll(traj.values, 1, axis=1 + i)) / (2 * grid.ht)
-        sq = np.sum(g**2, axis=-1)
-        axes = tuple(range(1, 1 + grid.d))
-        total_t += np.sum(sq * w_space[None], axis=axes)
-    return float(np.trapezoid(total_t, traj.times))

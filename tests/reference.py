@@ -5,6 +5,12 @@ references restate it one event, site or test function at a time on plain
 lattice coordinates: site indices, single-event rates, the neighbor map,
 conserved totals, the control drift at one time, and the weak residual and
 cost integrand of one test function.
+
+The per-event simulator references run a `SimState` one event at a time,
+each drawn by `advance(-inf)` and applied by `_apply` as `simulate` does with
+an event log: `step` returns each event and its waiting time, and
+`OccupationTracker` integrates each slot's occupation over a run from the
+slot flips (`tracked_occupation`).
 """
 
 from __future__ import annotations
@@ -180,6 +186,71 @@ def event_rate(model, eta: np.ndarray, event) -> float:
     if event.kind == COLLISION:
         return collision_rate(eta, event.site, event.quadruple)
     return boundary_rate(model, eta, event.site, event.velocity)
+
+
+# --- one simulator event at a time --------------------------------------------
+
+def step(state):
+    """Execute one event of `state`: returns (event, waiting time) and applies it.
+
+    The waiting time is exponential with the current total macroscopic rate;
+    the event is drawn proportionally to its rate.
+    """
+    t_before = state.t
+    kind, idx = state.advance(-math.inf)
+    state._apply(kind, idx)
+    return state.table.event_from_entry(kind, idx), state.t - t_before
+
+
+class OccupationTracker:
+    """Time-weighted occupation averages, updated only when slots flip."""
+
+    def __init__(self, n_slots: int):
+        self.occ_time = np.zeros(n_slots)
+        self.last = np.zeros(n_slots)
+        self.t0 = 0.0
+
+    def start(self, t: float) -> None:
+        self.t0 = t
+        self.last[:] = t
+
+    def on_flip(self, t: float, slot: int, old: int) -> None:
+        if old == 1:
+            self.occ_time[slot] += t - self.last[slot]
+        self.last[slot] = t
+
+    def mean_occupation(self, t_end: float, eta_flat) -> np.ndarray:
+        occ = self.occ_time.copy()
+        for slot in range(len(occ)):
+            if eta_flat[slot]:
+                occ[slot] += t_end - self.last[slot]
+        span = t_end - self.t0
+        return occ / span if span > 0 else occ
+
+
+def tracked_occupation(state, horizon: float) -> np.ndarray:
+    """Each slot's occupation averaged over [0, horizon], horizon > 0, along a
+    run of `state` from time 0.  A tracker sees each event's slot flips at its
+    time, in the order exclusion source then target, collision slots a, b, c,
+    d, boundary slot; the first event at or after the horizon is drawn and
+    left unapplied, as in `simulate`."""
+    table, eta = state.table, state.eta_flat
+    tracker = OccupationTracker(len(eta))
+    tracker.start(state.t)
+    while True:
+        kind, idx = state.advance(-math.inf)
+        if state.t >= horizon:
+            return tracker.mean_occupation(horizon, eta)
+        if kind == EXCLUSION:
+            flips = ((table.ex_src[idx], 1), (table.ex_tgt[idx], 0))
+        elif kind == COLLISION:
+            flips = zip(table.col_slots[idx], (1, 1, 0, 0))
+        else:
+            slot = table.bd_slot[idx]
+            flips = ((slot, int(eta[slot])),)
+        state._apply(kind, idx)
+        for slot, old in flips:
+            tracker.on_flip(state.t, slot, old)
 
 
 # --- the exact generator -----------------------------------------------------

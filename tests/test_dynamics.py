@@ -13,13 +13,11 @@ from latgas.dynamics import (
     EXCLUSION,
     Event,
     Model,
-    OccupationTracker,
     RateTable,
     ReservoirProfiles,
     SimState,
     jump_probabilities,
     simulate,
-    step,
 )
 from latgas.errors import DomainError
 from latgas.generator import assemble_exact_generator
@@ -36,7 +34,9 @@ from reference import (
     index,
     neighbor_sites,
     sample_product_state,
+    step,
     totals,
+    tracked_occupation,
 )
 
 
@@ -379,13 +379,11 @@ class TestStep:
         # stationary occupation equals alpha_v
         alpha = [0.3, 0.4]
         model = make_model(2, vs2, alpha=alpha, beta=[0.9, 0.9])
-        eta0 = empty_state(model)
-        tracker = OccupationTracker(2)
+        state = SimState(model, empty_state(model), np.random.default_rng(3))
         # mean total flip rate at stationarity is sum_v 2 alpha_v (1 - alpha_v)
         horizon = 33_000.0
-        res = simulate(eta0, model, horizon, np.random.default_rng(3), trackers=[tracker])
-        assert res.n_events >= 100_000
-        occ = tracker.mean_occupation(horizon, res.final.reshape(-1))
+        occ = tracked_occupation(state, horizon)
+        assert state.kind_counts.sum() >= 100_000
         for v in range(2):
             rate_sum = 1.0 * model.time_scale  # birth + death = 1, accelerated
             var = 2 * alpha[v] * (1 - alpha[v]) / (rate_sum * horizon)
@@ -459,9 +457,7 @@ class TestSimulate:
         for r in range(reps):
             rng = np.random.default_rng(100 + r)
             eta0 = sample_product_state(lam, lat, vs2, rng)
-            tracker = OccupationTracker(lat.n_sites * 2)
-            res = simulate(eta0, model, horizon, rng, trackers=[tracker])
-            means.append(tracker.mean_occupation(horizon, res.final.reshape(-1)))
+            means.append(tracked_occupation(SimState(model, eta0, rng), horizon))
         means = np.array(means).reshape(reps, lat.n_sites, 2)
         mean = means.mean(axis=0)
         sem = means.std(axis=0, ddof=1) / math.sqrt(reps)
@@ -507,14 +503,10 @@ def assert_matches_exact_stationary(model, seed, reps=4, horizon=30.0):
     pi = np.real(vl[:, int(np.argmin(np.abs(w)))])
     exact = (pi / pi.sum()) @ gen.state_bits()  # marginal occupation per slot
 
-    n_slots = model.lattice.n_sites * len(model.vset)
-    sims = []
-    for r in range(reps):
-        rng = np.random.default_rng(seed + r)
-        tracker = OccupationTracker(n_slots)
-        res = simulate(empty_state(model), model, horizon, rng, trackers=[tracker])
-        sims.append(tracker.mean_occupation(horizon, res.final.reshape(-1)))
-    sims = np.array(sims)
+    sims = np.array([
+        tracked_occupation(SimState(model, empty_state(model), np.random.default_rng(seed + r)),
+                           horizon)
+        for r in range(reps)])
     mean = sims.mean(axis=0)
     sem = sims.std(axis=0, ddof=1) / math.sqrt(reps)
     assert np.all(np.abs(mean - exact) <= 4 * sem + 0.01)

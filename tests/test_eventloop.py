@@ -4,7 +4,8 @@
 from the Python reference loop by `tests/record_data.py`, with candidate
 batches growing from 2^8 to 2^14.  Both loops must reproduce it exactly: same
 event counts, same configuration bytes at every sample time and at the end,
-same event log, tracker averages and `step()` draws.  Both must also draw the
+same event log, and the same tracker averages and `step()` draws from the
+per-event references of `tests/reference.py`.  Both must also draw the
 first event from a fixed state with the catalog's law, and keep their list of
 open collision pairs equal to the pairs the configuration opens.
 """
@@ -23,11 +24,11 @@ from scipy.special import chdtri, ndtri
 
 from latgas import eventloop
 from latgas.errors import NumericalFailure
-from latgas.dynamics import (COLLISION, Model, OccupationTracker, ReservoirProfiles, SimState,
-                             simulate, step)
+from latgas.dynamics import COLLISION, Model, ReservoirProfiles, SimState, simulate
 from latgas.lattice import Lattice
 from latgas.velocities import VelocitySet, two_velocity_set
-from reference import entry_rates, four_velocity_set, sample_product_state
+from reference import (entry_rates, four_velocity_set, sample_product_state, step,
+                       tracked_occupation)
 
 VS2 = two_velocity_set(0.5)
 VS4 = four_velocity_set(0.5, 0.25)
@@ -77,7 +78,8 @@ def _sha(*chunks) -> str:
 
 
 def stream_record(name: str, seed: int) -> dict:
-    """Counts and hashes of one seeded run of a case through `simulate` and `step()`."""
+    """Counts and hashes of one seeded run of a case through `simulate`, the
+    reference tracker and `step()`."""
     make, lam, horizon, times = STREAM_CASES[name]
     model = make()
     lat, vs = model.lattice, model.vset
@@ -92,12 +94,11 @@ def stream_record(name: str, seed: int) -> dict:
         "samples_sha256": _sha(*[c for t, eta in res.samples for c in (t, eta.tobytes())]),
     }
 
-    rng = np.random.default_rng(seed)
-    tracker, log = OccupationTracker(lat.n_sites * len(vs)), io.StringIO()
-    res = simulate(eta0, model, LOG_HORIZON, rng, trackers=[tracker], event_log=log)
-    occ = tracker.mean_occupation(LOG_HORIZON, res.final.reshape(-1))
+    log = io.StringIO()
+    res = simulate(eta0, model, LOG_HORIZON, np.random.default_rng(seed), event_log=log)
     record["log_n_events"] = res.n_events
     record["event_log_sha256"] = _sha(log.getvalue().encode())
+    occ = tracked_occupation(SimState(model, eta0, np.random.default_rng(seed)), LOG_HORIZON)
     record["tracker_sha256"] = _sha(occ.tobytes())
 
     state = SimState(model, eta0, np.random.default_rng(seed))
@@ -174,9 +175,9 @@ def run_every_entry_point(make, seed: int) -> dict:
     eta0 = sample_product_state([0.2, 0.1], lat, vs, np.random.default_rng(seed))
     rng = CountingRng(seed)
     res = simulate(eta0, model, 16.0, rng, sample_times=[0.5, 2.0, 16.0])
-    tracker, log = OccupationTracker(lat.n_sites * len(vs)), io.StringIO()
-    logged = simulate(eta0, model, 0.1, np.random.default_rng(seed), trackers=[tracker],
-                      event_log=log)
+    log = io.StringIO()
+    logged = simulate(eta0, model, 0.1, np.random.default_rng(seed), event_log=log)
+    tracked = tracked_occupation(SimState(model, eta0, np.random.default_rng(seed)), 0.1)
     state = SimState(model, eta0, np.random.default_rng(seed))
     steps = [step(state) for _ in range(N_STEPS)]
     return {
@@ -185,7 +186,7 @@ def run_every_entry_point(make, seed: int) -> dict:
         "final": res.final.tobytes(),
         "batches": rng.batches,
         "log": log.getvalue(),
-        "tracker": tracker.mean_occupation(0.1, logged.final.reshape(-1)).tobytes(),
+        "tracker": tracked.tobytes(),
         "steps": [(ev, float(wait)) for ev, wait in steps],
         "steps_final": state.snapshot().tobytes(),
         "event_loop": res.event_loop,
@@ -231,6 +232,30 @@ def test_sample_times_do_not_change_the_stream(loop, name):
     assert runs[0].final.tobytes() == runs[1].final.tobytes()
     assert (runs[0].n_events, runs[0].kind_counts) == (runs[1].n_events, runs[1].kind_counts)
     assert rngs[0].batches == rngs[1].batches and len(rngs[0].batches) >= 3
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_CASES))
+def test_a_plain_run_stays_in_the_batch_loop(loop, monkeypatch, name):
+    # without an event log `simulate` calls `advance` at most once per sample
+    # time and once for the horizon, and the loop applies the events between;
+    # with one it calls `advance` once per event and once for the event that
+    # ends the run
+    make, lam, horizon, times = STREAM_CASES[name]
+    model = make()
+    eta0 = sample_product_state(lam, model.lattice, model.vset, np.random.default_rng(3))
+    stops, advance = [], SimState.advance
+
+    def counted(state, stop):
+        stops.append(stop)
+        return advance(state, stop)
+
+    monkeypatch.setattr(SimState, "advance", counted)
+    res = simulate(eta0, model, horizon, np.random.default_rng(4), sample_times=times)
+    assert res.event_loop == loop
+    assert res.n_events > 1000 and 0 < len(stops) <= len(times) + 1
+    stops.clear()
+    res = simulate(eta0, model, LOG_HORIZON, np.random.default_rng(4), event_log=io.StringIO())
+    assert res.n_events > 0 and stops == [-np.inf] * (res.n_events + 1)
 
 
 def advance_through(state, stops) -> None:

@@ -16,7 +16,6 @@ from latgas.hydro import (
     SeparableField,
     advective_limit,
     check_vanishes_on_walls,
-    field_energy,
     solve_controlled,
     solve_hydro,
     _flux_grid,
@@ -31,7 +30,6 @@ from reference import (
     combination,
     field_dt,
     field_laplacian,
-    synthetic_trajectory,
     wall_mode,
     weak_residual,
 )
@@ -524,24 +522,6 @@ class TestWeakResidual:
         G = wall_mode(0, Factor("one"), 1)
         with pytest.raises(DomainError):
             weak_residual(bad, G, vs2)
-
-
-class TestFieldEnergy:
-    def test_constant_trajectory_zero(self, vs2):
-        grid = Grid(1, 33)
-        tr = synthetic_trajectory(
-            grid, np.linspace(0, 1, 9),
-            lambda t, u: np.broadcast_to([1.0, 0.0], u.shape[:-1] + (2,)).copy())
-        assert field_energy(tr) == 0.0
-
-    def test_sine_profile_oracle(self, vs2):
-        # p0(u) = 1 + a sin(pi u): integral of (a pi cos)^2 = a^2 pi^2/2 per unit time
-        a = 0.3
-        tr = synthetic_trajectory(
-            Grid(1, 257), np.linspace(0, 1, 33),
-            lambda t, u: np.stack([1 + a * np.sin(np.pi * u[..., 0]),
-                                   np.zeros_like(u[..., 0])], axis=-1))
-        assert field_energy(tr) == pytest.approx(a**2 * np.pi**2 / 2, rel=1e-3)
 
 
 class TestTrajectoryIO:
