@@ -2,15 +2,14 @@
 
 Subcommands: simulate | hydro | converge | rate | exact, each driven by a
 YAML config (see configs/reference.yaml).  Every command writes CSV or
-structured-text outputs plus a run manifest; all data files carry the config
-hash in a header comment.  Exit codes: 0 success, 2 configuration error,
-3 numerical failure.
+structured-text outputs plus a run manifest, each whole or absent through the
+writers of `config`; all data files carry the config hash in a header
+comment.  Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 import time
@@ -23,13 +22,15 @@ from .config import (
     ReplicaStreams,
     compile_expression,
     load_config,
+    write_csv,
     write_manifest,
+    write_report,
 )
 from .dynamics import Model, ReservoirProfiles, simulate
 from .empirical import block_average, empirical_measure, l1_distance, smooth
 from .errors import ConfigError, DomainError, LatgasError, NumericalFailure
 from .generator import assemble_exact_generator, max_abs
-from .grid import Grid, write_field_csv
+from .grid import Grid, field_columns, field_rows
 from .hydro import HULL_INTERIOR_PAD, BoundaryData, Factor, SeparableField, solve_hydro
 from .lattice import Lattice
 from .ldp import default_basis, rate_estimate, time_factor, verify_f06
@@ -117,14 +118,6 @@ def _csv_header(cfg: ExperimentConfig, units: str) -> str:
     return f"config_hash={cfg.config_hash} units={units} latgas={__version__}"
 
 
-def _csv_writer(path, header_cols, cfg: ExperimentConfig, units: str):
-    fh = open(path, "w", newline="")
-    fh.write(f"# {_csv_header(cfg, units)}\n")
-    writer = csv.writer(fh)
-    writer.writerow(header_cols)
-    return fh, writer
-
-
 def _out_dir(cfg: ExperimentConfig, args) -> str:
     directory = args.out or cfg.output["directory"]
     os.makedirs(directory, exist_ok=True)
@@ -187,18 +180,14 @@ def _replica_cells(cfg: ExperimentConfig, command: str, N: int, replicas: range)
     snapshots = snapshots.reshape(len(runs), len(times), lat.n_sites, len(vset))
     values = smooth(empirical_measure(snapshots, lat, vset), lat, sec["eps"], grid)
     averages = block_average(snapshots, lat, vset, centers, block_radius)
-    cells = []
-    for res, replica_values, replica_blocks in zip(runs, values, averages):
-        sampled = [t for t, _ in res.samples]
-        fields = list(zip(sampled, replica_values))
-        blocks = [(t, c, vec) for t, row in zip(sampled, replica_blocks)
-                  for c, vec in zip(centers, row)]
-        # the manifest's record of the run: its event loop, event and
-        # candidate counts
-        run = {"event_loop": res.event_loop, "n_events": res.n_events,
-               "kind_counts": res.kind_counts, "candidates": res.candidates}
-        cells.append({"fields": fields, "blocks": blocks, "run": run})
-    return cells
+    # per cell: its sample times, the block centers, its fields and block
+    # averages, and the manifest's record of the run (its event loop, event
+    # and candidate counts)
+    return [{"times": [t for t, _ in res.samples], "centers": centers,
+             "fields": fields, "blocks": blocks,
+             "run": {"event_loop": res.event_loop, "n_events": res.n_events,
+                     "kind_counts": res.kind_counts, "candidates": res.candidates}}
+            for res, fields, blocks in zip(runs, values, averages)]
 
 
 def cmd_simulate(cfg: ExperimentConfig, args) -> list:
@@ -213,17 +202,16 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> list:
     grid = build_grid(cfg, sec["grid_m1"], cfg.hydro["mt"])
     ncomp = cfg.model.d + 1
     for (N, r), res in _map_cells("simulate", cfg, args):
+        times = res["times"]
         fpath = os.path.join(out, f"sim_N{N}_r{r}_fields.csv")
-        write_field_csv(fpath, grid, [t for t, _ in res["fields"]],
-                        [values for _, values in res["fields"]],
-                        [_csv_header(cfg, "macroscopic time / densities per unit volume")])
+        write_csv(fpath, [_csv_header(cfg, "macroscopic time / densities per unit volume")],
+                  field_columns(grid), field_rows(grid, times, res["fields"]))
         bpath = os.path.join(out, f"sim_N{N}_r{r}_blocks.csv")
-        fh, writer = _csv_writer(
-            bpath, ["t", "x1"] + [f"comp{k}" for k in range(ncomp)],
-            cfg, "macroscopic time / per-site conserved quantities")
-        with fh:
-            for t, c, vec in res["blocks"]:
-                writer.writerow([f"{t:.10g}", c] + [f"{y:.12g}" for y in vec])
+        write_csv(bpath, [_csv_header(cfg, "macroscopic time / per-site conserved quantities")],
+                  ["t", "x1"] + [f"comp{k}" for k in range(ncomp)],
+                  ([f"{t:.10g}", c] + [f"{y:.12g}" for y in vec]
+                   for t, row in zip(times, res["blocks"].tolist())
+                   for c, vec in zip(res["centers"], row)))
         outputs += [fpath, bpath]
     return outputs
 
@@ -281,7 +269,8 @@ def cmd_hydro(cfg: ExperimentConfig, args) -> list:
     npz = os.path.join(out, "hydro_traj.npz")
     traj.save(npz)
     csv_path = os.path.join(out, "hydro_fields.csv")
-    traj.to_csv(csv_path, header_comment=f"config_hash={cfg.config_hash}")
+    write_csv(csv_path, [f"config_hash={cfg.config_hash}"], field_columns(traj.grid),
+              field_rows(traj.grid, traj.times, traj.values))
     return [npz, csv_path]
 
 
@@ -306,20 +295,20 @@ def cmd_converge(cfg: ExperimentConfig, args) -> list:
     ncomp = cfg.model.d + 1
     per_n = {}
     for (N, r), res in _map_cells("converge", cfg, args):
-        per_n.setdefault(N, []).append(res["fields"][0][1])
+        per_n.setdefault(N, []).append(res["fields"][0])
 
-    table = os.path.join(out, "converge.csv")
-    fh, writer = _csv_writer(
-        table, ["N", "component", "l1_mean", "l1_sem", "replicas"],
-        cfg, f"L1 distance smoothed empirical vs PDE at t={t_cmp}")
-    with fh:
+    def rows():
         for N in cfg.model.n_values:
             errs = l1_distance(cmp_grid, np.array(per_n[N]), pde_cmp)
             mean = errs.mean(axis=0)
             sem = (errs.std(axis=0, ddof=1) / np.sqrt(len(errs))
                    if len(errs) > 1 else np.zeros(ncomp))
             for k in range(ncomp):
-                writer.writerow([N, k, f"{mean[k]:.6e}", f"{sem[k]:.6e}", len(errs)])
+                yield [N, k, f"{mean[k]:.6e}", f"{sem[k]:.6e}", len(errs)]
+
+    table = os.path.join(out, "converge.csv")
+    write_csv(table, [_csv_header(cfg, f"L1 distance smoothed empirical vs PDE at t={t_cmp}")],
+              ["N", "component", "l1_mean", "l1_sem", "replicas"], rows())
     return [table]
 
 
@@ -341,12 +330,11 @@ def cmd_rate(cfg: ExperimentConfig, args) -> list:
     full = rate_estimate(traj, basis[:sizes[-1]], cfg.model.velocities)
 
     sweep_path = os.path.join(out, "rate_sweep.csv")
-    fh, writer = _csv_writer(sweep_path, ["basis_size", "estimate"],
-                             cfg, "cost estimate of the uncontrolled solution")
-    with fh:
-        writer.writerows([m, f"{full.leading(m).estimate:.6e}"] for m in sizes)
+    write_csv(sweep_path, [_csv_header(cfg, "cost estimate of the uncontrolled solution")],
+              ["basis_size", "estimate"],
+              ([m, f"{full.leading(m).estimate:.6e}"] for m in sizes))
     report_path = os.path.join(out, "rate_report.txt")
-    full.save(report_path)
+    write_report(report_path, "rate-report", full.lines())
     outputs = [sweep_path, report_path]
 
     control = build_control(cfg, horizon)
@@ -355,13 +343,12 @@ def cmd_rate(cfg: ExperimentConfig, args) -> list:
                           cfg.model.velocities, horizon, basis,
                           dt=hyd["dt"], n_frames=hyd["n_frames"])
         f06_path = os.path.join(out, "f06_report.txt")
-        with open(f06_path, "w") as fh:
-            fh.write("format: latgas-f06-report v1\n")
-            fh.write(f"config_hash: {cfg.config_hash}\n")
-            fh.write(f"lhs_cost_estimate: {rep6.lhs:.12e}\n")
-            fh.write(f"rhs_quarter_control_norm: {rep6.rhs:.12e}\n")
-            fh.write(f"relative_gap: {rep6.rel_gap:.6e}\n")
-            fh.write(f"basis_size: {rep6.rate.basis_size}\n")
+        write_report(f06_path, "f06-report", [
+            f"config_hash: {cfg.config_hash}",
+            f"lhs_cost_estimate: {rep6.lhs:.12e}",
+            f"rhs_quarter_control_norm: {rep6.rhs:.12e}",
+            f"relative_gap: {rep6.rel_gap:.6e}",
+            f"basis_size: {rep6.rate.basis_size}"])
         outputs.append(f06_path)
     return outputs
 
@@ -385,16 +372,15 @@ def cmd_exact(cfg: ExperimentConfig, args) -> list:
         .detailed_balance_audit(mu)
 
     path = os.path.join(out, "exact_report.txt")
-    with open(path, "w") as fh:
-        fh.write("format: latgas-exact-report v1\n")
-        fh.write(f"config_hash: {cfg.config_hash}\n")
-        fh.write(f"N: {n}\nperiodic: {periodic}\nparts: {' '.join(parts)}\n")
-        fh.write(f"n_states: {gen.n_states}\n")
-        fh.write(f"max_abs_row_sum: {row_max:.3e}\n")
-        fh.write(f"invariance_residual: {inv_res:.6e}\n")
-        fh.write(f"collision_transitions: {audit['n_transitions']}\n")
-        fh.write(f"collision_detailed_balance_worst: {audit['worst_imbalance']:.3e}\n")
-        fh.write(f"collision_all_reversible: {audit['all_reversible']}\n")
+    write_report(path, "exact-report", [
+        f"config_hash: {cfg.config_hash}",
+        f"N: {n}", f"periodic: {periodic}", f"parts: {' '.join(parts)}",
+        f"n_states: {gen.n_states}",
+        f"max_abs_row_sum: {row_max:.3e}",
+        f"invariance_residual: {inv_res:.6e}",
+        f"collision_transitions: {audit['n_transitions']}",
+        f"collision_detailed_balance_worst: {audit['worst_imbalance']:.3e}",
+        f"collision_all_reversible: {audit['all_reversible']}"])
     return [path]
 
 

@@ -1,4 +1,5 @@
-"""Experiment configuration: YAML schema, safe expression parsing, manifests.
+"""Experiment configuration: YAML schema, safe expression parsing, and the
+output files.
 
 A config file is a YAML mapping with sections `model`, `simulate`, `hydro`,
 `converge`, `ldp`, `exact`, `output`.  `_SECTIONS` holds every key with its
@@ -7,16 +8,24 @@ are rejected with their full path.  Reservoir profiles and initial profiles
 are restricted closed-form expressions (numbers, + - * / **, sin, cos, pi, and
 the allowed coordinates), parsed through the ast module with a strict
 whitelist so they stay twice continuously differentiable and safe to evaluate.
+
+Every file a command writes goes through `created`, so it is whole or absent:
+it is written under a temporary name beside its path and renamed into place
+only when complete.  Tables are long-format CSV (`write_csv`: `# ` comment
+lines, the column names, the rows); reports and the run manifest are
+`key: value` lines under a `format: latgas-<kind> v1` line (`write_report`).
+A run without a manifest is an incomplete run.
 """
 
 from __future__ import annotations
 
 import ast
+import contextlib
+import csv
 import hashlib
 import importlib.util
 import json
 import os
-import tempfile
 import time
 from dataclasses import dataclass
 
@@ -419,9 +428,43 @@ def _scipy_version() -> str:
     return "unknown"
 
 
+@contextlib.contextmanager
+def created(path, mode: str = "w"):
+    """`open(path, mode)` under a temporary name in the same directory, renamed
+    to `path` when the block ends and deleted if it raises, so `path` is whole
+    or absent.  The file gets the mode a plain `open` gives; text is written
+    with newline="", so `csv` ends its rows with its own line terminator."""
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, newline=None if "b" in mode else "") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+def write_csv(path, comments, columns, rows) -> None:
+    """A CSV table: each comment as a `# ` line, the column names, the rows."""
+    with created(path) as fh:
+        fh.writelines(f"# {line}\n" for line in comments)
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def write_report(path, kind: str, lines) -> None:
+    """A `key: value` report: `format: latgas-<kind> v1`, then each line."""
+    with created(path) as fh:
+        fh.write(f"format: latgas-{kind} v1\n")
+        fh.writelines(f"{line}\n" for line in lines)
+
+
 def write_manifest(path, command: str, config: ExperimentConfig, cells: list,
                    outputs: list, wallclock: float) -> None:
-    """Atomically write the run manifest (temp file + rename).
+    """Write the run manifest, a `run-manifest` report (`write_report`).
 
     `cells` holds (stream key, run record) per simulated (N, replica) cell,
     in cell order; a run record has the `event_loop` that ran ("compiled" or
@@ -438,7 +481,6 @@ def write_manifest(path, command: str, config: ExperimentConfig, cells: list,
     import latgas
 
     lines = [
-        "format: latgas-run-manifest v1",
         f"command: {command}",
         f"config_hash: {config.config_hash}",
         f"package_version: {latgas.__version__}",
@@ -462,13 +504,4 @@ def write_manifest(path, command: str, config: ExperimentConfig, cells: list,
         f"wallclock_seconds: {wallclock:.3f}",
         f"created_unix: {time.time():.0f}",
     ]
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".manifest-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_report(path, "run-manifest", lines)

@@ -37,16 +37,7 @@ class NumericalFailure(LatgasError, RuntimeError):
 
 class ConvergenceError(NumericalFailure):
     """An iterative solver failed to reach its tolerance, or an exact inverse
-    left its admissible range (densities outside (0, 1)).
-
-    Attributes:
-        residual: sup-norm residual at the final iterate (float or array), or
-            None when there is no iterate.
-    """
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    left its admissible range (densities outside (0, 1))."""
 
 
 class ConditioningError(NumericalFailure):

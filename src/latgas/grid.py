@@ -9,7 +9,6 @@ on the transverse torus.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -88,22 +87,17 @@ class Grid:
         return np.full(n_t, 1.0 / n_t)
 
 
-def write_field_csv(path, grid: Grid, times, frames, header_lines=()) -> None:
-    """Long-format CSV of (rho, p) fields on `grid`, one row per (time, node).
+def field_columns(grid: Grid) -> list:
+    """Column names of `field_rows`: t, u1..ud, comp0..compd."""
+    return (["t"] + [f"u{i + 1}" for i in range(grid.d)]
+            + [f"comp{k}" for k in range(grid.d + 1)])
 
-    Each header line becomes a `# ` comment line; the columns are t,
-    u1..ud, comp0..compd, and frames[i] holds the (*grid.shape, d+1) values
-    at times[i].
-    """
-    nodes = grid.nodes().reshape(-1, grid.d)
-    ncomp = grid.d + 1
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"u{i+1}" for i in range(grid.d)]
-                        + [f"comp{k}" for k in range(ncomp)])
-        for t, frame in zip(times, frames):
-            for x, row in zip(nodes, np.reshape(frame, (-1, ncomp))):
-                writer.writerow([f"{t:.10g}"] + [f"{c:.10g}" for c in x]
-                                + [f"{y:.12g}" for y in row])
+
+def field_rows(grid: Grid, times, frames):
+    """Long-format rows of (rho, p) fields on `grid`, one per (time, node);
+    frames[i] holds the (*grid.shape, d+1) values at times[i]."""
+    nodes = grid.nodes().reshape(-1, grid.d).tolist()
+    for t, frame in zip(times, frames):
+        # Python floats format faster than numpy scalars, to the same text
+        for x, row in zip(nodes, np.reshape(frame, (-1, grid.d + 1)).tolist()):
+            yield [f"{t:.10g}"] + [f"{c:.10g}" for c in x] + [f"{y:.12g}" for y in row]

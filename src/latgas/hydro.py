@@ -29,9 +29,10 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy import fft
 
+from .config import created
 from .dynamics import ReservoirProfiles
 from .errors import DomainError, NumericalFailure, StabilityError
-from .grid import Grid, write_field_csv
+from .grid import Grid
 from .thermo import (NEWTON_TOL, domain_of, exact_theta, invert_conserved, local_equilibrium,
                      theta_all)
 from .velocities import VelocitySet
@@ -197,9 +198,9 @@ class SeparableField:
         return self._sum(times, grid, 1)
 
 
-def check_vanishes_on_walls(fld, grid: Grid, horizon: float, tol: float = WALL_VANISH_TOL):
+def check_vanishes_on_walls(fld, grid: Grid, horizon: float):
     worst = float(np.max(np.abs(fld.values(np.linspace(0.0, horizon, 5), grid)[:, [0, -1]])))
-    if worst > tol:
+    if worst > WALL_VANISH_TOL:
         raise ValueError(f"field does not vanish on the walls (max {worst:.2e})")
 
 
@@ -224,18 +225,15 @@ class FieldTrajectory:
             raise ValueError("frame 0 must equal the initial profile")
 
     def save(self, path) -> None:
-        """Write a compressed .npz; `meta` is stored as a JSON string."""
-        np.savez_compressed(
-            path, times=self.times, values=self.values, gamma=self.gamma,
-            bound_a=self.boundary.a, bound_b=self.boundary.b,
-            grid=np.array([self.grid.d, self.grid.m1, self.grid.mt]),
-            meta=np.array(json.dumps(self.meta)),
-        )
-
-    def to_csv(self, path, header_comment: str = "") -> None:
-        """Long-format CSV: t, u_1..u_d, comp_0..comp_d per row."""
-        write_field_csv(path, self.grid, self.times, self.values,
-                        [header_comment] if header_comment else [])
+        """Write a compressed .npz (through `config.created`); `meta` is
+        stored as a JSON string."""
+        with created(path, "wb") as fh:
+            np.savez_compressed(
+                fh, times=self.times, values=self.values, gamma=self.gamma,
+                bound_a=self.boundary.a, bound_b=self.boundary.b,
+                grid=np.array([self.grid.d, self.grid.m1, self.grid.mt]),
+                meta=np.array(json.dumps(self.meta)),
+            )
 
 
 # --- flux and spatial operators ---------------------------------------------------

@@ -132,22 +132,21 @@ class RateReport:
         return RateReport.solve(self.linear_term[:m], self.quad_matrix[:m, :m],
                                 self.quadrature)
 
-    def save(self, path) -> None:
+    def lines(self):
+        """The lines of the `rate-report` (`config.write_report`)."""
         def floats(x):  # Python floats format faster than numpy scalars
             return " ".join(map("{:.17g}".format, x.tolist()))
 
-        with open(path, "w") as fh:
-            fh.write("format: latgas-rate-report v1\n")
-            fh.write(f"estimate: {self.estimate:.17g}\n")
-            fh.write(f"basis_size: {self.basis_size}\n")
-            fh.write(f"regularization: {self.regularization:.17g}\n")
-            for key, val in sorted(self.quadrature.items()):
-                fh.write(f"quadrature.{key}: {val}\n")
-            fh.write("linear_term: " + floats(self.linear_term) + "\n")
-            fh.write("coefficients: " + floats(self.coefficients) + "\n")
-            fh.write("quad_matrix:\n")
-            for row in self.quad_matrix:
-                fh.write("  " + floats(row) + "\n")
+        yield f"estimate: {self.estimate:.17g}"
+        yield f"basis_size: {self.basis_size}"
+        yield f"regularization: {self.regularization:.17g}"
+        for key, val in sorted(self.quadrature.items()):
+            yield f"quadrature.{key}: {val}"
+        yield "linear_term: " + floats(self.linear_term)
+        yield "coefficients: " + floats(self.coefficients)
+        yield "quad_matrix:"
+        for row in self.quad_matrix:
+            yield "  " + floats(row)
 
 
 

@@ -213,11 +213,8 @@ def _invert_newton(t: np.ndarray, vset: VelocitySet, lam0) -> tuple:
             alpha = np.where(worse, alpha * 0.5, alpha)
         lam, th, res, rnorm = cand, th_c, res_c, rn_c
     if np.any(rnorm > NEWTON_TOL):
-        raise ConvergenceError(
-            f"Newton inversion did not reach {NEWTON_TOL:.1e} "
-            f"(worst residual {float(np.max(rnorm)):.3e})",
-            residual=float(np.max(rnorm)),
-        )
+        raise ConvergenceError(f"Newton inversion did not reach {NEWTON_TOL:.1e} "
+                               f"(worst residual {float(np.max(rnorm)):.3e})")
     return lam, th
 
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import pathlib
+import stat
 import subprocess
 import sys
 import warnings
@@ -16,11 +17,11 @@ import latgas.config
 import latgas.dynamics
 import latgas.hydro
 from latgas import eventloop
-from latgas.cli import build_model, lattice_walls, main
+from latgas.cli import COMMANDS, build_model, lattice_walls, main
 from latgas.config import (_CONTROL, _SECTIONS, ReplicaStreams, compile_expression, load_config,
                            parse_config)
 from latgas.dynamics import RateTable
-from latgas.errors import ConfigError, ConvergenceError, DomainError
+from latgas.errors import ConfigError, ConvergenceError, DomainError, NumericalFailure
 from latgas.generator import STATE_SPACE_CAP, ExactGenerator
 from latgas.grid import Grid
 from latgas.hydro import BoundaryData
@@ -523,7 +524,7 @@ def test_expressions_give_nan_and_inf_on_arrays_without_a_warning():
 
 
 @pytest.mark.parametrize("error", [
-    ConvergenceError("Newton inversion did not reach 1e-12", residual=1.0),
+    ConvergenceError("Newton inversion did not reach 1e-12"),
     DomainError("could not project points into the hull interior"),
 ])
 def test_failures_during_a_run_exit_3(tmp_path, capsys, monkeypatch, error):
@@ -685,6 +686,37 @@ def test_threads_do_not_change_outputs(tmp_path, command):
         runs[threads] = {p.name: p.read_bytes() for p in out.iterdir()
                          if not p.name.startswith("manifest_")}
     assert runs[1] and runs[1] == runs[2]
+
+
+def test_a_failure_while_writing_leaves_no_file(tmp_path, capsys, monkeypatch):
+    # the second size's L1 distance fails while converge.csv is written,
+    # after the first size's rows: the table is whole or absent, no
+    # temporary file is left beside it, and no manifest is written
+    original, calls = latgas.cli.l1_distance, []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise NumericalFailure("the second size fails")
+        return original(*args)
+
+    monkeypatch.setattr(latgas.cli, "l1_distance", failing)
+    out = tmp_path / "out"
+    assert main(["converge", "--config", tiny_config(tmp_path), "--out", str(out)]) == 3
+    assert "the second size fails" in capsys.readouterr().err
+    assert len(calls) == 2 and list(out.iterdir()) == []
+
+
+def test_every_output_has_the_mode_of_a_plain_open(tmp_path):
+    # the manifest included: no file is a private (0600) temporary file
+    probe = tmp_path / "probe"
+    probe.write_text("")
+    out, path = tmp_path / "out", tiny_config(tmp_path)
+    for command in COMMANDS:
+        assert main([command, "--config", path, "--out", str(out)]) == 0
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+    assert {f"manifest_{command}.txt" for command in COMMANDS} < set(modes)
+    assert set(modes.values()) == {stat.S_IMODE(probe.stat().st_mode)}
 
 
 RUN_LINES = ("stream_keys", "event_loop", "n_events", "kind_counts", "candidates")

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from latgas.empirical import block_average, empirical_measure, l1_distance, smooth
+from latgas.config import write_csv
 from latgas.errors import DomainError
-from latgas.grid import Grid, write_field_csv
+from latgas.grid import Grid, field_columns, field_rows
 from latgas.lattice import Lattice
 from latgas.thermo import theta_all
 from latgas.velocities import VelocitySet
@@ -175,7 +176,8 @@ class TestSmoothing:
         sf = smooth(empirical_measure(
             sample_product_state([0, 0], lat, vs2, rng), lat, vs2), lat, eps, grid)
         path = tmp_path / "field.csv"
-        write_field_csv(path, grid, [1 / 3], [sf], ["test", f"eps={eps} u_eps={1 + eps}"])
+        write_csv(path, ["test", f"eps={eps} u_eps={1 + eps}"], field_columns(grid),
+                  field_rows(grid, [1 / 3], [sf]))
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "# test"
         assert lines[1] == "# eps=0.1 u_eps=1.1"

@@ -4,9 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from latgas.config import write_csv
 from latgas.dynamics import ReservoirProfiles
 from latgas.errors import DomainError, NumericalFailure, StabilityError
-from latgas.grid import Grid
+from latgas.grid import Grid, field_columns, field_rows
 from latgas.hydro import (
     HULL_INTERIOR_PAD,
     RESERVOIR_MIN_MARGIN,
@@ -551,7 +552,8 @@ class TestTrajectoryIO:
         grid, bd, gamma = setup
         traj = solve_hydro(gamma, bd, 0.05, grid, vs2, n_frames=2)
         path = tmp_path / "traj.csv"
-        traj.to_csv(path, header_comment="meta")
+        write_csv(path, ["meta"], field_columns(grid),
+                  field_rows(grid, traj.times, traj.values))
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "# meta"
         assert len(lines) == 2 + 3 * 65

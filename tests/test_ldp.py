@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import latgas.ldp
+from latgas.config import write_report
 from latgas.dynamics import ReservoirProfiles
 from latgas.errors import ConditioningError
 from latgas.grid import Grid
@@ -278,7 +279,7 @@ class TestRateEstimate:
         vs, grid, bd, gamma, traj = solution
         rep = rate_estimate(traj, basis(1, T, n_space=2), vs)
         path = tmp_path / "report.txt"
-        rep.save(path)
+        write_report(path, "rate-report", rep.lines())
         lines = path.read_text().splitlines()
         back = dict(line.split(": ", 1) for line in lines if ": " in line)
         assert float(back["estimate"]) == rep.estimate

@@ -43,8 +43,6 @@ KEEP = {
 # Spellings that two or more package definitions share (dunder methods
 # aside), each with the definitions and why every one of them has a caller.
 SHARED = {
-    "save": ({"hydro.FieldTrajectory.save", "ldp.RateReport.save"},
-             "`cli.cmd_hydro` writes the trajectory .npz, `cli.cmd_rate` the rate report"),
     "shape": ({"grid.Grid.shape", "lattice.Lattice.shape"},
               "the grid's node array shape (`hydro`, `empirical`) and the lattice's "
               "site array shape (`Lattice.all_coords`, `empirical.block_average`)"),
