@@ -11,7 +11,9 @@ reproduce the files byte for byte.  It rewrites
                                `simulate` and `hydro` digests of the d = 2
                                config `test_cli.tiny_config_2d` (under "2d"),
                                and the `exact` digests of
-                               `test_cli.exact_report_digest`.
+                               `test_cli.exact_report_digest`;
+  tests/data/controlled_marches.json  `test_hydro.controlled_march_digest`
+                               of each case of `test_hydro.CONTROLLED_MARCHES`.
 
 Re-record only for a change that is meant to move these outputs (a new
 candidate stream, a new report line), and say in CHANGES.md which moved.
@@ -31,6 +33,7 @@ from latgas import eventloop  # noqa: E402
 
 import test_cli  # noqa: E402
 import test_eventloop  # noqa: E402
+import test_hydro  # noqa: E402
 
 
 def write(path: pathlib.Path, data: dict) -> None:
@@ -53,6 +56,9 @@ def main() -> None:
                             for name in sorted(test_cli.EXACT_CONFIGS)}
     write(HERE / "data" / "sim_streams.json", streams)
     write(HERE / "data" / "cli_outputs.json", outputs)
+    write(HERE / "data" / "controlled_marches.json",
+          {name: test_hydro.controlled_march_digest(name)
+           for name in sorted(test_hydro.CONTROLLED_MARCHES)})
 
 
 if __name__ == "__main__":

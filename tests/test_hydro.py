@@ -1,4 +1,6 @@
+import hashlib
 import json
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -24,7 +26,7 @@ from latgas.hydro import (
     _Stepper,
 )
 from latgas.thermo import domain_of, theta_all, theta_field
-from latgas.velocities import VelocitySet
+from latgas.velocities import VelocitySet, two_velocity_set
 from reference import (
     PerCallDrift,
     chi,
@@ -36,6 +38,10 @@ from reference import (
 )
 
 T = 0.5
+
+# recorded by `tests/record_data.py`: `controlled_march_digest` of each case
+RECORDED_MARCHES = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "controlled_marches.json").read_text())
 
 
 @pytest.fixture
@@ -72,6 +78,34 @@ def node_flux(w, vset):
     forms it: theta from the inversion, then `_flux_grid` of chi(theta)."""
     th = theta_field(w, vset)
     return _flux_grid(th * (1.0 - th), vset)
+
+
+# (dt, n_frames) of each pinned controlled march over [0, 0.1]: one step
+# per frame, and four steps per frame, which tabulates the drift in four
+# blocks of 16 steps
+CONTROLLED_MARCHES = {"step-per-frame": (None, 16), "four-drift-blocks": (0.1 / 64, 16)}
+
+
+def controlled_march_digest(name: str) -> str:
+    """sha256 of the frames of `solve_controlled` under a two-term control,
+    on the d = 1 two-velocity gas of the `setup` fixture."""
+    vs = two_velocity_set(0.5)
+    grid = Grid(1, 65)
+    bd = BoundaryData.from_profiles(ReservoirProfiles.constant(vs, [0.3, 0.4], [0.6, 0.5]),
+                                    vs, grid)
+    ctrl = combination([wall_mode(0, Factor("one"), 1),
+                        wall_mode(1, Factor("cos", 2 * np.pi / 0.1), 2)], [0.2, 0.15])
+    dt, n_frames = CONTROLLED_MARCHES[name]
+    traj = solve_controlled(linear_gamma(bd, grid), bd, 0.1, grid, vs, control=ctrl, dt=dt,
+                            n_frames=n_frames)
+    return hashlib.sha256(traj.values.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CONTROLLED_MARCHES))
+def test_controlled_march_reproduces_recorded_bytes(name):
+    # the controlled march is deterministic: its frames pin every step and
+    # every drift table
+    assert controlled_march_digest(name) == RECORDED_MARCHES[name]
 
 
 class TestBoundaryData:
