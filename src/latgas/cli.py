@@ -10,6 +10,7 @@ comment.  Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
@@ -119,9 +120,20 @@ def _csv_header(cfg: ExperimentConfig, units: str) -> str:
 
 
 def _out_dir(cfg: ExperimentConfig, args) -> str:
-    directory = args.out or cfg.output["directory"]
+    return args.out or cfg.output["directory"]
+
+
+def _output(cfg: ExperimentConfig, args, name: str) -> str:
+    """The path of the output file `name`, called as the command is about to
+    write it: the output directory is made and the command's manifest from an
+    earlier run removed, so a directory without the manifest holds an
+    incomplete run, and a command that stops before its first file leaves the
+    directory as it was."""
+    directory = _out_dir(cfg, args)
     os.makedirs(directory, exist_ok=True)
-    return directory
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(os.path.join(directory, f"manifest_{args.command}.txt"))
+    return os.path.join(directory, name)
 
 
 def lattice_walls(model: Model) -> tuple:
@@ -197,16 +209,15 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> list:
         if centers != "auto" and any(not lo <= c <= N - lo for c in centers):
             raise ConfigError(f"simulate.block_centers {centers}: a block of radius "
                               f"{lo - 1} at N={N} needs {lo} <= x1 <= {N - lo}")
-    out = _out_dir(cfg, args)
     outputs = []
     grid = build_grid(cfg, sec["grid_m1"], cfg.hydro["mt"])
     ncomp = cfg.model.d + 1
     for (N, r), res in _map_cells("simulate", cfg, args):
         times = res["times"]
-        fpath = os.path.join(out, f"sim_N{N}_r{r}_fields.csv")
+        fpath = _output(cfg, args, f"sim_N{N}_r{r}_fields.csv")
         write_csv(fpath, [_csv_header(cfg, "macroscopic time / densities per unit volume")],
                   field_columns(grid), field_rows(grid, times, res["fields"]))
-        bpath = os.path.join(out, f"sim_N{N}_r{r}_blocks.csv")
+        bpath = _output(cfg, args, f"sim_N{N}_r{r}_blocks.csv")
         write_csv(bpath, [_csv_header(cfg, "macroscopic time / per-site conserved quantities")],
                   ["t", "x1"] + [f"comp{k}" for k in range(ncomp)],
                   ([f"{t:.10g}", c] + [f"{y:.12g}" for y in vec]
@@ -264,13 +275,12 @@ def _hydro_solve(cfg: ExperimentConfig):
 
 
 def cmd_hydro(cfg: ExperimentConfig, args) -> list:
-    out = _out_dir(cfg, args)
     traj = _hydro_solve(cfg)
-    npz = os.path.join(out, "hydro_traj.npz")
+    npz = _output(cfg, args, "hydro_traj.npz")
     traj.save(npz)
-    csv_path = os.path.join(out, "hydro_fields.csv")
-    write_csv(csv_path, [f"config_hash={cfg.config_hash}"], field_columns(traj.grid),
-              field_rows(traj.grid, traj.times, traj.values))
+    csv_path = _output(cfg, args, "hydro_fields.csv")
+    write_csv(csv_path, [_csv_header(cfg, "macroscopic time / densities per unit volume")],
+              field_columns(traj.grid), field_rows(traj.grid, traj.times, traj.values))
     return [npz, csv_path]
 
 
@@ -279,7 +289,6 @@ def cmd_hydro(cfg: ExperimentConfig, args) -> list:
 def cmd_converge(cfg: ExperimentConfig, args) -> list:
     if len(cfg.model.n_values) < 2:
         raise ConfigError("converge needs model.N to list at least two sizes")
-    out = _out_dir(cfg, args)
     conv = cfg.converge
     t_cmp, grid_m1, ref_m1 = conv["t_compare"], conv["grid_m1"], conv["reference_m1"]
     if (ref_m1 - 1) % (grid_m1 - 1) != 0:
@@ -306,7 +315,7 @@ def cmd_converge(cfg: ExperimentConfig, args) -> list:
             for k in range(ncomp):
                 yield [N, k, f"{mean[k]:.6e}", f"{sem[k]:.6e}", len(errs)]
 
-    table = os.path.join(out, "converge.csv")
+    table = _output(cfg, args, "converge.csv")
     write_csv(table, [_csv_header(cfg, f"L1 distance smoothed empirical vs PDE at t={t_cmp}")],
               ["N", "component", "l1_mean", "l1_sem", "replicas"], rows())
     return [table]
@@ -315,7 +324,6 @@ def cmd_converge(cfg: ExperimentConfig, args) -> list:
 # --- rate -----------------------------------------------------------------------
 
 def cmd_rate(cfg: ExperimentConfig, args) -> list:
-    out = _out_dir(cfg, args)
     hyd = cfg.hydro
     horizon = hyd["horizon"]
     basis = build_basis(cfg, horizon)
@@ -329,11 +337,11 @@ def cmd_rate(cfg: ExperimentConfig, args) -> list:
     traj = _hydro_solve(cfg)
     full = rate_estimate(traj, basis[:sizes[-1]], cfg.model.velocities)
 
-    sweep_path = os.path.join(out, "rate_sweep.csv")
+    sweep_path = _output(cfg, args, "rate_sweep.csv")
     write_csv(sweep_path, [_csv_header(cfg, "cost estimate of the uncontrolled solution")],
               ["basis_size", "estimate"],
               ([m, f"{full.leading(m).estimate:.6e}"] for m in sizes))
-    report_path = os.path.join(out, "rate_report.txt")
+    report_path = _output(cfg, args, "rate_report.txt")
     write_report(report_path, "rate-report", full.lines())
     outputs = [sweep_path, report_path]
 
@@ -342,7 +350,7 @@ def cmd_rate(cfg: ExperimentConfig, args) -> list:
         rep6 = verify_f06(traj.gamma, traj.boundary, control, traj.grid,
                           cfg.model.velocities, horizon, basis,
                           dt=hyd["dt"], n_frames=hyd["n_frames"])
-        f06_path = os.path.join(out, "f06_report.txt")
+        f06_path = _output(cfg, args, "f06_report.txt")
         write_report(f06_path, "f06-report", [
             f"config_hash: {cfg.config_hash}",
             f"lhs_cost_estimate: {rep6.lhs:.12e}",
@@ -356,7 +364,6 @@ def cmd_rate(cfg: ExperimentConfig, args) -> list:
 # --- exact ----------------------------------------------------------------------
 
 def cmd_exact(cfg: ExperimentConfig, args) -> list:
-    out = _out_dir(cfg, args)
     exact = cfg.exact
     n, periodic, parts = exact["N"], exact["periodic"], exact["parts"]
     lam = np.array(exact["lambda"], dtype=float)
@@ -371,7 +378,7 @@ def cmd_exact(cfg: ExperimentConfig, args) -> list:
     audit = assemble_exact_generator(model, parts=("collision",)) \
         .detailed_balance_audit(mu)
 
-    path = os.path.join(out, "exact_report.txt")
+    path = _output(cfg, args, "exact_report.txt")
     write_report(path, "exact-report", [
         f"config_hash: {cfg.config_hash}",
         f"N: {n}", f"periodic: {periodic}", f"parts: {' '.join(parts)}",
@@ -422,11 +429,10 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, seed=args.seed, replicas=args.replicas)
         args.cells = []
         outputs = COMMANDS[args.command](cfg, args)
-        out = _out_dir(cfg, args)
-        manifest = os.path.join(out, f"manifest_{args.command}.txt")
-        write_manifest(manifest, args.command, cfg, args.cells, outputs,
-                       time.perf_counter() - started)
-        print(f"[latgas] {args.command}: wrote {len(outputs)} file(s) to {out}")
+        write_manifest(_output(cfg, args, f"manifest_{args.command}.txt"), args.command,
+                       cfg, args.cells, outputs, time.perf_counter() - started)
+        print(f"[latgas] {args.command}: wrote {len(outputs)} file(s) to "
+              f"{_out_dir(cfg, args)}")
         return 0
     except ConfigError as exc:
         print(f"[latgas] config error: {exc}", file=sys.stderr)

@@ -48,8 +48,8 @@ a closed one swap-removed.  R = 0 is an absorbing state and raises
 
 `SimState.advance(stop)` runs the candidate stream.  `_refill` draws it in
 batches, each in a fixed order (standard exponentials, then selector
-uniforms, then accept variates) into prefix views of a gap buffer and a
-uniform buffer, a gap array and a (2, B) block; the buffers persist across
+uniforms, then accept variates) into the prefixes of a gap buffer and a
+uniform buffer, B gaps and 2B uniforms; the buffers persist across
 `SimState.restart` and grow only when B outgrows them.  The loop scales the
 candidates by the current R, a gap E / (R N^2) and a selector u R.  For a
 model without collision pairs R is `RateTable.total_bound` throughout.  The
@@ -438,11 +438,9 @@ class SimState:
         if table.total_bound <= 0.0:
             raise NumericalFailure("no events are possible for this model")
         self.eta_flat = np.empty(self.n_sites * self.nv, dtype=np.uint8)
-        # the candidate buffers, of which `_refill` views one batch; empty
-        # until the first
-        self._gaps, self._uniforms = np.empty(0), np.empty(0)
-        self._gap, self._uni = self._gaps, self._uniforms.reshape(2, 0)
-        self._sel, self._acc = self._uni
+        # the candidate buffers, whose prefixes hold the batch of `_batch`
+        # candidates; empty until the first
+        self._gaps, self._uniforms, self._batch = np.empty(0), np.empty(0), 0
         self.kind_counts = np.zeros(3, dtype=np.int64)
         # the open collision pairs in `_open[:n_open]`, and each pair's place
         # there or -1 in `_where`; a model without collision pairs has neither
@@ -453,8 +451,7 @@ class SimState:
         self._run = load_kernel()
         if self._run is not None:
             # in LoopState field order; the candidate pointers and count are
-            # set when the batch size changes, n_open, the clock and position
-            # per call
+            # set by each refill, n_open, the clock and position per call
             self._loop = LoopState(
                 None, None, None, *table.loop_pointers,
                 self.eta_flat.ctypes.data, self.kind_counts.ctypes.data, None, None,
@@ -483,7 +480,7 @@ class SimState:
         self.t = 0.0
         self.kind_counts[:] = 0
         # the batch in hand counts as read, so the first candidate draws anew
-        self._pos, self._drawn = len(self._gap), 0
+        self._pos, self._drawn = self._batch, 0
         self.n_open = 0
         if table.col_groups:
             sl = self.eta_flat[table.col_pairs.slots]
@@ -499,7 +496,7 @@ class SimState:
     @property
     def candidates(self) -> int:
         """Candidates read so far: those drawn less the unread rest of the batch."""
-        return self._drawn - (len(self._gap) - self._pos)
+        return self._drawn - (self._batch - self._pos)
 
     @property
     def event_loop(self) -> str:
@@ -507,38 +504,32 @@ class SimState:
 
     def _refill(self):
         """Draw the next batch of B candidates in place: B standard
-        exponentials into `_gap`, then 2B uniforms filling the selector and
-        accept rows of `_uni`, the stream of three separate draws.  `_gap`
-        and `_uni` are prefix views of buffers that persist across restarts,
-        `_gaps[:B]` and `_uniforms[:2B].reshape(2, B)`, re-made when B
-        changes; the buffers are re-allocated only when B outgrows them,
-        after every view of the old ones is dropped."""
-        B = min(max(self._drawn, self.FIRST_BATCH), self.BATCH)
-        if B != len(self._gap):
-            if B > len(self._gaps):
-                self._gap = self._uni = self._sel = self._acc = None
-                self._gaps = self._uniforms = None
-                self._gaps, self._uniforms = np.empty(B), np.empty(2 * B)
-                if self._run is not None:
-                    self._loop.gap = self._gaps.ctypes.data
-                    self._loop.sel = self._uniforms.ctypes.data
-            self._gap, self._uni = self._gaps[:B], self._uniforms[:2 * B].reshape(2, B)
-            self._sel, self._acc = self._uni
+        exponentials into `_gaps[:B]`, then B selector and B accept uniforms
+        into `_uniforms[:2B]`, the stream of three separate draws.  The
+        buffers persist across restarts and are re-allocated only when B
+        outgrows them, the old ones dropped first."""
+        B = self._batch = min(max(self._drawn, self.FIRST_BATCH), self.BATCH)
+        if B > len(self._gaps):
+            self._gaps = self._uniforms = None
+            self._gaps, self._uniforms = np.empty(B), np.empty(2 * B)
             if self._run is not None:
-                # the accept row follows the B selectors
-                self._loop.acc = self._loop.sel + B * self._uniforms.itemsize
-                self._loop.n_cand = B
-        self.rng.standard_exponential(out=self._gap)
-        self.rng.random(out=self._uni)
+                self._loop.gap = self._gaps.ctypes.data
+                self._loop.sel = self._uniforms.ctypes.data
+        if self._run is not None:
+            # the accept variates follow the B selectors
+            self._loop.acc = self._loop.sel + B * self._uniforms.itemsize
+            self._loop.n_cand = B
+        self.rng.standard_exponential(out=self._gaps[:B])
+        self.rng.random(out=self._uniforms[:2 * B])
         self._drawn += B
         self._pos = 0
 
     def _next_candidate(self):
-        if self._pos >= len(self._gap):
+        if self._pos >= self._batch:
             self._refill()
         i = self._pos
         self._pos += 1
-        return self._gap[i], self._sel[i], self._acc[i]
+        return self._gaps[i], self._uniforms[i], self._uniforms[self._batch + i]
 
     def snapshot(self) -> np.ndarray:
         return self.eta_flat.reshape(self.n_sites, self.nv).copy()
@@ -561,7 +552,7 @@ class SimState:
                 self._apply(kind, idx)
         loop = self._loop
         while True:
-            if self._pos >= len(self._gap):
+            if self._pos >= self._batch:
                 self._refill()
             loop.t, loop.pos, loop.n_open = self.t, self._pos, self.n_open
             kind = self._run(loop, stop)

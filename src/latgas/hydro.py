@@ -264,16 +264,13 @@ def _lap_axis(f: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
 
 # --- solver ----------------------------------------------------------------------
 
-def _drifts(control, grid: Grid, vset: VelocitySet, times) -> dict:
-    """Controlled velocities v_i - vtilde_v . d_iH, (*shape, d, nv), at the
-    float `times` (sorted and deduplicated as plain floats: `np.unique` would
-    import numpy.ma), keyed by the exact float time: one `control.gradient`
-    call.  Each time's drift is computed on its own, so it does not depend on
-    the other times in the call."""
-    times = np.array(sorted(set(times)))
-    gh = control.gradient(times, grid)
-    drift = vset.velocities.T - np.einsum("t...ik,vk->t...iv", gh, vset.vtilde)
-    return dict(zip(times.tolist(), drift))
+def _drifts(control, grid: Grid, vset: VelocitySet, times) -> np.ndarray:
+    """Controlled velocities v_i - vtilde_v . d_iH at `times`, in their order,
+    (len(times), *shape, d, nv): one `control.gradient` call.  Each time's
+    drift is computed on its own, so it does not depend on the other times in
+    the call."""
+    gh = control.gradient(np.asarray(times, dtype=float), grid)
+    return vset.velocities.T - np.einsum("t...ik,vk->t...iv", gh, vset.vtilde)
 
 
 def advective_limit(grid: Grid, vset: VelocitySet, drifts=()) -> float:
@@ -318,18 +315,16 @@ class _Stepper:
     diagonalize: with r = dt / (4 h_1^2), mode (j, k) has eigenvalue
     1 + 4r sin^2(pi j / (2 (m1 - 1))) + s_k, s_k the transverse part.  The
     solve is a DST-I along u_1, an rfftn across, a division by the
-    eigenvalues (computed once, here), and the two transforms back.  `drifts`
-    maps each stage time of the steps about to be taken to a control's drift
-    (`_drifts`), None for no control.  A step skips what it never reads: lam
-    for d+1 velocities, per-node hull margins while every node is inside.
+    eigenvalues (computed once, here), and the two transforms back.  A step
+    takes a control's drift at its two stage times (`_drifts`) as an
+    argument, and skips what it never reads: lam for d+1 velocities, per-node
+    hull margins while every node is inside.
     """
 
-    def __init__(self, vset: VelocitySet, grid: Grid, boundary: BoundaryData,
-                 dt: float, drifts=None):
+    def __init__(self, vset: VelocitySet, grid: Grid, boundary: BoundaryData, dt: float):
         self.vset = vset
         self.grid = grid
         self.boundary = boundary
-        self.drifts = drifts
         self.dt = dt
         self.dom = domain_of(vset)
         self.lam = None  # Newton warm start, shaped like the field
@@ -358,8 +353,8 @@ class _Stepper:
         np.negative(x[::-1], out=self.ext[n + 2:])
         return fft.rfft(self.ext, axis=0)[1:n + 1].imag * self.dst_scale
 
-    def flux_divergence(self, W: np.ndarray, t: float) -> np.ndarray:
-        """N(W) = -sum_i d_i F_i(W), with the control drift when there is one."""
+    def flux_divergence(self, W: np.ndarray, drift) -> np.ndarray:
+        """N(W) = -sum_i d_i F_i(W), under a control's `drift` (None for none)."""
         vset = self.vset
         # a set of d+1 velocities takes theta alone; larger sets run Newton,
         # warm-started from the last stage's lam
@@ -367,7 +362,6 @@ class _Stepper:
             th = exact_theta(W, vset)
         else:
             self.lam, th = local_equilibrium(W, vset, lam0=self.lam, check_domain=False)
-        drift = None if self.drifts is None else self.drifts[t]
         fl = _flux_grid(th * (1.0 - th), vset, drift)
         return -reduce(np.add, (_grad_central(fl[..., i, :], self.grid, axis=i)
                                 for i in range(self.grid.d)))
@@ -407,14 +401,14 @@ class _Stepper:
         flat[bad] = self.dom.project_inward(flat[bad], min_margin=HULL_INTERIOR_PAD)
         return W
 
-    def step(self, W: np.ndarray, t: float) -> np.ndarray:
-        """Advance W from t to t + dt."""
+    def step(self, W: np.ndarray, t: float, drifts=(None, None)) -> np.ndarray:
+        """Advance W from t to t + dt under a control's drifts at t and t + dt."""
         dt = self.dt
         base = W + 0.25 * dt * reduce(np.add, (_lap_axis(W, self.grid, axis=i)
                                                for i in range(self.grid.d)))
-        n0 = self.flux_divergence(W, t)
+        n0 = self.flux_divergence(W, drifts[0])
         W1 = self.guard(self.implicit_solve(base + dt * n0), t + dt)
-        n1 = self.flux_divergence(W1, t + dt)
+        n1 = self.flux_divergence(W1, drifts[1])
         return self.guard(self.implicit_solve(base + 0.5 * dt * (n0 + n1)), t + dt)
 
 
@@ -476,13 +470,20 @@ def solve_controlled(gamma, boundary: BoundaryData, horizon: float, grid: Grid,
 
     def stage_times(first: int) -> list:
         """Both stage times of each step of the block from step `first`."""
-        starts = [k * run_dt for k in range(first, min(first + block, n_steps))]
-        return starts + [t + run_dt for t in starts]
+        return [t for k in range(first, min(first + block, n_steps))
+                for t in (k * run_dt, k * run_dt + run_dt)]
+
+    def by_step(drifts: np.ndarray) -> np.ndarray:
+        """A block's table of drifts, (steps, 2, ...): each step's two stages."""
+        return drifts.reshape((-1, 2) + drifts.shape[1:])
 
     probes = np.linspace(0.0, horizon, n_frames + 1).tolist()
-    drifts = None if control is None else _drifts(control, grid, vset,
-                                                  probes + stage_times(0))
-    bound = advective_limit(grid, vset, () if drifts is None else [drifts[t] for t in probes])
+    table = [(None, None)] * block  # the drifts of an uncontrolled block
+    if control is not None:
+        table = _drifts(control, grid, vset, probes + stage_times(0))
+        probes, table = table[:len(probes)], by_step(table[len(probes):])
+    bound = advective_limit(grid, vset, () if control is None else probes)
+    del probes  # the table holds the only reference to the first block's drifts
     if dt is None and bound < step:
         return solve_controlled(gamma, boundary, horizon, grid, vset, control, bound, n_frames)
     if dt is not None and dt > bound * (1 + 1e-12):
@@ -493,17 +494,16 @@ def solve_controlled(gamma, boundary: BoundaryData, horizon: float, grid: Grid,
     n_frames = n_steps // stride
 
     gamma_arr = _prepare_gamma(gamma, grid, vset)
-    stepper = _Stepper(vset, grid, boundary, dt, drifts)
-    del drifts  # the stepper holds the only reference to the table
+    stepper = _Stepper(vset, grid, boundary, dt)
     W = gamma_arr.copy()
     frames = np.empty((n_frames + 1,) + W.shape)
     frames[0] = W
     times = np.arange(0, n_steps + 1, stride) * dt  # frame j is step j * stride
     for k in range(n_steps):
         if control is not None and k and k % block == 0:
-            stepper.drifts = None  # the last table goes before the next is built
-            stepper.drifts = _drifts(control, grid, vset, stage_times(k))
-        W = stepper.step(W, k * dt)
+            table = None  # the last table goes before the next is built
+            table = by_step(_drifts(control, grid, vset, stage_times(k)))
+        W = stepper.step(W, k * dt, table[k % block])
         if (k + 1) % stride == 0:
             frames[(k + 1) // stride] = W
     return FieldTrajectory(

@@ -82,8 +82,7 @@ def default_basis(d: int, time_factors, n_space: int, n_transverse: int = 0) -> 
 
 # --- cost functional ---------------------------------------------------------------
 
-def quadratic_sup(linear: np.ndarray, quad: np.ndarray,
-                  reg_scale: float = DEFAULT_REG_SCALE):
+def quadratic_sup(linear: np.ndarray, quad: np.ndarray):
     """Maximize l.c - c.Q c over c for symmetric PSD Q (regularized).
 
     Returns (value, c_star, regularization).  Raises ConditioningError when
@@ -92,7 +91,7 @@ def quadratic_sup(linear: np.ndarray, quad: np.ndarray,
     linear = np.asarray(linear, dtype=float)
     quad = np.asarray(quad, dtype=float)
     dim = len(linear)
-    reg = reg_scale * max(np.trace(quad), np.finfo(float).tiny) / dim
+    reg = DEFAULT_REG_SCALE * max(np.trace(quad), np.finfo(float).tiny) / dim
     try:
         chol = np.linalg.cholesky(quad + reg * np.eye(dim))
     except np.linalg.LinAlgError as exc:

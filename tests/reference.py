@@ -317,17 +317,6 @@ def drift(control, t: float, grid, vset: VelocitySet) -> np.ndarray:
     return vset.velocities.T - np.einsum("...ik,vk->...iv", gh, vset.vtilde)
 
 
-class PerCallDrift:
-    """A `drifts` mapping for `hydro._Stepper` that evaluates `drift` anew at
-    every lookup."""
-
-    def __init__(self, control, grid, vset: VelocitySet):
-        self.control, self.grid, self.vset = control, grid, vset
-
-    def __getitem__(self, t: float) -> np.ndarray:
-        return drift(self.control, t, self.grid, self.vset)
-
-
 def field_dt(G, times, grid) -> np.ndarray:
     """dG/dt of a `SeparableField` at `times`, (times, *shape, ncomp)."""
     out = np.zeros((len(times),) + grid.shape + (G.ncomp,))

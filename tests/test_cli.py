@@ -719,6 +719,42 @@ def test_every_output_has_the_mode_of_a_plain_open(tmp_path):
     assert set(modes.values()) == {stat.S_IMODE(probe.stat().st_mode)}
 
 
+def test_a_failed_run_leaves_no_earlier_manifest(tmp_path, capsys, monkeypatch):
+    # seed 2 fails on its third field table after rewriting seed 1's first
+    # cell tables: the directory holds a mixed set, so the manifest that
+    # listed seed 1's files must be gone
+    out, path = tmp_path / "out", tiny_config(tmp_path)
+    assert main(["simulate", "--config", path, "--out", str(out), "--seed", "1"]) == 0
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    original, calls = latgas.cli.field_rows, []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise NumericalFailure("the third table fails")
+        return original(*args)
+
+    monkeypatch.setattr(latgas.cli, "field_rows", failing)
+    assert main(["simulate", "--config", path, "--out", str(out), "--seed", "2"]) == 3
+    assert "the third table fails" in capsys.readouterr().err
+    now = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert set(now) == set(first) - {"manifest_simulate.txt"}
+    assert now["sim_N4_r0_fields.csv"] != first["sim_N4_r0_fields.csv"]
+
+
+def test_a_run_that_exits_2_leaves_the_directory_as_it_was(tmp_path):
+    # the basis sizes are checked after the config loads and before any work
+    out = tmp_path / "out"
+    assert main(["rate", "--config", tiny_config(tmp_path), "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert "manifest_rate.txt" in before
+    bad = tiny_config(tmp_path, ldp={"basis_sizes": [99]})
+    assert main(["rate", "--config", bad, "--out", str(out)]) == 2
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert main(["rate", "--config", bad, "--out", str(tmp_path / "new")]) == 2
+    assert not (tmp_path / "new").exists()
+
+
 RUN_LINES = ("stream_keys", "event_loop", "n_events", "kind_counts", "candidates")
 
 

@@ -300,7 +300,7 @@ def test_candidates_are_the_stream_of_three_draws_per_batch(loop):
         want = np.column_stack((fresh.standard_exponential(B), fresh.random(B),
                                 fresh.random(B)))
         assert got.tobytes() == want.tobytes()
-        buffers.append((state._gap, state._uni))
+        buffers.append((state._gaps, state._uniforms))
     assert all(a is b for a, b in zip(buffers[1], buffers[0]))
     for old, new in zip(buffers[1:], buffers[2:]):
         assert old[0] is not new[0] and old[1] is not new[1]

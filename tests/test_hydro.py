@@ -28,9 +28,9 @@ from latgas.hydro import (
 from latgas.thermo import domain_of, theta_all, theta_field
 from latgas.velocities import VelocitySet, two_velocity_set
 from reference import (
-    PerCallDrift,
     chi,
     combination,
+    drift,
     field_dt,
     field_laplacian,
     wall_mode,
@@ -262,10 +262,11 @@ class TestSolver:
         traj = solve_controlled(gamma, bd, 0.1, grid, vs2, control=ctrl, n_frames=n_frames)
         dt, n_steps = traj.meta["dt"], traj.meta["n_steps"]
         assert (n_steps > n_frames) == (n_frames == 2)
-        stepper = _Stepper(vs2, grid, bd, dt, PerCallDrift(ctrl, grid, vs2))
+        stepper = _Stepper(vs2, grid, bd, dt)
         W = traj.gamma.copy()
         for step_idx in range(n_steps):
-            W = stepper.step(W, step_idx * dt)
+            t = step_idx * dt
+            W = stepper.step(W, t, (drift(ctrl, t, grid, vs2), drift(ctrl, t + dt, grid, vs2)))
             if n_steps == n_frames:
                 assert np.array_equal(W, traj.values[step_idx + 1])
         assert np.array_equal(W, traj.values[-1])

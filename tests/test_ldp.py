@@ -266,14 +266,15 @@ class TestRateEstimate:
     def test_quadratic_sup_matches_closed_form(self):
         q = np.diag([2.0, 0.5])
         l = np.array([1.0, 1.0])
-        value, c_star, _ = quadratic_sup(l, q, reg_scale=0.0)
-        # max l.c - c.Q c = l Q^-1 l / 4
-        assert value == pytest.approx(0.25 * (1 / 2 + 1 / 0.5), rel=1e-12)
+        value, c_star, reg = quadratic_sup(l, q)
+        # max l.c - c.Q c = l Q^-1 l / 4, Q regularized by reg = 1e-10 trace(Q) / 2
+        assert reg == pytest.approx(1.25e-10, rel=1e-12)
+        assert value == pytest.approx(0.25 * (1 / (2 + reg) + 1 / (0.5 + reg)), rel=1e-12)
         assert np.allclose(c_star, [0.25, 1.0])
 
     def test_quadratic_sup_rejects_indefinite_forms(self):
         with pytest.raises(ConditioningError, match="singular"):
-            quadratic_sup(np.ones(2), np.diag([1.0, -1.0]), reg_scale=0.0)
+            quadratic_sup(np.ones(2), np.diag([1.0, -1.0]))
 
     def test_report_roundtrip(self, solution, tmp_path):
         vs, grid, bd, gamma, traj = solution

@@ -16,6 +16,9 @@ Names match by spelling only, so a name shared with a common identifier is
 never found dead; a dead class takes its methods with it.  For the same
 reason two package definitions of one spelling hide each other's callers, so
 each such spelling is listed in `SHARED` with the check that keeps both.
+
+Run as a script, `python tests/test_source.py` prints the size of each
+package module, in lines and in AST nodes, and the total.
 """
 
 import ast
@@ -49,6 +52,10 @@ SHARED = {
 }
 
 
+def parse(path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
 def _annotations(tree):
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -74,7 +81,7 @@ def used_names(tree) -> set:
 
 def unused_imports(path) -> list:
     """(line, name) of each imported name that the module never uses."""
-    tree = ast.parse(path.read_text(), filename=str(path))
+    tree = parse(path)
     imported = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -123,7 +130,7 @@ def definitions(path, defs: dict) -> set:
     "module.Class.name", as (owner class or None, name, references); return
     the references of the module-level code outside them."""
     root = set()
-    for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+    for stmt in parse(path).body:
         if isinstance(stmt, DEFINITIONS):
             qual = f"{path.stem}.{stmt.name}"
             members = [m for m in stmt.body if isinstance(m, DEFINITIONS)] \
@@ -144,7 +151,7 @@ def dead_public_names(package_files, caller_files) -> set:
     for path in package_files:
         root |= definitions(path, defs)
     for path in caller_files:
-        root |= references([ast.parse(path.read_text(), filename=str(path))])
+        root |= references([parse(path)])
     dead: set = set()
     while True:
         live = [q for q in defs if q not in dead]
@@ -230,3 +237,16 @@ def test_traced_benchmark_targets_resolve():
         if owner is None or attr not in owner.__dict__:
             missing.append(f"{module}.{path}")
     assert missing == []
+
+
+def source_sizes(paths) -> dict:
+    """(lines, AST nodes) of each module, by file name."""
+    return {path.name: (len(path.read_text().splitlines()), sum(1 for _ in ast.walk(parse(path))))
+            for path in paths}
+
+
+if __name__ == "__main__":
+    sizes = source_sizes(sorted(PACKAGE.glob("*.py")))
+    sizes["total"] = tuple(map(sum, zip(*sizes.values())))
+    for name, (lines, nodes) in sizes.items():
+        print(f"{name:<14} {lines:>6,} lines {nodes:>7,} AST nodes")
