@@ -7,3 +7,18 @@ against each other.
 """
 
 __version__ = "0.1.0"
+
+from .velocities import VelocitySet, CollisionSet, load_velocity_set
+from .lattice import Lattice
+from .dynamics import Model, ReservoirProfiles, simulate
+
+__all__ = [
+    "__version__",
+    "VelocitySet",
+    "CollisionSet",
+    "load_velocity_set",
+    "Lattice",
+    "Model",
+    "ReservoirProfiles",
+    "simulate",
+]
