@@ -81,9 +81,11 @@ def node_flux(w, vset):
 
 
 # (dt, n_frames) of each pinned controlled march over [0, 0.1]: one step
-# per frame, and four steps per frame, which tabulates the drift in four
-# blocks of 16 steps
-CONTROLLED_MARCHES = {"step-per-frame": (None, 16), "four-drift-blocks": (0.1 / 64, 16)}
+# per frame; four steps per frame, which tabulates the drift in four blocks
+# of 16 steps; and two frames, where the advective limit under the control,
+# not the frame spacing, sets the default dt (12 steps)
+CONTROLLED_MARCHES = {"step-per-frame": (None, 16), "four-drift-blocks": (0.1 / 64, 16),
+                      "advective-dt": (None, 2)}
 
 
 def controlled_march_digest(name: str) -> str:
