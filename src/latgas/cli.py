@@ -347,7 +347,7 @@ def cmd_rate(cfg: ExperimentConfig, args) -> list:
 
     control = build_control(cfg, horizon)
     if control is not None:
-        rep6 = verify_f06(traj.gamma, traj.boundary, control, traj.grid,
+        rep6 = verify_f06(traj.values[0], traj.boundary, control, traj.grid,
                           cfg.model.velocities, horizon, basis,
                           dt=hyd["dt"], n_frames=hyd["n_frames"])
         f06_path = _output(cfg, args, "f06_report.txt")

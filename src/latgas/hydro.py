@@ -208,12 +208,12 @@ def check_vanishes_on_walls(fld, grid: Grid, horizon: float):
 
 @dataclass
 class FieldTrajectory:
-    """Grid-sampled (rho, p) path at uniform frame spacing, frame 0 = gamma."""
+    """Grid-sampled (rho, p) path at uniform frame spacing; frame 0, values[0],
+    is the initial profile gamma."""
 
     grid: Grid
     times: np.ndarray           # (F+1,)
     values: np.ndarray          # (F+1, *shape, d+1)
-    gamma: np.ndarray           # (*shape, d+1)
     boundary: BoundaryData
     meta: dict = dc_field(default_factory=dict)
 
@@ -221,15 +221,13 @@ class FieldTrajectory:
         expected = (len(self.times),) + self.grid.shape + (self.grid.d + 1,)
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape}, expected {expected}")
-        if not np.array_equal(self.values[0], self.gamma):
-            raise ValueError("frame 0 must equal the initial profile")
 
     def save(self, path) -> None:
-        """Write a compressed .npz (through `config.created`); `meta` is
-        stored as a JSON string."""
+        """Write a compressed .npz (through `config.created`), with frame 0
+        also under `gamma`; `meta` is stored as a JSON string."""
         with created(path, "wb") as fh:
             np.savez_compressed(
-                fh, times=self.times, values=self.values, gamma=self.gamma,
+                fh, times=self.times, values=self.values, gamma=self.values[0],
                 bound_a=self.boundary.a, bound_b=self.boundary.b,
                 grid=np.array([self.grid.d, self.grid.m1, self.grid.mt]),
                 meta=np.array(json.dumps(self.meta)),
@@ -238,10 +236,10 @@ class FieldTrajectory:
 
 # --- flux and spatial operators ---------------------------------------------------
 
-def _flux_grid(chi_v: np.ndarray, vset: VelocitySet, drift=None) -> np.ndarray:
-    """Batched flux F[..., i, k]; `drift` replaces v_i by v_i - vtilde.d_iH."""
-    if drift is None:
-        return np.einsum("...v,vi,vk->...ik", chi_v, vset.velocities, vset.vtilde)
+def _flux_grid(chi_v: np.ndarray, vset: VelocitySet, drift: np.ndarray) -> np.ndarray:
+    """Batched flux F[..., i, k] = sum_v chi_v drift[..., i, v] vtilde_vk, for
+    the velocities c_iv of `drift`: v_i (vset.velocities.T) without a control,
+    v_i - vtilde_v . d_iH under one (`_drifts`)."""
     return np.einsum("...v,...iv,vk->...ik", chi_v, drift, vset.vtilde)
 
 
@@ -316,9 +314,9 @@ class _Stepper:
     1 + 4r sin^2(pi j / (2 (m1 - 1))) + s_k, s_k the transverse part.  The
     solve is a DST-I along u_1, an rfftn across, a division by the
     eigenvalues (computed once, here), and the two transforms back.  A step
-    takes a control's drift at its two stage times (`_drifts`) as an
-    argument, and skips what it never reads: lam for d+1 velocities, per-node
-    hull margins while every node is inside.
+    takes the drift at its two stage times as an argument (see `_flux_grid`;
+    the plain system's is vset.velocities.T), and skips what it never reads:
+    lam for d+1 velocities, per-node hull margins while every node is inside.
     """
 
     def __init__(self, vset: VelocitySet, grid: Grid, boundary: BoundaryData, dt: float):
@@ -353,8 +351,8 @@ class _Stepper:
         np.negative(x[::-1], out=self.ext[n + 2:])
         return fft.rfft(self.ext, axis=0)[1:n + 1].imag * self.dst_scale
 
-    def flux_divergence(self, W: np.ndarray, drift) -> np.ndarray:
-        """N(W) = -sum_i d_i F_i(W), under a control's `drift` (None for none)."""
+    def flux_divergence(self, W: np.ndarray, drift: np.ndarray) -> np.ndarray:
+        """N(W) = -sum_i d_i F_i(W), the flux for the velocities of `drift`."""
         vset = self.vset
         # a set of d+1 velocities takes theta alone; larger sets run Newton,
         # warm-started from the last stage's lam
@@ -401,8 +399,9 @@ class _Stepper:
         flat[bad] = self.dom.project_inward(flat[bad], min_margin=HULL_INTERIOR_PAD)
         return W
 
-    def step(self, W: np.ndarray, t: float, drifts=(None, None)) -> np.ndarray:
-        """Advance W from t to t + dt under a control's drifts at t and t + dt."""
+    def step(self, W: np.ndarray, t: float, drifts: tuple) -> np.ndarray:
+        """Advance W from t to t + dt; `drifts` holds the drift (`_flux_grid`)
+        at t and at t + dt."""
         dt = self.dt
         base = W + 0.25 * dt * reduce(np.add, (_lap_axis(W, self.grid, axis=i)
                                                for i in range(self.grid.d)))
@@ -431,8 +430,9 @@ def solve_controlled(gamma, boundary: BoundaryData, horizon: float, grid: Grid,
                      n_frames: int = 256) -> FieldTrajectory:
     """March the (optionally controlled) system to `horizon` with the IMEX step.
 
-    With control=None this is exactly the plain solver: the control term is
-    skipped, not added as zero.  Choosing dt:
+    The plain system is the controlled one with H = 0: with control=None every
+    step takes the drift vset.velocities.T, through the same flux as a
+    control's.  dt is chosen before the march:
 
     - By default dt is the smaller of the frame spacing horizon / n_frames and
       `advective_limit` (with the control's drift sampled at the frame times).
@@ -449,65 +449,49 @@ def solve_controlled(gamma, boundary: BoundaryData, horizon: float, grid: Grid,
       step count.
 
     A control's drift is tabulated in blocks of max(steps per frame,
-    n_frames) steps as the march reaches them, the first block together with
-    the frame times that the advective limit reads.  So the table grows with
-    the frame stride and count, not the step count, and at one step per frame
-    it is one `control.gradient` call.  When the advective limit is the
-    shorter step, the solve restarts with it.  The run's dt, step count and
-    whether it was controlled land in `meta`.
+    n_frames) steps as the march reaches them, so the table grows with the
+    frame stride and count, not the step count; at one step per frame the
+    march makes one `control.gradient` call after the advective limit's.
+    The run's dt, step count and whether it was controlled land in `meta`.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     if control is not None:
         check_vanishes_on_walls(control, grid, horizon)
     n_frames = max(1, n_frames)
-    step = horizon / n_frames if dt is None else dt
-    n_steps = int(np.ceil(horizon / step - 1e-12))
-    stride = int(np.ceil(n_steps / min(n_frames, n_steps)))
-    n_steps = stride * int(np.ceil(n_steps / stride))
-    run_dt = horizon / n_steps
-    block = max(stride, n_frames)  # steps per drift table
-
-    def stage_times(first: int) -> list:
-        """Both stage times of each step of the block from step `first`."""
-        return [t for k in range(first, min(first + block, n_steps))
-                for t in (k * run_dt, k * run_dt + run_dt)]
-
-    def by_step(drifts: np.ndarray) -> np.ndarray:
-        """A block's table of drifts, (steps, 2, ...): each step's two stages."""
-        return drifts.reshape((-1, 2) + drifts.shape[1:])
-
-    probes = np.linspace(0.0, horizon, n_frames + 1).tolist()
-    table = [(None, None)] * block  # the drifts of an uncontrolled block
-    if control is not None:
-        table = _drifts(control, grid, vset, probes + stage_times(0))
-        probes, table = table[:len(probes)], by_step(table[len(probes):])
-    bound = advective_limit(grid, vset, () if control is None else probes)
-    del probes  # the table holds the only reference to the first block's drifts
-    if dt is None and bound < step:
-        return solve_controlled(gamma, boundary, horizon, grid, vset, control, bound, n_frames)
-    if dt is not None and dt > bound * (1 + 1e-12):
+    bound = advective_limit(grid, vset, () if control is None else _drifts(
+        control, grid, vset, np.linspace(0.0, horizon, n_frames + 1)))
+    if dt is None:
+        dt = min(horizon / n_frames, bound)
+    elif dt > bound * (1 + 1e-12):
         raise StabilityError(
             f"dt={dt:.3e} exceeds the advective step bound {bound:.3e} for this grid"
         )
-    dt = run_dt
+    n_steps = int(np.ceil(horizon / dt - 1e-12))
+    stride = int(np.ceil(n_steps / min(n_frames, n_steps)))
+    n_steps = stride * int(np.ceil(n_steps / stride))
+    dt = horizon / n_steps
     n_frames = n_steps // stride
+    block = max(stride, n_frames)  # steps per drift table
 
-    gamma_arr = _prepare_gamma(gamma, grid, vset)
+    W = _prepare_gamma(gamma, grid, vset)
     stepper = _Stepper(vset, grid, boundary, dt)
-    W = gamma_arr.copy()
     frames = np.empty((n_frames + 1,) + W.shape)
     frames[0] = W
     times = np.arange(0, n_steps + 1, stride) * dt  # frame j is step j * stride
+    table = [(vset.velocities.T,) * 2] * block  # the drifts of an uncontrolled block
     for k in range(n_steps):
-        if control is not None and k and k % block == 0:
+        if control is not None and k % block == 0:
+            # both stage times of each step of the block, (steps, 2, ...)
+            stages = [t for j in range(k, min(k + block, n_steps)) for t in (j * dt, j * dt + dt)]
             table = None  # the last table goes before the next is built
-            table = by_step(_drifts(control, grid, vset, stage_times(k)))
+            table = _drifts(control, grid, vset, stages)
+            table = table.reshape((-1, 2) + table.shape[1:])
         W = stepper.step(W, k * dt, table[k % block])
         if (k + 1) % stride == 0:
             frames[(k + 1) // stride] = W
     return FieldTrajectory(
-        grid=grid, times=times, values=frames, gamma=gamma_arr, boundary=boundary,
+        grid=grid, times=times, values=frames, boundary=boundary,
         meta={"dt": dt, "n_steps": n_steps, "controlled": control is not None},
     )
 

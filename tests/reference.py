@@ -285,7 +285,7 @@ def synthetic_trajectory(grid, times, fn) -> FieldTrajectory:
     times = np.asarray(times, dtype=float)
     frames = np.stack([np.asarray(fn(t, grid.nodes()), dtype=float) for t in times])
     first = frames[0]
-    return FieldTrajectory(grid=grid, times=times, values=frames, gamma=first.copy(),
+    return FieldTrajectory(grid=grid, times=times, values=frames,
                            boundary=BoundaryData(a=first[0].copy(), b=first[-1].copy()))
 
 

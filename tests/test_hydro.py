@@ -77,7 +77,7 @@ def node_flux(w, vset):
     """The flux F[..., i, k] at conserved vectors w, as `_Stepper.flux_divergence`
     forms it: theta from the inversion, then `_flux_grid` of chi(theta)."""
     th = theta_field(w, vset)
-    return _flux_grid(th * (1.0 - th), vset)
+    return _flux_grid(th * (1.0 - th), vset, vset.velocities.T)
 
 
 # (dt, n_frames) of each pinned controlled march over [0, 0.1]: one step
@@ -235,12 +235,23 @@ class TestSolver:
         for coarse, fine in zip(errs, errs[1:]):
             assert coarse / fine == pytest.approx(4.0, rel=0.05)
 
-    def test_zero_control_reduces_exactly(self, vs2, setup):
-        grid, bd, gamma = setup
-        plain = solve_hydro(gamma, bd, 0.1, grid, vs2, n_frames=8)
-        zero = wall_mode(0, Factor("one"), 1, amplitude=0.0)
-        controlled = solve_controlled(gamma, bd, 0.1, grid, vs2, control=zero,
-                                      n_frames=8)
+    # vs2 and vs2d invert in closed form, vs4 by Newton
+    @pytest.mark.parametrize("vs_name, grid", [("vs2", Grid(1, 65)), ("vs4", Grid(1, 33)),
+                                               ("vs2d", Grid(2, 17, 8))],
+                             ids=["vs2", "vs4", "vs2d"])
+    def test_zero_control_reduces_exactly(self, vs_name, grid, request):
+        # H = 0 is the plain system: the controlled march gives its bytes
+        vs = request.getfixturevalue(vs_name)
+        nv, d = len(vs), vs.d
+        prof = ReservoirProfiles.constant(vs, [0.3, 0.4, 0.35, 0.45][:nv],
+                                          [0.6, 0.5, 0.55, 0.65][:nv])
+        bd = BoundaryData.from_profiles(prof, vs, grid)
+        gamma = linear_gamma(bd, grid)
+        zero = SeparableField(d + 1, [(0, 0.0, Factor("one"),
+                                       [Factor("sin", np.pi)] + [Factor("one")] * (d - 1))])
+        plain = solve_hydro(gamma, bd, 0.1, grid, vs, n_frames=8)
+        controlled = solve_controlled(gamma, bd, 0.1, grid, vs, control=zero, n_frames=8)
+        assert controlled.meta == dict(plain.meta, controlled=True)
         assert np.array_equal(plain.values, controlled.values)
 
     def test_small_control_linear_response(self, vs2, setup):
@@ -265,7 +276,7 @@ class TestSolver:
         dt, n_steps = traj.meta["dt"], traj.meta["n_steps"]
         assert (n_steps > n_frames) == (n_frames == 2)
         stepper = _Stepper(vs2, grid, bd, dt)
-        W = traj.gamma.copy()
+        W = traj.values[0]
         for step_idx in range(n_steps):
             t = step_idx * dt
             W = stepper.step(W, t, (drift(ctrl, t, grid, vs2), drift(ctrl, t + dt, grid, vs2)))
@@ -461,7 +472,7 @@ class TestStepperFastPaths:
                                           [0.6, 0.5, 0.55, 0.65][:len(vs)])
         bd = BoundaryData.from_profiles(prof, vs, grid)
         st = _Stepper(vs, grid, bd, 0.01)
-        W = st.step(linear_gamma(bd, grid), 0.0)
+        W = st.step(linear_gamma(bd, grid), 0.0, (vs.velocities.T,) * 2)
         if len(vs) == vs.d + 1:
             assert st.lam is None
         else:
@@ -545,7 +556,7 @@ class TestWeakResidual:
         x = grid.nodes()[..., 0]
         vals[1:] += 0.1 * np.sin(np.pi * x)[None, :, None] * np.array([1.0, 0.0])
         bad = FieldTrajectory(grid=grid, times=traj.times, values=vals,
-                              gamma=traj.gamma, boundary=traj.boundary)
+                              boundary=traj.boundary)
         G = wall_mode(0, Factor("one"), 1)
         r = abs(weak_residual(bad, G, vs2))
         assert 0.01 < r < 1.0
@@ -555,7 +566,6 @@ class TestWeakResidual:
         times = np.linspace(0, 0.1, 5)
         vals = np.zeros((5, 17, 2))  # vacuum sits on the hull boundary
         bad = FieldTrajectory(grid=grid, times=times, values=vals,
-                              gamma=vals[0].copy(),
                               boundary=BoundaryData(a=vals[0][0], b=vals[0][-1]))
         G = wall_mode(0, Factor("one"), 1)
         with pytest.raises(DomainError):
@@ -572,6 +582,7 @@ class TestTrajectoryIO:
         assert back["grid"].tolist() == [grid.d, grid.m1, grid.mt]
         assert np.array_equal(back["times"], traj.times)
         assert np.array_equal(back["values"], traj.values)
+        assert np.array_equal(back["gamma"], traj.values[0])
         assert np.array_equal(back["bound_a"], traj.boundary.a)
         assert json.loads(str(back["meta"])) == traj.meta == {
             "dt": 0.05 / 4, "n_steps": 4, "controlled": False}

@@ -123,7 +123,7 @@ def einsum_residual(ctx, traj, G):
     axes = tuple(range(1, 1 + grid.d))
     w = ctx.w_space[..., None]
     ends = G.values(traj.times[[0, -1]], grid)
-    endpoint = np.sum(w * traj.values[-1] * ends[1]) - np.sum(w * traj.gamma * ends[0])
+    endpoint = np.sum(w * traj.values[-1] * ends[1]) - np.sum(w * traj.values[0] * ends[0])
     w_mid = 0.5 * (traj.values[:-1] + traj.values[1:])
     dtg = field_dt(G, ctx.t_mid, grid) + 0.5 * field_laplacian(G, ctx.t_mid, grid)
     bulk = np.sum(ctx.dt_f * np.sum(np.sum(w_mid * dtg, axis=-1) * ctx.w_space, axis=axes))
@@ -259,7 +259,7 @@ class TestRateEstimate:
         x = grid.nodes()[..., 0]
         vals[1:] += 0.05 * np.sin(np.pi * x)[None, :, None] * np.array([1.0, 0.0])
         bad = FieldTrajectory(grid=grid, times=traj.times, values=vals,
-                              gamma=traj.gamma, boundary=traj.boundary)
+                              boundary=traj.boundary)
         worse = rate_estimate(bad, modes, vs).estimate
         assert worse >= 10 * max(base, 1e-12)
 
@@ -343,8 +343,10 @@ class TestControlledIdentity:
         assert len(built) == 1
 
     def test_one_control_gradient_call(self, solution, monkeypatch):
-        # the drift comes from one batched call, and the Gram matrix and |H|
-        # are built from the control's factors, not from its gradient
+        # the drift comes from two batched calls, the frame-time probes of the
+        # advective limit and then one block of both stage times of each of
+        # the 128 steps; the Gram matrix and |H| are built from the control's
+        # factors, not from its gradient
         vs, grid, bd, gamma, traj = solution
         ctrl = combination([wall_mode(0, Factor("one"), 1), wall_mode(1, Factor("linear", T), 2)],
                            [0.2, 0.15])
@@ -356,7 +358,7 @@ class TestControlledIdentity:
 
         monkeypatch.setattr(ctrl, "gradient", counting)
         verify_f06(gamma, bd, ctrl, grid, vs, T, basis(1, T, n_space=1), n_frames=128)
-        assert len(calls) == 1
+        assert calls == [128 + 1, 2 * 128]
 
     def test_zero_control_both_sides_vanish(self, solution):
         vs, grid, bd, gamma, traj = solution
