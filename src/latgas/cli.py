@@ -63,6 +63,16 @@ def build_grid(cfg: ExperimentConfig, m1: int, mt=None) -> Grid:
     return Grid(d, m1, mt or 0)
 
 
+def smoothing_grid(cfg: ExperimentConfig, command: str) -> Grid:
+    """The grid `simulate` or `converge` smooths onto; an eps below twice its
+    spacing, which `empirical.smooth` rejects, exits 2 before any work."""
+    sec = getattr(cfg, command)
+    grid = build_grid(cfg, sec["grid_m1"], cfg.hydro["mt"])
+    if grid.min_spacing > sec["eps"] / 2 + 1e-12:
+        raise ConfigError(f"{command}.eps is below twice the grid spacing {grid.min_spacing:.4g}")
+    return grid
+
+
 def build_gamma(cfg: ExperimentConfig, walls: tuple, points) -> np.ndarray:
     """The initial profile gamma (`hydro.gamma`) at `points` (..., d).
 
@@ -179,7 +189,7 @@ def _replica_cells(cfg: ExperimentConfig, command: str, N: int, replicas: range)
                 if hi >= lo else []
 
     model = build_model(cfg, N)
-    grid = build_grid(cfg, sec["grid_m1"], cfg.hydro["mt"])
+    grid = smoothing_grid(cfg, command)
     lat, vset = model.lattice, model.vset
     theta = theta_field(build_gamma(cfg, lattice_walls(model), lat.positions()), vset)
     runs = [simulate(sample_profile_state(theta, rng), model, horizon, rng, sample_times=times)
@@ -210,7 +220,7 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> list:
             raise ConfigError(f"simulate.block_centers {centers}: a block of radius "
                               f"{lo - 1} at N={N} needs {lo} <= x1 <= {N - lo}")
     outputs = []
-    grid = build_grid(cfg, sec["grid_m1"], cfg.hydro["mt"])
+    grid = smoothing_grid(cfg, "simulate")
     ncomp = cfg.model.d + 1
     for (N, r), res in _map_cells("simulate", cfg, args):
         times = res["times"]
@@ -294,12 +304,12 @@ def cmd_converge(cfg: ExperimentConfig, args) -> list:
     if (ref_m1 - 1) % (grid_m1 - 1) != 0:
         raise ConfigError("converge.reference_m1 - 1 must be a multiple of grid_m1 - 1")
     stride = (ref_m1 - 1) // (grid_m1 - 1)
+    cmp_grid = smoothing_grid(cfg, "converge")
 
     ref_grid = build_grid(cfg, ref_m1, cfg.hydro["mt"])
     ref = solve_hydro(*_initial_data(cfg, ref_grid), t_cmp, ref_grid, cfg.model.velocities,
                       n_frames=conv["n_frames"])
     pde_cmp = ref.values[-1][::stride]
-    cmp_grid = build_grid(cfg, grid_m1, cfg.hydro["mt"])
 
     ncomp = cfg.model.d + 1
     per_n = {}

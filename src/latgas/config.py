@@ -149,27 +149,33 @@ class ExperimentConfig:
 
 
 # --- readers: each takes a given value and returns it read, or raises
-# TypeError or ValueError; a `_Rejected` carries the reason for the message
+# TypeError or ValueError; a `_Rejected` carries the reason for the message;
+# a boolean is not a number
 
 class _Rejected(ValueError):
     pass
 
 
 def _integer(val) -> int:
-    if int(val) != float(val):
+    if isinstance(val, bool) or int(val) != float(val):
         raise ValueError
     return int(val)
 
 
+def _above(low: float):
+    def read(val) -> float:
+        if not isinstance(val, bool) and low < (x := float(val)) < np.inf:
+            return x
+        raise _Rejected(f"must be a finite number > {low}")
+    return read
+
+
 def _at_least(low: int):
     def read(val) -> int:
-        try:
-            n = _integer(val)
-        except (TypeError, ValueError, OverflowError):
-            n = None
-        if n is None or n < low:
-            raise _Rejected(f"must be an integer >= {low}")
-        return n
+        with contextlib.suppress(TypeError, ValueError, OverflowError):
+            if (n := _integer(val)) >= low:
+                return n
+        raise _Rejected(f"must be an integer >= {low}")
     return read
 
 
@@ -190,13 +196,10 @@ def _list_of(read):
 
 
 def _lattice_sizes(val) -> list:
-    try:
-        sizes = [_at_least(2)(n) for n in (val if isinstance(val, list) else [val])]
-    except _Rejected:
-        sizes = []
-    if not sizes:
-        raise _Rejected("must be an integer >= 2 or a list of them")
-    return sizes
+    with contextlib.suppress(_Rejected):
+        if sizes := [_at_least(2)(n) for n in (val if isinstance(val, list) else [val])]:
+            return sizes
+    raise _Rejected("must be an integer >= 2 or a list of them")
 
 
 def _block_centers(val):
@@ -259,13 +262,14 @@ _SECTIONS = {
               "alpha": (_list_of(str), _REQUIRED), "beta": (_list_of(str), _REQUIRED),
               "N": (_lattice_sizes, _REQUIRED), "seed": (_at_least(0), 0),
               "replicas": (_at_least(1), 1)},
-    "simulate": {"horizon": (float, 0.5), "sample_times": (_list_of(float), None),
-                 "eps": (float, 0.1), "grid_m1": (_NODES, 65),
+    "simulate": {"horizon": (_above(0), 0.5), "sample_times": (_list_of(_above(-np.inf)), None),
+                 "eps": (_above(0), 0.1), "grid_m1": (_NODES, 65),
                  "block_radius": (_at_least(0), 1), "block_centers": (_block_centers, "auto")},
-    "hydro": {"m1": (_NODES, 129), "mt": (_NODES, None), "horizon": (float, 0.5),
-              "n_frames": (_at_least(1), 256), "dt": (float, None),
+    "hydro": {"m1": (_NODES, 129), "mt": (_NODES, None), "horizon": (_above(0), 0.5),
+              "n_frames": (_at_least(1), 256), "dt": (_above(0), None),
               "gamma": (_gamma, "linear")},
-    "converge": {"t_compare": (float, 0.25), "eps": (float, 0.1), "grid_m1": (_NODES, 65),
+    "converge": {"t_compare": (_above(0), 0.25), "eps": (_above(0), 0.1),
+                 "grid_m1": (_NODES, 65),
                  "reference_m1": (_NODES, None), "n_frames": (_at_least(1), 64)},
     "ldp": {"n_space_modes": (_at_least(1), 4), "time_modes": (_list_of(str), TIME_MODES),
             "n_transverse": (_at_least(0), 0), "basis_sizes": (_list_of(_integer), None),
@@ -274,7 +278,7 @@ _SECTIONS = {
               "parts": (_parts, ALL_PARTS), "lambda": (_of_type(list), None)},
     "output": {"directory": (str, "out")},
 }
-_CONTROL = {"component": (_integer, 0), "amplitude": (float, 0.1),
+_CONTROL = {"component": (_integer, 0), "amplitude": (_above(-np.inf), 0.1),
             "space_mode": (_at_least(1), 1), "time_mode": (str, "const")}
 
 
@@ -329,6 +333,8 @@ def parse_config(raw, base_dir: str = ".") -> ExperimentConfig:
     simulate, converge, exact = sections["simulate"], sections["converge"], sections["exact"]
     if simulate["sample_times"] is None:
         simulate["sample_times"] = list(np.linspace(0.0, simulate["horizon"], 5))
+    elif not all(0 <= t <= simulate["horizon"] for t in simulate["sample_times"]):
+        raise ConfigError("simulate.sample_times must lie in [0, simulate.horizon]")
     if converge["reference_m1"] is None:
         converge["reference_m1"] = 2 * (converge["grid_m1"] - 1) + 1
     if exact["lambda"] is None:

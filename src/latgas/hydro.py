@@ -464,9 +464,8 @@ def solve_controlled(gamma, boundary: BoundaryData, horizon: float, grid: Grid,
     if dt is None:
         dt = min(horizon / n_frames, bound)
     elif dt > bound * (1 + 1e-12):
-        raise StabilityError(
-            f"dt={dt:.3e} exceeds the advective step bound {bound:.3e} for this grid"
-        )
+        raise StabilityError(f"dt={dt:.3e} exceeds the advective step bound {bound:.3e} "
+                             "for this grid")
     n_steps = int(np.ceil(horizon / dt - 1e-12))
     stride = int(np.ceil(n_steps / min(n_frames, n_steps)))
     n_steps = stride * int(np.ceil(n_steps / stride))

@@ -286,6 +286,23 @@ RATE_BENCH = pathlib.Path(__file__).parents[1] / "perfbench" / "configs" / "rate
     ("converge", "converge", "grid_m1", 1),
     ("hydro", "hydro", "n_frames", 0),
     ("rate", "ldp", "n_transverse", -1),
+    # numbers out of range, rejected before any work
+    ("converge", "converge", "eps", 0),
+    ("simulate", "simulate", "eps", 0),
+    ("converge", "converge", "eps", 0.01),  # below twice the spacing 1/64 of grid_m1 = 65
+    ("simulate", "simulate", "horizon", -0.1),
+    ("simulate", "simulate", "sample_times", [0.0, 1.0]),  # past the horizon 0.5
+    ("hydro", "hydro", "horizon", 0),
+    ("hydro", "hydro", "horizon", float("nan")),
+    ("rate", "hydro", "horizon", 0),
+    ("rate", "hydro", "horizon", float("nan")),
+    ("converge", "converge", "t_compare", -0.1),
+    ("hydro", "hydro", "dt", -0.01),
+    ("hydro", "hydro", "dt", float("nan")),
+    # a boolean is not a number
+    ("simulate", "model", "seed", True),
+    ("rate", "ldp", "n_space_modes", True),
+    ("converge", "converge", "eps", False),
 ])
 def test_values_of_the_wrong_type_exit_2(tmp_path, capsys, command, section, key, value):
     config = yaml.safe_load(REFERENCE.read_text())
