@@ -175,11 +175,12 @@ def _replica_cells(cfg: ExperimentConfig, command: str, N: int, replicas: range)
     own stream, and runs from it; then the samples of every replica are
     measured, smoothed and block-averaged in one call each.
     """
-    sec = getattr(cfg, command)
     if command == "converge":
+        sec = cfg.converge
         horizon = sec["t_compare"]
         times, centers, block_radius = [horizon], [], 0
     else:
+        sec = cfg.simulate
         horizon, times = sec["horizon"], sec["sample_times"]
         block_radius, centers = sec["block_radius"], sec["block_centers"]
         lo, hi = block_radius + 1, N - 1 - block_radius
