@@ -8,7 +8,7 @@ against each other.
 
 __version__ = "0.1.0"
 
-from .velocities import VelocitySet, CollisionSet, load_velocity_set
+from .velocities import VelocitySet, CollisionSet
 from .lattice import Lattice
 from .dynamics import Model, ReservoirProfiles, simulate
 
@@ -16,7 +16,6 @@ __all__ = [
     "__version__",
     "VelocitySet",
     "CollisionSet",
-    "load_velocity_set",
     "Lattice",
     "Model",
     "ReservoirProfiles",

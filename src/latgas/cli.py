@@ -425,8 +425,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="YAML experiment config")
         p.add_argument("--seed", type=int, default=None, help="override model.seed")
         p.add_argument("--out", default=None, help="override output.directory")
-        p.add_argument("--replicas", type=int, default=None,
-                       help="override model.replicas")
         p.add_argument("--threads", type=int, default=1,
                        help="replica worker processes")
     return parser
@@ -436,7 +434,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        cfg = load_config(args.config, seed=args.seed, replicas=args.replicas)
+        cfg = load_config(args.config, seed=args.seed)
         args.cells = []
         outputs = COMMANDS[args.command](cfg, args)
         write_manifest(_output(cfg, args, f"manifest_{args.command}.txt"), args.command,

@@ -35,7 +35,7 @@ from numpy.random import Generator, Philox
 
 from .dynamics import ALL_PARTS
 from .errors import ConfigError
-from .velocities import VelocitySet, load_velocity_set
+from .velocities import VelocitySet
 
 _ALLOWED_FUNCS = {"sin": np.sin, "cos": np.cos}
 _ALLOWED_BINOPS = {ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow}
@@ -257,8 +257,7 @@ _NODES = _at_least(3)  # a grid axis's node count
 # the default ldp.time_modes: constant, linear, and one period of cos and sin
 TIME_MODES = ("const", "linear", "cos:1", "sin:1")
 _SECTIONS = {
-    "model": {"d": (_at_least(1), _REQUIRED), "velocities": (_of_type(list), None),
-              "velocities_file": (_of_type(str), None),
+    "model": {"d": (_at_least(1), _REQUIRED), "velocities": (_of_type(list), _REQUIRED),
               "alpha": (_list_of(str), _REQUIRED), "beta": (_list_of(str), _REQUIRED),
               "N": (_lattice_sizes, _REQUIRED), "seed": (_at_least(0), 0),
               "replicas": (_at_least(1), 1)},
@@ -282,22 +281,21 @@ _CONTROL = {"component": (_integer, 0), "amplitude": (_above(-np.inf), 0.1),
             "space_mode": (_at_least(1), 1), "time_mode": (str, "const")}
 
 
-def load_config(path, seed=None, replicas=None) -> ExperimentConfig:
-    """Read and parse a config file; a given `seed` or `replicas` (--seed,
-    --replicas) replaces model.seed or model.replicas before the parse."""
+def load_config(path, seed=None) -> ExperimentConfig:
+    """Read and parse a config file; a given `seed` (--seed) replaces
+    model.seed before the parse."""
     with open(path) as fh:
         try:
             raw = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from None
     model = raw.get("model") if isinstance(raw, dict) else None
-    for key, val in (("seed", seed), ("replicas", replicas)):
-        if val is not None and isinstance(model, dict):
-            model[key] = int(val)
-    return parse_config(raw, base_dir=os.path.dirname(os.path.abspath(path)))
+    if seed is not None and isinstance(model, dict):
+        model["seed"] = int(seed)
+    return parse_config(raw)
 
 
-def parse_config(raw, base_dir: str = ".") -> ExperimentConfig:
+def parse_config(raw) -> ExperimentConfig:
     """Every section read through its schema, then the checks and defaults
     that tie keys to each other."""
     raw = _require_mapping(raw, "config")
@@ -305,21 +303,11 @@ def parse_config(raw, base_dir: str = ".") -> ExperimentConfig:
     sections = {name: _read_section(raw.get(name), schema, name)
                 for name, schema in _SECTIONS.items()}
     m = sections.pop("model")
-    if m["velocities"] is not None and m["velocities_file"] is not None:
-        raise ConfigError("give model.velocities or model.velocities_file, not both")
-    if m["velocities_file"] is not None:
-        try:
-            vset = load_velocity_set(os.path.join(base_dir, m["velocities_file"]))
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"model.velocities_file: {exc}") from None
-    elif m["velocities"] is None:
-        raise ConfigError("missing required key model.velocities")
-    else:
-        rows = m["velocities"]
-        try:
-            vset = VelocitySet(np.array(rows, dtype=float).reshape(len(rows), -1))
-        except ValueError as exc:
-            raise ConfigError(f"model.velocities: {exc}") from None
+    rows = m["velocities"]
+    try:
+        vset = VelocitySet(np.array(rows, dtype=float).reshape(len(rows), -1))
+    except ValueError as exc:
+        raise ConfigError(f"model.velocities: {exc}") from None
     d = m["d"]
     if vset.d != d:
         raise ConfigError(f"velocity set is {vset.d}-dimensional, model.d = {d}")

@@ -87,23 +87,6 @@ class VelocitySet:
         return float(np.max(np.sum(np.abs(self.velocities), axis=1)))
 
 
-def load_velocity_set(path) -> VelocitySet:
-    """Read a velocity set from a plain-text table (one velocity per line, d columns)."""
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            rows.append([float(tok) for tok in line.split()])
-    if not rows:
-        raise ValueError(f"no velocities found in {path}")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ValueError(f"inconsistent column counts in {path}: {sorted(widths)}")
-    return VelocitySet(np.array(rows))
-
-
 @dataclass(frozen=True)
 class Collision:
     """Ordered quadruple of velocity indices (v, w, v', w') with v+w = v'+w'."""

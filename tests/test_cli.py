@@ -213,9 +213,10 @@ def test_exact_section_errors_exit_2(tmp_path, capsys, exact, message):
     ({"N": [4, 1]}, "model.N"),
     ({"replicas": 0}, "model.replicas"),
     ({"seed": "x"}, "model.seed"),
-    ({"velocities_file": "v.txt"}, "model.velocities_file"),
+    ({"velocities_file": "v.txt"}, "unknown key(s) ['velocities_file'] under model"),
     ({"alpha": ["0.3"]}, "model.alpha"),
     ({"alpha": None}, "model.alpha"),
+    ({"velocities": None}, "missing required key model.velocities"),
 ])
 def test_model_section_errors_exit_2(tmp_path, capsys, model, key):
     # a None value deletes the key
@@ -833,22 +834,17 @@ def test_outputs_without_a_compiler_are_the_same_bytes(tmp_path, monkeypatch, co
     assert lines["default"] == lines["no_compiler"]
 
 
-@pytest.mark.parametrize("command", ["simulate", "converge"])
-@pytest.mark.parametrize("flags", [[], ["--seed", "3"], ["--replicas", "1"]])
-def test_velocities_file_beside_the_config_from_another_directory(
-        tmp_path, monkeypatch, command, flags):
-    # A relative model.velocities_file is read beside the config, also when
-    # a flag or a replica task parses the config again.
-    config = yaml.safe_load(pathlib.Path(tiny_config(tmp_path)).read_text())
-    del config["model"]["velocities"]
-    config["model"]["velocities_file"] = "v.txt"
-    (tmp_path / "v.txt").write_text("0.5\n-0.5\n")
-    (tmp_path / "tiny.yaml").write_text(yaml.safe_dump(config))
-    elsewhere = tmp_path / "elsewhere"
-    elsewhere.mkdir()
-    monkeypatch.chdir(elsewhere)
-    assert main([command, "--config", str(tmp_path / "tiny.yaml"), "--out", "out",
-                 *flags]) == 0
+def test_seed_flag_is_the_config_seed(tmp_path):
+    # --seed 3 runs the config with model.seed: 3: the manifest records that
+    # master seed and the config hash of the file that states it.
+    path = tiny_config(tmp_path)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "flag"),
+                 "--seed", "3"]) == 0
+    stated = tiny_config(tmp_path, model={"seed": 3})
+    assert main(["simulate", "--config", stated, "--out", str(tmp_path / "file")]) == 0
+    flag, file = (tmp_path / name / "manifest_simulate.txt" for name in ("flag", "file"))
+    assert manifest_line(flag, "master_seed") == ["3"]
+    assert manifest_line(flag, "config_hash") == manifest_line(file, "config_hash")
 
 
 def tiny_config_2d(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from latgas.velocities import Collision, CollisionSet, VelocitySet, load_velocity_set
+from latgas.velocities import Collision, CollisionSet, VelocitySet
 
 
 def reversed_collision(q: Collision) -> Collision:
@@ -31,24 +31,6 @@ def test_d2_requires_permutation_closure():
     with pytest.raises(ValueError):
         VelocitySet(np.array([[0.5, 0.0], [-0.5, 0.0]]))
     VelocitySet(np.array([[0.5, 0.0], [-0.5, 0.0], [0.0, 0.5], [0.0, -0.5]]))
-
-
-def test_file_roundtrip(tmp_path, vs4):
-    path = tmp_path / "vels.txt"
-    path.write_text("# v\n" + "".join(f"{row[0]!r}  # slot {i}\n"
-                                       for i, row in enumerate(vs4.velocities.tolist())))
-    loaded = load_velocity_set(path)
-    assert np.array_equal(loaded.velocities, vs4.velocities)
-
-
-def test_file_load_rejects_bad_sets(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("0.5\n0.25\n")
-    with pytest.raises(ValueError, match="reflections"):
-        load_velocity_set(path)
-    path.write_text("")
-    with pytest.raises(ValueError, match="no velocities"):
-        load_velocity_set(path)
 
 
 def test_collision_set_conserves_momentum(vs4):
