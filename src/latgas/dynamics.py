@@ -675,10 +675,11 @@ def simulate(initial: np.ndarray, model: Model, horizon: float, rng,
     run calls `SimState.advance` at most once per sample time and once for
     the horizon.  Deterministic given the rng seed, with or without the log.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+    # the comparisons are false for NaN, so a NaN horizon or time is rejected
+    if not 0 <= horizon < math.inf:
+        raise ValueError(f"horizon must be finite and nonnegative, got {horizon}")
     times = sorted(float(t) for t in (sample_times or []))
-    if any(t < 0 or t > horizon for t in times):
+    if not all(0 <= t <= horizon for t in times):
         raise ValueError("sample times must lie in [0, horizon]")
 
     samples: list = []

@@ -454,11 +454,15 @@ def solve_controlled(gamma, boundary: BoundaryData, horizon: float, grid: Grid,
     march makes one `control.gradient` call after the advective limit's.
     The run's dt, step count and whether it was controlled land in `meta`.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    # the comparisons are false for NaN, so a NaN horizon or dt is rejected
+    if not 0 < horizon < np.inf:
+        raise ValueError(f"horizon must be finite and positive, got {horizon}")
+    if dt is not None and not 0 < dt < np.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    if n_frames < 1:
+        raise ValueError(f"n_frames must be at least 1, got {n_frames}")
     if control is not None:
         check_vanishes_on_walls(control, grid, horizon)
-    n_frames = max(1, n_frames)
     bound = advective_limit(grid, vset, () if control is None else _drifts(
         control, grid, vset, np.linspace(0.0, horizon, n_frames + 1)))
     if dt is None:

@@ -399,6 +399,15 @@ class TestSimulate:
         assert np.array_equal(res.final, eta0)
         assert len(res.samples) == 1
 
+    # Every comparison with NaN is false: a NaN sample time that passed the
+    # range check would never be reached by the event loop.
+    @pytest.mark.parametrize("horizon,sample_times", [(math.nan, None), (0.0, [math.nan])])
+    def test_nan_times_rejected(self, vs2, rng, horizon, sample_times):
+        model = make_model(5, vs2, alpha=[0.3, 0.4], beta=[0.6, 0.5])
+        eta0 = empty_state(model)
+        with pytest.raises(ValueError, match="horizon"):
+            simulate(eta0, model, horizon, rng, sample_times=sample_times)
+
     def test_conservation_with_boundary_disabled(self, vs4, rng):
         model = make_model(8, vs4)
         eta0 = sample_product_state([0.0, 0.0], model.lattice, vs4, rng)

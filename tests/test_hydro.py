@@ -183,6 +183,21 @@ class TestSolver:
         traj = solve_hydro(gamma, bd, 0.1, grid, vs2, dt=0.99 * bound)
         assert traj.meta["n_steps"] == 4
 
+    @pytest.mark.parametrize("name,kwargs", [
+        ("horizon", {"horizon": np.nan}),
+        ("horizon", {"horizon": np.inf}),
+        ("dt", {"dt": np.nan}),
+        ("dt", {"dt": -0.01}),
+        ("dt", {"dt": 0.0}),
+        ("n_frames", {"n_frames": 0}),
+        ("n_frames", {"n_frames": -5}),
+    ])
+    def test_bad_arguments_are_named(self, vs2, setup, name, kwargs):
+        grid, bd, gamma = setup
+        args = {"horizon": 0.1, **kwargs}
+        with pytest.raises(ValueError, match=f"^{name} "):
+            solve_hydro(gamma, bd, args.pop("horizon"), grid, vs2, **args)
+
     def test_bad_initial_profile(self, vs2, setup):
         grid, bd, _ = setup
         with pytest.raises(DomainError):
