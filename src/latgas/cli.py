@@ -243,16 +243,16 @@ def _map_cells(command: str, cfg: ExperimentConfig, args) -> list:
     Each `_replica_cells` task, one per (N, contiguous block of replicas),
     sets N up once: its replicas share one model, one `SimState` and one
     generator, re-keyed from the block's one pass of key derivation.
-    `--threads k` splits each N's replicas into k blocks for k worker
-    processes; every cell's key depends only on (seed, N, r), and a restarted
-    state is a new one, so no output changes.  Adds each
-    cell's stream key N:replica and run record (its result's "run") to
-    `args.cells`."""
-    R, k = cfg.model.replicas, max(1, args.threads)
+    `--threads k` splits each N's replicas into k blocks for at most k worker
+    processes, one per task; every cell's key depends only on (seed, N, r), and
+    a restarted state is a new one, so no output changes.  Adds each cell's
+    stream key N:replica and run record (its result's "run") to `args.cells`."""
+    R, k = cfg.model.replicas, args.threads
     cuts = [R * i // k for i in range(k + 1)]
     tasks = [(N, range(lo, hi)) for N in cfg.model.n_values
              for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
-    if k == 1 or len(tasks) <= 1:
+    k = min(k, len(tasks))  # no more worker processes than tasks
+    if k <= 1:
         blocks = [_replica_cells(cfg, command, *task) for task in tasks]
     else:
         import concurrent.futures  # only a pool needs it (6.6 ms)
@@ -434,6 +434,8 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     started = time.perf_counter()
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         cfg = load_config(args.config, seed=args.seed)
         args.cells = []
         outputs = COMMANDS[args.command](cfg, args)

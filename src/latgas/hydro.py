@@ -9,9 +9,9 @@ profiles.  The controlled variant replaces v_i by v_i - vtilde . d_i H for a
 vector field H vanishing on the walls.  Discretization: method of lines,
 second-order central differences for both the Laplacian and the flux
 divergence, and one second-order implicit-explicit (IMEX) time step: the
-(1/2) Lap w term by Crank-Nicolson, the flux divergence by Heun, with the
-Dirichlet values held by the implicit solve.  dt is bounded by the advective
-CFL condition of `advective_limit`; by default one step per frame.
+(1/2) Lap w term by Crank-Nicolson, one matrix product per transverse
+wavenumber holding the Dirichlet values, the flux divergence by Heun.  dt is
+bounded by `advective_limit`'s CFL condition; by default one step per frame.
 
 `QuadratureContext` stores, once per trajectory, the weights of the weak-form
 residual (trapezoid in space, midpoint in time), the linear part of the cost
@@ -237,10 +237,10 @@ class FieldTrajectory:
 # --- flux and spatial operators ---------------------------------------------------
 
 def _flux_grid(chi_v: np.ndarray, vset: VelocitySet, drift: np.ndarray) -> np.ndarray:
-    """Batched flux F[..., i, k] = sum_v chi_v drift[..., i, v] vtilde_vk, for
-    the velocities c_iv of `drift`: v_i (vset.velocities.T) without a control,
-    v_i - vtilde_v . d_iH under one (`_drifts`)."""
-    return np.einsum("...v,...iv,vk->...ik", chi_v, drift, vset.vtilde)
+    """Flux F[..., i, k] = sum_v chi_v drift[..., i, v] vtilde_vk as one matrix
+    product, for the velocities c_iv of `drift`: v_i (vset.velocities.T, (d, nv))
+    without a control, v_i - vtilde_v . d_iH (*shape, d, nv) under one (`_drifts`)."""
+    return (chi_v[..., None, :] * drift) @ vset.vtilde
 
 
 def _grad_central(f: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
@@ -308,48 +308,54 @@ class _Stepper:
         (I - dt/2 A) W* = W + dt/2 A W + dt N(W)
         (I - dt/2 A) W' = W + dt/2 A W + dt/2 (N(W) + N(W*)),
     with identity rows at the walls holding a and b.  Eliminating the wall rows
-    leaves (I - dt/2 A) on the interior with Dirichlet ends, which sine modes
-    along u_1 and Fourier modes along the periodic transverse axes
-    diagonalize: with r = dt / (4 h_1^2), mode (j, k) has eigenvalue
-    1 + 4r sin^2(pi j / (2 (m1 - 1))) + s_k, s_k the transverse part.  The
-    solve is a DST-I along u_1, an rfftn across, a division by the
-    eigenvalues (computed once, here), and the two transforms back.  A step
-    takes the drift at its two stage times as an argument (see `_flux_grid`;
-    the plain system's is vset.velocities.T), and skips what it never reads:
-    lam for d+1 velocities, per-node hull margins while every node is inside.
+    leaves (I - dt/2 A) on the n = m1 - 2 interior rows with Dirichlet ends,
+    which sine modes along u_1 and Fourier modes along the periodic transverse
+    axes diagonalize: with r = dt / (4 h_1^2), mode (j, k) has eigenvalue
+    1 + 4r sin^2(pi j / (2 (m1 - 1))) + s_k, s_k the transverse part.  With S
+    the orthonormal DST-I matrix (its own inverse), the solve applies one real
+    matrix S diag(1/eig_k) S per transverse wavenumber k (`inverse`, built
+    here) along u_1, between an rfftn across and its inverse in d > 1, and
+    adds the solution of the wall data alone (`walls`).  That is O(m1^2) per
+    column against a DST's O(m1 log m1), but a DST pair's numpy calls cost
+    more below m1 of about 400 in d = 1 (a solve took 3.6 against 24 us at
+    m1 = 65, 55 against 42 us at 513, on a 2-core Xeon KVM guest), and no
+    shipped config, test or workload marches above m1 = 257; in d = 2 the
+    product is faster at (33, 8) and (33, 16), 54 and 62 against 80 and 94 us.
+    A step takes the drift at its two stage times as an argument (see
+    `_flux_grid`; the plain system's is vset.velocities.T), and skips what it
+    never reads: lam for d+1 velocities, per-node hull margins while every
+    node is inside.
     """
 
     def __init__(self, vset: VelocitySet, grid: Grid, boundary: BoundaryData, dt: float):
-        self.vset = vset
-        self.grid = grid
-        self.boundary = boundary
-        self.dt = dt
+        self.vset, self.grid, self.dt = vset, grid, dt
         self.dom = domain_of(vset)
         self.lam = None  # Newton warm start, shaped like the field
         self.axes = tuple(range(1, grid.d))
-        self.r = dt / (4.0 * grid.h1**2)
+        r = dt / (4.0 * grid.h1**2)
         n = grid.m1 - 2
-        eig = 1.0 + 4.0 * self.r * np.sin(np.pi * np.arange(1, n + 1) / (2 * n + 2)) ** 2
-        # rfftn keeps all wavenumbers on the leading axes, half on the last.
-        for m in [grid.mt] * (grid.d - 2) + [grid.mt // 2 + 1] * (grid.d > 1):
+        j = np.arange(1, n + 1)
+        # S_ij with i j reduced mod 2(n+1), so the sine's argument stays below 2 pi
+        dst = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * (np.outer(j, j) % (2 * n + 2)) / (n + 1))
+        eig = 1.0 + 4.0 * r * np.sin(np.pi * j / (2 * n + 2)) ** 2
+        # rfftn keeps all wavenumbers on the leading axes, half on the last
+        for m in reversed([grid.mt] * (grid.d - 2) + [grid.mt // 2 + 1] * (grid.d > 1)):
             s_k = (dt / grid.ht**2) * np.sin(np.pi * np.arange(m) / grid.mt) ** 2
-            eig = np.add.outer(eig, s_k)
-        self.inv_eig = 1.0 / eig[..., None]
-        # the DST's odd extension (0, x, 0, -reversed x), one buffer for every
-        # transform (rows 0 and n+1 stay 0), and its orthonormal scale
-        self.ext = np.zeros((2 * n + 2,) + grid.tshape + (vset.d + 1,))
-        self.dst_scale = -np.sqrt(0.5 / (n + 1))
+            eig = np.add.outer(s_k, eig)
+        self.inverse = (dst / eig[..., None, :]) @ dst
+        # the solve of R = 0; a wall row enters its neighbour's right-hand side times r
+        self.walls = np.zeros(grid.shape + (vset.d + 1,))
+        self.walls[0], self.walls[-1] = boundary.a, boundary.b
+        self.walls[1:-1] = self._solve(r * (self.walls[:-2] + self.walls[2:]))
 
-    def _dst(self, x: np.ndarray) -> np.ndarray:
-        """Orthonormal DST-I along axis 0, its own inverse.
-
-        For n rows, X_j = sqrt(2/(n+1)) sum_i x_i sin(pi i j / (n+1)), i, j = 1..n,
-        read off one rfft of the odd extension (0, x, 0, -reversed x).
-        """
-        n = len(x)
-        self.ext[1:n + 1] = x
-        np.negative(x[::-1], out=self.ext[n + 2:])
-        return fft.rfft(self.ext, axis=0)[1:n + 1].imag * self.dst_scale
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        """(I - dt/2 A)^-1 rhs on the interior rows, with zero wall data."""
+        if not self.axes:
+            return self.inverse @ rhs
+        # (n, *k, c) complex -> (*k, n, 2c) real, the real and imaginary parts side by side
+        modes = np.ascontiguousarray(np.moveaxis(fft.rfftn(rhs, axes=self.axes), 0, -2))
+        modes = (self.inverse @ modes.view(float)).view(complex)
+        return fft.irfftn(np.moveaxis(modes, -2, 0), s=self.grid.tshape, axes=self.axes)
 
     def flux_divergence(self, W: np.ndarray, drift: np.ndarray) -> np.ndarray:
         """N(W) = -sum_i d_i F_i(W), the flux for the velocities of `drift`."""
@@ -366,19 +372,8 @@ class _Stepper:
 
     def implicit_solve(self, R: np.ndarray) -> np.ndarray:
         """Solve (I - dt/2 A) X = R; R's wall rows are ignored, X's are a and b."""
-        rhs = R[1:-1].copy()
-        rhs[0] += self.r * self.boundary.a
-        rhs[-1] += self.r * self.boundary.b
-        modes = self._dst(rhs)
-        if self.axes:
-            modes = fft.irfftn(fft.rfftn(modes, axes=self.axes) * self.inv_eig,
-                               s=self.grid.tshape, axes=self.axes)
-        else:
-            modes *= self.inv_eig
-        X = np.empty_like(R)
-        X[1:-1] = self._dst(modes)
-        X[0] = self.boundary.a
-        X[-1] = self.boundary.b
+        X = self.walls.copy()
+        X[1:-1] += self._solve(R[1:-1])
         return X
 
     def guard(self, W: np.ndarray, t: float) -> np.ndarray:
@@ -450,8 +445,10 @@ def solve_controlled(gamma, boundary: BoundaryData, horizon: float, grid: Grid,
 
     A control's drift is tabulated in blocks of max(steps per frame,
     n_frames) steps as the march reaches them, so the table grows with the
-    frame stride and count, not the step count; at one step per frame the
-    march makes one `control.gradient` call after the advective limit's.
+    frame stride and count, not the step count, and holds each distinct
+    stage time once (a step's end is most often the next step's start); at
+    one step per frame the march makes one `control.gradient` call after
+    the advective limit's.
     The run's dt, step count and whether it was controlled land in `meta`.
     """
     # the comparisons are false for NaN, so a NaN horizon or dt is rejected
@@ -485,11 +482,11 @@ def solve_controlled(gamma, boundary: BoundaryData, horizon: float, grid: Grid,
     table = [(vset.velocities.T,) * 2] * block  # the drifts of an uncontrolled block
     for k in range(n_steps):
         if control is not None and k % block == 0:
-            # both stage times of each step of the block, (steps, 2, ...)
-            stages = [t for j in range(k, min(k + block, n_steps)) for t in (j * dt, j * dt + dt)]
+            # both stage times of each step of the block, each distinct one evaluated once
+            stages = np.add.outer(np.arange(k, min(k + block, n_steps)) * dt, [0.0, dt])
+            distinct, index = np.unique(stages, return_inverse=True)
             table = None  # the last table goes before the next is built
-            table = _drifts(control, grid, vset, stages)
-            table = table.reshape((-1, 2) + table.shape[1:])
+            table = _drifts(control, grid, vset, distinct)[index.reshape(stages.shape)]
         W = stepper.step(W, k * dt, table[k % block])
         if (k + 1) % stride == 0:
             frames[(k + 1) // stride] = W

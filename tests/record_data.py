@@ -15,8 +15,9 @@ reproduce the files byte for byte.  It rewrites
   tests/data/controlled_marches.json  `test_hydro.controlled_march_digest`
                                of each case of `test_hydro.CONTROLLED_MARCHES`.
 
-Re-record only for a change that is meant to move these outputs (a new
-candidate stream, a new report line), and say in CHANGES.md which moved.
+It prints each recorded key whose value changed.  Re-record only for a
+change that is meant to move these outputs (a new candidate stream, a new
+report line), and say in CHANGES.md which moved.
 """
 
 from __future__ import annotations
@@ -36,7 +37,24 @@ import test_eventloop  # noqa: E402
 import test_hydro  # noqa: E402
 
 
+def leaves(data: dict, prefix: str = "") -> dict:
+    """Each non-dict value of nested `data` under its "/"-joined key path."""
+    out = {}
+    for key, value in data.items():
+        if isinstance(value, dict):
+            out.update(leaves(value, f"{prefix}{key}/"))
+        else:
+            out[prefix + key] = value
+    return out
+
+
 def write(path: pathlib.Path, data: dict) -> None:
+    """Rewrite `path` with `data`, printing each key whose value changed."""
+    old = leaves(json.loads(path.read_text())) if path.exists() else {}
+    new = leaves(data)
+    for key in sorted(old.keys() | new.keys()):
+        if old.get(key) != new.get(key):
+            print(f"{path.relative_to(HERE)}: {key} changed")
     path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
 
 

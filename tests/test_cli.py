@@ -362,6 +362,15 @@ def test_hydro_dt_reaches_the_f06_solve(tmp_path):
     assert reports[0] != reports[1]
 
 
+def test_reference_f06_gap_is_pinned(tmp_path):
+    # the accuracy gate of a speed change: the F06 relative gap of the
+    # reference config (32 modes, m1 = 129) may move only by rounding
+    out = tmp_path / "out"
+    assert main(["rate", "--config", str(REFERENCE), "--out", str(out)]) == 0
+    assert float(manifest_line(out / "f06_report.txt", "relative_gap")[0]) == \
+        pytest.approx(2.480240e-4, rel=1e-6)
+
+
 def test_numbers_written_as_text_still_read():
     # PyYAML reads 1e-3 as a string; integral floats are integers
     config = yaml.safe_load(REFERENCE.read_text())
@@ -704,6 +713,43 @@ def test_threads_do_not_change_outputs(tmp_path, command):
         runs[threads] = {p.name: p.read_bytes() for p in out.iterdir()
                          if not p.name.startswith("manifest_")}
     assert runs[1] and runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("threads", ["0", "-5"])
+def test_threads_below_one_exit_2(tmp_path, capsys, threads):
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", tiny_config(tmp_path), "--out", str(out),
+                 "--threads", threads]) == 2
+    assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_the_pool_has_no_more_workers_than_tasks(tmp_path, monkeypatch):
+    # two sizes of two replicas make four one-replica tasks at --threads 8;
+    # the pool is a fake that runs each task inline and records its size, so
+    # no process starts
+    import concurrent.futures
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    assert output_digests(tmp_path, "simulate", threads=8) == RECORDED_OUTPUTS["simulate"]
+    assert sizes == [4]
 
 
 def test_a_failure_while_writing_leaves_no_file(tmp_path, capsys, monkeypatch):

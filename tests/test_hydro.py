@@ -414,8 +414,8 @@ def second_difference(m: int, h: float, periodic: bool) -> np.ndarray:
     return out
 
 
-@pytest.mark.parametrize("grid", [Grid(1, 3), Grid(1, 4), Grid(1, 65), Grid(2, 9, 4),
-                                  Grid(2, 9, 5)], ids=str)
+@pytest.mark.parametrize("grid", [Grid(1, 3), Grid(1, 4), Grid(1, 65), Grid(1, 129),
+                                  Grid(2, 9, 4), Grid(2, 9, 5), Grid(2, 33, 16)], ids=str)
 def test_implicit_solve_matches_dense_solve(grid, rng):
     # (I - dt/2 A) assembled on every node, A = (1/2) Lap_h with periodic
     # transverse rows, and identity rows at the walls holding a and b.

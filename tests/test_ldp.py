@@ -344,9 +344,10 @@ class TestControlledIdentity:
 
     def test_one_control_gradient_call(self, solution, monkeypatch):
         # the drift comes from two batched calls, the frame-time probes of the
-        # advective limit and then one block of both stage times of each of
-        # the 128 steps; the Gram matrix and |H| are built from the control's
-        # factors, not from its gradient
+        # advective limit and then one block of the 128 steps of the rate
+        # config, whose 256 stage times hold 129 distinct (each step ends where
+        # the next starts); the Gram matrix and |H| are built from the
+        # control's factors, not from its gradient
         vs, grid, bd, gamma, traj = solution
         ctrl = combination([wall_mode(0, Factor("one"), 1), wall_mode(1, Factor("linear", T), 2)],
                            [0.2, 0.15])
@@ -358,7 +359,7 @@ class TestControlledIdentity:
 
         monkeypatch.setattr(ctrl, "gradient", counting)
         verify_f06(gamma, bd, ctrl, grid, vs, T, basis(1, T, n_space=1), n_frames=128)
-        assert calls == [128 + 1, 2 * 128]
+        assert calls == [128 + 1, 128 + 1]
 
     def test_zero_control_both_sides_vanish(self, solution):
         vs, grid, bd, gamma, traj = solution
