@@ -158,22 +158,42 @@ def test_simulate_with_no_sample_times(tmp_path):
 VS4_MODEL = {"d": 1, "velocities": [[0.5], [-0.5], [0.25], [-0.25]],
              "alpha": ["0.3", "0.4", "0.35", "0.45"],
              "beta": ["0.6", "0.5", "0.55", "0.65"], "N": 4}
-# four velocities, so collisions fire; 3 sites x 4 velocities = 2^12 states
+VS2_MODEL = {"d": 1, "velocities": [[0.5], [-0.5]], "alpha": ["0.3", "0.4"],
+             "beta": ["0.6", "0.5"], "N": 4}
+# (model, exact section) per case.  Four velocities collide, so all parts
+# join them into one component; two velocities never collide, and without a
+# collision part every velocity is its own component.
 EXACT_CONFIGS = {
-    "walls_driven_all_parts": {"N": 4, "periodic": False,
-                               "parts": ["boundary", "collision", "exclusion"],
-                               "lambda": [0.2, -0.1]},
-    "ring_with_collisions": {"N": 4, "periodic": True,
-                             "parts": ["collision", "exclusion"],
-                             "lambda": [0.3, 0.2]},
+    # 3 sites x 4 velocities = 2^12 states
+    "walls_driven_all_parts": (VS4_MODEL, {"N": 4, "periodic": False,
+                                           "parts": ["boundary", "collision", "exclusion"],
+                                           "lambda": [0.2, -0.1]}),
+    "ring_with_collisions": (VS4_MODEL, {"N": 4, "periodic": True,
+                                         "parts": ["collision", "exclusion"],
+                                         "lambda": [0.3, 0.2]}),
+    # 5 sites: two layers of 2^5 states
+    "vs2_walls_all_parts": (VS2_MODEL, {"N": 6, "periodic": False,
+                                        "parts": ["boundary", "collision", "exclusion"],
+                                        "lambda": [0.2, -0.1]}),
+    # 3 sites: four layers of 2^3 states; the audit still counts the collisions
+    "vs4_walls_without_collisions": (VS4_MODEL, {"N": 4, "periodic": False,
+                                                 "parts": ["boundary", "exclusion"],
+                                                 "lambda": [0.2, -0.1]}),
+    # 4 sites: four layers of 2^4 states, an invariant product measure
+    "vs4_ring_exclusion": (VS4_MODEL, {"N": 5, "periodic": True, "parts": ["exclusion"],
+                                       "lambda": [0.3, 0.2]}),
+    # 5 sites: two layers of 2^5 states
+    "vs2_ring_exclusion": (VS2_MODEL, {"N": 6, "periodic": True, "parts": ["exclusion"],
+                                       "lambda": [0.4, -0.3]}),
 }
 
 
 def exact_report_digest(tmp_path, name):
     """sha256 of the exact_report.txt that `latgas exact` writes on one of
     EXACT_CONFIGS."""
+    model, exact = EXACT_CONFIGS[name]
     path = tmp_path / f"{name}.yaml"
-    path.write_text(yaml.safe_dump({"model": VS4_MODEL, "exact": EXACT_CONFIGS[name]}))
+    path.write_text(yaml.safe_dump({"model": model, "exact": exact}))
     out = tmp_path / name
     assert main(["exact", "--config", str(path), "--out", str(out)]) == 0
     return hashlib.sha256((out / "exact_report.txt").read_bytes()).hexdigest()
