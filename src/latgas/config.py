@@ -274,7 +274,7 @@ _SECTIONS = {
             "n_transverse": (_at_least(0), 0), "basis_sizes": (_list_of(_integer), None),
             "control": (_control_terms, ())},
     "exact": {"N": (_at_least(2), 3), "periodic": (_of_type(bool), False),
-              "parts": (_parts, ALL_PARTS), "lambda": (_of_type(list), None)},
+              "parts": (_parts, None), "lambda": (_of_type(list), None)},
     "output": {"directory": (str, "out")},
 }
 _CONTROL = {"component": (_integer, 0), "amplitude": (_above(-np.inf), 0.1),
@@ -325,6 +325,10 @@ def parse_config(raw) -> ExperimentConfig:
         raise ConfigError("simulate.sample_times must lie in [0, simulate.horizon]")
     if converge["reference_m1"] is None:
         converge["reference_m1"] = 2 * (converge["grid_m1"] - 1) + 1
+    if exact["parts"] is None:
+        exact["parts"] = tuple(p for p in ALL_PARTS if not exact["periodic"] or p != "boundary")
+    elif exact["periodic"] and "boundary" in exact["parts"]:
+        raise ConfigError("exact.parts holds boundary, but a periodic lattice has no walls")
     if exact["lambda"] is None:
         exact["lambda"] = [0.0] * (d + 1)
     lam = exact["lambda"]

@@ -220,11 +220,27 @@ def test_exact_never_builds_the_sparse_matrix(tmp_path, monkeypatch):
     ({"lambda": ["a", 1]}, "exact.lambda needs 2 numbers"),
     ({"lambda": [0.1]}, "exact.lambda needs 2 numbers"),
     ({"periodic": "no"}, "exact.periodic has wrong type str"),
+    # a ring has no walls, so no boundary events to build
+    ({"periodic": True, "parts": ["boundary"]}, "exact.parts holds boundary"),
+    ({"periodic": True, "parts": ["boundary", "exclusion"]}, "exact.parts holds boundary"),
 ])
 def test_exact_section_errors_exit_2(tmp_path, capsys, exact, message):
     path = tiny_config(tmp_path, exact=exact)
     assert main(["exact", "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("periodic,parts", [
+    (False, ("boundary", "collision", "exclusion")), (True, ("collision", "exclusion"))])
+def test_exact_parts_default_to_the_lattices_dynamics(tmp_path, periodic, parts):
+    config = yaml.safe_load(pathlib.Path(tiny_config(tmp_path)).read_text())
+    config["exact"] = {"N": 4, "periodic": periodic}
+    assert parse_config(config).exact["parts"] == parts
+    path = tmp_path / "default.yaml"
+    path.write_text(yaml.safe_dump(config))
+    assert main(["exact", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    report = (tmp_path / "out" / "exact_report.txt").read_text()
+    assert f"parts: {' '.join(parts)}\n" in report
 
 
 @pytest.mark.parametrize("model,key", [
