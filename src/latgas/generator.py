@@ -1,15 +1,21 @@
 """Exact generators of tiny systems, held as one small rate table per flip mask.
 
-States are integers whose bit `site * nv + v` holds eta(x, v), the slot index
-of the simulator's event catalog `Model.table`, which the generator is built
-from.  Every event flips a fixed bit mask, so the generator is a sum of masked
-XOR permutations: L[s, s ^ flips[k]] = r_k(s) (N^2-scaled) and
-L[s, s] = -exit[s] = -sum_k r_k(s).  A catalog entry fires from the states
+States are integers whose bit `site * k + rank(v)` holds eta(x, v) for the
+k velocities of the generator's group; for all velocities it is `site * nv +
+v`, the slot index of the simulator's event catalog `Model.table`, which the
+generator is built from.  Every event flips a fixed bit mask, so the generator
+is a sum of masked XOR permutations: L[s, s ^ flips[k]] = r_k(s) (N^2-scaled)
+and L[s, s] = -exit[s] = -sum_k r_k(s).  A catalog entry fires from the states
 whose bits under its mask read one pattern (its source slots full, its
 targets empty), so r_k(s) depends only on those 1-4 bits: `tables[k]` holds
 it as a (2,)*popcount(flips[k]) array, one axis per bit of the mask (top bit
 first).  Memory is O(states): the tables take a few entries each, and only
 `exit` and the vectors a method is given or returns have one entry per state.
+
+Only collisions join velocities, so the chain's generator is the Kronecker
+sum of its components' (`velocity_groups`) and a product measure the product
+of theirs; `invariance_residual` combines the components in blocks of about
+CHUNK states, in memory for the components and one block.
 
 The passes over the states go through views.  With a vector over all
 states reshaped so that each run of bits that a mask sets or leaves is one
@@ -46,12 +52,27 @@ def max_abs(x: np.ndarray) -> float:
     return float(max(x.max(), -x.min()))
 
 
-def _rate_tables(table: RateTable, parts, scale: float) -> tuple:
+def velocity_groups(model: Model, parts=ALL_PARTS) -> list:
+    """The chain's components: the velocities that the active collisions in
+    `parts` join, as sorted tuples in order.  Without a collision part, or
+    collisions, every velocity is its own group."""
+    groups = [{v} for v in range(len(model.vset))]
+    if "collision" in parts and model.collisions is not None:
+        for q in model.collisions.active:
+            joined = [g for g in groups if g & {q.v, q.w, q.vp, q.wp}]
+            groups = [g for g in groups if g not in joined] + [set().union(*joined)]
+    return sorted(tuple(sorted(g)) for g in groups)
+
+
+def _rate_tables(table: RateTable, parts, scale: float, group=None) -> tuple:
     """(flips, tables): the flip masks of the catalog entries in `parts`, in
     the catalog order of first appearance, and each mask's N^2-scaled rate
     table, indexed by the state's bits under the mask (top bit first).
     Entries sharing a mask (both directions of a hop; two directions to one
-    site on a ring of two) are each scaled, then added in catalog order."""
+    site on a ring of two) are each scaled, then added in catalog order.
+    Only the entries within `group`'s velocities (default all) are kept, slot
+    (site, v) moved to bit site * len(group) + rank of v in the group, an
+    order-keeping map."""
     entries = []  # (flip mask, slots of the mask occupied where it fires, micro rate)
     if "exclusion" in parts:
         for s, t, pn in zip(table.ex_src.tolist(), table.ex_tgt.tolist(),
@@ -65,9 +86,13 @@ def _rate_tables(table: RateTable, parts, scale: float) -> tuple:
         for slot, birth, death in zip(table.bd_slot.tolist(), table.bd_birth,
                                       table.bd_death):
             entries += [(1 << slot, 1 << slot, death), (1 << slot, 0, birth)]
+    rank = {v: r for r, v in enumerate(group or range(table.nv))}
     tables: dict = {}
     for flip, occupied, rate in entries:
         bits = _mask_bits(flip)
+        if any(b % table.nv not in rank for b in bits):
+            continue
+        flip = sum(1 << (b // table.nv * len(rank) + rank[b % table.nv]) for b in bits)
         rates = tables.setdefault(flip, np.zeros((2,) * len(bits)))
         rates[tuple((occupied >> b) & 1 for b in bits)] += rate * scale
     return np.array(list(tables), dtype=np.int64), tuple(tables.values())
@@ -141,9 +166,11 @@ def _exit_rates(flips, tables, n_bits: int) -> np.ndarray:
 
 @dataclass
 class ExactGenerator:
-    """The generator L as its rate tables, with invariance and balance checks.
+    """The generator L of one velocity group's chain as its rate tables, with
+    invariance and balance checks.
 
-    `flips` (F,) holds the masks and `tables` each mask's N^2-scaled rate as
+    `group` holds the velocities the states' bits hold.  `flips` (F,) holds
+    the masks and `tables` each mask's N^2-scaled rate as
     a (2,)*popcount array indexed by the state's bits under the mask (top bit
     first); `exit` (n_states,) is their sum per state in table order, so
     `row_sums` (the same sum minus `exit`) is exactly zero.  The other
@@ -153,6 +180,7 @@ class ExactGenerator:
     """
 
     model: Model
+    group: tuple
     flips: np.ndarray
     tables: tuple
     exit: np.ndarray
@@ -195,12 +223,13 @@ class ExactGenerator:
 
     def product_measure(self, lam) -> np.ndarray:
         """Normalized product-measure weights mu_lam over all states: the
-        Kronecker product of the 2^nv single-site weights exp(lam . I(xi)),
-        multiplied from site 0 up, so states whose per-site conserved vectors
-        coincide get bitwise-identical weights."""
-        nv = len(self.model.vset)
-        xi = ((np.arange(1 << nv)[:, None] >> np.arange(nv)) & 1).astype(float)
-        site = np.exp((xi @ self.model.vset.vtilde) @ np.asarray(lam, dtype=float))
+        Kronecker product of the 2^k single-site weights exp(lam . I(xi)) of
+        the group's k velocities, multiplied from site 0 up, so states whose
+        per-site conserved vectors coincide get bitwise-identical weights."""
+        k = len(self.group)
+        xi = ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(float)
+        vtilde = self.model.vset.vtilde[list(self.group)]
+        site = np.exp((xi @ vtilde) @ np.asarray(lam, dtype=float))
         weights = np.ones(1)
         for _ in range(self.model.lattice.n_sites):
             weights = np.kron(site, weights)
@@ -235,31 +264,54 @@ class ExactGenerator:
             out[part] -= mu[part] * self.exit[part]
         return out
 
-    def invariance_residual(self, mu) -> float:
-        """max|mu L| relative to max_j mu_j exit_j for a measure mu over all
-        states (see product_measure), or exactly 0.0 when it is within
-        `rounding_bound`, which rounding alone can produce."""
-        scale = float(np.max(mu * self.exit, initial=0.0))
+    def invariance_residual(self, mu, rest=()) -> float:
+        """max|mu L| relative to max_j mu_j exit_j, or exactly 0.0 when it is
+        within `rounding_bound`, which rounding alone can produce.  L is the
+        Kronecker sum of this generator and those of `rest`, (generator,
+        measure) pairs of the other components, and mu the product measure:
+        mu L = sum_c (mu_c L_c) x mu_rest and exit = sum_c exit_c.  `rest` is
+        folded into its product states' measure, mu L and exit, then this
+        generator's states are read in blocks of about CHUNK states of L.
+        With no rest the fold is one state (measure 1, mu L 0, exit 0)."""
+        weight, flux, out = np.ones(1), np.zeros(1), np.zeros(1)
+        for gen, m in rest:
+            flux = (np.multiply.outer(flux, m) + np.multiply.outer(weight, gen.left(m))).ravel()
+            weight, out = np.multiply.outer(weight, m).ravel(), np.add.outer(out, gen.exit).ravel()
+        left, residual, scale = self.left(mu), 0.0, 0.0
+        step = max(1, CHUNK // len(weight))
+        for lo in range(0, self.n_states, step):
+            part = slice(lo, lo + step)
+            residual = max(residual, max_abs(np.multiply.outer(flux, mu[part])
+                                             + np.multiply.outer(weight, left[part])))
+            scale = max(scale, float(np.max(np.multiply.outer(weight, mu[part])
+                                            * np.add.outer(out, self.exit[part]))))
         if scale == 0.0:
             return 0.0
-        residual = max_abs(self.left(mu)) / scale
-        return 0.0 if residual <= self.rounding_bound else residual
+        residual /= scale
+        return 0.0 if residual <= self.rounding_bound(rest) else residual
 
-    @property
-    def rounding_bound(self) -> float:
+    def rounding_bound(self, rest=()) -> float:
         """Largest `invariance_residual` that rounding can give an exactly
-        invariant product measure: (F + 1) gamma_n, gamma_n = n u / (1 - n u).
+        invariant product measure of this component and those of `rest`:
+        (F + G) gamma_n over G components with F masks in all, gamma_n =
+        n u / (1 - n u), n = 2 max_c F_c + 3 n_sites + 4 + 4(G - 1), u = 2^-53.
 
-        Each entry of mu L sums F + 1 terms, the F inflows mu r_k and the
-        outflow mu exit, each at most max mu exit in size.  Forming the terms
-        (the outflow's exit sums F rates) and adding them takes 2F roundings;
-        each mu entry takes three per site (the site weight's argument, its
-        exp and the product) and one to normalize, each rate three (P_N =
-        1/2 + p/N, times N^2): n = 2F + 3 n_sites + 4, with u = 2^-53.
+        Each entry of mu_c L_c sums F_c + 1 terms, the F_c inflows mu_c r_k
+        and the outflow mu_c exit_c, each at most max mu_c exit_c in size.
+        Forming the terms (the outflow's exit sums F_c rates) and adding them
+        takes 2F_c roundings; each mu_c entry takes three per site (the site
+        weight's argument, its exp and the product) and one to normalize,
+        each rate three (P_N = 1/2 + p/N, times N^2).  Multiplying a term by
+        the other G - 1 measures and adding the G products, and multiplying
+        G measures and adding G exits for mu exit, take 4(G - 1) more, and
+        gamma_a (1 + gamma_b) <= gamma_(a+b).  As exits are >= 0, max mu_c
+        exit_c times the others' measure is at most max mu exit.  One
+        component gives (F + 1) gamma_n, n = 2F + 3 n_sites + 4.
         """
-        n = 2 * len(self.flips) + 3 * self.model.lattice.n_sites + 4
+        counts = [len(self.flips)] + [len(gen.flips) for gen, _ in rest]
+        n = 2 * max(counts) + 3 * self.model.lattice.n_sites + 4 + 4 * (len(counts) - 1)
         u = np.finfo(float).eps / 2
-        return (len(self.flips) + 1) * n * u / (1 - n * u)
+        return (sum(counts) + len(counts)) * n * u / (1 - n * u)
 
     def detailed_balance_audit(self, mu) -> dict:
         """Check mu(eta) rate(eta->eta') == mu(eta') rate(eta'->eta) per transition.
@@ -290,12 +342,14 @@ class ExactGenerator:
                 "all_reversible": reversible}
 
 
-def assemble_exact_generator(model: Model, parts=ALL_PARTS) -> ExactGenerator:
-    """Build the rate tables of the full generator of a tiny system.
+def assemble_exact_generator(model: Model, parts=ALL_PARTS, group=None) -> ExactGenerator:
+    """Build the rate tables of the generator of a tiny system on the slots
+    of `group`'s velocities (default all; see `velocity_groups`).
 
     `parts` selects which of the boundary/collision/exclusion dynamics are
     included; use a periodic lattice in the model to replace the walls by a
-    wrap.  The state space 2^(sites x velocities) is capped at 2^20.
+    wrap.  The whole chain's state space 2^(sites x velocities) is capped at
+    2^20, whatever the group.
     """
     parts = tuple(parts)
     unknown = set(parts) - set(ALL_PARTS)
@@ -304,6 +358,7 @@ def assemble_exact_generator(model: Model, parts=ALL_PARTS) -> ExactGenerator:
     n_bits = model.lattice.n_sites * len(model.vset)
     if 2**n_bits > STATE_SPACE_CAP:
         raise SizeError(f"state space 2^{n_bits} exceeds the cap {STATE_SPACE_CAP}")
-    flips, tables = _rate_tables(model.table, parts, model.time_scale)
-    return ExactGenerator(model=model, flips=flips, tables=tables,
-                          exit=_exit_rates(flips, tables, n_bits))
+    group = tuple(range(len(model.vset)) if group is None else group)
+    flips, tables = _rate_tables(model.table, parts, model.time_scale, group)
+    return ExactGenerator(model=model, group=group, flips=flips, tables=tables,
+                          exit=_exit_rates(flips, tables, model.lattice.n_sites * len(group)))

@@ -8,7 +8,7 @@ import pytest
 from latgas.dynamics import ALL_PARTS, Model, ReservoirProfiles
 from latgas.errors import SizeError
 from latgas.generator import (CHUNK, _cuts, _exit_rates, _expand, _rate_tables,
-                              assemble_exact_generator, max_abs)
+                              assemble_exact_generator, max_abs, velocity_groups)
 from latgas.lattice import Lattice
 from latgas.velocities import VelocitySet, two_velocity_set
 from reference import (
@@ -351,7 +351,27 @@ class TestInvariance:
             mu = gen.product_measure(np.array(lam))
             noisy += np.max(np.abs(gen.left(mu))) > 0
             assert gen.invariance_residual(mu) == reverse.invariance_residual(mu) == 0.0
-        assert noisy and gen.rounding_bound < 1e-12
+        assert noisy and gen.rounding_bound() < 1e-12
+
+    def test_rounding_noise_of_components_reads_zero_in_any_summation_order(self, vs4):
+        # four exclusion layers of 2^4 states on a ring: each layer's mu_c L_c
+        # is rounding noise, and the combined residual is exactly 0 whichever
+        # layer is read in blocks and in either table order
+        model = Model(Lattice(5, 1, periodic=True), vs4)
+        gens = [assemble_exact_generator(model, ("exclusion",), group)
+                for group in velocity_groups(model, ("exclusion",))]
+        reverse = [dataclasses.replace(gen, flips=gen.flips[::-1], tables=gen.tables[::-1])
+                   for gen in gens[::-1]]
+        noisy = 0
+        for lam in ([0.3, 0.2], [0.2, -0.4], [1.5, -0.7]):
+            mus = [gen.product_measure(np.array(lam)) for gen in gens]
+            noisy += any(np.max(np.abs(gen.left(mu))) > 0 for gen, mu in zip(gens, mus))
+            forward = list(zip(gens, mus))
+            backward = list(zip(reverse, mus[::-1]))
+            assert gens[-1].invariance_residual(mus[-1], forward[:-1]) \
+                == reverse[-1].invariance_residual(mus[0], backward[:-1]) == 0.0
+        assert len(gens) == 4
+        assert noisy and gens[-1].rounding_bound(forward[:-1]) < 1e-12
 
     def test_residual_is_relative_to_the_largest_outflow(self, vs4):
         prof = ReservoirProfiles.constant(vs4, [0.3, 0.4, 0.35, 0.45], [0.6, 0.5, 0.55, 0.65])
@@ -360,6 +380,90 @@ class TestInvariance:
         relative = np.max(np.abs(mu @ gen.matrix)) / np.max(mu * gen.exit)
         assert gen.invariance_residual(mu) == pytest.approx(relative, rel=1e-12)
         assert relative > 0.1
+
+
+def component_states(model, group) -> np.ndarray:
+    """Each whole-chain state's state in the chain of `group`'s velocities:
+    slot (site, v) read into bit site * len(group) + rank of v."""
+    nv, states = len(model.vset), np.arange(1 << model.lattice.n_sites * len(model.vset))
+    return sum(((states >> (x * nv + v)) & 1) << (x * len(group) + r)
+               for x in range(model.lattice.n_sites) for r, v in enumerate(group))
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
+def test_the_chain_is_the_kronecker_sum_of_its_components(name):
+    # for every subset of the dynamics, the whole generator equals the sum
+    # over components c of L_c acting on c's bits with the others' held
+    model = REFERENCE_MODELS[name]()
+    lam = np.linspace(0.3, -0.4, model.vset.vtilde.shape[1])
+    for r in range(len(ALL_PARTS) + 1):
+        for parts in itertools.combinations(ALL_PARTS, r):
+            whole = assemble_exact_generator(model, parts)
+            groups = velocity_groups(model, parts)
+            index = [component_states(model, group) for group in groups]
+            same = [i[:, None] == i[None, :] for i in index]
+            want = np.zeros((whole.n_states, whole.n_states))
+            measure = np.ones(whole.n_states)
+            for c, group in enumerate(groups):
+                gen = assemble_exact_generator(model, parts, group)
+                held = np.prod([same[j] for j in range(len(groups)) if j != c], axis=0)
+                want += gen.matrix.toarray()[index[c][:, None], index[c][None, :]] * held
+                measure *= gen.product_measure(lam)[index[c]]
+            np.testing.assert_allclose(whole.matrix.toarray(), want, rtol=1e-14, atol=0,
+                                       err_msg=str(parts))
+            np.testing.assert_allclose(whole.product_measure(lam), measure, rtol=1e-14,
+                                       atol=0, err_msg=str(parts))
+            if "collision" not in parts:
+                assert groups == [(v,) for v in range(len(model.vset))]
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
+def test_components_give_the_whole_chains_residual(name):
+    # the residual combined in blocks from the components against the one
+    # read on the whole chain, for every subset of the dynamics
+    model = REFERENCE_MODELS[name]()
+    lam = np.linspace(0.3, -0.4, model.vset.vtilde.shape[1])
+    for r in range(len(ALL_PARTS) + 1):
+        for parts in itertools.combinations(ALL_PARTS, r):
+            whole = assemble_exact_generator(model, parts)
+            gens = [assemble_exact_generator(model, parts, group)
+                    for group in velocity_groups(model, parts)]
+            pairs = [(gen, gen.product_measure(lam)) for gen in gens]
+            got = gens[-1].invariance_residual(pairs[-1][1], pairs[:-1])
+            want = whole.invariance_residual(whole.product_measure(lam))
+            assert got == pytest.approx(want, rel=1e-12, abs=0), parts
+
+
+def stationary(gen) -> np.ndarray:
+    """The generator's stationary law: the dense null vector of its matrix,
+    normalized."""
+    lhs = gen.matrix.toarray().T
+    lhs[-1] = 1.0
+    return np.linalg.solve(lhs, np.eye(gen.n_states)[-1])
+
+
+def spectral_gap(gen) -> float:
+    rates = np.sort(-np.linalg.eigvals(gen.matrix.toarray()).real)
+    return rates[1]
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_walled_two_velocity_ness_is_the_product_of_its_layers(n):
+    # no collision joins +-1/2, so the driven chain is two independent open
+    # exclusion layers: its stationary law is the product of theirs, and at
+    # N = 4 its spectral gap is the smaller layer gap
+    model = Model(Lattice(n, 1), VS2, profiles=ReservoirProfiles.constant(
+        VS2, [0.3, 0.4], [0.6, 0.5]))
+    whole = assemble_exact_generator(model)
+    groups = velocity_groups(model)
+    layers = [assemble_exact_generator(model, group=group) for group in groups]
+    product = np.ones(whole.n_states)
+    for group, layer in zip(groups, layers):
+        product *= stationary(layer)[component_states(model, group)]
+    assert groups == [(0,), (1,)]
+    assert np.max(np.abs(stationary(whole) - product)) <= 1e-12
+    if n == 4:
+        assert spectral_gap(whole) == pytest.approx(min(map(spectral_gap, layers)), rel=1e-12)
 
 
 def dict_audit(gen, lam):
