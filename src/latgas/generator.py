@@ -166,17 +166,16 @@ def _exit_rates(flips, tables, n_bits: int) -> np.ndarray:
 
 @dataclass
 class ExactGenerator:
-    """The generator L of one velocity group's chain as its rate tables, with
-    invariance and balance checks.
+    """The generator L as its rate tables, with invariance and balance checks.
 
-    `group` holds the velocities the states' bits hold.  `flips` (F,) holds
-    the masks and `tables` each mask's N^2-scaled rate as
-    a (2,)*popcount array indexed by the state's bits under the mask (top bit
-    first); `exit` (n_states,) is their sum per state in table order, so
-    `row_sums` (the same sum minus `exit`) is exactly zero.  The other
-    methods read the states through one view per nonzero pattern of a mask
-    and the view at pattern ^ mask, so memory stays O(states).  `matrix`, the
-    canonical CSR form with int32 indices, is built on first use.
+    `group` holds the velocities of the states' bits, `flips` (F,) the masks
+    and `tables` each mask's N^2-scaled rate as a (2,)*popcount array
+    indexed by the state's bits under the mask (top bit first); `exit`
+    (n_states,) is their sum per state in table order, so `row_sums` (the
+    same sum minus `exit`) is exactly zero.  The other methods read the
+    states through one view per nonzero pattern of a mask and the view at
+    pattern ^ mask, so memory stays O(states).  `matrix`, the canonical CSR
+    form with int32 indices, is built on first use.
     """
 
     model: Model
