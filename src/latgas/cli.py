@@ -376,9 +376,12 @@ def cmd_rate(cfg: ExperimentConfig, args) -> list:
 
 def cmd_exact(cfg: ExperimentConfig, args) -> list:
     """The exact chain's report, from one generator per component of the
-    chain that `exact.parts` joins (`velocity_groups`).  The collision audit
-    is taken per component of the collision part: each transition occurs in
-    every state of the others, its imbalance times their measure at most."""
+    chain that `exact.parts` joins (`velocity_groups`): the chain's generator
+    is their Kronecker sum, and its product measure's residual is combined
+    from theirs in blocks (`ExactGenerator.invariance_residual`).  The
+    collision audit is taken per component of the collision part: each
+    transition occurs in every state of the others, its imbalance times
+    their measure at most."""
     exact = cfg.exact
     n, periodic, parts = exact["N"], exact["periodic"], exact["parts"]
     lam = np.array(exact["lambda"], dtype=float)

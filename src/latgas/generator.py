@@ -15,7 +15,8 @@ first).  Memory is O(states): the tables take a few entries each, and only
 Only collisions join velocities, so the chain's generator is the Kronecker
 sum of its components' (`velocity_groups`) and a product measure the product
 of theirs; `invariance_residual` combines the components in blocks of about
-CHUNK states, in memory for the components and one block.
+CHUNK states, in memory for the last component, the product of the others
+and one block: O(largest component + CHUNK) for two components.
 
 The passes over the states go through views.  With a vector over all
 states reshaped so that each run of bits that a mask sets or leaves is one
