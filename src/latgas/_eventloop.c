@@ -1,9 +1,15 @@
 /* Compiled event loop of latgas.dynamics.SimState (see the dynamics module
- * docstring for the contract).  It mirrors SimState._select and _apply step
- * for step on the same candidate draws, RateTable pair arrays and open
- * collision list, so the stream is the Python loop's to the bit; build it
- * with -ffp-contract=off and without -ffast-math.  The field order of
- * loop_state matches latgas.eventloop.LoopState. */
+ * docstring for the contract).  It runs SimState._select and _apply on the
+ * same candidate draws, RateTable pair arrays and open collision list, so
+ * the stream is the Python loop's to the bit; build it with
+ * -ffp-contract=off and without -ffast-math.  The accept tests are
+ * branch-free: they make the Python loop's comparisons without its early
+ * exits and pick the same entry.  The configuration test and the rate test
+ * are combined with &, and a collision direction's entry is the count of
+ * its running rate sums that the accept variate reaches, which is
+ * ReversiblePairs.pick's entry only because the running sums never
+ * decrease.  The field order of loop_state matches
+ * latgas.eventloop.LoopState. */
 #include <stdint.h>
 
 #define BATCH_DONE (-1)
@@ -31,18 +37,6 @@ typedef struct {
     int64_t pos, tried, idx;                    /* next candidate, rejections, pending entry */
 } loop_state;
 
-/* ReversiblePairs.pick: of the `width` entries of direction dir (pair p,
- * direction j: dir = 2p + j), the one whose running rate sum first exceeds u,
- * or -1. */
-static int64_t pick(const int64_t *entry, const double *cum, int64_t width,
-                    int64_t dir, double u)
-{
-    for (int64_t k = dir * width; k < (dir + 1) * width; k++)
-        if (u < cum[k])
-            return entry[k];
-    return -1;
-}
-
 static int64_t pair_of(double sel, double bound, int64_t n)
 {
     int64_t p = (int64_t)(sel / bound);
@@ -63,8 +57,8 @@ static void retest(loop_state *s, int64_t site)
 {
     for (int64_t p = site * s->groups; p < (site + 1) * s->groups; p++) {
         const int64_t *q = s->col_pair + 4 * p;
-        int open = s->eta[q[0]] == s->eta[q[1]] && s->eta[q[1]] != s->eta[q[2]]
-                   && s->eta[q[2]] == s->eta[q[3]];
+        int open = (s->eta[q[0]] == s->eta[q[1]]) & (s->eta[q[1]] != s->eta[q[2]])
+                   & (s->eta[q[2]] == s->eta[q[3]]);
         int64_t k = s->where[p];
         if (open && k < 0) {
             s->where[p] = s->n_open;
@@ -98,21 +92,25 @@ int64_t run_events(loop_state *s, double stop)
         const int64_t *q;
         int64_t fam, n_slots;
         t += s->gap[pos++] * scale;
-        idx = -1;
         if (sel < s->w_ex) {
             int64_t p = pair_of(sel, s->bound_ex, s->n_ex);
             fam = 0, n_slots = 2, q = s->ex_pair + 2 * p;
-            if (eta[q[0]] != eta[q[1]])
-                idx = pick(s->ex_entry, s->ex_cum, 1, 2 * p + eta[q[1]], acc * s->bound_ex);
+            int64_t dir = 2 * p + eta[q[1]], entry = s->ex_entry[dir];
+            int ok = (eta[q[0]] != eta[q[1]]) & (acc * s->bound_ex < s->ex_cum[dir]);
+            idx = ok ? entry : -1;
         } else if (sel < thr2) {
             int64_t p = s->open[pair_of(sel - s->w_ex, s->bound_col, s->n_open)];
             fam = 1, n_slots = 4, q = s->col_pair + 4 * p;
-            idx = pick(s->col_entry, s->col_cum, 4, 2 * p + eta[q[2]], acc * s->bound_col);
+            int64_t base = 4 * (2 * p + eta[q[2]]);
+            const double *c = s->col_cum + base;
+            double u = acc * s->bound_col;
+            int64_t k = (u >= c[0]) + (u >= c[1]) + (u >= c[2]) + (u >= c[3]);
+            idx = k < 4 ? s->col_entry[base + k] : -1;
         } else {
             int64_t p = pair_of(sel - thr2, s->bound_bd, s->n_bd);
             fam = 2, n_slots = 1, q = s->bd_slot + p;
-            if (acc * s->bound_bd < (eta[*q] ? s->bd_death[p] : s->bd_birth[p]))
-                idx = p;
+            double flip = (eta[*q] ? s->bd_death : s->bd_birth)[p];
+            idx = acc * s->bound_bd < flip ? p : -1;
         }
         if (idx < 0) {
             if (++tried % CHECK_EVERY == 0) {

@@ -213,9 +213,13 @@ def _gamma(val):
 
 
 def _parts(val) -> tuple:
+    """The listed parts in `ALL_PARTS` order, so that every ordering of one
+    subset reads and reports the same."""
     if not isinstance(val, list) or not all(part in ALL_PARTS for part in val):
         raise _Rejected(f"must be a subset of {list(ALL_PARTS)}, got {val}")
-    return tuple(val)
+    if len(set(val)) < len(val):
+        raise _Rejected(f"must list each part once, got {val}")
+    return tuple(part for part in ALL_PARTS if part in val)
 
 
 def _control_terms(val) -> list:

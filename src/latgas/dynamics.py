@@ -678,7 +678,7 @@ def simulate(initial: np.ndarray, model: Model, horizon: float, rng,
     # the comparisons are false for NaN, so a NaN horizon or time is rejected
     if not 0 <= horizon < math.inf:
         raise ValueError(f"horizon must be finite and nonnegative, got {horizon}")
-    times = sorted(float(t) for t in (sample_times or []))
+    times = sorted(float(t) for t in (() if sample_times is None else sample_times))
     if not all(0 <= t <= horizon for t in times):
         raise ValueError("sample times must lie in [0, horizon]")
 

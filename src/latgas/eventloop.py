@@ -85,6 +85,12 @@ def _load():
             path = _build(compiler, tempfile.mkdtemp(prefix="latgas-"), name)
         if path is None:
             return None
+    return _bind(path)
+
+
+def _bind(path: str):
+    """`run_events` of the shared library at path, typed; None if it does
+    not load."""
     try:
         fn = ctypes.CDLL(path).run_events
     except OSError:

@@ -223,6 +223,8 @@ def test_exact_never_builds_the_sparse_matrix(tmp_path, monkeypatch):
     # a ring has no walls, so no boundary events to build
     ({"periodic": True, "parts": ["boundary"]}, "exact.parts holds boundary"),
     ({"periodic": True, "parts": ["boundary", "exclusion"]}, "exact.parts holds boundary"),
+    ({"parts": ["exclusion", "exclusion", "boundary"]}, "exact.parts must list each part once"),
+    ({"parts": ["collision", "collision"]}, "exact.parts must list each part once"),
 ])
 def test_exact_section_errors_exit_2(tmp_path, capsys, exact, message):
     path = tiny_config(tmp_path, exact=exact)
@@ -241,6 +243,24 @@ def test_exact_parts_default_to_the_lattices_dynamics(tmp_path, periodic, parts)
     assert main(["exact", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
     report = (tmp_path / "out" / "exact_report.txt").read_text()
     assert f"parts: {' '.join(parts)}\n" in report
+
+
+def test_exact_parts_read_in_one_order(tmp_path):
+    # two orderings of one subset give the same parts and the same report,
+    # but for the hash of the config text
+    reports = []
+    for i, listed in enumerate((["exclusion", "boundary"], ["boundary", "exclusion"])):
+        config = yaml.safe_load(pathlib.Path(tiny_config(tmp_path)).read_text())
+        config["exact"] = {"N": 4, "parts": listed}
+        assert parse_config(config).exact["parts"] == ("boundary", "exclusion")
+        path = tmp_path / f"order{i}.yaml"
+        path.write_text(yaml.safe_dump(config))
+        out = tmp_path / f"out{i}"
+        assert main(["exact", "--config", str(path), "--out", str(out)]) == 0
+        reports.append([line for line in (out / "exact_report.txt").read_text().splitlines()
+                        if not line.startswith("config_hash:")])
+    assert "parts: boundary exclusion" in reports[0]
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("model,key", [

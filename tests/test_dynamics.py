@@ -444,6 +444,20 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(eta0, model, 0.1, rng, sample_times=[0.5])
 
+    @pytest.mark.parametrize("times", [[0.0, 0.05, 0.1], []])
+    def test_sample_times_may_be_an_array(self, vs2, times):
+        # an array has no truth value, so it must not be tested as one
+        model = make_model(4, vs2, alpha=[0.3, 0.4], beta=[0.6, 0.5])
+        eta0 = empty_state(model)
+        from_list, from_array = (
+            simulate(eta0, model, 0.1, np.random.default_rng(5), sample_times=given)
+            for given in (times, np.array(times)))
+        assert [t for t, _ in from_array.samples] == times
+        assert from_array.n_events == from_list.n_events > 0
+        assert np.array_equal(from_array.final, from_list.final)
+        for (ta, ea), (tb, eb) in zip(from_list.samples, from_array.samples):
+            assert ta == tb and np.array_equal(ea, eb)
+
     def test_event_log(self, vs2, rng):
         model = make_model(4, vs2, alpha=[0.3, 0.4], beta=[0.6, 0.5])
         eta0 = empty_state(model)

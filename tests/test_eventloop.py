@@ -13,8 +13,10 @@ open collision pairs equal to the pairs the configuration opens.
 import hashlib
 import io
 import json
+import os
 import pathlib
 import subprocess
+import sys
 import tempfile
 import weakref
 
@@ -611,6 +613,64 @@ def test_event_loop_compiles_without_warnings(tmp_path):
          "-o", str(tmp_path / "eventloop.so"), eventloop.SOURCE],
         capture_output=True, text=True)
     assert built.returncode == 0, built.stderr
+
+
+MODELS = {name: case[0] if isinstance(case, tuple) else case
+          for cases in (STREAM_CASES, AGREE_CASES, LAW_CASES) for name, case in cases.items()}
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_running_rate_sums_never_decrease(name):
+    # the compiled loop takes a direction's entry to be the count of its
+    # running sums that the accept variate reaches, which is the first sum
+    # above it only when the sums never decrease; the bound is the largest
+    # direction total
+    table = MODELS[name]().table
+    for pairs, bound in ((table.ex_pairs, table.bound_ex), (table.col_pairs, table.bound_col)):
+        assert (np.diff(pairs.cum, axis=-1) >= 0).all()
+        assert bound == pairs.cum.max(initial=0.0) == pairs.cum[..., -1].max(initial=0.0)
+
+
+def short_runs() -> dict:
+    """Event loop, counts and final-state digest of one short seeded run per
+    AGREE_CASES model."""
+    runs = {}
+    for name, make in sorted(AGREE_CASES.items()):
+        model = make()
+        eta0 = sample_product_state([0.2, 0.1], model.lattice, model.vset,
+                                    np.random.default_rng(1))
+        res = simulate(eta0, model, 0.5, np.random.default_rng(2))
+        runs[name] = [res.event_loop, res.n_events, list(res.kind_counts), res.candidates,
+                      _sha(res.final.tobytes())]
+    return runs
+
+
+@requires_compiler
+def test_sanitized_build_runs_the_same_stream(tmp_path):
+    # AddressSanitizer and UndefinedBehaviorSanitizer abort on the first
+    # out-of-bounds read or undefined operation in the loop; the library is
+    # loaded into a Python started with the ASan runtime preloaded
+    compiler = eventloop.find_compiler()
+    libasan = subprocess.run([compiler, "-print-file-name=libasan.so"],
+                             capture_output=True, text=True).stdout.strip()
+    if not os.path.isabs(libasan):  # the bare name: the compiler has no libasan
+        pytest.skip("no libasan to run a sanitized build")
+    lib = tmp_path / "eventloop-sanitized.so"
+    built = subprocess.run(
+        [compiler, *eventloop.FLAGS, "-fsanitize=address,undefined",
+         "-fno-sanitize-recover=all", "-o", str(lib), eventloop.SOURCE],
+        capture_output=True, text=True)
+    assert built.returncode == 0, built.stderr
+    paths = [str(pathlib.Path(eventloop.__file__).parents[1]), str(pathlib.Path(__file__).parent)]
+    script = (f"import json, sys\nsys.path[:0] = {paths!r}\n"
+              "import test_eventloop\nfrom latgas import eventloop\n"
+              f"eventloop._kernel = eventloop._bind({str(lib)!r})\n"
+              "print(json.dumps(test_eventloop.short_runs()))\n")
+    env = dict(os.environ, LD_PRELOAD=libasan, ASAN_OPTIONS="detect_leaks=0")
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == short_runs()
 
 
 def test_configuration_of_the_wrong_size_is_rejected():
