@@ -2,13 +2,16 @@
  * docstring for the contract).  It runs SimState._select and _apply on the
  * same candidate draws, RateTable pair arrays and open collision list, so
  * the stream is the Python loop's to the bit; build it with
- * -ffp-contract=off and without -ffast-math.  The accept tests are
- * branch-free: they make the Python loop's comparisons without its early
- * exits and pick the same entry.  The configuration test and the rate test
- * are combined with &, and a collision direction's entry is the count of
- * its running rate sums that the accept variate reaches, which is
- * ReversiblePairs.pick's entry only because the running sums never
- * decrease.  The field order of loop_state matches
+ * -ffp-contract=off and without -ffast-math.  A candidate is two draws, a
+ * gap and a selector; the selector's remainder within its pair, computed
+ * with the same IEEE operations as dynamics._pair_of, is the accept
+ * variate, and a remainder of 1 or more (a selector rounded past the last
+ * pair) rejects.  The accept tests are branch-free: they make the Python
+ * loop's comparisons without its early exits and pick the same entry.  The
+ * configuration test and the rate test are combined with &, and a collision
+ * direction's entry is the count of its running rate sums that the accept
+ * variate reaches, which is ReversiblePairs.pick's entry only because the
+ * running sums never decrease.  The field order of loop_state matches
  * latgas.eventloop.LoopState. */
 #include <stdint.h>
 
@@ -17,8 +20,8 @@
 #define CHECK_EVERY 10000000
 
 typedef struct {
-    const double *gap, *sel, *acc;              /* candidate batch: standard */
-                                                /* exponentials, uniforms, uniforms */
+    const double *gap, *sel;                    /* candidate batch: standard */
+                                                /* exponentials, uniforms */
     const int64_t *ex_pair, *ex_entry;          /* RateTable.ex_pairs: 2 slots, */
     const double *ex_cum;                       /* 1 entry per direction */
     const int64_t *col_pair, *col_entry;        /* RateTable.col_pairs: 4 slots, */
@@ -37,10 +40,14 @@ typedef struct {
     int64_t pos, tried, idx;                    /* next candidate, rejections, pending entry */
 } loop_state;
 
-static int64_t pair_of(double sel, double bound, int64_t n)
+/* dynamics._pair_of: the pair min(floor(x), n - 1) of selector x >= 0 among
+ * n pairs, with the remainder x - pair, the accept variate, in *acc. */
+static int64_t pair_of(double x, int64_t n, double *acc)
 {
-    int64_t p = (int64_t)(sel / bound);
-    return p > n - 1 ? n - 1 : p;
+    int64_t p = (int64_t)x;
+    p = p > n - 1 ? n - 1 : p;
+    *acc = x - (double)p;
+    return p;
 }
 
 /* The candidate rate W_ex + bound_col * n_open + W_bd, with the collision
@@ -88,18 +95,18 @@ int64_t run_events(loop_state *s, double stop)
         return CHECK_ABSORBING;
     scale = 1.0 / (rate * s->time_scale);
     while (pos < s->n_cand) {
-        double sel = s->sel[pos] * rate, acc = s->acc[pos];
+        double sel = s->sel[pos] * rate, acc;
         const int64_t *q;
         int64_t fam, n_slots;
         t += s->gap[pos++] * scale;
         if (sel < s->w_ex) {
-            int64_t p = pair_of(sel, s->bound_ex, s->n_ex);
+            int64_t p = pair_of(sel / s->bound_ex, s->n_ex, &acc);
             fam = 0, n_slots = 2, q = s->ex_pair + 2 * p;
             int64_t dir = 2 * p + eta[q[1]], entry = s->ex_entry[dir];
             int ok = (eta[q[0]] != eta[q[1]]) & (acc * s->bound_ex < s->ex_cum[dir]);
             idx = ok ? entry : -1;
         } else if (sel < thr2) {
-            int64_t p = s->open[pair_of(sel - s->w_ex, s->bound_col, s->n_open)];
+            int64_t p = s->open[pair_of((sel - s->w_ex) / s->bound_col, s->n_open, &acc)];
             fam = 1, n_slots = 4, q = s->col_pair + 4 * p;
             int64_t base = 4 * (2 * p + eta[q[2]]);
             const double *c = s->col_cum + base;
@@ -107,7 +114,7 @@ int64_t run_events(loop_state *s, double stop)
             int64_t k = (u >= c[0]) + (u >= c[1]) + (u >= c[2]) + (u >= c[3]);
             idx = k < 4 ? s->col_entry[base + k] : -1;
         } else {
-            int64_t p = pair_of(sel - thr2, s->bound_bd, s->n_bd);
+            int64_t p = pair_of((sel - thr2) / s->bound_bd, s->n_bd, &acc);
             fam = 2, n_slots = 1, q = s->bd_slot + p;
             double flip = (eta[*q] ? s->bd_death : s->bd_birth)[p];
             idx = acc * s->bound_bd < flip ? p : -1;

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import yaml
-from numpy.random import Generator, Philox
+from numpy.random import SFC64, Generator
 
 from .dynamics import ALL_PARTS
 from .errors import ConfigError
@@ -361,28 +361,30 @@ class ReplicaStreams:
     """Independent, reproducible streams, one per cell (N, r) of the master
     seed `seed`, all served by one generator.
 
-    A cell's stream is Philox from counter 0 keyed by
-    `SeedSequence(seed, spawn_key=(N, r)).generate_state(2, np.uint64)`, so
-    replicas are independent and order-insensitive.  Philox is counter-based
-    (Salmon, Moraes, Dror & Shaw, SC'11) and SeedSequence's hash is fixed, so
-    `keys` computes the keys of a block of replicas in one pass of that hash:
-    the entropy words (the seed's, zero-padded to the pool size 4 before a
-    spawn key, numpy gh-16539; N's; r's) are mixed into a pool of four under
-    multipliers that advance per hash whatever the data, the seed and N once
-    as Python ints, r as uint64 arrays over the block.  `block` sets the one
-    generator's key, counter 0 and empty buffer through the public
-    `bit_generator.state` per replica: exactly the stream of
-    `Generator(Philox(SeedSequence(seed, spawn_key=(N, r))))`, which
-    tests/test_cli.py checks against numpy's own SeedSequence.  A replica's
-    stream ends when the next is yielded.
+    A cell's stream is numpy's own SFC64 seeding from
+    `SeedSequence(seed, spawn_key=(N, r)).generate_state(3, np.uint64)`: the
+    three words a, b, c make the state (a, b, c, 1), and the first 12 outputs
+    are discarded, so replicas are independent and order-insensitive.
+    SeedSequence's hash is fixed, so `keys` computes the words of a block of
+    replicas in one pass of that hash: the entropy words (the seed's,
+    zero-padded to the pool size 4 before a spawn key, numpy gh-16539; N's;
+    r's) are mixed into a pool of four under multipliers that advance per
+    hash whatever the data, the seed and N once as Python ints, r as uint64
+    arrays over the block.  `block` sets the one generator's state and empty
+    buffer through the public `bit_generator.state` per replica and discards
+    the 12 outputs: exactly the stream of
+    `Generator(SFC64(SeedSequence(seed, spawn_key=(N, r))))`, which
+    tests/test_cli.py checks against numpy's own SeedSequence, at a tenth of
+    the cost of building that generator.  A replica's stream ends when the
+    next is yielded.
     """
 
     def __init__(self, seed: int):
         self.seed = seed
-        self.rng = Generator(Philox(0))
+        self.rng = Generator(SFC64(0))
 
     def keys(self, N: int, replicas: range) -> np.ndarray:
-        """The (len(replicas), 2) uint64 Philox keys of the cells (N, r)."""
+        """The (len(replicas), 3) uint64 seeding words of the cells (N, r)."""
         const, mult = _INIT_A, _MULT_A
 
         def hashmix(value):
@@ -400,18 +402,20 @@ class ReplicaStreams:
             pool = [_mix(p, hashmix(word)) for p in pool]
         high = r >> 32  # r's second word, where r >= 2^32
         pool = [np.where(high > 0, _mix(p, hashmix(high)), p) for p in pool]
-        const, mult = _INIT_B, _MULT_B  # the output hash
-        out = [hashmix(p) for p in pool]
-        return np.stack([out[0] | out[1] << 32, out[2] | out[3] << 32], axis=1)
+        const, mult = _INIT_B, _MULT_B  # the output hash, cycling over the pool
+        out = [hashmix(pool[i % 4]) for i in range(6)]
+        return np.stack([out[i] | out[i + 1] << 32 for i in range(0, 6, 2)], axis=1)
 
     def block(self, N: int, replicas: range):
-        """The generator, re-keyed to each cell (N, r), r in `replicas`, in turn."""
-        zeros = np.zeros(4, dtype=np.uint64)
-        state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": None},
-                 "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        """The generator, re-seeded to each cell (N, r), r in `replicas`, in turn."""
+        words = np.ones(4, dtype=np.uint64)
+        state = {"bit_generator": "SFC64", "state": {"state": words},
+                 "has_uint32": 0, "uinteger": 0}
+        bits = self.rng.bit_generator
         for key in self.keys(N, replicas):
-            state["state"]["key"] = key
-            self.rng.bit_generator.state = state
+            words[:3] = key
+            bits.state = state
+            bits.random_raw(12)  # SFC64's own warm-up (output=False is slower)
             yield self.rng
 
 
@@ -472,8 +476,10 @@ def write_manifest(path, command: str, config: ExperimentConfig, cells: list,
     in cell order; a run record has the `event_loop` that ran ("compiled" or
     "python"), `n_events`, `kind_counts` (exclusion, collision, boundary) and
     the `candidates` read, so n_events / candidates is the cell's acceptance.
-    Commands that simulate list them in `event_loop`, `n_events`,
-    `kind_counts` and `candidates` lines, per cell as key=value.
+    Commands that simulate name the bit generator of the streams
+    (`ReplicaStreams`) in a `bit_generator` line and list the run records in
+    `event_loop`, `n_events`, `kind_counts` and `candidates` lines, per cell
+    as key=value.
     `blas_threads` records the OPENBLAS_NUM_THREADS and OMP_NUM_THREADS values
     the run saw (`unset` if absent): outputs that go through BLAS, such as
     `rate_report.txt`, are byte-reproducible only at one BLAS thread.
@@ -495,6 +501,7 @@ def write_manifest(path, command: str, config: ExperimentConfig, cells: list,
     ]
     if cells:
         lines += [
+            "bit_generator: SFC64",  # the generator of every cell's stream (ReplicaStreams)
             "event_loop: " + " ".join(sorted({run["event_loop"] for _, run in cells})),
             " ".join(["n_events:"] + [f"{key}={run['n_events']}" for key, run in cells]),
             " ".join(["kind_counts:"] + [f"{key}=" + "/".join(map(str, run["kind_counts"]))

@@ -36,27 +36,33 @@ Exclusion and boundary candidates are thinned against their static weights
 collisions use the n-fold way (Bortz, Kalos & Lebowitz) within that scheme:
 each `SimState` keeps the list of its open collision pairs, whose slots read
 (1, 1, 0, 0) or (0, 0, 1, 1), and draws collision candidates uniformly from
-it.  An open direction's total rate is 4, so a collision candidate is never
-rejected, and the candidate rate is R = W_ex + 4 n_open + W_bd: `weights[1]`
-stays the static collision bound, the simulator's collision rate is
-4 n_open.  R changes only when an applied event opens or closes a pair;
-after each event the collision pairs of the sites it touched (site s owns
-pairs s G ... s G + G - 1 of `col_pairs`, G = `RateTable.col_groups`) are
-re-tested, in increasing site order, an opened pair appended to the list and
-a closed one swap-removed.  R = 0 is an absorbing state and raises
-`NumericalFailure` before any candidate is read.
+it.  An open direction's total rate is 4, so a collision candidate is
+rejected only where its selector rounds past the last open pair (below), and
+the candidate rate is R = W_ex + 4 n_open + W_bd: `weights[1]` stays the
+static collision bound, the simulator's collision rate is 4 n_open.  R
+changes only when an applied event opens or closes a pair; after each event
+the collision pairs of the sites it touched (site s owns pairs s G ...
+s G + G - 1 of `col_pairs`, G = `RateTable.col_groups`) are re-tested, in
+increasing site order, an opened pair appended to the list and a closed one
+swap-removed.  R = 0 is an absorbing state and raises `NumericalFailure`
+before any candidate is read.
 
 `SimState.advance(stop)` runs the candidate stream.  `_refill` draws it in
-batches, each in a fixed order (standard exponentials, then selector
-uniforms, then accept variates) into the prefixes of a gap buffer and a
-uniform buffer, B gaps and 2B uniforms; the buffers persist across
+batches of B candidates, two draws each: B standard exponentials into a gap
+buffer, then B uniforms into a selector buffer; the buffers persist across
 `SimState.restart` and grow only when B outgrows them.  The loop scales the
-candidates by the current R, a gap E / (R N^2) and a selector u R.  For a
-model without collision pairs R is `RateTable.total_bound` throughout.  The
-first batch holds `SimState.FIRST_BATCH` = 2^8 candidates and each later one
-as many as all earlier batches together, up to `SimState.BATCH` = 2^14: a
-short run draws few more candidates than it reads (at most twice as many, or
-2^8), and a long one draws 2^14 at a time.  The schedule is fixed by these
+candidates by the current R, a gap E / (R N^2) and a selector u R.  A
+selector in a family's band [offset, offset + W) gives both the pair and the
+accept variate: with x = (u R - offset) / bound, the pair is
+p = min(floor(x), n - 1) of the family's n and the accept variate is x - p.
+Up to rounding that is uniform on [0, 1) and independent of the pair; it
+keeps about 53 - log2(n) bits.  Where x rounds up to n the clamp gives
+x - p >= 1, which every family rejects.  For a model without collision pairs
+R is `RateTable.total_bound` throughout.  The first batch holds
+`SimState.FIRST_BATCH` = 2^8 candidates and each later one as many as all
+earlier batches together, up to `SimState.BATCH` = 2^14: a short run draws
+few more candidates than it reads (at most twice as many, or 2^8), and a
+long one draws 2^14 at a time.  The schedule is fixed by these
 constants alone, never by `stop`, the sample times or the horizon, so a seed
 fixes the stream whichever loop consumes it and however the run is observed.
 The loop applies every accepted event with clock reading t < stop and
@@ -440,7 +446,7 @@ class SimState:
         self.eta_flat = np.empty(self.n_sites * self.nv, dtype=np.uint8)
         # the candidate buffers, whose prefixes hold the batch of `_batch`
         # candidates; empty until the first
-        self._gaps, self._uniforms, self._batch = np.empty(0), np.empty(0), 0
+        self._gaps, self._selectors, self._batch = np.empty(0), np.empty(0), 0
         self.kind_counts = np.zeros(3, dtype=np.int64)
         # the open collision pairs in `_open[:n_open]`, and each pair's place
         # there or -1 in `_where`; a model without collision pairs has neither
@@ -453,7 +459,7 @@ class SimState:
             # in LoopState field order; the candidate pointers and count are
             # set by each refill, n_open, the clock and position per call
             self._loop = LoopState(
-                None, None, None, *table.loop_pointers,
+                None, None, *table.loop_pointers,
                 self.eta_flat.ctypes.data, self.kind_counts.ctypes.data, None, None,
                 0, table.n_pairs[0], table.n_pairs[2], self.nv, table.col_groups, 0,
                 table.bound_ex, table.bound_col, table.bound_bd,
@@ -503,24 +509,22 @@ class SimState:
         return "python" if self._run is None else "compiled"
 
     def _refill(self):
-        """Draw the next batch of B candidates in place: B standard
-        exponentials into `_gaps[:B]`, then B selector and B accept uniforms
-        into `_uniforms[:2B]`, the stream of three separate draws.  The
+        """Draw the next batch of B candidates in place, two draws: B
+        standard exponentials into `_gaps[:B]`, then B selector uniforms into
+        `_selectors[:B]`, whose remainders are the accept variates.  The
         buffers persist across restarts and are re-allocated only when B
         outgrows them, the old ones dropped first."""
         B = self._batch = min(max(self._drawn, self.FIRST_BATCH), self.BATCH)
         if B > len(self._gaps):
-            self._gaps = self._uniforms = None
-            self._gaps, self._uniforms = np.empty(B), np.empty(2 * B)
+            self._gaps = self._selectors = None
+            self._gaps, self._selectors = np.empty(B), np.empty(B)
             if self._run is not None:
                 self._loop.gap = self._gaps.ctypes.data
-                self._loop.sel = self._uniforms.ctypes.data
+                self._loop.sel = self._selectors.ctypes.data
         if self._run is not None:
-            # the accept variates follow the B selectors
-            self._loop.acc = self._loop.sel + B * self._uniforms.itemsize
             self._loop.n_cand = B
         self.rng.standard_exponential(out=self._gaps[:B])
-        self.rng.random(out=self._uniforms[:2 * B])
+        self.rng.random(out=self._selectors[:B])
         self._drawn += B
         self._pos = 0
 
@@ -529,7 +533,7 @@ class SimState:
             self._refill()
         i = self._pos
         self._pos += 1
-        return self._gaps[i], self._uniforms[i], self._uniforms[self._batch + i]
+        return self._gaps[i], self._selectors[i]
 
     def snapshot(self) -> np.ndarray:
         return self.eta_flat.reshape(self.n_sites, self.nv).copy()
@@ -566,9 +570,12 @@ class SimState:
         """Advance the clock to the next accepted event; return (kind, idx).
 
         The Python reference for the compiled loop's candidate scan: a
-        candidate selects an exclusion pair, an open collision pair or a wall
-        slot; the configuration opens at most one direction of the pair, and
-        the accept variate picks an entry of it or rejects."""
+        candidate's selector picks an exclusion pair, an open collision pair
+        or a wall slot, and its remainder within the pair is the accept
+        variate (`_pair_of`); the configuration opens at most one direction
+        of the pair, and the accept variate picks an entry of it or rejects.
+        A remainder of 1 or more, where the selector rounds past the last
+        pair, rejects in every family."""
         table, eta = self.table, self.eta_flat
         n_ex, n_bd = table.n_pairs[0], table.n_pairs[2]
         w_ex, w_bd = table.weights[0], table.weights[2]
@@ -581,22 +588,25 @@ class SimState:
         scale = 1.0 / (rate * self.time_scale)
         tried = 0
         while True:
-            gap, sel, acc = self._next_candidate()
+            gap, sel = self._next_candidate()
             sel *= rate
             self.t += gap * scale
             if sel < w_ex:
-                p = min(int(sel / table.bound_ex), n_ex - 1)
+                p, acc = _pair_of(sel / table.bound_ex, n_ex)
                 a, b = table.ex_pairs.slots[p]
                 if eta[a] != eta[b]:
                     idx = table.ex_pairs.pick(p, eta[b], acc * table.bound_ex)
                     if idx >= 0:
                         return EXCLUSION, idx
             elif sel < thr2:
-                p = self._open[min(int((sel - w_ex) / table.bound_col), self.n_open - 1)]
+                k, acc = _pair_of((sel - w_ex) / table.bound_col, self.n_open)
+                p = self._open[k]
                 c = table.col_pairs.slots[p, 2]
-                return COLLISION, table.col_pairs.pick(p, eta[c], acc * table.bound_col)
+                idx = table.col_pairs.pick(p, eta[c], acc * table.bound_col)
+                if idx >= 0:
+                    return COLLISION, idx
             else:
-                idx = min(int((sel - thr2) / table.bound_bd), n_bd - 1)
+                idx, acc = _pair_of((sel - thr2) / table.bound_bd, n_bd)
                 slot = table.bd_slot[idx]
                 flip = table.bd_death[idx] if eta[slot] else table.bd_birth[idx]
                 if acc * table.bound_bd < flip:
@@ -648,6 +658,13 @@ class SimState:
                 self._open[k] = last
                 where[last] = k
                 where[p] = -1
+
+
+def _pair_of(x: float, n: int) -> tuple:
+    """The pair min(floor(x), n - 1) of a selector x >= 0 among n pairs, and
+    the remainder x - pair, the accept variate."""
+    p = min(int(x), n - 1)
+    return p, x - p
 
 
 @dataclass

@@ -25,14 +25,15 @@ SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_eventloop.c"
 CACHE_DIR = os.path.join(os.path.dirname(SOURCE), "__pycache__")
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
-_POINTERS = ("gap", "sel", "acc", "ex_pair", "ex_entry", "ex_cum", "col_pair",
+_POINTERS = ("gap", "sel", "ex_pair", "ex_entry", "ex_cum", "col_pair",
              "col_entry", "col_cum", "bd_slot", "bd_birth", "bd_death", "eta",
              "kind_counts", "open", "where")
 
 
 class LoopState(ctypes.Structure):
-    """The C `loop_state`: array pointers (the candidate batch, the
-    `RateTable` pair arrays, the configuration, the event counts and the
+    """The C `loop_state`: array pointers (the candidate batch of gaps and
+    selectors, whose remainders are the accept variates, the `RateTable`
+    pair arrays, the configuration, the event counts and the
     `SimState` open collision list with each pair's place in it), the
     candidate count, the exclusion and boundary pair counts, the slots and
     collision pairs per site and the number of open pairs, the largest

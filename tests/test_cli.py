@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 import yaml
-from numpy.random import Generator, Philox, SeedSequence
+from numpy.random import SFC64, Generator, SeedSequence
 
 import latgas.cli
 import latgas.config
@@ -672,15 +672,15 @@ def test_replica_keys_are_numpys_seed_sequence_keys(seed):
     streams = ReplicaStreams(seed)
     for N in (2, 4, 128, 2**32 + 1):
         for replicas in (range(0, 96), range(96, 192), range(2**32 - 2, 2**32 + 2)):
-            want = [SeedSequence(seed, spawn_key=(N, r)).generate_state(2, np.uint64)
+            want = [SeedSequence(seed, spawn_key=(N, r)).generate_state(3, np.uint64)
                     for r in replicas]
             keys = streams.keys(N, replicas)
             assert keys.dtype == np.uint64 and keys.tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 20240809, 2**40 + 3])
-def test_replica_streams_are_the_keyed_philox_streams(seed):
-    # each re-keyed stream of a block, after an odd count of 32-bit draws on
+def test_replica_streams_are_numpys_seeded_sfc64_streams(seed):
+    # each re-seeded stream of a block, after an odd count of 32-bit draws on
     # the one before it, is the stream of its own new generator
     def draws(rng):
         return (rng.integers(0, 2**32, 3, dtype=np.uint32).tobytes(),
@@ -690,13 +690,13 @@ def test_replica_streams_are_the_keyed_philox_streams(seed):
     for N in (4, 8, 16, 128):
         for replicas in (range(0, 200, 7), range(96, 192, 5)):
             got = [draws(rng) for rng in streams.block(N, replicas)]
-            assert got == [draws(Generator(Philox(SeedSequence(seed, spawn_key=(N, r)))))
+            assert got == [draws(Generator(SFC64(SeedSequence(seed, spawn_key=(N, r)))))
                            for r in replicas]
 
 
 def test_one_state_and_one_generator_per_replica_block(tmp_path, monkeypatch):
     # each `_replica_cells` task, one per N at --threads 1, builds one
-    # Philox generator and derives its replicas' keys in one pass, with no
+    # SFC64 generator and derives its replicas' keys in one pass, with no
     # SeedSequence; it builds one SimState, and with it the event catalog,
     # inside the task's first `simulate` call
     built, calls = [], []
@@ -716,7 +716,7 @@ def test_one_state_and_one_generator_per_replica_block(tmp_path, monkeypatch):
     monkeypatch.setattr(latgas.dynamics, "SimState",
                         counting("SimState", latgas.dynamics.SimState))
     monkeypatch.setattr(latgas.dynamics, "RateTable", counting("RateTable", RateTable))
-    monkeypatch.setattr(latgas.config, "Philox", counting("Philox", Philox))
+    monkeypatch.setattr(latgas.config, "SFC64", counting("SFC64", SFC64))
     monkeypatch.setattr(ReplicaStreams, "keys", counting("keys", ReplicaStreams.keys))
     monkeypatch.setattr(np.random, "SeedSequence", counting("SeedSequence", SeedSequence))
     assert not hasattr(latgas.config, "SeedSequence")
@@ -725,9 +725,9 @@ def test_one_state_and_one_generator_per_replica_block(tmp_path, monkeypatch):
                  "--threads", "1"]) == 0
     assert calls == [4, 4, 4, 6, 6, 6, 8, 8, 8]
     # (what, simulate calls begun when it was built)
-    assert built == [("Philox", 0), ("keys", 0), ("SimState", 1), ("RateTable", 1),
-                     ("Philox", 3), ("keys", 3), ("SimState", 4), ("RateTable", 4),
-                     ("Philox", 6), ("keys", 6), ("SimState", 7), ("RateTable", 7)]
+    assert built == [("SFC64", 0), ("keys", 0), ("SimState", 1), ("RateTable", 1),
+                     ("SFC64", 3), ("keys", 3), ("SimState", 4), ("RateTable", 4),
+                     ("SFC64", 6), ("keys", 6), ("SimState", 7), ("RateTable", 7)]
 
 
 def test_manifest_records_scipy_and_blas_threads(tmp_path, monkeypatch):
@@ -875,7 +875,8 @@ def test_a_run_that_exits_2_leaves_the_directory_as_it_was(tmp_path):
     assert not (tmp_path / "new").exists()
 
 
-RUN_LINES = ("stream_keys", "event_loop", "n_events", "kind_counts", "candidates")
+RUN_LINES = ("stream_keys", "bit_generator", "event_loop", "n_events", "kind_counts",
+             "candidates")
 
 
 @pytest.mark.parametrize("command", ["simulate", "converge"])
@@ -895,6 +896,10 @@ def test_manifest_records_each_cell_event_counts(tmp_path, command):
         lines[threads] = {key: manifest_line(manifest, key) for key in RUN_LINES}
     assert lines[1] == lines[2]
     keys = lines[1]["stream_keys"]
+    # the line after the stream keys names the generator that drew them
+    names = [line.partition(":")[0] for line in manifest.read_text().splitlines()]
+    assert names[names.index("stream_keys") + 1] == "bit_generator"
+    assert lines[1]["bit_generator"] == [type(ReplicaStreams(0).rng.bit_generator).__name__]
     assert lines[1]["event_loop"] in (["compiled"], ["python"])
     events = dict(item.split("=") for item in lines[1]["n_events"])
     kinds = dict(item.split("=") for item in lines[1]["kind_counts"])

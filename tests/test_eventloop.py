@@ -26,7 +26,7 @@ from scipy.special import chdtri, ndtri
 
 from latgas import eventloop
 from latgas.errors import NumericalFailure
-from latgas.dynamics import COLLISION, Model, ReservoirProfiles, SimState, simulate
+from latgas.dynamics import COLLISION, KIND_NAMES, Model, ReservoirProfiles, SimState, simulate
 from latgas.lattice import Lattice
 from latgas.velocities import VelocitySet, two_velocity_set
 from reference import (entry_rates, four_velocity_set, sample_product_state, step,
@@ -288,10 +288,10 @@ def test_stop_times_do_not_change_the_stream(loop, name):
     assert len(one.rng.batches) >= 4
 
 
-def test_candidates_are_the_stream_of_three_draws_per_batch(loop):
-    # each batch of B reads B standard exponentials, then B selector and B
-    # accept uniforms, as three separate draws would; the arrays are kept
-    # while B holds and replaced when it grows
+def test_candidates_are_the_stream_of_two_draws_per_batch(loop):
+    # each batch of B reads B standard exponentials, then B selector
+    # uniforms, as two separate draws would; the arrays are kept while B
+    # holds and replaced when it grows
     model = STREAM_CASES["vs2_walls_N16"][0]()
     zeros = np.zeros((model.lattice.n_sites, len(model.vset)), dtype=np.uint8)
     state, fresh = SimState(model, zeros, np.random.default_rng(9)), np.random.default_rng(9)
@@ -299,10 +299,9 @@ def test_candidates_are_the_stream_of_three_draws_per_batch(loop):
     buffers = []
     for B in (256, 256, 512, 1024):
         got = np.array([state._next_candidate() for _ in range(B)])
-        want = np.column_stack((fresh.standard_exponential(B), fresh.random(B),
-                                fresh.random(B)))
+        want = np.column_stack((fresh.standard_exponential(B), fresh.random(B)))
         assert got.tobytes() == want.tobytes()
-        buffers.append((state._gaps, state._uniforms))
+        buffers.append((state._gaps, state._selectors))
     assert all(a is b for a, b in zip(buffers[1], buffers[0]))
     for old, new in zip(buffers[1:], buffers[2:]):
         assert old[0] is not new[0] and old[1] is not new[1]
@@ -421,6 +420,96 @@ def test_loops_agree_across_buffer_growths(monkeypatch):
     assert (compiled[0], python[0]) == ("compiled", "python")
     assert compiled[1] == [256, 256, 512, 1024, 2048] and compiled[2] > 2048
     assert compiled[1:] == python[1:]
+
+
+@requires_compiler
+def test_loops_agree_on_the_sim_workload_model(monkeypatch):
+    # the model of the sim benchmark workload (perfbench/configs/sim.yaml):
+    # its 504 exclusion pairs leave each accept variate more than 44 bits
+    def run():
+        model = Model(Lattice(128, 1), VS4, profiles=ReservoirProfiles.constant(
+            VS4, [0.3, 0.4, 0.35, 0.45], [0.6, 0.5, 0.55, 0.5]))
+        assert model.table.n_pairs == (504, 127, 8)
+        eta0 = sample_product_state([0.1, 0.0], model.lattice, model.vset,
+                                    np.random.default_rng(1))
+        rng = CountingRng(2)
+        res = simulate(eta0, model, 0.005, rng, sample_times=[0.0025])
+        return (res.event_loop, rng.batches, res.n_events, res.kind_counts, res.candidates,
+                res.final.tobytes(), [(t, eta.tobytes()) for t, eta in res.samples])
+
+    compiled = run()
+    monkeypatch.setattr(eventloop, "load_kernel", lambda: None)
+    python = run()
+    assert (compiled[0], python[0]) == ("compiled", "python")
+    assert compiled[1][-1] == SimState.BATCH and all(compiled[3])
+    assert compiled[1:] == python[1:]
+
+
+class FirstSelectorRng:
+    """A seeded generator whose first selector uniform is the largest float
+    below 1."""
+
+    def __init__(self, seed: int):
+        self._rng, self._first = np.random.default_rng(seed), True
+
+    def standard_exponential(self, out):
+        return self._rng.standard_exponential(out=out)
+
+    def random(self, out):
+        self._rng.random(out=out)
+        if self._first:
+            out[0], self._first = np.nextafter(1.0, 0.0), False
+        return out
+
+
+# family -> (model factory with that family alone, a configuration in which
+# every pair of the family is open).  On each, the largest selector below the
+# family's weight W = n x bound, divided by the bound, rounds to n.  (The
+# collision band's bound 4 divides exactly, so there only a tie in the
+# subtraction of W_ex could reach the edge.)
+CLAMP_EDGE_CASES = {
+    "exclusion": (lambda: Model(Lattice(5, 1), VS2), [[1, 1], [0, 0], [1, 1], [0, 0]]),
+    "boundary": (lambda: Model(Lattice(2, 1), VS6, include_collisions=False,
+                               profiles=ReservoirProfiles.constant(
+                                   VS6, [0.65] + [0.5] * 5, [0.5] * 6)),
+                 [[1, 0, 1, 0, 1, 0]]),
+}
+
+
+def clamp_edge_runs() -> dict:
+    """Per CLAMP_EDGE_CASES family: the first accepted event, the clock and
+    the candidates read from its configuration on `FirstSelectorRng`."""
+    runs = {}
+    for name, (make, rows) in sorted(CLAMP_EDGE_CASES.items()):
+        state = SimState(make(), np.array(rows, dtype=np.uint8), FirstSelectorRng(8))
+        kind, idx = state.advance(-np.inf)
+        runs[name] = [int(kind), int(idx), state.t, state.candidates]
+    return runs
+
+
+@pytest.mark.parametrize("name", sorted(CLAMP_EDGE_CASES))
+def test_a_selector_rounded_past_the_last_pair_is_rejected(loop, name):
+    # x = selector / bound rounds to n, so the pair is clamped to n - 1 and
+    # its remainder x - (n - 1) = 1 rejects the candidate, although every
+    # pair is open and a remainder of 0 would accept
+    make, rows = CLAMP_EDGE_CASES[name]
+    model = make()
+    table, kind = model.table, KIND_NAMES.index(name)
+    n, rate = table.n_pairs[kind], table.total_bound
+    bound = (table.bound_ex, table.bound_col, table.bound_bd)[kind]
+    selector = np.nextafter(1.0, 0.0) * rate
+    assert table.weights[kind] == rate and selector < rate and selector / bound == n
+    state = SimState(model, np.array(rows, dtype=np.uint8), FirstSelectorRng(8))
+    assert state.event_loop == loop
+    state.advance(-np.inf)
+    assert state.candidates > 1
+
+
+@requires_compiler
+def test_loops_agree_at_the_clamp_edge(monkeypatch):
+    compiled = clamp_edge_runs()
+    monkeypatch.setattr(eventloop, "load_kernel", lambda: None)
+    assert compiled == clamp_edge_runs()
 
 
 @pytest.mark.parametrize("horizon", [1e-5, 1e-3, 0.01, 0.03, 0.1, 0.3])
@@ -633,7 +722,7 @@ def test_running_rate_sums_never_decrease(name):
 
 def short_runs() -> dict:
     """Event loop, counts and final-state digest of one short seeded run per
-    AGREE_CASES model."""
+    AGREE_CASES model, and `clamp_edge_runs`."""
     runs = {}
     for name, make in sorted(AGREE_CASES.items()):
         model = make()
@@ -642,6 +731,7 @@ def short_runs() -> dict:
         res = simulate(eta0, model, 0.5, np.random.default_rng(2))
         runs[name] = [res.event_loop, res.n_events, list(res.kind_counts), res.candidates,
                       _sha(res.final.tobytes())]
+    runs["clamp_edge"] = clamp_edge_runs()
     return runs
 
 
