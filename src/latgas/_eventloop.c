@@ -6,13 +6,12 @@
  * gap and a selector; the selector's remainder within its pair, computed
  * with the same IEEE operations as dynamics._pair_of, is the accept
  * variate, and a remainder of 1 or more (a selector rounded past the last
- * pair) rejects.  The accept tests are branch-free: they make the Python
- * loop's comparisons without its early exits and pick the same entry.  The
- * configuration test and the rate test are combined with &, and a collision
- * direction's entry is the count of its running rate sums that the accept
- * variate reaches, which is ReversiblePairs.pick's entry only because the
- * running sums never decrease.  The field order of loop_state matches
- * latgas.eventloop.LoopState. */
+ * pair) rejects.  Entry e of a pair family is direction e % 2 of pair
+ * e / 2, the direction that the occupation of the pair's second slot set
+ * names.  The exclusion accept test is branch-free: its configuration test
+ * and rate test are combined with &.  An open collision pair's direction
+ * fires at the bound, so its test is the remainder's alone.  The field
+ * order of loop_state matches latgas.eventloop.LoopState. */
 #include <stdint.h>
 
 #define BATCH_DONE (-1)
@@ -22,10 +21,9 @@
 typedef struct {
     const double *gap, *sel;                    /* candidate batch: standard */
                                                 /* exponentials, uniforms */
-    const int64_t *ex_pair, *ex_entry;          /* RateTable.ex_pairs: 2 slots, */
-    const double *ex_cum;                       /* 1 entry per direction */
-    const int64_t *col_pair, *col_entry;        /* RateTable.col_pairs: 4 slots, */
-    const double *col_cum;                      /* 4 entries per direction */
+    const int64_t *ex_slots;                    /* RateTable.ex_slots (P, 2) */
+    const double *ex_rate;                      /* and ex_rate (P, 2) */
+    const int64_t *col_slots;                   /* RateTable.col_slots (Q, 4) */
     const int64_t *bd_slot;
     const double *bd_birth, *bd_death;
     uint8_t *eta;                               /* flat configuration */
@@ -63,7 +61,7 @@ static double candidate_rate(const loop_state *s, double *thr2)
 static void retest(loop_state *s, int64_t site)
 {
     for (int64_t p = site * s->groups; p < (site + 1) * s->groups; p++) {
-        const int64_t *q = s->col_pair + 4 * p;
+        const int64_t *q = s->col_slots + 4 * p;
         int open = (s->eta[q[0]] == s->eta[q[1]]) & (s->eta[q[1]] != s->eta[q[2]])
                    & (s->eta[q[2]] == s->eta[q[3]]);
         int64_t k = s->where[p];
@@ -101,18 +99,14 @@ int64_t run_events(loop_state *s, double stop)
         t += s->gap[pos++] * scale;
         if (sel < s->w_ex) {
             int64_t p = pair_of(sel / s->bound_ex, s->n_ex, &acc);
-            fam = 0, n_slots = 2, q = s->ex_pair + 2 * p;
-            int64_t dir = 2 * p + eta[q[1]], entry = s->ex_entry[dir];
-            int ok = (eta[q[0]] != eta[q[1]]) & (acc * s->bound_ex < s->ex_cum[dir]);
+            fam = 0, n_slots = 2, q = s->ex_slots + 2 * p;
+            int64_t entry = 2 * p + eta[q[1]];
+            int ok = (eta[q[0]] != eta[q[1]]) & (acc * s->bound_ex < s->ex_rate[entry]);
             idx = ok ? entry : -1;
         } else if (sel < thr2) {
             int64_t p = s->open[pair_of((sel - s->w_ex) / s->bound_col, s->n_open, &acc)];
-            fam = 1, n_slots = 4, q = s->col_pair + 4 * p;
-            int64_t base = 4 * (2 * p + eta[q[2]]);
-            const double *c = s->col_cum + base;
-            double u = acc * s->bound_col;
-            int64_t k = (u >= c[0]) + (u >= c[1]) + (u >= c[2]) + (u >= c[3]);
-            idx = k < 4 ? s->col_entry[base + k] : -1;
+            fam = 1, n_slots = 4, q = s->col_slots + 4 * p;
+            idx = acc < 1.0 ? 2 * p + eta[q[2]] : -1;
         } else {
             int64_t p = pair_of((sel - thr2) / s->bound_bd, s->n_bd, &acc);
             fam = 2, n_slots = 1, q = s->bd_slot + p;

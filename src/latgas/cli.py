@@ -47,11 +47,10 @@ def build_profiles(cfg: ExperimentConfig) -> ReservoirProfiles:
 
 def build_model(cfg: ExperimentConfig, N: int, periodic: bool = False,
                 reservoirs: bool = True) -> Model:
-    """The model on the N-lattice; a velocity set it rejects, or a reservoir
-    density outside (0, 1) at a lattice point, exits 2."""
-    lat = Lattice(N, cfg.model.d, periodic=periodic)
+    """The model on the N-lattice; a lattice or velocity set it rejects, or
+    a reservoir density outside (0, 1) at a lattice point, exits 2."""
     try:
-        return Model(lat, cfg.model.velocities,
+        return Model(Lattice(N, cfg.model.d, periodic=periodic), cfg.model.velocities,
                      profiles=build_profiles(cfg) if reservoirs else None)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

@@ -333,6 +333,8 @@ def parse_config(raw) -> ExperimentConfig:
         exact["parts"] = tuple(p for p in ALL_PARTS if not exact["periodic"] or p != "boundary")
     elif exact["periodic"] and "boundary" in exact["parts"]:
         raise ConfigError("exact.parts holds boundary, but a periodic lattice has no walls")
+    if exact["periodic"] and exact["N"] < 3:
+        raise ConfigError("exact.N must be >= 3 on a periodic lattice, a ring of N - 1 sites")
     if exact["lambda"] is None:
         exact["lambda"] = [0.0] * (d + 1)
     lam = exact["lambda"]

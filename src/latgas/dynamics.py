@@ -8,7 +8,9 @@ macroscopic clock:
     the x_1 walls are suppressed;
   * collision: an ordered quadruple q = (v, w, v', w') fires at rate 1 on a
     site holding the incoming pair with the outgoing slots empty, swapping
-    (v, w) occupation into (v', w');
+    (v, w) occupation into (v', w').  The four orderings of (v, w) and of
+    (v', w') make one transition, so the catalog holds each swap
+    {v, w} -> {v', w'} once, at rate 4;
   * boundary: slots on the wall layers flip at reservoir rates alpha_v /
     1 - alpha_v (left) and beta_v / 1 - beta_v (right).
 
@@ -21,15 +23,16 @@ between accepted events are therefore exactly Exponential(total rate x N^2)
 and events are chosen proportionally to their rates, with O(1) expected work
 per event.
 
-Each event has a reverse on the same slots, and a configuration lets at most
-one of the two fire, so a candidate selects a reversible pair, uniformly
-within its family: a bond and a velocity (exclusion), a site and an
-unordered {incoming, outgoing} slot pair (collisions), a wall slot
-(boundary).  The configuration opens at most one direction of the pair; the
-accept variate, scaled by the family bound, picks the direction's catalog
-entry by running rate sums or rejects.  A family's bound is its largest
-direction total (`RateTable`): max P_N, 4 (the orderings of (v, w) and of
-(v', w')) and max(alpha, 1 - alpha).
+Each transition has a reverse on the same slots, and a configuration lets
+at most one of the two fire, so the catalog (`RateTable`) is made of
+reversible pairs, whose two directions are its entries: a bond and a
+velocity (exclusion), a site and an unordered {incoming, outgoing} velocity
+pair (collisions); a boundary pair is one wall slot, its one entry flipping
+it either way.  A candidate selects a pair uniformly within its family; the
+configuration opens at most one direction of it, and the accept variate,
+scaled by the family bound, accepts that direction's entry below its rate
+or rejects.  A family's bound is its largest direction rate: max P_N, 4 and
+max(alpha, 1 - alpha).
 
 Exclusion and boundary candidates are thinned against their static weights
 (`RateTable.weights`, pairs x bound).  A collision pair is seldom open, so
@@ -42,7 +45,7 @@ the candidate rate is R = W_ex + 4 n_open + W_bd: `weights[1]` stays the
 static collision bound, the simulator's collision rate is 4 n_open.  R
 changes only when an applied event opens or closes a pair; after each event
 the collision pairs of the sites it touched (site s owns pairs s G ...
-s G + G - 1 of `col_pairs`, G = `RateTable.col_groups`) are re-tested, in
+s G + G - 1 of `col_slots`, G = `RateTable.col_groups`) are re-tested, in
 increasing site order, an opened pair appended to the list and a closed one
 swap-removed.  R = 0 is an absorbing state and raises `NumericalFailure`
 before any candidate is read.
@@ -255,101 +258,61 @@ class Event:
 
 # --- rate table ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReversiblePairs:
-    """One family's catalog entries grouped into reversible pairs.
-
-    Row p of `slots` holds pair p's two slot sets of equal size: direction 0
-    empties the first set into the second, direction 1 the second into the
-    first, and a configuration opens at most one of them.  `entry[p, j]` lists
-    direction j's catalog entries and `cum[p, j]` their running rate sums;
-    the largest direction total `bound` is the family's rate bound.
-    """
-
-    slots: np.ndarray  # (pairs, 2 x set size)
-    entry: np.ndarray  # (pairs, 2, entries per direction)
-    cum: np.ndarray  # same shape as entry
-
-    @property
-    def bound(self) -> float:
-        return float(self.cum.max(initial=0.0))
-
-    def pick(self, p: int, direction: int, u: float) -> int:
-        """The entry of the direction whose running sum first exceeds u, or -1."""
-        for idx, total in zip(self.entry[p, direction], self.cum[p, direction]):
-            if u < total:
-                return int(idx)
-        return -1
-
-
 class RateTable:
-    """The event catalog: every possible event as array entries, plus per-family
-    rate bounds for the simulator.
+    """The event catalog: every reversible pair of slot sets per family, its
+    directions the catalog entries, plus per-family rate bounds for the
+    simulator.
 
-    Entries are slot indices `site * nv + v` into the flat configuration:
-    exclusion hops `ex_src` -> `ex_tgt` at constant `ex_pn` (ordered by site,
-    velocity, direction), collisions `col_slots` = (v, w, v', w') slots of one
-    site at rate 1 (ordered by site, then `collisions.active`), and reservoir
-    flips of `bd_slot` at rate `bd_birth` when empty, `bd_death` when occupied
-    (ordered by wall site, then velocity).  The exact generator and the
-    simulator's returned indices both read this order.  Suppressed exclusion
-    moves (through a wall) are left out, as are collision quadruples that can
-    never fire.  `exact_totals` recomputes the family sums for checks and
-    waiting-time statistics.
+    Slots are indices `site * nv + v` into the flat configuration.  A pair's
+    direction 0 empties its first slot set into its second and direction 1
+    the second into the first, and a configuration opens at most one of them.
+    Exclusion pairs `ex_slots` (P, 2) are a bond and a velocity, ordered by
+    site, velocity and axis (a bond runs from its site along +e_a; a ring of
+    two sites has two bonds between them); `ex_rate` (P, 2) holds the hop
+    rates P_N of the two directions, along the bond and back.  Collision
+    pairs `col_slots` (Q, 4) are a site and an unordered {incoming, outgoing}
+    velocity pair, ordered by site, then by the first of their quadruples in
+    `collisions.active` (`col_groups` pairs per site); each direction is one
+    entry at rate `bound_col` = 4, the four ordered quadruples (v, w, v', w')
+    of the swap at rate 1 each.  Entry e of these two families is direction
+    e % 2 of pair e // 2.  A boundary entry is one wall slot `bd_slot`,
+    flipped at rate `bd_birth` when empty and `bd_death` when occupied
+    (ordered by wall site, then velocity).  Suppressed hops (through a wall)
+    and collisions that can never fire are left out.  The exact generator
+    and the simulator's returned entries both read this order;
+    `exact_totals` recomputes the family sums for checks.
 
-    For the simulator, `ex_pairs` groups the hops into reversible pairs (a
-    bond and a velocity; a two-site ring has two bonds between its sites) and
-    `col_pairs` the quadruples (a site and an unordered {incoming, outgoing}
-    velocity pair, four orderings per direction); a boundary pair is one wall
-    slot.  `n_pairs` counts the pairs per family, `col_groups` the collision
-    pairs per site (`col_pairs` is site-major), and `bound_ex`, `bound_col`,
-    `bound_bd` are the largest direction totals: max P_N, 4, and
-    max(alpha, 1 - alpha) over the walls.  `weights`, pairs x bound, is each
-    family's static rate bound: the exclusion and boundary candidate rates,
-    and for collisions the bound 4 x pairs, while the simulator's collision
-    candidate rate is 4 x the pairs open (`SimState.n_open`).
+    `n_pairs` counts the pairs per family (a boundary pair is one wall slot)
+    and `counts` the entries; `bound_ex`, `bound_col` and `bound_bd` are the
+    largest direction rates: max P_N, 4 and max(alpha, 1 - alpha) over the
+    walls.  `weights`, pairs x bound, is each family's static rate bound:
+    the exclusion and boundary candidate rates, and for collisions the bound
+    4 x pairs, while the simulator's collision candidate rate is 4 x the
+    pairs open (`SimState.n_open`).
     """
 
     def __init__(self, model: Model):
         lat, nv = model.lattice, len(model.vset)
         self.nv = nv
-        # exclusion: np.nonzero walks the (site, velocity, direction) grid in
-        # C order, skipping moves through a wall
+        # exclusion: np.nonzero walks the (site, velocity, axis) grid in C
+        # order, skipping bonds through a wall
         nbr = lat.neighbor_table()
-        s, v, d = np.nonzero(np.repeat(nbr[:, None, :] >= 0, nv, axis=1))
-        self.ex_src = s * nv + v
-        self.ex_tgt = nbr[s, d] * nv + v
-        self.ex_pn = (0.5 + model.jump_probs / lat.N)[v, d]
-        # a bond runs from a site along +e_a; its pair, one per velocity, is
-        # the hop along it and the hop back (a two-site ring has two bonds)
-        index = np.full((lat.n_sites, nv, 2 * lat.d), -1)
-        index[s, v, d] = np.arange(len(s))
-        along = np.flatnonzero(d % 2 == 0)
-        back = index[nbr[s[along], d[along]], v[along], d[along] + 1]
-        entry = np.stack((along, back), axis=1)[:, :, None]
-        self.ex_pairs = ReversiblePairs(
-            np.stack((self.ex_src[along], self.ex_tgt[along]), axis=1), entry,
-            self.ex_pn[entry])
+        s, v, a = np.nonzero(np.repeat(nbr[:, None, 0::2] >= 0, nv, axis=1))
+        pn = 0.5 + model.jump_probs / lat.N
+        self.ex_slots = np.stack((s * nv + v, nbr[s, 2 * a] * nv + v), axis=1)
+        self.ex_rate = np.stack((pn[v, 2 * a], pn[v, 2 * a + 1]), axis=1)
 
-        quads = [] if model.collisions is None else \
-            [(q.v, q.w, q.vp, q.wp) for q in model.collisions.active]
-        quads = np.array(quads, dtype=np.int64).reshape(-1, 4)
-        sites = np.arange(lat.n_sites)[:, None, None]
-        self.col_slots = (sites * nv + quads).reshape(-1, 4)
-        # a pair is one site's unordered {incoming, outgoing} velocity pair;
-        # each direction holds the four orderings of (v, w) and of (v', w')
-        pairs = {}
-        for k, q in enumerate(quads.tolist()):
-            out, into = sorted(q[:2]), sorted(q[2:])
-            first, second = sorted((out, into))
-            pairs.setdefault((*first, *second), ([], []))[out != first].append(k)
-        velocities = np.array(list(pairs), dtype=np.int64).reshape(-1, 4)
-        local = np.array(list(pairs.values()), dtype=np.int64).reshape(-1, 2, 4)
-        self.col_groups = len(pairs)  # collision pairs per site, site-major
-        self.col_pairs = ReversiblePairs(
-            (sites * nv + velocities).reshape(-1, 4),
-            (sites[..., None] * len(quads) + local).reshape(-1, 2, 4),
-            np.tile(np.arange(1.0, 5.0), (lat.n_sites * len(pairs), 2, 1)))
+        # collisions: a swap's four orderings share one unordered pair of
+        # sorted (v, w) and sorted (v', w'), which dict.fromkeys keeps in
+        # order of first appearance
+        active = () if model.collisions is None else model.collisions.active
+        swaps = dict.fromkeys(tuple(sorted((tuple(sorted((q.v, q.w))),
+                                            tuple(sorted((q.vp, q.wp))))))
+                              for q in active)
+        velocities = np.array(list(swaps), dtype=np.int64).reshape(-1, 4)
+        self.col_groups = len(velocities)  # collision pairs per site, site-major
+        self.col_slots = (np.arange(lat.n_sites)[:, None, None] * nv
+                          + velocities).reshape(-1, 4)
 
         # boundary: the wall layers' slots are the first and the last of the
         # configuration, alpha's layer first; at N = 2 one layer faces both walls
@@ -365,11 +328,11 @@ class RateTable:
         self.bd_birth = np.concatenate(births)
         self.bd_death = 1.0 - self.bd_birth
 
-        self.bound_ex = self.ex_pairs.bound
-        self.bound_col = self.col_pairs.bound
+        self.bound_ex = float(self.ex_rate.max(initial=0.0))
+        self.bound_col = 4.0 if self.col_groups else 0.0
         self.bound_bd = float(np.maximum(self.bd_birth, self.bd_death).max(initial=0.0))
-        self.counts = (len(self.ex_src), len(self.col_slots), len(self.bd_slot))
-        self.n_pairs = (len(self.ex_pairs.slots), len(self.col_pairs.slots), self.counts[2])
+        self.n_pairs = (len(self.ex_slots), len(self.col_slots), len(self.bd_slot))
+        self.counts = (2 * self.n_pairs[0], 2 * self.n_pairs[1], self.n_pairs[2])
         self.weights = (
             self.n_pairs[0] * self.bound_ex,
             self.n_pairs[1] * self.bound_col,
@@ -382,20 +345,31 @@ class RateTable:
         """Addresses of the pair and boundary arrays in `eventloop.LoopState`
         order, which the compiled loop of every `SimState` on this table reads
         in place."""
-        ex, col = self.ex_pairs, self.col_pairs
-        arrays = (ex.slots, ex.entry, ex.cum, col.slots, col.entry, col.cum,
+        arrays = (self.ex_slots, self.ex_rate, self.col_slots,
                   self.bd_slot, self.bd_birth, self.bd_death)
         self._loop_arrays = [
             np.ascontiguousarray(a, dtype=float if a.dtype.kind == "f" else np.int64)
             for a in arrays]
         return tuple(a.ctypes.data for a in self._loop_arrays)
 
+    def entry_slots(self, kind: int, idx: int) -> np.ndarray:
+        """The slots one entry flips: its pair's, or its wall slot's."""
+        if kind == BOUNDARY:
+            return self.bd_slot[idx:idx + 1]
+        return (self.ex_slots if kind == EXCLUSION else self.col_slots)[idx // 2]
+
+    def open_collisions(self, flat: np.ndarray) -> np.ndarray:
+        """Whether each collision pair is open under the flat configuration:
+        its slots read (1, 1, 0, 0) or (0, 0, 1, 1)."""
+        sl = flat[self.col_slots]
+        return (sl[:, 0] == sl[:, 1]) & (sl[:, 1] != sl[:, 2]) & (sl[:, 2] == sl[:, 3])
+
     def exact_totals(self, eta: np.ndarray) -> np.ndarray:
         """Microscopic (per unit N^2-time) total rate per event family."""
         flat = eta.reshape(-1)
-        ex = np.sum(flat[self.ex_src] * (1 - flat[self.ex_tgt]) * self.ex_pn)
-        sl = flat[self.col_slots]
-        col = np.sum(sl[:, 0] * sl[:, 1] * (1 - sl[:, 2]) * (1 - sl[:, 3]))
+        a, b = flat[self.ex_slots].T
+        ex = np.sum(a * (1 - b) * self.ex_rate[:, 0] + b * (1 - a) * self.ex_rate[:, 1])
+        col = self.bound_col * np.count_nonzero(self.open_collisions(flat))
         occ = flat[self.bd_slot]
         bd = np.sum(np.where(occ == 0, self.bd_birth, self.bd_death))
         return np.array([ex, col, bd], dtype=float)
@@ -403,20 +377,24 @@ class RateTable:
     def event_from_entry(self, kind: int, idx: int) -> Event:
         """The `Event` of one catalog entry, decoded from its slots.
 
-        An exclusion `Event` names its sites, not its direction, so on a
-        ring of two sites the two entries of a hop x -> z (via +e_1 and via
-        -e_1, at different rates) decode to one `Event`, whose rate is
-        their summed `ex_pn`; a per-entry audit reads `ex_pn[idx]` instead."""
+        An exclusion `Event` names its sites, not its bond, so on a ring of
+        two sites the two entries of a hop x -> z (along the two bonds, at
+        different rates) decode to one `Event`, whose rate is their summed
+        `ex_rate`; a per-entry audit reads `ex_rate` instead.  A collision
+        `Event` names the ordering of its direction's slots, the first of
+        the four orderings its entry stands for."""
         nv = self.nv
+        slots = [int(s) for s in self.entry_slots(kind, idx)]
+        if kind == BOUNDARY:
+            return Event(BOUNDARY, site=slots[0] // nv, velocity=slots[0] % nv)
+        half = len(slots) // 2
+        if idx % 2:
+            slots = slots[half:] + slots[:half]
         if kind == EXCLUSION:
-            src, tgt = int(self.ex_src[idx]), int(self.ex_tgt[idx])
+            src, tgt = slots
             return Event(EXCLUSION, site=src // nv, velocity=src % nv, target=tgt // nv)
-        if kind == COLLISION:
-            slots = [int(s) for s in self.col_slots[idx]]
-            return Event(COLLISION, site=slots[0] // nv,
-                         quadruple=Collision(*(s % nv for s in slots)))
-        slot = int(self.bd_slot[idx])
-        return Event(BOUNDARY, site=slot // nv, velocity=slot % nv)
+        return Event(COLLISION, site=slots[0] // nv,
+                     quadruple=Collision(*(s % nv for s in slots)))
 
 
 # --- simulation ---------------------------------------------------------------
@@ -489,9 +467,7 @@ class SimState:
         self._pos, self._drawn = self._batch, 0
         self.n_open = 0
         if table.col_groups:
-            sl = self.eta_flat[table.col_pairs.slots]
-            opened = np.flatnonzero((sl[:, 0] == sl[:, 1]) & (sl[:, 1] != sl[:, 2])
-                                    & (sl[:, 2] == sl[:, 3]))
+            opened = np.flatnonzero(table.open_collisions(self.eta_flat))
             self.n_open = len(opened)
             self._open[:self.n_open] = opened
             self._where.fill(-1)
@@ -572,10 +548,13 @@ class SimState:
         The Python reference for the compiled loop's candidate scan: a
         candidate's selector picks an exclusion pair, an open collision pair
         or a wall slot, and its remainder within the pair is the accept
-        variate (`_pair_of`); the configuration opens at most one direction
-        of the pair, and the accept variate picks an entry of it or rejects.
-        A remainder of 1 or more, where the selector rounds past the last
-        pair, rejects in every family."""
+        variate (`_pair_of`).  The configuration opens at most one direction
+        of the pair, the one its second slot set's occupation names, and
+        the accept variate, scaled by the family bound, accepts that
+        direction's entry where it falls below the direction's rate: always
+        for an open collision pair, whose rate is the bound.  A remainder of
+        1 or more, where the selector rounds past the last pair, rejects in
+        every family."""
         table, eta = self.table, self.eta_flat
         n_ex, n_bd = table.n_pairs[0], table.n_pairs[2]
         w_ex, w_bd = table.weights[0], table.weights[2]
@@ -593,18 +572,15 @@ class SimState:
             self.t += gap * scale
             if sel < w_ex:
                 p, acc = _pair_of(sel / table.bound_ex, n_ex)
-                a, b = table.ex_pairs.slots[p]
-                if eta[a] != eta[b]:
-                    idx = table.ex_pairs.pick(p, eta[b], acc * table.bound_ex)
-                    if idx >= 0:
-                        return EXCLUSION, idx
+                a, b = table.ex_slots[p]
+                j = int(eta[b])
+                if eta[a] != j and acc * table.bound_ex < table.ex_rate[p, j]:
+                    return EXCLUSION, 2 * p + j
             elif sel < thr2:
                 k, acc = _pair_of((sel - w_ex) / table.bound_col, self.n_open)
-                p = self._open[k]
-                c = table.col_pairs.slots[p, 2]
-                idx = table.col_pairs.pick(p, eta[c], acc * table.bound_col)
-                if idx >= 0:
-                    return COLLISION, idx
+                if acc < 1.0:
+                    p = int(self._open[k])
+                    return COLLISION, 2 * p + int(eta[table.col_slots[p, 2]])
             else:
                 idx, acc = _pair_of((sel - thr2) / table.bound_bd, n_bd)
                 slot = table.bd_slot[idx]
@@ -616,33 +592,21 @@ class SimState:
                 self._check_absorbing()
 
     def _apply(self, kind: int, idx: int) -> None:
-        eta, table = self.eta_flat, self.table
-        if kind == EXCLUSION:
-            src, tgt = table.ex_src[idx], table.ex_tgt[idx]
-            eta[src] = 0
-            eta[tgt] = 1
-            sites = sorted((src // self.nv, tgt // self.nv))
-        elif kind == COLLISION:
-            a, b, c, d = table.col_slots[idx]
-            eta[a] = 0
-            eta[b] = 0
-            eta[c] = 1
-            eta[d] = 1
-            sites = (a // self.nv,)
-        else:
-            slot = table.bd_slot[idx]
-            eta[slot] = 1 - eta[slot]
-            sites = (slot // self.nv,)
+        """Flip every slot of the entry's pair, then re-test the collision
+        pairs of its sites in increasing order."""
+        table = self.table
+        slots = table.entry_slots(kind, idx)
+        self.eta_flat[slots] ^= 1
         self.kind_counts[kind] += 1
         if table.col_groups:
-            for site in sites:
+            for site in sorted({int(slots[0]) // self.nv, int(slots[-1]) // self.nv}):
                 self._retest(site)
 
     def _retest(self, site: int) -> None:
-        """Re-test one site's collision pairs (`col_pairs` is site-major):
+        """Re-test one site's collision pairs (`col_slots` is site-major):
         append those that opened to the open list, swap-remove those that
         closed."""
-        eta, slots, where = self.eta_flat, self.table.col_pairs.slots, self._where
+        eta, slots, where = self.eta_flat, self.table.col_slots, self._where
         groups = self.table.col_groups
         for p in range(site * groups, site * groups + groups):
             a, b, c, d = slots[p]

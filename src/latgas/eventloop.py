@@ -25,19 +25,20 @@ SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_eventloop.c"
 CACHE_DIR = os.path.join(os.path.dirname(SOURCE), "__pycache__")
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
-_POINTERS = ("gap", "sel", "ex_pair", "ex_entry", "ex_cum", "col_pair",
-             "col_entry", "col_cum", "bd_slot", "bd_birth", "bd_death", "eta",
-             "kind_counts", "open", "where")
+_POINTERS = ("gap", "sel", "ex_slots", "ex_rate", "col_slots", "bd_slot", "bd_birth",
+             "bd_death", "eta", "kind_counts", "open", "where")
 
 
 class LoopState(ctypes.Structure):
-    """The C `loop_state`: array pointers (the candidate batch of gaps and
-    selectors, whose remainders are the accept variates, the `RateTable`
-    pair arrays, the configuration, the event counts and the
-    `SimState` open collision list with each pair's place in it), the
+    """The C `loop_state`, whose field names and C types a test checks
+    against this list: array pointers (the candidate batch of gaps and
+    selectors, whose remainders are the accept variates; the `RateTable`
+    pair slots `ex_slots` and `col_slots`, the exclusion direction rates
+    `ex_rate` and the boundary arrays; the configuration; the event counts;
+    the `SimState` open collision list with each pair's place in it), the
     candidate count, the exclusion and boundary pair counts, the slots and
     collision pairs per site and the number of open pairs, the largest
-    direction totals, the static weights `RateTable.weights[0]` and
+    direction rates, the static weights `RateTable.weights[0]` and
     `weights[2]` and N^2, then the clock, next candidate, consecutive
     rejections and pending entry.  `weights[1]` stays the static collision
     bound; the loop's collision rate is bound_col x n_open."""

@@ -67,22 +67,24 @@ def velocity_groups(model: Model, parts=ALL_PARTS) -> list:
 
 def _rate_tables(table: RateTable, parts, scale: float, group=None) -> tuple:
     """(flips, tables): the flip masks of the catalog entries in `parts`, in
-    the catalog order of first appearance, and each mask's N^2-scaled rate
-    table, indexed by the state's bits under the mask (top bit first).
-    Entries sharing a mask (both directions of a hop; two directions to one
-    site on a ring of two) are each scaled, then added in catalog order.
-    Only the entries within `group`'s velocities (default all) are kept, slot
-    (site, v) moved to bit site * len(group) + rank of v in the group, an
-    order-keeping map."""
-    entries = []  # (flip mask, slots of the mask occupied where it fires, micro rate)
+    catalog order of first appearance, and each mask's N^2-scaled rate
+    table, indexed by the state's bits under the mask (top bit first).  A
+    pair's two directions share its mask and fire from its first and from
+    its second slot set; a boundary entry fires both ways, death first.
+    Entries sharing a mask (two bonds between the sites of a ring of two)
+    are each scaled, then added in catalog order.  Only the entries within
+    `group`'s velocities (default all) are kept, slot (site, v) moved to bit
+    site * len(group) + rank of v in the group, an order-keeping map."""
+    pairs = []  # (slots, direction rates)
     if "exclusion" in parts:
-        for s, t, pn in zip(table.ex_src.tolist(), table.ex_tgt.tolist(),
-                            table.ex_pn.tolist()):
-            entries.append(((1 << s) | (1 << t), 1 << s, pn))
+        pairs += zip(table.ex_slots.tolist(), table.ex_rate.tolist())
     if "collision" in parts:
-        for a, b, c, d in table.col_slots.tolist():
-            entries.append(((1 << a) | (1 << b) | (1 << c) | (1 << d),
-                            (1 << a) | (1 << b), 1.0))
+        pairs += ((slots, (table.bound_col,) * 2) for slots in table.col_slots.tolist())
+    entries = []  # (flip mask, slots of the mask occupied where it fires, micro rate)
+    for slots, rates in pairs:
+        half = len(slots) // 2
+        sets = (sum(1 << s for s in slots[:half]), sum(1 << s for s in slots[half:]))
+        entries += [(sets[0] | sets[1], occupied, rate) for occupied, rate in zip(sets, rates)]
     if "boundary" in parts:
         for slot, birth, death in zip(table.bd_slot.tolist(), table.bd_birth,
                                       table.bd_death):

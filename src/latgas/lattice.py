@@ -10,7 +10,8 @@ Directions are indexed 0..2d-1 as (+e_1, -e_1, +e_2, -e_2, ...);
 wall, and is the geometry the event catalog (`dynamics.RateTable`) is built
 from.  A `periodic=True` lattice wraps the first coordinate on its ring of
 N-1 sites instead (used by the exact generator to check invariance of
-product measures).
+product measures); it needs N >= 3, since on a ring of one site every hop
+would land on its own slot.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ class Lattice:
     def __post_init__(self):
         if self.N < 2:
             raise ValueError("N must be >= 2")
+        if self.periodic and self.N < 3:
+            raise ValueError("a periodic lattice needs N >= 3, a ring of at least two sites")
         if self.d < 1:
             raise ValueError("d must be >= 1")
 

@@ -166,15 +166,30 @@ def boundary_rate(model, eta: np.ndarray, x: int, v_idx: int) -> float:
     return dens if eta[x, v_idx] == 0 else 1.0 - dens
 
 
-def entry_rates(table, eta) -> np.ndarray:
-    """The rate of every catalog entry under eta, in catalog order."""
-    flat = eta.reshape(-1)
-    col = flat[table.col_slots]
+def entry_rates(model, eta) -> np.ndarray:
+    """The rate of every entry of `model.table` under eta, in catalog order.
+
+    An exclusion entry's rate is its direction's hop rate where the hop is
+    open, a boundary entry's its flip rate.  A collision entry's rate is
+    the paper's: the sum of `collision_rate` over the ordered quadruples of
+    `CollisionSet.active` that make its decoded swap {v, w} -> {v', w'}."""
+    table, flat = model.table, eta.reshape(-1)
+    a, b = flat[table.ex_slots].T
+    exclusion = np.stack((a * (1 - b), b * (1 - a)), axis=1) * table.ex_rate
+    collision = []
+    for idx in range(table.counts[COLLISION]):
+        ev = table.event_from_entry(COLLISION, idx)
+        swap = _swap(ev.quadruple)
+        collision.append(sum(collision_rate(eta, ev.site, q)
+                             for q in model.collisions.active if _swap(q) == swap))
     occupied = flat[table.bd_slot]
-    return np.concatenate((
-        flat[table.ex_src] * (1 - flat[table.ex_tgt]) * table.ex_pn,
-        col[:, 0] * col[:, 1] * (1 - col[:, 2]) * (1 - col[:, 3]),
-        np.where(occupied == 0, table.bd_birth, table.bd_death)))
+    return np.concatenate((exclusion.reshape(-1), collision,
+                           np.where(occupied == 0, table.bd_birth, table.bd_death)))
+
+
+def _swap(q) -> tuple:
+    """The unordered incoming and outgoing velocity pairs of a quadruple."""
+    return frozenset((q.v, q.w)), frozenset((q.vp, q.wp))
 
 
 def event_rate(model, eta: np.ndarray, event) -> float:
@@ -231,26 +246,20 @@ class OccupationTracker:
 def tracked_occupation(state, horizon: float) -> np.ndarray:
     """Each slot's occupation averaged over [0, horizon], horizon > 0, along a
     run of `state` from time 0.  A tracker sees each event's slot flips at its
-    time, in the order exclusion source then target, collision slots a, b, c,
-    d, boundary slot; the first event at or after the horizon is drawn and
-    left unapplied, as in `simulate`."""
-    table, eta = state.table, state.eta_flat
+    time: the slots whose occupation `_apply` changed, in slot order; the
+    first event at or after the horizon is drawn and left unapplied, as in
+    `simulate`."""
+    eta = state.eta_flat
     tracker = OccupationTracker(len(eta))
     tracker.start(state.t)
     while True:
         kind, idx = state.advance(-math.inf)
         if state.t >= horizon:
             return tracker.mean_occupation(horizon, eta)
-        if kind == EXCLUSION:
-            flips = ((table.ex_src[idx], 1), (table.ex_tgt[idx], 0))
-        elif kind == COLLISION:
-            flips = zip(table.col_slots[idx], (1, 1, 0, 0))
-        else:
-            slot = table.bd_slot[idx]
-            flips = ((slot, int(eta[slot])),)
+        before = eta.copy()
         state._apply(kind, idx)
-        for slot, old in flips:
-            tracker.on_flip(state.t, slot, old)
+        for slot in np.flatnonzero(eta != before):
+            tracker.on_flip(state.t, slot, int(before[slot]))
 
 
 # --- the exact generator -----------------------------------------------------

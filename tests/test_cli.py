@@ -225,6 +225,8 @@ def test_exact_never_builds_the_sparse_matrix(tmp_path, monkeypatch):
     ({"periodic": True, "parts": ["boundary", "exclusion"]}, "exact.parts holds boundary"),
     ({"parts": ["exclusion", "exclusion", "boundary"]}, "exact.parts must list each part once"),
     ({"parts": ["collision", "collision"]}, "exact.parts must list each part once"),
+    # a ring of one site, whose hops would land on their own slot
+    ({"N": 2, "periodic": True}, "exact.N must be >= 3 on a periodic lattice"),
 ])
 def test_exact_section_errors_exit_2(tmp_path, capsys, exact, message):
     path = tiny_config(tmp_path, exact=exact)
@@ -314,7 +316,7 @@ def test_velocity_sets_without_a_hull_exit_2(tmp_path, capsys, command, velociti
 
 def test_exact_rejects_a_velocity_set_the_model_rejects(tmp_path, capsys):
     # 2 x 1/4 = 1/8 + 3/8: a fireable collision with a repeated incoming slot
-    path = tiny_config(tmp_path, exact={"N": 2})
+    path = tiny_config(tmp_path, exact={"N": 3})
     config = yaml.safe_load(pathlib.Path(path).read_text())
     velocities = [[s * k / 8] for k in (1, 2, 3) for s in (1, -1)]
     config["model"].update(velocities=velocities, alpha=["0.3"] * 6, beta=["0.6"] * 6)
@@ -979,6 +981,12 @@ def test_linear_gamma_in_two_dimensions(tmp_path, command):
     # each site's own transverse position.
     assert main([command, "--config", tiny_config_2d(tmp_path),
                  "--out", str(tmp_path / "out")]) == 0
+
+
+def test_a_lattice_the_model_rejects_is_a_config_error(tmp_path):
+    cfg = parse_config(yaml.safe_load(pathlib.Path(tiny_config(tmp_path)).read_text()))
+    with pytest.raises(ConfigError, match="periodic lattice needs N >= 3"):
+        build_model(cfg, 2, periodic=True)
 
 
 def test_lattice_walls_are_the_wall_data_at_each_site(tmp_path):

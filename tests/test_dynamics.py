@@ -1,5 +1,6 @@
+import collections
+import dataclasses
 import io
-import itertools
 import json
 import math
 import pathlib
@@ -100,12 +101,15 @@ class TestJumpLaw:
         assert probs[1] == pytest.approx([0.25, 0.75])
 
     def test_PN(self, vs2):
-        # the catalog's hop rates are P_N = 1/2 + p/N, and only unit hops exist
+        # the catalog's hop rates are P_N = 1/2 + p/N, and only unit hops
+        # exist: each bond runs from a site to the next, and its direction 0
+        # hops along +e_1
         table = make_model(10, vs2).table
-        forward = (table.ex_src % 2 == 0) & (table.ex_tgt > table.ex_src)
+        src, tgt = table.ex_slots.T
+        forward = src % 2 == 0
         assert forward.sum() == 8
-        assert np.allclose(table.ex_pn[forward], 0.5 + 0.75 / 10, rtol=1e-15, atol=0)
-        assert np.all(np.abs(table.ex_tgt // 2 - table.ex_src // 2) == 1)
+        assert np.allclose(table.ex_rate[forward, 0], 0.5 + 0.75 / 10, rtol=1e-15, atol=0)
+        assert np.all(tgt // 2 - src // 2 == 1)
 
     def test_fast_sets_rejected(self):
         vs = VelocitySet(np.array([[2.0], [-2.0]]))
@@ -277,61 +281,76 @@ class TestRateTable:
         assert np.allclose(tot, brute, atol=1e-12)
 
     def test_rate_of_agrees_with_event_lookup(self, vs4, rng):
-        # each entry's catalog rate under eta (its hop rate, 1, or its flip
-        # rate where it fires) is the reference rate of its decoded Event
+        # each entry's rate under eta (its hop rate or its flip rate where it
+        # fires; a collision swap's quadruples of `collisions.active`) is
+        # the reference rate of its decoded Event, for a collision summed
+        # over the four orderings of the Event's (v, w) and (v', w')
         model = make_model(5, vs4, alpha=[0.3, 0.4, 0.35, 0.45], beta=[0.6, 0.5, 0.55, 0.65])
-        table = RateTable(model)
+        table = model.table
         eta = sample_product_state([0.0, 0.0], model.lattice, vs4, rng)
-        rates, offsets = entry_rates(table, eta), np.cumsum((0,) + table.counts)
+        rates, offsets = entry_rates(model, eta), np.cumsum((0,) + table.counts)
         for kind, count in enumerate(table.counts):
-            for idx in range(0, count, 7):
+            for idx in range(count):
                 ev = table.event_from_entry(kind, idx)
-                assert event_rate(model, eta, ev) == rates[offsets[kind] + idx]
+                events = [ev]
+                if kind == COLLISION:
+                    q = ev.quadruple
+                    events = [dataclasses.replace(ev, quadruple=Collision(*inc, *out))
+                              for inc in ((q.v, q.w), (q.w, q.v))
+                              for out in ((q.vp, q.wp), (q.wp, q.vp))]
+                assert sum(event_rate(model, eta, e) for e in events) == \
+                    rates[offsets[kind] + idx]
+        assert rates[offsets[COLLISION]:offsets[BOUNDARY]].max() == 4.0
 
     def test_no_wall_jumps_in_catalog(self, vs2):
         model = make_model(4, vs2)
         table = RateTable(model)
         lat, nv = model.lattice, table.nv
-        assert np.array_equal(table.ex_src % nv, table.ex_tgt % nv)
-        hops = sorted(zip((table.ex_src // nv).tolist(), (table.ex_tgt // nv).tolist()))
+        events = [table.event_from_entry(EXCLUSION, idx) for idx in range(table.counts[0])]
+        hops = sorted((ev.site, ev.target) for ev in events)
         inside = sorted((s, t) for s in range(lat.n_sites) for t in neighbor_sites(lat, s))
         assert hops == sorted(inside * nv)
 
     @pytest.mark.parametrize("name", sorted(CATALOG_MODELS))
     def test_reversible_pairs_partition_the_catalog(self, name):
-        # Every entry sits in one direction of one pair, that direction empties
-        # the entry's out slots into its in slots, and the running sums are
-        # the entries' rates added in order.
-        table = CATALOG_MODELS[name]().table
-        families = (
-            (table.ex_pairs, table.ex_src[:, None], table.ex_tgt[:, None], table.ex_pn),
-            (table.col_pairs, table.col_slots[:, :2], table.col_slots[:, 2:],
-             np.ones(len(table.col_slots))),
-        )
-        for pairs, out_slots, in_slots, rates in families:
-            assert sorted(pairs.entry.ravel()) == list(range(len(rates)))
-            half = out_slots.shape[1]
-            for p, row in enumerate(pairs.slots):
-                for j, (out, into) in enumerate(((row[:half], row[half:]),
-                                                 (row[half:], row[:half]))):
-                    for k in pairs.entry[p, j]:
-                        assert set(out_slots[k]) == set(out) and set(in_slots[k]) == set(into)
-                    assert list(pairs.cum[p, j]) == list(
-                        itertools.accumulate(rates[pairs.entry[p, j]]))
-        # a hop and its reverse per bond, and the four orderings of (v, w)
-        # and (v', w') per collision direction
-        assert 2 * table.n_pairs[0] == table.counts[0]
-        assert 8 * table.n_pairs[1] == table.counts[1]
-        assert table.bound_ex == table.ex_pn.max()
-        assert table.bound_col == (4.0 if table.counts[1] else 0.0)
+        # Entry e of the exclusion and collision families is direction e % 2
+        # of pair e // 2: its decoded Event empties the pair's first slot set
+        # into its second (direction 0) or the second into the first.  Each
+        # swap {v, w} -> {v', w'} of every site is one collision entry, and
+        # its rate, the bound, counts its ordered quadruples in
+        # `collisions.active`.
+        model = CATALOG_MODELS[name]()
+        table, nv = model.table, model.table.nv
+        swaps = []
+        for kind, pairs in ((EXCLUSION, table.ex_slots), (COLLISION, table.col_slots)):
+            assert table.counts[kind] == 2 * table.n_pairs[kind] == 2 * len(pairs)
+            half = pairs.shape[1] // 2
+            for idx in range(table.counts[kind]):
+                ev = table.event_from_entry(kind, idx)
+                if kind == EXCLUSION:
+                    out, into = [ev.site * nv + ev.velocity], [ev.target * nv + ev.velocity]
+                else:
+                    q = ev.quadruple
+                    out, into = [ev.site * nv + q.v, ev.site * nv + q.w], \
+                        [ev.site * nv + q.vp, ev.site * nv + q.wp]
+                    swaps.append((ev.site, frozenset((q.v, q.w)), frozenset((q.vp, q.wp))))
+                sets = [set(pairs[idx // 2, :half]), set(pairs[idx // 2, half:])]
+                assert [set(out), set(into)] == sets[::1 - 2 * (idx % 2)]
+        orderings = collections.Counter((frozenset((q.v, q.w)), frozenset((q.vp, q.wp)))
+                                        for q in model.collisions.active)
+        assert sorted(swaps, key=repr) == sorted(
+            ((site, *swap) for site in range(model.lattice.n_sites) for swap in orderings),
+            key=repr)
+        assert set(orderings.values()) == ({table.bound_col} if orderings else set())
+        assert table.bound_ex == table.ex_rate.max()
         assert table.weights == tuple(n * b for n, b in zip(
             table.n_pairs, (table.bound_ex, table.bound_col, table.bound_bd)))
 
     @pytest.mark.parametrize("name", sorted(RECORDED_EVENTS))
     def test_event_from_entry_matches_recorded_catalog(self, name):
-        # Recorded from the per-entry metadata lists the catalog kept before
-        # entries were stored as slot arrays; the selector index depends on
-        # this order, so a reordering changes every trajectory.
+        # Each entry's decoded Event, in catalog order.  The pair order fixes
+        # the trajectories (a candidate selects a pair); the entry order
+        # fixes the indices the loops return and the generator's mask order.
         table = RateTable(CATALOG_MODELS[name]())
         events = [table.event_from_entry(kind, idx)
                   for kind, count in enumerate(table.counts) for idx in range(count)]

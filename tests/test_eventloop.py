@@ -10,11 +10,13 @@ first event from a fixed state with the catalog's law, and keep their list of
 open collision pairs equal to the pairs the configuration opens.
 """
 
+import ctypes
 import hashlib
 import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -536,7 +538,7 @@ OPEN_SET_CASES = {
 def assert_open_list_matches(state) -> None:
     """The state's open collision list holds exactly the pairs whose slots
     read (1, 1, 0, 0) or (0, 0, 1, 1), and each pair's recorded place in it."""
-    sl = state.eta_flat[state.table.col_pairs.slots]
+    sl = state.eta_flat[state.table.col_slots]
     opened = (sl[:, 0] == sl[:, 1]) & (sl[:, 1] != sl[:, 2]) & (sl[:, 2] == sl[:, 3])
     listed = state._open[:state.n_open]
     assert sorted(listed) == list(np.flatnonzero(opened))
@@ -591,8 +593,8 @@ LAW_CASES = {
     "vs4_ring_N4": (
         lambda: Model(Lattice(4, 1, periodic=True), VS4),
         [[[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 0, 1]]]),
-    # each hop between the two sites has two entries, one per direction of
-    # the ring, with different rates
+    # each hop between the two sites has two entries, one on each of the
+    # ring's two bonds, with different rates
     "vs2_ring_N3": (
         lambda: Model(Lattice(3, 1, periodic=True), VS2),
         [[[1, 0], [0, 1]], [[1, 1], [0, 0]]]),
@@ -613,7 +615,7 @@ def test_first_event_law(loop, name):
     offsets = np.cumsum((0,) + table.counts)
     for i, rows in enumerate(states):
         eta = np.array(rows, dtype=np.uint8)
-        rates = entry_rates(table, eta)
+        rates = entry_rates(model, eta)
         assert np.isclose(rates.sum(), table.exact_totals(eta).sum(), rtol=1e-14)
         state = SimState(model, eta, np.random.default_rng(i))
         assert state.event_loop == loop
@@ -704,20 +706,28 @@ def test_event_loop_compiles_without_warnings(tmp_path):
     assert built.returncode == 0, built.stderr
 
 
-MODELS = {name: case[0] if isinstance(case, tuple) else case
-          for cases in (STREAM_CASES, AGREE_CASES, LAW_CASES) for name, case in cases.items()}
+def loop_state_fields(source: str) -> list:
+    """(name, ctypes type) of each field of the `loop_state` typedef in a C
+    source, in order: a pointer is c_void_p, int64_t c_int64, double
+    c_double; any other C type raises KeyError."""
+    body = re.search(r"typedef struct \{(.*?)\} loop_state;", source, re.S).group(1)
+    fields = []
+    for decl in filter(str.strip, re.sub(r"/\*.*?\*/", "", body, flags=re.S).split(";")):
+        c_type, declarators = re.fullmatch(r"\s*(?:const\s+)?(\w+)\s+(.*?)\s*", decl,
+                                           re.S).groups()
+        for declarator in declarators.split(","):
+            name = declarator.strip().lstrip("*").strip()
+            fields.append((name, ctypes.c_void_p if "*" in declarator else
+                           {"int64_t": ctypes.c_int64, "double": ctypes.c_double}[c_type]))
+    return fields
 
 
-@pytest.mark.parametrize("name", sorted(MODELS))
-def test_running_rate_sums_never_decrease(name):
-    # the compiled loop takes a direction's entry to be the count of its
-    # running sums that the accept variate reaches, which is the first sum
-    # above it only when the sums never decrease; the bound is the largest
-    # direction total
-    table = MODELS[name]().table
-    for pairs, bound in ((table.ex_pairs, table.bound_ex), (table.col_pairs, table.bound_col)):
-        assert (np.diff(pairs.cum, axis=-1) >= 0).all()
-        assert bound == pairs.cum.max(initial=0.0) == pairs.cum[..., -1].max(initial=0.0)
+def test_loop_state_matches_the_c_struct():
+    # ctypes lays LoopState out from its field list alone, so a field that
+    # the C struct orders or types differently would read another's bytes
+    with open(eventloop.SOURCE) as fh:
+        fields = loop_state_fields(fh.read())
+    assert fields == eventloop.LoopState._fields_
 
 
 def short_runs() -> dict:

@@ -167,13 +167,14 @@ def masked_rate_rows(table, parts, n_bits: int, scale: float) -> tuple:
     equal the entry's occupied pattern."""
     entries = []  # (flip mask, slots of the mask occupied where it fires, micro rate)
     if "exclusion" in parts:
-        for s, t, pn in zip(table.ex_src.tolist(), table.ex_tgt.tolist(),
-                            table.ex_pn.tolist()):
-            entries.append(((1 << s) | (1 << t), 1 << s, pn))
+        for (a, b), (along, back) in zip(table.ex_slots.tolist(), table.ex_rate.tolist()):
+            entries += [((1 << a) | (1 << b), 1 << a, along),
+                        ((1 << a) | (1 << b), 1 << b, back)]
     if "collision" in parts:
         for a, b, c, d in table.col_slots.tolist():
-            entries.append(((1 << a) | (1 << b) | (1 << c) | (1 << d),
-                            (1 << a) | (1 << b), 1.0))
+            flip = (1 << a) | (1 << b) | (1 << c) | (1 << d)
+            entries += [(flip, (1 << a) | (1 << b), table.bound_col),
+                        (flip, (1 << c) | (1 << d), table.bound_col)]
     if "boundary" in parts:
         for slot, birth, death in zip(table.bd_slot.tolist(), table.bd_birth,
                                       table.bd_death):

@@ -69,6 +69,14 @@ class TestNeighbors:
                 expected = 2 * d if side_of(lat, s) == BoundarySide.BULK else 2 * d - 1
                 assert len(neighbors(lat, s)) == expected
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_a_ring_of_one_site_is_rejected(self, d):
+        # its hops would land on their own slot; a ring of two sites is the
+        # smallest, with two bonds between them
+        with pytest.raises(ValueError, match="periodic lattice needs N >= 3"):
+            Lattice(2, d, periodic=True)
+        assert Lattice(3, d, periodic=True).n_sites == 2 * 3 ** (d - 1)
+
     def test_periodic_wrap_first_axis(self):
         lat = Lattice(4, 1, periodic=True)
         nbrs = {coords(lat, t)[0] for t in neighbors(lat, index(lat, (3,)))}
@@ -76,7 +84,7 @@ class TestNeighbors:
         assert all(len(neighbors(lat, s)) == 2 for s in range(lat.n_sites))
 
     @pytest.mark.parametrize("lat", [
-        Lattice(2, 1), Lattice(5, 1), Lattice(2, 1, periodic=True),
+        Lattice(2, 1), Lattice(5, 1),
         Lattice(3, 1, periodic=True), Lattice(5, 1, periodic=True),
         Lattice(2, 2), Lattice(4, 2), Lattice(3, 3, periodic=True),
     ], ids=repr)
