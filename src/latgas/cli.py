@@ -33,7 +33,8 @@ from .empirical import block_average, empirical_measure, l1_distance, smooth
 from .errors import ConfigError, DomainError, LatgasError, NumericalFailure
 from .generator import assemble_exact_generator, max_abs, velocity_groups
 from .grid import Grid, field_columns, field_rows
-from .hydro import HULL_INTERIOR_PAD, BoundaryData, Factor, SeparableField, solve_hydro
+from .hydro import (HULL_INTERIOR_PAD, BoundaryData, Factor, SeparableField,
+                    check_vanishes_on_walls, solve_hydro)
 from .lattice import Lattice
 from .ldp import default_basis, rate_estimate, time_factor, verify_f06
 from .thermo import domain_of, sample_profile_state, theta_field
@@ -111,18 +112,23 @@ def build_basis(cfg: ExperimentConfig, horizon: float) -> list:
 
 
 def build_control(cfg: ExperimentConfig, horizon: float):
-    """The control of `ldp.control`, one term per entry, or None."""
+    """The control of `ldp.control`, one term per entry, or None.  A term the
+    field rejects, or a control that does not vanish on the walls of the
+    hydro grid (which `solve_controlled` requires), exits 2."""
     terms = cfg.ldp["control"]
     if not terms:
         return None
     d = cfg.model.d
+    grid = build_grid(cfg, cfg.hydro["m1"], cfg.hydro["mt"])
     try:
-        return SeparableField(d + 1, [
+        control = SeparableField(d + 1, [
             (term["component"], term["amplitude"], time_factor(term["time_mode"], horizon),
              [Factor("sin", np.pi * term["space_mode"])] + [Factor("one")] * (d - 1))
             for term in terms])
+        check_vanishes_on_walls(control, grid, horizon)
     except ValueError as exc:
         raise ConfigError(f"ldp.control: {exc}") from None
+    return control
 
 
 def _csv_header(cfg: ExperimentConfig, units: str) -> str:
@@ -168,10 +174,10 @@ def _replica_cells(cfg: ExperimentConfig, command: str, N: int, replicas: range)
     What the replicas share is built once: the model with its event catalog
     and its one `SimState` (loop state, open-pair list and candidate buffers,
     restarted per replica by `simulate`), the SFC64 seeding words of every
-    replica, derived in one pass (`ReplicaStreams.keys`), with one generator
-    re-seeded from each in turn, the smoothing grid, and the densities theta
-    of the product measure along gamma (`cmd_simulate` checks the block
-    centers).
+    replica, drawn in one call of N's one SeedSequence
+    (`ReplicaStreams.block`), with one generator re-seeded from each in
+    turn, the smoothing grid, and the densities theta of the product measure
+    along gamma (`cmd_simulate` checks the block centers).
     Each replica draws its initial state from theta, the first draw of its
     own stream, and runs from it; then the samples of every replica are
     measured, smoothed and block-averaged in one call each.
@@ -243,11 +249,13 @@ def _map_cells(command: str, cfg: ExperimentConfig, args) -> list:
 
     Each `_replica_cells` task, one per (N, contiguous block of replicas),
     sets N up once: its replicas share one model, one `SimState` and one
-    generator, re-keyed from the block's one pass of key derivation.
-    `--threads k` splits each N's replicas into k blocks for at most k worker
-    processes, one per task; every cell's key depends only on (seed, N, r), and
-    a restarted state is a new one, so no output changes.  Adds each cell's
-    stream key N:replica and run record (its result's "run") to `args.cells`."""
+    generator, re-seeded from the words of one `generate_state` call of N's
+    SeedSequence (`ReplicaStreams.block`).  `--threads k` splits each N's
+    replicas into k blocks for at most k worker processes, one per task;
+    `generate_state` is prefix-stable, so every cell's stream depends only on
+    (seed, N, r), and a restarted state is a new one, so no output changes.
+    Adds each cell's stream key N:replica and run record (its result's "run")
+    to `args.cells`."""
     R, k = cfg.model.replicas, args.threads
     cuts = [R * i // k for i in range(k + 1)]
     tasks = [(N, range(lo, hi)) for N in cfg.model.n_values
@@ -345,6 +353,7 @@ def cmd_rate(cfg: ExperimentConfig, args) -> list:
     if bad or not sizes:
         raise ConfigError(f"ldp.basis_sizes {bad or 'is empty'}: "
                           f"each entry must lie in 1..{n}, the basis length")
+    control = build_control(cfg, horizon)
     traj = _hydro_solve(cfg)
     full = rate_estimate(traj, basis[:sizes[-1]], cfg.model.velocities)
 
@@ -356,7 +365,6 @@ def cmd_rate(cfg: ExperimentConfig, args) -> list:
     write_report(report_path, "rate-report", full.lines())
     outputs = [sweep_path, report_path]
 
-    control = build_control(cfg, horizon)
     if control is not None:
         rep6 = verify_f06(traj.values[0], traj.boundary, control, traj.grid,
                           cfg.model.velocities, horizon, basis,
@@ -387,17 +395,25 @@ def cmd_exact(cfg: ExperimentConfig, args) -> list:
     n, periodic, parts = exact["N"], exact["periodic"], exact["parts"]
     lam = np.array(exact["lambda"], dtype=float)
 
+    def measure(gen):
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+            mu = gen.product_measure(lam)
+        if not np.isfinite(mu).all():
+            raise ConfigError(f"exact.lambda {exact['lambda']} overflows the product "
+                              "measure's weights")
+        return mu
+
     model = build_model(cfg, n, periodic, reservoirs="boundary" in parts)
     gens = [assemble_exact_generator(model, parts, group)
             for group in velocity_groups(model, parts)]
-    mus = [gen.product_measure(lam) for gen in gens]
+    mus = [measure(gen) for gen in gens]
     n_states = math.prod(gen.n_states for gen in gens)
     row_max = max(max_abs(gen.row_sums()) for gen in gens)
     inv_res = gens[-1].invariance_residual(mus[-1], list(zip(gens, mus))[:-1])
     audits = []  # per collision component
     for group in velocity_groups(model, ("collision",)):
         gen = assemble_exact_generator(model, ("collision",), group)
-        audits.append(gen.detailed_balance_audit(gen.product_measure(lam)))
+        audits.append(gen.detailed_balance_audit(measure(gen)))
     assert len(audits) == 1 or not any(a["n_transitions"] for a in audits)
     transitions = sum(a["n_transitions"] for a in audits)
     worst = max(a["worst_imbalance"] for a in audits)

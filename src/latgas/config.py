@@ -26,12 +26,13 @@ import hashlib
 import importlib.util
 import json
 import os
+import sys
 import time
 from dataclasses import dataclass
 
 import numpy as np
 import yaml
-from numpy.random import SFC64, Generator
+from numpy.random import SFC64, Generator, SeedSequence
 
 from .dynamics import ALL_PARTS
 from .errors import ConfigError
@@ -341,81 +342,44 @@ def parse_config(raw) -> ExperimentConfig:
     if len(lam) != d + 1 or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
                                     for x in lam):
         raise ConfigError(f"exact.lambda needs {d + 1} numbers, got {lam}")
+    if not all(abs(x) <= sys.float_info.max for x in lam):  # false for NaN
+        raise ConfigError(f"exact.lambda must be finite, got {lam}")
     return ExperimentConfig(raw=raw, model=model, **sections)
-
-
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), on 32-bit words
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R, _WORD = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
-
-
-def _words(n: int) -> list:
-    """The 32-bit words of n >= 0, lowest first ([0] for 0), as SeedSequence reads it."""
-    return [n >> s & _WORD for s in range(0, max(n.bit_length(), 1), 32)]
-
-
-def _mix(x, y):
-    z = (_MIX_L * x - _MIX_R * y) & _WORD
-    return z ^ z >> 16
 
 
 class ReplicaStreams:
     """Independent, reproducible streams, one per cell (N, r) of the master
     seed `seed`, all served by one generator.
 
-    A cell's stream is numpy's own SFC64 seeding from
-    `SeedSequence(seed, spawn_key=(N, r)).generate_state(3, np.uint64)`: the
-    three words a, b, c make the state (a, b, c, 1), and the first 12 outputs
-    are discarded, so replicas are independent and order-insensitive.
-    SeedSequence's hash is fixed, so `keys` computes the words of a block of
-    replicas in one pass of that hash: the entropy words (the seed's,
-    zero-padded to the pool size 4 before a spawn key, numpy gh-16539; N's;
-    r's) are mixed into a pool of four under multipliers that advance per
-    hash whatever the data, the seed and N once as Python ints, r as uint64
-    arrays over the block.  `block` sets the one generator's state and empty
-    buffer through the public `bit_generator.state` per replica and discards
-    the 12 outputs: exactly the stream of
-    `Generator(SFC64(SeedSequence(seed, spawn_key=(N, r))))`, which
-    tests/test_cli.py checks against numpy's own SeedSequence, at a tenth of
-    the cost of building that generator.  A replica's stream ends when the
-    next is yielded.
+    Each lattice size N has one `SeedSequence(seed, spawn_key=(N,))`, and
+    cell (N, r) takes words 3r, 3r + 1 and 3r + 2 of its
+    `generate_state(3 (r + 1), np.uint64)` as the SFC64 state (a, b, c, 1),
+    then discards SFC64's 12 warm-up outputs, as numpy's own SFC64 seeding
+    does.  `generate_state` is prefix-stable (its first k words do not depend
+    on how many are asked for), so a cell's stream depends only on
+    (seed, N, r), not on how the replicas are split into blocks, and replica
+    0 is exactly `Generator(SFC64(SeedSequence(seed, spawn_key=(N,))))`;
+    tests/test_cli.py checks both against numpy.  `block` draws the words of
+    a block's replicas in one `generate_state` call, 24 bytes per replica up
+    to the block's last, and sets the one generator's state and empty buffer
+    through the public `bit_generator.state` per replica.  A replica's
+    stream ends when the next is yielded.
     """
 
     def __init__(self, seed: int):
         self.seed = seed
         self.rng = Generator(SFC64(0))
 
-    def keys(self, N: int, replicas: range) -> np.ndarray:
-        """The (len(replicas), 3) uint64 seeding words of the cells (N, r)."""
-        const, mult = _INIT_A, _MULT_A
-
-        def hashmix(value):
-            nonlocal const
-            value = (value ^ const) * (const := const * mult & _WORD) & _WORD
-            return value ^ value >> 16
-
-        seed = _words(self.seed)
-        entropy = seed + [0] * (4 - len(seed)) + _words(N)
-        pool = [hashmix(word) for word in entropy[:4]]
-        for src, dst in ((s, d) for s in range(4) for d in range(4) if s != d):
-            pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-        r = np.arange(replicas.start, replicas.stop, replicas.step, dtype=np.uint64)
-        for word in entropy[4:] + [r & _WORD]:
-            pool = [_mix(p, hashmix(word)) for p in pool]
-        high = r >> 32  # r's second word, where r >= 2^32
-        pool = [np.where(high > 0, _mix(p, hashmix(high)), p) for p in pool]
-        const, mult = _INIT_B, _MULT_B  # the output hash, cycling over the pool
-        out = [hashmix(pool[i % 4]) for i in range(6)]
-        return np.stack([out[i] | out[i + 1] << 32 for i in range(0, 6, 2)], axis=1)
-
     def block(self, N: int, replicas: range):
         """The generator, re-seeded to each cell (N, r), r in `replicas`, in turn."""
+        stop = replicas[-1] + 1 if replicas else 0
+        keys = SeedSequence(self.seed, spawn_key=(N,)).generate_state(3 * stop, np.uint64)
         words = np.ones(4, dtype=np.uint64)
         state = {"bit_generator": "SFC64", "state": {"state": words},
                  "has_uint32": 0, "uinteger": 0}
         bits = self.rng.bit_generator
-        for key in self.keys(N, replicas):
-            words[:3] = key
+        for r in replicas:
+            words[:3] = keys[3 * r:3 * r + 3]
             bits.state = state
             bits.random_raw(12)  # SFC64's own warm-up (output=False is slower)
             yield self.rng
@@ -475,9 +439,12 @@ def write_manifest(path, command: str, config: ExperimentConfig, cells: list,
     """Write the run manifest, a `run-manifest` report (`write_report`).
 
     `cells` holds (stream key, run record) per simulated (N, replica) cell,
-    in cell order; a run record has the `event_loop` that ran ("compiled" or
-    "python"), `n_events`, `kind_counts` (exclusion, collision, boundary) and
-    the `candidates` read, so n_events / candidates is the cell's acceptance.
+    in cell order; the stream key N:r names the cell's stream, seeded from
+    words 3r to 3r + 2 of `SeedSequence(master_seed, spawn_key=(N,))`
+    (`ReplicaStreams`).  A run record has the `event_loop` that ran
+    ("compiled" or "python"), `n_events`, `kind_counts` (exclusion,
+    collision, boundary) and the `candidates` read, so n_events / candidates
+    is the cell's acceptance.
     Commands that simulate name the bit generator of the streams
     (`ReplicaStreams`) in a `bit_generator` line and list the run records in
     `event_loop`, `n_events`, `kind_counts` and `candidates` lines, per cell

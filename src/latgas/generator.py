@@ -274,22 +274,23 @@ class ExactGenerator:
         mu L = sum_c (mu_c L_c) x mu_rest and exit = sum_c exit_c.  `rest` is
         folded into its product states' measure, mu L and exit, then this
         generator's states are read in blocks of about CHUNK states of L.
-        With no rest the fold is one state (measure 1, mu L 0, exit 0)."""
+        With no rest the fold is one state (measure 1, mu L 0, exit 0).  A
+        NaN in a measure gives NaN, never 0."""
         weight, flux, out = np.ones(1), np.zeros(1), np.zeros(1)
         for gen, m in rest:
             flux = (np.multiply.outer(flux, m) + np.multiply.outer(weight, gen.left(m))).ravel()
             weight, out = np.multiply.outer(weight, m).ravel(), np.add.outer(out, gen.exit).ravel()
         left, residual, scale = self.left(mu), 0.0, 0.0
         step = max(1, CHUNK // len(weight))
-        for lo in range(0, self.n_states, step):
+        for lo in range(0, self.n_states, step):  # np.maximum, unlike max, keeps a NaN
             part = slice(lo, lo + step)
-            residual = max(residual, max_abs(np.multiply.outer(flux, mu[part])
-                                             + np.multiply.outer(weight, left[part])))
-            scale = max(scale, float(np.max(np.multiply.outer(weight, mu[part])
-                                            * np.add.outer(out, self.exit[part]))))
+            residual = np.maximum(residual, max_abs(np.multiply.outer(flux, mu[part])
+                                                    + np.multiply.outer(weight, left[part])))
+            scale = np.maximum(scale, np.max(np.multiply.outer(weight, mu[part])
+                                             * np.add.outer(out, self.exit[part])))
         if scale == 0.0:
             return 0.0
-        residual /= scale
+        residual = float(residual / scale)
         return 0.0 if residual <= self.rounding_bound(rest) else residual
 
     def rounding_bound(self, rest=()) -> float:
@@ -324,8 +325,9 @@ class ExactGenerator:
         a table with n nonzero entries holds n 2^(n_bits - popcount)
         transitions, all reversible when each nonzero pattern's flipped
         pattern is nonzero too, and the imbalance is read on the two views.
-        Returns the number of transitions, the worst absolute imbalance, and
-        whether every transition has a reverse."""
+        Returns the number of transitions, the worst absolute imbalance (NaN
+        when a NaN in `mu` reaches a transition), and whether every
+        transition has a reverse."""
         count, worst, reversible = 0, 0.0, True
         mu = np.asarray(mu)
         for flip, rates in zip(self.flips.tolist(), self.tables):
@@ -339,8 +341,8 @@ class ExactGenerator:
                     reversible = False
                     continue
                 flux = view[cut(pattern)] * rate - view[cut(pattern ^ flip)] * back
-                worst = max(worst, float(np.max(np.abs(flux), initial=0.0)))
-        return {"n_transitions": count, "worst_imbalance": worst,
+                worst = np.maximum(worst, np.max(np.abs(flux), initial=0.0))
+        return {"n_transitions": count, "worst_imbalance": float(worst),
                 "all_reversible": reversible}
 
 

@@ -13,7 +13,9 @@ reproduce the files byte for byte.  It rewrites
                                and the `exact` digests of
                                `test_cli.exact_report_digest`;
   tests/data/controlled_marches.json  `test_hydro.controlled_march_digest`
-                               of each case of `test_hydro.CONTROLLED_MARCHES`.
+                               of each case of `test_hydro.CONTROLLED_MARCHES`;
+  tests/data/catalog_events.json  `test_dynamics.catalog_record` of each model
+                               of `test_dynamics.CATALOG_MODELS`, one row per line.
 
 It prints each recorded key whose value changed.  Re-record only for a
 change that is meant to move these outputs (a new candidate stream, a new
@@ -33,6 +35,7 @@ sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 from latgas import eventloop  # noqa: E402
 
 import test_cli  # noqa: E402
+import test_dynamics  # noqa: E402
 import test_eventloop  # noqa: E402
 import test_hydro  # noqa: E402
 
@@ -48,14 +51,22 @@ def leaves(data: dict, prefix: str = "") -> dict:
     return out
 
 
-def write(path: pathlib.Path, data: dict) -> None:
-    """Rewrite `path` with `data`, printing each key whose value changed."""
+def rows_per_line(data: dict) -> str:
+    """`data`, a dict of lists of rows, as JSON with one row per line."""
+    cases = (f"  {json.dumps(name)}: [\n" + ",\n".join(f"    {json.dumps(row)}" for row in rows)
+             + "\n  ]" for name, rows in data.items())
+    return "{\n" + ",\n".join(cases) + "\n}\n"
+
+
+def write(path: pathlib.Path, data: dict, text: str = "") -> None:
+    """Rewrite `path` with `data`, as `text` if given, else as indented JSON
+    with sorted keys, printing each key whose value changed."""
     old = leaves(json.loads(path.read_text())) if path.exists() else {}
     new = leaves(data)
     for key in sorted(old.keys() | new.keys()):
         if old.get(key) != new.get(key):
             print(f"{path.relative_to(HERE)}: {key} changed")
-    path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    path.write_text(text or json.dumps(data, indent=1, sort_keys=True) + "\n")
 
 
 def main() -> None:
@@ -77,6 +88,8 @@ def main() -> None:
     write(HERE / "data" / "controlled_marches.json",
           {name: test_hydro.controlled_march_digest(name)
            for name in sorted(test_hydro.CONTROLLED_MARCHES)})
+    catalogs = {name: test_dynamics.catalog_record(name) for name in test_dynamics.CATALOG_MODELS}
+    write(HERE / "data" / "catalog_events.json", catalogs, rows_per_line(catalogs))
 
 
 if __name__ == "__main__":

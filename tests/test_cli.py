@@ -227,11 +227,19 @@ def test_exact_never_builds_the_sparse_matrix(tmp_path, monkeypatch):
     ({"parts": ["collision", "collision"]}, "exact.parts must list each part once"),
     # a ring of one site, whose hops would land on their own slot
     ({"N": 2, "periodic": True}, "exact.N must be >= 3 on a periodic lattice"),
+    ({"lambda": [float("nan"), 0.0]}, "exact.lambda must be finite"),
+    ({"lambda": [0.0, float("-inf")]}, "exact.lambda must be finite"),
+    ({"lambda": [10**400, 0]}, "exact.lambda must be finite"),
+    # finite, but exp(800) overflows a site's weight, and exp(400)^2 the
+    # product over the ring's two sites
+    ({"lambda": [800.0, 0.0]}, "exact.lambda [800.0, 0.0] overflows"),
+    ({"lambda": [400.0, 0.0]}, "exact.lambda [400.0, 0.0] overflows"),
 ])
 def test_exact_section_errors_exit_2(tmp_path, capsys, exact, message):
     path = tiny_config(tmp_path, exact=exact)
     assert main(["exact", "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("periodic,parts", [
@@ -666,41 +674,75 @@ def test_manifest_lists_the_replica_streams_drawn(tmp_path, command, keys):
     assert manifest_line(out / f"manifest_{command}.txt", "stream_keys") == keys
 
 
+def seeded_sfc64(key) -> Generator:
+    """A new generator on numpy's SFC64 seeding from the three words `key`:
+    the state (a, b, c, 1), then 12 discarded outputs."""
+    bits = SFC64()
+    bits.state = {"bit_generator": "SFC64", "has_uint32": 0, "uinteger": 0,
+                  "state": {"state": np.array([*key, 1], dtype=np.uint64)}}
+    bits.random_raw(12)
+    return Generator(bits)
+
+
+def first_draws(rng):
+    return (rng.integers(0, 2**32, 3, dtype=np.uint32).tobytes(),
+            rng.random(5).tobytes(), rng.standard_exponential(7).tobytes())
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 20240809])
 def test_replica_keys_are_numpys_seed_sequence_keys(seed):
-    # one pass per block gives SeedSequence's keys, for blocks at 0 and at
-    # the --threads 2 offset of 192 replicas, N of one and two words, and
-    # replica indices of two words
+    # cell (N, r) is seeded from words 3r..3r+2 of its own generate_state
+    # call of length 3(r + 1), so its key does not depend on the block it
+    # runs in: blocks at 0 and at the --threads 2 offset of 192 replicas,
+    # and N of one and two words
     streams = ReplicaStreams(seed)
     for N in (2, 4, 128, 2**32 + 1):
-        for replicas in (range(0, 96), range(96, 192), range(2**32 - 2, 2**32 + 2)):
-            want = [SeedSequence(seed, spawn_key=(N, r)).generate_state(3, np.uint64)
+        for replicas in (range(0, 96), range(96, 192), range(150, 160)):
+            got = [rng.random(2).tobytes() for rng in streams.block(N, replicas)]
+            keys = [SeedSequence(seed, spawn_key=(N,)).generate_state(3 * (r + 1), np.uint64)[-3:]
                     for r in replicas]
-            keys = streams.keys(N, replicas)
-            assert keys.dtype == np.uint64 and keys.tobytes() == np.array(want).tobytes()
+            assert got == [seeded_sfc64(key).random(2).tobytes() for key in keys]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 20240809, 2**40 + 3])
 def test_replica_streams_are_numpys_seeded_sfc64_streams(seed):
-    # each re-seeded stream of a block, after an odd count of 32-bit draws on
-    # the one before it, is the stream of its own new generator
-    def draws(rng):
-        return (rng.integers(0, 2**32, 3, dtype=np.uint32).tobytes(),
-                rng.random(5).tobytes(), rng.standard_exponential(7).tobytes())
-
+    # replica 0 is numpy's own seeding from N's SeedSequence, and each
+    # re-seeded stream of a block, after an odd count of 32-bit draws on the
+    # one before it, is the stream of its own new generator
     streams = ReplicaStreams(seed)
     for N in (4, 8, 16, 128):
+        assert first_draws(next(streams.block(N, range(1)))) \
+            == first_draws(Generator(SFC64(SeedSequence(seed, spawn_key=(N,)))))
         for replicas in (range(0, 200, 7), range(96, 192, 5)):
-            got = [draws(rng) for rng in streams.block(N, replicas)]
-            assert got == [draws(Generator(SFC64(SeedSequence(seed, spawn_key=(N, r)))))
-                           for r in replicas]
+            got = [first_draws(rng) for rng in streams.block(N, replicas)]
+            keys = SeedSequence(seed, spawn_key=(N,)).generate_state(600, np.uint64)
+            assert got == [first_draws(seeded_sfc64(keys[3 * r:3 * r + 3])) for r in replicas]
+
+
+def test_replica_keys_do_not_repeat():
+    # 10^5 replicas of one N at a fixed seed: every key triple is distinct
+    keys = SeedSequence(20091124, spawn_key=(128,)).generate_state(3 * 10**5, np.uint64)
+    assert len(np.unique(keys.reshape(-1, 3), axis=0)) == 10**5
+
+
+def test_adjacent_replicas_first_draws_are_uncorrelated():
+    # The first uniforms u_r of 10^5 replicas at a fixed seed: for
+    # independent streams the lag-one sample correlation has standard
+    # deviation 1 / sqrt(n) = 0.0032, and it must lie within 5 of them.
+    # The uniforms' mean and variance must lie within 5 standard errors of
+    # 1/2 and 1/12 (standard errors sqrt(1/12 / n) and sqrt(1/180 / n)).
+    n = 10**5
+    u = np.array([rng.random() for rng in ReplicaStreams(20091124).block(128, range(n))])
+    assert abs(np.corrcoef(u[:-1], u[1:])[0, 1]) < 5 / np.sqrt(n)
+    assert abs(u.mean() - 0.5) < 5 * np.sqrt(1 / 12 / n)
+    assert abs(u.var() - 1 / 12) < 5 * np.sqrt(1 / 180 / n)
 
 
 def test_one_state_and_one_generator_per_replica_block(tmp_path, monkeypatch):
     # each `_replica_cells` task, one per N at --threads 1, builds one
-    # SFC64 generator and derives its replicas' keys in one pass, with no
-    # SeedSequence; it builds one SimState, and with it the event catalog,
-    # inside the task's first `simulate` call
+    # SFC64 generator and one SeedSequence, whose one generate_state call
+    # gives every replica's key; it builds one SimState, and with it the
+    # event catalog, inside the task's first `simulate` call
     built, calls = [], []
 
     def counting(name, make):
@@ -719,17 +761,15 @@ def test_one_state_and_one_generator_per_replica_block(tmp_path, monkeypatch):
                         counting("SimState", latgas.dynamics.SimState))
     monkeypatch.setattr(latgas.dynamics, "RateTable", counting("RateTable", RateTable))
     monkeypatch.setattr(latgas.config, "SFC64", counting("SFC64", SFC64))
-    monkeypatch.setattr(ReplicaStreams, "keys", counting("keys", ReplicaStreams.keys))
-    monkeypatch.setattr(np.random, "SeedSequence", counting("SeedSequence", SeedSequence))
-    assert not hasattr(latgas.config, "SeedSequence")
+    monkeypatch.setattr(latgas.config, "SeedSequence", counting("SeedSequence", SeedSequence))
     path = tiny_config(tmp_path, model={"N": [4, 6, 8], "replicas": 3})
     assert main(["converge", "--config", path, "--out", str(tmp_path / "out"),
                  "--threads", "1"]) == 0
     assert calls == [4, 4, 4, 6, 6, 6, 8, 8, 8]
     # (what, simulate calls begun when it was built)
-    assert built == [("SFC64", 0), ("keys", 0), ("SimState", 1), ("RateTable", 1),
-                     ("SFC64", 3), ("keys", 3), ("SimState", 4), ("RateTable", 4),
-                     ("SFC64", 6), ("keys", 6), ("SimState", 7), ("RateTable", 7)]
+    assert built == [("SFC64", 0), ("SeedSequence", 0), ("SimState", 1), ("RateTable", 1),
+                     ("SFC64", 3), ("SeedSequence", 3), ("SimState", 4), ("RateTable", 4),
+                     ("SFC64", 6), ("SeedSequence", 6), ("SimState", 7), ("RateTable", 7)]
 
 
 def test_manifest_records_scipy_and_blas_threads(tmp_path, monkeypatch):
@@ -864,17 +904,24 @@ def test_a_failed_run_leaves_no_earlier_manifest(tmp_path, capsys, monkeypatch):
     assert now["sim_N4_r0_fields.csv"] != first["sim_N4_r0_fields.csv"]
 
 
-def test_a_run_that_exits_2_leaves_the_directory_as_it_was(tmp_path):
-    # the basis sizes are checked after the config loads and before any work
+def test_a_run_that_exits_2_leaves_the_directory_as_it_was(tmp_path, capsys):
+    # the basis sizes and the control are checked after the config loads and
+    # before any work: a component past d, and a sine mode so high that
+    # sin(pi k) at the wall x = 1 is above the wall tolerance 1e-12
     out = tmp_path / "out"
     assert main(["rate", "--config", tiny_config(tmp_path), "--out", str(out)]) == 0
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     assert "manifest_rate.txt" in before
-    bad = tiny_config(tmp_path, ldp={"basis_sizes": [99]})
-    assert main(["rate", "--config", bad, "--out", str(out)]) == 2
-    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
-    assert main(["rate", "--config", bad, "--out", str(tmp_path / "new")]) == 2
-    assert not (tmp_path / "new").exists()
+    for ldp, message in [({"basis_sizes": [99]}, "ldp.basis_sizes [99]"),
+                         ({"control": [{"component": 5}]}, "ldp.control: "),
+                         ({"control": [{"space_mode": 100000}]},
+                          "ldp.control: field does not vanish on the walls")]:
+        bad = tiny_config(tmp_path, ldp=ldp)
+        assert main(["rate", "--config", bad, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert main(["rate", "--config", bad, "--out", str(tmp_path / "new")]) == 2
+        assert not (tmp_path / "new").exists()
 
 
 RUN_LINES = ("stream_keys", "bit_generator", "event_loop", "n_events", "kind_counts",

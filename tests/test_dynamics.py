@@ -57,6 +57,17 @@ CATALOG_MODELS = {
 }
 
 
+def catalog_record(name) -> list:
+    """The decoded Event of each catalog entry of `CATALOG_MODELS[name]`, in
+    catalog order, as a row [kind, site, velocity, target, quadruple]
+    (`tests/record_data.py` writes these rows to catalog_events.json)."""
+    table = RateTable(CATALOG_MODELS[name]())
+    events = (table.event_from_entry(kind, idx)
+              for kind, count in enumerate(table.counts) for idx in range(count))
+    return [[ev.kind, ev.site, ev.velocity, ev.target,
+             ev.quadruple and list(dataclasses.astuple(ev.quadruple))] for ev in events]
+
+
 def make_model(N, vs, alpha=None, beta=None, periodic=False, collisions=True):
     lat = Lattice(N, 1, periodic=periodic)
     profiles = None
@@ -351,13 +362,7 @@ class TestRateTable:
         # Each entry's decoded Event, in catalog order.  The pair order fixes
         # the trajectories (a candidate selects a pair); the entry order
         # fixes the indices the loops return and the generator's mask order.
-        table = RateTable(CATALOG_MODELS[name]())
-        events = [table.event_from_entry(kind, idx)
-                  for kind, count in enumerate(table.counts) for idx in range(count)]
-        recorded = [Event(kind, site, velocity, target,
-                          None if quad is None else Collision(*quad))
-                    for kind, site, velocity, target, quad in RECORDED_EVENTS[name]]
-        assert events == recorded
+        assert catalog_record(name) == RECORDED_EVENTS[name]
 
 
 class TestStep:

@@ -382,6 +382,15 @@ class TestInvariance:
         assert gen.invariance_residual(mu) == pytest.approx(relative, rel=1e-12)
         assert relative > 0.1
 
+    @pytest.mark.parametrize("at", [0, -1])
+    def test_a_nan_in_the_measure_reads_nan(self, vs4, at):
+        # an overflowed measure is not reported as invariant
+        gen = assemble_exact_generator(Model(Lattice(3, 1, periodic=True), vs4),
+                                       parts=("exclusion", "collision"))
+        mu = gen.product_measure(np.array([0.2, -0.4]))
+        mu[at] = np.nan
+        assert np.isnan(gen.invariance_residual(mu))
+
 
 def component_states(model, group) -> np.ndarray:
     """Each whole-chain state's state in the chain of `group`'s velocities:
@@ -527,6 +536,12 @@ class TestDetailedBalance:
                 assert audit["n_transitions"] > 0
                 assert audit["all_reversible"]
                 assert audit["worst_imbalance"] == 0.0
+
+    def test_a_nan_measure_reads_nan(self, vs4):
+        gen = assemble_exact_generator(Model(Lattice(3, 1), vs4, profiles=None),
+                                       parts=("collision",))
+        audit = gen.detailed_balance_audit(np.full(gen.n_states, np.nan))
+        assert audit["n_transitions"] > 0 and np.isnan(audit["worst_imbalance"])
 
     def test_boundary_reversible_when_matched(self, vs2):
         # with alpha = beta = theta(lam) the boundary dynamics is reversible
