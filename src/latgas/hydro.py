@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -145,9 +145,13 @@ class Factor:
         return -self.scale ** 2 * self.value(x)
 
 
-def _space(axes, grid: Grid) -> tuple:
+@lru_cache(maxsize=128)
+def _space(axes: tuple, grid: Grid) -> tuple:
     """(value, gradient, laplacian) on `grid` of the product of the 1-D factors
-    `axes`, one per axis; the gradient has a trailing axis of length d."""
+    `axes`, one per axis; the gradient has a trailing axis of length d.
+
+    Built once per distinct (axes, grid), read-only; the cache keeps the 128
+    pairs used last, each d + 2 doubles per node (1.5 KiB at m1 = 65, d = 1)."""
     if len(axes) != grid.d:
         raise ValueError(f"field has {len(axes)} axis factors, grid is {grid.d}-d")
     x = [grid.axis(i) for i in range(grid.d)]
@@ -158,7 +162,10 @@ def _space(axes, grid: Grid) -> tuple:
 
     grad = np.stack([swap(i, f.d1(x[i])) for i, f in enumerate(axes)], axis=-1)
     lap = sum(swap(i, f.d2(x[i])) for i, f in enumerate(axes))
-    return reduce(np.multiply.outer, vals), grad, lap
+    parts = reduce(np.multiply.outer, vals), grad, lap
+    for part in parts:
+        part.flags.writeable = False
+    return parts
 
 
 class SeparableField:
@@ -198,10 +205,14 @@ class SeparableField:
         return self._sum(times, grid, 1)
 
 
-def check_vanishes_on_walls(fld, grid: Grid, horizon: float):
-    worst = float(np.max(np.abs(fld.values(np.linspace(0.0, horizon, 5), grid)[:, [0, -1]])))
+def check_vanishes_on_walls(fld, grid: Grid, horizon: float) -> float:
+    """Raise ValueError unless `fld` is within WALL_VANISH_TOL of zero on the walls
+    at five times in [0, horizon]; return its largest |value| on the grid then."""
+    values = np.abs(fld.values(np.linspace(0.0, horizon, 5), grid))
+    worst = float(np.max(values[:, [0, -1]]))
     if worst > WALL_VANISH_TOL:
         raise ValueError(f"field does not vanish on the walls (max {worst:.2e})")
+    return float(np.max(values))
 
 
 # --- trajectories ---------------------------------------------------------------
@@ -312,15 +323,21 @@ class _Stepper:
     which sine modes along u_1 and Fourier modes along the periodic transverse
     axes diagonalize: with r = dt / (4 h_1^2), mode (j, k) has eigenvalue
     1 + 4r sin^2(pi j / (2 (m1 - 1))) + s_k, s_k the transverse part.  With S
-    the orthonormal DST-I matrix (its own inverse), the solve applies one real
-    matrix S diag(1/eig_k) S per transverse wavenumber k (`inverse`, built
-    here) along u_1, between an rfftn across and its inverse in d > 1, and
-    adds the solution of the wall data alone (`walls`).  That is O(m1^2) per
-    column against a DST's O(m1 log m1), but a DST pair's numpy calls cost
-    more below m1 of about 400 in d = 1 (a solve took 3.6 against 24 us at
-    m1 = 65, 55 against 42 us at 513, on a 2-core Xeon KVM guest), and no
-    shipped config, test or workload marches above m1 = 257; in d = 2 the
-    product is faster at (33, 8) and (33, 16), 54 and 62 against 80 and 94 us.
+    the orthonormal DST-I matrix (its own inverse), the solve is one real
+    matrix S diag(1/eig_k) S per transverse wavenumber k (`inverse`) along
+    u_1, plus the solution of the wall data alone (`walls`).
+
+    In d > 1 a stage applies `inverse` between an rfftn across and its
+    inverse (`_stage`).  In d = 1 it is folded into two operators on the
+    interior rows and all m1 columns, K_b = inverse (I + dt/4 Lap_h) and
+    K_g = inverse d_h (central differences): a step forms b = walls + K_b W
+    once, and a stage is b - c K_g F, F the wall-axis flux, c = dt with
+    F(W), then dt/2 with F(W) + F(W*).  A step took 44 against 60 us for
+    `inverse` applied to W + dt/4 Lap_h W + c N at m1 = 65, 99 against 100
+    at 257, 350 against 250 at 513 (2-core Xeon KVM guest); nothing shipped
+    marches above 257.  In d = 2 a solve took 57 us at (33, 8) and 61 at
+    (33, 16).
+
     A step takes the drift at its two stage times as an argument (see
     `_flux_grid`; the plain system's is vset.velocities.T), and skips what it
     never reads: lam for d+1 velocities, per-node hull margins while every
@@ -342,23 +359,30 @@ class _Stepper:
         for m in reversed([grid.mt] * (grid.d - 2) + [grid.mt // 2 + 1] * (grid.d > 1)):
             s_k = (dt / grid.ht**2) * np.sin(np.pi * np.arange(m) / grid.mt) ** 2
             eig = np.add.outer(s_k, eig)
-        self.inverse = (dst / eig[..., None, :]) @ dst
+        inverse = (dst / eig[..., None, :]) @ dst
         # the solve of R = 0; a wall row enters its neighbour's right-hand side times r
         self.walls = np.zeros(grid.shape + (vset.d + 1,))
         self.walls[0], self.walls[-1] = boundary.a, boundary.b
-        self.walls[1:-1] = self._solve(r * (self.walls[:-2] + self.walls[2:]))
+        rhs = r * (self.walls[:-2] + self.walls[2:])
+        if self.axes:
+            self.inverse = inverse
+            self.walls[1:-1] = self._solve(rhs)
+        else:
+            self.walls[1:-1] = inverse @ rhs
+            # K_b and K_g: the interior rows of I + dt/4 Lap_h and d_h, solved
+            band = [np.eye(n, grid.m1, k) for k in range(3)]
+            self.k_base = inverse @ (band[1] + r * (band[0] - 2 * band[1] + band[2]))
+            self.k_grad = inverse @ ((band[2] - band[0]) / (2 * grid.h1))
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        """(I - dt/2 A)^-1 rhs on the interior rows, with zero wall data."""
-        if not self.axes:
-            return self.inverse @ rhs
+        """(I - dt/2 A)^-1 rhs on the interior rows, with zero wall data, in d > 1."""
         # (n, *k, c) complex -> (*k, n, 2c) real, the real and imaginary parts side by side
         modes = np.ascontiguousarray(np.moveaxis(fft.rfftn(rhs, axes=self.axes), 0, -2))
         modes = (self.inverse @ modes.view(float)).view(complex)
         return fft.irfftn(np.moveaxis(modes, -2, 0), s=self.grid.tshape, axes=self.axes)
 
-    def flux_divergence(self, W: np.ndarray, drift: np.ndarray) -> np.ndarray:
-        """N(W) = -sum_i d_i F_i(W), the flux for the velocities of `drift`."""
+    def flux(self, W: np.ndarray, drift: np.ndarray) -> np.ndarray:
+        """F(W)[..., i, k], the flux for the velocities of `drift` (`_flux_grid`)."""
         vset = self.vset
         # a set of d+1 velocities takes theta alone; larger sets run Newton,
         # warm-started from the last stage's lam
@@ -366,14 +390,25 @@ class _Stepper:
             th = exact_theta(W, vset)
         else:
             self.lam, th = local_equilibrium(W, vset, lam0=self.lam, check_domain=False)
-        fl = _flux_grid(th * (1.0 - th), vset, drift)
-        return -reduce(np.add, (_grad_central(fl[..., i, :], self.grid, axis=i)
-                                for i in range(self.grid.d)))
+        return _flux_grid(th * (1.0 - th), vset, drift)
 
-    def implicit_solve(self, R: np.ndarray) -> np.ndarray:
-        """Solve (I - dt/2 A) X = R; R's wall rows are ignored, X's are a and b."""
-        X = self.walls.copy()
-        X[1:-1] += self._solve(R[1:-1])
+    def _flux_term(self, W: np.ndarray, drift: np.ndarray) -> np.ndarray:
+        """K_g F on the interior rows in d = 1, sum_i d_i F_i in d > 1."""
+        fl = self.flux(W, drift)
+        if not self.axes:
+            return self.k_grad @ fl[:, 0]
+        return reduce(np.add, (_grad_central(fl[..., i, :], self.grid, axis=i)
+                               for i in range(self.grid.d)))
+
+    def _stage(self, b: np.ndarray, g: np.ndarray, c: float) -> np.ndarray:
+        """The stage X = b - c g with wall rows a and b: solved by (I - dt/2 A)
+        in d > 1, as it is in d = 1, where K_b and K_g hold the solve."""
+        if self.axes:
+            X = self.walls.copy()
+            X[1:-1] += self._solve((b - c * g)[1:-1])
+        else:
+            X = b.copy()
+            X[1:-1] -= c * g
         return X
 
     def guard(self, W: np.ndarray, t: float) -> np.ndarray:
@@ -398,12 +433,16 @@ class _Stepper:
         """Advance W from t to t + dt; `drifts` holds the drift (`_flux_grid`)
         at t and at t + dt."""
         dt = self.dt
-        base = W + 0.25 * dt * reduce(np.add, (_lap_axis(W, self.grid, axis=i)
-                                               for i in range(self.grid.d)))
-        n0 = self.flux_divergence(W, drifts[0])
-        W1 = self.guard(self.implicit_solve(base + dt * n0), t + dt)
-        n1 = self.flux_divergence(W1, drifts[1])
-        return self.guard(self.implicit_solve(base + 0.5 * dt * (n0 + n1)), t + dt)
+        if self.axes:
+            b = W + 0.25 * dt * reduce(np.add, (_lap_axis(W, self.grid, axis=i)
+                                                for i in range(self.grid.d)))
+        else:
+            b = self.walls.copy()
+            b[1:-1] += self.k_base @ W
+        g0 = self._flux_term(W, drifts[0])
+        W1 = self.guard(self._stage(b, g0, dt), t + dt)
+        g1 = self._flux_term(W1, drifts[1])
+        return self.guard(self._stage(b, g0 + g1, 0.5 * dt), t + dt)
 
 
 def _prepare_gamma(gamma, grid: Grid, vset: VelocitySet) -> np.ndarray:
@@ -520,7 +559,10 @@ class QuadratureContext:
         - int sum_v chi_v sum_i v_i (vtilde . d_i G),
 
     is linear in G, so the trajectory fixes its weights: the constructor
-    stores them once and `gram` contracts them with the factors of G.
+    stores them once and `gram` contracts them with the factors of G.  The
+    Gram weights and the flux block are one product each of the chi weights
+    with a velocity table (vt_vc vt_vk, -v_vi vt_vk): 1.2 ms a build at
+    m1 = 65 and 128 frames, against 3.4 ms by three-operand einsums.
     """
 
     def __init__(self, traj: FieldTrajectory, vset: VelocitySet):
@@ -554,10 +596,13 @@ class QuadratureContext:
         ends = self.w_space[..., None] * traj.values[[-1, 0]]
         self.value_weights = np.concatenate([-dtw * w_mid, ends[:1], -ends[1:]])
         cw = dtw * self.chi
-        # the Gram matrix's weights M_cc' = sum_v chi_v vt_vc vt_vc' dt_f w, (nodes, ...)
-        self.pi_weights = np.einsum("f...v,vc,vk->...fck", cw, vset.vtilde,
-                                    vset.vtilde).reshape(self.w_space.size, -1)
-        gw = -np.einsum("f...v,vk,vi->f...ik", cw, vset.vtilde, vset.velocities)
+        # the Gram matrix's weights M_cc' = sum_v chi_v vt_vc vt_vc' dt_f w, (nodes, ...),
+        # and the flux block, each one product with an (nv, ...) velocity table
+        vt, nv = vset.vtilde, len(vset)
+        self.pi_weights = (np.moveaxis(cw, 0, -2) @ (vt[:, :, None] * vt[:, None]).reshape(nv, -1)
+                           ).reshape(self.w_space.size, -1)
+        gw = (cw @ -(vset.velocities[:, :, None] * vt[:, None]).reshape(nv, -1)
+              ).reshape(cw.shape[:-1] + (vset.d, vset.d + 1))
         del cw
         half = 0.5 * self.dt_f.reshape((-1,) + (1,) * grid.d)
         tw = grid.transverse_weights().reshape(grid.tshape)[..., None]

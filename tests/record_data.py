@@ -10,8 +10,12 @@ reproduce the files byte for byte.  It rewrites
                                of `test_cli.output_digests` at one thread, the
                                `simulate` and `hydro` digests of the d = 2
                                config `test_cli.tiny_config_2d` (under "2d"),
-                               and the `exact` digests of
-                               `test_cli.exact_report_digest`;
+                               the `exact` digests of
+                               `test_cli.exact_report_digest`, and under
+                               "rate" `test_cli.rate_numbers`, rewritten only
+                               when the new run misses the recorded numbers
+                               by more than `test_cli.RATE_TOLERANCES`, so a
+                               change that moves them by rounding leaves them;
   tests/data/controlled_marches.json  `test_hydro.controlled_march_digest`
                                of each case of `test_hydro.CONTROLLED_MARCHES`;
   tests/data/catalog_events.json  `test_dynamics.catalog_record` of each model
@@ -83,6 +87,10 @@ def main() -> None:
                          for command in ("simulate", "hydro")}
         outputs["exact"] = {name: test_cli.exact_report_digest(tmp, name)
                             for name in sorted(test_cli.EXACT_CONFIGS)}
+        rate = test_cli.rate_numbers(tmp)
+    recorded = test_cli.RECORDED_OUTPUTS.get("rate")
+    outputs["rate"] = (recorded if recorded and not test_cli.rate_mismatches(recorded, rate)
+                       else rate)
     write(HERE / "data" / "sim_streams.json", streams)
     write(HERE / "data" / "cli_outputs.json", outputs)
     write(HERE / "data" / "controlled_marches.json",

@@ -30,6 +30,9 @@ from latgas.hydro import (
     FieldTrajectory,
     QuadratureContext,
     SeparableField,
+    _grad_central,
+    _lap_axis,
+    _Stepper,
 )
 from latgas.ldp import default_basis, time_factor
 from latgas.thermo import sample_profile_state, theta_all
@@ -368,3 +371,60 @@ def j_hat(traj: FieldTrajectory, G, vset: VelocitySet) -> float:
     """Cost integrand for one test function: linear residual minus |G|_pi^2."""
     ctx = QuadratureContext(traj, vset)
     return linear_residual(ctx, G) - ctx.pi_norm_sq(G)
+
+
+# --- the forms the solver and the quadrature replaced ------------------------
+
+def einsum_weights(traj: FieldTrajectory, vset: VelocitySet) -> tuple:
+    """(context, pi_weights, lap_grad_weights) of the trajectory, the two
+    weights from three-operand einsums over the velocities, as
+    `QuadratureContext` built them before each became one matrix product
+    against a small velocity table."""
+    ctx = QuadratureContext(traj, vset)
+    grid = traj.grid
+    dtw = (ctx.dt_f.reshape((-1,) + (1,) * grid.d) * ctx.w_space)[..., None]
+    cw = dtw * ctx.chi
+    pi = np.einsum("f...v,vc,vk->...fck", cw, vset.vtilde, vset.vtilde)
+    gw = -np.einsum("f...v,vk,vi->f...ik", cw, vset.vtilde, vset.velocities)
+    half = 0.5 * ctx.dt_f.reshape((-1,) + (1,) * grid.d)
+    tw = grid.transverse_weights().reshape(grid.tshape)[..., None]
+    gw[:, -1, ..., 0, :] += half * tw * traj.boundary.b
+    gw[:, 0, ..., 0, :] -= half * tw * traj.boundary.a
+    w_mid = 0.5 * (traj.values[:-1] + traj.values[1:])
+    lap = -0.5 * (dtw * w_mid)[..., None, :]
+    return ctx, pi.reshape(ctx.w_space.size, -1), np.concatenate([lap, gw], axis=-2)
+
+
+class ComposedStepper:
+    """The d = 1 IMEX step composed as the sum it was before its stages became
+    the two operators of `_Stepper`: base = W + dt/4 Lap_h W, the flux
+    divergence N = -d_h F_1 by central differences, and each stage the
+    Crank-Nicolson solve walls + S diag(1/eig) S (base + c N) on the interior
+    rows, c = dt with N(W), then dt/2 with N(W) + N(W*).  The flux, the guard
+    and the wall solve are those of a `_Stepper` on the same data."""
+
+    def __init__(self, vset: VelocitySet, grid, boundary: BoundaryData, dt: float):
+        self.stepper = _Stepper(vset, grid, boundary, dt)
+        r = dt / (4.0 * grid.h1**2)
+        n = grid.m1 - 2
+        j = np.arange(1, n + 1)
+        dst = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * (np.outer(j, j) % (2 * n + 2)) / (n + 1))
+        eig = 1.0 + 4.0 * r * np.sin(np.pi * j / (2 * n + 2)) ** 2
+        self.inverse = (dst / eig[None, :]) @ dst
+
+    def implicit_solve(self, R: np.ndarray) -> np.ndarray:
+        X = self.stepper.walls.copy()
+        X[1:-1] += self.inverse @ R[1:-1]
+        return X
+
+    def divergence(self, W: np.ndarray, drift: np.ndarray) -> np.ndarray:
+        return -_grad_central(self.stepper.flux(W, drift)[:, 0], self.stepper.grid, 0)
+
+    def step(self, W: np.ndarray, t: float, drifts: tuple) -> np.ndarray:
+        st = self.stepper
+        dt = st.dt
+        base = W + 0.25 * dt * _lap_axis(W, st.grid, 0)
+        n0 = self.divergence(W, drifts[0])
+        W1 = st.guard(self.implicit_solve(base + dt * n0), t + dt)
+        n1 = self.divergence(W1, drifts[1])
+        return st.guard(self.implicit_solve(base + 0.5 * dt * (n0 + n1)), t + dt)

@@ -437,6 +437,74 @@ def test_reference_f06_gap_is_pinned(tmp_path):
         pytest.approx(2.480240e-4, rel=1e-6)
 
 
+# the two control terms of the rate workload, so that `latgas rate` on the
+# tiny config writes all three of its files
+TINY_RATE_CONTROL = [{"component": 0, "amplitude": 0.2, "space_mode": 1},
+                     {"component": 1, "amplitude": 0.15, "space_mode": 2, "time_mode": "linear"}]
+
+# Relative tolerances of the recorded `rate` numbers, each against the
+# largest |value| on its line; a key not named here (the sizes, the grid and
+# the horizon) must match exactly.  The linear term is the weak residual of a
+# PDE solution, a near-cancellation with about 11 digits determined: a 1e-14
+# change in the trajectory moved it, and the coefficients Q^-1 l / 2, by
+# 5-7e-11 relative, and the estimate l.Q^-1 l / 4 by 1e-13 to 3e-12 (the
+# implicit solve's change from DST-I transforms to one matrix, on the
+# reference and rate configs).  Each gets ten times the largest move seen
+# (1e-9, 3e-11).  Q, its regularization and the control norm are
+# chi-weighted sums with no such cancellation; 1e-11 is ten units in the
+# 13th digit the control norm is printed to.  The sweep's estimates and the
+# relative gap are printed to 7 digits; 2e-6 is two units in the last.
+RATE_TOLERANCES = {
+    "rate_sweep.csv": {"estimate": 2e-6},
+    "rate_report.txt": {"estimate": 3e-11, "linear_term": 1e-9, "coefficients": 1e-9,
+                        "regularization": 1e-11, "quad_matrix": 1e-11},
+    "f06_report.txt": {"lhs_cost_estimate": 3e-11, "rhs_quarter_control_norm": 1e-11,
+                       "relative_gap": 2e-6},
+}
+
+
+def rate_numbers(tmp_path) -> dict:
+    """Every number `latgas rate` writes on the tiny config with
+    TINY_RATE_CONTROL, as lists of floats by file and key: the sweep's basis
+    sizes and estimates, and each `key: value` line of the two reports (the
+    rows of quad_matrix under its key; not the config hash)."""
+    out = tmp_path / "rate-numbers"
+    path = tiny_config(tmp_path, ldp={"control": TINY_RATE_CONTROL})
+    assert main(["rate", "--config", path, "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "rate_sweep.csv").read_text().splitlines()[2:]]
+    numbers = {"rate_sweep.csv": {"basis_size": [float(m) for m, _ in rows],
+                                  "estimate": [float(e) for _, e in rows]}}
+    for name in ("rate_report.txt", "f06_report.txt"):
+        lines = numbers[name] = {}
+        for line in (out / name).read_text().splitlines()[1:]:  # after the format line
+            if not line.startswith(" "):
+                key, _, line = line.partition(":")
+            if key != "config_hash":
+                lines.setdefault(key, []).extend(map(float, line.split()))
+    return numbers
+
+
+def rate_mismatches(recorded: dict, numbers: dict) -> list:
+    """The "file/key" of each line of `numbers` that misses the `recorded`
+    one by more than its RATE_TOLERANCES, or that only one of them has."""
+    bad = []
+    for name in recorded.keys() | numbers.keys():
+        old, new = recorded.get(name, {}), numbers.get(name, {})
+        for key in old.keys() | new.keys():
+            a, b = np.array(old.get(key, [])), np.array(new.get(key, [np.nan]))
+            tol = RATE_TOLERANCES[name].get(key, 0.0) * np.max(np.abs(a), initial=0.0)
+            if a.shape != b.shape or not np.all(np.abs(b - a) <= tol):
+                bad.append(f"{name}/{key}")
+    return sorted(bad)
+
+
+def test_rate_numbers_match_the_recorded_run(tmp_path):
+    # pinned to tolerances, not bytes: see RATE_TOLERANCES
+    numbers = rate_numbers(tmp_path)
+    assert set(numbers["f06_report.txt"]) > {"lhs_cost_estimate", "relative_gap"}
+    assert rate_mismatches(RECORDED_OUTPUTS["rate"], numbers) == []
+
+
 def test_numbers_written_as_text_still_read():
     # PyYAML reads 1e-3 as a string; integral floats are integers
     config = yaml.safe_load(REFERENCE.read_text())
@@ -906,16 +974,21 @@ def test_a_failed_run_leaves_no_earlier_manifest(tmp_path, capsys, monkeypatch):
 
 def test_a_run_that_exits_2_leaves_the_directory_as_it_was(tmp_path, capsys):
     # the basis sizes and the control are checked after the config loads and
-    # before any work: a component past d, and a sine mode so high that
-    # sin(pi k) at the wall x = 1 is above the wall tolerance 1e-12
+    # before any work: a component past d, a sine mode so high that
+    # sin(pi k) at the wall x = 1 is above the wall tolerance 1e-12, and a
+    # control that is zero on the whole grid, as one term or as two that
+    # cancel (its F06 gap was 1/max(0, 1e-300) times the cost estimate)
     out = tmp_path / "out"
     assert main(["rate", "--config", tiny_config(tmp_path), "--out", str(out)]) == 0
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     assert "manifest_rate.txt" in before
+    vanishing = "ldp.control: control vanishes on the whole hydro grid"
     for ldp, message in [({"basis_sizes": [99]}, "ldp.basis_sizes [99]"),
                          ({"control": [{"component": 5}]}, "ldp.control: "),
                          ({"control": [{"space_mode": 100000}]},
-                          "ldp.control: field does not vanish on the walls")]:
+                          "ldp.control: field does not vanish on the walls"),
+                         ({"control": [{"amplitude": 0.0}]}, vanishing),
+                         ({"control": [{"amplitude": 0.2}, {"amplitude": -0.2}]}, vanishing)]:
         bad = tiny_config(tmp_path, ldp=ldp)
         assert main(["rate", "--config", bad, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err

@@ -28,6 +28,7 @@ from latgas.hydro import (
 from latgas.thermo import domain_of, theta_all, theta_field
 from latgas.velocities import VelocitySet, two_velocity_set
 from reference import (
+    ComposedStepper,
     chi,
     combination,
     drift,
@@ -74,7 +75,7 @@ def closed_form_flux(rho, p, v):
 
 
 def node_flux(w, vset):
-    """The flux F[..., i, k] at conserved vectors w, as `_Stepper.flux_divergence`
+    """The flux F[..., i, k] at conserved vectors w, as `_Stepper.flux`
     forms it: theta from the inversion, then `_flux_grid` of chi(theta)."""
     th = theta_field(w, vset)
     return _flux_grid(th * (1.0 - th), vset, vset.velocities.T)
@@ -390,18 +391,32 @@ class TestTransverse:
         assert amp[-1] < 0.15 * eps
 
 
+def implicit_solve(stepper, R):
+    """(I - dt/4 Lap_h) X = R on the interior rows with X = a, b on the walls,
+    as a stage solves it: the stage of R with no flux term in d > 1; in
+    d = 1 the stage walls - K_g F of the state W = 0 (so b = walls), for a
+    flux F whose central difference (F[i+1] - F[i-1]) / (2 h_1) is -R[i]."""
+    if stepper.axes:
+        return stepper._stage(R, 0.0, 0.0)
+    F = np.zeros(R.shape)
+    for i in range(2, len(R)):
+        F[i] = F[i - 2] - 2 * stepper.grid.h1 * R[i - 1]
+    return stepper._stage(stepper.walls, stepper.k_grad @ F, 1.0)
+
+
 @pytest.mark.parametrize("grid", [Grid(1, 3), Grid(1, 17), Grid(2, 9, 5), Grid(3, 9, 6)],
                          ids=str)
 def test_implicit_solve_inverts_the_crank_nicolson_matrix(grid, rng):
     # Every transverse wavenumber of the rfft layout (odd and even mt, d = 3)
     # and the smallest grid: (I - dt/4 Lap_h) X = R on the interior rows.
+    # In d = 1 the solve is folded into the stage operator K_g.
     d, dt = grid.d, 0.02
     vs = VelocitySet(np.vstack([s * 0.5 * np.eye(d) for s in (1, -1)]))
     nv = 2 * d
     prof = ReservoirProfiles.constant(vs, [0.3] * nv, [0.5] * nv)
     bd = BoundaryData.from_profiles(prof, vs, grid)
     R = rng.normal(size=grid.shape + (d + 1,))
-    X = _Stepper(vs, grid, bd, dt).implicit_solve(R)
+    X = implicit_solve(_Stepper(vs, grid, bd, dt), R)
     lap = sum(_lap_axis(X, grid, axis=i) for i in range(d))
     assert np.max(np.abs((X - 0.25 * dt * lap - R)[1:-1])) < 1e-13
     assert np.array_equal(X[0], bd.a) and np.array_equal(X[-1], bd.b)
@@ -435,8 +450,38 @@ def test_implicit_solve_matches_dense_solve(grid, rng):
     rhs = R.copy()
     rhs[0], rhs[-1] = bd.a, bd.b
     dense = np.linalg.solve(matrix, rhs.reshape(n_nodes, d + 1)).reshape(rhs.shape)
-    X = _Stepper(vs, grid, bd, dt).implicit_solve(R)
+    X = implicit_solve(_Stepper(vs, grid, bd, dt), R)
     assert np.max(np.abs(X - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("controlled", [False, True], ids=["plain", "controlled"])
+@pytest.mark.parametrize("m1", [3, 5, 65, 129])
+@pytest.mark.parametrize("vs_name", ["vs2", "vs4"])
+def test_stage_operators_match_the_composed_step(vs_name, m1, controlled, request):
+    # In d = 1 a step is b = walls + K_b W and two stages b - c K_g F, with
+    # K_b = inverse (I + dt/4 Lap_h) and K_g = inverse d_h; the composed step
+    # (`reference.ComposedStepper`) applies inverse to base + c N instead.
+    # The two differ by the rounding of those products, a few units of
+    # 1.1e-16 of the O(1) field per stage, and the step does not amplify a
+    # difference (`advective_limit`), so 128 steps of two stages add up to
+    # at most about 128 x 2 x 4 x 1.1e-16 = 1.1e-13; seen at most 6.4e-15
+    # (vs4 at m1 = 3).  The march runs 128 steps of the rate config's dt
+    # under a time-dependent two-term control, or under none.
+    vs = request.getfixturevalue(vs_name)
+    nv, grid, dt = len(vs), Grid(1, m1), 0.5 / 128
+    prof = ReservoirProfiles.constant(vs, [0.3, 0.4, 0.35, 0.45][:nv], [0.6, 0.5, 0.55, 0.65][:nv])
+    bd = BoundaryData.from_profiles(prof, vs, grid)
+    ctrl = combination([wall_mode(0, Factor("one"), 1),
+                        wall_mode(1, Factor("cos", 2 * np.pi / 0.5), 2)], [0.2, 0.15])
+    stepper, composed = _Stepper(vs, grid, bd, dt), ComposedStepper(vs, grid, bd, dt)
+    W = V = linear_gamma(bd, grid)
+    for k in range(128):
+        t = k * dt
+        drifts = ((drift(ctrl, t, grid, vs), drift(ctrl, t + dt, grid, vs)) if controlled
+                  else (vs.velocities.T,) * 2)
+        W, V = stepper.step(W, t, drifts), composed.step(V, t, drifts)
+        assert np.max(np.abs(W - V)) <= 1.1e-13
+    assert np.max(np.abs(W - linear_gamma(bd, grid))) > 1e-3  # the field moved
 
 
 class TestStepperFastPaths:

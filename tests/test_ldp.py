@@ -15,9 +15,11 @@ from latgas.hydro import (
     solve_hydro,
 )
 from latgas.ldp import h_norm, quadratic_sup, rate_estimate, verify_f06
+from latgas.velocities import VelocitySet
 from reference import (
     basis,
     combination,
+    einsum_weights,
     field_dt,
     field_laplacian,
     j_hat,
@@ -162,6 +164,47 @@ class TestLinearResidual:
         ref = np.array([einsum_residual(ctx, tr, G) for G in modes])
         assert np.max(np.abs(lin)) > 1e-3  # the path is not a solution
         assert np.max(np.abs(lin - ref)) <= 1e-12 * np.max(np.abs(lin))
+
+
+# six velocities whose tables vt_vc vt_vk and v_vi vt_vk are not dyadic
+VS6 = VelocitySet(np.array([[0.5], [-0.5], [0.3], [-0.3], [0.13], [-0.13]]))
+
+
+def short_solution(vs):
+    """A d = 1 solution over [0, 0.1] in 8 frames on 33 nodes, between
+    constant reservoirs."""
+    grid = Grid(1, 33)
+    nv = len(vs)
+    prof = ReservoirProfiles.constant(vs, np.linspace(0.3, 0.45, nv), np.linspace(0.6, 0.5, nv))
+    bd = BoundaryData.from_profiles(prof, vs, grid)
+    x = grid.nodes()[..., 0, None]
+    return solve_hydro((1 - x) * bd.a + x * bd.b, bd, 0.1, grid, vs, n_frames=8)
+
+
+class TestWeights:
+    """`pi_weights` and the flux block of `lap_grad_weights` are one matrix
+    product each against a velocity table; the einsums they replaced
+    multiply the same three factors in another order.  For vs2, vs4 and
+    vs2d every table entry is a signed power of two or zero, so each product
+    is exact in both orders and the sums over v round alike: the weights are
+    equal.  For VS6 they are not, and the two orders differ by rounding, a
+    few units of 1.1e-16 times the largest weight (seen 2.3e-17); per entry
+    it can be more, since the mixed entries sum_v chi_v v_v nearly cancel."""
+
+    @pytest.mark.parametrize("vs_name", ["vs2", "vs4", "vs2d", "vs6"])
+    def test_match_the_einsum_weights(self, vs_name, request):
+        if vs_name == "vs2d":
+            vs, traj = request.getfixturevalue(vs_name), d2_trajectory()
+        else:
+            vs = VS6 if vs_name == "vs6" else request.getfixturevalue(vs_name)
+            traj = short_solution(vs)
+        ctx, pi, lap_grad = einsum_weights(traj, vs)
+        if vs_name == "vs6":
+            for new, ref in ((ctx.pi_weights, pi), (ctx.lap_grad_weights, lap_grad)):
+                assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
+        else:
+            assert np.array_equal(ctx.pi_weights, pi)
+            assert np.array_equal(ctx.lap_grad_weights, lap_grad)
 
 
 def pairwise_gram(ctx, modes):
