@@ -33,10 +33,9 @@ from .empirical import block_average, empirical_measure, l1_distance, smooth
 from .errors import ConfigError, DomainError, LatgasError, NumericalFailure
 from .generator import assemble_exact_generator, max_abs, velocity_groups
 from .grid import Grid, field_columns, field_rows
-from .hydro import (HULL_INTERIOR_PAD, WALL_VANISH_TOL, BoundaryData, Factor,
-                    SeparableField, check_vanishes_on_walls, solve_hydro)
+from .hydro import HULL_INTERIOR_PAD, BoundaryData, Factor, SeparableField, solve_hydro
 from .lattice import Lattice
-from .ldp import default_basis, rate_estimate, time_factor, verify_f06
+from .ldp import check_control, default_basis, rate_estimate, time_factor, verify_f06
 from .thermo import domain_of, sample_profile_state, theta_field
 
 
@@ -113,10 +112,8 @@ def build_basis(cfg: ExperimentConfig, horizon: float) -> list:
 
 def build_control(cfg: ExperimentConfig, horizon: float):
     """The control of `ldp.control`, one term per entry, or None.  A term the
-    field rejects, a control that does not vanish on the walls of the hydro
-    grid (which `solve_controlled` requires), or one within WALL_VANISH_TOL
-    of zero on the whole grid at those times (F06's right-hand side would be
-    zero or rounding, and its relative gap divides by it), exits 2."""
+    field rejects, or a control `check_control` rejects on the hydro grid and
+    frames, exits 2."""
     terms = cfg.ldp["control"]
     if not terms:
         return None
@@ -127,9 +124,7 @@ def build_control(cfg: ExperimentConfig, horizon: float):
             (term["component"], term["amplitude"], time_factor(term["time_mode"], horizon),
              [Factor("sin", np.pi * term["space_mode"])] + [Factor("one")] * (d - 1))
             for term in terms])
-        largest = check_vanishes_on_walls(control, grid, horizon)
-        if not largest > WALL_VANISH_TOL:
-            raise ValueError(f"control vanishes on the whole hydro grid (max {largest:.2e})")
+        check_control(control, grid, horizon, cfg.hydro["n_frames"])
     except ValueError as exc:
         raise ConfigError(f"ldp.control: {exc}") from None
     return control

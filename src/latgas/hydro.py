@@ -205,14 +205,10 @@ class SeparableField:
         return self._sum(times, grid, 1)
 
 
-def check_vanishes_on_walls(fld, grid: Grid, horizon: float) -> float:
-    """Raise ValueError unless `fld` is within WALL_VANISH_TOL of zero on the walls
-    at five times in [0, horizon]; return its largest |value| on the grid then."""
-    values = np.abs(fld.values(np.linspace(0.0, horizon, 5), grid))
-    worst = float(np.max(values[:, [0, -1]]))
+def check_vanishes_on_walls(fld, grid: Grid, horizon: float):
+    worst = float(np.max(np.abs(fld.values(np.linspace(0.0, horizon, 5), grid)[:, [0, -1]])))
     if worst > WALL_VANISH_TOL:
         raise ValueError(f"field does not vanish on the walls (max {worst:.2e})")
-    return float(np.max(values))
 
 
 # --- trajectories ---------------------------------------------------------------
@@ -333,10 +329,10 @@ class _Stepper:
     K_g = inverse d_h (central differences): a step forms b = walls + K_b W
     once, and a stage is b - c K_g F, F the wall-axis flux, c = dt with
     F(W), then dt/2 with F(W) + F(W*).  A step took 44 against 60 us for
-    `inverse` applied to W + dt/4 Lap_h W + c N at m1 = 65, 99 against 100
-    at 257, 350 against 250 at 513 (2-core Xeon KVM guest); nothing shipped
-    marches above 257.  In d = 2 a solve took 57 us at (33, 8) and 61 at
-    (33, 16).
+    `inverse` applied to W + dt/4 Lap_h W + c N at m1 = 65, 58 against 72
+    at 129, 99 against 100 at 257, 350 against 250 at 513 (2-core Xeon KVM
+    guest); nothing shipped marches above 257.  In d = 2 a solve took 57 us
+    at (33, 8) and 61 at (33, 16).
 
     A step takes the drift at its two stage times as an argument (see
     `_flux_grid`; the plain system's is vset.velocities.T), and skips what it

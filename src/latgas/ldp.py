@@ -39,6 +39,8 @@ from .hydro import (
     FieldTrajectory,
     QuadratureContext,
     SeparableField,
+    WALL_VANISH_TOL,
+    check_vanishes_on_walls,
     solve_controlled,
 )
 from .velocities import VelocitySet
@@ -178,6 +180,24 @@ class F06Report:
     rhs: float          # quarter of the squared control norm along it
     rel_gap: float
     rate: RateReport
+
+
+def check_control(control, grid: Grid, horizon: float, n_frames: int):
+    """Raise ValueError unless `control` vanishes on the walls, as
+    `solve_controlled` requires, and its gradient exceeds WALL_VANISH_TOL
+    somewhere on `grid` at the midpoints of n_frames frames over [0, horizon].
+
+    Those are the times at which `verify_f06`'s right-hand side |H|_pi^2
+    weights grad H (with chi > 0) when the march keeps n_frames frames, as it
+    does on every shipped config; below the tolerance that side is zero or
+    rounding, and the relative gap divides by it.
+    """
+    check_vanishes_on_walls(control, grid, horizon)
+    t_mid = (np.arange(n_frames) + 0.5) * (horizon / n_frames)
+    steepest = float(np.max(np.abs(control.gradient(t_mid, grid))))
+    if not steepest > WALL_VANISH_TOL:
+        raise ValueError("control vanishes on the whole hydro grid at the frame midpoints "
+                         f"(largest gradient {steepest:.2e})")
 
 
 def verify_f06(gamma, boundary: BoundaryData, control, grid: Grid,

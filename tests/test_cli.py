@@ -977,8 +977,14 @@ def test_a_run_that_exits_2_leaves_the_directory_as_it_was(tmp_path, capsys):
     # before any work: a component past d, a sine mode so high that
     # sin(pi k) at the wall x = 1 is above the wall tolerance 1e-12, and a
     # control that is zero on the whole grid, as one term or as two that
-    # cancel (its F06 gap was 1/max(0, 1e-300) times the cost estimate)
+    # cancel (its F06 gap was 1/max(0, 1e-300) times the cost estimate).
+    # sin:2 is zero at t = 0, T/4, ..., T but not at the frame midpoints,
+    # where F06 weights it, so it runs
     out = tmp_path / "out"
+    sine = tiny_config(tmp_path, ldp={"control": [{"amplitude": 0.2, "time_mode": "sin:2"}]})
+    assert main(["rate", "--config", sine, "--out", str(tmp_path / "sine")]) == 0
+    gap = (tmp_path / "sine" / "f06_report.txt").read_text().split("relative_gap:")[1]
+    assert float(gap.split()[0]) < 10.0  # finite: 0.999 on these four frames
     assert main(["rate", "--config", tiny_config(tmp_path), "--out", str(out)]) == 0
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     assert "manifest_rate.txt" in before

@@ -14,7 +14,7 @@ from latgas.hydro import (
     SeparableField,
     solve_hydro,
 )
-from latgas.ldp import h_norm, quadratic_sup, rate_estimate, verify_f06
+from latgas.ldp import check_control, h_norm, quadratic_sup, rate_estimate, verify_f06
 from latgas.velocities import VelocitySet
 from reference import (
     basis,
@@ -403,6 +403,18 @@ class TestControlledIdentity:
         monkeypatch.setattr(ctrl, "gradient", counting)
         verify_f06(gamma, bd, ctrl, grid, vs, T, basis(1, T, n_space=1), n_frames=128)
         assert calls == [128 + 1, 128 + 1]
+
+    def test_check_control_reads_the_frame_midpoints(self):
+        # sin(2 pi N t / T) is zero at t = 0, T/4, ..., T for even N, but at
+        # every midpoint of n frames only when n divides N; F06's quadrature
+        # then sees no control
+        grid = Grid(1, 33)
+        check_control(wall_mode(0, Factor("sin", 2 * np.pi * 2 / T), 1), grid, T, 8)
+        for zero in (wall_mode(0, Factor("one"), 1, amplitude=0.0),
+                     combination([wall_mode(1, Factor("one"), 2)] * 2, [0.2, -0.2]),
+                     wall_mode(0, Factor("sin", 2 * np.pi * 8 / T), 1)):
+            with pytest.raises(ValueError, match="frame midpoints"):
+                check_control(zero, grid, T, 8)
 
     def test_zero_control_both_sides_vanish(self, solution):
         vs, grid, bd, gamma, traj = solution
